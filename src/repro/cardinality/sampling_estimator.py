@@ -178,8 +178,8 @@ class SamplingEstimator:
             self.scheduler,
             self.morsel_rows,
             stage="sample_filter",
+            keep=[f"{alias}.{name}" for name in join_columns],
         )
-        filtered = filtered.project(f"{alias}.{name}" for name in join_columns)
         self._filtered_cache[alias] = filtered
         return filtered
 

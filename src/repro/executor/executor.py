@@ -226,7 +226,7 @@ class Executor:
             residual = [p for p in predicates if p is not index_predicate]
             relation = filter_relation(
                 relation, alias, residual, self.scheduler, self.morsel_rows,
-                stage="filter",
+                stage="filter", keep=keep,
             )
             output_rows = relation.num_rows
             resources = self.cost_model.index_scan_resources(
@@ -236,14 +236,12 @@ class Executor:
             relation = Relation.from_table(table, alias, load)
             relation = filter_relation(
                 relation, alias, predicates, self.scheduler, self.morsel_rows,
-                stage="filter",
+                stage="filter", keep=keep,
             )
             output_rows = relation.num_rows
             resources = self.cost_model.seq_scan_resources(
                 table.num_rows, len(predicates), output_rows
             )
-        if keep is not None:
-            relation = relation.project(keep)
 
         result.node_executions.append(
             NodeExecution(

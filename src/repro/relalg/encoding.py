@@ -104,13 +104,6 @@ def take_column(column: ColumnData, indices: np.ndarray) -> ColumnData:
     return column[indices]
 
 
-def mask_column(column: ColumnData, mask: np.ndarray) -> ColumnData:
-    """Boolean-mask a runtime column, preserving its representation."""
-    if isinstance(column, DictEncodedArray):
-        return DictEncodedArray(column.codes[mask], column.dictionary)
-    return column[mask]
-
-
 def slice_column(column: ColumnData, start: int, stop: int) -> ColumnData:
     """Contiguous row range of a runtime column as a zero-copy view.
 
@@ -206,7 +199,7 @@ def codes_against(sorted_values: np.ndarray, probe: np.ndarray) -> np.ndarray:
         return _codes_against_elementwise(sorted_values, probe)
     clipped = np.minimum(positions, sentinel - 1)
     valid = (positions < sentinel) & (sorted_values[clipped] == probe)
-    return np.where(valid, clipped, sentinel).astype(np.int64)
+    return np.where(valid, clipped, sentinel)
 
 
 def _codes_against_elementwise(sorted_values: np.ndarray, probe: np.ndarray) -> np.ndarray:
@@ -222,19 +215,66 @@ def _codes_against_elementwise(sorted_values: np.ndarray, probe: np.ndarray) -> 
     return out
 
 
+def fits_direct_table(domain: int, left_rows: int, right_rows: int) -> bool:
+    """The join kernels' one density rule: a table addressed directly by code
+    (no sort, no search) is affordable up to four slots per joined row.
+
+    :func:`factorize_pair` applies it to an integer key's value span,
+    ``hash_match`` to the (possibly composite) code domain.
+    """
+    return domain <= 4 * (left_rows + right_rows)
+
+
+def _direct_codes(
+    left: np.ndarray, right: np.ndarray
+) -> Optional[Tuple[np.ndarray, np.ndarray, int]]:
+    """``key - min(right)`` as the code; left keys outside the span get ``span``.
+
+    ``None`` (take the sorting path) unless both sides are integer columns —
+    not ``bool``, float or object — whose values all fit ``int64``, ``right``
+    is non-empty and its value span passes :func:`fits_direct_table`.
+    """
+    if len(right) == 0 or left.dtype.kind not in "iu" or right.dtype.kind not in "iu":
+        return None
+    low, high, int64_max = int(right.min()), int(right.max()), np.iinfo(np.int64).max
+    span = high - low + 1  # Python ints: an int64 column's extremes cannot overflow
+    if high > int64_max or not fits_direct_table(span + 1, len(left), len(right)):
+        return None
+    if left.dtype == np.uint64 and len(left) and int(left.max()) > int64_max:
+        return None
+    # Widen before subtracting: narrow and unsigned dtypes would wrap.  The
+    # int64 ``left_keys - low`` can still wrap, but only where ``inside`` is false.
+    left_keys = left.astype(np.int64, copy=False)
+    inside = (left_keys >= low) & (left_keys <= high)
+    codes = np.where(inside, left_keys - low, span)
+    return codes, right.astype(np.int64, copy=False) - low, span + 1
+
+
 def factorize_pair(
     left: ColumnData, right: ColumnData
 ) -> Tuple[np.ndarray, np.ndarray, int]:
     """Map two key columns onto one shared integer code domain.
 
-    Returns ``(left_codes, right_codes, domain_size)`` such that two rows join
-    exactly when their codes are equal.  Values present on only one side are
-    mapped to a sentinel code that never matches the other side.  This is the
-    "factorize" step all three join kernels share.
+    Returns ``(left_codes, right_codes, domain_size)``: ``int64`` codes in
+    ``[0, domain_size)`` such that two rows join exactly when their codes are
+    equal.  Values present on only one side are mapped to a sentinel code
+    that never matches the other side.  This is the "factorize" step all
+    three join kernels share; none depends on *which* code a value gets:
+
+    * dictionary-encoded keys stay in (one side's) dictionary code space;
+    * dense plain integers (:func:`fits_direct_table` on the right side's
+      value span — every TPC-H/TPC-DS/OTT key) are direct-addressed,
+      ``key - min``, with no sort and no search;
+    * anything else (sparse integers, floats, ``bool``, objects) sorts the
+      right side's distinct values and binary-searches the left against them.
     """
     if isinstance(left, DictEncodedArray) and isinstance(right, DictEncodedArray):
         if left.dictionary is right.dictionary:
-            return left.codes, right.codes, len(left.dictionary)
+            return (
+                left.codes.astype(np.int64, copy=False),
+                right.codes.astype(np.int64, copy=False),
+                len(left.dictionary),
+            )
         # Translate right codes into the left dictionary's code space.
         translation = codes_against(left.dictionary, right.dictionary)
         return (
@@ -248,7 +288,11 @@ def factorize_pair(
     if isinstance(right, DictEncodedArray):
         left_codes = codes_against(right.dictionary, np.asarray(left))
         return left_codes, right.codes.astype(np.int64, copy=False), len(right.dictionary) + 1
-    # Two plain arrays: factorize over the right side's distinct values.
+    left, right = np.asarray(left), np.asarray(right)
+    direct = _direct_codes(left, right)
+    if direct is not None:
+        return direct
+    # Factorize over the right side's distinct values.
     try:
         right_unique, right_codes = np.unique(right, return_inverse=True)
     except TypeError:
@@ -263,5 +307,4 @@ def factorize_pair(
             dtype=np.int64,
         )
         return left_codes, right_codes, len(mapping) + 1
-    left_codes = codes_against(right_unique, np.asarray(left))
-    return left_codes, right_codes.astype(np.int64, copy=False), len(right_unique) + 1
+    return codes_against(right_unique, left), right_codes, len(right_unique) + 1

@@ -2,21 +2,27 @@
 
 All three kernels share one *factorization* step
 (:func:`repro.relalg.encoding.factorize_pair`): each join-key pair is mapped
-onto a common integer code domain, and multi-column keys are combined into a
+onto a common integer code domain — dictionary-encoded strings stay in code
+space, dense integer keys are direct-addressed (``key - min``), only sparse
+or non-integer keys are sorted — and multi-column keys are combined into a
 single composite ``int64`` code (Horner scheme over the per-key domains).
 They then differ in how codes are matched:
 
-* :func:`hash_join` — bucketise the right side by code (``np.bincount`` +
-  one counting sort) and probe buckets with the left codes: the vectorised
-  equivalent of a classic build/probe hash join.
+* :func:`hash_join` — build a table with one slot per code from the right
+  side and probe it with the left codes.  When no right code repeats (every
+  PK–FK join) a slot holds the right row itself and the probe is one gather;
+  otherwise slots are buckets (``np.bincount`` + one stable counting sort).
 * :func:`merge_join` — sort the right codes and binary-search the left codes
   (``np.searchsorted``): the sort-based path, equivalent to the seed kernel.
 * :func:`nested_loop_join` — block-wise outer × inner comparison, O(n·m)
   work by construction; the reference kernel the property tests compare the
   other two against, and the cost-model's nested-loop profile.
 
-Dictionary-encoded string keys never leave code space, so string joins run
-entirely on integer arrays.
+One density rule (:func:`repro.relalg.encoding.fits_direct_table`) decides
+both whether integer keys are direct-addressed and whether the hash table is
+sized by the code domain; inputs that fail it are sorted instead.  Every
+kernel emits pairs by ascending left row, ties by ascending right row, so the
+path taken never shows in the output.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.relalg.encoding import ColumnData, codes_against, factorize_pair, take_column
+from repro.relalg.encoding import ColumnData, factorize_pair, fits_direct_table, take_column
 from repro.relalg.relation import Relation, RelationLike, as_relation
 from repro.relalg.scheduler import TaskScheduler
 from repro.relalg.shm import ArrayDescriptor, attach_array
@@ -76,8 +82,6 @@ def _composite_codes(
     """
     left_col, right_col = _key_columns(left, right, predicates[0], left_aliases)
     left_codes, right_codes, domain = factorize_pair(left_col, right_col)
-    left_codes = left_codes.astype(np.int64, copy=False)
-    right_codes = right_codes.astype(np.int64, copy=False)
     residual: List[JoinPredicate] = []
     for predicate in predicates[1:]:
         left_col, right_col = _key_columns(left, right, predicate, left_aliases)
@@ -139,17 +143,27 @@ def _expand_matches(
 def hash_match(
     left_codes: np.ndarray, right_codes: np.ndarray, domain: int
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Match codes by bucketising the right side (build) and probing (probe)."""
+    """Match codes in ``[0, domain)`` through a table with one slot per code.
+
+    A domain that fails :func:`~repro.relalg.encoding.fits_direct_table`
+    (huge, sparse composite keys) is first re-factorized so the table stays
+    proportional to the data.  If no right code repeats, the table holds right
+    row ids and the probe is one gather; otherwise it holds buckets over a
+    stable counting sort of the right rows.  Either way pairs come out by
+    ascending left row, ties by ascending right row.
+    """
     left_rows, right_rows = len(left_codes), len(right_codes)
     if left_rows == 0 or right_rows == 0:
         return _empty_indices()
-    if domain > 4 * (left_rows + right_rows):
-        # Composite domains can be huge and sparse: compact the build side's
-        # codes first so the bucket table stays proportional to the data.
-        compact, right_codes = np.unique(right_codes, return_inverse=True)
-        left_codes = codes_against(compact, left_codes)
-        domain = len(compact) + 1
+    if not fits_direct_table(domain, left_rows, right_rows):
+        left_codes, right_codes, domain = factorize_pair(left_codes, right_codes)
     bucket_counts = np.bincount(right_codes, minlength=domain)
+    if bucket_counts.max() <= 1:
+        positions = np.full(domain, -1, dtype=np.int64)
+        positions[right_codes] = np.arange(right_rows)
+        right_index = positions[left_codes]
+        left_index = np.flatnonzero(right_index >= 0)
+        return left_index, right_index[left_index]
     bucket_order = np.argsort(right_codes, kind="stable")
     bucket_starts = np.concatenate(([0], np.cumsum(bucket_counts)[:-1]))
     match_counts = bucket_counts[left_codes]
@@ -275,7 +289,7 @@ def hash_join(
     predicates: Sequence[JoinPredicate],
     left_aliases: FrozenSet[str],
 ) -> Relation:
-    """Hash-based equi-join (factorize → bucketise → probe)."""
+    """Hash-based equi-join (factorize → build code table → probe)."""
     return _join(left, right, predicates, left_aliases, "hash")
 
 
@@ -320,14 +334,6 @@ def _radix_order(
     counts = np.bincount(parts, minlength=num_partitions)
     boundaries = np.concatenate(([0], np.cumsum(counts)))
     return order, boundaries
-
-
-def _radix_partitions(codes: np.ndarray, num_partitions: int) -> List[np.ndarray]:
-    """Row indices of every radix partition (``code % num_partitions``)."""
-    order, boundaries = _radix_order(codes, num_partitions)
-    return [
-        order[boundaries[p] : boundaries[p + 1]] for p in range(num_partitions)
-    ]
 
 
 #: ``_match_partition_task`` payload: the four shared code/order arrays plus

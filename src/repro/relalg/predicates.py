@@ -17,7 +17,7 @@ silent fallback; see the operator table in :data:`repro.sql.ast.COMPARISON_OPS`)
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -262,11 +262,17 @@ def filter_relation(
     scheduler: Optional[TaskScheduler] = None,
     morsel_rows: int = DEFAULT_MORSEL_ROWS,
     stage: Optional[str] = None,
+    keep: Optional[Iterable[str]] = None,
 ) -> Relation:
-    """Filter a relation by a conjunction of local predicates on ``alias``."""
+    """Filter a relation by a conjunction of local predicates on ``alias``.
+
+    ``keep`` names the (qualified) columns of the result; columns read only
+    by the predicates are then never gathered.  ``None`` keeps every column.
+    """
     relation = as_relation(relation)
+    carried = relation if keep is None else relation.project(keep)
     if not predicates:
-        return relation
-    return relation.select(
+        return carried
+    return carried.select(
         predicate_mask(relation, alias, predicates, scheduler, morsel_rows, stage)
     )

@@ -31,7 +31,6 @@ from repro.relalg.encoding import (
     column_fingerprint,
     column_length,
     decode_column,
-    mask_column,
     slice_column,
     take_column,
 )
@@ -109,11 +108,8 @@ class Relation(Dict[str, ColumnData]):
         )
 
     def select(self, mask: np.ndarray) -> "Relation":
-        """Row subset by boolean mask."""
-        return Relation(
-            {name: mask_column(column, mask) for name, column in self.items()},
-            num_rows=int(np.count_nonzero(mask)),
-        )
+        """Row subset by boolean mask: one index build, then a gather per column."""
+        return self.take(np.flatnonzero(mask))
 
     def project(self, names: Iterable[str]) -> "Relation":
         """Column subset (missing names are ignored), same rows."""

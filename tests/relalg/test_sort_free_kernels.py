@@ -1,0 +1,357 @@
+"""Property tests for the sort-free join and selection kernels.
+
+``factorize_pair`` direct-addresses dense integer keys, ``hash_match`` probes
+a position table when the build side is unique, and ``Relation.select``
+gathers by row index.  None of that may show in the output: every kernel must
+produce the pairs an exact Python-int reference produces, in the order "left
+row ascending, ties by right row ascending", and ``hash_join``,
+``merge_join`` and ``parallel_join_indices`` must equal ``nested_loop_join``
+byte for byte — on keys on both sides of the density rule, at the integer
+dtypes' extremes, and on the key types that must keep taking the sorting path.
+"""
+
+from __future__ import annotations
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import repro.relalg.joins as joins_module
+from repro.relalg import (
+    DictEncodedArray,
+    Relation,
+    TaskScheduler,
+    filter_relation,
+    hash_join,
+    merge_join,
+    nested_loop_join,
+)
+from repro.relalg.encoding import factorize_pair
+from repro.relalg.joins import join_indices, parallel_join_indices
+from repro.sql.ast import JoinPredicate, LocalPredicate
+
+LEFT = frozenset({"l"})
+ON_K = [JoinPredicate("l", "k", "r", "k")]
+INT_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+INT64_MAX = np.iinfo(np.int64).max
+
+
+@pytest.fixture(scope="module", params=["process", "thread"])
+def scheduler(request):
+    with TaskScheduler(workers=2, name="sort-free", backend=request.param) as sched:
+        yield sched
+
+
+def assert_same_relation(expected: Relation, actual: Relation) -> None:
+    assert list(expected) == list(actual)
+    assert expected.num_rows == actual.num_rows
+    for name, want in expected.items():
+        got = actual[name]
+        if isinstance(want, DictEncodedArray):
+            assert isinstance(got, DictEncodedArray), name
+            assert got.dictionary is want.dictionary, name
+            want, got = want.codes, got.codes
+        assert want.dtype == got.dtype, name
+        assert want.tobytes() == got.tobytes(), name
+
+
+def reference_pairs(left_keys, right_keys):
+    """Exact nested loops over Python values: the order every kernel must emit."""
+    pairs = [
+        (i, j)
+        for i, left_key in enumerate(zip(*left_keys))
+        for j, right_key in enumerate(zip(*right_keys))
+        if left_key == right_key
+    ]
+    return [i for i, _ in pairs], [j for _, j in pairs]
+
+
+def python_values(column):
+    if isinstance(column, DictEncodedArray):
+        column = column.decode()
+    return column.tolist()
+
+
+def check_all_kernels(left: Relation, right: Relation, predicates, scheduler=None) -> None:
+    """Every kernel against the Python reference and the nested-loop relation."""
+    want_left, want_right = reference_pairs(
+        [python_values(left[f"l.{p.left_column}"]) for p in predicates],
+        [python_values(right[f"r.{p.right_column}"]) for p in predicates],
+    )
+    for method in ("hash", "merge", "nested_loop"):
+        got_left, got_right = join_indices(left, right, predicates, LEFT, method)
+        assert got_left.tolist() == want_left, method
+        assert got_right.tolist() == want_right, method
+    reference = nested_loop_join(left, right, predicates, LEFT)
+    assert_same_relation(reference, hash_join(left, right, predicates, LEFT))
+    assert_same_relation(reference, merge_join(left, right, predicates, LEFT))
+    if scheduler is not None:
+        with mock.patch.object(joins_module, "_MIN_PARALLEL_JOIN_ROWS", 0):
+            got_left, got_right = parallel_join_indices(
+                left, right, predicates, LEFT, scheduler=scheduler, num_partitions=3
+            )
+        assert got_left.tolist() == want_left
+        assert got_right.tolist() == want_right
+
+
+def keyed(alias: str, **keys) -> Relation:
+    rows = len(next(iter(keys.values())))
+    columns = {f"{alias}.{name}": column for name, column in keys.items()}
+    columns[f"{alias}.payload"] = np.arange(rows, dtype=np.float64) * 0.5
+    return Relation(columns, num_rows=rows)
+
+
+# --------------------------------------------------------------------------- #
+# Strategies
+# --------------------------------------------------------------------------- #
+@st.composite
+def integer_key_pairs(draw):
+    """(left, right) integer key arrays of possibly different dtypes.
+
+    The build side is dense, spread over its whole dtype, or pinned to the
+    dtype's two extremes; the probe side mixes build values with values just
+    outside the build span and arbitrary values of its own dtype.
+    """
+    left_dtype, right_dtype = draw(st.sampled_from(INT_DTYPES)), draw(st.sampled_from(INT_DTYPES))
+    left_info, right_info = np.iinfo(left_dtype), np.iinfo(right_dtype)
+    if left_info.max > INT64_MAX or right_info.max > INT64_MAX:
+        # The sorting path compares uint64 with signed values through
+        # float64; keep such pairs to one dtype so the reference stays exact.
+        left_dtype = right_dtype = np.uint64
+        left_info = right_info = np.iinfo(np.uint64)
+    shape = draw(st.sampled_from(["dense", "spread", "extremes"]))
+    if shape == "dense":
+        low = draw(st.integers(right_info.min, right_info.max - 50))
+        build_values = st.integers(low, low + 50)
+    else:
+        build_values = st.integers(right_info.min, right_info.max)
+    right = draw(st.lists(build_values, max_size=40, unique=draw(st.booleans())))
+    if shape == "extremes":
+        right += [right_info.min, right_info.max]
+    nearby = [v + d for v in right for d in (-1, 0, 0, 1)] + [left_info.min, left_info.max]
+    nearby = [v for v in nearby if left_info.min <= v <= left_info.max]
+    probe_values = st.sampled_from(nearby) | st.integers(left_info.min, left_info.max)
+    left = draw(st.lists(probe_values, max_size=40))
+    return np.array(left, dtype=left_dtype), np.array(right, dtype=right_dtype)
+
+
+@st.composite
+def density_edge_pairs(draw):
+    """Build spans from two under to two over the density rule's threshold."""
+    left_rows, right_rows = draw(st.integers(0, 12)), draw(st.integers(2, 12))
+    low = draw(st.integers(-1000, 1000))
+    span = 4 * (left_rows + right_rows) - 1 + draw(st.integers(-2, 2))
+    inner = st.integers(low, low + span - 1)
+    right = [low, low + span - 1] + draw(
+        st.lists(inner, min_size=right_rows - 2, max_size=right_rows - 2)
+    )
+    left = draw(
+        st.lists(st.sampled_from(right) | inner | st.integers(low - 3, low + span + 2),
+                 min_size=left_rows, max_size=left_rows)
+    )
+    return np.array(left, dtype=np.int64), np.array(right, dtype=np.int64)
+
+
+def other_key_pairs():
+    """Key types that must keep taking the sorting / dictionary paths."""
+    floats = st.lists(
+        st.sampled_from([0.0, 1.0, 2.0, 2.5, -1.0, float("nan")]), max_size=20
+    ).map(lambda values: np.array(values, dtype=np.float64))
+    bools = st.lists(st.booleans(), max_size=20).map(lambda values: np.array(values, dtype=bool))
+    small_ints = st.lists(st.integers(-1, 3), max_size=20).map(
+        lambda values: np.array(values, dtype=np.int64)
+    )
+    words = st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=20)
+    encoded = words.map(lambda values: DictEncodedArray.encode(np.array(values, dtype=object)))
+    plain_words = words.map(lambda values: np.array(values, dtype=object))
+    return st.one_of(
+        st.tuples(floats, floats),
+        st.tuples(floats, small_ints),
+        st.tuples(small_ints, floats),
+        st.tuples(bools, bools),
+        st.tuples(encoded, encoded),
+        st.tuples(encoded, plain_words),
+        st.tuples(plain_words, encoded),
+        st.tuples(encoded, small_ints),
+        st.tuples(small_ints, encoded),
+    )
+
+
+# --------------------------------------------------------------------------- #
+# Joins
+# --------------------------------------------------------------------------- #
+class TestJoinsAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(keys=integer_key_pairs())
+    def test_integer_keys_of_every_dtype(self, keys):
+        check_all_kernels(keyed("l", k=keys[0]), keyed("r", k=keys[1]), ON_K)
+
+    @settings(max_examples=100, deadline=None)
+    @given(keys=density_edge_pairs())
+    def test_spans_around_the_density_rule(self, keys):
+        check_all_kernels(keyed("l", k=keys[0]), keyed("r", k=keys[1]), ON_K)
+
+    @settings(max_examples=100, deadline=None)
+    @given(keys=other_key_pairs())
+    def test_float_bool_and_dictionary_keys(self, keys):
+        check_all_kernels(keyed("l", k=keys[0]), keyed("r", k=keys[1]), ON_K)
+
+    @settings(max_examples=60, deadline=None)
+    @given(first=integer_key_pairs(), second=st.one_of(density_edge_pairs(), other_key_pairs()))
+    def test_two_predicate_composite_keys(self, first, second):
+        left_rows = min(len(first[0]), len(second[0]))
+        right_rows = min(len(first[1]), len(second[1]))
+        left = keyed("l", k=first[0][:left_rows], k2=second[0].take(np.arange(left_rows)))
+        right = keyed("r", k=first[1][:right_rows], k2=second[1].take(np.arange(right_rows)))
+        check_all_kernels(left, right, ON_K + [JoinPredicate("l", "k2", "r", "k2")])
+
+    @settings(max_examples=25, deadline=None)
+    @given(keys=st.one_of(integer_key_pairs(), density_edge_pairs(), other_key_pairs()))
+    def test_partition_parallel_join(self, scheduler, keys):
+        assume(len(keys[0]) and len(keys[1]))
+        check_all_kernels(keyed("l", k=keys[0]), keyed("r", k=keys[1]), ON_K, scheduler)
+
+    def test_int64_extremes_in_one_column(self):
+        info = np.iinfo(np.int64)
+        right = np.array([info.min, info.max, 0, 7], dtype=np.int64)
+        left = np.array([info.max, 7, info.min, -1, info.min], dtype=np.int64)
+        check_all_kernels(keyed("l", k=left), keyed("r", k=right), ON_K)
+
+    def test_probe_far_outside_a_dense_span_cannot_wrap_into_it(self):
+        info = np.iinfo(np.int64)
+        right = np.arange(info.max - 9, info.max + 1, dtype=np.int64)[::-1]
+        left = np.array([info.min, info.min + 5, info.max - 3, -1, info.max], dtype=np.int64)
+        check_all_kernels(keyed("l", k=left), keyed("r", k=right), ON_K)
+
+    def test_uint64_above_int64_is_not_reinterpreted(self):
+        right = np.array([0, 1, 2, 3, 2**64 - 3], dtype=np.uint64)
+        left = np.array([2**64 - 3, 3, 2**63, 0], dtype=np.uint64)
+        check_all_kernels(keyed("l", k=left), keyed("r", k=right), ON_K)
+        dense = np.arange(2**63 - 4, 2**63 + 4, dtype=np.uint64)
+        check_all_kernels(keyed("l", k=dense[::-2]), keyed("r", k=dense), ON_K)
+        # Against a signed build side holding -3, 2**64 - 3 must not match.
+        signed = np.array([-3, 0, 3], dtype=np.int64)
+        pairs = join_indices(keyed("l", k=left), keyed("r", k=signed), ON_K, LEFT, "hash")
+        assert [index.tolist() for index in pairs] == [[1, 3], [2, 1]]
+
+
+class TestFactorizePair:
+    @settings(max_examples=150, deadline=None)
+    @given(keys=st.one_of(integer_key_pairs(), density_edge_pairs()))
+    def test_codes_are_int64_inside_the_domain(self, keys):
+        left_codes, right_codes, domain = factorize_pair(*keys)
+        assert left_codes.dtype == right_codes.dtype == np.int64
+        for codes in (left_codes, right_codes):
+            assert len(codes) == 0 or (0 <= codes.min() and codes.max() < domain)
+        equal = left_codes[:, None] == right_codes[None, :]
+        assert equal.tolist() == [
+            [a == b for b in keys[1].tolist()] for a in keys[0].tolist()
+        ]
+
+    def test_dense_integers_are_direct_addressed(self):
+        left_codes, right_codes, domain = factorize_pair(
+            np.array([9, 12, 10, 13, -40], dtype=np.int16), np.array([12, 10, 11], dtype=np.int32)
+        )
+        assert left_codes.tolist() == [3, 2, 0, 3, 3]
+        assert right_codes.tolist() == [2, 0, 1]
+        assert domain == 4
+
+    def test_shared_dictionary_codes_are_widened(self):
+        column = DictEncodedArray.encode(np.array(["x", "y", "x"], dtype=object))
+        left_codes, right_codes, domain = factorize_pair(column, column.take(np.array([1])))
+        assert left_codes.dtype == right_codes.dtype == np.int64
+        assert domain == 2
+
+
+class TestFastPathIsTaken:
+    """Dense integer joins must not sort: the sorting entry points raise."""
+
+    @staticmethod
+    def forbid(monkeypatch, *names):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the sort-free path fell back to sorting")
+
+        for name in names:
+            monkeypatch.setattr(np, name, forbidden)
+
+    def test_primary_key_foreign_key_join_never_sorts(self, monkeypatch, make_rng):
+        rng = make_rng(7)
+        orders = keyed("r", k=rng.permutation(2_000) + 100)
+        lineitem = keyed("l", k=rng.integers(0, 2_300, size=10_000))
+        expected = nested_loop_join(lineitem, orders, ON_K, LEFT)
+        self.forbid(monkeypatch, "unique", "searchsorted", "argsort", "sort", "lexsort")
+        assert_same_relation(expected, hash_join(lineitem, orders, ON_K, LEFT))
+
+    def test_duplicate_build_side_factorizes_without_sorting(self, monkeypatch, make_rng):
+        rng = make_rng(8)
+        left = keyed("l", k=rng.integers(-50, 450, size=3_000))
+        right = keyed("r", k=rng.integers(0, 400, size=2_000))
+        expected = nested_loop_join(left, right, ON_K, LEFT)
+        self.forbid(monkeypatch, "unique", "searchsorted")
+        assert_same_relation(expected, hash_join(left, right, ON_K, LEFT))
+
+    def test_sparse_keys_still_take_the_sorting_path(self, monkeypatch):
+        left = keyed("l", k=np.array([5, 10**9, 7]))
+        right = keyed("r", k=np.array([10**9, 5, 5]))
+        self.forbid(monkeypatch, "unique")
+        with pytest.raises(AssertionError, match="fell back to sorting"):
+            hash_join(left, right, ON_K, LEFT)
+
+
+# --------------------------------------------------------------------------- #
+# Selection
+# --------------------------------------------------------------------------- #
+class TestSelect:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        mask=st.one_of(
+            st.lists(st.booleans(), max_size=60),
+            st.integers(0, 60).map(lambda rows: [True] * rows),
+            st.integers(0, 60).map(lambda rows: [False] * rows),
+        ),
+        with_columns=st.booleans(),
+    )
+    def test_select_is_take_is_boolean_indexing(self, mask, with_columns):
+        mask = np.array(mask, dtype=bool)
+        rows = len(mask)
+        words = np.array([f"w{i % 5}" for i in range(rows)], dtype=object)
+        relation = Relation(
+            {
+                "t.i": np.arange(rows, dtype=np.int32) * 3,
+                "t.f": np.arange(rows, dtype=np.float64) / 7,
+                "t.s": DictEncodedArray.encode(words),
+            }
+            if with_columns
+            else {},
+            num_rows=rows,
+        )
+        selected = relation.select(mask)
+        assert selected.num_rows == int(mask.sum())
+        assert_same_relation(relation.take(np.flatnonzero(mask)), selected)
+        for name, column in relation.items():
+            if isinstance(column, DictEncodedArray):
+                assert selected[name].dictionary is column.dictionary
+                assert np.array_equal(selected[name].codes, column.codes[mask])
+            else:
+                assert selected[name].dtype == column.dtype
+                assert np.array_equal(selected[name], column[mask])
+
+    def test_filter_keeps_only_the_named_columns(self):
+        relation = Relation(
+            {
+                "t.a": np.array([1, 5, 3, 9]),
+                "t.b": np.array([10, 20, 30, 40]),
+                "t.c": DictEncodedArray.encode(np.array(["x", "y", "x", "z"], dtype=object)),
+            }
+        )
+        predicates = [LocalPredicate("t", "a", ">", 2), LocalPredicate("t", "c", "<>", "z")]
+        full = filter_relation(relation, "t", predicates)
+        kept = filter_relation(relation, "t", predicates, keep=["t.b"])
+        assert_same_relation(full.project(["t.b"]), kept)
+        assert kept["t.b"].tolist() == [20, 30]
+        # Without predicates it is a plain projection; with none kept, rows survive.
+        assert_same_relation(relation.project(["t.c"]), filter_relation(relation, "t", [], keep=["t.c"]))
+        assert filter_relation(relation, "t", predicates, keep=[]).num_rows == 2
