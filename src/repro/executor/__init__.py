@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-from repro.executor.executor import ExecutionResult, Executor, required_columns
+from repro.executor.executor import ExecutionResult, Executor, live_columns
 from repro.executor.materialization import (
     IntermediateRegistry,
     MaterializedIntermediate,
     canonical_row_order,
     canonicalize_relation,
+    needs_canonical_order,
 )
 
 __all__ = [
@@ -17,5 +18,6 @@ __all__ = [
     "MaterializedIntermediate",
     "canonical_row_order",
     "canonicalize_relation",
-    "required_columns",
+    "live_columns",
+    "needs_canonical_order",
 ]

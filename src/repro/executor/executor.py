@@ -23,9 +23,10 @@ three physical-execution concerns on top:
   method) runs the hash kernel, ``MERGE_JOIN`` the sort-merge kernel and
   ``NESTED_LOOP`` the block nested-loop kernel, so the cost profiles the
   optimizer distinguishes correspond to genuinely different algorithms;
-* **projection pushdown** — scans only materialise the columns later
-  predicates, join keys, aggregates or the output need, so joins never carry
-  dead columns (a :class:`~repro.relalg.Relation` tracks its row count
+* **dead-column elimination** — every scan and join output carries exactly
+  :func:`live_columns` of its join set: what the output stage reads plus the
+  join keys a *later* join still needs.  A key is dropped by the join that
+  consumes it (a :class:`~repro.relalg.Relation` tracks its row count
   explicitly, which keeps ``COUNT(*)`` correct even with no columns left);
 * **morsel-driven parallelism** — when constructed with a parallel
   :class:`~repro.relalg.TaskScheduler`, plan pipelines execute
@@ -47,13 +48,17 @@ three physical-execution concerns on top:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set
+from dataclasses import dataclass, field, replace
+from typing import AbstractSet, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.cost.model import CostModel, ResourceVector
 from repro.cost.units import CostUnits, DEFAULT_COST_UNITS
 from repro.errors import ExecutionError
-from repro.executor.materialization import IntermediateRegistry
+from repro.executor.materialization import (
+    IntermediateRegistry,
+    canonicalize_relation,
+    needs_canonical_order,
+)
 from repro.relalg import (
     DEFAULT_MORSEL_ROWS,
     Relation,
@@ -120,45 +125,54 @@ class ExecutionResult:
             if execution.kind != "aggregate"
         }
 
+    def price(self, cost_model: CostModel) -> "ExecutionResult":
+        """Set the resource total and simulated cost from the node executions."""
+        total = ResourceVector()
+        for execution in self.node_executions:
+            total = total + execution.resources
+        self.actual_resources = total
+        self.simulated_cost = cost_model.cost(total)
+        return self
 
-def required_columns(plan: PlanNode, query: Optional[Query]) -> Optional[Dict[str, Set[str]]]:
-    """Columns each alias must carry past its scan, or ``None`` to keep all.
 
-    The set is the union of the plan's join-key columns and everything the
-    query's output (projections, aggregates, group-by) reads.  ``SELECT *``
-    queries (and plans executed without a query) disable pushdown.
+def live_columns(
+    query: Optional[Query], join_set: AbstractSet[str]
+) -> Optional[FrozenSet[str]]:
+    """Qualified columns a relation over ``join_set`` carries; ``None`` = all.
 
-    For a *complete* plan (one covering every alias, so every join predicate
-    of the query is applied at some join node) the result is independent of
-    the join order: each alias carries its output columns plus all of its
-    join-predicate columns.  The adaptive executor relies on this — an
-    intermediate materialized under one plan carries exactly the columns any
-    re-planned join order needs above it.
+    The one liveness rule: the output stage's input columns (aggregate
+    arguments and group keys, else the projections) of aliases in the set,
+    plus the columns of join predicates whose other side lies *outside* it.
+    A pure function of the query and the join set — plan nodes only ever
+    carry ``query.join_predicates_between(left, right)`` — so scans, every
+    join method, shard workers and adaptive checkpoints agree on it under any
+    join order.  ``SELECT *`` and plans executed without a query keep all.
     """
     if query is None:
         return None
     if query.aggregates or query.group_by:
-        output = {
-            (a.alias, a.column)
-            for a in query.aggregates
-            if a.alias is not None and a.column is not None
-        }
-        output |= {(ref.alias, ref.column) for ref in query.group_by}
+        output = [(a.alias, a.column) for a in query.aggregates if a.column is not None]
+        output += [(ref.alias, ref.column) for ref in query.group_by]
     elif query.projections:
-        output = {(ref.alias, ref.column) for ref in query.projections}
+        output = [(ref.alias, ref.column) for ref in query.projections]
     else:
         return None
-    required: Dict[str, Set[str]] = {}
-    for alias, column in output:
-        required.setdefault(alias, set()).add(column)
-    for node in plan.walk():
-        if isinstance(node, JoinNode):
-            for predicate in node.predicates:
-                required.setdefault(predicate.left_alias, set()).add(predicate.left_column)
-                required.setdefault(predicate.right_alias, set()).add(predicate.right_column)
-        elif isinstance(node, ScanNode):
-            required.setdefault(node.alias, set())
-    return required
+    live = {f"{alias}.{column}" for alias, column in output if alias in join_set}
+    for predicate in query.join_predicates:
+        if predicate.left_alias in join_set and predicate.right_alias not in join_set:
+            live.add(f"{predicate.left_alias}.{predicate.left_column}")
+        elif predicate.right_alias in join_set and predicate.left_alias not in join_set:
+            live.add(f"{predicate.right_alias}.{predicate.right_column}")
+    return frozenset(live)
+
+
+def split_final_aggregate(plan: PlanNode) -> Tuple[PlanNode, Optional[AggregateNode]]:
+    """Split ``plan`` into its join pipeline and the final aggregate, if any."""
+    if isinstance(plan, AggregateNode):
+        if plan.child is None:
+            raise ValueError("aggregate node is missing its input")
+        return plan.child, plan
+    return plan, None
 
 
 class Executor:
@@ -193,23 +207,20 @@ class Executor:
         self,
         node: ScanNode,
         result: ExecutionResult,
-        required: Optional[Dict[str, Set[str]]],
+        query: Optional[Query],
     ) -> Relation:
         table = self.db.table(node.table)
         alias = node.alias
         predicates = list(node.predicates)
 
-        if required is None:
-            load = list(table.column_names)
-            keep = None
-        else:
-            carry = required.get(alias, set())
-            load = [
-                name
-                for name in table.column_names
-                if name in carry or any(p.column == name for p in predicates)
-            ]
-            keep = {f"{alias}.{name}" for name in carry}
+        keep = live_columns(query, {alias})
+        load = [
+            name
+            for name in table.column_names
+            if keep is None
+            or f"{alias}.{name}" in keep
+            or any(p.column == name for p in predicates)
+        ]
 
         if node.method is ScanMethod.INDEX_SCAN and node.index_column is not None:
             index_predicate = next(
@@ -258,25 +269,26 @@ class Executor:
         self,
         node: JoinNode,
         result: ExecutionResult,
-        required: Optional[Dict[str, Set[str]]],
+        query: Optional[Query],
     ) -> Relation:
         if node.left is None or node.right is None:
             raise ExecutionError("join node is missing an input")
-        left_relation = self._execute_node(node.left, result, required)
-        right_relation = self._execute_node(node.right, result, required)
+        left_relation = self._execute_node(node.left, result, query)
+        right_relation = self._execute_node(node.right, result, query)
         left_rows = left_relation.num_rows
         right_rows = right_relation.num_rows
+        keep = live_columns(query, node.relations)
 
         if node.method is JoinMethod.MERGE_JOIN:
             joined = merge_join(
                 left_relation, right_relation, node.predicates,
-                frozenset(node.left.relations),
+                frozenset(node.left.relations), keep=keep,
             )
         elif node.method is JoinMethod.NESTED_LOOP:
             joined = nested_loop_join(
                 left_relation, right_relation, node.predicates,
                 frozenset(node.left.relations),
-                block_elements=self.nested_loop_block_elements,
+                block_elements=self.nested_loop_block_elements, keep=keep,
             )
         elif node.method in (JoinMethod.HASH_JOIN, JoinMethod.INDEX_NESTED_LOOP):
             # INDEX_NESTED_LOOP is lookup-based and shares the build/probe
@@ -286,7 +298,7 @@ class Executor:
             joined = parallel_hash_join(
                 left_relation, right_relation, node.predicates,
                 frozenset(node.left.relations),
-                scheduler=self.scheduler,
+                scheduler=self.scheduler, keep=keep,
             )
         else:
             raise ExecutionError(f"unsupported join method {node.method!r}")
@@ -317,11 +329,11 @@ class Executor:
         self,
         node: AggregateNode,
         result: ExecutionResult,
-        required: Optional[Dict[str, Set[str]]],
+        query: Optional[Query],
     ) -> Relation:
         if node.child is None:
             raise ExecutionError("aggregate node is missing its input")
-        child_relation = self._execute_node(node.child, result, required)
+        child_relation = self._execute_node(node.child, result, query)
         input_rows = child_relation.num_rows
         output = group_aggregate(
             child_relation,
@@ -375,25 +387,23 @@ class Executor:
         self,
         node: PlanNode,
         result: ExecutionResult,
-        required: Optional[Dict[str, Set[str]]],
+        query: Optional[Query],
     ) -> Relation:
         if isinstance(node, ScanNode):
-            return self._execute_scan(node, result, required)
+            return self._execute_scan(node, result, query)
         if isinstance(node, JoinNode):
-            return self._execute_join(node, result, required)
+            return self._execute_join(node, result, query)
         if isinstance(node, MaterializedNode):
             return self._execute_materialized(node, result)
         if isinstance(node, AggregateNode):
-            return self._execute_aggregate(node, result, required)
+            return self._execute_aggregate(node, result, query)
         raise ExecutionError(f"unknown plan node type {type(node).__name__}")
 
     # ------------------------------------------------------------------ #
     # Public API
     # ------------------------------------------------------------------ #
     def execute_fragment(
-        self,
-        fragment: PlanNode,
-        required: Optional[Dict[str, Set[str]]] = None,
+        self, fragment: PlanNode, query: Optional[Query] = None
     ) -> ExecutionResult:
         """Execute one plan fragment (a pipeline) without output shaping.
 
@@ -401,43 +411,31 @@ class Executor:
         with the usual per-node instrumentation, but its output relation is
         returned *raw* (``result.columns``, encoded columns untouched, no
         projection to the query's output), so it can feed later pipelines.
-        ``required`` is the column-requirement map of the **complete** plan
-        the fragment belongs to (see :func:`required_columns`) — passing the
-        fragment's own map would under-project its scans.
+        It carries :func:`live_columns` of ``query`` and the fragment's join
+        set — whatever plan the fragment was cut from.
         """
         result = ExecutionResult(columns=Relation(), num_rows=0)
         started = time.perf_counter()
-        relation = self._execute_node(fragment, result, required)
+        relation = self._execute_node(fragment, result, query)
         result.wall_seconds = time.perf_counter() - started
         result.columns = relation
         result.num_rows = relation.num_rows
-        total = ResourceVector()
-        for execution in result.node_executions:
-            total = total + execution.resources
-        result.actual_resources = total
-        result.simulated_cost = self.cost_model.cost(total)
-        return result
+        return result.price(self.cost_model)
 
     def execute_plan(self, plan: PlanNode, query: Optional[Query] = None) -> ExecutionResult:
         """Execute a physical plan and return the instrumented result."""
-        result = ExecutionResult(columns=Relation(), num_rows=0)
-        required = required_columns(plan, query)
-        started = time.perf_counter()
-        relation = self._execute_node(plan, result, required)
-        result.wall_seconds = time.perf_counter() - started
-
-        # Project to the query's requested output columns if it asked for
-        # specific columns and no aggregation already shaped the output.
+        result = self.execute_fragment(plan, query)
+        relation = result.columns
+        # Project to the query's requested output columns, in SELECT order
+        # (not join order: the column order must not show the plan either),
+        # if it asked for specific columns and no aggregation shaped the output.
         if query is not None and query.projections and not query.aggregates and not query.group_by:
-            relation = relation.project(f"{ref.alias}.{ref.column}" for ref in query.projections)
-
+            names = [f"{ref.alias}.{ref.column}" for ref in query.projections]
+            relation = Relation(
+                {name: relation[name] for name in names if name in relation},
+                num_rows=relation.num_rows,
+            )
         result.columns = relation.decoded()
-        result.num_rows = relation.num_rows
-        total = ResourceVector()
-        for execution in result.node_executions:
-            total = total + execution.resources
-        result.actual_resources = total
-        result.simulated_cost = self.cost_model.cost(total)
         return result
 
     def execute(self, query: Query, plan: Optional[PlanNode] = None) -> ExecutionResult:
@@ -447,3 +445,66 @@ class Executor:
 
             plan = Optimizer(self.db).optimize(query)
         return self.execute_plan(plan, query)
+
+
+def finalize_canonical_execution(
+    executor: Executor,
+    registry: IntermediateRegistry,
+    query: Query,
+    relation: Relation,
+    aggregate_node: Optional[AggregateNode],
+    source_signature: Tuple[object, ...],
+) -> ExecutionResult:
+    """Run the output stage of ``query`` over its full join result.
+
+    ``relation`` covers every alias — produced locally by
+    :meth:`QueryService._execute_plan` or the adaptive executor, or
+    concatenated from shard fragments by the sharded coordinator.  When the
+    output is order-sensitive (:func:`needs_canonical_order`) its rows are
+    first ordered by the output stage's input columns —
+    ``live_columns(query, all aliases)``, stated rather than "whatever the
+    fragment carried": rows equal on every column the output reads are
+    interchangeable, so that order makes the output bytes a function of the
+    row multiset, never of the plan.  The relation is stored in ``registry``
+    (the ``executor``'s own) and the final projection/aggregation runs over a
+    materialized leaf.
+    """
+    full_set = frozenset(query.aliases)
+    if needs_canonical_order(executor.db, query):
+        relation = canonicalize_relation(relation, live_columns(query, full_set))
+    registry.store(full_set, relation, source_signature=source_signature)
+    final_plan: PlanNode = MaterializedNode(
+        relations=full_set,
+        estimated_rows=float(relation.num_rows),
+        estimated_cost=0.0,
+    )
+    if aggregate_node is not None:
+        final_plan = replace(aggregate_node, child=final_plan)
+    return executor.execute_plan(final_plan, query)
+
+
+def combine_execution_accounting(
+    parts: Sequence[ExecutionResult],
+    final: ExecutionResult,
+    cost_model: CostModel,
+) -> ExecutionResult:
+    """Merge fragment executions with the final stage into one result.
+
+    The combined result reports the final stage's rows, the concatenation
+    of every part's per-node instrumentation (parts first, in the given
+    order), resources and simulated cost summed across all of it, and
+    ``wall_seconds`` as total *work* (the sum), not elapsed time.
+    """
+    node_executions = [
+        execution for part in parts for execution in part.node_executions
+    ]
+    node_executions.extend(final.node_executions)
+    merged = ExecutionResult(
+        columns=final.columns,
+        num_rows=final.num_rows,
+        node_executions=node_executions,
+    )
+    merged.wall_seconds = (
+        sum(part.wall_seconds for part in parts) + final.wall_seconds
+    )
+    return merged.price(cost_model)

@@ -10,23 +10,64 @@ is what makes the registry reusable across re-planned join orders: a freshly
 planned tree that contains a sub-tree over an already-materialized join set
 resumes from the stored relation instead of restarting from scans.
 
-The registry also provides :func:`canonical_row_order` — a deterministic
-full-column row ordering.  A join's output row *multiset* is independent of
-the join order that produced it, but its row *order* is not; sorting the
-final pipeline's output canonically makes order-sensitive results (float
-``SUM``/``AVG`` accumulation, bare projections) a pure function of the row
-multiset, which is the adaptive executor's bit-identity guarantee.
+The module also provides :func:`canonical_row_order` — a deterministic row
+ordering by the output stage's input columns.  A join's output row
+*multiset* is independent of the join order that produced it, but its row
+*order* is not; sorting the final pipeline's output canonically makes
+order-sensitive results (:func:`needs_canonical_order`: float ``SUM``/``AVG``
+accumulation, bare projections) a pure function of the row multiset, which
+is the bit-identity guarantee of the service, the sharded coordinator and
+the adaptive executor alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.relalg import Relation
+from repro.relalg.aggregate import partial_merge_exact
 from repro.relalg.encoding import sort_key
+from repro.sql.ast import Query
+from repro.storage.catalog import Database
+
+
+def exact_partial_columns(
+    db: Database, query: Query
+) -> AbstractSet[Tuple[Optional[str], Optional[str]]]:
+    """The aggregate input columns whose sums are exact in any row order.
+
+    Integer-typed columns sum exactly in any order (int64 sums, and float64
+    holds integer-valued sums exactly below 2**53 — the engine's aggregation
+    dtype); float columns do not.  The result feeds
+    :func:`repro.relalg.aggregate.partial_merge_exact`.
+    """
+    exact: Set[Tuple[Optional[str], Optional[str]]] = set()
+    for aggregate in query.aggregates:
+        if aggregate.alias is None or aggregate.column is None:
+            continue
+        table = db.table(query.table_for_alias(aggregate.alias))
+        if table.schema.column(aggregate.column).type == "int":
+            exact.add((aggregate.alias, aggregate.column))
+    return exact
+
+
+def needs_canonical_order(db: Database, query: Query) -> bool:
+    """Whether the query's output depends on the input row order.
+
+    The one order-sensitivity classification: bare projections expose row
+    order directly; aggregates are order-sensitive exactly when
+    :func:`~repro.relalg.aggregate.partial_merge_exact` says their partials
+    do not compose — float ``SUM``/``AVG`` accumulate in row order, while
+    ``COUNT``/``MIN``/``MAX``, integer ``SUM``/``AVG`` and group keys (which
+    are sorted) do not.  The sharded coordinator takes its ``partial`` merge
+    path on the same answer.
+    """
+    if not query.aggregates and not query.group_by:
+        return True
+    return not partial_merge_exact(query.aggregates, exact_partial_columns(db, query))
 
 
 def canonical_row_order(relation: Relation) -> Optional[np.ndarray]:
@@ -43,8 +84,13 @@ def canonical_row_order(relation: Relation) -> Optional[np.ndarray]:
     return np.lexsort(keys)
 
 
-def canonicalize_relation(relation: Relation) -> Relation:
-    """The relation with its rows in canonical order (see above)."""
+def canonicalize_relation(
+    relation: Relation, live: Optional[AbstractSet[str]] = None
+) -> Relation:
+    """``relation`` projected to the ``live`` columns (``None`` = all it has)
+    with its rows in canonical order (see above)."""
+    if live is not None:
+        relation = relation.project(live)
     order = canonical_row_order(relation)
     if order is None:
         return relation

@@ -27,7 +27,7 @@ path taken never shows in the output.
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import AbstractSet, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -222,14 +222,42 @@ def _cross_indices(left_rows: int, right_rows: int) -> Tuple[np.ndarray, np.ndar
 
 
 def _materialise(
-    left: Relation, right: Relation, left_index: np.ndarray, right_index: np.ndarray
+    left: Relation,
+    right: Relation,
+    left_index: np.ndarray,
+    right_index: np.ndarray,
+    keep: Optional[AbstractSet[str]] = None,
+    scheduler: Optional[TaskScheduler] = None,
 ) -> Relation:
-    result = Relation(num_rows=len(left_index))
-    for name, column in left.items():
-        result[name] = take_column(column, left_index)
-    for name, column in right.items():
-        result[name] = take_column(column, right_index)
-    return result
+    """Gather the matched rows — the one place any join kernel builds output.
+
+    ``keep`` names the columns the result carries (``None`` = every column of
+    both sides); a join key nothing later reads is matched on and never
+    gathered.  With a parallel ``scheduler`` and a large enough output the
+    gathers run one column per task — fancy indexing releases the GIL, and
+    column identity fixes the task order, so the result is byte-for-byte the
+    serial one.
+    """
+    jobs = [
+        (name, column, index)
+        for side, index in ((left, left_index), (right, right_index))
+        for name, column in side.items()
+        if keep is None or name in keep
+    ]
+
+    def gather(job: Tuple[str, ColumnData, np.ndarray]) -> Tuple[str, ColumnData]:
+        return job[0], take_column(job[1], job[2])
+
+    if (
+        scheduler is not None
+        and scheduler.parallel
+        and len(left_index) >= _MIN_PARALLEL_JOIN_ROWS
+        and len(jobs) > 1
+    ):
+        gathered = scheduler.map(gather, jobs)
+    else:
+        gathered = [gather(job) for job in jobs]
+    return Relation(dict(gathered), num_rows=len(left_index))
 
 
 def join_indices(
@@ -274,13 +302,14 @@ def _join(
     left_aliases: FrozenSet[str],
     method: str,
     nested_loop_block_elements: Optional[int] = None,
+    keep: Optional[AbstractSet[str]] = None,
 ) -> Relation:
     left = as_relation(left)
     right = as_relation(right)
     left_index, right_index = join_indices(
         left, right, predicates, left_aliases, method, nested_loop_block_elements
     )
-    return _materialise(left, right, left_index, right_index)
+    return _materialise(left, right, left_index, right_index, keep)
 
 
 def hash_join(
@@ -288,9 +317,10 @@ def hash_join(
     right: RelationLike,
     predicates: Sequence[JoinPredicate],
     left_aliases: FrozenSet[str],
+    keep: Optional[AbstractSet[str]] = None,
 ) -> Relation:
     """Hash-based equi-join (factorize → build code table → probe)."""
-    return _join(left, right, predicates, left_aliases, "hash")
+    return _join(left, right, predicates, left_aliases, "hash", keep=keep)
 
 
 def merge_join(
@@ -298,9 +328,10 @@ def merge_join(
     right: RelationLike,
     predicates: Sequence[JoinPredicate],
     left_aliases: FrozenSet[str],
+    keep: Optional[AbstractSet[str]] = None,
 ) -> Relation:
     """Sort-merge equi-join (factorize → sort → binary search)."""
-    return _join(left, right, predicates, left_aliases, "merge")
+    return _join(left, right, predicates, left_aliases, "merge", keep=keep)
 
 
 def nested_loop_join(
@@ -309,9 +340,10 @@ def nested_loop_join(
     predicates: Sequence[JoinPredicate],
     left_aliases: FrozenSet[str],
     block_elements: Optional[int] = None,
+    keep: Optional[AbstractSet[str]] = None,
 ) -> Relation:
     """Block nested-loop equi-join (reference kernel, O(n·m) comparisons)."""
-    return _join(left, right, predicates, left_aliases, "nested_loop", block_elements)
+    return _join(left, right, predicates, left_aliases, "nested_loop", block_elements, keep)
 
 
 # --------------------------------------------------------------------------- #
@@ -506,33 +538,17 @@ def parallel_hash_join(
     left_aliases: FrozenSet[str],
     scheduler: Optional[TaskScheduler] = None,
     num_partitions: Optional[int] = None,
+    keep: Optional[AbstractSet[str]] = None,
 ) -> Relation:
     """Hash join dispatched onto the shared scheduler (bit-identical to serial).
 
-    Matching is partition-parallel (:func:`parallel_join_indices`); output
-    materialisation then gathers one column per task — fancy indexing
-    releases the GIL, and column identity fixes the task order, so the
-    result relation is byte-for-byte the serial :func:`hash_join` output.
+    Matching is partition-parallel (:func:`parallel_join_indices`) and the
+    output gather column-parallel (:func:`_materialise`), so the result
+    relation is byte-for-byte the serial :func:`hash_join` output.
     """
     left = as_relation(left)
     right = as_relation(right)
     left_index, right_index = parallel_join_indices(
         left, right, predicates, left_aliases, scheduler, num_partitions
     )
-    if (
-        scheduler is None
-        or not scheduler.parallel
-        or len(left_index) < _MIN_PARALLEL_JOIN_ROWS
-        or len(left) + len(right) <= 1
-    ):
-        return _materialise(left, right, left_index, right_index)
-
-    gather_jobs = [(name, column, left_index) for name, column in left.items()]
-    gather_jobs += [(name, column, right_index) for name, column in right.items()]
-    gathered = scheduler.map(
-        lambda job: (job[0], take_column(job[1], job[2])), gather_jobs
-    )
-    result = Relation(num_rows=len(left_index))
-    for name, column in gathered:
-        result[name] = column
-    return result
+    return _materialise(left, right, left_index, right_index, keep, scheduler)

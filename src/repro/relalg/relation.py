@@ -258,41 +258,49 @@ class ChunkedRelation:
         )
 
 
+def _concat_encoded(columns: List[DictEncodedArray]) -> DictEncodedArray:
+    """Concatenate encoded columns in code space, whatever their dictionaries.
+
+    Parts of one chunked relation share a dictionary object; shard fragments
+    arrive with one dictionary object per shard — equal contents when every
+    shard saw every value, genuinely different otherwise.  Equal dictionaries
+    are reused; different ones are unioned (they are small and sorted) and
+    each part's codes remapped, so the result's dictionary stays sorted and
+    no caller ever sorts the decoded strings.
+    """
+    dictionary = columns[0].dictionary
+    if all(
+        column.dictionary is dictionary or np.array_equal(column.dictionary, dictionary)
+        for column in columns
+    ):
+        return DictEncodedArray(np.concatenate([c.codes for c in columns]), dictionary)
+    dictionary = np.unique(np.concatenate([c.dictionary for c in columns]))
+    codes = [np.searchsorted(dictionary, c.dictionary)[c.codes] for c in columns]
+    return DictEncodedArray(np.concatenate(codes).astype(np.int32), dictionary)
+
+
 def concat_relations(parts: Iterable[Relation]) -> Relation:
     """Concatenate relations with identical columns, in the given order.
 
-    The deterministic merge step of the morsel runtime: the caller supplies
-    parts in morsel order, so the output row order never depends on worker
-    scheduling.  Encoded columns whose parts share one dictionary concatenate
-    in code space; mixed-dictionary parts (which never arise from chunking
-    one relation) fall back to decoding.
+    The deterministic merge step of the morsel runtime and of the sharded
+    gather: the caller supplies parts in morsel (or shard) order, so the
+    output row order never depends on worker scheduling.  Encoded columns
+    stay encoded (:func:`_concat_encoded`).
     """
     parts = [part for part in parts]
     if not parts:
         return Relation()
     if len(parts) == 1:
         return parts[0]
-    names = list(parts[0].keys())
     total_rows = sum(part.num_rows for part in parts)
     columns: Dict[str, ColumnData] = {}
-    for name in names:
-        first = parts[0][name]
-        if isinstance(first, DictEncodedArray):
-            if all(
-                isinstance(part[name], DictEncodedArray)
-                and part[name].dictionary is first.dictionary
-                for part in parts
-            ):
-                columns[name] = DictEncodedArray(
-                    np.concatenate([part[name].codes for part in parts]),
-                    first.dictionary,
-                )
-            else:
-                columns[name] = np.concatenate(
-                    [decode_column(part[name]) for part in parts]
-                )
+    for name in list(parts[0].keys()):
+        pieces = [part[name] for part in parts]
+        encoded = [piece for piece in pieces if isinstance(piece, DictEncodedArray)]
+        if len(encoded) == len(pieces):
+            columns[name] = _concat_encoded(encoded)
         else:
-            columns[name] = np.concatenate([np.asarray(part[name]) for part in parts])
+            columns[name] = np.concatenate([decode_column(piece) for piece in pieces])
     return Relation(columns, num_rows=total_rows)
 
 

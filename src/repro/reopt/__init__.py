@@ -10,7 +10,6 @@ from repro.reopt.adaptive import (
     CheckpointRecord,
     deviation_factor,
     execute_adaptively,
-    needs_canonical_order,
 )
 from repro.reopt.algorithm import (
     ReoptimizationResult,
@@ -36,7 +35,6 @@ __all__ = [
     "DriverStats",
     "deviation_factor",
     "execute_adaptively",
-    "needs_canonical_order",
     "ReoptimizationReport",
     "ReoptimizationResult",
     "ReoptimizationSettings",

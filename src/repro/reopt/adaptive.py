@@ -34,23 +34,33 @@ degenerate "static" mode (``replan_threshold=None``), which executes the
 optimizer's original plan to completion.  A join's output row *multiset* is
 independent of join order, but its row *order* is not; for order-sensitive
 outputs (float ``SUM``/``AVG`` accumulation, bare projections) the final
-pipeline's rows are therefore put into a canonical full-column order before
-the output is shaped, making the result a pure function of the joined row
-multiset.  Order-insensitive outputs (``COUNT``/``MIN``/``MAX``, sorted
-group keys) skip the sort and are additionally byte-identical to the plain
+pipeline's rows are therefore ordered by the output stage's input columns
+before the output is shaped
+(:func:`~repro.executor.executor.finalize_canonical_execution`), making the
+result a pure function of the joined row multiset.  Order-insensitive
+outputs (``COUNT``/``MIN``/``MAX``, integer ``SUM``/``AVG``, sorted group
+keys) skip the sort and are additionally byte-identical to the plain
 :class:`~repro.executor.executor.Executor` running the static plan.
+Checkpoints carry :func:`~repro.executor.executor.live_columns` of their
+join set — a function of the query alone, so an intermediate materialized
+under one plan is exactly what any re-planned join order expects there.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from repro.cardinality.gamma import Gamma
-from repro.cost.model import ResourceVector
-from repro.executor.executor import ExecutionResult, Executor, required_columns
-from repro.executor.materialization import IntermediateRegistry, canonicalize_relation
+from repro.executor.executor import (
+    ExecutionResult,
+    Executor,
+    combine_execution_accounting,
+    finalize_canonical_execution,
+    split_final_aggregate,
+)
+from repro.executor.materialization import IntermediateRegistry
 from repro.optimizer.optimizer import Optimizer, OptimizerSettings, PlanningSession
 from repro.plans.join_tree import classify_transformation, plans_identical, replace_subtrees
 from repro.plans.nodes import (
@@ -64,9 +74,6 @@ from repro.relalg import DEFAULT_MORSEL_ROWS, Relation, TaskScheduler
 from repro.reopt.report import ReoptimizationReport, RoundRecord
 from repro.sql.ast import Query
 from repro.storage.catalog import Database
-
-#: Aggregate functions whose result does not depend on input row order.
-_ORDER_INSENSITIVE_AGGREGATES = frozenset({"count", "min", "max"})
 
 
 @dataclass(frozen=True)
@@ -158,27 +165,6 @@ def deviation_factor(estimated: float, actual: float) -> float:
     return max(est, act) / min(est, act)
 
 
-def needs_canonical_order(query: Query) -> bool:
-    """Whether the query's output depends on the input row order.
-
-    Bare projections expose row order directly; float ``SUM``/``AVG``
-    accumulate in row order.  ``COUNT``/``MIN``/``MAX`` (and group keys,
-    which are sorted) do not.
-    """
-    if not query.aggregates and not query.group_by:
-        return True
-    return any(a.func not in _ORDER_INSENSITIVE_AGGREGATES for a in query.aggregates)
-
-
-def _split_aggregate(plan: PlanNode) -> Tuple[PlanNode, Optional[AggregateNode]]:
-    """Separate the join pipeline from the optional aggregation on top."""
-    if isinstance(plan, AggregateNode):
-        if plan.child is None:
-            raise ValueError("aggregate node without input")
-        return plan.child, plan
-    return plan, None
-
-
 def _next_pipeline(plan: PlanNode) -> Optional[PlanNode]:
     """The next executable pipeline: post-order first scan, or first join
     whose inputs are both already materialized."""
@@ -268,8 +254,7 @@ class AdaptiveExecutor:
             )
         )
 
-        required = required_columns(plan, query)
-        join_plan, aggregate_node = _split_aggregate(plan)
+        join_plan, aggregate_node = split_final_aggregate(plan)
         full_set = frozenset(alias for alias in query.aliases)
 
         result = AdaptiveExecutionResult(
@@ -280,8 +265,7 @@ class AdaptiveExecutor:
             report=report,
             gamma=gamma,
         )
-        node_executions = []
-        execution_seconds = 0.0
+        fragments: List[ExecutionResult] = []
         threshold = self.settings.replan_threshold
         current = join_plan
 
@@ -293,9 +277,8 @@ class AdaptiveExecutor:
             if target is None:  # pragma: no cover - defensive: malformed plan
                 raise RuntimeError(f"no executable pipeline in plan of {query.name!r}")
 
-            fragment = executor.execute_fragment(target, required)
-            execution_seconds += fragment.wall_seconds
-            node_executions.extend(fragment.node_executions)
+            fragment = executor.execute_fragment(target, query)
+            fragments.append(fragment)
             out_set = frozenset(target.relations)
             relation = fragment.columns
             registry.store(out_set, relation, source_signature=target.signature())
@@ -331,31 +314,13 @@ class AdaptiveExecutor:
         # ------------------------------------------------------------------
         entry = registry.get(full_set)
         assert entry is not None
-        if needs_canonical_order(query):
-            entry.relation = canonicalize_relation(entry.relation)
-        final_fragment: PlanNode = MaterializedNode(
-            relations=full_set,
-            estimated_rows=float(entry.actual_rows),
-            estimated_cost=0.0,
+        final_execution = finalize_canonical_execution(
+            executor, registry, query, entry.relation, aggregate_node,
+            source_signature=entry.source_signature,
         )
-        if aggregate_node is not None:
-            final_fragment = replace(aggregate_node, child=final_fragment)
-        final_execution = executor.execute_plan(final_fragment, query)
-        execution_seconds += final_execution.wall_seconds
-        node_executions.extend(final_execution.node_executions)
-
-        merged = ExecutionResult(
-            columns=final_execution.columns,
-            num_rows=final_execution.num_rows,
-            node_executions=node_executions,
+        result.execution = combine_execution_accounting(
+            fragments, final_execution, executor.cost_model
         )
-        total = ResourceVector()
-        for execution in node_executions:
-            total = total + execution.resources
-        merged.actual_resources = total
-        merged.simulated_cost = executor.cost_model.cost(total)
-        merged.wall_seconds = execution_seconds
-        result.execution = merged
         return result
 
     # ------------------------------------------------------------------ #
@@ -392,7 +357,7 @@ class AdaptiveExecutor:
         result.planning_seconds += planning_seconds
         result.replans += 1
 
-        new_join_plan, new_aggregate = _split_aggregate(new_plan)
+        new_join_plan, new_aggregate = split_final_aggregate(new_plan)
         new_current = replace_subtrees(new_join_plan, reuse_nodes)
         # Collapse the incumbent with the same reuse map before comparing:
         # the pipeline that triggered this re-plan is already materialized,

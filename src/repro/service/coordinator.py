@@ -19,10 +19,12 @@ single-node service over the unsharded catalog returns:
 
 ``scatter`` + *gather merge*
     Order-sensitive outputs (bare projections, float ``SUM``/``AVG``) ship
-    their join fragments back; the coordinator concatenates them in sorted
-    shard order, applies the adaptive executor's canonical full-column row
-    order, and runs the final projection/aggregation centrally — the same
-    :func:`~repro.service.service.finalize_canonical_execution` the
+    their join fragments back — only the output stage's input columns
+    (:func:`~repro.executor.executor.live_columns`) cross the queue; the
+    coordinator concatenates them in sorted shard order (encoded columns in
+    code space), orders the rows by those columns and runs the final
+    projection/aggregation centrally — the same
+    :func:`~repro.executor.executor.finalize_canonical_execution` the
     single-node service uses, so the output bytes match by construction.
 
 ``single``
@@ -59,34 +61,28 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.bench.clock import monotonic_s
 from repro.cardinality.gamma import Gamma
-from repro.cost.model import CostModel, ResourceVector
+from repro.cost.model import CostModel
 from repro.cost.units import CostUnits
 from repro.executor.executor import (
     ExecutionResult,
     Executor,
     NodeExecution,
-    required_columns,
-)
-from repro.executor.materialization import IntermediateRegistry, canonicalize_relation
-from repro.optimizer.settings import OptimizerSettings
-from repro.plans.nodes import MaterializedNode, PlanNode
-from repro.relalg import Relation, TaskScheduler, concat_relations
-from repro.relalg.aggregate import merge_partials, partial_aggregate, partial_merge_exact
-from repro.relalg.encoding import ColumnData
-from repro.reopt.algorithm import ReoptimizationSettings
-from repro.service.admission import AdmissionController, AdmissionStats
-from repro.service.cache import ResultCache, ResultCacheStats
-from repro.service.service import (
-    QueryService,
-    ServiceResult,
-    ServiceSettings,
     combine_execution_accounting,
     finalize_canonical_execution,
     split_final_aggregate,
 )
+from repro.executor.materialization import IntermediateRegistry, needs_canonical_order
+from repro.optimizer.settings import OptimizerSettings
+from repro.plans.nodes import MaterializedNode, PlanNode
+from repro.relalg import Relation, TaskScheduler, concat_relations
+from repro.relalg.aggregate import merge_partials, partial_aggregate
+from repro.relalg.encoding import ColumnData
+from repro.reopt.algorithm import ReoptimizationSettings
+from repro.service.admission import AdmissionController, AdmissionStats
+from repro.service.cache import ResultCache, ResultCacheStats
+from repro.service.service import QueryService, ServiceResult, ServiceSettings
 from repro.service.sharding import (
     ShardingSpec,
-    exact_partial_columns,
     lookup_shard,
     register_shards,
     route_query,
@@ -157,8 +153,7 @@ def _execute_shard(db: Database, payload: _ShardPayload) -> _ShardOutcome:
         nested_loop_block_elements=block_elements,
     )
     join_plan, _ = split_final_aggregate(plan)
-    required = required_columns(plan, query)
-    fragment = executor.execute_fragment(join_plan, required)
+    fragment = executor.execute_fragment(join_plan, query)
     relation = fragment.columns
     if mode == "partial":
         relation = partial_aggregate(relation, query.group_by, query.aggregates)
@@ -395,9 +390,7 @@ class ShardedQueryService:
 
     def _merge_mode(self, bound: Query) -> str:
         """``partial`` when every aggregate composes exactly, else ``gather``."""
-        if bound.aggregates and partial_merge_exact(
-            bound.aggregates, exact_partial_columns(self.db, bound)
-        ):
+        if bound.aggregates and not needs_canonical_order(self.db, bound):
             return "partial"
         return "gather"
 
@@ -460,18 +453,13 @@ class ShardedQueryService:
                 ),
             )
         )
-        total = ResourceVector()
-        for execution in node_executions:
-            total = total + execution.resources
         result = ExecutionResult(
             columns=merged,
             num_rows=merged.num_rows,
             node_executions=node_executions,
         )
-        result.actual_resources = total
-        result.simulated_cost = self._cost_model.cost(total)
         result.wall_seconds = sum(outcome[4] for outcome in outcomes)
-        return result
+        return result.price(self._cost_model)
 
     def _merge_gather(
         self,
@@ -481,18 +469,17 @@ class ShardedQueryService:
     ) -> ExecutionResult:
         """Concatenate shard fragments and finish centrally.
 
-        Fragments concatenate in canonical shard order, then take the
-        adaptive executor's canonical full-column row order — a pure
+        Fragments concatenate in canonical shard order, then the final
+        stage orders the rows by the output stage's input columns — a pure
         function of the row multiset, which the disjoint shard union
-        preserves — so the central final stage sees byte-for-byte the rows
-        a single-node canonical execution sees.
+        preserves — so it sees byte-for-byte the rows a single-node
+        canonical execution sees.
         """
         fragments = [
             Relation(columns, num_rows=num_rows)
             for _, columns, num_rows, _, _ in outcomes
         ]
         combined = concat_relations(fragments)
-        canonical = canonicalize_relation(combined)
         join_plan, aggregate_node = split_final_aggregate(plans[0])
         registry = IntermediateRegistry()
         executor = Executor(
@@ -509,7 +496,7 @@ class ShardedQueryService:
             executor,
             registry,
             bound,
-            canonical,
+            combined,
             aggregate_node,
             source_signature=join_plan.signature(),
         )

@@ -26,18 +26,19 @@ layers, outermost first:
 
 Results are **plan-independent bit-identical**: order-sensitive outputs
 (bare projections, float ``SUM``/``AVG``) are produced from the join
-pipeline's rows in canonical full-column order — the same mechanism the
-adaptive executor uses — so a validated reuse, a drift replan and a
-from-scratch run of the same bound query return byte-identical relations
-even when their join orders differ.
+pipeline's rows ordered by the output stage's input columns — the same
+:func:`~repro.executor.executor.finalize_canonical_execution` the adaptive
+executor and the sharded coordinator use — so a validated reuse, a drift
+replan and a from-scratch run of the same bound query return byte-identical
+relations even when their join orders differ.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, replace
-from typing import Dict, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple, Union
 
 from repro.bench.clock import monotonic_s
 from repro.cardinality.gamma import Gamma
@@ -45,17 +46,17 @@ from repro.cardinality.sampling_estimator import validate_plan_for_bindings
 from repro.executor.executor import (
     ExecutionResult,
     Executor,
-    required_columns,
+    combine_execution_accounting,
+    finalize_canonical_execution,
+    split_final_aggregate,
 )
-from repro.executor.materialization import IntermediateRegistry, canonicalize_relation
-from repro.cost.model import CostModel, ResourceVector
+from repro.executor.materialization import IntermediateRegistry, needs_canonical_order
 from repro.optimizer.optimizer import Optimizer, PlanningSession
 from repro.optimizer.settings import OptimizerSettings
 from repro.plans.join_tree import rebind_plan
-from repro.plans.nodes import AggregateNode, MaterializedNode, PlanNode
+from repro.plans.nodes import MaterializedNode, PlanNode
 from repro.relalg import DEFAULT_MORSEL_ROWS, Relation, TaskScheduler
 from repro.relalg.scheduler import SchedulerStats
-from repro.reopt.adaptive import needs_canonical_order
 from repro.reopt.algorithm import ReoptimizationResult, ReoptimizationSettings, Reoptimizer
 from repro.service.admission import AdmissionController, AdmissionStats, BackpressureError
 from repro.service.cache import PlanCacheEntry, ResultCache, ResultCacheStats, max_drift
@@ -69,9 +70,6 @@ __all__ = [
     "ServiceResult",
     "ServiceSettings",
     "ServiceStats",
-    "combine_execution_accounting",
-    "finalize_canonical_execution",
-    "split_final_aggregate",
 ]
 
 
@@ -179,78 +177,6 @@ class ServiceResult:
     @property
     def columns(self) -> Relation:
         return self.execution.columns
-
-
-def split_final_aggregate(plan: PlanNode) -> Tuple[PlanNode, Optional[AggregateNode]]:
-    """Split ``plan`` into its join pipeline and the final aggregate, if any."""
-    if isinstance(plan, AggregateNode):
-        if plan.child is None:
-            raise ValueError("aggregate node is missing its input")
-        return plan.child, plan
-    return plan, None
-
-
-def finalize_canonical_execution(
-    executor: Executor,
-    registry: IntermediateRegistry,
-    query: Query,
-    relation: Relation,
-    aggregate_node: Optional[AggregateNode],
-    source_signature: str,
-) -> ExecutionResult:
-    """Run the output stage of ``query`` over a canonical-order relation.
-
-    ``relation`` is the full join result in canonical full-column order
-    (:func:`~repro.executor.materialization.canonicalize_relation`) —
-    produced locally by :meth:`QueryService._execute_plan`, or merged from
-    shard fragments by the sharded coordinator.  It is stored in
-    ``registry`` (which must be the ``executor``'s intermediate registry)
-    and the final projection/aggregation runs over a materialized leaf, so
-    the output bytes depend only on the relation's rows, never on the plan
-    that produced them.
-    """
-    full_set = frozenset(query.aliases)
-    registry.store(full_set, relation, source_signature=source_signature)
-    final_plan: PlanNode = MaterializedNode(
-        relations=full_set,
-        estimated_rows=float(relation.num_rows),
-        estimated_cost=0.0,
-    )
-    if aggregate_node is not None:
-        final_plan = replace(aggregate_node, child=final_plan)
-    return executor.execute_plan(final_plan, query)
-
-
-def combine_execution_accounting(
-    parts: Sequence[ExecutionResult],
-    final: ExecutionResult,
-    cost_model: CostModel,
-) -> ExecutionResult:
-    """Merge fragment executions with the final stage into one result.
-
-    The combined result reports the final stage's rows, the concatenation
-    of every part's per-node instrumentation (parts first, in the given
-    order), resources and simulated cost summed across all of it, and
-    ``wall_seconds`` as total *work* (the sum), not elapsed time.
-    """
-    node_executions = [
-        execution for part in parts for execution in part.node_executions
-    ]
-    node_executions.extend(final.node_executions)
-    total = ResourceVector()
-    for execution in node_executions:
-        total = total + execution.resources
-    merged = ExecutionResult(
-        columns=final.columns,
-        num_rows=final.num_rows,
-        node_executions=node_executions,
-    )
-    merged.actual_resources = total
-    merged.simulated_cost = cost_model.cost(total)
-    merged.wall_seconds = (
-        sum(part.wall_seconds for part in parts) + final.wall_seconds
-    )
-    return merged
 
 
 class QueryService:
@@ -775,19 +701,20 @@ class QueryService:
     ) -> ExecutionResult:
         """Execute ``plan`` with plan-independent output determinism.
 
-        Order-insensitive outputs (``COUNT``/``MIN``/``MAX`` aggregates with
-        sorted group keys) run straight through the executor.  Order-
-        sensitive outputs (bare projections, float ``SUM``/``AVG``) pass the
-        join pipeline's rows through a canonical full-column sort before the
-        output (or aggregation) stage, so any two correct plans of the same
-        bound query — cached, replanned, or from scratch — produce
-        byte-identical results.
+        Order-insensitive outputs (``COUNT``/``MIN``/``MAX`` and integer
+        ``SUM``/``AVG`` aggregates with sorted group keys) run straight
+        through the executor.  Order-sensitive outputs (bare projections,
+        float ``SUM``/``AVG``) pass the join pipeline's rows through a sort
+        by the output stage's input columns before the output (or
+        aggregation) stage, so any two correct plans of the same bound query
+        — cached, replanned, or from scratch — produce byte-identical
+        results.
 
         When a ``trace`` is given, the join pipeline is charged to its
         ``execution_s`` stage and the canonical sort + final stage to
         ``merge_s``.
         """
-        if not needs_canonical_order(query):
+        if not needs_canonical_order(self.db, query):
             started = monotonic_s()
             result = self._make_executor().execute_plan(plan, query)
             if trace is not None:
@@ -797,16 +724,14 @@ class QueryService:
         join_plan, aggregate_node = split_final_aggregate(plan)
         registry = IntermediateRegistry()
         executor = self._make_executor(registry)
-        required = required_columns(plan, query)
         started = monotonic_s()
-        fragment = executor.execute_fragment(join_plan, required)
+        fragment = executor.execute_fragment(join_plan, query)
         executed = monotonic_s()
-        relation = canonicalize_relation(fragment.columns)
         final_execution = finalize_canonical_execution(
             executor,
             registry,
             query,
-            relation,
+            fragment.columns,
             aggregate_node,
             source_signature=join_plan.signature(),
         )

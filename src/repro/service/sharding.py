@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 import threading
 from dataclasses import dataclass, field
-from typing import AbstractSet, Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
@@ -40,7 +40,6 @@ from repro.storage.catalog import Database
 __all__ = [
     "ShardRouting",
     "ShardingSpec",
-    "exact_partial_columns",
     "hash_partition",
     "lookup_shard",
     "register_shards",
@@ -244,25 +243,6 @@ def route_query(query: Query, spec: ShardingSpec) -> ShardRouting:
             ),
         )
     return ShardRouting(mode="scatter", reason="co-partitioned equi-join subgraph")
-
-
-def exact_partial_columns(db: Database, query: Query) -> AbstractSet[Tuple[Optional[str], Optional[str]]]:
-    """The aggregate input columns whose partial sums compose exactly.
-
-    Integer-typed columns sum exactly in any shard order (int64 sums, and
-    float64 holds integer-valued sums exactly below 2**53 — the engine's
-    aggregation dtype); float columns do not, and their queries take the
-    gather path instead.  The result feeds
-    :func:`repro.relalg.aggregate.partial_merge_exact`.
-    """
-    exact: Set[Tuple[Optional[str], Optional[str]]] = set()
-    for aggregate in query.aggregates:
-        if aggregate.alias is None or aggregate.column is None:
-            continue
-        table = db.table(query.table_for_alias(aggregate.alias))
-        if table.schema.column(aggregate.column).type == "int":
-            exact.add((aggregate.alias, aggregate.column))
-    return exact
 
 
 # --------------------------------------------------------------------------- #

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.plans.nodes import AggregateNode, JoinNode, PlanNode, ScanNode
 from repro.storage.catalog import Database
 from repro.storage.table import Column, Table, TableSchema
 from repro.workloads.ott import generate_ott_database, make_ott_query
@@ -87,3 +88,41 @@ def ott_db() -> Database:
 def ott_query(ott_db):
     """An OTT query that is empty (constants differ) over the shared database."""
     return make_ott_query(ott_db, [0, 0, 0, 1], name="ott_empty")
+
+
+def _left_deep_plan(query, order, methods) -> PlanNode:
+    """A hand-built left-deep plan of ``query`` over the aliases in ``order``.
+
+    ``methods`` are cycled over the joins.  Every join carries
+    ``query.join_predicates_between(left, right)`` — what the optimizer's
+    plans carry — and the aggregate goes on top when ``order`` covers the
+    whole query.  Estimates stay zero: nothing the executor does reads them.
+    """
+    def scan(alias):
+        return ScanNode(
+            table=query.table_for_alias(alias),
+            alias=alias,
+            predicates=tuple(query.local_predicates_for(alias)),
+        )
+
+    plan: PlanNode = scan(order[0])
+    for index, alias in enumerate(order[1:]):
+        plan = JoinNode(
+            left=plan,
+            right=scan(alias),
+            method=methods[index % len(methods)],
+            predicates=tuple(query.join_predicates_between(plan.relations, {alias})),
+        )
+    if set(order) == set(query.aliases) and (query.aggregates or query.group_by):
+        plan = AggregateNode(
+            child=plan,
+            group_by=tuple(query.group_by),
+            aggregates=tuple(query.aggregates),
+        )
+    return plan
+
+
+@pytest.fixture(scope="session")
+def left_deep_plan():
+    """Factory: ``left_deep_plan(query, order, methods)`` (see above)."""
+    return _left_deep_plan

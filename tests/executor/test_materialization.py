@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ExecutionError
-from repro.executor.executor import Executor, required_columns
+from repro.executor.executor import Executor
 from repro.executor.materialization import (
     IntermediateRegistry,
     canonical_row_order,
@@ -104,10 +104,9 @@ class TestMaterializedExecution:
 
         registry = IntermediateRegistry()
         executor = Executor(small_db, intermediates=registry)
-        required = required_columns(plan, query)
         join_node = plan.child
         for scan in join_node.scan_nodes():
-            fragment = executor.execute_fragment(scan, required)
+            fragment = executor.execute_fragment(scan, query)
             registry.store({scan.alias}, fragment.columns)
         from dataclasses import replace
 
@@ -116,7 +115,7 @@ class TestMaterializedExecution:
             left=MaterializedNode(relations=frozenset(join_node.left.relations)),
             right=MaterializedNode(relations=frozenset(join_node.right.relations)),
         )
-        fragment = executor.execute_fragment(spliced, required)
+        fragment = executor.execute_fragment(spliced, query)
         assert fragment.num_rows == monolithic.actual_cardinalities()[
             frozenset({"o", "i"})
         ]

@@ -18,6 +18,7 @@ import pytest
 from repro.cardinality.estimator import CardinalityEstimator
 from repro.cardinality.gamma import Gamma
 from repro.executor.executor import Executor
+from repro.executor.materialization import needs_canonical_order
 from repro.optimizer.optimizer import Optimizer
 from repro.plans.join_tree import plans_identical
 from repro.relalg import DictEncodedArray
@@ -26,7 +27,6 @@ from repro.reopt.adaptive import (
     AdaptiveSettings,
     deviation_factor,
     execute_adaptively,
-    needs_canonical_order,
 )
 from repro.sql.builder import QueryBuilder
 from repro.workloads.ott import generate_ott_database, make_ott_query, make_ott_workload
@@ -131,12 +131,12 @@ class TestAdaptiveMechanics:
 
     def test_needs_canonical_order(self, ott_db):
         count_only = make_ott_query(ott_db, [0, 0, 0, 1], name="count_only")
-        assert not needs_canonical_order(count_only)
+        assert not needs_canonical_order(ott_db, count_only)
         projection = (
             QueryBuilder("proj").table("r1").filter("r1", "a", "=", 0)
             .select("r1", "a").build()
         )
-        assert needs_canonical_order(projection)
+        assert needs_canonical_order(ott_db, projection)
 
     def test_single_table_query(self, ott_db):
         query = (
