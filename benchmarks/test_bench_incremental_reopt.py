@@ -1,16 +1,13 @@
-"""Incremental re-optimization engine: per-round DP work and batched driver.
+"""Incremental re-optimization engine: per-round DP work.
 
-Not a paper figure — these benchmarks gate the incremental-planning engine:
-
-* rounds after the first must re-expand strictly fewer DP masks than the
-  full round-1 enumeration (the Section 3.3 overhead argument, made literal);
-* the concurrent workload driver must return exactly the plans the serial
-  loop returns.
+Not a paper figure — this benchmark gates the incremental-planning engine:
+rounds after the first must re-expand strictly fewer DP masks than the full
+round-1 enumeration (the Section 3.3 overhead argument, made literal).
 """
 
 from conftest import run_once
 
-from repro.bench.experiments import batched_driver, incremental_planning
+from repro.bench.experiments import incremental_planning
 
 
 def test_bench_incremental_dp_masks(benchmark):
@@ -23,10 +20,3 @@ def test_bench_incremental_dp_masks(benchmark):
         assert row["round1_masks"] == 2 ** 5 - 1
         # Incremental rounds only re-expand Γ-dirtied masks.
         assert row["max_later_masks"] < row["round1_masks"]
-
-
-def test_bench_batched_driver_equivalence(benchmark):
-    result = run_once(benchmark, batched_driver, joins=4, num_queries=8, max_workers=4)
-    by_mode = {row["mode"]: row for row in result.rows}
-    assert all(row["plans_match"] for row in result.rows)
-    assert by_mode["serial"]["wall_s"] > 0

@@ -15,13 +15,10 @@ comparable to 5% of a 10 GB database.
 
 from __future__ import annotations
 
-import os
-import threading
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.bench.clock import monotonic_s
 from repro.bench.harness import (
     QueryRunRecord,
     aggregate_by_template,
@@ -31,25 +28,7 @@ from repro.bench.harness import (
 )
 from repro.bench.reporting import ExperimentResult
 from repro.optimizer.profiles import profile_settings
-from repro.relalg import (
-    DictEncodedArray,
-    Relation,
-    TaskScheduler,
-    group_aggregate,
-    parallel_hash_join,
-)
-from repro.executor.executor import Executor
-from repro.sql.ast import Aggregate, Bindings, ColumnRef, JoinPredicate, Query
-from repro.sql.builder import QueryBuilder
-from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.settings import OptimizerSettings
-from repro.plans.join_tree import plans_identical
-from repro.reopt.adaptive import AdaptiveExecutor, AdaptiveSettings
-from repro.reopt.algorithm import ReoptimizationSettings, Reoptimizer
-from repro.reopt.driver import DriverSettings, WorkloadDriver
-from repro.storage.table import Column, Table, TableSchema
-from repro.storage.catalog import Database
-from repro.cardinality.gamma import Gamma
 from repro.stats.multidim import MultiDimHistogram, true_ott_pair_selectivity
 from repro.theory.ball_queue import expected_steps
 from repro.theory.special_cases import (
@@ -115,7 +94,6 @@ def _tpch_records(
     seed: int = 1,
     execute_intermediate_plans: bool = False,
     query_numbers: Optional[Sequence[int]] = None,
-    concurrency: int = 1,
 ) -> Dict[str, List[QueryRunRecord]]:
     db = generate_tpch_database(
         scale_factor=scale_factor, zipf_z=zipf_z, seed=seed, sampling_ratio=sampling_ratio
@@ -133,7 +111,6 @@ def _tpch_records(
         queries,
         optimizer_settings=settings,
         execute_intermediate_plans=execute_intermediate_plans,
-        concurrency=concurrency,
     )
     return aggregate_by_template(records)
 
@@ -249,7 +226,6 @@ def _ott_records(
     sampling_ratio: float = OTT_SAMPLING_RATIO,
     seed: int = 7,
     execute_intermediate_plans: bool = False,
-    concurrency: int = 1,
 ) -> List[QueryRunRecord]:
     db = generate_ott_database(
         num_tables=num_tables,
@@ -269,7 +245,6 @@ def _ott_records(
         queries,
         optimizer_settings=settings,
         execute_intermediate_plans=execute_intermediate_plans,
-        concurrency=concurrency,
     )
 
 
@@ -401,14 +376,13 @@ def _tpcds_records(
     scale: float = TPCDS_SCALE,
     sampling_ratio: float = TPCDS_SAMPLING_RATIO,
     seed: int = 2,
-    concurrency: int = 1,
 ) -> List[QueryRunRecord]:
     db = generate_tpcds_database(scale=scale, seed=seed, sampling_ratio=sampling_ratio)
     settings = OptimizerSettings()
     if calibrated:
         settings = calibrated_settings(db, settings)
     queries = make_tpcds_workload(db, seed=seed)
-    return run_query_suite(db, queries, optimizer_settings=settings, concurrency=concurrency)
+    return run_query_suite(db, queries, optimizer_settings=settings)
 
 
 def figure19_tpcds_running_time(calibrated: bool = False, **kwargs: Any) -> ExperimentResult:
@@ -566,870 +540,4 @@ def incremental_planning(
             round1_planning_s=planning[0] if planning else 0.0,
             later_planning_s=sum(planning[1:]),
         )
-    return result
-
-
-def _relations_equal(left: Relation, right: Relation) -> bool:
-    """Byte-level equality of two relations (columns, rows, dtypes, order)."""
-    if set(left) != set(right) or left.num_rows != right.num_rows:
-        return False
-    for name in left:
-        a, b = left[name], right[name]
-        if isinstance(a, DictEncodedArray) or isinstance(b, DictEncodedArray):
-            if not (isinstance(a, DictEncodedArray) and isinstance(b, DictEncodedArray)):
-                return False
-            if not np.array_equal(a.codes, b.codes):
-                return False
-            if not np.array_equal(a.dictionary, b.dictionary):
-                return False
-            continue
-        a, b = np.asarray(a), np.asarray(b)
-        if a.dtype != b.dtype:
-            return False
-        # equal_nan on floats: an empty SUM/AVG is NaN on both sides, which
-        # is the identical result (plain array_equal treats NaN != NaN).
-        if a.dtype.kind == "f":
-            if not np.array_equal(a, b, equal_nan=True):
-                return False
-        elif not np.array_equal(a, b):
-            return False
-    return True
-
-
-def parallel_runtime(
-    fact_rows: int = 400_000,
-    dim_rows: int = 150_000,
-    num_joins: int = 4,
-    groups: int = 5_000,
-    workers: int = 4,
-    repeats: int = 3,
-    seed: int = 11,
-) -> ExperimentResult:
-    """Serial vs morsel-parallel runtime on a star-schema 4-join pipeline.
-
-    The workload is the ISSUE's 4-join hash-join benchmark: one fact relation
-    joined N:1 against four dimension relations (every probe hits exactly one
-    build row, so intermediate sizes stay put), followed by a grouped
-    aggregation over the joined result.  Both modes run the same
-    :mod:`repro.relalg` kernels; the parallel mode dispatches onto a
-    ``workers``-sized :class:`TaskScheduler`.  Besides the timings, every row
-    records ``bit_identical`` — the parallel output must equal the serial
-    output byte for byte.
-    """
-    rng = np.random.default_rng(seed)
-    fact_columns = {
-        f"f.k{i}": rng.integers(0, dim_rows, size=fact_rows) for i in range(num_joins)
-    }
-    fact_columns["f.v"] = rng.uniform(0.0, 100.0, size=fact_rows)
-    fact_columns["f.g"] = rng.integers(0, groups, size=fact_rows)
-    fact = Relation(fact_columns)
-    dims = []
-    for i in range(num_joins):
-        keys = rng.permutation(dim_rows)
-        dims.append(
-            Relation(
-                {
-                    f"d{i}.k": keys,
-                    f"d{i}.payload": rng.integers(0, 1000, size=dim_rows),
-                }
-            )
-        )
-    aggregates = [
-        Aggregate("sum", "f", "v", "total"),
-        Aggregate("avg", "f", "v", "mean"),
-        Aggregate("count", None, None, "n"),
-    ]
-
-    def run_joins(scheduler: Optional[TaskScheduler]) -> Relation:
-        current = fact
-        left_aliases = frozenset({"f"})
-        for i, dim in enumerate(dims):
-            predicates = [JoinPredicate("f", f"k{i}", f"d{i}", "k")]
-            current = parallel_hash_join(
-                current, dim, predicates, left_aliases, scheduler=scheduler
-            )
-            left_aliases = left_aliases | {f"d{i}"}
-        return current
-
-    def run_aggregate(joined: Relation, scheduler: Optional[TaskScheduler]) -> Relation:
-        return group_aggregate(
-            joined, [ColumnRef("f", "g")], aggregates, scheduler=scheduler
-        )
-
-    def timed_samples(fn: Callable[[], object]) -> List[float]:
-        samples = []
-        for _ in range(max(1, repeats)):
-            started = monotonic_s()
-            fn()
-            samples.append(monotonic_s() - started)
-        return samples
-
-    host_cores = os.cpu_count() or 1
-
-    def timed_parallel(
-        fn: Callable[[], object], scheduler: TaskScheduler
-    ) -> Tuple[List[float], float]:
-        """Per-repeat wall samples plus the stage's per-task overhead fraction.
-
-        Overhead is the share of usable pool capacity — wall-clock times the
-        *effective* worker count (a 4-worker pool on a 1-core host can only
-        ever use 1 core) — not spent inside task bodies: queueing, descriptor
-        pickling and result transport.  The adaptive morsel sizer drives this
-        same quantity below its 5% target per stage.
-        """
-        before = scheduler.stats().busy_seconds
-        samples = timed_samples(fn)
-        busy = scheduler.stats().busy_seconds - before
-        capacity = sum(samples) * max(1, min(workers, host_cores))
-        overhead = max(0.0, capacity - busy) / capacity if capacity > 0 else 0.0
-        return samples, overhead
-
-    scheduler = TaskScheduler(workers=workers, name="bench")
-    serial_joined = run_joins(None)
-    parallel_joined = run_joins(scheduler)
-    joins_identical = _relations_equal(serial_joined, parallel_joined)
-    serial_grouped = run_aggregate(serial_joined, None)
-    parallel_grouped = run_aggregate(serial_joined, scheduler)
-    agg_identical = _relations_equal(serial_grouped, parallel_grouped)
-
-    join_serial = timed_samples(lambda: run_joins(None))
-    join_parallel, join_overhead = timed_parallel(
-        lambda: run_joins(scheduler), scheduler
-    )
-    agg_serial = timed_samples(lambda: run_aggregate(serial_joined, None))
-    agg_parallel, agg_overhead = timed_parallel(
-        lambda: run_aggregate(serial_joined, scheduler), scheduler
-    )
-    scheduler_stats = scheduler.stats()
-    scheduler.close()
-
-    result = ExperimentResult(
-        experiment="parallel_runtime",
-        description=(
-            f"Serial vs {workers}-worker morsel runtime "
-            f"({num_joins}-join star pipeline, {fact_rows} fact rows)"
-        ),
-        columns=[
-            "stage", "workers", "host_cores", "serial_s", "parallel_s",
-            "p50_s", "p95_s", "speedup", "overhead_fraction",
-            "bit_identical", "rows_out", "max_queue_depth",
-        ],
-    )
-
-    def add_stage(
-        stage: str,
-        serial_samples: List[float],
-        parallel_samples: List[float],
-        overhead: float,
-        identical: bool,
-        rows_out: int,
-    ) -> None:
-        serial_s = min(serial_samples)
-        parallel_s = min(parallel_samples)
-        result.add_row(
-            stage=stage,
-            workers=workers,
-            host_cores=host_cores,
-            serial_s=serial_s,
-            parallel_s=parallel_s,
-            p50_s=float(np.percentile(parallel_samples, 50)),
-            p95_s=float(np.percentile(parallel_samples, 95)),
-            speedup=serial_s / max(parallel_s, 1e-12),
-            overhead_fraction=overhead,
-            bit_identical=identical,
-            rows_out=rows_out,
-            max_queue_depth=scheduler_stats.max_queue_depth,
-        )
-
-    add_stage(
-        f"{num_joins}join_hash", join_serial, join_parallel, join_overhead,
-        joins_identical, serial_joined.num_rows,
-    )
-    add_stage(
-        "group_aggregate", agg_serial, agg_parallel, agg_overhead,
-        agg_identical, serial_grouped.num_rows,
-    )
-    # Total overhead: capacity-weighted combination of the stage fractions.
-    join_wall, agg_wall = sum(join_parallel), sum(agg_parallel)
-    total_wall = join_wall + agg_wall
-    total_overhead = (
-        (join_wall * join_overhead + agg_wall * agg_overhead) / total_wall
-        if total_wall > 0
-        else 0.0
-    )
-    add_stage(
-        "total",
-        [j + a for j, a in zip(join_serial, agg_serial)],
-        [j + a for j, a in zip(join_parallel, agg_parallel)],
-        total_overhead,
-        joins_identical and agg_identical,
-        serial_joined.num_rows,
-    )
-    return result
-
-
-def _adaptive_star_database(
-    fact_rows: int,
-    num_dims: int,
-    dim_rows: int,
-    domain: int,
-    correlated: bool,
-    seed: int,
-) -> Database:
-    """A star schema whose first dimension join is deliberately mis-estimated.
-
-    ``correlated=True`` plants the paper's OTT-style trap on the fact/first
-    dimension pair: the fact's selection column ``a`` *is* its join key
-    ``k1``, and ``d1``'s selection column ``b`` *is* its join key ``k`` —
-    both uniform over ``domain`` values.  Selecting ``a = 0`` and ``b = 0``
-    makes every surviving row pair join, so the true ``f ⋈ d1`` cardinality
-    is ``|f_sel| · |d1_sel|`` while the AVI estimate multiplies in another
-    ``1/domain`` — a ``domain``-fold underestimate the optimizer walks
-    straight into.  The remaining dimensions are uncorrelated unique-key 1:1
-    joins the estimator gets right.  ``correlated=False`` builds the same
-    shape without the trap (the well-estimated control).
-    """
-    rng = np.random.default_rng(seed)
-    db = Database(name=f"adaptive_star_{'skew' if correlated else 'uniform'}")
-
-    fact_columns = {"a": rng.integers(0, domain, size=fact_rows, dtype=np.int64)}
-    schema_columns = [Column("a", "int")]
-    for index in range(1, num_dims + 1):
-        name = f"k{index}"
-        if correlated and index == 1:
-            fact_columns[name] = fact_columns["a"].copy()
-        else:
-            fact_columns[name] = rng.integers(0, dim_rows, size=fact_rows, dtype=np.int64)
-        schema_columns.append(Column(name, "int"))
-    db.create_table(Table(TableSchema("f", tuple(schema_columns)), fact_columns))
-
-    for index in range(1, num_dims + 1):
-        table_name = f"d{index}"
-        if correlated and index == 1:
-            b_column = rng.integers(0, domain, size=dim_rows, dtype=np.int64)
-            columns = {"k": b_column.copy(), "b": b_column}
-            schema = TableSchema(table_name, (Column("k", "int"), Column("b", "int")))
-        else:
-            columns = {
-                "k": rng.permutation(dim_rows).astype(np.int64),
-                "payload": rng.integers(0, 1000, size=dim_rows, dtype=np.int64),
-            }
-            schema = TableSchema(table_name, (Column("k", "int"), Column("payload", "int")))
-        db.create_table(Table(schema, columns))
-    db.analyze()
-    return db
-
-
-def _adaptive_star_query(num_dims: int, correlated: bool) -> Query:
-    builder = QueryBuilder("star_skew" if correlated else "star_uniform")
-    builder.table("f").filter("f", "a", "=", 0)
-    for index in range(1, num_dims + 1):
-        builder.table(f"d{index}")
-        builder.join("f", f"k{index}", f"d{index}", "k")
-    if correlated:
-        builder.filter("d1", "b", "=", 0)
-    builder.aggregate("count", output_name="result_rows")
-    return builder.build()
-
-
-def adaptive_execution(
-    fact_rows: int = 600_000,
-    num_dims: int = 5,
-    dim_rows: int = 5_000,
-    domain: int = 100,
-    repeats: int = 3,
-    seed: int = 17,
-    replan_threshold: float = 2.0,
-) -> ExperimentResult:
-    """Adaptive (mid-execution re-optimized) vs static plan execution.
-
-    Two scenarios over the same star shape:
-
-    * ``skewed`` — the correlated fact/d1 pair makes the optimizer
-      underestimate its join ``domain``-fold, so the static plan joins d1
-      first and drags the exploded intermediate through every remaining
-      join.  The adaptive executor observes the explosion at the first
-      pipeline breaker, feeds the exact cardinality into Γ, re-plans the
-      residual query (reusing the materialized scans) and defers d1 to the
-      end — the final result is identical, the explosion is paid once
-      instead of ``num_dims`` times.
-    * ``uniform`` — the well-estimated control: no deviation ever reaches
-      the threshold, so adaptive execution degenerates to the static plan
-      plus bookkeeping, which is the re-planning overhead the benchmark
-      reports (and gates at <10%).
-    """
-    result = ExperimentResult(
-        experiment="adaptive_execution",
-        description=(
-            f"Static vs adaptive execution, {num_dims}-join star "
-            f"({fact_rows} fact rows, mis-estimation factor {domain})"
-        ),
-        columns=[
-            "scenario", "static_wall_s", "adaptive_wall_s", "adaptive_planning_s",
-            "speedup", "overhead_fraction", "replans", "plan_switches",
-            "intermediates_reused", "bit_identical", "rows_out",
-        ],
-    )
-    for correlated in (True, False):
-        db = _adaptive_star_database(
-            fact_rows=fact_rows, num_dims=num_dims, dim_rows=dim_rows,
-            domain=domain, correlated=correlated, seed=seed,
-        )
-        query = _adaptive_star_query(num_dims, correlated)
-        optimizer = Optimizer(db)
-        static_plan = optimizer.optimize(query)
-        executor = Executor(db, cost_units=optimizer.settings.cost_units)
-        settings = AdaptiveSettings(replan_threshold=replan_threshold)
-
-        static_wall = float("inf")
-        static_execution = None
-        for _ in range(max(1, repeats)):
-            static_execution = executor.execute_plan(static_plan, query)
-            static_wall = min(static_wall, static_execution.wall_seconds)
-
-        adaptive_total = float("inf")
-        adaptive = None
-        for _ in range(max(1, repeats)):
-            candidate = AdaptiveExecutor(db, optimizer=optimizer, settings=settings).execute(
-                query, plan=static_plan, gamma=Gamma()
-            )
-            total = candidate.execution.wall_seconds + candidate.planning_seconds
-            if total < adaptive_total:
-                adaptive_total = total
-                adaptive = candidate
-
-        assert static_execution is not None and adaptive is not None
-        bit_identical = _relations_equal(
-            static_execution.columns, adaptive.execution.columns
-        )
-        result.add_row(
-            scenario="skewed" if correlated else "uniform",
-            static_wall_s=static_wall,
-            adaptive_wall_s=adaptive.execution.wall_seconds,
-            adaptive_planning_s=adaptive.planning_seconds,
-            speedup=static_wall / max(adaptive_total, 1e-12),
-            overhead_fraction=max(0.0, adaptive_total - static_wall) / max(static_wall, 1e-12),
-            replans=adaptive.replans,
-            plan_switches=adaptive.plan_switches,
-            intermediates_reused=adaptive.intermediates_reused,
-            bit_identical=bit_identical,
-            rows_out=adaptive.execution.num_rows,
-        )
-    return result
-
-
-def batched_driver(
-    joins: int = 4,
-    num_queries: int = 8,
-    max_workers: int = 4,
-    rows_per_table: int = OTT_ROWS_PER_TABLE,
-    sampling_ratio: float = OTT_SAMPLING_RATIO,
-    seed: int = 7,
-) -> ExperimentResult:
-    """Serial vs concurrent batched re-optimization of one OTT workload.
-
-    Checks the driver's contract — identical final plans — and reports the
-    wall-clock saving plus how often the batch-level caches fired.
-    """
-    db = generate_ott_database(
-        num_tables=joins + 1,
-        rows_per_table=rows_per_table,
-        rows_per_value=OTT_4JOIN_ROWS_PER_VALUE,
-        seed=seed,
-        sampling_ratio=sampling_ratio,
-    )
-    queries = make_ott_workload(
-        db, num_tables=joins + 1, num_queries=num_queries, num_matching=joins, seed=seed
-    )
-
-    serial_started = monotonic_s()
-    reoptimizer = Reoptimizer(db)
-    serial_results = [reoptimizer.reoptimize(query) for query in queries]
-    serial_seconds = monotonic_s() - serial_started
-
-    driver = WorkloadDriver(db, settings=DriverSettings(max_workers=max_workers))
-    batched_started = monotonic_s()
-    batched_results = driver.run(queries)
-    batched_seconds = monotonic_s() - batched_started
-
-    plans_match = all(
-        plans_identical(serial.final_plan, batched.final_plan)
-        for serial, batched in zip(serial_results, batched_results)
-    )
-    result = ExperimentResult(
-        experiment="batched_driver",
-        description=f"Serial vs {max_workers}-worker batched re-optimization ({num_queries} OTT queries)",
-        columns=[
-            "mode", "queries", "wall_s", "plans_match",
-            "plan_cache_hits", "gamma_warm_starts",
-        ],
-    )
-    result.add_row(
-        mode="serial", queries=len(queries), wall_s=serial_seconds, plans_match=True,
-        plan_cache_hits=0, gamma_warm_starts=0,
-    )
-    result.add_row(
-        mode=f"driver x{max_workers}",
-        queries=len(queries),
-        wall_s=batched_seconds,
-        plans_match=plans_match,
-        plan_cache_hits=driver.stats.plan_cache_hits,
-        gamma_warm_starts=driver.stats.gamma_warm_starts,
-    )
-    driver.shutdown()
-    return result
-
-
-def _service_templates() -> Tuple[List[Query], Dict[str, List[Bindings]]]:
-    """The parameterized TPC-H template mix the service benchmark serves."""
-    revenue = (
-        QueryBuilder("svc_revenue")
-        .table("customer", "c").table("orders", "o").table("lineitem", "l")
-        .filter_param("c", "c_mktsegment", "=")
-        .filter_param("o", "o_orderdate", "<")
-        .join("c", "c_custkey", "o", "o_custkey")
-        .join("o", "o_orderkey", "l", "l_orderkey")
-        .group_by("o", "o_orderpriority")
-        .aggregate("sum", "l", "l_extendedprice", "revenue")
-        .aggregate("count", output_name="orders")
-        .build()
-    )
-    shipping = (
-        QueryBuilder("svc_shipping")
-        .table("orders", "o").table("lineitem", "l")
-        .filter_param("o", "o_orderpriority", "=")
-        .filter_param("l", "l_shipmode", "=")
-        .join("o", "o_orderkey", "l", "l_orderkey")
-        .aggregate("sum", "l", "l_extendedprice", "value")
-        .aggregate("count", output_name="lines")
-        .build()
-    )
-    parts = (
-        QueryBuilder("svc_parts")
-        .table("part", "p").table("lineitem", "l").table("supplier", "s")
-        .filter_param("p", "p_container", "=")
-        .filter_param("l", "l_quantity", "<=")
-        .join("p", "p_partkey", "l", "l_partkey")
-        .join("s", "s_suppkey", "l", "l_suppkey")
-        .aggregate("count", output_name="shipped")
-        .build()
-    )
-    from repro.workloads.tpch import CONTAINERS, MARKET_SEGMENTS, ORDER_PRIORITIES, SHIP_MODES
-
-    bindings = {
-        "svc_revenue": [
-            ["BUILDING", 1400], ["MACHINERY", 900], ["AUTOMOBILE", 1900],
-        ],
-        "svc_shipping": [
-            ["1-URGENT", "AIR"], ["5-LOW", "RAIL"], ["2-HIGH", "SHIP"],
-        ],
-        "svc_parts": [
-            ["SM CASE", 25], ["JUMBO PKG", 40], ["MED BAG", 10],
-        ],
-    }
-    assert all(seg in MARKET_SEGMENTS for seg, _ in bindings["svc_revenue"])
-    assert all(p in ORDER_PRIORITIES and m in SHIP_MODES for p, m in bindings["svc_shipping"])
-    assert all(c in CONTAINERS for c, _ in bindings["svc_parts"])
-    return [revenue, shipping, parts], bindings
-
-
-def service_throughput(
-    scale_factor: float = TPCH_SCALE_FACTOR,
-    sampling_ratio: float = TPCH_SAMPLING_RATIO,
-    concurrency: int = 8,
-    repeats_per_binding: int = 5,
-    seed: int = 17,
-) -> ExperimentResult:
-    """Queries/second: from-scratch planning vs the full query service.
-
-    A parameterized TPC-H template mix (three templates x three binding sets,
-    each repeated) is served at ``concurrency`` client threads in two modes
-    over the same database and scheduler configuration:
-
-    * **from_scratch** — every execution pays parse-free but full Algorithm 1
-      planning plus execution (the service with both caches disabled);
-    * **service** — the full stack: epoch-stamped result cache, sampling-
-      validated plan cache, admission control.
-
-    The contract asserted here (and gated by the benchmark wrapper) is
-    ``>= 3x`` queries/second at concurrency 8 with bit-identical results for
-    every (template, binding) pair.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
-    from repro.service import AdmissionStats, QueryService, ServiceSettings, ServiceStats
-
-    db = generate_tpch_database(
-        scale_factor=scale_factor, seed=seed, sampling_ratio=sampling_ratio
-    )
-    templates, bindings_by_name = _service_templates()
-    rng = np.random.default_rng(seed)
-    mix = []
-    for template in templates:
-        for binding_index, binding in enumerate(bindings_by_name[template.name]):
-            mix.extend(
-                (template, binding_index, binding) for _ in range(repeats_per_binding)
-            )
-    order = rng.permutation(len(mix))
-    mix = [mix[i] for i in order]
-
-    def run_mode(
-        settings: ServiceSettings,
-    ) -> Tuple[
-        float, Dict[Tuple[str, int], Relation], List[str], ServiceStats, AdmissionStats
-    ]:
-        service = QueryService(db, settings=settings)
-        outputs: Dict[Tuple[str, int], Relation] = {}
-        outputs_lock = threading.Lock()
-
-        def serve(item: Tuple[int, Tuple[Query, int, Bindings]]) -> str:
-            index, (template, binding_index, binding) = item
-            result = service.execute(
-                template, binding, client=f"client{index % concurrency}"
-            )
-            with outputs_lock:
-                outputs[(template.name, binding_index)] = result.execution.columns
-            return result.source
-
-        try:
-            started = monotonic_s()
-            with ThreadPoolExecutor(max_workers=concurrency) as pool:
-                sources = list(pool.map(serve, enumerate(mix)))
-            elapsed = monotonic_s() - started
-            stats = service.stats
-            admission = service.admission_stats()
-        finally:
-            service.close()
-        return elapsed, outputs, sources, stats, admission
-
-    scratch_settings = ServiceSettings(
-        use_plan_cache=False, use_result_cache=False,
-        max_concurrent=concurrency, max_queued=len(mix),
-    )
-    service_settings = ServiceSettings(
-        max_concurrent=concurrency, max_queued=len(mix),
-    )
-    scratch_elapsed, scratch_outputs, _, scratch_stats, _ = run_mode(scratch_settings)
-    service_elapsed, service_outputs, service_sources, service_stats, admission = run_mode(
-        service_settings
-    )
-
-    bit_identical = all(
-        _relations_equal(scratch_outputs[key], service_outputs[key])
-        for key in scratch_outputs
-    )
-    scratch_qps = len(mix) / max(scratch_elapsed, 1e-9)
-    service_qps = len(mix) / max(service_elapsed, 1e-9)
-
-    result = ExperimentResult(
-        experiment="service_throughput",
-        description=(
-            f"From-scratch planning vs QueryService at concurrency {concurrency} "
-            f"({len(mix)} executions over {len(templates)} parameterized TPC-H templates)"
-        ),
-        columns=[
-            "mode", "queries", "wall_s", "qps", "speedup", "bit_identical",
-            "fresh_plans", "validated_reuses", "drift_replans",
-            "result_cache_hits", "coalesced", "rejected", "max_queue_depth",
-        ],
-    )
-    result.add_row(
-        mode="from_scratch", queries=len(mix), wall_s=scratch_elapsed,
-        qps=scratch_qps, speedup=1.0, bit_identical=True,
-        fresh_plans=scratch_stats.fresh_plans, validated_reuses=0,
-        drift_replans=0, result_cache_hits=0, coalesced=0,
-        rejected=scratch_stats.rejected, max_queue_depth=0,
-    )
-    result.add_row(
-        mode="service", queries=len(mix), wall_s=service_elapsed,
-        qps=service_qps, speedup=service_qps / max(scratch_qps, 1e-9),
-        bit_identical=bit_identical,
-        fresh_plans=service_stats.fresh_plans,
-        validated_reuses=service_stats.validated_reuses,
-        drift_replans=service_stats.drift_replans,
-        result_cache_hits=service_stats.result_cache_hits,
-        coalesced=service_stats.coalesced,
-        rejected=service_stats.rejected,
-        max_queue_depth=admission.max_queue_depth,
-    )
-    return result
-
-
-def sharded_service(
-    scale_factor: float = 0.02,
-    sampling_ratio: float = 0.25,
-    num_shards: int = 4,
-    repeats_per_binding: int = 2,
-    seed: int = 17,
-) -> ExperimentResult:
-    """Queries/second: one QueryService vs the sharded scatter-gather service.
-
-    The same parameterized TPC-H template mix as :func:`service_throughput`
-    (every template routes ``scatter``: its partitioned tables join on their
-    partition columns) is served serially, with result caching disabled in
-    both modes so every execution pays real scatter/merge work:
-
-    * **single_node** — one :class:`~repro.service.QueryService` over the
-      unsharded database;
-    * **sharded** — a :class:`~repro.service.ShardedQueryService` at
-      ``num_shards`` hash-partitioned shards, each shard's residual plan
-      executing in parallel over the process scheduler, partial aggregates
-      merged exactly and float aggregates gathered in canonical order.
-
-    Besides the timings every row records ``bit_identical``: the sharded
-    output must equal the single-node output byte for byte for every
-    (template, binding) pair — the merge determinism the property suites
-    prove at kernel level, asserted here end to end.
-    """
-    from repro.service import QueryService, ServiceSettings, ShardedQueryService
-
-    db = generate_tpch_database(
-        scale_factor=scale_factor, seed=seed, sampling_ratio=sampling_ratio
-    )
-    templates, bindings_by_name = _service_templates()
-    rng = np.random.default_rng(seed)
-    mix = []
-    for template in templates:
-        for binding_index, binding in enumerate(bindings_by_name[template.name]):
-            mix.extend(
-                (template, binding_index, binding) for _ in range(repeats_per_binding)
-            )
-    order = rng.permutation(len(mix))
-    mix = [mix[i] for i in order]
-
-    settings = ServiceSettings(use_result_cache=False)
-    reopt_settings = ReoptimizationSettings(
-        sampling_ratio=sampling_ratio, sampling_seed=seed
-    )
-
-    def run_mode(make_service: Callable[[], Any]) -> Tuple[float, Dict[Tuple[str, int], Relation], Any]:
-        service = make_service()
-        outputs: Dict[Tuple[str, int], Relation] = {}
-        try:
-            started = monotonic_s()
-            for template, binding_index, binding in mix:
-                result = service.execute(template, binding)
-                outputs[(template.name, binding_index)] = result.execution.columns
-            elapsed = monotonic_s() - started
-            stats = service.stats
-        finally:
-            service.close()
-        return elapsed, outputs, stats
-
-    single_elapsed, single_outputs, single_stats = run_mode(
-        lambda: QueryService(db, settings=settings, reopt_settings=reopt_settings)
-    )
-    sharded_elapsed, sharded_outputs, sharded_stats = run_mode(
-        lambda: ShardedQueryService(
-            db,
-            num_shards=num_shards,
-            settings=settings,
-            reopt_settings=reopt_settings,
-        )
-    )
-
-    bit_identical = all(
-        _relations_equal(single_outputs[key], sharded_outputs[key])
-        for key in single_outputs
-    )
-    single_qps = len(mix) / max(single_elapsed, 1e-9)
-    sharded_qps = len(mix) / max(sharded_elapsed, 1e-9)
-
-    result = ExperimentResult(
-        experiment="sharded_service",
-        description=(
-            f"Single-node QueryService vs {num_shards}-shard scatter-gather "
-            f"coordinator ({len(mix)} executions over {len(templates)} "
-            f"parameterized TPC-H templates, TPC-H sf={scale_factor})"
-        ),
-        columns=[
-            "mode", "shards", "host_cores", "queries", "wall_s", "qps",
-            "speedup", "bit_identical", "scatter_queries", "partial_merges",
-            "gather_merges", "gossip_entries", "inline_shard_reruns",
-        ],
-    )
-    result.add_row(
-        mode="single_node", shards=1, host_cores=os.cpu_count() or 1,
-        queries=len(mix), wall_s=single_elapsed, qps=single_qps, speedup=1.0,
-        bit_identical=True, scatter_queries=0, partial_merges=0,
-        gather_merges=0, gossip_entries=0, inline_shard_reruns=0,
-    )
-    result.add_row(
-        mode="sharded", shards=num_shards, host_cores=os.cpu_count() or 1,
-        queries=len(mix), wall_s=sharded_elapsed, qps=sharded_qps,
-        speedup=sharded_qps / max(single_qps, 1e-9),
-        bit_identical=bit_identical,
-        scatter_queries=sharded_stats.scatter_queries,
-        partial_merges=sharded_stats.partial_merges,
-        gather_merges=sharded_stats.gather_merges,
-        gossip_entries=sharded_stats.gossip_entries,
-        inline_shard_reruns=sharded_stats.inline_shard_reruns,
-    )
-    return result
-
-
-def service_latency(
-    scale_factor: float = 0.02,
-    sampling_ratio: float = 0.25,
-    num_shards: int = 2,
-    num_requests: int = 96,
-    sweep_requests: int = 40,
-    start_qps: float = 8.0,
-    operating_fraction: float = 0.8,
-    slo_p99_over_p50: float = 10.0,
-    slo_max_shed_rate: float = 0.01,
-    num_clients: int = 4,
-    think_time_s: float = 0.0,
-    seed: int = 17,
-) -> ExperimentResult:
-    """Latency under load: tail percentiles and per-stage breakdowns.
-
-    The load generator (:mod:`repro.bench.loadgen`) drives the single-node
-    service and the ``num_shards``-shard coordinator over the same
-    parameterized TPC-H template mix as :func:`service_throughput`, zipf(1)
-    skewed, with result caching disabled so every request pays validation,
-    planning (cache-hit or replan) and execution — the latency being
-    measured is serving work, not cache probes.
-
-    Per mode, a saturation sweep doubles offered open-loop qps until the
-    service stops keeping up (completions under 90% of offered, or any
-    shedding); the last sustained rate is the measured saturation.  The
-    scored runs then execute at ``operating_fraction`` (default 80%) of
-    that saturation in open loop (Poisson arrivals), plus a closed loop of
-    ``num_clients`` synchronous clients, aggregating every request's
-    :class:`~repro.service.tracing.RequestTrace` into p50/p95/p99, shed
-    rate and mean seconds per serving stage.
-
-    The SLO gated by the benchmark wrapper: at the operating point,
-    ``p99 <= slo_p99_over_p50 x p50`` and shed rate at most
-    ``slo_max_shed_rate`` — tail latency bounded relative to the median,
-    not in wall-clock terms, so the contract holds on any host speed.
-    Every row also asserts the reproducibility contract: the request
-    schedule is a pure function of the seed, and query outputs are
-    bit-identical to a serial single-node reference.
-    """
-    from repro.bench.loadgen import (
-        LoadgenConfig,
-        LoadResult,
-        TemplateMix,
-        build_schedule,
-        find_saturation_qps,
-        run_load,
-    )
-    from repro.service import QueryService, ServiceSettings, ShardedQueryService
-
-    db = generate_tpch_database(
-        scale_factor=scale_factor, seed=seed, sampling_ratio=sampling_ratio
-    )
-    templates, bindings_by_name = _service_templates()
-    mix = TemplateMix.build(templates, bindings_by_name)
-    settings = ServiceSettings(use_result_cache=False)
-    reopt_settings = ReoptimizationSettings(
-        sampling_ratio=sampling_ratio, sampling_seed=seed
-    )
-
-    factories: Dict[str, Callable[[], Any]] = {
-        "single_node": lambda: QueryService(
-            db, settings=settings, reopt_settings=reopt_settings
-        ),
-        "sharded": lambda: ShardedQueryService(
-            db, num_shards=num_shards, settings=settings, reopt_settings=reopt_settings
-        ),
-    }
-
-    # Serial single-node reference outputs for the bit-identity contract.
-    reference: Dict[Tuple[str, int], Relation] = {}
-    reference_service = factories["single_node"]()
-    try:
-        for template_index, template in enumerate(mix.templates):
-            for binding_index in range(len(mix.bindings[template_index][1])):
-                _, binding = mix.lookup(template_index, binding_index)
-                executed = reference_service.execute(template, binding)
-                reference[(template.name, binding_index)] = executed.execution.columns
-    finally:
-        reference_service.close()
-
-    def bit_identical(run: LoadResult) -> bool:
-        return all(
-            key in reference and _relations_equal(reference[key], columns)
-            for key, columns in run.outputs.items()
-        ) and bool(run.outputs)
-
-    base_config = LoadgenConfig(
-        mode="open", num_requests=num_requests, zipf_s=1.0, seed=seed,
-        num_clients=num_clients, think_time_s=think_time_s,
-    )
-    sweep_config = LoadgenConfig(
-        mode="open", num_requests=sweep_requests, zipf_s=1.0, seed=seed,
-        num_clients=num_clients, think_time_s=think_time_s,
-    )
-    # The schedule is a pure function of (config, mix): two builds agree.
-    reproducible = build_schedule(base_config, mix) == build_schedule(base_config, mix)
-
-    result = ExperimentResult(
-        experiment="service_latency",
-        description=(
-            f"Latency SLO harness: single-node vs {num_shards}-shard service "
-            f"under open-loop (Poisson, {operating_fraction:.0%} of measured "
-            f"saturation) and closed-loop ({num_clients} clients) load "
-            f"({num_requests} requests over {len(templates)} parameterized "
-            f"TPC-H templates, zipf(1), TPC-H sf={scale_factor})"
-        ),
-        columns=[
-            "mode", "loop", "shards", "host_cores", "saturation_qps",
-            "offered_qps", "achieved_qps", "requests", "completed",
-            "shed_rate", "p50_ms", "p95_ms", "p99_ms", "p99_over_p50",
-            "queue_ms", "validation_ms", "planning_ms", "execution_ms",
-            "merge_ms", "overhead_ms", "slo_ok", "bit_identical",
-            "reproducible",
-        ],
-    )
-
-    def add_run(mode: str, loop: str, saturation: float, run: LoadResult) -> None:
-        latency = run.latency
-        ratio = latency.p99_s / max(latency.p50_s, 1e-9)
-        slo_ok = ratio <= slo_p99_over_p50 and run.shed_rate <= slo_max_shed_rate
-        result.add_row(
-            mode=mode, loop=loop,
-            shards=num_shards if mode == "sharded" else 1,
-            host_cores=os.cpu_count() or 1,
-            saturation_qps=saturation,
-            offered_qps=run.offered / max(run.wall_s, 1e-9),
-            achieved_qps=run.achieved_qps,
-            requests=run.offered, completed=run.completed,
-            shed_rate=run.shed_rate,
-            p50_ms=latency.p50_s * 1e3, p95_ms=latency.p95_s * 1e3,
-            p99_ms=latency.p99_s * 1e3, p99_over_p50=ratio,
-            queue_ms=run.stages.get("queue_wait_s", 0.0) * 1e3,
-            validation_ms=run.stages.get("validation_s", 0.0) * 1e3,
-            planning_ms=run.stages.get("planning_s", 0.0) * 1e3,
-            execution_ms=run.stages.get("execution_s", 0.0) * 1e3,
-            merge_ms=run.stages.get("merge_s", 0.0) * 1e3,
-            overhead_ms=run.stages.get("overhead_s", 0.0) * 1e3,
-            slo_ok=slo_ok, bit_identical=bit_identical(run),
-            reproducible=reproducible,
-        )
-
-    for mode in ("single_node", "sharded"):
-        make_service = factories[mode]
-        saturation, _ = find_saturation_qps(
-            make_service, mix, sweep_config, start_qps=start_qps
-        )
-        operating_config = LoadgenConfig(
-            mode="open", num_requests=num_requests,
-            target_qps=max(operating_fraction * saturation, 1e-3),
-            zipf_s=1.0, seed=seed,
-            num_clients=num_clients, think_time_s=think_time_s,
-        )
-        closed_config = LoadgenConfig(
-            mode="closed", num_requests=num_requests, zipf_s=1.0, seed=seed,
-            num_clients=num_clients, think_time_s=think_time_s,
-        )
-        for loop, config in (("open", operating_config), ("closed", closed_config)):
-            service = make_service()
-            try:
-                run = run_load(service, mix, config)
-            finally:
-                service.close()
-            add_run(mode, loop, saturation, run)
     return result

@@ -20,18 +20,15 @@ configuration by fitting the five cost units against the executor
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.cardinality.gamma import Gamma
 from repro.cost.calibration import calibrate_cost_units
 from repro.executor.executor import Executor
 from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.settings import OptimizerSettings
 from repro.relalg import DEFAULT_MORSEL_ROWS, TaskScheduler
-from repro.reopt.adaptive import AdaptiveExecutor, AdaptiveSettings
 from repro.reopt.algorithm import ReoptimizationSettings, Reoptimizer
-from repro.reopt.driver import DriverSettings, WorkloadDriver
 from repro.sql.ast import Query
 from repro.storage.catalog import Database
 
@@ -58,15 +55,6 @@ class QueryRunRecord:
     planning_seconds_per_round: List[float] = field(default_factory=list)
     #: DP masks (re-)expanded per round (None entries for GEQO rounds).
     dp_masks_expanded_per_round: List[Optional[int]] = field(default_factory=list)
-    #: Adaptive-execution metrics (None unless ``run_query_suite`` ran with
-    #: ``adaptive_execution=True``): the original plan executed through the
-    #: adaptive executor, re-planning on observed mis-estimates.
-    adaptive_wall_seconds: Optional[float] = None
-    adaptive_planning_seconds: Optional[float] = None
-    adaptive_simulated_cost: Optional[float] = None
-    adaptive_replans: Optional[int] = None
-    adaptive_plan_switches: Optional[int] = None
-    adaptive_intermediates_reused: Optional[int] = None
 
     @property
     def total_with_reoptimization(self) -> float:
@@ -86,31 +74,17 @@ def run_query_suite(
     reopt_settings: Optional[ReoptimizationSettings] = None,
     execute_intermediate_plans: bool = False,
     execute_plans: bool = True,
-    concurrency: int = 1,
-    driver_settings: Optional[DriverSettings] = None,
     workers: Union[int, str] = 1,
     morsel_rows: int = DEFAULT_MORSEL_ROWS,
-    adaptive_execution: bool = False,
-    adaptive_settings: Optional[AdaptiveSettings] = None,
 ) -> List[QueryRunRecord]:
     """Run the full pipeline for every query and collect per-query records.
 
-    With ``concurrency > 1`` (or explicit ``driver_settings``) the
-    re-optimization phase runs in batched mode through the concurrent
-    :class:`~repro.reopt.driver.WorkloadDriver`.
-
     ``workers > 1`` attaches one shared morsel scheduler to the *whole*
-    pipeline — plan execution, sampling validation and the driver all
-    dispatch morsel tasks into the same ``workers``-sized pool of worker
-    processes.  ``workers="auto"`` sizes the pool by the host (``min(cores
-    - 2, RAM / 4GB)``, floor 1).  Results are bit-identical to
-    ``workers=1``; only wall-clock changes.
-
-    ``adaptive_execution=True`` additionally executes each query's
-    *original* (static) plan through the :class:`AdaptiveExecutor` — true
-    cardinalities observed at pipeline breakers feed Γ and may re-plan the
-    residual query mid-flight — and records the adaptive metrics on the
-    per-query record.
+    pipeline — plan execution and sampling validation dispatch morsel
+    tasks into the same ``workers``-sized pool of worker processes.
+    ``workers="auto"`` sizes the pool by the host (``min(cores - 2,
+    RAM / 4GB)``, floor 1).  Results are bit-identical to ``workers=1``;
+    only wall-clock changes.
     """
     optimizer = Optimizer(db, settings=optimizer_settings)
     scheduler = (
@@ -125,37 +99,10 @@ def run_query_suite(
         morsel_rows=morsel_rows,
         nested_loop_block_elements=optimizer.settings.nested_loop_block_elements,
     )
-    if concurrency > 1 or driver_settings is not None:
-        settings = driver_settings if driver_settings is not None else DriverSettings()
-        if concurrency > 1 and settings.max_workers != concurrency:
-            settings = replace(settings, max_workers=concurrency)
-        driver = WorkloadDriver(
-            db,
-            optimizer_settings=optimizer_settings,
-            reopt_settings=reopt_settings,
-            settings=settings,
-            scheduler=scheduler,
-        )
-        results = driver.run(queries)
-        if scheduler is None:
-            # The driver created (and therefore owns) its scheduler.
-            driver.shutdown()
-    else:
-        reoptimizer = Reoptimizer(
-            db, optimizer=optimizer, settings=reopt_settings, scheduler=scheduler
-        )
-        results = [reoptimizer.reoptimize(query) for query in queries]
-    adaptive_executor = (
-        AdaptiveExecutor(
-            db,
-            optimizer=optimizer,
-            settings=adaptive_settings,
-            scheduler=scheduler,
-            morsel_rows=morsel_rows,
-        )
-        if adaptive_execution
-        else None
+    reoptimizer = Reoptimizer(
+        db, optimizer=optimizer, settings=reopt_settings, scheduler=scheduler
     )
+    results = [reoptimizer.reoptimize(query) for query in queries]
     records: List[QueryRunRecord] = []
     for query, result in zip(queries, results):
         if execute_plans:
@@ -178,12 +125,6 @@ def run_query_suite(
                 seen_signatures.add(signature)
                 execution = executor.execute_plan(record.plan, query)
                 per_round_costs.append(execution.simulated_cost)
-
-        adaptive_result = None
-        if adaptive_executor is not None:
-            adaptive_result = adaptive_executor.execute(
-                query, plan=result.original_plan, gamma=Gamma()
-            )
 
         records.append(
             QueryRunRecord(
@@ -210,22 +151,6 @@ def run_query_suite(
                     record.planning_seconds for record in result.report.rounds
                 ],
                 dp_masks_expanded_per_round=result.report.dp_masks_per_round(),
-                adaptive_wall_seconds=(
-                    adaptive_result.execution.wall_seconds if adaptive_result else None
-                ),
-                adaptive_planning_seconds=(
-                    adaptive_result.planning_seconds if adaptive_result else None
-                ),
-                adaptive_simulated_cost=(
-                    adaptive_result.execution.simulated_cost if adaptive_result else None
-                ),
-                adaptive_replans=adaptive_result.replans if adaptive_result else None,
-                adaptive_plan_switches=(
-                    adaptive_result.plan_switches if adaptive_result else None
-                ),
-                adaptive_intermediates_reused=(
-                    adaptive_result.intermediates_reused if adaptive_result else None
-                ),
             )
         )
     if scheduler is not None:

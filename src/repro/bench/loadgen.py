@@ -30,25 +30,18 @@ config always yields the bit-identical schedule.  Execution timing is of
 course wall-clock, but the *work* (which template, which binding, which
 client, in which order per client) is seed-determined, and query outputs
 are bit-identical across runs and modes.
-
-This module intentionally is **not** re-exported from
-``repro.bench.__init__``: the service layer imports
-:mod:`repro.bench.clock`, so pulling loadgen (which imports the service
-layer at module scope) into the package ``__init__`` would create an import
-cycle.  Import it as ``from repro.bench import loadgen`` /
-``from repro.bench.loadgen import run_load`` instead.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
-from repro.bench.clock import monotonic_s
 from repro.bench.reporting import LatencySummary, stage_breakdown, summarize_latencies
+from repro.clock import monotonic_s
 from repro.relalg import Relation
 from repro.service.admission import BackpressureError
 from repro.service.tracing import RequestTrace
@@ -83,7 +76,7 @@ class TemplateMix:
     def build(
         cls, templates: Sequence[Query], bindings: Dict[str, Sequence[Bindings]]
     ) -> "TemplateMix":
-        """Normalize the experiments-module mix shape into a frozen mix."""
+        """Freeze a template list plus bindings-by-template-name into a mix."""
         ordered = tuple(templates)
         named = tuple(
             (template.name, tuple(bindings[template.name])) for template in ordered
@@ -159,11 +152,6 @@ class LoadResult:
     config: LoadgenConfig
     #: Wall seconds from first arrival to last response.
     wall_s: float = 0.0
-    #: Open loop: seconds the schedule's arrivals span (the last arrival
-    #: offset).  ``wall_s - schedule_span_s`` is the drain time — how long
-    #: the server kept working after offered load stopped, the direct
-    #: measure of whether it kept up.
-    schedule_span_s: float = 0.0
     #: Requests offered / completed / rejected.
     offered: int = 0
     completed: int = 0
@@ -365,7 +353,6 @@ def run_load(
     result = LoadResult(
         config=config,
         wall_s=wall_s,
-        schedule_span_s=max((request.arrival_s for request in schedule), default=0.0),
         offered=len(traces),
         completed=len(ok),
         shed=shed,
@@ -380,59 +367,3 @@ def run_load(
     )
     return result
 
-
-def find_saturation_qps(
-    make_service: Callable[[], _ExecutesStatements],
-    mix: TemplateMix,
-    base_config: LoadgenConfig,
-    start_qps: float = 8.0,
-    max_doublings: int = 8,
-    efficiency_floor: float = 0.9,
-) -> Tuple[float, List[LoadResult]]:
-    """Find the saturation point by doubling offered open-loop qps.
-
-    Offered load starts at ``start_qps`` and doubles until the service
-    completes less than ``efficiency_floor`` of what was offered (or sheds
-    requests), i.e. until the open-loop arrivals outrun service capacity.
-    Returns the last offered rate the service kept up with, plus every
-    step's :class:`LoadResult`.  Each step drives a *fresh* service from
-    ``make_service`` so result caches warmed at one rate don't flatter the
-    next.
-    """
-    steps: List[LoadResult] = []
-    sustained = start_qps
-    qps = start_qps
-    for _ in range(max_doublings):
-        config = LoadgenConfig(
-            mode="open",
-            num_requests=base_config.num_requests,
-            target_qps=qps,
-            num_clients=base_config.num_clients,
-            think_time_s=base_config.think_time_s,
-            zipf_s=base_config.zipf_s,
-            seed=base_config.seed,
-            open_loop_workers=base_config.open_loop_workers,
-        )
-        service = make_service()
-        try:
-            step = run_load(service, mix, config)
-        finally:
-            close = getattr(service, "close", None)
-            if close is not None:
-                close()
-        steps.append(step)
-        # Keeping up means draining on the arrivals' own schedule: when the
-        # server falls behind, requests still arrive on time but the run's
-        # wall clock stretches past the last arrival (nothing is shed while
-        # the admission queue holds, so completed counts can't tell).  The
-        # bound is relative to the *realized* schedule span, which for a
-        # finite Poisson draw fluctuates around num_requests/target_qps.
-        kept_up = (
-            step.shed_rate == 0.0
-            and step.wall_s <= step.schedule_span_s / efficiency_floor
-        )
-        if not kept_up:
-            break
-        sustained = qps
-        qps *= 2.0
-    return sustained, steps

@@ -18,9 +18,9 @@ relations) and returns them as a Δ mapping ready to be merged into Γ.
 All relational kernels come from :mod:`repro.relalg` (shared with the
 executor), including the morsel-driven parallel runtime: when constructed
 with a :class:`~repro.relalg.TaskScheduler`, sample joins run
-partition-parallel on the same worker pool the executor and the workload
-driver use (bit-identical to serial, so the estimates never depend on the
-worker count).  Two properties of this workload make sample joins much
+partition-parallel on the same worker pool the executor uses
+(bit-identical to serial, so the estimates never depend on the worker
+count).  Two properties of this workload make sample joins much
 cheaper than re-running them naively:
 
 * filtered samples are projected down to their *join columns* — counting the

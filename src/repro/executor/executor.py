@@ -33,13 +33,13 @@ three physical-execution concerns on top:
   morsel-at-a-time: scan filters evaluate one morsel task per chunk, hash
   joins run partition-parallel build/probe tasks, and grouped aggregation
   reduces group-aligned chunks, all on the *shared* worker pool (the same
-  pool the sampling validator and the workload driver use).  On the default
-  process backend the kernels run on worker *processes* with columns shipped
-  once through ``multiprocessing.shared_memory`` descriptors (zero-copy
-  attach, no GIL contention), and the executor labels each kernel with its
-  pipeline stage (``"filter"``, ``"join"``, ``"aggregate"``) so the
-  scheduler's adaptive morsel sizer can grow chunk sizes per stage until
-  per-task overhead is negligible.  Every parallel path is bit-identical to
+  pool the sampling validator uses).  The kernels run on worker
+  *processes* with columns shipped once through
+  ``multiprocessing.shared_memory`` descriptors (zero-copy attach, no GIL
+  contention), and the executor labels each kernel with its pipeline stage
+  (``"filter"``, ``"join"``, ``"aggregate"``) so the scheduler's adaptive
+  morsel sizer can grow chunk sizes per stage until per-task overhead is
+  negligible.  Every parallel path is bit-identical to
   its serial counterpart, so the per-node instrumentation (actual
   cardinalities, resource vectors, simulated cost) is unchanged by the
   worker count.

@@ -11,7 +11,7 @@ The optimizer itself is completely unaware of re-optimization — exactly the
 emphasises.  All the re-optimization logic lives in :mod:`repro.reopt`.
 
 For callers that re-plan the *same* query repeatedly with a growing Γ (the
-re-optimization loop, the concurrent workload driver), ``planning_session``
+re-optimization loop, the query service), ``planning_session``
 returns a :class:`PlanningSession` that keeps the DP memo table alive between
 calls and re-expands only the Γ-dirtied portion of the search space.  A
 session produces plans bit-identical to ``optimize`` while doing a fraction

@@ -24,9 +24,8 @@ Layout
 ``scheduler``
     The shared morsel-task scheduler (bounded worker pool with ordered,
     deterministic result collection) every parallel kernel dispatches onto.
-    Kernel tasks run on a persistent pool of worker *processes* by default,
-    with adaptive per-stage morsel sizing; coordination tasks stay on
-    threads.
+    Kernel tasks run on a persistent pool of worker *processes*, with
+    adaptive per-stage morsel sizing; coordination tasks stay on threads.
 ``shm``
     The shared-memory column transport of the process runtime: refcounted
     segment registry, scoped arenas, ``(segment, dtype, offset, length)``

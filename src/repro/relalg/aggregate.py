@@ -199,7 +199,7 @@ def _parallel_grouped(
     rows: int,
     result: Relation,
     scheduler: TaskScheduler,
-    morsel_rows: int,
+    chunks: Sequence[Tuple[int, int]],
     stage: Optional[str] = None,
 ) -> Relation:
     """Aggregate values chunk-parallel: per-morsel partials, concatenated merge.
@@ -207,80 +207,50 @@ def _parallel_grouped(
     Each task gathers the sorted values of one group-aligned chunk and runs
     the same ``reduceat`` reductions the serial path runs on the full column;
     the merge concatenates the per-chunk partials in chunk order.  Because
-    chunks are group-aligned (see :func:`_group_chunks`), the merged output
-    is bit-identical to the serial path — including float ``sum``/``avg``,
-    whose accumulation order per group is unchanged.
+    ``chunks`` are group-aligned (see :func:`_group_chunks`), the merged
+    output is bit-identical to the serial path — including float
+    ``sum``/``avg``, whose accumulation order per group is unchanged.
+
+    The value columns, sort order and group boundaries are published to
+    shared memory once; each chunk task ships descriptors plus its group and
+    row windows, and returns its partials.
     """
-    chunks = _group_chunks(group_starts, rows, morsel_rows)
     num_groups = len(group_starts)
-
-    if scheduler.process_parallel and len(chunks) > 1:
-        # Process tier: publish the value columns, sort order and group
-        # boundaries once; each chunk task ships descriptors plus its group
-        # and row windows, and returns its partials.
-        needed = sorted(
-            {
-                f"{aggregate.alias}.{aggregate.column}"
-                for aggregate in aggregates
-                if aggregate.column is not None
-            }
+    needed = sorted(
+        {
+            f"{aggregate.alias}.{aggregate.column}"
+            for aggregate in aggregates
+            if aggregate.column is not None
+        }
+    )
+    aggregates = tuple(aggregates)
+    with scheduler.new_arena() as arena:
+        columns_desc = tuple(
+            (name, arena.share_column(relation[name])) for name in needed
         )
-        aggregates = tuple(aggregates)
-        with scheduler.new_arena() as arena:
-            columns_desc = tuple(
-                (name, arena.share_column(relation[name])) for name in needed
-            )
-            order_desc = arena.share_array(order)
-            starts_desc = arena.share_array(group_starts)
-            counts_desc = arena.share_array(group_counts)
-            payloads = []
-            for lo, hi in chunks:
-                row_lo = int(group_starts[lo])
-                row_hi = int(group_starts[hi]) if hi < num_groups else rows
-                payloads.append(
-                    (
-                        columns_desc,
-                        order_desc,
-                        starts_desc,
-                        counts_desc,
-                        lo,
-                        hi,
-                        row_lo,
-                        row_hi,
-                        aggregates,
-                    )
+        order_desc = arena.share_array(order)
+        starts_desc = arena.share_array(group_starts)
+        counts_desc = arena.share_array(group_counts)
+        payloads = []
+        for lo, hi in chunks:
+            row_lo = int(group_starts[lo])
+            row_hi = int(group_starts[hi]) if hi < num_groups else rows
+            payloads.append(
+                (
+                    columns_desc,
+                    order_desc,
+                    starts_desc,
+                    counts_desc,
+                    lo,
+                    hi,
+                    row_lo,
+                    row_hi,
+                    aggregates,
                 )
-            chunk_partials = scheduler.map_kernel(
-                _aggregate_chunk_task, payloads, stage=stage
             )
-        for aggregate in aggregates:
-            result[aggregate.output_name] = np.concatenate(
-                [partials[aggregate.output_name] for partials in chunk_partials]
-            )
-        return result
-
-    def run_chunk(chunk: Tuple[int, int]) -> Dict[str, np.ndarray]:
-        lo, hi = chunk
-        row_lo = int(group_starts[lo])
-        row_hi = int(group_starts[hi]) if hi < num_groups else rows
-        indices = order[row_lo:row_hi]
-        starts_local = group_starts[lo:hi] - row_lo
-        counts_local = group_counts[lo:hi]
-        gathered: Dict[str, ColumnData] = {}
-        partials: Dict[str, np.ndarray] = {}
-        for aggregate in aggregates:
-            sorted_column: Optional[ColumnData] = None
-            if aggregate.column is not None:
-                name = f"{aggregate.alias}.{aggregate.column}"
-                if name not in gathered:
-                    gathered[name] = take_column(relation[name], indices)
-                sorted_column = gathered[name]
-            partials[aggregate.output_name] = _grouped_values(
-                aggregate, sorted_column, starts_local, counts_local
-            )
-        return partials
-
-    chunk_partials = scheduler.map(run_chunk, chunks)
+        chunk_partials = scheduler.map_kernel(
+            _aggregate_chunk_task, payloads, stage=stage
+        )
     for aggregate in aggregates:
         result[aggregate.output_name] = np.concatenate(
             [partials[aggregate.output_name] for partials in chunk_partials]
@@ -299,14 +269,13 @@ def group_aggregate(
     """Grouped aggregation over a runtime relation (vectorised).
 
     With a parallel ``scheduler`` and a large enough input, the value
-    gathering and per-group reductions run as group-aligned morsel tasks on
-    the shared worker pool — on the process backend as shared-memory kernel
-    tasks (:func:`_aggregate_chunk_task`), otherwise on the thread tier; the
-    output is bit-identical to the serial path either way (see
-    :func:`_parallel_grouped`).  Key grouping (one lexsort) stays serial —
-    it is a single deterministic kernel either way.  A ``stage`` label opts
-    into adaptive morsel sizing: the scheduler grows this stage's chunk rows
-    until per-task overhead is under target (callers that pin an exact
+    gathering and per-group reductions run as group-aligned shared-memory
+    kernel tasks (:func:`_aggregate_chunk_task`) on the shared worker pool;
+    the output is bit-identical to the serial path (see
+    :func:`_parallel_grouped`).  Key grouping (one lexsort) stays serial — it
+    is a single deterministic kernel either way.  A ``stage`` label opts into
+    adaptive morsel sizing: the scheduler grows this stage's chunk rows until
+    per-task overhead is under target (callers that pin an exact
     ``morsel_rows``, like the bit-identity sweeps, simply omit it).
     """
     relation = as_relation(relation)
@@ -365,18 +334,20 @@ def group_aggregate(
         and len(group_starts) > 1
         and aggregates
     ):
-        return _parallel_grouped(
-            relation,
-            aggregates,
-            order,
-            group_starts,
-            group_counts,
-            rows,
-            result,
-            scheduler,
-            morsel_rows,
-            stage,
-        )
+        chunks = _group_chunks(group_starts, rows, morsel_rows)
+        if len(chunks) > 1:
+            return _parallel_grouped(
+                relation,
+                aggregates,
+                order,
+                group_starts,
+                group_counts,
+                rows,
+                result,
+                scheduler,
+                chunks,
+                stage,
+            )
     sorted_cache: Dict[str, ColumnData] = {}
     for aggregate in aggregates:
         sorted_column: Optional[ColumnData] = None

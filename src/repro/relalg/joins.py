@@ -473,9 +473,13 @@ def parallel_join_indices(
         for p in range(num_partitions)
         if left_bounds[p] < left_bounds[p + 1] and right_bounds[p] < right_bounds[p + 1]
     ]
-    if scheduler.process_parallel and len(tasks) > 1:
-        # Process tier: publish the code and order arrays once into shared
-        # memory; each task ships only descriptors plus its boundary window.
+    if len(tasks) <= 1:
+        # Nothing to fan out (one partition holds every match, or none
+        # does): the serial kernel, with nothing published to shared memory.
+        left_index, right_index = hash_match(left_codes, right_codes, domain)
+    else:
+        # Publish the code and order arrays once into shared memory; each
+        # task ships only descriptors plus its boundary window.
         with scheduler.new_arena() as arena:
             left_codes_desc = arena.share_array(left_codes)
             right_codes_desc = arena.share_array(right_codes)
@@ -499,31 +503,15 @@ def parallel_join_indices(
             pairs = scheduler.map_kernel(
                 _match_partition_task, payloads, stage="join"
             )
-    else:
-
-        def match_partition(p: int) -> Tuple[np.ndarray, np.ndarray]:
-            left_rows = left_order[left_bounds[p] : left_bounds[p + 1]]
-            right_rows = right_order[right_bounds[p] : right_bounds[p + 1]]
-            sub_left, sub_right = hash_match(
-                left_codes[left_rows] // num_partitions,
-                right_codes[right_rows] // num_partitions,
-                quotient_domain,
-            )
-            return left_rows[sub_left], right_rows[sub_right]
-
-        pairs = scheduler.map(match_partition, tasks)
-    if pairs:
         left_index = np.concatenate([pair[0] for pair in pairs])
         right_index = np.concatenate([pair[1] for pair in pairs])
-    else:
-        left_index, right_index = _empty_indices()
-    # Deterministic merge: serial pair order is (left row asc, right row asc);
-    # partitions already emit (left asc, right asc) internally and one left
-    # row only ever matches inside one partition, so a stable sort on the
-    # left index alone reproduces the serial order exactly.
-    order = np.argsort(left_index, kind="stable")
-    left_index = left_index[order]
-    right_index = right_index[order]
+        # Deterministic merge: serial pair order is (left row asc, right row
+        # asc); partitions already emit (left asc, right asc) internally and
+        # one left row only ever matches inside one partition, so a stable
+        # sort on the left index alone reproduces the serial order exactly.
+        order = np.argsort(left_index, kind="stable")
+        left_index = left_index[order]
+        right_index = right_index[order]
     if residual:
         left_index, right_index = _apply_residual(
             left, right, residual, left_aliases, left_index, right_index

@@ -200,12 +200,11 @@ def predicate_mask(
     """Conjunction mask of ``predicates`` over ``relation``'s rows.
 
     With a parallel ``scheduler`` and a large enough relation, the mask is
-    computed one morsel task at a time and concatenated in morsel order — on
-    the process backend as shared-memory kernel tasks
-    (:func:`_predicate_mask_task`), otherwise on the thread tier.  Predicate
-    evaluation is elementwise, so the chunked mask is bit-identical to the
-    whole-column one.  A ``stage`` label opts into adaptive morsel sizing
-    (omit it to pin ``morsel_rows`` exactly).
+    computed one morsel task at a time as shared-memory kernel tasks
+    (:func:`_predicate_mask_task`) and concatenated in morsel order.
+    Predicate evaluation is elementwise, so the chunked mask is bit-identical
+    to the whole-column one.  A ``stage`` label opts into adaptive morsel
+    sizing (omit it to pin ``morsel_rows`` exactly).
     """
     compiled = []
     for predicate in predicates:
@@ -223,9 +222,9 @@ def predicate_mask(
         and relation.num_rows >= _MIN_PARALLEL_FILTER_ROWS
     ):
         chunked = ChunkedRelation(relation, morsel_rows)
-        if scheduler.process_parallel and chunked.num_morsels > 1:
-            # Process tier: publish each predicate column once; every morsel
-            # task ships descriptors plus its row window.
+        if chunked.num_morsels > 1:
+            # Publish each predicate column once; every morsel task ships
+            # descriptors plus its row window.
             spec = tuple(
                 (f"{alias}.{predicate.column}", predicate) for predicate in predicates
             )
@@ -240,14 +239,6 @@ def predicate_mask(
                 return np.concatenate(
                     scheduler.map_kernel(_predicate_mask_task, payloads, stage=stage)
                 )
-
-        def mask_morsel(morsel: Relation) -> np.ndarray:
-            mask = np.ones(morsel.num_rows, dtype=bool)
-            for key, mask_fn in compiled:
-                mask &= mask_fn(morsel[key])
-            return mask
-
-        return np.concatenate(scheduler.map(mask_morsel, chunked))
 
     mask = np.ones(relation.num_rows, dtype=bool)
     for key, mask_fn in compiled:

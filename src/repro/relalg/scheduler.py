@@ -9,18 +9,17 @@ single heavy query just as well as a batch of queries.
 The pool has two tiers:
 
 * **Kernel tasks** (:meth:`TaskScheduler.map_kernel`) run on a persistent
-  pool of **worker processes**.  The thread pool of the previous runtime was
-  GIL-bound — ``BENCH_parallel_runtime.json`` showed 4 workers *losing* to
-  serial — so the heavy NumPy kernels now execute in separate processes.
-  Task functions must be picklable top-level functions (the kernel bodies in
-  :mod:`repro.relalg.joins` / :mod:`~repro.relalg.aggregate` /
-  :mod:`~repro.relalg.predicates`), and their payloads carry
-  :mod:`repro.relalg.shm` descriptors instead of arrays: column data crosses
-  the process boundary through ``multiprocessing.shared_memory`` exactly
-  once, and workers attach zero-copy views.
+  pool of **worker processes** (a thread pool is GIL-bound for these
+  kernels and lost to serial).  Task functions must be picklable top-level
+  functions (the kernel bodies in :mod:`repro.relalg.joins` /
+  :mod:`~repro.relalg.aggregate` / :mod:`~repro.relalg.predicates`), and
+  their payloads carry :mod:`repro.relalg.shm` descriptors instead of
+  arrays: column data crosses the process boundary through
+  ``multiprocessing.shared_memory`` exactly once, and workers attach
+  zero-copy views.
 * **Coordination tasks** (:meth:`TaskScheduler.map`) — arbitrary callables,
-  closures included — keep running on a thread pool (or inline), as before.
-  They coordinate; they are not where the cycles go.
+  closures included — run on a thread pool (or inline).  They coordinate
+  (the join output's column gather); they are not where the cycles go.
 
 Design constraints, in order:
 
@@ -44,8 +43,7 @@ below 5% of task time.  Sizing only changes how work is chunked, never what
 is computed — every chunk grid is bit-identical by the kernel contracts.
 
 Instrumentation: the scheduler counts submitted/completed/inline/process
-tasks, tracks the current and high-water queue depth, and keeps per-*account*
-(typically per-query) task/seconds tallies that the workload driver reports.
+tasks and busy seconds, and tracks the current and high-water queue depth.
 """
 
 from __future__ import annotations
@@ -61,7 +59,6 @@ from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
-    ContextManager,
     Dict,
     Iterable,
     List,
@@ -79,8 +76,6 @@ R = TypeVar("R")
 
 #: Environment variable overriding the default worker count.
 WORKERS_ENV_VAR = "REPRO_WORKERS"
-#: Environment variable overriding the kernel backend ("process" / "thread").
-BACKEND_ENV_VAR = "REPRO_SCHED_BACKEND"
 #: Environment variable overriding the multiprocessing start method.
 START_METHOD_ENV_VAR = "REPRO_MP_START"
 
@@ -104,8 +99,8 @@ def _total_ram_bytes() -> Optional[int]:
 def default_worker_count() -> int:
     """Auto-sized worker count: ``min(cores - 2, RAM / 4GB)``, floor 1.
 
-    Two cores stay reserved for the coordinating threads (planner, driver,
-    service) and each worker is budgeted 4 GB of RAM, per the large-scale
+    Two cores stay reserved for the coordinating threads (planner, service)
+    and each worker is budgeted 4 GB of RAM, per the large-scale
     evaluation runbook.  On a single-core host the rule bottoms out at one
     worker, i.e. inline serial execution — a pool there is pure overhead.
     ``REPRO_WORKERS`` overrides the rule outright.
@@ -127,13 +122,6 @@ def resolve_worker_count(workers: Union[int, str, None]) -> int:
     if workers is None or workers == "auto":
         return default_worker_count()
     return max(1, int(workers))
-
-
-def _default_backend() -> str:
-    env = os.environ.get(BACKEND_ENV_VAR)
-    if env in ("process", "thread"):
-        return env
-    return "process"
 
 
 def _start_method() -> str:
@@ -253,14 +241,6 @@ class AdaptiveMorselSizer:
 # Instrumentation dataclasses
 # --------------------------------------------------------------------------- #
 @dataclass
-class AccountStats:
-    """Work tally of one accounting label (typically one query)."""
-
-    tasks: int = 0
-    busy_seconds: float = 0.0
-
-
-@dataclass
 class SchedulerStats:
     """Snapshot of the scheduler's lifetime counters."""
 
@@ -271,7 +251,6 @@ class SchedulerStats:
     queue_depth: int = 0
     max_queue_depth: int = 0
     busy_seconds: float = 0.0
-    accounts: Dict[str, AccountStats] = field(default_factory=dict)
     #: Kernel tasks executed on worker *processes* (subset of completed).
     tasks_process: int = 0
     #: Times the process pool was torn down after a worker died mid-task.
@@ -315,40 +294,32 @@ def _process_worker_main(
 
 
 class TaskScheduler:
-    """A bounded worker pool with ordered result collection and accounting.
+    """A bounded worker pool with ordered result collection.
 
     ``workers`` may be an int, ``"auto"`` (the runbook rule ``min(cores - 2,
     RAM / 4GB)``, floor 1) or ``None`` (same as auto, after the
-    ``REPRO_WORKERS`` override).  ``backend`` selects where *kernel* tasks
-    run: ``"process"`` (default — real parallelism, shared-memory columns)
-    or ``"thread"`` (the legacy GIL-bound pool, useful for debugging).
-    Coordination ``map`` always uses threads.  Both pools spawn lazily and
-    are shut down by :meth:`shutdown` (non-terminal) or :meth:`close`
-    (terminal, also unlinks every live shared-memory segment).
+    ``REPRO_WORKERS`` override).  Kernel tasks (``map_kernel``) run on
+    worker processes over shared-memory columns; coordination ``map`` uses
+    threads.  Both pools spawn lazily and are shut down by :meth:`shutdown`
+    (non-terminal) or :meth:`close` (terminal, also unlinks every live
+    shared-memory segment).
 
     On a single-core host a pool is pure overhead — fork, pickling and
     queue transport with zero available parallelism (measured 0.67× vs
-    serial at 2 workers) — so a scheduler constructed without an explicit
-    ``backend`` degrades to one inline-serial worker when ``os.cpu_count()``
-    is 1.  Passing ``backend=`` explicitly is a demand for that pool (the
-    lifecycle tests exercise real worker processes this way) and bypasses
-    the degrade.
+    serial at 2 workers) — so the scheduler degrades to one inline-serial
+    worker when ``os.cpu_count()`` is 1.
     """
 
     def __init__(
         self,
         workers: Union[int, str, None] = None,
         name: str = "relalg",
-        backend: Optional[str] = None,
         sizer: Optional[AdaptiveMorselSizer] = None,
     ) -> None:
         self.workers = resolve_worker_count(workers)
-        if backend is None and (os.cpu_count() or 1) <= 1:
+        if (os.cpu_count() or 1) <= 1:
             self.workers = 1
         self.name = name
-        self.backend = backend if backend is not None else _default_backend()
-        if self.backend not in ("process", "thread"):
-            raise ValueError(f"unknown scheduler backend {self.backend!r}")
         #: Ledger of every shm segment published through this scheduler's
         #: arenas; :meth:`close` force-unlinks whatever is still alive.
         self.segments = SegmentRegistry()
@@ -362,7 +333,6 @@ class TaskScheduler:
         self._lock = threading.Lock()
         self._kernel_lock = threading.Lock()
         self._in_worker = threading.local()
-        self._current_account = threading.local()
         self._tasks_submitted = 0
         self._tasks_completed = 0
         self._tasks_inline = 0
@@ -371,7 +341,6 @@ class TaskScheduler:
         self._queue_depth = 0
         self._max_queue_depth = 0
         self._busy_seconds = 0.0
-        self._accounts: Dict[str, AccountStats] = {}
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -517,11 +486,6 @@ class TaskScheduler:
         """True when this scheduler actually runs tasks on workers."""
         return self.workers > 1 and not self._closed
 
-    @property
-    def process_parallel(self) -> bool:
-        """True when kernel tasks run on worker *processes* (shm transport)."""
-        return self.parallel and self.backend == "process"
-
     def new_arena(self) -> ShmArena:
         """A shared-memory arena whose segments this scheduler tracks."""
         return ShmArena(self.segments)
@@ -536,53 +500,16 @@ class TaskScheduler:
             return default_rows
         return self.sizer.morsel_rows(stage, default_rows)
 
-    def accounting(self, label: Optional[str]) -> ContextManager["TaskScheduler"]:
-        """Context manager attributing tasks submitted inside it to ``label``.
-
-        The label applies to ``map`` calls made on the *entering* thread
-        (including from kernels that know nothing about accounting, e.g. the
-        parallel hash join inside a sample validation) unless they pass an
-        explicit ``account``.  The workload driver wraps each query's
-        pipeline in one, giving per-query task/seconds tallies.
-        """
-        scheduler = self
-
-        class _Scope:
-            def __enter__(self) -> "TaskScheduler":
-                self._previous = getattr(scheduler._current_account, "label", None)
-                scheduler._current_account.label = label
-                return scheduler
-
-            def __exit__(self, *exc_info: object) -> None:
-                scheduler._current_account.label = self._previous
-
-        return _Scope()
-
-    def _account(self, label: Optional[str], tasks: int, seconds: float) -> None:
-        if label is None:
-            return
-        stats = self._accounts.setdefault(label, AccountStats())
-        stats.tasks += tasks
-        stats.busy_seconds += seconds
-
-    def _run_inline(
-        self, fn: Callable[[T], R], items: Sequence[T], account: Optional[str]
-    ) -> List[R]:
+    def _run_inline(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
         started = time.perf_counter()
         results = [fn(item) for item in items]
         elapsed = time.perf_counter() - started
         with self._lock:
             self._tasks_inline += len(items)
             self._busy_seconds += elapsed
-            self._account(account, len(items), elapsed)
         return results
 
-    def map(
-        self,
-        fn: Callable[[T], R],
-        items: Iterable[T],
-        account: Optional[str] = None,
-    ) -> List[R]:
+    def map(self, fn: Callable[[T], R], items: Iterable[T]) -> List[R]:
         """Run ``fn`` over ``items`` on the *thread* tier, in submission order.
 
         This is the coordination tier: arbitrary callables are accepted
@@ -592,16 +519,14 @@ class TaskScheduler:
         items = list(items)
         if not items:
             return []
-        if account is None:
-            account = getattr(self._current_account, "label", None)
         # Inline when serial, trivially small, or already on a worker thread
         # (re-submitting from a worker could deadlock a saturated pool).
         if not self.parallel or len(items) == 1 or getattr(self._in_worker, "flag", False):
-            return self._run_inline(fn, items, account)
+            return self._run_inline(fn, items)
 
         pool = self._ensure_pool()
         if pool is None:  # closed concurrently: degrade to inline execution
-            return self._run_inline(fn, items, account)
+            return self._run_inline(fn, items)
         with self._lock:
             self._tasks_submitted += len(items)
             self._queue_depth += len(items)
@@ -619,7 +544,6 @@ class TaskScheduler:
                     self._tasks_completed += 1
                     self._queue_depth -= 1
                     self._busy_seconds += elapsed
-                    self._account(account, 1, elapsed)
 
         futures = [pool.submit(run, item) for item in items]
         return [future.result() for future in futures]
@@ -628,7 +552,6 @@ class TaskScheduler:
         self,
         fn: Callable[[T], R],
         payloads: Sequence[T],
-        account: Optional[str] = None,
         stage: Optional[str] = None,
     ) -> List[R]:
         """Run a picklable kernel ``fn`` over ``payloads`` on worker processes.
@@ -637,37 +560,35 @@ class TaskScheduler:
         (kernels pass :mod:`repro.relalg.shm` descriptors plus small
         scalars).  Results come back in submission order.  Degrades to
         inline execution — still bit-identical, merely serial — whenever the
-        process tier is unavailable: serial scheduler, thread backend,
-        single payload, closed scheduler, unpicklable task, or a worker
-        crash mid-batch (the crashed pool is torn down, finished results are
-        kept, missing tasks re-run inline, and the pool respawns on the next
-        call).  With ``stage`` given, the batch's wall/busy seconds feed the
+        process tier is unavailable: serial scheduler, single payload, closed
+        scheduler, unpicklable task, or a worker crash mid-batch (the crashed
+        pool is torn down, finished results are kept, missing tasks re-run
+        inline, and the pool respawns on the next call).  With ``stage``
+        given, the batch's wall/busy seconds feed the
         :class:`AdaptiveMorselSizer` for that stage.
         """
         payloads = list(payloads)
         if not payloads:
             return []
-        if account is None:
-            account = getattr(self._current_account, "label", None)
         if (
-            not self.process_parallel
+            not self.parallel
             or len(payloads) == 1
             or getattr(self._in_worker, "flag", False)
         ):
-            return self._map_kernel_fallback(fn, payloads, account, stage)
+            return self._map_kernel_fallback(fn, payloads, stage)
         try:
             blobs = [pickle.dumps((fn, payload), protocol=-1) for payload in payloads]
         except Exception:
             # Unpicklable task: the kernel authors' bug, but never the
             # query's problem — degrade to the serial path.
-            return self._map_kernel_fallback(fn, payloads, account, stage)
+            return self._map_kernel_fallback(fn, payloads, stage)
 
         # One batch at a time on the process tier: morsel batches are bursts
         # of many tasks, so batches from concurrent queries serialize at the
         # batch level while their tasks still fill all workers.
         with self._kernel_lock:
             if not self._ensure_procs():
-                return self._map_kernel_fallback(fn, payloads, account, stage)
+                return self._map_kernel_fallback(fn, payloads, stage)
             task_queue = self._task_queue
             result_queue = self._result_queue
             with self._lock:
@@ -706,14 +627,13 @@ class TaskScheduler:
                 self._tasks_process += len(outcomes)
                 self._queue_depth -= len(payloads)
                 self._busy_seconds += busy
-                self._account(account, len(outcomes), busy)
 
         missing = [i for i in range(len(payloads)) if i not in outcomes]
         if missing:
             # Crash path: re-run lost tasks inline (kernels are pure, so a
             # partially-run task is safe to repeat).
             for index, value in zip(
-                missing, self._run_inline(fn, [payloads[i] for i in missing], account)
+                missing, self._run_inline(fn, [payloads[i] for i in missing])
             ):
                 outcomes[index] = (True, value)
         if stage is not None:
@@ -734,11 +654,10 @@ class TaskScheduler:
         self,
         fn: Callable[[T], R],
         payloads: Sequence[T],
-        account: Optional[str],
         stage: Optional[str],
     ) -> List[R]:
         started = time.perf_counter()
-        results = self._run_inline(fn, payloads, account)
+        results = self._run_inline(fn, payloads)
         if stage is not None and len(payloads) > 1:
             elapsed = time.perf_counter() - started
             self.sizer.observe(stage, len(payloads), elapsed, elapsed, 1)
@@ -770,23 +689,13 @@ class TaskScheduler:
                 queue_depth=self._queue_depth,
                 max_queue_depth=self._max_queue_depth,
                 busy_seconds=self._busy_seconds,
-                accounts={
-                    label: AccountStats(entry.tasks, entry.busy_seconds)
-                    for label, entry in self._accounts.items()
-                },
                 tasks_process=self._tasks_process,
                 process_pool_crashes=self._process_pool_crashes,
             )
 
-    def account_stats(self, label: str) -> AccountStats:
-        """The tally of one accounting label (zeros when never used)."""
-        with self._lock:
-            entry = self._accounts.get(label)
-            return AccountStats(entry.tasks, entry.busy_seconds) if entry else AccountStats()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"TaskScheduler(workers={self.workers}, backend={self.backend!r}, "
+            f"TaskScheduler(workers={self.workers}, "
             f"queue_depth={self.queue_depth})"
         )
 

@@ -1,5 +1,5 @@
 """The sampling-based query re-optimization loop (Algorithm 1), its reports,
-the concurrent workload driver, and mid-execution adaptive re-optimization."""
+and mid-execution adaptive re-optimization."""
 
 from __future__ import annotations
 
@@ -17,13 +17,6 @@ from repro.reopt.algorithm import (
     Reoptimizer,
     reoptimize,
 )
-from repro.reopt.driver import (
-    DriverSettings,
-    DriverStats,
-    WorkloadDriver,
-    plan_fingerprint,
-    statistics_fingerprint,
-)
 from repro.reopt.report import ReoptimizationReport, RoundRecord
 
 __all__ = [
@@ -31,8 +24,6 @@ __all__ = [
     "AdaptiveExecutor",
     "AdaptiveSettings",
     "CheckpointRecord",
-    "DriverSettings",
-    "DriverStats",
     "deviation_factor",
     "execute_adaptively",
     "ReoptimizationReport",
@@ -40,8 +31,5 @@ __all__ = [
     "ReoptimizationSettings",
     "Reoptimizer",
     "RoundRecord",
-    "WorkloadDriver",
-    "plan_fingerprint",
     "reoptimize",
-    "statistics_fingerprint",
 ]

@@ -2,7 +2,7 @@
 
 The loop is the paper's:
 
-1. ``Γ ← ∅`` (or a caller-provided warm Γ, see the workload driver);
+1. ``Γ ← ∅`` (or a caller-provided warm Γ);
 2. ask the (unmodified) optimizer for a plan given Γ;
 3. if the plan is identical to the plan of *any* earlier round, stop — a
    re-surfaced plan is already fully validated, so Γ cannot grow and the
@@ -113,7 +113,7 @@ class Reoptimizer:
         self.settings = settings if settings is not None else ReoptimizationSettings()
         #: Shared morsel scheduler handed to the sampling validator, so plan
         #: validation parallelises intra-query on the same pool the executor
-        #: and the workload driver use (``None`` = serial validation).
+        #: uses (``None`` = serial validation).
         self.scheduler = scheduler
 
     # ------------------------------------------------------------------ #
@@ -136,8 +136,7 @@ class Reoptimizer:
           is covered (Theorem 1), Γ stops growing, and the deterministic
           optimizer would re-produce the same plan next round.
 
-        ``gamma`` may carry pre-validated cardinalities (the workload driver
-        shares Γ between identically-fingerprinted queries); it is mutated in
+        ``gamma`` may carry pre-validated cardinalities; it is mutated in
         place, exactly as Algorithm 1 writes ``Γ ← Γ ∪ Δ``.
 
         ``session`` may be a caller-held :class:`PlanningSession` already

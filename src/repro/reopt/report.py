@@ -43,15 +43,9 @@ class RoundRecord:
     #: High-water queue depth of the shared morsel scheduler *up to the end
     #: of this round's validation* (None when no scheduler was attached).
     #: The mark is monotone over the scheduler's lifetime and the scheduler
-    #: is shared, so under the workload driver it reflects pool pressure
-    #: from all concurrent queries, not this round alone.
+    #: may be shared, so it reflects pool pressure from every query that
+    #: ran on it, not this round alone.
     scheduler_queue_depth: Optional[int] = None
-    #: Workload-driver plan-cache counters at the time this run finished
-    #: (None outside the driver).  Identical on every round of one run: they
-    #: are driver-level totals, recorded here so per-round exports carry the
-    #: batch context they ran under.
-    plan_cache_hits: Optional[int] = None
-    plan_cache_misses: Optional[int] = None
     #: Adaptive (mid-execution) rounds only: the pipeline whose observed
     #: cardinality deviation triggered this re-planning round.
     trigger_join_set: Optional[FrozenSet[str]] = None
@@ -176,6 +170,4 @@ class ReoptimizationReport:
             "sampling_seconds": self.total_sampling_seconds,
             "transformations": [kind.value for kind in self.transformation_chain],
             "scheduler_queue_depth": self.max_scheduler_queue_depth(),
-            "plan_cache_hits": self.rounds[-1].plan_cache_hits if self.rounds else None,
-            "plan_cache_misses": self.rounds[-1].plan_cache_misses if self.rounds else None,
         }

@@ -30,7 +30,7 @@ The controller is synchronous (callers block in ``acquire``) because the
 service's execution path is synchronous; the fairness schedule is computed
 under the controller's lock, so grants are deterministic given the arrival
 order.  All deadlines and wait durations are read from the shared monotonic
-clock (:func:`repro.bench.clock.monotonic_s`), the same clock every request
+clock (:func:`repro.clock.monotonic_s`), the same clock every request
 trace is stamped with.
 """
 
@@ -42,7 +42,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Deque, Dict, Iterator, Optional, Set, Tuple
 
-from repro.bench.clock import monotonic_s
+from repro.clock import monotonic_s
 
 #: Per-client stat maps are folded into an ``<other>`` bucket beyond this
 #: many distinct clients, so per-request client ids cannot grow the stats

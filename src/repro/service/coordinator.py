@@ -59,7 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.bench.clock import monotonic_s
+from repro.clock import monotonic_s
 from repro.cardinality.gamma import Gamma
 from repro.cost.model import CostModel
 from repro.cost.units import CostUnits
@@ -418,9 +418,7 @@ class ShardedQueryService:
             )
             for shard_id in range(self.num_shards)
         ]
-        outcomes = self.scheduler.map_kernel(
-            _shard_fragment_task, payloads, account="sharded-scatter"
-        )
+        outcomes = self.scheduler.map_kernel(_shard_fragment_task, payloads)
         for shard_id in range(self.num_shards):
             if outcomes[shard_id][0] == "missing":
                 outcomes[shard_id] = _execute_shard(

@@ -40,7 +40,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
 
-from repro.bench.clock import monotonic_s
+from repro.clock import monotonic_s
 from repro.cardinality.gamma import Gamma
 from repro.cardinality.sampling_estimator import validate_plan_for_bindings
 from repro.executor.executor import (

@@ -4,7 +4,7 @@ A :class:`RequestTrace` rides along one ``execute`` call through the whole
 serving stack — admission (queue wait), the sampling validator, Algorithm 1
 planning, the join pipeline, and the canonical-order merge/finalize stage —
 and comes back with one wall-clock duration per stage, all read from the
-shared monotonic clock (:func:`repro.bench.clock.monotonic_s`), so the
+shared monotonic clock (:func:`repro.clock.monotonic_s`), so the
 stages of one request are directly comparable with each other and with the
 admission deadline the request ran under.
 

@@ -1,17 +1,14 @@
-"""Normalized query fingerprints shared by the plan caches.
+"""Normalized query fingerprints shared by the service's caches.
 
-Three layers of the system key caches on "the same query":
+Two caches key on "the same query":
 
-* the workload driver's plan cache (:mod:`repro.reopt.driver`) — two queries
-  with identical *semantics* must share one re-optimization result, while two
-  queries differing in **any** predicate constant must not share a plan;
 * the query service's parameterized plan cache (:mod:`repro.service`) — a
   prepared *template* is identified up to its parameter slots, and each
   execution additionally carries a *binding key*;
 * the service's result cache — keyed by template, bindings and the epochs of
   the referenced tables.
 
-All of them go through the fingerprints below, which **normalize** values
+Both go through the fingerprints below, which **normalize** values
 before comparing: numerically equal constants fingerprint identically
 (``5`` vs ``5.0`` vs ``numpy.int64(5)``), set-valued ``IN`` lists are order
 insensitive, and the query *name* is excluded (workload instances named

@@ -14,7 +14,12 @@ from repro.bench.loadgen import (
     zipf_weights,
 )
 from repro.bench.reporting import stage_breakdown, summarize_latencies
-from repro.service import QueryService, ServiceSettings
+from repro.service import (
+    QueryService,
+    ServiceSettings,
+    ShardedQueryService,
+    ShardingSpec,
+)
 from repro.service.tracing import RequestTrace
 from repro.sql.builder import QueryBuilder
 from repro.workloads.ott import generate_ott_database
@@ -135,18 +140,43 @@ class TestAggregation:
         }
 
 
+def _single_node(db):
+    return QueryService(db)
+
+
+def _two_shards(db):
+    # Both templates join on ``b``, so co-partitioning on it routes them scatter.
+    spec = ShardingSpec(partitioned={"r1": "b", "r2": "b", "r3": "b"})
+    return ShardedQueryService(db, num_shards=2, spec=spec)
+
+
 class TestRunLoad:
-    def test_open_and_closed_runs_complete_and_agree(self, loadgen_db, loadgen_mix):
+    @pytest.mark.parametrize(
+        "make_service", [_single_node, _two_shards], ids=["single_node", "two_shards"]
+    )
+    def test_open_and_closed_runs_complete_and_agree(
+        self, loadgen_db, loadgen_mix, make_service
+    ):
         open_config = LoadgenConfig(
             mode="open", num_requests=30, target_qps=300.0, seed=5
         )
         closed_config = LoadgenConfig(
             mode="closed", num_requests=30, num_clients=3, think_time_s=0.0, seed=5
         )
-        with QueryService(loadgen_db) as service:
+        with make_service(loadgen_db) as service:
             open_run = run_load(service, loadgen_mix, open_config)
-        with QueryService(loadgen_db) as service:
+        with make_service(loadgen_db) as service:
             closed_run = run_load(service, loadgen_mix, closed_config)
+        # One serial single-node pass over every (template, binding) pair.
+        reference = {}
+        with QueryService(loadgen_db) as service:
+            for template_index, binding_index in loadgen_mix.pairs():
+                template, binding = loadgen_mix.lookup(template_index, binding_index)
+                reference[(template.name, binding_index)] = service.execute(
+                    template, binding
+                ).execution.columns
+        # The same seed serves the same (template, binding) pairs in both modes.
+        assert set(open_run.outputs) == set(closed_run.outputs)
         for run in (open_run, closed_run):
             assert run.offered == 30
             assert run.completed == 30
@@ -156,12 +186,13 @@ class TestRunLoad:
             assert run.latency.count == 30
             assert len(run.traces) == 30
             assert sum(run.sources.values()) == 30
-        # The same seed serves the same (template, binding) pairs in both
-        # modes, and the query outputs are bit-identical across them.
-        assert set(open_run.outputs) == set(closed_run.outputs)
-        for key, columns in open_run.outputs.items():
-            for name, values in columns.items():
-                assert np.array_equal(values, closed_run.outputs[key][name])
+            assert run.outputs
+            for key, columns in run.outputs.items():
+                assert list(columns) == list(reference[key])
+                for name, values in columns.items():
+                    expected = np.asarray(reference[key][name])
+                    assert np.asarray(values).dtype == expected.dtype
+                    assert np.array_equal(values, expected)
 
     def test_shed_requests_are_counted_not_raised(self, loadgen_db, loadgen_mix):
         settings = ServiceSettings(

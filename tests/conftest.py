@@ -76,6 +76,19 @@ def small_db(make_rng) -> Database:
     return db
 
 
+@pytest.fixture(scope="module")
+def multicore_host():
+    """Pretend, for the requesting module, that the host has cores to use.
+
+    A ``TaskScheduler`` degrades to one inline worker when ``os.cpu_count()``
+    is 1; tests of the pool itself (worker processes, shm lifecycle, queue
+    depth) need the pool they asked for on any host.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("repro.relalg.scheduler.os.cpu_count", lambda: 8)
+        yield
+
+
 @pytest.fixture(scope="session")
 def ott_db() -> Database:
     """A small OTT database shared by the re-optimization tests."""

@@ -56,8 +56,8 @@ def db() -> Database:
 
 
 @pytest.fixture(scope="module")
-def scheduler():
-    with TaskScheduler(workers=2, name="live-columns", backend="process") as sched:
+def scheduler(multicore_host):
+    with TaskScheduler(workers=2, name="live-columns") as sched:
         yield sched
 
 

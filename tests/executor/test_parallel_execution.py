@@ -34,8 +34,8 @@ def force_parallel(monkeypatch):
 
 
 @pytest.fixture(scope="module")
-def scheduler():
-    with TaskScheduler(workers=4, name="test-exec", backend="process") as sched:
+def scheduler(multicore_host):
+    with TaskScheduler(workers=4, name="test-exec") as sched:
         yield sched
 
 

@@ -23,6 +23,8 @@ from repro.relalg import (
 )
 from repro.sql.ast import Aggregate, ColumnRef
 
+pytestmark = pytest.mark.usefixtures("multicore_host")
+
 
 def observe_overheated(sizer, stage, fraction=0.8, batches=1):
     """Feed ``batches`` observations whose overhead fraction is ``fraction``.
@@ -102,7 +104,7 @@ class TestAdaptiveMorselSizer:
 
 class TestSchedulerIntegration:
     def test_stage_none_bypasses_adaptation(self):
-        with TaskScheduler(workers=2, name="sizing", backend="thread") as sched:
+        with TaskScheduler(workers=2, name="sizing") as sched:
             observe_overheated(sched.sizer, "agg", batches=3)
             grown = sched.adaptive_morsel_rows("agg", 20_000)
             assert grown > 20_000  # the stage adapted...
@@ -127,7 +129,7 @@ class TestSchedulerIntegration:
         # task batch (the production floor of 16 384 rows would make it one
         # chunk, which has nothing to observe).
         sizer = AdaptiveMorselSizer(min_rows=64, max_rows=4096)
-        with TaskScheduler(workers=2, name="feed", backend="process", sizer=sizer) as sched:
+        with TaskScheduler(workers=2, name="feed", sizer=sizer) as sched:
             group_aggregate(
                 relation,
                 [ColumnRef("t", "g")],
@@ -169,7 +171,7 @@ class TestBitIdentityAcrossAdaptedSizes:
             Aggregate("count", None, None, "n"),
         ]
         serial = group_aggregate(relation, group_by, aggregates)
-        with TaskScheduler(workers=4, name="sweep", backend="process") as sched:
+        with TaskScheduler(workers=4, name="sweep") as sched:
             for morsel_rows in picked:
                 parallel = group_aggregate(
                     relation, group_by, aggregates,

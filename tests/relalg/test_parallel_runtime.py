@@ -11,7 +11,7 @@ The tests sweep randomized data, morsel sizes and partition counts across
 * chunk-parallel grouped aggregation (sum/avg float bit-identity, string
   min/max, count);
 * morsel-parallel predicate evaluation;
-* the scheduler itself (ordered results, accounting, nested-map safety);
+* the scheduler itself (ordered results, nested-map safety);
 * end-to-end query execution over the TPC-H / TPC-DS / OTT generators.
 
 Parallel kernels normally fall back to serial below a row threshold; the
@@ -48,11 +48,12 @@ def force_parallel(monkeypatch):
     monkeypatch.setattr(predicates_module, "_MIN_PARALLEL_FILTER_ROWS", 0)
 
 
-@pytest.fixture(scope="module", params=["process", "thread"])
-def scheduler(request):
-    """Every bit-identity property runs against both backends: the
-    process-backed shared-memory runtime and the legacy thread tier."""
-    with TaskScheduler(workers=4, name="test", backend=request.param) as sched:
+pytestmark = pytest.mark.usefixtures("multicore_host")
+
+
+@pytest.fixture(scope="module")
+def scheduler(multicore_host):
+    with TaskScheduler(workers=4, name="test") as sched:
         yield sched
 
 
@@ -318,7 +319,7 @@ class TestTaskScheduler:
     def test_results_in_submission_order(self):
         import time as time_module
 
-        with TaskScheduler(workers=4, backend="thread") as sched:
+        with TaskScheduler(workers=4) as sched:
             def slow_identity(item):
                 # Earlier items sleep longer: completion order is reversed.
                 time_module.sleep(0.02 * (5 - item))
@@ -335,23 +336,14 @@ class TestTaskScheduler:
         assert stats.tasks_submitted == 0 and stats.tasks_inline == 3
 
     def test_nested_map_from_worker_runs_inline(self):
-        with TaskScheduler(workers=2, backend="thread") as sched:
+        with TaskScheduler(workers=2) as sched:
             def outer(item):
                 return sum(sched.map(lambda x: x + item, range(3)))
 
             assert sched.map(outer, [10, 20]) == [33, 63]
 
-    def test_accounting_labels(self):
-        with TaskScheduler(workers=2, backend="thread") as sched:
-            with sched.accounting("q1"):
-                sched.map(lambda x: x, range(4))
-            sched.map(lambda x: x, range(3), account="q2")
-            assert sched.account_stats("q1").tasks == 4
-            assert sched.account_stats("q2").tasks == 3
-            assert sched.account_stats("missing").tasks == 0
-
     def test_queue_depth_high_water(self):
-        with TaskScheduler(workers=2, backend="thread") as sched:
+        with TaskScheduler(workers=2) as sched:
             sched.map(lambda x: x, range(8))
             assert sched.max_queue_depth >= 2
             assert sched.queue_depth == 0

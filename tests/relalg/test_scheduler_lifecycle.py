@@ -8,6 +8,8 @@ import pytest
 
 from repro.relalg import TaskScheduler
 
+pytestmark = pytest.mark.usefixtures("multicore_host")
+
 
 def _worker_threads(scheduler_name: str):
     prefix = f"{scheduler_name}-morsel"
@@ -24,8 +26,8 @@ class TestShutdown:
         assert not _worker_threads("idem")
 
     def test_shutdown_allows_respawn(self):
-        """Between batches the driver parks the pool; the next map revives it."""
-        scheduler = TaskScheduler(workers=2, name="respawn", backend="thread")
+        """A parked pool is revived by the next map."""
+        scheduler = TaskScheduler(workers=2, name="respawn")
         scheduler.map(lambda x: x, [1, 2])
         scheduler.shutdown()
         assert scheduler.map(lambda x: x * 10, [1, 2]) == [10, 20]
@@ -73,13 +75,13 @@ class TestClose:
         assert not _worker_threads("leaky")
 
     def test_closed_scheduler_reports_serial(self):
-        scheduler = TaskScheduler(workers=4, name="serialized", backend="thread")
+        scheduler = TaskScheduler(workers=4, name="serialized")
         assert scheduler.parallel
         scheduler.close()
         assert not scheduler.parallel
 
     def test_counters_survive_close(self):
-        scheduler = TaskScheduler(workers=2, name="counted", backend="thread")
+        scheduler = TaskScheduler(workers=2, name="counted")
         scheduler.map(lambda x: x, range(6))
         submitted_before = scheduler.stats().tasks_submitted
         scheduler.close()

@@ -25,6 +25,8 @@ from repro.relalg import (
 )
 from repro.relalg.shm import SEGMENT_PREFIX, SegmentRegistry, ShmArena
 
+pytestmark = pytest.mark.usefixtures("multicore_host")
+
 
 # --------------------------------------------------------------------------- #
 # Kernel bodies (top-level so the worker processes can unpickle them)
@@ -147,7 +149,7 @@ class TestShmArena:
 
     def test_columns_attach_inside_worker_processes(self, make_rng):
         values = make_rng(3).uniform(size=10_000)
-        with TaskScheduler(workers=2, name="shmtest", backend="process") as sched:
+        with TaskScheduler(workers=2, name="shmtest") as sched:
             with sched.new_arena() as arena:
                 descriptor = arena.share_array(values)
                 results = sched.map_kernel(_sum_task, [descriptor] * 4)
@@ -161,7 +163,7 @@ class TestShmArena:
 # --------------------------------------------------------------------------- #
 class TestSchedulerCleanup:
     def test_close_unlinks_stragglers(self, make_rng):
-        sched = TaskScheduler(workers=2, name="straggler", backend="process")
+        sched = TaskScheduler(workers=2, name="straggler")
         arena = sched.new_arena()  # deliberately never released: a "leak"
         arena.share_array(make_rng(4).uniform(size=2048))
         assert len(sched.segments.live_names()) == 1
@@ -170,14 +172,14 @@ class TestSchedulerCleanup:
         assert sched.closed
 
     def test_close_is_idempotent(self):
-        sched = TaskScheduler(workers=2, name="idem", backend="process")
+        sched = TaskScheduler(workers=2, name="idem")
         sched.close()
         sched.close()
         assert_no_leaks(sched)
 
     def test_kernel_exception_releases_segments(self, make_rng):
         values = make_rng(5).uniform(size=4096)
-        with TaskScheduler(workers=2, name="failing", backend="process") as sched:
+        with TaskScheduler(workers=2, name="failing") as sched:
             with pytest.raises(ValueError, match="kernel failure"):
                 with sched.new_arena() as arena:
                     descriptor = arena.share_array(values)
@@ -196,7 +198,7 @@ class TestSchedulerCleanup:
         def explode(item):
             raise RuntimeError(f"task {item} failed")
 
-        with TaskScheduler(workers=2, name="threads", backend="process") as sched:
+        with TaskScheduler(workers=2, name="threads") as sched:
             with pytest.raises(RuntimeError):
                 sched.map(explode, range(4))
         assert_no_leaks(sched)
@@ -205,7 +207,7 @@ class TestSchedulerCleanup:
         values = make_rng(6).uniform(size=8192)
         expected = float(np.sum(values))
         parent = os.getpid()
-        with TaskScheduler(workers=2, name="crash", backend="process") as sched:
+        with TaskScheduler(workers=2, name="crash") as sched:
             with sched.new_arena() as arena:
                 descriptor = arena.share_array(values)
                 payloads = [
@@ -226,7 +228,7 @@ class TestSchedulerCleanup:
 
     def test_shutdown_is_reusable_and_frees_nothing_early(self, make_rng):
         values = make_rng(7).uniform(size=1024)
-        sched = TaskScheduler(workers=2, name="reuse", backend="process")
+        sched = TaskScheduler(workers=2, name="reuse")
         try:
             with sched.new_arena() as arena:
                 descriptor = arena.share_array(values)
@@ -272,7 +274,7 @@ class TestSchedulerCleanup:
         aggregate_module._MIN_PARALLEL_AGG_ROWS = 0
         predicates_module._MIN_PARALLEL_FILTER_ROWS = 0
         try:
-            with TaskScheduler(workers=2, name="e2e", backend="process") as sched:
+            with TaskScheduler(workers=2, name="e2e") as sched:
                 joined = parallel_hash_join(
                     left, right, [JoinPredicate("l", "k", "r", "k")],
                     frozenset({"l"}), scheduler=sched,

@@ -1,11 +1,9 @@
 """On a single-core host the scheduler degrades to inline serial execution.
 
-``BENCH_parallel_runtime.json`` measured 0.67× vs serial at 2 workers on a
-1-core host: fork, descriptor pickling and queue transport are pure overhead
-when there is zero available parallelism.  The contract under test: a
-:class:`TaskScheduler` constructed *without* an explicit backend runs one
-inline worker when ``os.cpu_count()`` is 1, while an explicit ``backend=``
-remains a demand for that pool (the shm lifecycle tests rely on it).
+The process runtime measured 0.67× vs serial at 2 workers on a 1-core host:
+fork, descriptor pickling and queue transport are pure overhead when there
+is zero available parallelism.  The contract under test: a
+:class:`TaskScheduler` runs one inline worker when ``os.cpu_count()`` is 1.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ def _double_task(payload: int) -> int:
 def single_core(monkeypatch):
     monkeypatch.setattr("repro.relalg.scheduler.os.cpu_count", lambda: 1)
     monkeypatch.delenv("REPRO_WORKERS", raising=False)
-    monkeypatch.delenv("REPRO_SCHED_BACKEND", raising=False)
 
 
 class TestSingleCoreDegrade:
@@ -38,7 +35,6 @@ class TestSingleCoreDegrade:
         try:
             assert sched.workers == 1
             assert not sched.parallel
-            assert not sched.process_parallel
         finally:
             sched.close()
 
@@ -51,17 +47,6 @@ class TestSingleCoreDegrade:
             assert stats.tasks_submitted == 0
             assert stats.tasks_process == 0
 
-    def test_explicit_backend_bypasses_the_degrade(self, single_core):
-        # An explicit backend is a demand for that pool (correctness tests
-        # exercise real worker processes even on one core).
-        for backend in ("process", "thread"):
-            sched = TaskScheduler(workers=2, name=f"forced-{backend}", backend=backend)
-            try:
-                assert sched.workers == 2
-                assert sched.parallel
-            finally:
-                sched.close()
-
     def test_multicore_host_keeps_requested_workers(self, monkeypatch):
         monkeypatch.setattr("repro.relalg.scheduler.os.cpu_count", lambda: 8)
         sched = TaskScheduler(workers=4, name="eight-core")
@@ -71,7 +56,7 @@ class TestSingleCoreDegrade:
         finally:
             sched.close()
 
-    def test_workers_env_override_is_still_clamped_without_backend(
+    def test_workers_env_override_is_still_clamped(
         self, single_core, monkeypatch
     ):
         # REPRO_WORKERS drives the *auto* rule; the single-core degrade is

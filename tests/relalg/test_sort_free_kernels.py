@@ -39,9 +39,9 @@ INT_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uin
 INT64_MAX = np.iinfo(np.int64).max
 
 
-@pytest.fixture(scope="module", params=["process", "thread"])
-def scheduler(request):
-    with TaskScheduler(workers=2, name="sort-free", backend=request.param) as sched:
+@pytest.fixture(scope="module")
+def scheduler(multicore_host):
+    with TaskScheduler(workers=2, name="sort-free") as sched:
         yield sched
 
 

@@ -29,6 +29,8 @@ from repro.reopt.adaptive import (
     execute_adaptively,
 )
 from repro.sql.builder import QueryBuilder
+from repro.storage.catalog import Database
+from repro.storage.table import Column, Table, TableSchema
 from repro.workloads.ott import generate_ott_database, make_ott_query, make_ott_workload
 from repro.workloads.tpch import generate_tpch_database
 from repro.workloads.tpch_queries import make_tpch_workload
@@ -89,6 +91,29 @@ class TestAdaptiveMechanics:
         triggers = [c for c in result.checkpoints if c.triggered_replan]
         assert triggers
         assert all(c.deviation >= 2.0 for c in triggers)
+
+    def test_well_estimated_star_never_replans(self, make_rng):
+        """The control for the explosion above: unique-key dimension joins,
+        which the estimator gets right, never reach the default 2x threshold."""
+        rng = make_rng(3)
+        db = Database("star")
+        fact = {"a": rng.integers(0, 20, size=20_000)}
+        fact.update({f"k{i}": rng.integers(0, 500, size=20_000) for i in (1, 2, 3)})
+        db.create_table(
+            Table(TableSchema("f", tuple(Column(name, "int") for name in fact)), fact)
+        )
+        builder = QueryBuilder("star").table("f").filter("f", "a", "=", 0)
+        for i in (1, 2, 3):
+            db.create_table(
+                Table(TableSchema(f"d{i}", (Column("k", "int"),)), {"k": rng.permutation(500)})
+            )
+            builder.table(f"d{i}").join("f", f"k{i}", f"d{i}", "k")
+        db.analyze()
+        query = builder.aggregate("count", output_name="n").build()
+        result = execute_adaptively(db, query)
+        assert len(result.checkpoints) > 1
+        assert result.replans == 0
+        assert_relations_equal(result.execution.columns, Executor(db).execute(query).columns)
 
     def test_exact_gamma_entries_for_every_pipeline(self, ott_db):
         query = make_ott_query(ott_db, [0, 0, 0, 1], name="ott_gamma")

@@ -5,6 +5,7 @@ import pytest
 from repro.executor.executor import Executor
 from repro.optimizer.settings import OptimizerSettings
 from repro.plans.join_tree import JoinTree, plans_identical
+from repro.relalg import TaskScheduler
 from repro.reopt.algorithm import ReoptimizationSettings, Reoptimizer, reoptimize
 from repro.sql.builder import QueryBuilder
 from repro.workloads.ott import generate_ott_database, make_ott_query, make_ott_workload
@@ -134,3 +135,30 @@ class TestReports:
         settings = OptimizerSettings(allow_bushy=False)
         result = reoptimize(db, make_ott_query(db, [0, 0, 0, 0, 1]), optimizer_settings=settings)
         assert JoinTree.of(result.final_plan).is_left_deep()
+
+    def test_scheduler_queue_depth_recorded_with_parallel_scheduler(
+        self, db, multicore_host, monkeypatch
+    ):
+        # The parallel join has a row floor; lift it so validation really queues.
+        monkeypatch.setattr("repro.relalg.joins._MIN_PARALLEL_JOIN_ROWS", 0)
+        query = make_ott_query(db, [0, 0, 0, 0, 0])
+        with TaskScheduler(workers=4) as scheduler:
+            result = Reoptimizer(db, scheduler=scheduler).reoptimize(query)
+            assert scheduler.stats().tasks_submitted > 0, "validation never used the pool"
+        serial = Reoptimizer(db).reoptimize(query)
+        assert plans_identical(result.final_plan, serial.final_plan)
+        assert result.rounds == serial.rounds
+        validated_rounds = [
+            record for record in result.report.rounds if record.sampling_seconds > 0
+        ]
+        assert validated_rounds
+        for record in validated_rounds:
+            assert record.scheduler_queue_depth is not None
+            assert record.scheduler_queue_depth >= 0
+        assert result.report.max_scheduler_queue_depth() is not None
+
+    def test_serial_reoptimizer_leaves_queue_depth_none(self, db):
+        result = Reoptimizer(db).reoptimize(make_ott_query(db, [0, 0, 0, 0, 0]))
+        for record in result.report.rounds:
+            assert record.scheduler_queue_depth is None
+        assert result.report.max_scheduler_queue_depth() is None

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -286,3 +289,20 @@ class TestBackpressureAndLifecycle:
             service.close()
             assert not scheduler.closed
             assert scheduler.map(lambda x: x * 2, [1, 2, 3]) == [2, 4, 6]
+
+
+def test_importing_the_service_does_not_load_the_experiments():
+    """Layering: ``repro.service`` sits below ``repro.bench``; a server must
+    not pay for (or depend on) the figure drivers at import."""
+    code = (
+        "import sys, repro.service; "
+        "sys.exit('repro.bench.experiments' in sys.modules)"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", code],
+        env={"PYTHONPATH": ":".join(sys.path)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr

@@ -86,6 +86,18 @@ class TestPlanFingerprint:
         assert plan_fingerprint(first) != plan_fingerprint(second)
 
 
+    def test_aggregates_only_affect_plan_fingerprint(self):
+        base = QueryBuilder("a").table("r1").table("r2").join("r1", "b", "r2", "b")
+        aggregated = (
+            QueryBuilder("b").table("r1").table("r2").join("r1", "b", "r2", "b")
+            .aggregate("count", output_name="c")
+        )
+        assert statistics_fingerprint(base.build()) == statistics_fingerprint(
+            aggregated.build()
+        )
+        assert plan_fingerprint(base.build()) != plan_fingerprint(aggregated.build())
+
+
 class TestTemplateFingerprint:
     def test_sql_and_builder_templates_coincide(self):
         parsed = parse_query(

@@ -70,8 +70,8 @@ class NonPicklableKernelRule(Rule):
         "reference; a lambda, closure or bound method fails pickling and "
         "silently degrades the whole batch to serial inline execution, "
         "erasing the parallel speedup without failing any correctness test "
-        "(runtime guard: the scheduler's unpicklable-task fallback plus the "
-        "parallel-runtime benchmark gate that would eventually notice)"
+        "(runtime guard: the scheduler's unpicklable-task fallback; perfbench "
+        "star_parallel would show it as relalg.scheduler.tasks_process = 0)"
     )
 
     def check(self, context: FileContext) -> Iterator[Diagnostic]:
@@ -137,9 +137,9 @@ class RelationInTaskRule(Rule):
         "picklability + zero-copy — a Relation parameter in a task signature "
         "means whole columns get pickled through the task queue instead of "
         "crossing once via shared-memory descriptors, reintroducing the "
-        "per-task copy cost the shm runtime exists to remove (runtime "
-        "guard: the parallel-runtime benchmark gate; the result would be "
-        "correct, just quietly slow)"
+        "per-task copy cost the shm runtime exists to remove (no runtime "
+        "guard: the result would be correct, just quietly slow — perfbench "
+        "star_parallel's relalg.scheduler.map_kernel_ms would show it)"
     )
 
     def check(self, context: FileContext) -> Iterator[Diagnostic]:
