@@ -81,9 +81,6 @@ class AdmissionStats:
     #: queued.  A timeout is a latency failure, not a load-shedding
     #: decision — conflating the two made shed-rate unmeasurable.
     timed_out: int = 0
-    #: ``shed + timed_out`` — kept as the historical total for callers that
-    #: only care whether requests were rejected at all.
-    rejected: int = 0
     completed: int = 0
     #: Waiter wakeups signalled by grants.  With per-ticket events this is
     #: exactly one per queued grant; the thundering-herd regression test
@@ -213,7 +210,6 @@ class AdmissionController:
                 return 0.0
             if self._queued_count() >= self.max_queued:
                 self.stats.shed += 1
-                self.stats.rejected += 1
                 self._bump_client_stat(self.stats.per_client_rejected, client)
                 raise BackpressureError(
                     f"admission queue full ({self.max_queued} waiting); "
@@ -252,7 +248,6 @@ class AdmissionController:
             self._prune_idle_clients()
             waited = monotonic_s() - started
             self.stats.timed_out += 1
-            self.stats.rejected += 1
             self._bump_client_stat(self.stats.per_client_rejected, client)
             raise BackpressureError(
                 f"client {client!r} timed out waiting for an execution slot",
@@ -311,7 +306,6 @@ class AdmissionController:
                 admitted=self.stats.admitted,
                 shed=self.stats.shed,
                 timed_out=self.stats.timed_out,
-                rejected=self.stats.rejected,
                 completed=self.stats.completed,
                 wakeups=self.stats.wakeups,
                 max_queue_depth=self.stats.max_queue_depth,

@@ -122,7 +122,7 @@ class PlanCacheEntry:
     #: guard compares against gossiped truth instead of a stale sample) and
     #: warm-starts the next replan's Γ with exact-provenance entries.
     gossip: Gamma = field(default_factory=Gamma)
-    #: How many executions reused this plan (validated or unguarded).
+    #: How many executions reused this plan after validation.
     reuses: int = 0
     #: How many binding validations ran against the entry.
     validations: int = 0

@@ -1,12 +1,15 @@
 """The sharded scatter-gather query service.
 
-:class:`ShardedQueryService` serves one logical database from ``N``
-in-process :class:`~repro.service.service.QueryService` shards.  Each shard
-owns a hash-partitioned catalog slice (:mod:`repro.service.sharding`) with
-its own ANALYZE statistics, sample tables, plan cache, result cache and
-admission gate; the coordinator parses and fingerprints each statement
-once, routes it, and merges shard results **bit-identically** to what one
-single-node service over the unsharded catalog returns:
+:class:`ShardedQueryService` *is* a
+:class:`~repro.service.service.QueryService` over the unsharded source
+catalog: statement registry, result cache, singleflight, admission gate,
+trace and backpressure bookkeeping are the inherited ones.  It replaces one
+step — plan and execute one admitted request — routing each bound query
+across ``N`` in-process shards.  A shard is a ``QueryService`` over a
+hash-partitioned catalog slice (:mod:`repro.service.sharding`) used for its
+ANALYZE statistics, sample tables and sampling-validated plan cache only;
+shard results merge **bit-identically** to what one single-node service over
+the unsharded catalog returns:
 
 ``scatter`` + *partial merge*
     Aggregate queries whose aggregates compose exactly across shards
@@ -27,13 +30,10 @@ single-node service over the unsharded catalog returns:
     :func:`~repro.executor.executor.finalize_canonical_execution` the
     single-node service uses, so the output bytes match by construction.
 
-``single``
-    Replicated-only queries are answered exactly by shard 0 through its
-    full serving stack (result cache, plan cache, admission).
-
-``fallback``
-    Queries joining partitioned tables off their partition columns run on
-    an unsharded fallback service over the source catalog.
+``single`` / ``fallback``
+    Replicated-only queries, and queries joining partitioned tables off
+    their partition columns, take the inherited single-node step over the
+    source catalog (replicated tables are shared by reference with it).
 
 Scatter work travels over the PR-6 process scheduler: the shard task is a
 top-level picklable kernel whose payload carries a registry token, never a
@@ -57,7 +57,7 @@ order — merge determinism depends on it (repro-lint RPL011).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.clock import monotonic_s
 from repro.cardinality.gamma import Gamma
@@ -73,14 +73,17 @@ from repro.executor.executor import (
 )
 from repro.executor.materialization import IntermediateRegistry, needs_canonical_order
 from repro.optimizer.settings import OptimizerSettings
-from repro.plans.nodes import MaterializedNode, PlanNode
+from repro.plans.nodes import PlanNode
 from repro.relalg import Relation, TaskScheduler, concat_relations
 from repro.relalg.aggregate import merge_partials, partial_aggregate
 from repro.relalg.encoding import ColumnData
 from repro.reopt.algorithm import ReoptimizationSettings
-from repro.service.admission import AdmissionController, AdmissionStats
-from repro.service.cache import ResultCache, ResultCacheStats
-from repro.service.service import QueryService, ServiceResult, ServiceSettings
+from repro.service.service import (
+    QueryService,
+    ServiceResult,
+    ServiceSettings,
+    ServiceStats,
+)
 from repro.service.sharding import (
     ShardingSpec,
     lookup_shard,
@@ -89,41 +92,34 @@ from repro.service.sharding import (
     shard_database,
     unregister_shards,
 )
-from repro.service.templates import PreparedStatement, StatementRegistry
+from repro.service.templates import PreparedStatement
 from repro.service.tracing import RequestTrace
-from repro.sql.ast import Bindings, Query
+from repro.sql.ast import Query
 from repro.storage.catalog import Database
 
 __all__ = ["ShardedQueryService", "ShardedServiceStats"]
 
 
 @dataclass
-class ShardedServiceStats:
-    """Lifetime counters of one :class:`ShardedQueryService` coordinator.
+class ShardedServiceStats(ServiceStats):
+    """:class:`ServiceStats` plus the coordinator-only counters.
 
-    Per-shard planning/caching counters live on each shard's own
-    :class:`~repro.service.service.ServiceStats`.
+    An *executed* request bumps exactly one of the four route counters (a
+    cache hit or coalesced wait none).  The inherited planning counters cover
+    the single/fallback step — scatter planning is on each shard's ``stats``
+    — and ``gossip_entries`` counts exact Γ entries delivered to shards.
     """
 
-    queries: int = 0
-    #: Executions answered from the coordinator's merged-result cache.
-    result_cache_hits: int = 0
-    #: Executions scattered to every shard.
-    scatter_queries: int = 0
-    #: ... merged through exact partial aggregates.
+    #: Scattered executions merged through exact partial aggregates.
     partial_merges: int = 0
-    #: ... merged through canonical-order gather.
+    #: Scattered executions merged through canonical-order gather.
     gather_merges: int = 0
-    #: Replicated-only executions answered by shard 0 alone.
+    #: Replicated-only executions (single-node step over the source catalog).
     single_shard_queries: int = 0
-    #: Executions served by the unsharded fallback service.
+    #: Off-partition-key executions (single-node step over the source catalog).
     fallback_queries: int = 0
     #: Shard fragments re-run inline because a worker lacked the registry.
     inline_shard_reruns: int = 0
-    #: Exact Γ entries delivered to sibling shards' plan caches.
-    gossip_entries: int = 0
-    #: Requests shed by the coordinator's admission gate.
-    rejected: int = 0
 
 
 #: Scatter payload: ``(token, shard_id, plan, bound query, mode,
@@ -180,8 +176,10 @@ def _shard_fragment_task(payload: _ShardPayload) -> _ShardOutcome:
     return _execute_shard(db, payload)
 
 
-class ShardedQueryService:
+class ShardedQueryService(QueryService):
     """Serve one logical database from N hash-partitioned service shards."""
+
+    stats: ShardedServiceStats
 
     def __init__(
         self,
@@ -195,13 +193,13 @@ class ShardedQueryService:
     ) -> None:
         if num_shards <= 0:
             raise ValueError("num_shards must be positive")
-        self.db = db
+        owns_scheduler = scheduler is None
+        if scheduler is None:
+            scheduler = TaskScheduler(workers=num_shards, name="sharded")
+        super().__init__(db, optimizer_settings, reopt_settings, settings, scheduler)
+        self._owns_scheduler = owns_scheduler
         self.num_shards = num_shards
         self.spec = spec if spec is not None else ShardingSpec.tpch()
-        self.settings = settings if settings is not None else ServiceSettings()
-        self.reopt_settings = (
-            reopt_settings if reopt_settings is not None else ReoptimizationSettings()
-        )
         shard_dbs = shard_database(
             db,
             num_shards,
@@ -209,19 +207,11 @@ class ShardedQueryService:
             sampling_ratio=self.reopt_settings.sampling_ratio,
             sampling_seed=self.reopt_settings.sampling_seed,
         )
-        #: Registered before the scheduler's process pool can spawn, so
-        #: fork-started workers inherit the shard catalogs.
+        #: Registered before the scheduler's lazily forked pool runs its
+        #: first task, so fork-started workers inherit the shard catalogs.
         self._registry_token = register_shards(db.name, shard_dbs)
-        self._owns_scheduler = scheduler is None
-        self.scheduler = (
-            scheduler
-            if scheduler is not None
-            else TaskScheduler(workers=num_shards, name="sharded")
-        )
-        self.statements = StatementRegistry(
-            max_entries=self.settings.statement_registry_entries
-        )
-        #: One full serving stack per shard, all on the shared scheduler.
+        #: One planner per shard — statistics, samples and the validated
+        #: plan cache of its slice — all on the shared scheduler.
         self.shards: List[QueryService] = [
             QueryService(
                 shard_db,
@@ -232,161 +222,48 @@ class ShardedQueryService:
             )
             for shard_db in shard_dbs
         ]
-        #: Unsharded service answering queries the shards cannot.
-        self.fallback = QueryService(
-            db,
-            optimizer_settings=optimizer_settings,
-            reopt_settings=reopt_settings,
-            settings=self.settings,
-            scheduler=self.scheduler,
-        )
-        self.result_cache = ResultCache(max_entries=self.settings.result_cache_entries)
-        self.admission = AdmissionController(
-            max_concurrent=self.settings.max_concurrent,
-            max_queued=self.settings.max_queued,
-        )
         self.stats = ShardedServiceStats()
-        self._cost_model = CostModel(
-            units=self.fallback.optimizer.settings.cost_units
-        )
-        self._closed = False
+        self._cost_model = CostModel(units=self.optimizer.settings.cost_units)
 
-    # ------------------------------------------------------------------ #
-    # Lifecycle
-    # ------------------------------------------------------------------ #
     def close(self) -> None:
         """Stop the coordinator, its shards, and the owned scheduler."""
-        self._closed = True
         unregister_shards(self._registry_token)
         for shard in self.shards:  # construction order == sorted shard ids
             shard.close()
-        self.fallback.close()
-        if self._owns_scheduler:
-            self.scheduler.close()
+        super().close()
 
-    def __enter__(self) -> "ShardedQueryService":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
+    def invalidate_table(self, table: str) -> int:
+        """Bump ``table``'s epoch in the source and every shard catalog, then
+        sweep its lines from the merged result cache."""
+        for shard in self.shards:  # canonical shard order
+            shard.invalidate_table(table)
+        return super().invalidate_table(table)
 
     # ------------------------------------------------------------------ #
-    # Public API
+    # The sharded serving step
     # ------------------------------------------------------------------ #
-    def prepare(
-        self, statement: Union[str, Query, PreparedStatement], name: Optional[str] = None
-    ) -> PreparedStatement:
-        """Normalize and register a prepared statement (idempotent)."""
-        return self.statements.register(statement, name=name)
+    def _epoch_snapshot(self, prepared: PreparedStatement) -> Tuple[Tuple[str, int], ...]:
+        """Source epochs, then every shard's in canonical shard order — one
+        flat tuple of ``(table, epoch)`` pairs, so the inherited
+        ``ResultCache.invalidate_table`` sweep sees every catalog."""
+        snapshot = self.db.epoch_snapshot(prepared.tables)
+        for shard in self.shards:  # canonical shard order
+            snapshot += shard.db.epoch_snapshot(prepared.tables)
+        return snapshot
 
-    def execute(
-        self,
-        statement: Union[str, Query, PreparedStatement],
-        params: Optional[Bindings] = None,
-        client: str = "default",
-        trace: Optional[RequestTrace] = None,
+    def _plan_and_execute(
+        self, prepared: PreparedStatement, bound: Query, trace: Optional[RequestTrace]
     ) -> ServiceResult:
-        """Serve one execution, routed across the shards.
-
-        ``trace`` is filled with per-stage latency accounting exactly like
-        :meth:`QueryService.execute` — single/fallback routes delegate the
-        trace to the serving shard; scatter routes charge queue wait at the
-        coordinator's gate, per-shard validation/planning, fragment
-        execution, and the partial/gather merge.
-        """
-        if self._closed:
-            raise RuntimeError("ShardedQueryService is closed")
-        if trace is None:
-            trace = RequestTrace(client=client)
-        started = monotonic_s()
-        prepared = self.prepare(statement)
-        bound = prepared.bind(params)
-        routing = route_query(bound, self.spec)
-        if routing.mode == "single":
-            result = self.shards[0].execute(prepared, params, client=client, trace=trace)
-            self.stats.queries += 1
-            self.stats.single_shard_queries += 1
-            return result
-        if routing.mode == "fallback":
-            result = self.fallback.execute(prepared, params, client=client, trace=trace)
-            self.stats.queries += 1
-            self.stats.fallback_queries += 1
-            return result
-
-        trace.client = client
-        trace.template = prepared.name
-        trace.started_s = started
-        binding = prepared.binding_key(params)
-        epochs = self._epoch_snapshot(prepared)
-        cache_key = ResultCache.key(prepared.fingerprint, binding, epochs)
-        if self.settings.use_result_cache:
-            cached = self.result_cache.get(cache_key)
-            if cached is not None:
-                self.stats.queries += 1
-                self.stats.result_cache_hits += 1
-                result = self._cached_result(prepared, bound, cached)
-                result.wall_seconds = monotonic_s() - started
-                trace.source = result.source
-                trace.total_s = result.wall_seconds
-                result.trace = trace
-                return result
-        try:
-            with self.admission.admit(
-                client, timeout=self.settings.admission_timeout
-            ) as queue_wait:
-                trace.queue_wait_s += queue_wait
-                result = self._serve_scatter(prepared, bound, trace)
-        except BackpressureError as error:
-            # Only backpressure counts as a rejection: an execution error is
-            # a failed query, not a shed one (conflating them made the
-            # coordinator's shed-rate meaningless under fault injection).
-            trace.outcome = error.kind if error.kind in ("shed", "timeout") else "shed"
-            trace.queue_wait_s += error.waited_s
-            trace.total_s = monotonic_s() - started
-            self.stats.rejected += 1
-            raise
-        if self.settings.use_result_cache:
-            self.result_cache.put(cache_key, result.execution)
-        self.stats.queries += 1
-        self.stats.scatter_queries += 1
-        result.wall_seconds = monotonic_s() - started
-        trace.source = result.source
-        trace.validation_s = result.validation_seconds
-        trace.planning_s = result.planning_seconds
-        trace.total_s = result.wall_seconds
-        result.trace = trace
-        return result
-
-    def admission_stats(self) -> AdmissionStats:
-        return self.admission.stats_snapshot()
-
-    def result_cache_stats(self) -> ResultCacheStats:
-        return self.result_cache.stats
-
-    # ------------------------------------------------------------------ #
-    # Scatter-gather serving
-    # ------------------------------------------------------------------ #
-    def _epoch_snapshot(self, prepared: PreparedStatement) -> Tuple:
-        """Combined shard epochs, in canonical sorted shard-id order."""
-        return tuple(
-            shard.db.epoch_snapshot(prepared.tables) for shard in self.shards
-        )
-
-    def _cached_result(
-        self, prepared: PreparedStatement, bound: Query, cached: ExecutionResult
-    ) -> ServiceResult:
-        plan = MaterializedNode(
-            relations=frozenset(bound.aliases),
-            estimated_rows=float(cached.num_rows),
-            estimated_cost=0.0,
-        )
-        return ServiceResult(
-            statement=prepared,
-            query=bound,
-            execution=cached,
-            plan=plan,
-            source="result_cache",
-        )
+        """Route one admitted request: scatter it, or run it single-node."""
+        mode = route_query(bound, self.spec).mode
+        if mode == "scatter":
+            return self._serve_scatter(prepared, bound, trace)
+        with self._stats_lock:
+            if mode == "single":
+                self.stats.single_shard_queries += 1
+            else:
+                self.stats.fallback_queries += 1
+        return super()._plan_and_execute(prepared, bound, trace)
 
     def _merge_mode(self, bound: Query) -> str:
         """``partial`` when every aggregate composes exactly, else ``gather``."""
@@ -404,7 +281,7 @@ class ShardedQueryService:
         Workers without the shard registry (``"missing"``) are re-run
         inline in the coordinator process.
         """
-        cost_units = self.fallback.optimizer.settings.cost_units
+        optimizer_settings = self.optimizer.settings
         payloads: List[_ShardPayload] = [
             (
                 self._registry_token,
@@ -413,8 +290,8 @@ class ShardedQueryService:
                 bound,
                 mode,
                 self.settings.morsel_rows,
-                self.fallback.optimizer.settings.nested_loop_block_elements,
-                cost_units,
+                optimizer_settings.nested_loop_block_elements,
+                optimizer_settings.cost_units,
             )
             for shard_id in range(self.num_shards)
         ]
@@ -424,7 +301,8 @@ class ShardedQueryService:
                 outcomes[shard_id] = _execute_shard(
                     self.shards[shard_id].db, payloads[shard_id]
                 )
-                self.stats.inline_shard_reruns += 1
+                with self._stats_lock:
+                    self.stats.inline_shard_reruns += 1
         return outcomes
 
     def _merge_partial(
@@ -480,18 +358,8 @@ class ShardedQueryService:
         combined = concat_relations(fragments)
         join_plan, aggregate_node = split_final_aggregate(plans[0])
         registry = IntermediateRegistry()
-        executor = Executor(
-            self.db,
-            cost_units=self.fallback.optimizer.settings.cost_units,
-            scheduler=self.scheduler,
-            morsel_rows=self.settings.morsel_rows,
-            nested_loop_block_elements=(
-                self.fallback.optimizer.settings.nested_loop_block_elements
-            ),
-            intermediates=registry,
-        )
         final_execution = finalize_canonical_execution(
-            executor,
+            self._make_executor(registry),
             registry,
             bound,
             combined,
@@ -537,7 +405,6 @@ class ShardedQueryService:
                 applied += self.shards[receiver].apply_gamma_gossip(
                     prepared.fingerprint, combined
                 )
-        self.stats.gossip_entries += applied
         return applied
 
     def _serve_scatter(
@@ -548,16 +415,14 @@ class ShardedQueryService:
     ) -> ServiceResult:
         """Plan per shard, scatter, merge bit-identically, gossip Γ."""
         plans: List[PlanNode] = []
-        sources: List[str] = []
         worst_drift: Optional[float] = None
         validation_seconds = 0.0
         planning_seconds = 0.0
         for shard in self.shards:  # canonical shard order
-            plan, source, drift, shard_validation, shard_planning = shard._plan_for(
+            plan, _, drift, shard_validation, shard_planning = shard._plan_for(
                 prepared, bound
             )
             plans.append(plan)
-            sources.append(source)
             validation_seconds += shard_validation
             planning_seconds += shard_planning
             if drift is not None:
@@ -568,14 +433,18 @@ class ShardedQueryService:
         merge_started = monotonic_s()
         if mode == "partial":
             execution = self._merge_partial(outcomes, bound)
-            self.stats.partial_merges += 1
         else:
             execution = self._merge_gather(outcomes, plans, bound)
-            self.stats.gather_merges += 1
         if trace is not None:
             trace.execution_s += merge_started - scatter_started
             trace.merge_s += monotonic_s() - merge_started
-        self._gossip(prepared, outcomes)
+        gossiped = self._gossip(prepared, outcomes)
+        with self._stats_lock:
+            self.stats.gossip_entries += gossiped
+            if mode == "partial":
+                self.stats.partial_merges += 1
+            else:
+                self.stats.gather_merges += 1
         return ServiceResult(
             statement=prepared,
             query=bound,

@@ -31,6 +31,15 @@ pipeline's rows ordered by the output stage's input columns — the same
 executor and the sharded coordinator use — so a validated reuse, a drift
 replan and a from-scratch run of the same bound query return byte-identical
 relations even when their join orders differ.
+
+This module owns the **one request pipeline** of the repo —
+``execute`` (trace, backpressure and stat bookkeeping) →
+``_serve_coalesced`` (result cache → singleflight → admission) → ``_serve``
+(snapshot epochs, run, publish).  The sharded
+:class:`~repro.service.coordinator.ShardedQueryService` is a subclass that
+replaces only ``_plan_and_execute`` (and widens ``_epoch_snapshot`` and
+``invalidate_table`` to its shard catalogs); single-node serving is that
+pipeline with the default step.
 """
 
 from __future__ import annotations
@@ -38,7 +47,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, TypeVar, Union
 
 from repro.clock import monotonic_s
 from repro.cardinality.gamma import Gamma
@@ -56,7 +65,6 @@ from repro.optimizer.settings import OptimizerSettings
 from repro.plans.join_tree import rebind_plan
 from repro.plans.nodes import MaterializedNode, PlanNode
 from repro.relalg import DEFAULT_MORSEL_ROWS, Relation, TaskScheduler
-from repro.relalg.scheduler import SchedulerStats
 from repro.reopt.algorithm import ReoptimizationResult, ReoptimizationSettings, Reoptimizer
 from repro.service.admission import AdmissionController, AdmissionStats, BackpressureError
 from repro.service.cache import PlanCacheEntry, ResultCache, ResultCacheStats, max_drift
@@ -72,6 +80,8 @@ __all__ = [
     "ServiceStats",
 ]
 
+_ServiceT = TypeVar("_ServiceT", bound="QueryService")
+
 
 @dataclass(frozen=True)
 class ServiceSettings:
@@ -81,12 +91,9 @@ class ServiceSettings:
     #: floored at one row) a cached plan survives: a new binding whose sampled
     #: cardinalities drift further triggers a replan.  The default tolerates
     #: the sampling noise of unchanged workloads while catching the
-    #: order-of-magnitude shifts that flip join orders.
+    #: order-of-magnitude shifts that flip join orders; ``float("inf")``
+    #: never replans (the classical unguarded prepared-statement cache).
     drift_threshold: float = 4.0
-    #: Validate cached plans against each new binding's samples.  ``False``
-    #: is the unguarded plan cache every classical prepared-statement system
-    #: ships — kept as an ablation/regression knob, not a recommendation.
-    validate_cached_plans: bool = True
     #: Reuse plans across bindings of one template at all.
     use_plan_cache: bool = True
     #: Serve repeated (template, bindings, epochs) from the result cache.
@@ -130,13 +137,12 @@ class ServiceStats:
     #: ... of which the sampling validator confirmed the plan for the new
     #: bindings (reuse at zero planning cost).
     validated_reuses: int = 0
-    #: ... of which reused the plan *without* validation (guard disabled).
-    unguarded_reuses: int = 0
     #: ... of which the validator rejected: drift beyond threshold, replanned.
     drift_replans: int = 0
     #: Executions that planned their template from scratch (first binding).
     fresh_plans: int = 0
-    #: Requests shed by admission control.
+    #: Requests rejected with ``BackpressureError``: shed or timed out at
+    #: the admission gate, or timed out waiting on a coalesced flight.
     rejected: int = 0
     #: Exact Γ entries merged in from sibling shards (sharded serving only;
     #: see :meth:`QueryService.apply_gamma_gossip`).
@@ -156,8 +162,10 @@ class ServiceResult:
     execution: ExecutionResult
     plan: PlanNode
     #: How the plan was obtained: ``result_cache`` (no execution at all),
-    #: ``validated_reuse``, ``reuse`` (unguarded), ``replan`` (drift) or
-    #: ``fresh`` (first binding of the template).
+    #: ``coalesced`` (rode an identical in-flight execution),
+    #: ``validated_reuse``, ``replan`` (drift), ``fresh`` (first binding of
+    #: the template) or, from a sharded coordinator, ``scatter_partial`` /
+    #: ``scatter_gather``.
     source: str
     #: Largest deviation factor the validator observed (``None`` when no
     #: validation ran for this execution).
@@ -242,7 +250,7 @@ class QueryService:
         if self._owns_scheduler:
             self.scheduler.close()
 
-    def __enter__(self) -> "QueryService":
+    def __enter__(self: _ServiceT) -> _ServiceT:
         return self
 
     def __exit__(self, *exc_info: object) -> None:
@@ -279,7 +287,7 @@ class QueryService:
             When the service was already closed.
         """
         if self._closed:
-            raise RuntimeError("QueryService is closed")
+            raise RuntimeError(f"{type(self).__name__} is closed")
         if trace is None:
             trace = RequestTrace(client=client)
         trace.client = client
@@ -320,12 +328,8 @@ class QueryService:
         self.db.bump_table_epoch(table)
         return self.result_cache.invalidate_table(table)
 
-    def scheduler_stats(self) -> SchedulerStats:
-        """Counters of the shared morsel scheduler."""
-        return self.scheduler.stats()
-
     def admission_stats(self) -> AdmissionStats:
-        """Backpressure counters (admitted/rejected/queue high-water).
+        """Backpressure counters (admitted/shed/timed-out/queue high-water).
 
         Returns an independent snapshot safe to iterate while requests are
         in flight.
@@ -419,7 +423,7 @@ class QueryService:
                 return self._serve(prepared, bound, binding, trace)
 
         while True:
-            epochs = self.db.epoch_snapshot(prepared.tables)
+            epochs = self._epoch_snapshot(prepared)
             cache_key = ResultCache.key(prepared.fingerprint, binding, epochs)
             cached = self.result_cache.get(cache_key)
             if cached is not None:
@@ -489,6 +493,10 @@ class QueryService:
                         seed=self.reopt_settings.sampling_seed,
                     )
 
+    def _epoch_snapshot(self, prepared: PreparedStatement) -> Tuple[Tuple[str, int], ...]:
+        """``(table, epoch)`` pairs stamping ``prepared``'s result-cache keys."""
+        return self.db.epoch_snapshot(prepared.tables)
+
     def _serve(
         self,
         prepared: PreparedStatement,
@@ -496,20 +504,31 @@ class QueryService:
         binding: Tuple,
         trace: Optional[RequestTrace] = None,
     ) -> ServiceResult:
-        """Plan (through the guarded cache) and execute one admitted request."""
+        """Run one admitted request and publish its result."""
         self._ensure_samples()
         # Snapshot the epochs *before* executing: the result is published
         # under the data version it started from, so a concurrent epoch bump
         # can never stamp stale rows with the new version.
-        epochs = self.db.epoch_snapshot(prepared.tables)
+        epochs = self._epoch_snapshot(prepared)
+        result = self._plan_and_execute(prepared, bound, trace)
+        if self.settings.use_result_cache:
+            self.result_cache.put(
+                ResultCache.key(prepared.fingerprint, binding, epochs), result.execution
+            )
+        return result
+
+    def _plan_and_execute(
+        self, prepared: PreparedStatement, bound: Query, trace: Optional[RequestTrace]
+    ) -> ServiceResult:
+        """Plan (through the guarded cache) and execute one admitted request.
+
+        The one step a :class:`~repro.service.coordinator.ShardedQueryService`
+        replaces; everything around it is shared.
+        """
         plan, source, drift, validation_seconds, planning_seconds = self._plan_for(
             prepared, bound
         )
         execution = self._execute_plan(plan, bound, trace=trace)
-        if self.settings.use_result_cache:
-            self.result_cache.put(
-                ResultCache.key(prepared.fingerprint, binding, epochs), execution
-            )
         return ServiceResult(
             statement=prepared,
             query=bound,
@@ -608,12 +627,6 @@ class QueryService:
 
             with self._stats_lock:
                 self.stats.plan_cache_hits += 1
-
-            if not self.settings.validate_cached_plans:
-                entry.reuses += 1
-                with self._stats_lock:
-                    self.stats.unguarded_reuses += 1
-                return rebind_plan(entry.plan, bound), "reuse", None, 0.0, 0.0
 
             # The paper's validator as a plan-cache guard: sample the cached
             # plan's join sets under the *new* bindings and compare with the

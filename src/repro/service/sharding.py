@@ -192,8 +192,8 @@ class ShardRouting:
         Every partitioned alias is connected to the others through
         partition-column equi-joins: run on all shards, merge partials.
     ``single``
-        The query touches replicated tables only — every shard holds
-        identical copies, so shard 0 alone answers it exactly.
+        The query touches replicated tables only — every shard shares the
+        source catalog's copies, so the source alone answers it exactly.
     ``fallback``
         The query joins partitioned tables off their partition columns
         (matches would cross shards): serve it from the unsharded catalog.
@@ -212,7 +212,7 @@ def route_query(query: Query, spec: ShardingSpec) -> ShardRouting:
     ]
     if not partitioned:
         return ShardRouting(
-            mode="single", reason="replicated tables only; shard 0 is exact"
+            mode="single", reason="replicated tables only; the source is exact"
         )
     adjacency: Dict[str, Set[str]] = {alias: set() for alias in partitioned}
     for predicate in query.join_predicates:
@@ -281,12 +281,3 @@ def unregister_shards(token: str) -> None:
     with _REGISTRY_LOCK:
         _SHARD_REGISTRY.pop(token, None)
 
-
-def replicated_tables(db: Database, spec: ShardingSpec) -> List[str]:
-    """Names of the tables every shard shares by reference, sorted."""
-    return [name for name in db.table_names() if name not in spec.partitioned]
-
-
-def partitioned_tables(db: Database, spec: ShardingSpec) -> List[str]:
-    """Names of the hash-partitioned tables present in ``db``, sorted."""
-    return [name for name in db.table_names() if name in spec.partitioned]

@@ -34,6 +34,7 @@ VIRTUAL_PATHS: Dict[str, str] = {
     "RPL009": "src/repro/typing_fixture.py",
     "RPL010": "src/repro/service/fixture.py",
     "RPL011": "src/repro/service/coordinator.py",
+    "RPL012": "src/repro/service/fixture.py",
 }
 
 #: How many distinct violations the bad fixture plants (the rule must find
@@ -50,6 +51,7 @@ EXPECTED_BAD_COUNTS: Dict[str, int] = {
     "RPL009": 3,
     "RPL010": 3,
     "RPL011": 3,
+    "RPL012": 3,
 }
 
 ALL_CODES = sorted(VIRTUAL_PATHS)

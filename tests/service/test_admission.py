@@ -41,7 +41,6 @@ class TestBounds:
             time.sleep(0.001)
         with pytest.raises(BackpressureError):
             controller.acquire("c")
-        assert controller.stats.rejected == 1
         assert controller.stats.shed == 1
         assert controller.stats.timed_out == 0
         assert controller.stats.per_client_rejected["c"] == 1
@@ -61,14 +60,13 @@ class TestBounds:
         assert excinfo.value.waited_s >= 0.02
         assert controller.stats.timed_out == 1
         assert controller.stats.shed == 0
-        assert controller.stats.rejected == 1
         controller.release()
         # The withdrawn ticket must not block later admissions.
         controller.acquire("b")
         assert controller.in_flight == 1
 
-    def test_rejected_is_the_sum_of_shed_and_timed_out(self):
-        """Backward compat: ``rejected`` totals both rejection classes."""
+    def test_shed_and_timed_out_are_counted_apart(self):
+        """A full queue is a shed, an expired deadline a timeout — never both."""
         controller = AdmissionController(max_concurrent=1, max_queued=0)
         controller.acquire("holder")
         with pytest.raises(BackpressureError) as excinfo:
@@ -80,10 +78,9 @@ class TestBounds:
             bigger.acquire("slow", timeout=0.01)  # deadline -> timed out
         assert controller.stats.shed == 1 and controller.stats.timed_out == 0
         assert bigger.stats.shed == 0 and bigger.stats.timed_out == 1
-        for stats in (controller.stats, bigger.stats):
-            assert stats.rejected == stats.shed + stats.timed_out == 1
+        assert bigger.stats.per_client_rejected == {"slow": 1}
         snapshot = bigger.stats_snapshot()
-        assert (snapshot.shed, snapshot.timed_out, snapshot.rejected) == (0, 1, 1)
+        assert (snapshot.shed, snapshot.timed_out) == (0, 1)
 
     def test_acquire_reports_queue_wait_on_the_shared_clock(self):
         controller = AdmissionController(max_concurrent=1, max_queued=4)

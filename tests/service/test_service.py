@@ -10,7 +10,13 @@ import pytest
 
 from repro.plans.join_tree import plans_identical
 from repro.relalg import TaskScheduler
-from repro.service import BackpressureError, QueryService, ServiceSettings
+from repro.service import (
+    BackpressureError,
+    QueryService,
+    ServiceSettings,
+    ShardedQueryService,
+    ShardingSpec,
+)
 from repro.sql.builder import QueryBuilder
 from repro.storage.table import Column, Table, TableSchema
 from repro.workloads.ott import generate_ott_database
@@ -84,8 +90,8 @@ class TestServingLayers:
 class TestDriftGuard:
     def test_drift_injection_rejects_stale_plan(self, service_ott_db):
         """The paper's validator as a plan-cache guard: a binding whose
-        sampled cardinalities collapse must evict the cached plan, while the
-        unguarded cache would have executed it blindly."""
+        sampled cardinalities collapse must evict the cached plan, while a
+        cache that never replans (``drift_threshold=inf``) executes it."""
         guarded = QueryService(service_ott_db)
         prepared = guarded.prepare(ott_template())
         warm = guarded.execute(prepared, [0, 0, 0])
@@ -101,20 +107,23 @@ class TestDriftGuard:
         assert guarded.stats.drift_replans == 1
         guarded.close()
 
-        # The unguarded cache executes the stale plan without noticing.
+        # With an infinite threshold the same drift is observed and ignored:
+        # the stale plan is executed, as in a classical unguarded plan cache.
         unguarded = QueryService(
             service_ott_db,
-            settings=ServiceSettings(validate_cached_plans=False, use_result_cache=False),
+            settings=ServiceSettings(drift_threshold=float("inf"), use_result_cache=False),
         )
         unguarded.execute(prepared, [0, 0, 0])
         stale = unguarded.execute(prepared, [0, 0, 1])
-        assert stale.source == "reuse"
+        assert stale.source == "validated_reuse"
+        assert stale.drift == drifted.drift
         cached = unguarded._plan_cache[prepared.fingerprint].plan
-        # Unguarded reuse keeps the stale join structure (rebound constants).
+        # The reuse keeps the stale join structure (rebound constants).
         assert [n.relations for n in stale.plan.join_nodes()] == [
             n.relations for n in cached.join_nodes()
         ]
-        assert unguarded.stats.unguarded_reuses == 1
+        assert unguarded.stats.drift_replans == 0
+        assert unguarded.stats.validated_reuses == 1
         unguarded.close()
 
         # Both answer correctly (any plan is correct); the guard is about
@@ -175,9 +184,25 @@ class TestEpochInvalidation:
             assert refreshed.source != "result_cache"
             assert refreshed.execution.columns["n"][0] == first.execution.columns["n"][0] + 50
 
-    def test_invalidate_table_sweeps_and_bumps(self):
+    @pytest.mark.parametrize(
+        "make_service,executed_source,reexecuted_source",
+        [
+            (QueryService, "fresh", "validated_reuse"),
+            (
+                lambda db: ShardedQueryService(
+                    db, num_shards=2, spec=ShardingSpec(partitioned={"r1": "b"})
+                ),
+                "scatter_partial",
+                "scatter_partial",
+            ),
+        ],
+        ids=["single", "sharded"],
+    )
+    def test_invalidate_table_sweeps_and_bumps(
+        self, make_service, executed_source, reexecuted_source
+    ):
         db = self._tiny_db()
-        with QueryService(db) as service:
+        with make_service(db) as service:
             template = (
                 QueryBuilder("single")
                 .table("r1")
@@ -185,13 +210,25 @@ class TestEpochInvalidation:
                 .aggregate("count", output_name="n")
                 .build()
             )
-            service.execute(template, [0])
+            first = service.execute(template, [0])
+            assert first.source == executed_source
             service.execute(template, [1])
+            assert service.execute(template, [0]).source == "result_cache"
             assert len(service.result_cache) == 2
+            before = service._epoch_snapshot(service.prepare(template))
             swept = service.invalidate_table("r1")
             assert swept == 2
+            assert service.result_cache_stats().invalidations == 2
             assert len(service.result_cache) == 0
-            assert service.execute(template, [0]).source != "result_cache"
+            # Every catalog the service reads moved to a newer epoch.
+            after = service._epoch_snapshot(service.prepare(template))
+            assert len(after) == len(before)
+            assert all(new > old for (_, old), (_, new) in zip(before, after))
+            again = service.execute(template, [0])
+            assert again.source == reexecuted_source
+            assert np.array_equal(
+                first.execution.columns["n"], again.execution.columns["n"]
+            )
 
     def test_cached_template_survives_table_replace(self):
         """Replacing a table drops db.samples; the next execution of a cached
@@ -263,7 +300,7 @@ class TestBackpressureAndLifecycle:
                 service.execute(ott_template(), [0, 0, 0], client="victim")
             service.admission.release()
             assert service.stats.rejected == 1
-            assert service.admission_stats().rejected == 1
+            assert service.admission_stats().shed == 1
             ok = service.execute(ott_template(), [0, 0, 0], client="victim")
             assert ok.source == "fresh"
 

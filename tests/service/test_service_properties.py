@@ -179,8 +179,9 @@ class TestBitIdentity:
     def test_unguarded_reuse(
         self, label, db_fixture, template_factory, binding_sets, request
     ):
-        """Even the unguarded cache (stale plan, rebound constants) is
-        result-correct — the guard is about performance, not correctness."""
+        """Even a cache that never replans (``drift_threshold=inf``: stale
+        plan, rebound constants) is result-correct — the guard is about
+        performance, not correctness."""
         db = request.getfixturevalue(db_fixture)
-        settings = ServiceSettings(validate_cached_plans=False, use_result_cache=False)
+        settings = ServiceSettings(drift_threshold=float("inf"), use_result_cache=False)
         _assert_served_matches_reference(db, template_factory(), binding_sets, settings)

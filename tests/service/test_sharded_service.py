@@ -2,20 +2,26 @@
 
 Bit-identity against the single-node service on every route, deterministic
 hash partitioning and co-partitioning, routing decisions, the missing-
-registry inline fallback, the coordinator's result cache, and cross-shard
-exact-Γ gossip.
+registry inline fallback, the inherited result cache and admission gate on
+the sharded routes, and cross-shard exact-Γ gossip.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 import repro.service.coordinator as coordinator_module
+from repro.errors import ExecutionError
 from repro.service import (
+    BackpressureError,
     QueryService,
+    RequestTrace,
+    ServiceSettings,
     ShardedQueryService,
     ShardingSpec,
     hash_partition,
@@ -201,14 +207,98 @@ class TestServingLayers:
         assert again.source == "result_cache"
         assert_bit_identical(first.execution, again.execution)
 
-    def test_replicated_route_uses_shard_zero_stack(self, db):
+    def test_replicated_route_is_the_coordinators_single_node_step(self, db):
         with ShardedQueryService(db, num_shards=2) as service:
-            service.execute(SQL_REPLICATED, [20])
-            service.execute(SQL_REPLICATED, [20])
-            assert service.stats.single_shard_queries == 2
-            assert service.shards[0].stats.queries == 2
-            assert service.shards[0].stats.result_cache_hits == 1
-            assert service.shards[1].stats.queries == 0
+            first = service.execute(SQL_REPLICATED, [20])
+            again = service.execute(SQL_REPLICATED, [20])
+            assert first.source == "fresh"
+            assert again.source == "result_cache"
+            assert_bit_identical(first.execution, again.execution)
+            stats = service.stats
+            # Route counters tally executions; the repeat is a cache hit.
+            assert (stats.single_shard_queries, stats.result_cache_hits) == (1, 1)
+            assert (stats.queries, stats.fresh_plans) == (2, 1)
+            assert all(shard.stats.fresh_plans == 0 for shard in service.shards)
+            assert all(shard.stats.queries == 0 for shard in service.shards)
+
+    def test_shed_scatter_request_is_backpressure(self, db):
+        """Regression: the coordinator's forked ``execute`` caught a name it
+        never imported, so a shed scatter request surfaced as ``NameError``."""
+        settings = ServiceSettings(max_concurrent=1, max_queued=4, admission_timeout=0.05)
+        with ShardedQueryService(db, num_shards=2, settings=settings) as service:
+            service.admission.acquire("hog")  # occupy the only slot
+            trace = RequestTrace()
+            with pytest.raises(BackpressureError) as excinfo:
+                service.execute(SQL_PARTIAL, [30], client="victim", trace=trace)
+            service.admission.release()
+            assert excinfo.value.kind == "timeout"
+            assert trace.outcome == "timeout"
+            assert trace.queue_wait_s == excinfo.value.waited_s >= 0.05
+            assert service.stats.rejected == 1
+
+        settings = ServiceSettings(max_concurrent=1, max_queued=0)
+        with ShardedQueryService(db, num_shards=2, settings=settings) as service:
+            service.admission.acquire("hog")
+            trace = RequestTrace()
+            with pytest.raises(BackpressureError):
+                service.execute(SQL_PARTIAL, [30], client="victim", trace=trace)
+            service.admission.release()
+            assert trace.outcome == "shed"
+            assert service.stats.rejected == 1
+            assert service.admission_stats().shed == 1
+            assert service.execute(SQL_PARTIAL, [30]).source == "scatter_partial"
+
+    def test_scatter_execution_error_is_not_a_rejection(self, db, monkeypatch):
+        def failing_shard(db, payload):
+            raise ExecutionError("shard fragment failed")
+
+        monkeypatch.setattr(
+            coordinator_module, "lookup_shard", lambda token, shard_id: None
+        )
+        monkeypatch.setattr(coordinator_module, "_execute_shard", failing_shard)
+        with ShardedQueryService(db, num_shards=2) as service:
+            with pytest.raises(ExecutionError, match="shard fragment failed"):
+                service.execute(SQL_PARTIAL, [30])
+            assert service.stats.rejected == 0
+            assert service.stats.queries == 0
+            assert service._in_flight == {}
+
+    def test_concurrent_scatters_lose_no_counter_update(self, db):
+        """More client threads than cores, a short switch interval: every
+        request lands in exactly one counter (the bumps hold ``_stats_lock``)."""
+        clients, per_client = 6, 4
+        errors = []
+
+        def client(index, service):
+            try:
+                for step in range(per_client):
+                    sql = SQL_PARTIAL if step % 2 else SQL_PROJECTION
+                    service.execute(sql, [2 + (index + step) % 5], client=f"c{index}")
+            except Exception as error:  # noqa: BLE001 - collected for the assert
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ShardedQueryService(db, num_shards=2) as service:
+                threads = [
+                    threading.Thread(target=client, args=(index, service))
+                    for index in range(clients)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                    assert not thread.is_alive()
+                stats = service.stats
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        assert stats.queries == clients * per_client
+        executed = stats.partial_merges + stats.gather_merges
+        assert executed + stats.result_cache_hits + stats.coalesced == stats.queries
+        assert executed == 10  # 5 distinct bindings of each of the 2 templates
+        assert stats.rejected == 0 and service._in_flight == {}
 
     def test_missing_registry_reruns_inline(self, db, monkeypatch):
         monkeypatch.setattr(

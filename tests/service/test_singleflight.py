@@ -6,6 +6,10 @@ exactly one leader executes, followers ride its flight, and a leader that
 *fails* — planning bug, execution error, shed by admission — must release
 its followers to retry rather than strand them on a dead event or poison
 them with its error.
+
+The layer exists once, so every case runs against a single-node
+``QueryService`` and a 2-shard ``ShardedQueryService`` whose requests take
+the scatter route.
 """
 
 from __future__ import annotations
@@ -15,7 +19,14 @@ import threading
 import numpy as np
 import pytest
 
-from repro.service import BackpressureError, QueryService
+from repro.service import (
+    BackpressureError,
+    QueryService,
+    RequestTrace,
+    ServiceSettings,
+    ShardedQueryService,
+    ShardingSpec,
+)
 from repro.sql.builder import QueryBuilder
 from repro.workloads.ott import generate_ott_database
 
@@ -25,6 +36,28 @@ def singleflight_db():
     return generate_ott_database(
         num_tables=4, rows_per_table=2000, rows_per_value=40, seed=11, sampling_ratio=0.25
     )
+
+
+#: Co-partitions the template's three tables on their join column, so the
+#: sharded service scatters it (and merges exact partial counts).
+OTT_SPEC = ShardingSpec(partitioned={"r1": "b", "r2": "b", "r3": "b"})
+
+
+@pytest.fixture(params=["single", "sharded"])
+def make_service(request, singleflight_db):
+    """``(factory, source of an executed request)`` for both services."""
+    if request.param == "single":
+        return (lambda **kwargs: QueryService(singleflight_db, **kwargs)), "fresh"
+    return (
+        lambda **kwargs: ShardedQueryService(
+            singleflight_db, num_shards=2, spec=OTT_SPEC, **kwargs
+        )
+    ), "scatter_partial"
+
+
+def planners(service):
+    """The services that plan: the shards of a coordinator, else the service."""
+    return getattr(service, "shards", [service])
 
 
 def ott_template(name="sf_tpl"):
@@ -58,20 +91,27 @@ def _run_concurrently(service, prepared, count, results, errors, barrier=None):
     return threads
 
 
+def _park_leader(service):
+    """Patch the ``_serve`` seam so whoever executes signals ``entered`` and
+    then waits for ``release``; returns ``(entered, release)``."""
+    entered, release = threading.Event(), threading.Event()
+    original_serve = service._serve
+
+    def slow_serve(*args, **kwargs):
+        entered.set()
+        assert release.wait(timeout=10)
+        return original_serve(*args, **kwargs)
+
+    service._serve = slow_serve
+    return entered, release
+
+
 class TestCoalescing:
-    def test_followers_ride_the_leaders_flight(self, singleflight_db):
-        with QueryService(singleflight_db) as service:
+    def test_followers_ride_the_leaders_flight(self, make_service):
+        factory, executed_source = make_service
+        with factory() as service:
             prepared = service.prepare(ott_template())
-            leader_entered = threading.Event()
-            release_leader = threading.Event()
-            original_serve = service._serve
-
-            def slow_serve(*args, **kwargs):
-                leader_entered.set()
-                assert release_leader.wait(timeout=10)
-                return original_serve(*args, **kwargs)
-
-            service._serve = slow_serve
+            leader_entered, release_leader = _park_leader(service)
             results, errors = [], []
             leader_thread = _run_concurrently(service, prepared, 1, results, errors)
             assert leader_entered.wait(timeout=10)
@@ -88,8 +128,8 @@ class TestCoalescing:
             assert not errors
             assert len(results) == 4
             sources = sorted(result.source for result in results)
-            assert sources == ["coalesced", "coalesced", "coalesced", "fresh"]
-            assert service.stats.fresh_plans == 1
+            assert sources == ["coalesced", "coalesced", "coalesced", executed_source]
+            assert all(node.stats.fresh_plans == 1 for node in planners(service))
             assert service.stats.coalesced == 3
             rows = {int(result.execution.columns["n"][0]) for result in results}
             assert len(rows) == 1  # all four read the same published rows
@@ -99,13 +139,14 @@ class TestCoalescing:
                 if result.source == "coalesced":
                     assert result.trace.queue_wait_s > 0.0
 
-    def test_crashed_leader_releases_followers_to_rerun(self, singleflight_db):
+    def test_crashed_leader_releases_followers_to_rerun(self, make_service):
         """A leader that raises mid-serve must not strand or poison followers.
 
         The followers wake from the dead flight, find no published result,
         and retry from the top — one becomes the next leader and serves the
         rest.  Only the crashed leader sees the error."""
-        with QueryService(singleflight_db) as service:
+        factory, _ = make_service
+        with factory() as service:
             prepared = service.prepare(ott_template())
             leader_entered = threading.Event()
             crash_leader = threading.Event()
@@ -143,9 +184,10 @@ class TestCoalescing:
             # The flight table is clean: no dead event left registered.
             assert service._in_flight == {}
 
-    def test_leader_shed_by_admission_releases_followers(self, singleflight_db):
+    def test_leader_shed_by_admission_releases_followers(self, make_service):
         """Backpressure on the leader is a leader failure like any other."""
-        with QueryService(singleflight_db) as service:
+        factory, _ = make_service
+        with factory() as service:
             prepared = service.prepare(ott_template())
             leader_entered = threading.Event()
             shed_leader = threading.Event()
@@ -181,15 +223,40 @@ class TestCoalescing:
             # the service counted exactly one rejection.
             assert service.stats.rejected == 1
 
-    def test_sequential_requests_do_not_coalesce(self, singleflight_db):
+    def test_sequential_requests_do_not_coalesce(self, make_service):
         """Coalescing only merges *concurrent* identical requests."""
-        with QueryService(singleflight_db) as service:
+        factory, executed_source = make_service
+        with factory() as service:
             prepared = service.prepare(ott_template())
             first = service.execute(prepared, [0, 0, 0])
             second = service.execute(prepared, [0, 0, 0])
-            assert first.source == "fresh"
+            assert first.source == executed_source
             assert second.source == "result_cache"
             assert service.stats.coalesced == 0
             assert np.array_equal(
                 first.execution.columns["n"], second.execution.columns["n"]
             )
+
+    def test_follower_times_out_on_a_stuck_leader(self, make_service):
+        """``admission_timeout`` caps a coalesced wait: the follower is
+        rejected with its wait on the trace, the leader is unaffected."""
+        factory, executed_source = make_service
+        with factory(settings=ServiceSettings(admission_timeout=0.05)) as service:
+            prepared = service.prepare(ott_template())
+            leader_entered, release_leader = _park_leader(service)
+            results, errors = [], []
+            leader_thread = _run_concurrently(service, prepared, 1, results, errors)
+            assert leader_entered.wait(timeout=10)
+            trace = RequestTrace()
+            with pytest.raises(BackpressureError) as excinfo:
+                service.execute(prepared, [0, 0, 0], trace=trace)
+            assert excinfo.value.kind == "timeout"
+            assert trace.outcome == "timeout"
+            assert trace.queue_wait_s == excinfo.value.waited_s >= 0.05
+            assert service.stats.rejected == 1
+            release_leader.set()
+            for thread in leader_thread:
+                thread.join(timeout=10)
+            assert not errors
+            assert [result.source for result in results] == [executed_source]
+            assert service._in_flight == {}
