@@ -25,6 +25,11 @@ import numpy as np
 from repro.cost.units import CostUnits, DEFAULT_COST_UNITS
 from repro.plans.nodes import JoinMethod, ScanMethod
 
+# Aliases: an enum member lookup costs ~0.1 µs, and the join formulas run once
+# per (split, method) alternative of the join search.
+_HASH_JOIN, _MERGE_JOIN = JoinMethod.HASH_JOIN, JoinMethod.MERGE_JOIN
+_NESTED_LOOP, _INDEX_NESTED_LOOP = JoinMethod.NESTED_LOOP, JoinMethod.INDEX_NESTED_LOOP
+
 
 @dataclass(frozen=True)
 class ResourceVector:
@@ -135,48 +140,25 @@ class CostModel:
     # ------------------------------------------------------------------ #
     # Joins
     # ------------------------------------------------------------------ #
-    def hash_join_resources(
-        self, outer_rows: float, inner_rows: float, output_rows: float
-    ) -> ResourceVector:
-        """Hash join: build a table on the inner input, probe with the outer."""
-        return ResourceVector(
-            tuples=output_rows,
-            operator_evals=2.0 * inner_rows + outer_rows,
-        )
-
-    def merge_join_resources(
-        self, outer_rows: float, inner_rows: float, output_rows: float
-    ) -> ResourceVector:
-        """Sort-merge join: sort both inputs, then a linear merge."""
-        sort_cost = 0.0
-        for rows in (outer_rows, inner_rows):
-            if rows > 1:
-                sort_cost += rows * math.log2(rows)
-        return ResourceVector(
-            tuples=output_rows,
-            operator_evals=sort_cost + outer_rows + inner_rows,
-        )
-
-    def nested_loop_resources(
-        self, outer_rows: float, inner_rows: float, output_rows: float
-    ) -> ResourceVector:
-        """Plain nested loop: compare every pair."""
-        return ResourceVector(
-            tuples=output_rows,
-            operator_evals=max(outer_rows, 1.0) * max(inner_rows, 1.0),
-        )
-
-    def index_nested_loop_resources(
-        self, outer_rows: float, inner_table_rows: float, output_rows: float
-    ) -> ResourceVector:
-        """Index nested loop: one index probe into the inner table per outer row."""
-        descents = max(outer_rows, 1.0) * math.log2(max(inner_table_rows, 2.0))
-        return ResourceVector(
-            random_pages=output_rows,
-            tuples=output_rows,
-            index_tuples=output_rows,
-            operator_evals=descents,
-        )
+    def _join_operator_evals(
+        self, method: JoinMethod, outer_rows: float, inner_rows: float, inner_table_rows: float
+    ) -> float:
+        """Primitive operator evaluations of one join: the per-method term."""
+        if method is _HASH_JOIN:
+            # Build a table on the inner input, probe with the outer.
+            return 2.0 * inner_rows + outer_rows
+        if method is _MERGE_JOIN:
+            # Sort both inputs, then a linear merge.
+            sort_cost = 0.0
+            for rows in (outer_rows, inner_rows):
+                if rows > 1:
+                    sort_cost += rows * math.log2(rows)
+            return sort_cost + outer_rows + inner_rows
+        if method is _NESTED_LOOP:
+            # Compare every pair.
+            return max(outer_rows, 1.0) * max(inner_rows, 1.0)
+        # Index nested loop: one index descent into the inner table per outer row.
+        return max(outer_rows, 1.0) * math.log2(max(inner_table_rows or inner_rows, 2.0))
 
     def join_resources(
         self,
@@ -186,15 +168,43 @@ class CostModel:
         output_rows: float,
         inner_table_rows: float = 0.0,
     ) -> ResourceVector:
-        """Dispatch on the join method."""
-        if method is JoinMethod.HASH_JOIN:
-            return self.hash_join_resources(outer_rows, inner_rows, output_rows)
-        if method is JoinMethod.MERGE_JOIN:
-            return self.merge_join_resources(outer_rows, inner_rows, output_rows)
-        if method is JoinMethod.NESTED_LOOP:
-            return self.nested_loop_resources(outer_rows, inner_rows, output_rows)
-        return self.index_nested_loop_resources(
-            outer_rows, inner_table_rows or inner_rows, output_rows
+        """Resource vector of one join.
+
+        Every method visits its output tuples; an index nested loop also pays
+        one random page and one index tuple per output row.
+        """
+        probes = output_rows if method is _INDEX_NESTED_LOOP else 0.0
+        return ResourceVector(
+            random_pages=probes,
+            tuples=output_rows,
+            index_tuples=probes,
+            operator_evals=self._join_operator_evals(
+                method, outer_rows, inner_rows, inner_table_rows
+            ),
+        )
+
+    def join_cost(
+        self,
+        method: JoinMethod,
+        outer_rows: float,
+        inner_rows: float,
+        output_rows: float,
+        inner_table_rows: float = 0.0,
+    ) -> float:
+        """``cost(join_resources(...))`` on plain floats, bit for bit.
+
+        The join enumerators price every (split, method) alternative with
+        this; the terms and their summation order are those of :meth:`cost`.
+        """
+        probes = output_rows if method is _INDEX_NESTED_LOOP else 0.0
+        units = self.units
+        return (
+            0.0 * units.seq_page_cost
+            + probes * units.random_page_cost
+            + output_rows * units.cpu_tuple_cost
+            + probes * units.cpu_index_tuple_cost
+            + self._join_operator_evals(method, outer_rows, inner_rows, inner_table_rows)
+            * units.cpu_operator_cost
         )
 
     # ------------------------------------------------------------------ #

@@ -7,13 +7,22 @@ sub-plans connected by at least one join predicate, and every enabled
 physical join method.  Bushy trees are explored by default; restricting the
 inner side to single relations yields the classic left-deep search.
 
+The enumeration runs in bitmask space.  A split is two integers; whether a
+join predicate crosses it is one lookup in a per-planner ``neighbours[mask]``
+table; each (split, method) alternative is priced from plain floats by
+:func:`cheapest_join_method`; and only the running winner — strictly cheaper
+in enumeration order: sub-masks descending, methods by name — is remembered.
+One ``JoinNode`` is built per subset, for that winner.  Splits no predicate
+crosses (cartesian products) are priced lazily, only for a subset whose
+connected splits produced no candidate.
+
 The number of *distinct logical join trees* (unordered splits connected by a
 join predicate) examined is tracked in
 :attr:`DynamicProgrammingPlanner.num_join_trees_considered` — that is the
 ``N`` of the theoretical analysis in Section 3.3.  Commuted splits
 ``(outer, inner)`` / ``(inner, outer)`` describe the same logical join, and
-disconnected splits are cartesian-product fallbacks the search discards, so
-neither inflates the count.
+disconnected splits are cartesian-product fallbacks, so neither inflates the
+count.
 
 Incremental re-planning (re-optimization support)
 -------------------------------------------------
@@ -29,7 +38,7 @@ re-optimization rounds are cheap, made literal).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cardinality.estimator import CardinalityEstimator
 from repro.cost.model import CostModel
@@ -37,8 +46,48 @@ from repro.errors import PlanningError
 from repro.optimizer.access_paths import best_scan
 from repro.optimizer.settings import OptimizerSettings
 from repro.plans.nodes import JoinMethod, JoinNode, PlanNode, ScanNode
-from repro.sql.ast import Query
+from repro.sql.ast import JoinPredicate, Query
 from repro.storage.catalog import Database
+
+# Aliases: an enum member lookup costs ~0.1 µs on the per-split pricing path.
+_NESTED_LOOP, _INDEX_NESTED_LOOP = JoinMethod.NESTED_LOOP, JoinMethod.INDEX_NESTED_LOOP
+
+
+def cheapest_join_method(
+    cost_model: CostModel,
+    methods: Sequence[JoinMethod],
+    left: PlanNode,
+    right: PlanNode,
+    output_rows: float,
+    has_predicates: bool,
+    indexed_inner_rows: Optional[float],
+) -> Optional[Tuple[float, JoinMethod]]:
+    """Price the split (outer ``left``, inner ``right``): the winner's
+    ``(cumulative cost, method)``, or ``None`` when no method applies.
+
+    The one "price a split" rule of both planners.  Hash, merge and index
+    nested loop need an equi-join predicate across the split; index nested
+    loop also needs ``indexed_inner_rows`` — the row count of the inner base
+    table, ``None`` unless the inner side is a base-relation scan with an
+    index on one of its join columns.  Ties keep the earlier of ``methods``.
+    """
+    input_cost = left.estimated_cost + right.estimated_cost
+    best: Optional[Tuple[float, JoinMethod]] = None
+    for method in methods:
+        inner_table_rows = 0.0
+        if method is not _NESTED_LOOP:
+            if not has_predicates:
+                continue
+            if method is _INDEX_NESTED_LOOP:
+                if indexed_inner_rows is None:
+                    continue
+                inner_table_rows = indexed_inner_rows
+        cost = input_cost + cost_model.join_cost(
+            method, left.estimated_rows, right.estimated_rows, output_rows, inner_table_rows
+        )
+        if best is None or cost < best[0]:
+            best = (cost, method)
+    return best
 
 
 class DynamicProgrammingPlanner:
@@ -64,8 +113,6 @@ class DynamicProgrammingPlanner:
         self.settings = settings
         self.aliases: List[str] = list(query.aliases)
         self._alias_bit: Dict[str, int] = {alias: 1 << i for i, alias in enumerate(self.aliases)}
-        #: Number of (subset, split, method) join alternatives examined.
-        self.num_alternatives_considered = 0
         #: Number of distinct logical join trees (connected unordered splits)
         #: examined — the paper's ``N``.
         self.num_join_trees_considered = 0
@@ -73,12 +120,45 @@ class DynamicProgrammingPlanner:
         #: ``plan_joins``/``replan`` call; the incremental-planning metric.
         self.last_masks_expanded = 0
         self._best: Dict[int, PlanNode] = {}
-        self._edges: List[Tuple[int, int]] = []
-        self._masks_by_size: Dict[int, List[int]] = {}
         #: Masks pinned to an already-materialized intermediate (adaptive
         #: re-planning): (re-)expansion keeps the pinned leaf instead of
         #: re-deriving a join for the subset.
         self._materialized_masks: Dict[int, PlanNode] = {}
+
+        #: Enabled join methods in tie-break order.
+        self._methods = sorted(settings.enabled_join_methods, key=lambda m: m.value)
+        #: ``(left_bit, right_bit, predicate)`` in ``query.join_predicates`` order.
+        self._edges: List[Tuple[int, int, JoinPredicate]] = [
+            (self._alias_bit[p.left_alias], self._alias_bit[p.right_alias], p)
+            for p in query.join_predicates
+        ]
+        #: Per single-relation mask: the relations it can probe by index (it
+        #: has an index on its side of a join predicate with them) and its
+        #: table's row count — index-nested-loop applicability.
+        self._index_probe: Dict[int, Tuple[int, float]] = {}
+        adjacent = dict.fromkeys(self._alias_bit.values(), 0)
+        for alias, bit in self._alias_bit.items():
+            table = query.table_for_alias(alias)
+            probed = 0
+            for left_bit, right_bit, predicate in self._edges:
+                if bit in (left_bit, right_bit):
+                    other = left_bit ^ right_bit ^ bit
+                    adjacent[bit] |= other
+                    if db.has_index(table, predicate.column_for(alias)):
+                        probed |= other
+            self._index_probe[bit] = (probed, float(db.table(table).num_rows))
+        full_mask = (1 << len(self.aliases)) - 1
+        #: ``neighbours[mask]``: relations joined by a predicate to a member
+        #: of ``mask``; a split has a cross edge iff ``neighbours[left] & right``.
+        self._neighbours: List[int] = [0] * (full_mask + 1)
+        for mask in range(1, full_mask + 1):
+            low = mask & -mask
+            self._neighbours[mask] = self._neighbours[mask ^ low] | adjacent[low]
+        #: Multi-relation masks, smallest subsets first (the expansion order).
+        self._join_masks = sorted(
+            (mask for mask in range(1, full_mask + 1) if mask & (mask - 1)),
+            key=lambda mask: (mask.bit_count(), mask),
+        )
 
     # ------------------------------------------------------------------ #
     # Helpers
@@ -86,132 +166,92 @@ class DynamicProgrammingPlanner:
     def _mask_aliases(self, mask: int) -> Tuple[str, ...]:
         return tuple(alias for alias in self.aliases if self._alias_bit[alias] & mask)
 
-    def _edge_masks(self) -> List[Tuple[int, int]]:
-        """Bitmask pairs (one per join predicate) used for connectivity tests."""
-        edges = []
-        for predicate in self.query.join_predicates:
-            edges.append(
-                (self._alias_bit[predicate.left_alias], self._alias_bit[predicate.right_alias])
+    def _expand_scan(self, alias: str) -> None:
+        """(Re)compute the best access path for one base relation."""
+        bit = self._alias_bit[alias]
+        self.last_masks_expanded += 1
+        pinned = self._materialized_masks.get(bit)
+        self._best[bit] = pinned if pinned is not None else best_scan(
+            self.db, self.query, alias, self.estimator, self.cost_model, self.settings
+        )
+
+    def _cheapest_split(
+        self, mask: int, output_rows: float, connected: bool
+    ) -> Optional[Tuple[float, int, int, JoinMethod]]:
+        """Cheapest ``(cost, left_mask, right_mask, method)`` over the ordered
+        splits of ``mask`` that do (``connected``) or do not have a cross edge;
+        the first such alternative in enumeration order on ties.
+        """
+        best, neighbours, index_probe = self._best, self._neighbours, self._index_probe
+        cost_model, methods = self.cost_model, self._methods
+        left_deep = not self.settings.allow_bushy
+        winner: Optional[Tuple[float, int, int, JoinMethod]] = None
+        submask = (mask - 1) & mask
+        while submask:
+            left_mask = submask
+            right_mask = mask ^ submask
+            submask = (submask - 1) & mask
+            left_plan = best.get(left_mask)
+            right_plan = best.get(right_mask)
+            if left_plan is None or right_plan is None:
+                continue
+            if left_deep and right_mask & (right_mask - 1):
+                continue
+            if bool(neighbours[left_mask] & right_mask) != connected:
+                continue
+            indexed_inner_rows = None
+            if connected:
+                # (outer, inner) and (inner, outer) are the same logical join
+                # tree: count it at the orientation enumerated first, which is
+                # this one unless the commuted split (a larger sub-mask)
+                # passed the filters above.
+                if left_mask > right_mask or (left_deep and left_mask & (left_mask - 1)):
+                    self.num_join_trees_considered += 1
+                probe = index_probe.get(right_mask)
+                if probe is not None and probe[0] & left_mask and isinstance(right_plan, ScanNode):
+                    indexed_inner_rows = probe[1]
+            priced = cheapest_join_method(
+                cost_model, methods, left_plan, right_plan, output_rows, connected, indexed_inner_rows
             )
-        return edges
+            if priced is not None and (winner is None or priced[0] < winner[0]):
+                winner = (priced[0], left_mask, right_mask, priced[1])
+        return winner
 
-    def _has_cross_edge(self, left_mask: int, right_mask: int) -> bool:
-        for left_bit, right_bit in self._edges:
-            if (left_bit & left_mask and right_bit & right_mask) or (
-                left_bit & right_mask and right_bit & left_mask
-            ):
-                return True
-        return False
-
-    def _build_join(
-        self,
-        left: PlanNode,
-        right: PlanNode,
-        method: JoinMethod,
-        output_rows: float,
-    ) -> Optional[JoinNode]:
-        """Build one join candidate, or None when the method is not applicable."""
-        predicates = tuple(
-            self.query.join_predicates_between(left.relations, right.relations)
-        )
-        inner_table_rows = 0.0
-        if method is JoinMethod.INDEX_NESTED_LOOP:
-            # Requires the inner side to be a single base relation with an
-            # index on (one of) the join columns.
-            if not isinstance(right, ScanNode) or not predicates:
-                return None
-            inner_alias = right.alias
-            inner_table = self.query.table_for_alias(inner_alias)
-            indexed_predicate = None
-            for predicate in predicates:
-                column = predicate.column_for(inner_alias)
-                if self.db.has_index(inner_table, column):
-                    indexed_predicate = predicate
-                    break
-            if indexed_predicate is None:
-                return None
-            inner_table_rows = float(self.db.table(inner_table).num_rows)
-        if method in (JoinMethod.HASH_JOIN, JoinMethod.MERGE_JOIN) and not predicates:
-            # Hash and merge joins need at least one equi-join predicate.
-            return None
-
-        resources = self.cost_model.join_resources(
-            method,
-            outer_rows=left.estimated_rows,
-            inner_rows=right.estimated_rows,
-            output_rows=output_rows,
-            inner_table_rows=inner_table_rows,
-        )
-        cost = left.estimated_cost + right.estimated_cost + self.cost_model.cost(resources)
-        return JoinNode(
+    def _expand_mask(self, mask: int) -> None:
+        """(Re)compute ``best[mask]`` from the current best sub-plans."""
+        self.last_masks_expanded += 1
+        pinned = self._materialized_masks.get(mask)
+        if pinned is not None:
+            # The subset is already materialized: its best "plan" is the
+            # zero-cost reuse leaf, whatever Γ now says about its parts.
+            self._best[mask] = pinned
+            return
+        output_rows = self.estimator.joinset_cardinality(self._mask_aliases(mask))
+        # Prefer splits connected by join predicates; price the cartesian
+        # products only when no connected split yields a candidate.
+        winner = self._cheapest_split(mask, output_rows, connected=True)
+        if winner is None:
+            winner = self._cheapest_split(mask, output_rows, connected=False)
+        if winner is None:
+            # Drop a previous round's plan: its sub-plans are no longer eligible.
+            self._best.pop(mask, None)
+            return
+        cost, left_mask, right_mask, method = winner
+        left, right = self._best[left_mask], self._best[right_mask]
+        self._best[mask] = JoinNode(
             relations=frozenset(left.relations | right.relations),
             estimated_rows=output_rows,
             estimated_cost=cost,
             left=left,
             right=right,
             method=method,
-            predicates=predicates,
+            predicates=tuple(
+                predicate
+                for left_bit, right_bit, predicate in self._edges
+                if (left_bit & left_mask and right_bit & right_mask)
+                or (left_bit & right_mask and right_bit & left_mask)
+            ),
         )
-
-    def _expand_scan(self, alias: str) -> None:
-        """(Re)compute the best access path for one base relation."""
-        bit = self._alias_bit[alias]
-        if bit in self._materialized_masks:
-            self._best[bit] = self._materialized_masks[bit]
-            self.last_masks_expanded += 1
-            return
-        self._best[bit] = best_scan(
-            self.db, self.query, alias, self.estimator, self.cost_model, self.settings
-        )
-        self.last_masks_expanded += 1
-
-    def _expand_mask(self, mask: int) -> None:
-        """(Re)compute ``best[mask]`` from the current best sub-plans."""
-        if mask in self._materialized_masks:
-            # The subset is already materialized: its best "plan" is the
-            # zero-cost reuse leaf, whatever Γ now says about its parts.
-            self._best[mask] = self._materialized_masks[mask]
-            self.last_masks_expanded += 1
-            return
-        candidates: List[PlanNode] = []
-        connected_candidates: List[PlanNode] = []
-        output_rows = self.estimator.joinset_cardinality(self._mask_aliases(mask))
-        counted_splits: set = set()
-        # Enumerate every ordered split (outer, inner) of the subset.
-        submask = (mask - 1) & mask
-        while submask:
-            left_mask = submask
-            right_mask = mask ^ submask
-            left_plan = self._best.get(left_mask)
-            right_plan = self._best.get(right_mask)
-            submask = (submask - 1) & mask
-            if left_plan is None or right_plan is None:
-                continue
-            if not self.settings.allow_bushy and bin(right_mask).count("1") != 1:
-                continue
-            connected = self._has_cross_edge(left_mask, right_mask)
-            if connected:
-                # (outer, inner) and (inner, outer) are the same logical join
-                # tree; disconnected splits are cartesian fallbacks the search
-                # discards — neither counts towards the paper's N.
-                split_key = (min(left_mask, right_mask), max(left_mask, right_mask))
-                if split_key not in counted_splits:
-                    counted_splits.add(split_key)
-                    self.num_join_trees_considered += 1
-            for method in sorted(self.settings.enabled_join_methods, key=lambda m: m.value):
-                self.num_alternatives_considered += 1
-                join = self._build_join(left_plan, right_plan, method, output_rows)
-                if join is None:
-                    continue
-                candidates.append(join)
-                if connected:
-                    connected_candidates.append(join)
-        # Prefer splits connected by join predicates; fall back to
-        # cartesian products only when the subset is not connected.
-        pool = connected_candidates or candidates
-        if pool:
-            self._best[mask] = min(pool, key=lambda node: node.estimated_cost)
-        self.last_masks_expanded += 1
 
     # ------------------------------------------------------------------ #
     # Search
@@ -220,30 +260,23 @@ class DynamicProgrammingPlanner:
         """Return the cheapest join plan over all relations of the query."""
         if not self.aliases:
             raise PlanningError(f"query {self.query.name!r} references no tables")
-        self._edges = self._edge_masks()
         self._best = {}
         self.last_masks_expanded = 0
 
         for alias in self.aliases:
             self._expand_scan(alias)
-        if len(self.aliases) == 1:
-            return self._best[self._alias_bit[self.aliases[0]]]
+        for mask in self._join_masks:
+            self._expand_mask(mask)
+        return self._full_plan()
 
-        full_mask = (1 << len(self.aliases)) - 1
-        self._masks_by_size = {}
-        for mask in range(1, full_mask + 1):
-            self._masks_by_size.setdefault(bin(mask).count("1"), []).append(mask)
-
-        for size in range(2, len(self.aliases) + 1):
-            for mask in self._masks_by_size.get(size, []):
-                self._expand_mask(mask)
-
-        if full_mask not in self._best:
+    def _full_plan(self) -> PlanNode:
+        plan = self._best.get((1 << len(self.aliases)) - 1)
+        if plan is None:
             raise PlanningError(
                 f"could not build a plan for query {self.query.name!r}; "
                 "the join graph may be disconnected and cartesian products disabled"
             )
-        return self._best[full_mask]
+        return plan
 
     def _mask_for(self, join_set: FrozenSet[str]) -> Optional[int]:
         """Bitmask of a join set, or None if it references foreign aliases."""
@@ -276,14 +309,13 @@ class DynamicProgrammingPlanner:
         search may (or may not) route the rest of the query through the
         reuse leaf, whichever is cheaper.
         """
+        self.estimator = estimator
         if not self._best:
-            self.estimator = estimator
             plan = self.plan_joins()
             if not materialized:
                 return plan
             # Fall through: pin the materialized subsets and re-expand.
             changed_join_sets = frozenset()
-        self.estimator = estimator
         self.last_masks_expanded = 0
 
         seeds: List[int] = []
@@ -298,20 +330,11 @@ class DynamicProgrammingPlanner:
             self._materialized_masks[mask] = node
             seeds.append(mask)
 
-        full_mask = (1 << len(self.aliases)) - 1
         if seeds:
             for alias in self.aliases:
-                bit = self._alias_bit[alias]
-                if any(seed == bit for seed in seeds):
+                if self._alias_bit[alias] in seeds:
                     self._expand_scan(alias)
-            for size in range(2, len(self.aliases) + 1):
-                for mask in self._masks_by_size.get(size, []):
-                    if any(seed & ~mask == 0 for seed in seeds):
-                        self._expand_mask(mask)
-
-        if full_mask not in self._best:
-            raise PlanningError(
-                f"could not build a plan for query {self.query.name!r}; "
-                "the join graph may be disconnected and cartesian products disabled"
-            )
-        return self._best[full_mask]
+            for mask in self._join_masks:
+                if any(seed & ~mask == 0 for seed in seeds):
+                    self._expand_mask(mask)
+        return self._full_plan()

@@ -31,6 +31,7 @@ from repro.cardinality.estimator import CardinalityEstimator
 from repro.cost.model import CostModel
 from repro.errors import PlanningError
 from repro.optimizer.access_paths import best_scan
+from repro.optimizer.dp import cheapest_join_method
 from repro.optimizer.settings import OptimizerSettings
 from repro.plans.nodes import JoinMethod, JoinNode, PlanNode, ScanNode
 from repro.sql.ast import Query
@@ -54,6 +55,8 @@ class GeqoPlanner:
         self.estimator = estimator
         self.cost_model = cost_model
         self.settings = settings
+        #: Enabled join methods in tie-break order.
+        self._methods = sorted(settings.enabled_join_methods, key=lambda m: m.value)
         #: Join orders to evaluate ahead of the random pool (e.g. the
         #: previous re-optimization round's winner).
         self.seed_orders = [list(order) for order in seed_orders]
@@ -68,68 +71,40 @@ class GeqoPlanner:
     def _scan_for(self, alias: str) -> ScanNode:
         return best_scan(self.db, self.query, alias, self.estimator, self.cost_model, self.settings)
 
-    def _cheapest_join(self, left: PlanNode, right: ScanNode) -> Optional[JoinNode]:
+    def _cheapest_join(self, left: PlanNode, right: ScanNode) -> JoinNode:
         output_rows = self.estimator.joinset_cardinality(left.relations | right.relations)
-        best: Optional[JoinNode] = None
         predicates = self.query.join_predicates_between(left.relations, right.relations)
-        for method in sorted(self.settings.enabled_join_methods, key=lambda m: m.value):
-            inner_table_rows = 0.0
-            if method is JoinMethod.INDEX_NESTED_LOOP:
-                if not predicates:
-                    continue
-                inner_table = self.query.table_for_alias(right.alias)
-                has_usable_index = any(
-                    self.db.has_index(inner_table, p.column_for(right.alias)) for p in predicates
-                )
-                if not has_usable_index:
-                    continue
-                inner_table_rows = float(self.db.table(inner_table).num_rows)
-            if method in (JoinMethod.HASH_JOIN, JoinMethod.MERGE_JOIN) and not predicates:
-                continue
-            resources = self.cost_model.join_resources(
-                method,
-                outer_rows=left.estimated_rows,
-                inner_rows=right.estimated_rows,
-                output_rows=output_rows,
-                inner_table_rows=inner_table_rows,
+        inner_table = self.query.table_for_alias(right.alias)
+        indexed_inner_rows = None
+        if any(self.db.has_index(inner_table, p.column_for(right.alias)) for p in predicates):
+            indexed_inner_rows = float(self.db.table(inner_table).num_rows)
+        priced = cheapest_join_method(
+            self.cost_model, self._methods, left, right, output_rows,
+            bool(predicates), indexed_inner_rows,
+        )
+        if priced is None:
+            # No applicable enabled method: fall back to a nested loop (cartesian
+            # product with residual predicates), which always applies.
+            priced = cheapest_join_method(
+                self.cost_model, (JoinMethod.NESTED_LOOP,), left, right, output_rows, False, None
             )
-            cost = left.estimated_cost + right.estimated_cost + self.cost_model.cost(resources)
-            candidate = JoinNode(
-                relations=frozenset(left.relations | right.relations),
-                estimated_rows=output_rows,
-                estimated_cost=cost,
-                left=left,
-                right=right,
-                method=method,
-                predicates=tuple(predicates),
-            )
-            if best is None or candidate.estimated_cost < best.estimated_cost:
-                best = candidate
-        if best is None:
-            # No applicable specialised method: fall back to a nested loop
-            # (cartesian product with residual predicates).
-            resources = self.cost_model.nested_loop_resources(
-                left.estimated_rows, right.estimated_rows, output_rows
-            )
-            best = JoinNode(
-                relations=frozenset(left.relations | right.relations),
-                estimated_rows=output_rows,
-                estimated_cost=left.estimated_cost + right.estimated_cost + self.cost_model.cost(resources),
-                left=left,
-                right=right,
-                method=JoinMethod.NESTED_LOOP,
-                predicates=tuple(predicates),
-            )
-        return best
+            assert priced is not None
+        cost, method = priced
+        return JoinNode(
+            relations=frozenset(left.relations | right.relations),
+            estimated_rows=output_rows,
+            estimated_cost=cost,
+            left=left,
+            right=right,
+            method=method,
+            predicates=tuple(predicates),
+        )
 
     def _plan_for_order(self, order: Sequence[str]) -> PlanNode:
         self.num_orders_considered += 1
         plan: PlanNode = self._scan_for(order[0])
         for alias in order[1:]:
-            join = self._cheapest_join(plan, self._scan_for(alias))
-            if join is None:
-                raise PlanningError(f"could not join relation {alias!r}")
-            plan = join
+            plan = self._cheapest_join(plan, self._scan_for(alias))
         return plan
 
     # ------------------------------------------------------------------ #

@@ -135,23 +135,12 @@ class PlanningSession:
                     self.optimizer.db, self.query, estimator,
                     self.optimizer.cost_model, self.optimizer.settings,
                 )
-                trees_before = 0
-                if materialized:
-                    join_plan = self._dp_planner.replan(
-                        estimator, frozenset(), materialized=materialized
-                    )
-                else:
-                    join_plan = self._dp_planner.plan_joins()
-            else:
-                changed = (
-                    gamma.changed_since(self._gamma_epoch)
-                    if gamma is not None
-                    else frozenset()
-                )
-                trees_before = self._dp_planner.num_join_trees_considered
-                join_plan = self._dp_planner.replan(
-                    estimator, changed, materialized=materialized
-                )
+            # A fresh planner's ``replan`` is the full search (plus pins).
+            changed = (
+                gamma.changed_since(self._gamma_epoch) if gamma is not None else frozenset()
+            )
+            trees_before = self._dp_planner.num_join_trees_considered
+            join_plan = self._dp_planner.replan(estimator, changed, materialized=materialized)
             trees_considered = self._dp_planner.num_join_trees_considered - trees_before
             self.last_masks_expanded = self._dp_planner.last_masks_expanded
         self._gamma_epoch = gamma.epoch if gamma is not None else self._gamma_epoch

@@ -77,22 +77,24 @@ class TestCostModel:
         assert seq.seq_pages > 0 and index.random_pages > 0
 
     def test_hash_join_linear_in_inputs(self):
-        small = self.model.hash_join_resources(100, 100, 10)
-        big = self.model.hash_join_resources(10_000, 10_000, 10)
+        small = self.model.join_resources(JoinMethod.HASH_JOIN, 100, 100, 10)
+        big = self.model.join_resources(JoinMethod.HASH_JOIN, 10_000, 10_000, 10)
         assert self.model.cost(big) > self.model.cost(small)
 
     def test_nested_loop_quadratic_blowup(self):
-        hash_join = self.model.hash_join_resources(10_000, 10_000, 100)
-        nested = self.model.nested_loop_resources(10_000, 10_000, 100)
+        hash_join = self.model.join_resources(JoinMethod.HASH_JOIN, 10_000, 10_000, 100)
+        nested = self.model.join_resources(JoinMethod.NESTED_LOOP, 10_000, 10_000, 100)
         assert self.model.cost(nested) > 100 * self.model.cost(hash_join)
 
     def test_merge_join_includes_sort_cost(self):
-        merge = self.model.merge_join_resources(1000, 1000, 100)
-        hash_join = self.model.hash_join_resources(1000, 1000, 100)
+        merge = self.model.join_resources(JoinMethod.MERGE_JOIN, 1000, 1000, 100)
+        hash_join = self.model.join_resources(JoinMethod.HASH_JOIN, 1000, 1000, 100)
         assert merge.operator_evals > hash_join.operator_evals
 
     def test_index_nested_loop_charges_random_pages_per_output_row(self):
-        resources = self.model.index_nested_loop_resources(100, 10_000, 500)
+        resources = self.model.join_resources(
+            JoinMethod.INDEX_NESTED_LOOP, 100, 10_000, 500, inner_table_rows=10_000
+        )
         assert resources.random_pages == 500
         assert resources.index_tuples == 500
 
@@ -124,6 +126,29 @@ class TestCostModel:
             )
             assert np.isfinite(cost)
             assert cost >= 0
+
+    @given(
+        rows=st.tuples(*[
+            st.one_of(
+                st.sampled_from([0.0, 0.5, 1.0, 2.0, 1e12]),
+                st.floats(min_value=0, max_value=1e12),
+            )
+        ] * 3),
+        inner_table_rows=st.one_of(st.just(0.0), st.floats(min_value=0, max_value=1e12)),
+        units=st.tuples(*[st.floats(min_value=1e-6, max_value=1e3)] * 5),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_join_cost_is_the_cost_of_join_resources_bit_for_bit(
+        self, rows, inner_table_rows, units
+    ):
+        """The planners price splits with the scalar ``join_cost``; the
+        executor and the sampled-cost check keep ``join_resources`` — the two
+        must be one formula, down to the float bits plan tie-breaks rest on."""
+        for model in (self.model, CostModel(units=CostUnits.from_vector(list(units)))):
+            for method in JoinMethod:
+                resources = model.join_resources(method, *rows, inner_table_rows=inner_table_rows)
+                scalar = model.join_cost(method, *rows, inner_table_rows=inner_table_rows)
+                assert scalar == model.cost(resources)
 
     @given(rows=st.floats(min_value=0, max_value=1e7))
     @settings(max_examples=50, deadline=None)
