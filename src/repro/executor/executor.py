@@ -19,10 +19,13 @@ the simulated time.
 All relational kernels come from :mod:`repro.relalg`.  The executor adds
 three physical-execution concerns on top:
 
-* **join dispatch** — ``HASH_JOIN`` (and ``INDEX_NESTED_LOOP``, a lookup-based
-  method) runs the hash kernel, ``MERGE_JOIN`` the sort-merge kernel and
-  ``NESTED_LOOP`` the block nested-loop kernel, so the cost profiles the
-  optimizer distinguishes correspond to genuinely different algorithms;
+* **join dispatch** — ``HASH_JOIN`` runs the hash kernel, ``MERGE_JOIN`` the
+  sort-merge kernel, ``NESTED_LOOP`` the block nested-loop kernel and
+  ``INDEX_NESTED_LOOP`` a probe of the inner table's sorted index, so the
+  cost profiles the optimizer distinguishes correspond to genuinely
+  different algorithms.  The probe runs only where it is the cheaper
+  operator at the actual cardinalities (:meth:`Executor._index_probe`);
+  any other ``INDEX_NESTED_LOOP`` node runs the hash kernel;
 * **dead-column elimination** — every scan and join output carries exactly
   :func:`live_columns` of its join set: what the output stage reads plus the
   join keys a *later* join still needs.  A key is dropped by the join that
@@ -47,9 +50,12 @@ three physical-execution concerns on top:
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import AbstractSet, Dict, FrozenSet, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.cost.model import CostModel, ResourceVector
 from repro.cost.units import CostUnits, DEFAULT_COST_UNITS
@@ -65,6 +71,7 @@ from repro.relalg import (
     TaskScheduler,
     filter_relation,
     group_aggregate,
+    index_nested_loop_join,
     merge_join,
     nested_loop_join,
     parallel_hash_join,
@@ -80,6 +87,7 @@ from repro.plans.nodes import (
 )
 from repro.sql.ast import Query
 from repro.storage.catalog import Database
+from repro.storage.index import SortedIndex
 
 
 @dataclass
@@ -230,7 +238,7 @@ class Executor:
             index_predicate = None
 
         if index_predicate is not None:
-            index = self.db.hash_index(node.table, node.index_column)
+            index = self.db.index(node.table, node.index_column)
             row_ids = index.lookup(index_predicate.value)
             matched = len(row_ids)
             relation = Relation.from_table(table, alias, load).take(row_ids)
@@ -265,6 +273,38 @@ class Executor:
         )
         return relation
 
+    def _index_probe(
+        self, node: JoinNode, outer: Relation
+    ) -> Optional[Tuple[np.ndarray, SortedIndex]]:
+        """Outer keys and inner index of an ``INDEX_NESTED_LOOP`` node's probe.
+
+        ``None`` — the node runs the hash kernel — unless all of these hold:
+        the inner is an unfiltered base-table scan; the node's *only*
+        predicate is on an indexed integer column of that table (probing one
+        column of a composite key expands every partial match before the
+        residual cuts them down); the outer key is a plain integer column;
+        and the probe is the cheaper operator at the *actual* cardinalities —
+        the cost model's INL term, ``outer · log2(inner table)``, against one
+        pass over the inner.
+        """
+        inner = node.right
+        if not isinstance(inner, ScanNode) or inner.predicates or len(node.predicates) != 1:
+            return None
+        predicate = node.predicates[0]
+        column = predicate.column_for(inner.alias)
+        table = self.db.table(inner.table)
+        if not self.db.has_index(inner.table, column) or table.schema.column(column).type != "int":
+            return None
+        outer_alias = (
+            predicate.right_alias if predicate.left_alias == inner.alias else predicate.left_alias
+        )
+        keys = outer[f"{outer_alias}.{predicate.column_for(outer_alias)}"]
+        if not isinstance(keys, np.ndarray) or not np.can_cast(keys.dtype, np.int64):
+            return None
+        if outer.num_rows * math.log2(max(table.num_rows, 2)) >= table.num_rows:
+            return None
+        return keys, self.db.index(inner.table, column)
+
     def _execute_join(
         self,
         node: JoinNode,
@@ -290,9 +330,17 @@ class Executor:
                 frozenset(node.left.relations),
                 block_elements=self.nested_loop_block_elements, keep=keep,
             )
+        elif (
+            node.method is JoinMethod.INDEX_NESTED_LOOP
+            and (probe := self._index_probe(node, left_relation)) is not None
+        ):
+            joined = index_nested_loop_join(
+                left_relation, right_relation, *probe,
+                keep=keep, scheduler=self.scheduler,
+            )
         elif node.method in (JoinMethod.HASH_JOIN, JoinMethod.INDEX_NESTED_LOOP):
-            # INDEX_NESTED_LOOP is lookup-based and shares the build/probe
-            # kernel (its cost profile differs, its output not).  With a
+            # An INDEX_NESTED_LOOP node ``_index_probe`` turned down runs the
+            # hash kernel (its cost profile differs, its output not).  With a
             # parallel scheduler the kernel runs partition-parallel; the
             # output is bit-identical either way.
             joined = parallel_hash_join(

@@ -17,8 +17,8 @@ Layout
 ``predicates``
     Compiled local-predicate evaluation (``= <> < <= > >= IN BETWEEN``).
 ``joins``
-    Hash, sort-merge and block nested-loop equi-join kernels, plus the
-    partition-parallel hash join.
+    Hash, sort-merge, block nested-loop and index-probe equi-join kernels,
+    plus the partition-parallel hash join.
 ``aggregate``
     ``reduceat``-based grouped aggregation (serial and chunk-parallel).
 ``scheduler``
@@ -55,6 +55,7 @@ from repro.relalg.encoding import (
 )
 from repro.relalg.joins import (
     hash_join,
+    index_nested_loop_join,
     join_indices,
     merge_join,
     nested_loop_join,
@@ -124,6 +125,7 @@ __all__ = [
     "get_default_scheduler",
     "group_aggregate",
     "hash_join",
+    "index_nested_loop_join",
     "join_indices",
     "merge_join",
     "merge_partials",

@@ -1,6 +1,6 @@
-"""Equi-join kernels: hash, sort-merge and block nested-loop.
+"""Equi-join kernels: hash, sort-merge, block nested-loop and index probe.
 
-All three kernels share one *factorization* step
+The first three kernels share one *factorization* step
 (:func:`repro.relalg.encoding.factorize_pair`): each join-key pair is mapped
 onto a common integer code domain — dictionary-encoded strings stay in code
 space, dense integer keys are direct-addressed (``key - min``), only sparse
@@ -12,11 +12,18 @@ They then differ in how codes are matched:
   side and probe it with the left codes.  When no right code repeats (every
   PK–FK join) a slot holds the right row itself and the probe is one gather;
   otherwise slots are buckets (``np.bincount`` + one stable counting sort).
+  The *orientation rule*: that sort is of the right input, unless
+  ``left rows + matches < right rows`` — then the sides are swapped, so only
+  the left input and the output pairs are sorted.
 * :func:`merge_join` — sort the right codes and binary-search the left codes
   (``np.searchsorted``): the sort-based path, equivalent to the seed kernel.
 * :func:`nested_loop_join` — block-wise outer × inner comparison, O(n·m)
   work by construction; the reference kernel the property tests compare the
   other two against, and the cost-model's nested-loop profile.
+
+:func:`index_nested_loop_join` skips factorization altogether: it probes the
+catalog's sorted index on the inner key (``searchsorted`` over the outer
+keys), so its work follows the outer side alone.
 
 One density rule (:func:`repro.relalg.encoding.fits_direct_table`) decides
 both whether integer keys are direct-addressed and whether the hash table is
@@ -27,7 +34,7 @@ path taken never shows in the output.
 
 from __future__ import annotations
 
-from typing import AbstractSet, FrozenSet, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, AbstractSet, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,6 +43,9 @@ from repro.relalg.relation import Relation, RelationLike, as_relation
 from repro.relalg.scheduler import TaskScheduler
 from repro.relalg.shm import ArrayDescriptor, attach_array
 from repro.sql.ast import JoinPredicate
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
+    from repro.storage.index import SortedIndex
 
 #: Composite keys stop growing once the combined domain would overflow int64;
 #: remaining predicates are applied as residual filters on the matched pairs.
@@ -149,8 +159,10 @@ def hash_match(
     (huge, sparse composite keys) is first re-factorized so the table stays
     proportional to the data.  If no right code repeats, the table holds right
     row ids and the probe is one gather; otherwise it holds buckets over a
-    stable counting sort of the right rows.  Either way pairs come out by
-    ascending left row, ties by ascending right row.
+    stable counting sort of the right rows — or, when ``left rows + matches <
+    right rows``, of the left rows, with one stable argsort of the output on
+    the left index in place of the sort of the right input.  Either way pairs
+    come out by ascending left row, ties by ascending right row.
     """
     left_rows, right_rows = len(left_codes), len(right_codes)
     if left_rows == 0 or right_rows == 0:
@@ -164,9 +176,15 @@ def hash_match(
         right_index = positions[left_codes]
         left_index = np.flatnonzero(right_index >= 0)
         return left_index, right_index[left_index]
+    match_counts = bucket_counts[left_codes]
+    if left_rows < right_rows and left_rows + int(match_counts.sum()) < right_rows:
+        # Orientation rule: swapped, pairs come by right row, ties by left
+        # row — a stable sort on the left index restores the one order.
+        right_index, left_index = hash_match(right_codes, left_codes, domain)
+        order = np.argsort(left_index, kind="stable")
+        return left_index[order], right_index[order]
     bucket_order = np.argsort(right_codes, kind="stable")
     bucket_starts = np.concatenate(([0], np.cumsum(bucket_counts)[:-1]))
-    match_counts = bucket_counts[left_codes]
     return _expand_matches(
         left_rows, match_counts, bucket_starts[left_codes], bucket_order
     )
@@ -344,6 +362,32 @@ def nested_loop_join(
 ) -> Relation:
     """Block nested-loop equi-join (reference kernel, O(n·m) comparisons)."""
     return _join(left, right, predicates, left_aliases, "nested_loop", block_elements, keep)
+
+
+def index_nested_loop_join(
+    left: RelationLike,
+    right: RelationLike,
+    left_keys: np.ndarray,
+    index: "SortedIndex",
+    keep: Optional[AbstractSet[str]] = None,
+    scheduler: Optional[TaskScheduler] = None,
+) -> Relation:
+    """Index nested-loop equi-join: probe the inner table's sorted index.
+
+    ``right`` is the *unfiltered* base table ``index`` was built on (relation
+    row ``i`` is base row ``i``) and ``left_keys`` the outer side's plain
+    integer key column.  One ``searchsorted`` pair over the outer keys finds
+    each key's run in the index — O(outer · log inner), no build and no pass
+    over the inner — and the index's stable order already lists a run's rows
+    ascending, so the pairs come out in the kernels' one order.  An inner scan
+    with local predicates is not mapped through a selection vector: such a
+    node keeps the hash kernel (see ``Executor._index_probe``).
+    """
+    left = as_relation(left)
+    right = as_relation(right)
+    starts, counts = index.probe(left_keys)
+    left_index, right_index = _expand_matches(left.num_rows, counts, starts, index.rows)
+    return _materialise(left, right, left_index, right_index, keep, scheduler)
 
 
 # --------------------------------------------------------------------------- #

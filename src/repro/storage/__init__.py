@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 from repro.storage.catalog import Database
-from repro.storage.index import HashIndex, SortedIndex
+from repro.storage.index import SortedIndex
 from repro.storage.sampling import SampleSet, sample_table
 from repro.storage.table import Column, Table, TableSchema
 
 __all__ = [
     "Column",
     "Database",
-    "HashIndex",
     "SampleSet",
     "SortedIndex",
     "Table",

@@ -4,7 +4,7 @@
 re-optimization loop share.  It owns:
 
 * the base tables (:class:`repro.storage.table.Table`);
-* secondary indexes (hash + sorted), registered per (table, column);
+* secondary indexes (one sorted index per (table, column));
 * per-table statistics produced by ANALYZE (:mod:`repro.stats.analyze`);
 * a :class:`repro.storage.sampling.SampleSet` used by the sampling-based
   cardinality estimator.
@@ -20,7 +20,7 @@ import threading
 from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.errors import CatalogError, StatisticsError
-from repro.storage.index import HashIndex, SortedIndex
+from repro.storage.index import SortedIndex
 from repro.storage.sampling import DEFAULT_MIN_SAMPLE_ROWS, DEFAULT_SAMPLING_RATIO, SampleSet
 from repro.storage.table import Column, Table, TableSchema
 
@@ -34,8 +34,7 @@ class Database:
     def __init__(self, name: str = "db") -> None:
         self.name = name
         self._tables: Dict[str, Table] = {}
-        self._hash_indexes: Dict[Tuple[str, str], HashIndex] = {}
-        self._sorted_indexes: Dict[Tuple[str, str], SortedIndex] = {}
+        self._indexes: Dict[Tuple[str, str], SortedIndex] = {}
         #: Table name -> TableStatistics, populated by repro.stats.analyze.
         self.statistics: Dict[str, "object"] = {}
         #: Sample tables used by the sampling estimator.
@@ -63,10 +62,8 @@ class Database:
         if replace:
             # Invalidate anything derived from the replaced table.
             self.statistics.pop(table.name, None)
-            for key in [k for k in self._hash_indexes if k[0] == table.name]:
-                del self._hash_indexes[key]
-            for key in [k for k in self._sorted_indexes if k[0] == table.name]:
-                del self._sorted_indexes[key]
+            for key in [k for k in self._indexes if k[0] == table.name]:
+                del self._indexes[key]
             if self.samples is not None and table.name in self.samples.samples:
                 self.samples = None
         return table
@@ -78,10 +75,8 @@ class Database:
         del self._tables[name]
         self.bump_table_epoch(name)
         self.statistics.pop(name, None)
-        for key in [k for k in self._hash_indexes if k[0] == name]:
-            del self._hash_indexes[key]
-        for key in [k for k in self._sorted_indexes if k[0] == name]:
-            del self._sorted_indexes[key]
+        for key in [k for k in self._indexes if k[0] == name]:
+            del self._indexes[key]
         if self.samples is not None and name in self.samples.samples:
             del self.samples.samples[name]
             self.samples.base_row_counts.pop(name, None)
@@ -140,32 +135,23 @@ class Database:
     # Indexes
     # ------------------------------------------------------------------ #
     def create_index(self, table_name: str, column: str) -> None:
-        """Create (or refresh) a hash index and a sorted index on a column."""
-        table = self.table(table_name)
-        self._hash_indexes[(table_name, column)] = HashIndex(table, column)
-        self._sorted_indexes[(table_name, column)] = SortedIndex(table, column)
+        """Create (or refresh) the index on a column."""
+        self._indexes[(table_name, column)] = SortedIndex(self.table(table_name), column)
 
     def has_index(self, table_name: str, column: str) -> bool:
         """Return True if an index exists on (table, column)."""
-        return (table_name, column) in self._hash_indexes
+        return (table_name, column) in self._indexes
 
-    def hash_index(self, table_name: str, column: str) -> HashIndex:
-        """Return the hash index on (table, column)."""
+    def index(self, table_name: str, column: str) -> SortedIndex:
+        """Return the index on (table, column)."""
         key = (table_name, column)
-        if key not in self._hash_indexes:
+        if key not in self._indexes:
             raise CatalogError(f"no index on {table_name}.{column}")
-        return self._hash_indexes[key]
-
-    def sorted_index(self, table_name: str, column: str) -> SortedIndex:
-        """Return the sorted index on (table, column)."""
-        key = (table_name, column)
-        if key not in self._sorted_indexes:
-            raise CatalogError(f"no index on {table_name}.{column}")
-        return self._sorted_indexes[key]
+        return self._indexes[key]
 
     def indexed_columns(self, table_name: str) -> List[str]:
         """Return the list of indexed columns for one table."""
-        return sorted(column for table, column in self._hash_indexes if table == table_name)
+        return sorted(column for table, column in self._indexes if table == table_name)
 
     # ------------------------------------------------------------------ #
     # Statistics and samples

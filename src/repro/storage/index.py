@@ -1,10 +1,9 @@
 """Secondary indexes over table columns.
 
-Two index flavours are provided:
-
-* :class:`HashIndex` — equality lookups, used by index scans with equality
-  predicates and by index nested-loop joins;
-* :class:`SortedIndex` — range lookups backed by a sorted copy of the column.
+One index class, :class:`SortedIndex`: a stable argsort of the column (one
+sort per indexed column) serving equality lookups for index scans, range
+lookups, and the batch :meth:`SortedIndex.probe` the index nested-loop join
+kernel (:func:`repro.relalg.joins.index_nested_loop_join`) runs on.
 
 Indexes store *row positions* into the base table, so a lookup composes with
 :meth:`repro.storage.table.Table.take`.
@@ -12,7 +11,7 @@ Indexes store *row positions* into the base table, so a lookup composes with
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -20,8 +19,8 @@ from repro.errors import CatalogError
 from repro.storage.table import Table
 
 
-class HashIndex:
-    """Equality index mapping each distinct value to the rows holding it."""
+class SortedIndex:
+    """Order-preserving index: equality, range and batch lookups by binary search."""
 
     def __init__(self, table: Table, column: str) -> None:
         if not table.has_column(column):
@@ -29,48 +28,36 @@ class HashIndex:
         self.table_name = table.name
         self.column = column
         values = table.column(column)
-        order = np.argsort(values, kind="stable")
-        sorted_values = values[order]
-        # Group equal values into contiguous runs of the stable sort order.
-        boundaries = np.nonzero(sorted_values[1:] != sorted_values[:-1])[0] + 1
-        starts = np.concatenate(([0], boundaries))
-        ends = np.concatenate((boundaries, [len(sorted_values)]))
-        self._buckets: Dict[object, np.ndarray] = {}
-        for start, end in zip(starts, ends):
-            if start == end:
-                continue
-            self._buckets[sorted_values[start]] = order[start:end]
+        #: Row positions by ascending key, equal keys by ascending row.
+        self.rows = np.argsort(values, kind="stable")
+        self._sorted = values[self.rows]
 
     @property
     def num_keys(self) -> int:
         """Number of distinct keys in the index."""
-        return len(self._buckets)
+        if len(self._sorted) == 0:
+            return 0
+        return int(np.count_nonzero(self._sorted[1:] != self._sorted[:-1])) + 1
+
+    def probe(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Batch equality lookup: ``(starts, counts)`` of each key's run in :attr:`rows`."""
+        starts = np.searchsorted(self._sorted, keys, side="left")
+        return starts, np.searchsorted(self._sorted, keys, side="right") - starts
 
     def lookup(self, value: object) -> np.ndarray:
-        """Return the row positions whose indexed column equals ``value``."""
-        rows = self._buckets.get(value)
-        if rows is None:
-            return np.empty(0, dtype=np.int64)
-        return rows
+        """Return the row positions whose indexed column equals ``value``.
 
-
-class SortedIndex:
-    """Order-preserving index supporting range lookups via binary search."""
-
-    def __init__(self, table: Table, column: str) -> None:
-        if not table.has_column(column):
-            raise CatalogError(f"cannot index missing column {column!r} of table {table.name!r}")
-        self.table_name = table.name
-        self.column = column
-        values = table.column(column)
-        self._order = np.argsort(values, kind="stable")
-        self._sorted = values[self._order]
-
-    def lookup(self, value: object) -> np.ndarray:
-        """Return the row positions whose indexed column equals ``value``."""
-        lo = np.searchsorted(self._sorted, value, side="left")
-        hi = np.searchsorted(self._sorted, value, side="right")
-        return self._order[lo:hi]
+        A value of a type the column cannot be compared with matches nothing.
+        """
+        key = np.asarray(value)
+        if self._sorted.dtype.kind != "O" and key.dtype.kind not in "biuf":
+            # searchsorted would compare a number column with text as strings.
+            return self.rows[:0]
+        try:
+            start, count = self.probe(key)
+        except TypeError:
+            return self.rows[:0]
+        return self.rows[int(start) : int(start + count)]
 
     def range_lookup(
         self,
@@ -94,8 +81,4 @@ class SortedIndex:
             hi = int(np.searchsorted(self._sorted, high, side=side))
         if hi < lo:
             hi = lo
-        return self._order[lo:hi]
-
-
-#: Index registry key: (table name, column name).
-IndexKey = Tuple[str, str]
+        return self.rows[lo:hi]

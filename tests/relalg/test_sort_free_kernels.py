@@ -8,6 +8,8 @@ row ascending, ties by right row ascending", and ``hash_join``,
 ``merge_join`` and ``parallel_join_indices`` must equal ``nested_loop_join``
 byte for byte — on keys on both sides of the density rule, at the integer
 dtypes' extremes, and on the key types that must keep taking the sorting path.
+The same holds whichever side ``hash_match`` builds on (its orientation rule)
+and for ``index_nested_loop_join``, which probes a sorted index instead.
 """
 
 from __future__ import annotations
@@ -26,12 +28,15 @@ from repro.relalg import (
     TaskScheduler,
     filter_relation,
     hash_join,
+    index_nested_loop_join,
     merge_join,
     nested_loop_join,
 )
 from repro.relalg.encoding import factorize_pair
-from repro.relalg.joins import join_indices, parallel_join_indices
+from repro.relalg.joins import hash_match, join_indices, parallel_join_indices
 from repro.sql.ast import JoinPredicate, LocalPredicate
+from repro.storage.index import SortedIndex
+from repro.storage.table import Column, Table, TableSchema
 
 LEFT = frozenset({"l"})
 ON_K = [JoinPredicate("l", "k", "r", "k")]
@@ -299,6 +304,178 @@ class TestFastPathIsTaken:
         self.forbid(monkeypatch, "unique")
         with pytest.raises(AssertionError, match="fell back to sorting"):
             hash_join(left, right, ON_K, LEFT)
+
+
+# --------------------------------------------------------------------------- #
+# Build orientation
+# --------------------------------------------------------------------------- #
+def builds_on_the_left(left_codes, right_codes, domain) -> bool:
+    """Whether ``hash_match`` swapped sides (it then calls itself once)."""
+    with mock.patch.object(joins_module, "hash_match", wraps=hash_match) as spy:
+        joins_module.hash_match(left_codes, right_codes, domain)
+    return spy.call_count == 2
+
+
+@st.composite
+def small_left_duplicate_right(draw):
+    """A few left keys against many right rows over a small, repeating domain."""
+    domain = draw(st.integers(2, 12))
+    right = draw(st.lists(st.integers(0, domain - 1), min_size=domain + 1, max_size=60))
+    left = draw(st.lists(st.integers(-2, domain + 1), max_size=8, unique=draw(st.booleans())))
+    return np.array(left, dtype=np.int64), np.array(right, dtype=np.int64)
+
+
+class TestBuildOrientation:
+    @settings(max_examples=150, deadline=None)
+    @given(keys=small_left_duplicate_right())
+    def test_small_left_against_duplicate_right(self, keys):
+        check_all_kernels(keyed("l", k=keys[0]), keyed("r", k=keys[1]), ON_K)
+
+    @settings(max_examples=25, deadline=None)
+    @given(keys=small_left_duplicate_right())
+    def test_partition_parallel_join(self, scheduler, keys):
+        assume(len(keys[0]))
+        check_all_kernels(keyed("l", k=keys[0]), keyed("r", k=keys[1]), ON_K, scheduler)
+
+    def test_duplicates_on_the_right_only(self):
+        left, right = np.array([7, 2, 5]), np.repeat(np.arange(10), 6)[::-1].copy()
+        assert builds_on_the_left(*factorize_pair(left, right))
+        check_all_kernels(keyed("l", k=left), keyed("r", k=right), ON_K)
+
+    def test_duplicates_on_both_sides(self):
+        left, right = np.array([3, 3, 1, 3]), np.tile(np.arange(8), 5)
+        assert builds_on_the_left(*factorize_pair(left, right))
+        check_all_kernels(keyed("l", k=left), keyed("r", k=right), ON_K)
+
+    def test_left_rows_outside_the_span_share_the_sentinel(self):
+        left = np.array([900, 4, -7, 900, 10**6, 4, -7, 900])
+        right = np.repeat(np.arange(3, 9), 7)
+        left_codes, right_codes, domain = factorize_pair(left, right)
+        assert (left_codes == domain - 1).sum() == 6
+        assert builds_on_the_left(left_codes, right_codes, domain)
+        check_all_kernels(keyed("l", k=left), keyed("r", k=right), ON_K)
+
+    def test_dictionary_keys_with_differing_dictionaries(self):
+        left = DictEncodedArray.encode(np.array(["c", "zz", "a"], dtype=object))
+        right = DictEncodedArray.encode(np.array(list("abcdab" * 5), dtype=object))
+        assert builds_on_the_left(*factorize_pair(left, right))
+        check_all_kernels(keyed("l", k=left), keyed("r", k=right), ON_K)
+
+    def test_composite_keys_with_a_residual_predicate(self):
+        left = keyed("l", k=np.array([2, 0, 2]), k2=np.array([5, 5, 6]))
+        right = keyed("r", k=np.tile(np.arange(4), 8), k2=np.repeat(np.arange(4, 8), 8))
+        predicates = ON_K + [JoinPredicate("l", "k2", "r", "k2")]
+        # A composite domain of 4 x 5 does not fit: k2 is checked on the pairs.
+        with mock.patch.object(joins_module, "_MAX_COMPOSITE_DOMAIN", 8):
+            codes = joins_module._composite_codes(left, right, predicates, LEFT)
+            assert codes[3] == predicates[1:]
+            assert builds_on_the_left(*codes[:3])
+            check_all_kernels(left, right, predicates)
+
+    @pytest.mark.parametrize("left_rows, right_rows", [(0, 30), (3, 0), (0, 0)])
+    def test_an_empty_side(self, left_rows, right_rows):
+        left, right = np.arange(left_rows) % 2, np.arange(right_rows) % 2
+        check_all_kernels(keyed("l", k=left), keyed("r", k=right), ON_K)
+
+    def test_the_rule_compares_the_two_sort_sizes(self):
+        right_codes = np.repeat(np.arange(5), 2)
+        # 4 left rows + 6 matches == 10 right rows: not less, the right side is built.
+        boundary = np.array([0, 1, 2, 5])
+        assert not builds_on_the_left(boundary, right_codes, 6)
+        # 4 + 4 < 10: the left side is built.
+        below = np.array([0, 1, 5, 5])
+        assert builds_on_the_left(below, right_codes, 6)
+        for left_codes in (boundary, below):
+            want = reference_pairs([left_codes.tolist()], [right_codes.tolist()])
+            got = hash_match(left_codes, right_codes, 6)
+            assert [index.tolist() for index in got] == list(want)
+
+    @staticmethod
+    def sorted_lengths(monkeypatch, left_codes, right_codes, domain):
+        """Lengths of the arrays ``hash_match`` hands to ``np.argsort``."""
+        lengths, argsort = [], np.argsort
+
+        def recording(array, *args, **kwargs):
+            lengths.append(len(array))
+            return argsort(array, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "argsort", recording)
+            left_index, _ = hash_match(left_codes, right_codes, domain)
+        return lengths, len(left_index)
+
+    def test_nothing_longer_than_left_plus_matches_is_sorted(self, monkeypatch, make_rng):
+        rng = make_rng(11)
+        right_codes = rng.permutation(np.repeat(np.arange(30_000), 5))
+        left_codes = rng.choice(30_000, size=200, replace=False)
+        lengths, matches = self.sorted_lengths(monkeypatch, left_codes, right_codes, 30_000)
+        assert matches == 1_000
+        assert lengths and max(lengths) <= 200 + matches
+
+    def test_a_small_right_side_is_still_the_one_sorted(self, monkeypatch, make_rng):
+        rng = make_rng(12)
+        left_codes = rng.permutation(np.repeat(np.arange(30_000), 5))
+        right_codes = np.repeat(rng.choice(30_000, size=100, replace=False), 2)
+        lengths, _ = self.sorted_lengths(monkeypatch, left_codes, right_codes, 30_000)
+        assert lengths == [200]
+
+
+# --------------------------------------------------------------------------- #
+# Index probe
+# --------------------------------------------------------------------------- #
+def indexed_inner(keys: np.ndarray):
+    """An inner base table (``k``, ``payload``) as relation ``r`` plus its index."""
+    schema = TableSchema("inner", (Column("k", "int"), Column("payload", "float")))
+    table = Table(schema, {"k": keys, "payload": np.arange(len(keys)) * 0.5})
+    return Relation.from_table(table, "r"), SortedIndex(table, "k")
+
+
+def check_index_probe(left_keys: np.ndarray, right_keys: np.ndarray, keep=None) -> None:
+    left = keyed("l", k=left_keys)
+    right, index = indexed_inner(right_keys)
+    joined = index_nested_loop_join(left, right, left["l.k"], index, keep=keep)
+    assert_same_relation(nested_loop_join(left, right, ON_K, LEFT, keep=keep), joined)
+    want_left, want_right = reference_pairs([left_keys.tolist()], [right_keys.tolist()])
+    if keep is None or "l.payload" in keep:
+        assert (joined["l.payload"] * 2).tolist() == want_left
+        assert (joined["r.payload"] * 2).tolist() == want_right
+    assert joined.num_rows == len(want_left)
+
+
+@st.composite
+def index_probe_keys(draw):
+    """Outer keys of any dtype that widens to int64; int64 inner keys, repeating."""
+    dtype = draw(st.sampled_from([d for d in INT_DTYPES if d is not np.uint64]))
+    info = np.iinfo(dtype)
+    inner = draw(st.lists(st.integers(-5, 40) | st.integers(info.min, info.max), max_size=40))
+    outer_values = st.integers(-7, 42) | st.integers(info.min, info.max)
+    if inner:
+        outer_values |= st.sampled_from(inner)
+    outer = draw(st.lists(outer_values.filter(lambda v: info.min <= v <= info.max), max_size=40))
+    return np.array(outer, dtype=dtype), np.array(inner, dtype=np.int64)
+
+
+class TestIndexProbe:
+    @settings(max_examples=150, deadline=None)
+    @given(keys=index_probe_keys())
+    def test_against_the_nested_loop_reference(self, keys):
+        check_index_probe(*keys)
+
+    def test_duplicate_inner_keys_come_out_in_row_order(self):
+        check_index_probe(np.array([4, 1, 4]), np.array([4, 1, 4, 4, 2, 1]))
+
+    def test_outer_keys_absent_from_the_index(self):
+        check_index_probe(np.array([-3, 7, 100, 5]), np.array([5, 6, 8, 5]))
+        check_index_probe(np.array([-3, 100]), np.array([5, 6, 8, 5]))
+
+    def test_empty_sides(self):
+        check_index_probe(np.empty(0, dtype=np.int64), np.array([1, 1, 2]))
+        check_index_probe(np.array([1, 2]), np.empty(0, dtype=np.int64))
+
+    def test_keep_drops_the_key(self):
+        keep = frozenset({"l.payload", "r.payload"})
+        check_index_probe(np.array([2, 9, 2, 3]), np.array([3, 2, 2, 7]), keep=keep)
+        check_index_probe(np.array([2, 9, 2, 3]), np.array([3, 2, 2, 7]), keep=frozenset())
 
 
 # --------------------------------------------------------------------------- #

@@ -67,17 +67,14 @@ class TestIndexes:
         db.create_table(make_table())
         db.create_index("t", "b")
         assert db.has_index("t", "b")
-        assert db.hash_index("t", "b").num_keys == 10
-        assert db.sorted_index("t", "b") is not None
+        assert db.index("t", "b").num_keys == 10
         assert db.indexed_columns("t") == ["b"]
 
     def test_missing_index_raises(self, make_table):
         db = Database()
         db.create_table(make_table())
         with pytest.raises(CatalogError):
-            db.hash_index("t", "a")
-        with pytest.raises(CatalogError):
-            db.sorted_index("t", "a")
+            db.index("t", "a")
 
 
 class TestStatisticsAndSamples:
