@@ -7,29 +7,20 @@ per-request traces (:class:`~repro.service.tracing.RequestTrace`) the
 latency harness aggregates into p50/p95/p99, shed rate and per-stage
 breakdowns.
 
-Two arrival processes are supported:
-
-* **open loop** (``mode="open"``) — request arrivals follow a Poisson
-  process at ``target_qps``: inter-arrival gaps are exponential draws, and
-  a slow server does *not* slow the arrivals down.  This is the process
-  that exposes queueing collapse: offered load keeps arriving while the
-  queue backs up, so shed rate and tail latency are measured under honest
-  pressure (closed-loop generators famously hide both by self-throttling —
-  the "coordinated omission" failure).
-* **closed loop** (``mode="closed"``) — ``num_clients`` synchronous
-  clients each issue a request, wait for the response, think for
-  ``think_time_s`` and repeat.  Offered load adapts to service speed; this
-  is the process that models interactive sessions and measures latency at
-  a sustainable operating point.
+The arrival process is a **closed loop**: ``num_clients`` synchronous
+clients each issue a request, wait for the response, think for
+``think_time_s`` and repeat.  Offered load adapts to service speed; this is
+the process that models interactive sessions and measures latency at a
+sustainable operating point.
 
 Reproducibility contract: :func:`build_schedule` is a pure function of the
-config — every random draw (template choice via zipf weights, exponential
-inter-arrival gaps, client assignment) comes from one
-``numpy.random.default_rng(seed)`` consumed in a single thread, so the same
-config always yields the bit-identical schedule.  Execution timing is of
-course wall-clock, but the *work* (which template, which binding, which
-client, in which order per client) is seed-determined, and query outputs
-are bit-identical across runs and modes.
+config — every random draw (template choice via zipf weights) comes from
+one ``numpy.random.default_rng(seed)`` consumed in a single thread, and
+clients are assigned round-robin, so the same config always yields the
+bit-identical schedule.  Execution timing is of course wall-clock, but the
+*work* (which template, which binding, which client, in which order per
+client) is seed-determined, and query outputs are bit-identical across
+runs.
 """
 
 from __future__ import annotations
@@ -98,38 +89,25 @@ class TemplateMix:
 
 @dataclass(frozen=True)
 class LoadgenConfig:
-    """One load run: arrival process, mix skew, scale, seed."""
+    """One load run: clients, mix skew, scale, seed."""
 
-    #: ``"open"`` (Poisson arrivals at ``target_qps``) or ``"closed"``
-    #: (``num_clients`` clients with ``think_time_s`` between requests).
-    mode: str = "open"
-    #: Total requests in the schedule (both modes).
+    #: Total requests in the schedule.
     num_requests: int = 100
-    #: Open loop: offered arrival rate (requests/second).
-    target_qps: float = 50.0
-    #: Closed loop: number of synchronous clients.
+    #: Number of synchronous clients.
     num_clients: int = 4
-    #: Closed loop: seconds each client thinks between its requests.
+    #: Seconds each client thinks between its requests.
     think_time_s: float = 0.0
     #: Zipf skew exponent over the (template, binding) pairs; ``0`` is
     #: uniform, ``1`` is the classic web-workload skew.
     zipf_s: float = 1.0
     #: Seed of the one RNG every schedule draw comes from.
     seed: int = 17
-    #: Open loop: worker threads standing by to issue arrivals.  Size it
-    #: above the service's ``max_concurrent + max_queued`` so admission
-    #: control — not the generator's own pool — is what sheds load.
-    open_loop_workers: int = 32
 
     def __post_init__(self) -> None:
-        if self.mode not in ("open", "closed"):
-            raise ValueError(f"unknown loadgen mode {self.mode!r}")
         if self.num_requests <= 0:
             raise ValueError("num_requests must be positive")
-        if self.mode == "open" and self.target_qps <= 0:
-            raise ValueError("target_qps must be positive in open-loop mode")
-        if self.mode == "closed" and self.num_clients <= 0:
-            raise ValueError("num_clients must be positive in closed-loop mode")
+        if self.num_clients <= 0:
+            raise ValueError("num_clients must be positive")
 
 
 @dataclass(frozen=True)
@@ -137,9 +115,6 @@ class ScheduledRequest:
     """One request of the schedule (pure data, no timing state)."""
 
     index: int
-    #: Seconds after run start this request arrives (open loop; ``0.0`` in
-    #: closed loop, where think time and service time set the pace).
-    arrival_s: float
     client: str
     template_index: int
     binding_index: int
@@ -150,7 +125,7 @@ class LoadResult:
     """Everything one load run measured."""
 
     config: LoadgenConfig
-    #: Wall seconds from first arrival to last response.
+    #: Wall seconds from the first request to the last response.
     wall_s: float = 0.0
     #: Requests offered / completed / rejected.
     offered: int = 0
@@ -170,7 +145,7 @@ class LoadResult:
     #: Every request's trace, completed and rejected alike.
     traces: List[RequestTrace] = field(default_factory=list)
     #: (template name, binding index) → output columns, for bit-identity
-    #: checks across runs and modes.
+    #: checks across runs.
     outputs: Dict[Tuple[str, int], Relation] = field(default_factory=dict)
 
 
@@ -194,24 +169,13 @@ def build_schedule(config: LoadgenConfig, mix: TemplateMix) -> List[ScheduledReq
     pairs = mix.pairs()
     weights = zipf_weights(len(pairs), config.zipf_s)
     choices = rng.choice(len(pairs), size=config.num_requests, p=weights)
-    if config.mode == "open":
-        gaps = rng.exponential(scale=1.0 / config.target_qps, size=config.num_requests)
-        arrivals = np.cumsum(gaps)
-        clients = [
-            f"open{index % max(1, config.open_loop_workers)}"
-            for index in range(config.num_requests)
-        ]
-    else:
-        arrivals = np.zeros(config.num_requests, dtype=np.float64)
-        clients = [f"client{index % config.num_clients}" for index in range(config.num_requests)]
     schedule: List[ScheduledRequest] = []
     for index in range(config.num_requests):
         template_index, binding_index = pairs[int(choices[index])]
         schedule.append(
             ScheduledRequest(
                 index=index,
-                arrival_s=float(arrivals[index]),
-                client=clients[index],
+                client=f"client{index % config.num_clients}",
                 template_index=template_index,
                 binding_index=binding_index,
             )
@@ -258,49 +222,6 @@ def _issue(
     collector.record(trace, key=key, columns=columns)
 
 
-def _run_open_loop(
-    service: _ExecutesStatements,
-    mix: TemplateMix,
-    schedule: Sequence[ScheduledRequest],
-    config: LoadgenConfig,
-    collector: _RunCollector,
-) -> float:
-    """Poisson arrivals: workers fire each request at its scheduled time.
-
-    Returns wall seconds.  Worker threads pull requests in schedule order
-    and sleep until each arrival; with ``open_loop_workers`` sized above
-    the service's admission bound, the admission gate — not this pool —
-    is what limits concurrency.
-    """
-    cursor_lock = threading.Lock()
-    cursor = [0]
-    started = monotonic_s()
-
-    def worker() -> None:
-        while True:
-            with cursor_lock:
-                position = cursor[0]
-                if position >= len(schedule):
-                    return
-                cursor[0] = position + 1
-            request = schedule[position]
-            delay = (started + request.arrival_s) - monotonic_s()
-            if delay > 0:
-                waiter = threading.Event()
-                waiter.wait(timeout=delay)
-            _issue(service, mix, request, collector)
-
-    threads = [
-        threading.Thread(target=worker)
-        for _ in range(min(config.open_loop_workers, len(schedule)))
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    return monotonic_s() - started
-
-
 def _run_closed_loop(
     service: _ExecutesStatements,
     mix: TemplateMix,
@@ -338,10 +259,7 @@ def run_load(
     """Run one configured load against ``service`` and aggregate the traces."""
     schedule = build_schedule(config, mix)
     collector = _RunCollector()
-    if config.mode == "open":
-        wall_s = _run_open_loop(service, mix, schedule, config, collector)
-    else:
-        wall_s = _run_closed_loop(service, mix, schedule, config, collector)
+    wall_s = _run_closed_loop(service, mix, schedule, config, collector)
 
     traces = collector.traces
     ok = [trace for trace in traces if trace.outcome == "ok"]

@@ -15,7 +15,8 @@ instead of the histogram estimate.  This is how the refined sampling-based
 estimates are "fed back" to the optimizer without changing its search
 algorithm.
 
-*Exact* Γ entries (true cardinalities observed by the adaptive executor)
+*Exact* Γ entries (true cardinalities executed shard fragments observed,
+delivered by the sharded coordinator's gossip)
 additionally **extrapolate**: the estimate of a superset of an exact join set
 is anchored at the observed value and expanded outward (remaining base
 cardinalities times the crossing join selectivities) instead of re-deriving

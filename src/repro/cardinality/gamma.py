@@ -12,8 +12,9 @@ means operationally.
 
 Entries carry a **provenance** rank: *sampled* entries come from validating
 plans over the sample tables (the paper's Δ), *exact* entries are true
-cardinalities observed by actually executing a (sub-)plan — the adaptive
-executor records one for every pipeline it completes.  An exact entry
+cardinalities observed by actually executing a (sub-)plan — the sharded
+coordinator's gossip records one for every join set a shard fragment
+executed.  An exact entry
 outranks every sampled entry for the same join set: merging a sampled Δ
 never overwrites an exact value, while recording an exact value always
 wins (and re-recording a different exact value for the same join set keeps

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from repro.executor.executor import ExecutionResult, Executor, live_columns
 from repro.executor.materialization import (
-    IntermediateRegistry,
-    MaterializedIntermediate,
     canonical_row_order,
     canonicalize_relation,
     needs_canonical_order,
@@ -14,8 +12,6 @@ from repro.executor.materialization import (
 __all__ = [
     "ExecutionResult",
     "Executor",
-    "IntermediateRegistry",
-    "MaterializedIntermediate",
     "canonical_row_order",
     "canonicalize_relation",
     "live_columns",

@@ -60,11 +60,7 @@ import numpy as np
 from repro.cost.model import CostModel, ResourceVector
 from repro.cost.units import CostUnits, DEFAULT_COST_UNITS
 from repro.errors import ExecutionError
-from repro.executor.materialization import (
-    IntermediateRegistry,
-    canonicalize_relation,
-    needs_canonical_order,
-)
+from repro.executor.materialization import canonicalize_relation, needs_canonical_order
 from repro.relalg import (
     DEFAULT_MORSEL_ROWS,
     Relation,
@@ -122,10 +118,11 @@ class ExecutionResult:
 
         Singleton sets are included: every scan contributes its *post-filter*
         output count, so single-table (join-free) results report their true
-        cardinality too — which is what adaptive gating and the golden suite
-        assert.  Aggregation nodes are skipped: they share the relation set
-        of the join below them but their output count is the number of
-        groups, not the join-set cardinality the paper's Γ talks about.
+        cardinality too — which is what the coordinator's exact-Γ gossip and
+        the golden suite rely on.  Aggregation nodes are skipped: they share
+        the relation set of the join below them but their output count is the
+        number of groups, not the join-set cardinality the paper's Γ talks
+        about.
         """
         return {
             execution.relations: execution.actual_rows
@@ -153,8 +150,8 @@ def live_columns(
     plus the columns of join predicates whose other side lies *outside* it.
     A pure function of the query and the join set — plan nodes only ever
     carry ``query.join_predicates_between(left, right)`` — so scans, every
-    join method, shard workers and adaptive checkpoints agree on it under any
-    join order.  ``SELECT *`` and plans executed without a query keep all.
+    join method and shard workers agree on it under any join order.
+    ``SELECT *`` and plans executed without a query keep all.
     """
     if query is None:
         return None
@@ -194,7 +191,7 @@ class Executor:
         scheduler: Optional[TaskScheduler] = None,
         morsel_rows: int = DEFAULT_MORSEL_ROWS,
         nested_loop_block_elements: Optional[int] = None,
-        intermediates: Optional[IntermediateRegistry] = None,
+        intermediates: Optional[Dict[FrozenSet[str], Relation]] = None,
     ) -> None:
         self.db = db
         self.cost_model = CostModel(units=cost_units, tuples_per_page=tuples_per_page)
@@ -204,9 +201,12 @@ class Executor:
         #: Block budget of the nested-loop kernel (``None`` = kernel default);
         #: threaded through from ``OptimizerSettings.nested_loop_block_elements``.
         self.nested_loop_block_elements = nested_loop_block_elements
-        #: Registry resolving ``MaterializedNode`` leaves (adaptive execution);
-        #: plans without such leaves never consult it.
-        self.intermediates = intermediates
+        #: Join set → relation, resolving ``MaterializedNode`` leaves
+        #: (:func:`finalize_canonical_execution` stores the full join result
+        #: here); plans without such leaves never consult it.
+        self.intermediates: Dict[FrozenSet[str], Relation] = (
+            {} if intermediates is None else intermediates
+        )
 
     # ------------------------------------------------------------------ #
     # Node evaluation
@@ -407,19 +407,18 @@ class Executor:
     def _execute_materialized(
         self, node: MaterializedNode, result: ExecutionResult
     ) -> Relation:
-        """Resolve a materialized leaf from the intermediate registry.
+        """Resolve a materialized leaf from :attr:`intermediates`.
 
-        Reuse is free by construction: the resources that produced the
-        relation were charged when its pipeline originally ran, so the node
-        contributes an empty resource vector (only its cardinality, for the
+        Reading it is free by construction: the resources that produced the
+        relation were charged when its fragment ran, so the node contributes
+        an empty resource vector (only its cardinality, for the
         instrumentation consumers).
         """
-        if self.intermediates is None:
+        relation = self.intermediates.get(frozenset(node.relations))
+        if relation is None:
             raise ExecutionError(
-                "plan contains a MaterializedNode but the executor has no "
-                "intermediate registry attached"
+                f"no materialized intermediate for {sorted(node.relations)!r}"
             )
-        relation = self.intermediates.relation(node.relations)
         result.node_executions.append(
             NodeExecution(
                 relations=frozenset(node.relations),
@@ -455,10 +454,11 @@ class Executor:
     ) -> ExecutionResult:
         """Execute one plan fragment (a pipeline) without output shaping.
 
-        This is the adaptive executor's building block: the fragment runs
-        with the usual per-node instrumentation, but its output relation is
-        returned *raw* (``result.columns``, encoded columns untouched, no
-        projection to the query's output), so it can feed later pipelines.
+        The service and the shard workers run a plan's join pipeline this
+        way: the fragment runs with the usual per-node instrumentation, but
+        its output relation is returned *raw* (``result.columns``, encoded
+        columns untouched, no projection to the query's output), so it can
+        feed :func:`finalize_canonical_execution`.
         It carries :func:`live_columns` of ``query`` and the fragment's join
         set — whatever plan the fragment was cut from.
         """
@@ -497,30 +497,28 @@ class Executor:
 
 def finalize_canonical_execution(
     executor: Executor,
-    registry: IntermediateRegistry,
     query: Query,
     relation: Relation,
     aggregate_node: Optional[AggregateNode],
-    source_signature: Tuple[object, ...],
 ) -> ExecutionResult:
     """Run the output stage of ``query`` over its full join result.
 
     ``relation`` covers every alias — produced locally by
-    :meth:`QueryService._execute_plan` or the adaptive executor, or
-    concatenated from shard fragments by the sharded coordinator.  When the
-    output is order-sensitive (:func:`needs_canonical_order`) its rows are
-    first ordered by the output stage's input columns —
+    :meth:`QueryService._execute_plan`, or concatenated from shard fragments
+    by the sharded coordinator.  When the output is order-sensitive
+    (:func:`needs_canonical_order`) its rows are first ordered by the output
+    stage's input columns —
     ``live_columns(query, all aliases)``, stated rather than "whatever the
     fragment carried": rows equal on every column the output reads are
     interchangeable, so that order makes the output bytes a function of the
-    row multiset, never of the plan.  The relation is stored in ``registry``
-    (the ``executor``'s own) and the final projection/aggregation runs over a
-    materialized leaf.
+    row multiset, never of the plan.  The relation is stored in the
+    ``executor``'s :attr:`~Executor.intermediates` and the final
+    projection/aggregation runs over a materialized leaf.
     """
     full_set = frozenset(query.aliases)
     if needs_canonical_order(executor.db, query):
         relation = canonicalize_relation(relation, live_columns(query, full_set))
-    registry.store(full_set, relation, source_signature=source_signature)
+    executor.intermediates[full_set] = relation
     final_plan: PlanNode = MaterializedNode(
         relations=full_set,
         estimated_rows=float(relation.num_rows),

@@ -1,29 +1,17 @@
-"""Pipeline-breaker checkpoints: the intermediate materialization registry.
+"""Canonical row order and the order-sensitivity classification.
 
-Adaptive (mid-execution) re-optimization executes a plan pipeline by
-pipeline.  Every pipeline breaker — a completed scan or join — materializes
-its output relation here, keyed by its *join-set fingerprint*: the frozenset
-of relation aliases the result covers.  Within one query execution that key
-uniquely identifies the content (local and join predicates of the query
-applied to exactly those relations), whatever join order produced it, which
-is what makes the registry reusable across re-planned join orders: a freshly
-planned tree that contains a sub-tree over an already-materialized join set
-resumes from the stored relation instead of restarting from scans.
-
-The module also provides :func:`canonical_row_order` — a deterministic row
-ordering by the output stage's input columns.  A join's output row
-*multiset* is independent of the join order that produced it, but its row
-*order* is not; sorting the final pipeline's output canonically makes
+A join's output row *multiset* is independent of the join order that
+produced it, but its row *order* is not.  :func:`canonicalize_relation`
+projects the final pipeline's output to the output stage's input columns and
+sorts it by all of them (:func:`canonical_row_order`).  That makes
 order-sensitive results (:func:`needs_canonical_order`: float ``SUM``/``AVG``
-accumulation, bare projections) a pure function of the row multiset, which
-is the bit-identity guarantee of the service, the sharded coordinator and
-the adaptive executor alike.
+accumulation, bare projections) a pure function of the row multiset — the
+bit-identity guarantee of the service and the sharded coordinator alike.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import AbstractSet, Optional, Set, Tuple
 
 import numpy as np
 
@@ -95,84 +83,3 @@ def canonicalize_relation(
     if order is None:
         return relation
     return relation.take(order)
-
-
-@dataclass
-class MaterializedIntermediate:
-    """One checkpointed pipeline output."""
-
-    #: The join set the relation covers (the registry key).
-    join_set: FrozenSet[str]
-    #: The materialized rows (all columns the plan carries past this point).
-    relation: Relation
-    #: True output cardinality — the exact Γ entry the checkpoint feeds back.
-    actual_rows: int
-    #: ``signature()`` of the plan fragment that produced the relation.
-    source_signature: Tuple = ()
-    #: How often a later pipeline consumed this intermediate.
-    reuse_count: int = 0
-
-
-@dataclass
-class IntermediateRegistry:
-    """Materialized intermediates of one adaptive query execution."""
-
-    _entries: Dict[FrozenSet[str], MaterializedIntermediate] = field(default_factory=dict)
-
-    def store(
-        self,
-        join_set: Iterable[str],
-        relation: Relation,
-        source_signature: Tuple = (),
-    ) -> MaterializedIntermediate:
-        """Checkpoint one pipeline output (overwrites a same-key entry)."""
-        key = frozenset(join_set)
-        if not key:
-            raise ValueError("cannot materialize an empty join set")
-        entry = MaterializedIntermediate(
-            join_set=key,
-            relation=relation,
-            actual_rows=relation.num_rows,
-            source_signature=source_signature,
-        )
-        self._entries[key] = entry
-        return entry
-
-    def get(self, join_set: Iterable[str]) -> Optional[MaterializedIntermediate]:
-        """The entry covering exactly ``join_set``, or None."""
-        return self._entries.get(frozenset(join_set))
-
-    def relation(self, join_set: Iterable[str]) -> Relation:
-        """The materialized relation of ``join_set`` (KeyError if absent);
-        bumps the entry's reuse counter."""
-        entry = self._entries.get(frozenset(join_set))
-        if entry is None:
-            raise KeyError(f"no materialized intermediate for {sorted(join_set)!r}")
-        entry.reuse_count += 1
-        return entry.relation
-
-    def __contains__(self, join_set: Iterable[str]) -> bool:
-        return frozenset(join_set) in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def join_sets(self) -> List[FrozenSet[str]]:
-        """All materialized join sets, largest first (reuse prefers them)."""
-        return sorted(self._entries, key=lambda key: (-len(key), sorted(key)))
-
-    def items(self) -> List[Tuple[FrozenSet[str], MaterializedIntermediate]]:
-        """(join set, entry) pairs in :meth:`join_sets` order."""
-        return [(key, self._entries[key]) for key in self.join_sets()]
-
-    def cardinalities(self) -> Dict[FrozenSet[str], int]:
-        """Join set → exact observed cardinality, for every checkpoint."""
-        return {key: entry.actual_rows for key, entry in self._entries.items()}
-
-    def total_rows(self) -> int:
-        """Rows currently pinned across all materialized intermediates."""
-        return sum(entry.actual_rows for entry in self._entries.values())
-
-    def total_reuses(self) -> int:
-        """How many times later pipelines consumed stored intermediates."""
-        return sum(entry.reuse_count for entry in self._entries.values())

@@ -38,7 +38,7 @@ re-optimization rounds are cheap, made literal).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.cardinality.estimator import CardinalityEstimator
 from repro.cost.model import CostModel
@@ -120,10 +120,6 @@ class DynamicProgrammingPlanner:
         #: ``plan_joins``/``replan`` call; the incremental-planning metric.
         self.last_masks_expanded = 0
         self._best: Dict[int, PlanNode] = {}
-        #: Masks pinned to an already-materialized intermediate (adaptive
-        #: re-planning): (re-)expansion keeps the pinned leaf instead of
-        #: re-deriving a join for the subset.
-        self._materialized_masks: Dict[int, PlanNode] = {}
 
         #: Enabled join methods in tie-break order.
         self._methods = sorted(settings.enabled_join_methods, key=lambda m: m.value)
@@ -170,8 +166,7 @@ class DynamicProgrammingPlanner:
         """(Re)compute the best access path for one base relation."""
         bit = self._alias_bit[alias]
         self.last_masks_expanded += 1
-        pinned = self._materialized_masks.get(bit)
-        self._best[bit] = pinned if pinned is not None else best_scan(
+        self._best[bit] = best_scan(
             self.db, self.query, alias, self.estimator, self.cost_model, self.settings
         )
 
@@ -220,12 +215,6 @@ class DynamicProgrammingPlanner:
     def _expand_mask(self, mask: int) -> None:
         """(Re)compute ``best[mask]`` from the current best sub-plans."""
         self.last_masks_expanded += 1
-        pinned = self._materialized_masks.get(mask)
-        if pinned is not None:
-            # The subset is already materialized: its best "plan" is the
-            # zero-cost reuse leaf, whatever Γ now says about its parts.
-            self._best[mask] = pinned
-            return
         output_rows = self.estimator.joinset_cardinality(self._mask_aliases(mask))
         # Prefer splits connected by join predicates; price the cartesian
         # products only when no connected split yields a candidate.
@@ -233,8 +222,6 @@ class DynamicProgrammingPlanner:
         if winner is None:
             winner = self._cheapest_split(mask, output_rows, connected=False)
         if winner is None:
-            # Drop a previous round's plan: its sub-plans are no longer eligible.
-            self._best.pop(mask, None)
             return
         cost, left_mask, right_mask, method = winner
         left, right = self._best[left_mask], self._best[right_mask]
@@ -291,7 +278,6 @@ class DynamicProgrammingPlanner:
         self,
         estimator: CardinalityEstimator,
         changed_join_sets: Iterable[FrozenSet[str]],
-        materialized: Optional[Mapping[FrozenSet[str], PlanNode]] = None,
     ) -> PlanNode:
         """Incrementally re-plan after Γ changed on ``changed_join_sets``.
 
@@ -300,22 +286,11 @@ class DynamicProgrammingPlanner:
         re-expanded (bottom-up, smallest first, so re-expanded masks combine
         already-updated sub-plans).  Everything else keeps its memoized best
         plan, making the result identical to a from-scratch search under the
-        new Γ.
-
-        ``materialized`` pins subsets to already-materialized intermediates
-        (adaptive re-optimization): each entry's plan node — typically a
-        zero-cost :class:`~repro.plans.nodes.MaterializedNode` — becomes the
-        subset's best plan, and every containing mask is re-expanded so the
-        search may (or may not) route the rest of the query through the
-        reuse leaf, whichever is cheaper.
+        new Γ.  A planner that has not planned yet runs :meth:`plan_joins`.
         """
         self.estimator = estimator
         if not self._best:
-            plan = self.plan_joins()
-            if not materialized:
-                return plan
-            # Fall through: pin the materialized subsets and re-expand.
-            changed_join_sets = frozenset()
+            return self.plan_joins()
         self.last_masks_expanded = 0
 
         seeds: List[int] = []
@@ -323,12 +298,6 @@ class DynamicProgrammingPlanner:
             mask = self._mask_for(frozenset(join_set))
             if mask is not None:
                 seeds.append(mask)
-        for join_set, node in (materialized or {}).items():
-            mask = self._mask_for(frozenset(join_set))
-            if mask is None:
-                continue
-            self._materialized_masks[mask] = node
-            seeds.append(mask)
 
         if seeds:
             for alias in self.aliases:

@@ -21,7 +21,7 @@ of the work from round 2 on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Mapping, Optional
+from typing import Optional
 
 from repro.cardinality.estimator import CardinalityEstimator
 from repro.cardinality.gamma import Gamma
@@ -102,21 +102,8 @@ class PlanningSession:
         self.last_join_trees_considered = 0
         return self
 
-    def optimize(
-        self,
-        gamma: Optional[Gamma] = None,
-        materialized: Optional[Mapping[FrozenSet[str], PlanNode]] = None,
-    ) -> PlanNode:
-        """Plan the session's query under the current Γ.
-
-        ``materialized`` (join set → plan node, typically a zero-cost
-        :class:`~repro.plans.nodes.MaterializedNode`) pins subsets of the DP
-        search space to intermediates a partial execution already produced —
-        the adaptive executor's residual planning.  The GEQO path ignores it
-        (the randomized search re-plans from base relations; the adaptive
-        executor still reuses intermediates at execution time by splicing
-        them into whatever plan comes back).
-        """
+    def optimize(self, gamma: Optional[Gamma] = None) -> PlanNode:
+        """Plan the session's query under the current Γ."""
         estimator = self.optimizer.make_estimator(self.query, gamma)
         if self.use_geqo:
             planner = GeqoPlanner(
@@ -135,12 +122,12 @@ class PlanningSession:
                     self.optimizer.db, self.query, estimator,
                     self.optimizer.cost_model, self.optimizer.settings,
                 )
-            # A fresh planner's ``replan`` is the full search (plus pins).
+            # A fresh planner's ``replan`` is the full search.
             changed = (
                 gamma.changed_since(self._gamma_epoch) if gamma is not None else frozenset()
             )
             trees_before = self._dp_planner.num_join_trees_considered
-            join_plan = self._dp_planner.replan(estimator, changed, materialized=materialized)
+            join_plan = self._dp_planner.replan(estimator, changed)
             trees_considered = self._dp_planner.num_join_trees_considered - trees_before
             self.last_masks_expanded = self._dp_planner.last_masks_expanded
         self._gamma_epoch = gamma.epoch if gamma is not None else self._gamma_epoch

@@ -18,8 +18,6 @@ from repro.plans.join_tree import (
     is_covered_by,
     is_local_transformation,
     plans_structurally_equal,
-    replace_subtrees,
-    subtree_for,
 )
 
 __all__ = [
@@ -36,6 +34,4 @@ __all__ = [
     "is_covered_by",
     "is_local_transformation",
     "plans_structurally_equal",
-    "replace_subtrees",
-    "subtree_for",
 ]

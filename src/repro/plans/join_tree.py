@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 from repro.plans.nodes import AggregateNode, JoinNode, PlanNode, ScanNode
 from repro.sql.ast import Query
@@ -175,25 +175,6 @@ def plans_structurally_equal(first: PlanNode, second: PlanNode) -> bool:
     return JoinTree.of(first).ordered_joins == JoinTree.of(second).ordered_joins
 
 
-# --------------------------------------------------------------------------- #
-# Sub-tree surgery (adaptive re-optimization support)
-# --------------------------------------------------------------------------- #
-def subtree_for(plan: PlanNode, relations: Iterable[str]) -> Optional[PlanNode]:
-    """The node of ``plan`` producing exactly the join of ``relations``.
-
-    Aggregation nodes are skipped (they share their child's relation set but
-    produce groups, not join rows).  Returns ``None`` when no node covers the
-    set — the join set belongs to a different join order.
-    """
-    wanted = frozenset(relations)
-    for node in plan.walk():
-        if isinstance(node, AggregateNode):
-            continue
-        if frozenset(node.relations) == wanted:
-            return node
-    return None
-
-
 def rebind_plan(plan: PlanNode, query: Query) -> PlanNode:
     """The same plan *shape* with scan predicates taken from ``query``.
 
@@ -218,31 +199,4 @@ def rebind_plan(plan: PlanNode, query: Query) -> PlanNode:
         )
     if isinstance(plan, ScanNode):
         return replace(plan, predicates=tuple(query.local_predicates_for(plan.alias)))
-    return plan
-
-
-def replace_subtrees(
-    plan: PlanNode, replacements: Mapping[FrozenSet[str], PlanNode]
-) -> PlanNode:
-    """Swap every sub-tree whose relation set has a replacement, top-down.
-
-    The adaptive executor uses this to splice already-materialized
-    intermediates (as :class:`~repro.plans.nodes.MaterializedNode` leaves)
-    into a freshly planned tree: a node covering exactly a replaced join set
-    becomes the replacement; everything else is rebuilt with its children
-    substituted.  Matching is top-down, so the largest replaceable sub-tree
-    wins.  Aggregation nodes are never replaced themselves (their child is).
-    """
-    if not isinstance(plan, AggregateNode):
-        replacement = replacements.get(frozenset(plan.relations))
-        if replacement is not None:
-            return replacement
-    if isinstance(plan, AggregateNode) and plan.child is not None:
-        return replace(plan, child=replace_subtrees(plan.child, replacements))
-    if isinstance(plan, JoinNode) and plan.left is not None and plan.right is not None:
-        return replace(
-            plan,
-            left=replace_subtrees(plan.left, replacements),
-            right=replace_subtrees(plan.right, replacements),
-        )
     return plan

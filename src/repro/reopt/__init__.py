@@ -1,16 +1,8 @@
-"""The sampling-based query re-optimization loop (Algorithm 1), its reports,
-and mid-execution adaptive re-optimization."""
+"""The sampling-based query re-optimization loop (Algorithm 1) and its
+reports."""
 
 from __future__ import annotations
 
-from repro.reopt.adaptive import (
-    AdaptiveExecutionResult,
-    AdaptiveExecutor,
-    AdaptiveSettings,
-    CheckpointRecord,
-    deviation_factor,
-    execute_adaptively,
-)
 from repro.reopt.algorithm import (
     ReoptimizationResult,
     ReoptimizationSettings,
@@ -20,12 +12,6 @@ from repro.reopt.algorithm import (
 from repro.reopt.report import ReoptimizationReport, RoundRecord
 
 __all__ = [
-    "AdaptiveExecutionResult",
-    "AdaptiveExecutor",
-    "AdaptiveSettings",
-    "CheckpointRecord",
-    "deviation_factor",
-    "execute_adaptively",
     "ReoptimizationReport",
     "ReoptimizationResult",
     "ReoptimizationSettings",

@@ -282,8 +282,8 @@ class Reoptimizer:
                     node.estimated_rows,
                 )
             else:
-                # MaterializedNode leaves (adaptive re-planning) are sunk
-                # cost: reuse is free, so they contribute nothing.
+                # A MaterializedNode leaf holds rows already computed:
+                # reading it is free, so it contributes nothing.
                 continue
             total += cost_model.cost(resources)
         return total

@@ -46,15 +46,6 @@ class RoundRecord:
     #: may be shared, so it reflects pool pressure from every query that
     #: ran on it, not this round alone.
     scheduler_queue_depth: Optional[int] = None
-    #: Adaptive (mid-execution) rounds only: the pipeline whose observed
-    #: cardinality deviation triggered this re-planning round.
-    trigger_join_set: Optional[FrozenSet[str]] = None
-    #: Adaptive rounds only: whether the optimizer actually produced a
-    #: different residual plan (False = it confirmed the incumbent).
-    plan_switched: Optional[bool] = None
-    #: Adaptive rounds only: number of exact (executed) Γ entries available
-    #: when this round planned.
-    exact_gamma_entries: Optional[int] = None
 
 
 @dataclass

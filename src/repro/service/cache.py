@@ -137,8 +137,7 @@ def max_drift(
     """The largest deviation factor between expected and observed Δ entries.
 
     Deviation is the symmetric ratio ``max(e, o) / min(e, o)`` with both
-    sides floored at one row (1.0 = spot on, like the adaptive executor's
-    :func:`~repro.reopt.adaptive.deviation_factor`).  Join sets present in
+    sides floored at one row (1.0 = spot on).  Join sets present in
     only one of the two mappings are skipped — an unvalidatable join set
     (no sample support) must not force a replan by itself.
     """

@@ -71,7 +71,7 @@ from repro.executor.executor import (
     finalize_canonical_execution,
     split_final_aggregate,
 )
-from repro.executor.materialization import IntermediateRegistry, needs_canonical_order
+from repro.executor.materialization import needs_canonical_order
 from repro.optimizer.settings import OptimizerSettings
 from repro.plans.nodes import PlanNode
 from repro.relalg import Relation, TaskScheduler, concat_relations
@@ -356,15 +356,9 @@ class ShardedQueryService(QueryService):
             for _, columns, num_rows, _, _ in outcomes
         ]
         combined = concat_relations(fragments)
-        join_plan, aggregate_node = split_final_aggregate(plans[0])
-        registry = IntermediateRegistry()
+        _, aggregate_node = split_final_aggregate(plans[0])
         final_execution = finalize_canonical_execution(
-            self._make_executor(registry),
-            registry,
-            bound,
-            combined,
-            aggregate_node,
-            source_signature=join_plan.signature(),
+            self._make_executor(), bound, combined, aggregate_node
         )
         shard_results = []
         for _, _, num_rows, node_executions, wall_seconds in outcomes:

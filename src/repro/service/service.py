@@ -27,8 +27,8 @@ layers, outermost first:
 Results are **plan-independent bit-identical**: order-sensitive outputs
 (bare projections, float ``SUM``/``AVG``) are produced from the join
 pipeline's rows ordered by the output stage's input columns — the same
-:func:`~repro.executor.executor.finalize_canonical_execution` the adaptive
-executor and the sharded coordinator use — so a validated reuse, a drift
+:func:`~repro.executor.executor.finalize_canonical_execution` the sharded
+coordinator uses — so a validated reuse, a drift
 replan and a from-scratch run of the same bound query return byte-identical
 relations even when their join orders differ.
 
@@ -59,7 +59,7 @@ from repro.executor.executor import (
     finalize_canonical_execution,
     split_final_aggregate,
 )
-from repro.executor.materialization import IntermediateRegistry, needs_canonical_order
+from repro.executor.materialization import needs_canonical_order
 from repro.optimizer.optimizer import Optimizer, PlanningSession
 from repro.optimizer.settings import OptimizerSettings
 from repro.plans.join_tree import rebind_plan
@@ -699,14 +699,13 @@ class QueryService:
     # ------------------------------------------------------------------ #
     # Plan-independent deterministic execution
     # ------------------------------------------------------------------ #
-    def _make_executor(self, registry: Optional[IntermediateRegistry] = None) -> Executor:
+    def _make_executor(self) -> Executor:
         return Executor(
             self.db,
             cost_units=self.optimizer.settings.cost_units,
             scheduler=self.scheduler,
             morsel_rows=self.settings.morsel_rows,
             nested_loop_block_elements=self.optimizer.settings.nested_loop_block_elements,
-            intermediates=registry,
         )
 
     def _execute_plan(
@@ -735,18 +734,12 @@ class QueryService:
             return result
 
         join_plan, aggregate_node = split_final_aggregate(plan)
-        registry = IntermediateRegistry()
-        executor = self._make_executor(registry)
+        executor = self._make_executor()
         started = monotonic_s()
         fragment = executor.execute_fragment(join_plan, query)
         executed = monotonic_s()
         final_execution = finalize_canonical_execution(
-            executor,
-            registry,
-            query,
-            fragment.columns,
-            aggregate_node,
-            source_signature=join_plan.signature(),
+            executor, query, fragment.columns, aggregate_node
         )
         if trace is not None:
             trace.execution_s += executed - started

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -58,26 +60,16 @@ def loadgen_mix():
 
 class TestSchedule:
     def test_schedule_is_bit_reproducible(self, loadgen_mix):
-        for mode in ("open", "closed"):
-            config = LoadgenConfig(mode=mode, num_requests=64, target_qps=100.0, seed=23)
-            assert build_schedule(config, loadgen_mix) == build_schedule(config, loadgen_mix)
+        config = LoadgenConfig(num_requests=64, seed=23)
+        assert build_schedule(config, loadgen_mix) == build_schedule(config, loadgen_mix)
 
     def test_different_seeds_differ(self, loadgen_mix):
-        base = LoadgenConfig(mode="open", num_requests=64, seed=1)
-        other = LoadgenConfig(mode="open", num_requests=64, seed=2)
+        base = LoadgenConfig(num_requests=64, seed=1)
+        other = LoadgenConfig(num_requests=64, seed=2)
         assert build_schedule(base, loadgen_mix) != build_schedule(other, loadgen_mix)
 
-    def test_open_loop_arrivals_are_increasing_at_the_target_rate(self, loadgen_mix):
-        config = LoadgenConfig(mode="open", num_requests=400, target_qps=50.0, seed=7)
-        schedule = build_schedule(config, loadgen_mix)
-        arrivals = [request.arrival_s for request in schedule]
-        assert all(later >= earlier for earlier, later in zip(arrivals, arrivals[1:]))
-        # Mean inter-arrival of an exponential(1/qps) process: 1/50 s +- noise.
-        mean_gap = arrivals[-1] / (len(arrivals) - 1)
-        assert 0.014 <= mean_gap <= 0.028
-
     def test_closed_loop_assigns_clients_round_robin(self, loadgen_mix):
-        config = LoadgenConfig(mode="closed", num_requests=12, num_clients=3, seed=7)
+        config = LoadgenConfig(num_requests=12, num_clients=3, seed=7)
         schedule = build_schedule(config, loadgen_mix)
         assert [request.client for request in schedule[:3]] == [
             "client0", "client1", "client2"
@@ -93,7 +85,7 @@ class TestSchedule:
         assert weights.sum() == pytest.approx(1.0)
         uniform = zipf_weights(5, 0.0)
         assert np.allclose(uniform, 0.2)
-        config = LoadgenConfig(mode="open", num_requests=500, zipf_s=1.5, seed=3)
+        config = LoadgenConfig(num_requests=500, zipf_s=1.5, seed=3)
         schedule = build_schedule(config, loadgen_mix)
         counts = np.zeros(len(loadgen_mix.pairs()))
         pair_rank = {pair: rank for rank, pair in enumerate(loadgen_mix.pairs())}
@@ -101,15 +93,90 @@ class TestSchedule:
             counts[pair_rank[(request.template_index, request.binding_index)]] += 1
         assert counts[0] > counts[-1]
 
+    def test_schedule_draws_only_pairs_of_the_mix(self, loadgen_mix):
+        config = LoadgenConfig(num_requests=50, seed=9)
+        schedule = build_schedule(config, loadgen_mix)
+        assert [request.index for request in schedule] == list(range(50))
+        pairs = set(loadgen_mix.pairs())
+        assert all(
+            (request.template_index, request.binding_index) in pairs
+            for request in schedule
+        )
+
+    def test_more_clients_than_requests_leaves_clients_idle(self, loadgen_mix):
+        config = LoadgenConfig(num_requests=3, num_clients=8, seed=1)
+        clients = [request.client for request in build_schedule(config, loadgen_mix)]
+        assert clients == ["client0", "client1", "client2"]
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_zipf_weights_need_a_positive_count(self, count):
+        with pytest.raises(ValueError, match="count"):
+            zipf_weights(count, 1.0)
+
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="mode"):
-            LoadgenConfig(mode="sideways")
         with pytest.raises(ValueError, match="num_requests"):
             LoadgenConfig(num_requests=0)
-        with pytest.raises(ValueError, match="target_qps"):
-            LoadgenConfig(mode="open", target_qps=0.0)
         with pytest.raises(ValueError, match="num_clients"):
-            LoadgenConfig(mode="closed", num_clients=0)
+            LoadgenConfig(num_clients=0)
+
+
+class TestTemplateMix:
+    def test_pairs_flatten_bindings_in_template_order(self, loadgen_mix):
+        assert loadgen_mix.pairs() == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)]
+
+    def test_lookup_returns_the_template_and_its_binding(self, loadgen_mix):
+        template, binding = loadgen_mix.lookup(1, 1)
+        assert template.name == "lg_triples"
+        assert list(binding) == [1]
+        template, binding = loadgen_mix.lookup(0, 2)
+        assert template.name == "lg_pairs"
+        assert list(binding) == [2]
+
+
+class _RecordingService:
+    """A stand-in service that records who asked for what, in which order."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.calls = []
+
+    def execute(self, statement, params=None, client="default", trace=None):
+        with self.lock:
+            self.calls.append((client, statement.name, tuple(params)))
+        trace.outcome = "ok"
+        trace.source = "fresh"
+        trace.total_s = 0.001
+        return None
+
+
+class TestClosedLoop:
+    def test_each_client_issues_its_requests_in_schedule_order(self, loadgen_mix):
+        config = LoadgenConfig(num_requests=20, num_clients=4, seed=13)
+        service = _RecordingService()
+        run = run_load(service, loadgen_mix, config)
+        schedule = build_schedule(config, loadgen_mix)
+        for client in ("client0", "client1", "client2", "client3"):
+            expected = []
+            for request in schedule:
+                if request.client == client:
+                    template, binding = loadgen_mix.lookup(
+                        request.template_index, request.binding_index
+                    )
+                    expected.append((client, template.name, tuple(binding)))
+            assert [call for call in service.calls if call[0] == client] == expected
+        assert run.completed == 20
+        assert run.sources == {"fresh": 20}
+        # A result without an execution records no output columns.
+        assert run.outputs == {}
+
+    def test_think_time_separates_a_clients_requests(self, loadgen_mix):
+        config = LoadgenConfig(
+            num_requests=4, num_clients=1, think_time_s=0.02, seed=13
+        )
+        run = run_load(_RecordingService(), loadgen_mix, config)
+        # Three pauses between four requests of the one client.
+        assert run.wall_s >= 3 * 0.02
+        assert run.completed == 4
 
 
 class TestAggregation:
@@ -154,19 +221,12 @@ class TestRunLoad:
     @pytest.mark.parametrize(
         "make_service", [_single_node, _two_shards], ids=["single_node", "two_shards"]
     )
-    def test_open_and_closed_runs_complete_and_agree(
+    def test_closed_runs_complete_and_match_serial(
         self, loadgen_db, loadgen_mix, make_service
     ):
-        open_config = LoadgenConfig(
-            mode="open", num_requests=30, target_qps=300.0, seed=5
-        )
-        closed_config = LoadgenConfig(
-            mode="closed", num_requests=30, num_clients=3, think_time_s=0.0, seed=5
-        )
+        config = LoadgenConfig(num_requests=30, num_clients=3, think_time_s=0.0, seed=5)
         with make_service(loadgen_db) as service:
-            open_run = run_load(service, loadgen_mix, open_config)
-        with make_service(loadgen_db) as service:
-            closed_run = run_load(service, loadgen_mix, closed_config)
+            run = run_load(service, loadgen_mix, config)
         # One serial single-node pass over every (template, binding) pair.
         reference = {}
         with QueryService(loadgen_db) as service:
@@ -175,35 +235,40 @@ class TestRunLoad:
                 reference[(template.name, binding_index)] = service.execute(
                     template, binding
                 ).execution.columns
-        # The same seed serves the same (template, binding) pairs in both modes.
-        assert set(open_run.outputs) == set(closed_run.outputs)
-        for run in (open_run, closed_run):
-            assert run.offered == 30
-            assert run.completed == 30
-            assert run.shed == 0 and run.timed_out == 0
-            assert run.shed_rate == 0.0
-            assert run.achieved_qps > 0
-            assert run.latency.count == 30
-            assert len(run.traces) == 30
-            assert sum(run.sources.values()) == 30
-            assert run.outputs
-            for key, columns in run.outputs.items():
-                assert list(columns) == list(reference[key])
-                for name, values in columns.items():
-                    expected = np.asarray(reference[key][name])
-                    assert np.asarray(values).dtype == expected.dtype
-                    assert np.array_equal(values, expected)
+        assert run.offered == 30
+        assert run.completed == 30
+        assert run.shed == 0 and run.timed_out == 0
+        assert run.shed_rate == 0.0
+        assert run.achieved_qps > 0
+        assert run.latency.count == 30
+        assert len(run.traces) == 30
+        assert sum(run.sources.values()) == 30
+        assert run.outputs
+        for key, columns in run.outputs.items():
+            assert list(columns) == list(reference[key])
+            for name, values in columns.items():
+                expected = np.asarray(reference[key][name])
+                assert np.asarray(values).dtype == expected.dtype
+                assert np.array_equal(values, expected)
 
-    def test_shed_requests_are_counted_not_raised(self, loadgen_db, loadgen_mix):
+    def test_shed_requests_are_counted_not_raised(
+        self, loadgen_db, loadgen_mix, monkeypatch
+    ):
         settings = ServiceSettings(
             max_concurrent=1, max_queued=0, use_result_cache=False,
             use_plan_cache=True,
         )
-        config = LoadgenConfig(
-            mode="open", num_requests=40, target_qps=2000.0, seed=5,
-            open_loop_workers=8,
-        )
+        # Eight think-free clients against a one-slot, queue-less gate; every
+        # admitted request holds the slot for 20 ms, so requests overlap.
+        config = LoadgenConfig(num_requests=40, num_clients=8, seed=5)
         with QueryService(loadgen_db, settings=settings) as service:
+            serve = service._serve
+
+            def slow_serve(*args, **kwargs):
+                threading.Event().wait(timeout=0.02)
+                return serve(*args, **kwargs)
+
+            monkeypatch.setattr(service, "_serve", slow_serve)
             run = run_load(service, loadgen_mix, config)
         assert run.offered == 40
         assert run.completed + run.shed + run.timed_out == 40

@@ -89,3 +89,51 @@ class TestJoinCardinality:
         # must both be positive and finite.
         assert with_mcv.joinset_cardinality({"r1", "r2"}) > 0
         assert without_mcv.joinset_cardinality({"r1", "r2"}) > 0
+
+
+class TestExactExtrapolation:
+    """Exact Γ entries (as the sharded coordinator's gossip records them)
+    anchor superset estimates; sampled entries override only their own set."""
+
+    def test_exact_anchor_extrapolates_to_supersets(self, ott_db):
+        query = make_ott_query(ott_db, [0, 0, 0, 0], name="ott_extrapolate")
+        gamma = Gamma()
+        plain = CardinalityEstimator(ott_db, query, gamma=Gamma())
+        baseline = plain.joinset_cardinality({"r1", "r2", "r3"})
+
+        gamma.record_exact({"r1", "r2"}, 5000.0)
+        anchored = CardinalityEstimator(ott_db, query, gamma=gamma)
+        estimate = anchored.joinset_cardinality({"r1", "r2", "r3"})
+        # anchored = 5000 * base(r3) * sel(r2.b = r3.b) — far above the AVI
+        # product that multiplied the r1⋈r2 mis-estimate in.
+        expected = (
+            5000.0
+            * anchored.base_cardinality("r3")
+            * anchored.join_predicate_selectivity(query.join_predicates[1])
+        )
+        assert estimate == pytest.approx(expected)
+        assert estimate > baseline
+
+    def test_sampled_entries_do_not_extrapolate(self, ott_db):
+        query = make_ott_query(ott_db, [0, 0, 0, 0], name="ott_sampled")
+        gamma = Gamma()
+        gamma.record({"r1", "r2"}, 5000.0)  # sampled: exact-set override only
+        estimator = CardinalityEstimator(ott_db, query, gamma=gamma)
+        baseline = CardinalityEstimator(ott_db, query, gamma=Gamma())
+        assert estimator.joinset_cardinality({"r1", "r2"}) == 5000.0
+        assert estimator.joinset_cardinality({"r1", "r2", "r3"}) == pytest.approx(
+            baseline.joinset_cardinality({"r1", "r2", "r3"})
+        )
+
+    def test_disjoint_anchor_and_exact_rest(self, ott_db):
+        query = make_ott_query(ott_db, [0, 0, 0, 0], name="ott_two_anchors")
+        gamma = Gamma()
+        gamma.record_exact({"r1", "r2"}, 700.0)
+        gamma.record_exact({"r3", "r4"}, 900.0)
+        estimator = CardinalityEstimator(ott_db, query, gamma=gamma)
+        estimate = estimator.joinset_cardinality({"r1", "r2", "r3", "r4"})
+        expected = (
+            700.0 * 900.0
+            * estimator.join_predicate_selectivity(query.join_predicates[1])
+        )
+        assert estimate == pytest.approx(expected)

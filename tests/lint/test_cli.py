@@ -23,7 +23,7 @@ def run_lint(*args: str) -> Tuple[int, str, str]:
 
 
 def test_clean_tree_exits_zero() -> None:
-    code, stdout, stderr = run_lint("src", "benchmarks", "tests")
+    code, stdout, stderr = run_lint("src", "benchmarks", "tests", "tools", "examples")
     assert code == 0, stdout + stderr
 
 

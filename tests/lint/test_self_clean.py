@@ -1,9 +1,9 @@
 """The repo's own source must satisfy its invariant checker.
 
 This is the in-suite mirror of the CI ``static-analysis`` gate: the real
-``src/``, ``benchmarks/`` and ``tests/`` trees (fixtures excluded) produce
-zero diagnostics, and the linter's own implementation passes its typing and
-hygiene rules.
+``src/``, ``benchmarks/``, ``tests/``, ``tools/`` and ``examples/`` trees
+(fixtures excluded) produce zero diagnostics, and the linter's own
+implementation passes its typing and hygiene rules.
 """
 
 from __future__ import annotations
@@ -32,6 +32,11 @@ def test_benchmarks_are_clean() -> None:
 
 def test_test_suite_is_clean() -> None:
     diagnostics = _lint("tests")
+    assert diagnostics == [], "\n".join(d.render() for d in diagnostics)
+
+
+def test_tools_and_examples_are_clean() -> None:
+    diagnostics = _lint("tools", "examples")
     assert diagnostics == [], "\n".join(d.render() for d in diagnostics)
 
 

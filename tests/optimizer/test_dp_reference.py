@@ -8,8 +8,8 @@ connected candidates (or, lacking any, over the cartesian ones).  It shares
 nothing with the production inner loop but the memo table and the search
 order, so the two agreeing — plan, cost bits, the paper's *N*, masks
 expanded, every memo entry — over random join graphs, method subsets,
-search shapes, Γ injections and materialized pins is the evidence that the
-rewrite changed speed only.
+search shapes and Γ injections is the evidence that the rewrite changed
+speed only.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from repro.errors import PlanningError
 from repro.optimizer.dp import DynamicProgrammingPlanner
 from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.settings import OptimizerSettings
-from repro.plans.nodes import JoinMethod, JoinNode, MaterializedNode, PlanNode, ScanNode
+from repro.plans.nodes import JoinMethod, JoinNode, PlanNode, ScanNode
 from repro.sql.builder import QueryBuilder
 from repro.storage.catalog import Database
 from repro.storage.table import Column, Table, TableSchema
@@ -77,9 +77,6 @@ class ReferencePlanner(DynamicProgrammingPlanner):
 
     def _expand_mask(self, mask: int) -> None:
         self.last_masks_expanded += 1
-        if mask in self._materialized_masks:
-            self._best[mask] = self._materialized_masks[mask]
-            return
         candidates: List[PlanNode] = []
         connected_candidates: List[PlanNode] = []
         output_rows = self.estimator.joinset_cardinality(self._mask_aliases(mask))
@@ -111,8 +108,6 @@ class ReferencePlanner(DynamicProgrammingPlanner):
         pool = connected_candidates or candidates
         if pool:
             self._best[mask] = min(pool, key=lambda node: node.estimated_cost)
-        else:
-            self._best.pop(mask, None)
 
 
 @pytest.fixture(scope="module")
@@ -177,16 +172,10 @@ def join_graphs(draw):
 
 @st.composite
 def replan_rounds(draw, aliases):
-    """Up to three rounds of (Γ injections, materialized pins) over ``aliases``."""
+    """Up to three rounds of Γ injections over ``aliases``."""
     join_sets = st.sets(st.sampled_from(aliases), min_size=1).map(frozenset)
     cardinalities = st.floats(min_value=0.0, max_value=1e9, allow_nan=False)
-    return draw(st.lists(
-        st.tuples(
-            st.dictionaries(join_sets, cardinalities, max_size=3),
-            st.dictionaries(join_sets, cardinalities, max_size=2),
-        ),
-        max_size=3,
-    ))
+    return draw(st.lists(st.dictionaries(join_sets, cardinalities, max_size=3), max_size=3))
 
 
 def assert_same_search(planner: DynamicProgrammingPlanner, reference: ReferencePlanner) -> None:
@@ -232,28 +221,20 @@ class TestAgainstReferencePlanner:
 
         planner, reference = make(DynamicProgrammingPlanner), make(ReferencePlanner)
         rounds = data.draw(replan_rounds(list(query.aliases)))
-        pin_first = bool(rounds) and data.draw(st.booleans())
-        if not pin_first:
+        # A fresh planner's first ``replan`` is the full search.
+        replan_first = bool(rounds) and data.draw(st.booleans())
+        if not replan_first:
             results = [outcome(p.plan_joins) for p in (planner, reference)]
             assert (results[0] is PlanningError) == (results[1] is PlanningError)
             assert_same_search(planner, reference)
 
-        for injections, pins in rounds:
+        for injections in rounds:
             epoch = gamma.epoch
             for join_set, cardinality in sorted(injections.items(), key=lambda item: sorted(item[0])):
                 gamma.record(join_set, cardinality)
-            materialized = {
-                join_set: MaterializedNode(
-                    relations=join_set, estimated_rows=rows, estimated_cost=0.0
-                )
-                for join_set, rows in pins.items()
-            }
             estimator = optimizer.make_estimator(query, gamma)
             changed = gamma.changed_since(epoch)
-            results = [
-                outcome(lambda p=p: p.replan(estimator, changed, materialized=materialized))
-                for p in (planner, reference)
-            ]
+            results = [outcome(lambda p=p: p.replan(estimator, changed)) for p in (planner, reference)]
             assert (results[0] is PlanningError) == (results[1] is PlanningError)
             assert_same_search(planner, reference)
             if results[0] is not PlanningError:
@@ -294,26 +275,3 @@ def test_one_join_node_is_built_per_planned_mask(db):
     assert len(joins_in_memo) == 2 ** 6 - 1 - 6  # every multi-relation mask
     assert len(built) == len(joins_in_memo)
     assert {id(node) for node in built} == {id(node) for node in joins_in_memo}
-
-
-def test_replan_drops_a_memo_entry_that_lost_every_candidate(db):
-    """``t1 ⋈ t0`` under index-nested-loop only: the sole candidate probes
-    ``t0``'s index.  Pinning ``t0`` to a materialized leaf removes it (the
-    inner side is no longer a base-table scan), so the re-expanded pair has
-    no plan — as a from-scratch search with the pin finds — instead of
-    keeping the previous round's join over the un-pinned scan."""
-    query = QueryBuilder("pair").table("t1").table("t0").join("t1", "a", "t0", "a").build()
-    opt_settings = OptimizerSettings(
-        enabled_join_methods=frozenset({JoinMethod.INDEX_NESTED_LOOP})
-    )
-    pin = {frozenset({"t0"}): MaterializedNode(
-        relations=frozenset({"t0"}), estimated_rows=3.0, estimated_cost=0.0
-    )}
-    planner = _planner(db, query, opt_settings)
-    assert isinstance(planner.plan_joins().right, ScanNode)
-
-    with pytest.raises(PlanningError):
-        _planner(db, query, opt_settings).replan(planner.estimator, frozenset(), materialized=pin)
-    with pytest.raises(PlanningError):
-        planner.replan(planner.estimator, frozenset(), materialized=pin)
-    assert 0b11 not in planner._best

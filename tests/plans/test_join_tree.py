@@ -10,8 +10,6 @@ from repro.plans.join_tree import (
     is_local_transformation,
     plans_identical,
     plans_structurally_equal,
-    replace_subtrees,
-    subtree_for,
 )
 from repro.plans.nodes import (
     AggregateNode,
@@ -138,49 +136,7 @@ class TestPlanEquality:
         assert JoinTree.of(t1()) != JoinTree.of(t2())
 
 
-class TestSubtreeSurgery:
-    def test_subtree_for_finds_exact_cover(self):
-        plan = t2()
-        node = subtree_for(plan, {"a", "b"})
-        assert node is not None
-        assert frozenset(node.relations) == frozenset({"a", "b"})
-        assert subtree_for(plan, {"a", "c"}) is None
-
-    def test_subtree_for_skips_aggregate_wrapper(self):
-        inner = t1()
-        wrapped = AggregateNode(child=inner, relations=frozenset(inner.relations))
-        found = subtree_for(wrapped, {"a", "b", "c", "d"})
-        assert isinstance(found, JoinNode)
-
-    def test_replace_subtrees_splices_materialized_leaves(self):
-        plan = t1()  # ((A⋈B)⋈C)⋈D
-        leaf = MaterializedNode(relations=frozenset({"a", "b"}), estimated_rows=7.0)
-        replaced = replace_subtrees(plan, {frozenset({"a", "b"}): leaf})
-        spliced = subtree_for(replaced, {"a", "b"})
-        assert isinstance(spliced, MaterializedNode)
-        assert frozenset(replaced.relations) == frozenset({"a", "b", "c", "d"})
-        # The original plan is not mutated.
-        assert isinstance(subtree_for(plan, {"a", "b"}), JoinNode)
-
-    def test_replace_subtrees_top_down_prefers_largest(self):
-        plan = t1()
-        small = MaterializedNode(relations=frozenset({"a", "b"}), estimated_rows=1.0)
-        large = MaterializedNode(relations=frozenset({"a", "b", "c"}), estimated_rows=2.0)
-        replaced = replace_subtrees(
-            plan, {frozenset({"a", "b"}): small, frozenset({"a", "b", "c"}): large}
-        )
-        assert isinstance(subtree_for(replaced, {"a", "b", "c"}), MaterializedNode)
-        assert subtree_for(replaced, {"a", "b"}) is None
-
-    def test_replace_full_plan_and_aggregate_child(self):
-        inner = t1()
-        wrapped = AggregateNode(child=inner, relations=frozenset(inner.relations))
-        full = frozenset({"a", "b", "c", "d"})
-        leaf = MaterializedNode(relations=full, estimated_rows=3.0)
-        replaced = replace_subtrees(wrapped, {full: leaf})
-        assert isinstance(replaced, AggregateNode)
-        assert isinstance(replaced.child, MaterializedNode)
-
+class TestMaterializedNode:
     def test_materialized_node_signature_and_leaf_order(self):
         leaf = MaterializedNode(relations=frozenset({"b", "a"}), estimated_rows=1.0)
         assert leaf.signature() == ("materialized", ("a", "b"))

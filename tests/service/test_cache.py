@@ -67,3 +67,11 @@ class TestMaxDrift:
     def test_sub_row_values_are_floored(self):
         expectations = {frozenset({"a"}): 0.0}
         assert max_drift(expectations, {frozenset({"a"}): 0.5}) == 1.0
+
+    def test_worst_join_set_decides(self):
+        expectations = {frozenset({"a"}): 10.0, frozenset({"a", "b"}): 100.0}
+        observed = {frozenset({"a"}): 20.0, frozenset({"a", "b"}): 10.0}
+        assert max_drift(expectations, observed) == 10.0
+
+    def test_nothing_observed_is_no_drift(self):
+        assert max_drift({frozenset({"a"}): 10.0}, {}) == 1.0

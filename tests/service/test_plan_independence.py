@@ -3,8 +3,8 @@
 One float-``SUM`` group-by and one bare projection, executed under every
 connected left-deep join order of a star query crossed with forced
 hash / merge / nested-loop mixes, must come back byte-identical through
-``QueryService``, ``ShardedQueryService`` (1-4 shards, every shard on a
-different plan) and ``AdaptiveExecutor`` (static and re-planning).  This is
+``QueryService`` and ``ShardedQueryService`` (1-4 shards, every shard on a
+different plan).  This is
 the case a half-applied dead-column elimination breaks: if one join method
 kept a key another dropped, two plans would reach the canonical sort with
 different key sets and float sums would differ in their last bits.
@@ -24,7 +24,6 @@ import pytest
 import repro.executor.materialization as materialization_module
 from repro.executor.materialization import needs_canonical_order
 from repro.plans.nodes import JoinMethod
-from repro.reopt.adaptive import AdaptiveExecutor, AdaptiveSettings
 from repro.service import QueryService, ServiceSettings, ShardedQueryService, ShardingSpec
 from repro.sql.builder import QueryBuilder
 from repro.storage.catalog import Database
@@ -156,17 +155,6 @@ class TestByteIdenticalUnderEveryPlan:
                 assert result.source == "scatter_gather"
                 assert output_bytes(result.columns) == reference[query.name], (num_shards, start)
 
-    @pytest.mark.parametrize("threshold", [None, 2.0], ids=["static", "replanning"])
-    def test_adaptive_executor(self, db, plans, reference, query, threshold):
-        executor = AdaptiveExecutor(db, settings=AdaptiveSettings(replan_threshold=threshold))
-        replans = 0
-        for plan in plans[query.name]:
-            result = executor.execute(query, plan=plan)
-            replans += result.replans
-            assert output_bytes(result.execution.columns) == reference[query.name], plan.describe()
-        # Hand-built plans carry zero estimates, so every checkpoint deviates.
-        assert (replans > 0) == (threshold is not None)
-
 
 class TestOneOrderSensitivityClassification:
     def test_integer_sums_are_order_insensitive_floats_and_projections_are_not(self, db):
@@ -192,8 +180,10 @@ class TestOneOrderSensitivityClassification:
         monkeypatch.setattr(materialization_module, "canonical_row_order", refuse)
         with QueryService(db) as service:
             served = service.execute(INT_SUM)
-        adaptive = AdaptiveExecutor(db).execute(INT_SUM)
-        assert output_bytes(adaptive.execution.columns) == output_bytes(served.columns)
+        with ShardedQueryService(db, num_shards=2, spec=SPEC) as sharded:
+            scattered = sharded.execute(INT_SUM)
+        assert scattered.source == "scatter_partial"
+        assert output_bytes(scattered.columns) == output_bytes(served.columns)
 
 
 class TestCanonicalSortKeyCount:
@@ -217,5 +207,4 @@ class TestCanonicalSortKeyCount:
             service.execute(template)
         with ShardedQueryService(db, num_shards=2, spec=SPEC) as sharded:
             sharded.execute(template)
-        AdaptiveExecutor(db).execute(template)
-        assert seen == [["f.g", "f.v"]] * 3
+        assert seen == [["f.g", "f.v"]] * 2
