@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,6 +30,27 @@ from repro.plans.nodes import JoinMethod, ScanMethod
 # per (split, method) alternative of the join search.
 _HASH_JOIN, _MERGE_JOIN = JoinMethod.HASH_JOIN, JoinMethod.MERGE_JOIN
 _NESTED_LOOP, _INDEX_NESTED_LOOP = JoinMethod.NESTED_LOOP, JoinMethod.INDEX_NESTED_LOOP
+
+
+def _operator_evals(
+    method: JoinMethod, outer_rows: float, inner_rows: float, inner_table_rows: float
+) -> float:
+    """Primitive operator evaluations of one join: the per-method term."""
+    if method is _HASH_JOIN:
+        # Build a table on the inner input, probe with the outer.
+        return 2.0 * inner_rows + outer_rows
+    if method is _MERGE_JOIN:
+        # Sort both inputs, then a linear merge.
+        sort_cost = 0.0
+        for rows in (outer_rows, inner_rows):
+            if rows > 1:
+                sort_cost += rows * math.log2(rows)
+        return sort_cost + outer_rows + inner_rows
+    if method is _NESTED_LOOP:
+        # Compare every pair.
+        return max(outer_rows, 1.0) * max(inner_rows, 1.0)
+    # Index nested loop: one index descent into the inner table per outer row.
+    return max(outer_rows, 1.0) * math.log2(max(inner_table_rows or inner_rows, 2.0))
 
 
 @dataclass(frozen=True)
@@ -140,26 +162,6 @@ class CostModel:
     # ------------------------------------------------------------------ #
     # Joins
     # ------------------------------------------------------------------ #
-    def _join_operator_evals(
-        self, method: JoinMethod, outer_rows: float, inner_rows: float, inner_table_rows: float
-    ) -> float:
-        """Primitive operator evaluations of one join: the per-method term."""
-        if method is _HASH_JOIN:
-            # Build a table on the inner input, probe with the outer.
-            return 2.0 * inner_rows + outer_rows
-        if method is _MERGE_JOIN:
-            # Sort both inputs, then a linear merge.
-            sort_cost = 0.0
-            for rows in (outer_rows, inner_rows):
-                if rows > 1:
-                    sort_cost += rows * math.log2(rows)
-            return sort_cost + outer_rows + inner_rows
-        if method is _NESTED_LOOP:
-            # Compare every pair.
-            return max(outer_rows, 1.0) * max(inner_rows, 1.0)
-        # Index nested loop: one index descent into the inner table per outer row.
-        return max(outer_rows, 1.0) * math.log2(max(inner_table_rows or inner_rows, 2.0))
-
     def join_resources(
         self,
         method: JoinMethod,
@@ -178,34 +180,12 @@ class CostModel:
             random_pages=probes,
             tuples=output_rows,
             index_tuples=probes,
-            operator_evals=self._join_operator_evals(
-                method, outer_rows, inner_rows, inner_table_rows
-            ),
+            operator_evals=_operator_evals(method, outer_rows, inner_rows, inner_table_rows),
         )
 
-    def join_cost(
-        self,
-        method: JoinMethod,
-        outer_rows: float,
-        inner_rows: float,
-        output_rows: float,
-        inner_table_rows: float = 0.0,
-    ) -> float:
-        """``cost(join_resources(...))`` on plain floats, bit for bit.
-
-        The join enumerators price every (split, method) alternative with
-        this; the terms and their summation order are those of :meth:`cost`.
-        """
-        probes = output_rows if method is _INDEX_NESTED_LOOP else 0.0
-        units = self.units
-        return (
-            0.0 * units.seq_page_cost
-            + probes * units.random_page_cost
-            + output_rows * units.cpu_tuple_cost
-            + probes * units.cpu_index_tuple_cost
-            + self._join_operator_evals(method, outer_rows, inner_rows, inner_table_rows)
-            * units.cpu_operator_cost
-        )
+    def join_pricing(self, methods: Sequence[JoinMethod], output_rows: float) -> "JoinPricing":
+        """Price joins that yield ``output_rows``; ``methods`` in tie-break order."""
+        return JoinPricing(self, methods, output_rows)
 
     # ------------------------------------------------------------------ #
     # Aggregation
@@ -216,3 +196,63 @@ class CostModel:
             tuples=output_groups,
             operator_evals=input_rows,
         )
+
+
+class JoinPricing:
+    """The one rule that prices join splits, built once per output cardinality.
+
+    :meth:`CostModel.cost` sums its terms left to right, and every term of a
+    join's resource vector before the operator evaluations depends only on
+    the output rows and on whether the method probes an index.  Those sums
+    are taken here once, so a split costs its operator term and two
+    additions — bit for bit ``input cost + cost(join_resources(...))``.
+    """
+
+    __slots__ = ("_terms", "_operator_cost")
+
+    def __init__(self, model: CostModel, methods: Sequence[JoinMethod], output_rows: float) -> None:
+        # cost()'s sum without its zero terms: adding ``0.0 * unit`` is exact
+        # for the finite, non-negative units CostUnits admits.
+        units = model.units
+        plain = output_rows * units.cpu_tuple_cost
+        probed = output_rows * units.random_page_cost + plain
+        probed += output_rows * units.cpu_index_tuple_cost
+        self._terms = tuple(
+            (method, probed if method is _INDEX_NESTED_LOOP else plain) for method in methods
+        )
+        self._operator_cost = units.cpu_operator_cost
+
+    def cheapest(
+        self,
+        input_cost: float,
+        outer_rows: float,
+        inner_rows: float,
+        has_predicates: bool,
+        indexed_inner_rows: Optional[float],
+        bound: float,
+    ) -> Optional[Tuple[float, JoinMethod]]:
+        """The cheapest ``(cumulative cost, method)`` of one split below
+        ``bound`` — the first method on ties — or ``None``.
+
+        ``input_cost`` is the summed cost of the two inputs.  Hash, merge and
+        index nested loop need an equi-join predicate across the split; index
+        nested loop also needs ``indexed_inner_rows`` — the row count of the
+        inner base table, ``None`` unless the inner side is a base-relation
+        scan with an index on one of its join columns.
+        """
+        best = None
+        operator_cost = self._operator_cost
+        for method, access_cost in self._terms:
+            inner_table_rows = 0.0
+            if method is not _NESTED_LOOP:
+                if not has_predicates:
+                    continue
+                if method is _INDEX_NESTED_LOOP:
+                    if indexed_inner_rows is None:
+                        continue
+                    inner_table_rows = indexed_inner_rows
+            evals = _operator_evals(method, outer_rows, inner_rows, inner_table_rows)
+            cost = input_cost + (access_cost + evals * operator_cost)
+            if cost < bound:
+                bound, best = cost, method
+        return None if best is None else (bound, best)

@@ -9,6 +9,7 @@ reproduces that procedure against our executor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable
 
@@ -22,6 +23,14 @@ class CostUnits:
     cpu_tuple_cost: float = 0.01
     cpu_index_tuple_cost: float = 0.005
     cpu_operator_cost: float = 0.0025
+
+    def __post_init__(self) -> None:
+        # The join search's cutoff (optimizer/dp.py) needs every term >= 0.
+        for name, value in self.as_dict().items():
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(
+                    f"cost unit {name} must be finite and non-negative, got {value!r}"
+                )
 
     def as_dict(self) -> Dict[str, float]:
         """Return the units as an ordered mapping (calibration uses this order)."""

@@ -9,12 +9,21 @@ inner side to single relations yields the classic left-deep search.
 
 The enumeration runs in bitmask space.  A split is two integers; whether a
 join predicate crosses it is one lookup in a per-planner ``neighbours[mask]``
-table; each (split, method) alternative is priced from plain floats by
-:func:`cheapest_join_method`; and only the running winner — strictly cheaper
-in enumeration order: sub-masks descending, methods by name — is remembered.
-One ``JoinNode`` is built per subset, for that winner.  Splits no predicate
-crosses (cartesian products) are priced lazily, only for a subset whose
-connected splits produced no candidate.
+table; each (split, method) alternative is priced from plain floats by one
+:class:`~repro.cost.model.JoinPricing`, built per subset because every
+split of a subset yields the same output rows; and only the running winner
+— strictly cheaper in enumeration order: sub-masks descending, methods by
+name — is remembered.  One ``JoinNode`` is built per subset, for that
+winner.  Splits no predicate crosses (cartesian products) are priced
+lazily, only for a subset whose connected splits produced no candidate.
+
+A split whose two inputs together already cost at least the running winner
+is not priced at all.  The cutoff is exact: cardinalities are non-negative
+and :class:`~repro.cost.units.CostUnits` are checked finite and
+non-negative, so every join term is ``>= 0``; float addition is monotone,
+so the split's total is at least its input cost; and a total equal to the
+winner's loses the strict ``<`` tie-break anyway.  A skipped split still
+counts towards ``N`` below.
 
 The number of *distinct logical join trees* (unordered splits connected by a
 join predicate) examined is tracked in
@@ -38,56 +47,17 @@ re-optimization rounds are cheap, made literal).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+import math
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.cardinality.estimator import CardinalityEstimator
-from repro.cost.model import CostModel
+from repro.cost.model import CostModel, JoinPricing
 from repro.errors import PlanningError
 from repro.optimizer.access_paths import best_scan
 from repro.optimizer.settings import OptimizerSettings
 from repro.plans.nodes import JoinMethod, JoinNode, PlanNode, ScanNode
 from repro.sql.ast import JoinPredicate, Query
 from repro.storage.catalog import Database
-
-# Aliases: an enum member lookup costs ~0.1 µs on the per-split pricing path.
-_NESTED_LOOP, _INDEX_NESTED_LOOP = JoinMethod.NESTED_LOOP, JoinMethod.INDEX_NESTED_LOOP
-
-
-def cheapest_join_method(
-    cost_model: CostModel,
-    methods: Sequence[JoinMethod],
-    left: PlanNode,
-    right: PlanNode,
-    output_rows: float,
-    has_predicates: bool,
-    indexed_inner_rows: Optional[float],
-) -> Optional[Tuple[float, JoinMethod]]:
-    """Price the split (outer ``left``, inner ``right``): the winner's
-    ``(cumulative cost, method)``, or ``None`` when no method applies.
-
-    The one "price a split" rule of both planners.  Hash, merge and index
-    nested loop need an equi-join predicate across the split; index nested
-    loop also needs ``indexed_inner_rows`` — the row count of the inner base
-    table, ``None`` unless the inner side is a base-relation scan with an
-    index on one of its join columns.  Ties keep the earlier of ``methods``.
-    """
-    input_cost = left.estimated_cost + right.estimated_cost
-    best: Optional[Tuple[float, JoinMethod]] = None
-    for method in methods:
-        inner_table_rows = 0.0
-        if method is not _NESTED_LOOP:
-            if not has_predicates:
-                continue
-            if method is _INDEX_NESTED_LOOP:
-                if indexed_inner_rows is None:
-                    continue
-                inner_table_rows = indexed_inner_rows
-        cost = input_cost + cost_model.join_cost(
-            method, left.estimated_rows, right.estimated_rows, output_rows, inner_table_rows
-        )
-        if best is None or cost < best[0]:
-            best = (cost, method)
-    return best
 
 
 class DynamicProgrammingPlanner:
@@ -171,16 +141,17 @@ class DynamicProgrammingPlanner:
         )
 
     def _cheapest_split(
-        self, mask: int, output_rows: float, connected: bool
+        self, mask: int, pricing: JoinPricing, connected: bool
     ) -> Optional[Tuple[float, int, int, JoinMethod]]:
         """Cheapest ``(cost, left_mask, right_mask, method)`` over the ordered
         splits of ``mask`` that do (``connected``) or do not have a cross edge;
         the first such alternative in enumeration order on ties.
         """
         best, neighbours, index_probe = self._best, self._neighbours, self._index_probe
-        cost_model, methods = self.cost_model, self._methods
+        price = pricing.cheapest
         left_deep = not self.settings.allow_bushy
         winner: Optional[Tuple[float, int, int, JoinMethod]] = None
+        bound = math.inf
         submask = (mask - 1) & mask
         while submask:
             left_mask = submask
@@ -194,7 +165,6 @@ class DynamicProgrammingPlanner:
                 continue
             if bool(neighbours[left_mask] & right_mask) != connected:
                 continue
-            indexed_inner_rows = None
             if connected:
                 # (outer, inner) and (inner, outer) are the same logical join
                 # tree: count it at the orientation enumerated first, which is
@@ -202,25 +172,34 @@ class DynamicProgrammingPlanner:
                 # passed the filters above.
                 if left_mask > right_mask or (left_deep and left_mask & (left_mask - 1)):
                     self.num_join_trees_considered += 1
+            input_cost = left_plan.estimated_cost + right_plan.estimated_cost
+            if input_cost >= bound:
+                # Join costs are non-negative, so no method can get below.
+                continue
+            indexed_inner_rows = None
+            if connected:
                 probe = index_probe.get(right_mask)
                 if probe is not None and probe[0] & left_mask and isinstance(right_plan, ScanNode):
                     indexed_inner_rows = probe[1]
-            priced = cheapest_join_method(
-                cost_model, methods, left_plan, right_plan, output_rows, connected, indexed_inner_rows
+            priced = price(
+                input_cost, left_plan.estimated_rows, right_plan.estimated_rows,
+                connected, indexed_inner_rows, bound,
             )
-            if priced is not None and (winner is None or priced[0] < winner[0]):
-                winner = (priced[0], left_mask, right_mask, priced[1])
+            if priced is not None:
+                bound = priced[0]
+                winner = (bound, left_mask, right_mask, priced[1])
         return winner
 
     def _expand_mask(self, mask: int) -> None:
         """(Re)compute ``best[mask]`` from the current best sub-plans."""
         self.last_masks_expanded += 1
         output_rows = self.estimator.joinset_cardinality(self._mask_aliases(mask))
+        pricing = self.cost_model.join_pricing(self._methods, output_rows)
         # Prefer splits connected by join predicates; price the cartesian
         # products only when no connected split yields a candidate.
-        winner = self._cheapest_split(mask, output_rows, connected=True)
+        winner = self._cheapest_split(mask, pricing, connected=True)
         if winner is None:
-            winner = self._cheapest_split(mask, output_rows, connected=False)
+            winner = self._cheapest_split(mask, pricing, connected=False)
         if winner is None:
             return
         cost, left_mask, right_mask, method = winner

@@ -24,6 +24,7 @@ bouncing between unrelated random optima each round.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import List, Optional, Sequence
 
@@ -31,7 +32,6 @@ from repro.cardinality.estimator import CardinalityEstimator
 from repro.cost.model import CostModel
 from repro.errors import PlanningError
 from repro.optimizer.access_paths import best_scan
-from repro.optimizer.dp import cheapest_join_method
 from repro.optimizer.settings import OptimizerSettings
 from repro.plans.nodes import JoinMethod, JoinNode, PlanNode, ScanNode
 from repro.sql.ast import Query
@@ -78,15 +78,16 @@ class GeqoPlanner:
         indexed_inner_rows = None
         if any(self.db.has_index(inner_table, p.column_for(right.alias)) for p in predicates):
             indexed_inner_rows = float(self.db.table(inner_table).num_rows)
-        priced = cheapest_join_method(
-            self.cost_model, self._methods, left, right, output_rows,
-            bool(predicates), indexed_inner_rows,
+        input_cost = left.estimated_cost + right.estimated_cost
+        priced = self.cost_model.join_pricing(self._methods, output_rows).cheapest(
+            input_cost, left.estimated_rows, right.estimated_rows,
+            bool(predicates), indexed_inner_rows, math.inf,
         )
         if priced is None:
             # No applicable enabled method: fall back to a nested loop (cartesian
             # product with residual predicates), which always applies.
-            priced = cheapest_join_method(
-                self.cost_model, (JoinMethod.NESTED_LOOP,), left, right, output_rows, False, None
+            priced = self.cost_model.join_pricing((JoinMethod.NESTED_LOOP,), output_rows).cheapest(
+                input_cost, left.estimated_rows, right.estimated_rows, False, None, math.inf
             )
             assert priced is not None
         cost, method = priced

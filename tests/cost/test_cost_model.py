@@ -1,5 +1,7 @@
 """Unit tests for cost units, the cost model and calibration."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,6 +35,17 @@ class TestCostUnits:
         modified = DEFAULT_COST_UNITS.with_values(random_page_cost=8.0)
         assert modified.random_page_cost == 8.0
         assert modified.seq_page_cost == 1.0
+
+    @pytest.mark.parametrize("value", [-1.0, -1e-300, float("inf"), float("nan")])
+    def test_negative_or_non_finite_units_are_rejected(self, value):
+        """The join search's cutoff is exact only for non-negative costs."""
+        with pytest.raises(ValueError, match="cpu_operator_cost"):
+            CostUnits(cpu_operator_cost=value)
+        with pytest.raises(ValueError, match="random_page_cost"):
+            DEFAULT_COST_UNITS.with_values(random_page_cost=value)
+
+    def test_zero_units_are_accepted(self):
+        assert CostUnits(seq_page_cost=0.0).seq_page_cost == 0.0
 
 
 class TestResourceVector:
@@ -135,20 +148,48 @@ class TestCostModel:
             )
         ] * 3),
         inner_table_rows=st.one_of(st.just(0.0), st.floats(min_value=0, max_value=1e12)),
+        input_cost=st.one_of(st.just(0.0), st.floats(min_value=0, max_value=1e12)),
         units=st.tuples(*[st.floats(min_value=1e-6, max_value=1e3)] * 5),
     )
     @settings(max_examples=200, deadline=None)
-    def test_join_cost_is_the_cost_of_join_resources_bit_for_bit(
-        self, rows, inner_table_rows, units
+    def test_join_pricing_is_the_cost_of_join_resources_bit_for_bit(
+        self, rows, inner_table_rows, input_cost, units
     ):
-        """The planners price splits with the scalar ``join_cost``; the
-        executor and the sampled-cost check keep ``join_resources`` — the two
-        must be one formula, down to the float bits plan tie-breaks rest on."""
+        """The planners price splits with ``JoinPricing``; the executor and
+        the sampled-cost check keep ``join_resources`` — the two must be one
+        formula, down to the float bits plan tie-breaks rest on."""
+        outer_rows, inner_rows, output_rows = rows
         for model in (self.model, CostModel(units=CostUnits.from_vector(list(units)))):
             for method in JoinMethod:
                 resources = model.join_resources(method, *rows, inner_table_rows=inner_table_rows)
-                scalar = model.join_cost(method, *rows, inner_table_rows=inner_table_rows)
-                assert scalar == model.cost(resources)
+                priced = model.join_pricing((method,), output_rows).cheapest(
+                    input_cost, outer_rows, inner_rows, True, inner_table_rows, math.inf
+                )
+                assert priced == (input_cost + model.cost(resources), method)
+
+    def test_join_pricing_returns_none_when_nothing_beats_the_bound(self):
+        pricing = self.model.join_pricing(sorted(JoinMethod, key=lambda m: m.value), 50.0)
+        cheapest = pricing.cheapest(10.0, 100.0, 100.0, True, 1000.0, math.inf)
+        assert cheapest is not None
+        # Strictly below: a bound equal to the cheapest cost is not beaten.
+        assert pricing.cheapest(10.0, 100.0, 100.0, True, 1000.0, cheapest[0]) is None
+        assert pricing.cheapest(10.0, 100.0, 100.0, True, 1000.0, 10.0) is None
+        # No predicate crosses the split and nested loop is not enabled.
+        hash_only = self.model.join_pricing((JoinMethod.HASH_JOIN,), 50.0)
+        assert hash_only.cheapest(10.0, 100.0, 100.0, False, None, math.inf) is None
+
+    def test_join_pricing_keeps_the_earlier_method_on_an_exact_tie(self):
+        """3 × 3 rows: hash evaluates 2·3 + 3 operators, nested loop 3 · 3."""
+        methods = (JoinMethod.HASH_JOIN, JoinMethod.NESTED_LOOP)
+        costs = [
+            self.model.join_pricing((method,), 9.0).cheapest(1.0, 3.0, 3.0, True, None, math.inf)[0]
+            for method in methods
+        ]
+        assert costs[0] == costs[1]
+        pricing = self.model.join_pricing(methods, 9.0)
+        assert pricing.cheapest(1.0, 3.0, 3.0, True, None, math.inf) == (
+            costs[0], JoinMethod.HASH_JOIN
+        )
 
     @given(rows=st.floats(min_value=0, max_value=1e7))
     @settings(max_examples=50, deadline=None)
