@@ -21,13 +21,12 @@ configuration by fitting the five cost units against the executor
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 from repro.cost.calibration import calibrate_cost_units
 from repro.executor.executor import Executor
 from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.settings import OptimizerSettings
-from repro.relalg import DEFAULT_MORSEL_ROWS, TaskScheduler
 from repro.reopt.algorithm import ReoptimizationSettings, Reoptimizer
 from repro.sql.ast import Query
 from repro.storage.catalog import Database
@@ -74,34 +73,15 @@ def run_query_suite(
     reopt_settings: Optional[ReoptimizationSettings] = None,
     execute_intermediate_plans: bool = False,
     execute_plans: bool = True,
-    workers: Union[int, str] = 1,
-    morsel_rows: int = DEFAULT_MORSEL_ROWS,
 ) -> List[QueryRunRecord]:
-    """Run the full pipeline for every query and collect per-query records.
-
-    ``workers > 1`` attaches one shared morsel scheduler to the *whole*
-    pipeline — plan execution and sampling validation dispatch morsel
-    tasks into the same ``workers``-sized pool of worker processes.
-    ``workers="auto"`` sizes the pool by the host (``min(cores - 2,
-    RAM / 4GB)``, floor 1).  Results are bit-identical to ``workers=1``;
-    only wall-clock changes.
-    """
+    """Run the full pipeline for every query and collect per-query records."""
     optimizer = Optimizer(db, settings=optimizer_settings)
-    scheduler = (
-        TaskScheduler(workers=workers, name="suite")
-        if workers == "auto" or (isinstance(workers, int) and workers > 1)
-        else None
-    )
     executor = Executor(
         db,
         cost_units=optimizer.settings.cost_units,
-        scheduler=scheduler,
-        morsel_rows=morsel_rows,
         nested_loop_block_elements=optimizer.settings.nested_loop_block_elements,
     )
-    reoptimizer = Reoptimizer(
-        db, optimizer=optimizer, settings=reopt_settings, scheduler=scheduler
-    )
+    reoptimizer = Reoptimizer(db, optimizer=optimizer, settings=reopt_settings)
     results = [reoptimizer.reoptimize(query) for query in queries]
     records: List[QueryRunRecord] = []
     for query, result in zip(queries, results):
@@ -153,8 +133,6 @@ def run_query_suite(
                 dp_masks_expanded_per_round=result.report.dp_masks_per_round(),
             )
         )
-    if scheduler is not None:
-        scheduler.close()
     return records
 
 
@@ -162,18 +140,15 @@ def calibrated_settings(
     db: Database,
     base_settings: Optional[OptimizerSettings] = None,
     calibration_queries: Optional[Sequence[Query]] = None,
-    scheduler: Optional[TaskScheduler] = None,
 ) -> OptimizerSettings:
     """Return optimizer settings whose cost units were calibrated on ``db``.
 
     This is the paper's "with calibration" configuration: the five cost units
     are replaced by values fitted so that estimated costs are commensurate
-    with observed execution effort on this machine.  Pass the deployment's
-    shared morsel ``scheduler`` to calibrate against the parallel runtime's
-    wall clock instead of the serial one.
+    with observed execution effort on this machine.
     """
     base = base_settings if base_settings is not None else OptimizerSettings()
-    calibration = calibrate_cost_units(db, queries=calibration_queries, scheduler=scheduler)
+    calibration = calibrate_cost_units(db, queries=calibration_queries)
     return base.with_units(calibration.units)
 
 

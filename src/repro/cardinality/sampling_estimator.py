@@ -16,12 +16,8 @@ sampling estimate for every join appearing in a plan (plus the scanned base
 relations) and returns them as a Δ mapping ready to be merged into Γ.
 
 All relational kernels come from :mod:`repro.relalg` (shared with the
-executor), including the morsel-driven parallel runtime: when constructed
-with a :class:`~repro.relalg.TaskScheduler`, sample joins run
-partition-parallel on the same worker pool the executor uses
-(bit-identical to serial, so the estimates never depend on the worker
-count).  Two properties of this workload make sample joins much
-cheaper than re-running them naively:
+executor) and run serially in the caller's process.  Two properties of this
+workload make sample joins much cheaper than re-running them naively:
 
 * filtered samples are projected down to their *join columns* — counting the
   join result needs no payload columns;
@@ -31,12 +27,12 @@ cheaper than re-running them naively:
   the cached two-way join and performs only the third join, both within one
   plan and across re-optimization rounds.
 
-Cache keys are **morsel-set fingerprints**: each alias's filtered sample is
-fingerprinted by content (``Relation.fingerprint``, row data plus chunking
-grid), and the prefix/count/estimate caches key on frozensets of
-``(alias, fingerprint)`` pairs.  Identical sample content therefore hits the
-cache across rounds, while a changed sample (e.g. a re-created
-:class:`SampleSet`) can never alias a stale entry.
+Cache keys are **content fingerprints**: each alias's filtered sample is
+fingerprinted by its row data (``Relation.fingerprint``), and the
+prefix/count/estimate caches key on frozensets of ``(alias, fingerprint)``
+pairs.  Identical sample content therefore hits the cache across rounds,
+while a changed sample (e.g. a re-created :class:`SampleSet`) can never
+alias a stale entry.
 """
 
 from __future__ import annotations
@@ -50,20 +46,13 @@ import networkx as nx
 from repro.cardinality.gamma import JoinSet
 from repro.errors import SamplingError
 from repro.plans.nodes import JoinNode, PlanNode, ScanNode
-from repro.relalg import (
-    DEFAULT_MORSEL_ROWS,
-    ChunkedRelation,
-    Relation,
-    TaskScheduler,
-    filter_relation,
-    parallel_hash_join,
-)
+from repro.relalg import Relation, filter_relation, hash_join
 from repro.sql.ast import Bindings, Query
 from repro.storage.catalog import Database
 from repro.storage.sampling import SampleSet
 
-#: A morsel-set cache key: one ``(alias, fingerprint)`` pair per member.
-MorselSetKey = FrozenSet[Tuple[str, Tuple]]
+#: A join-set cache key: one ``(alias, fingerprint)`` pair per member.
+SampleSetKey = FrozenSet[Tuple[str, Tuple]]
 
 #: Intermediate sample joins larger than this are not kept in the prefix
 #: cache: a many-to-many (or cross-product) sample join can dwarf the base
@@ -104,8 +93,6 @@ class SamplingEstimator:
         db: Database,
         query: Query,
         samples: Optional[SampleSet] = None,
-        scheduler: Optional[TaskScheduler] = None,
-        morsel_rows: int = DEFAULT_MORSEL_ROWS,
     ) -> None:
         self.db = db
         query.ensure_bound()
@@ -115,26 +102,23 @@ class SamplingEstimator:
             raise SamplingError(
                 "no sample tables available; call Database.create_samples() first"
             )
-        #: Shared morsel scheduler; ``None`` runs every sample join serially.
-        self.scheduler = scheduler
-        self.morsel_rows = morsel_rows
         #: Cache of filtered (and join-column-projected) sample relations.
         self._filtered_cache: Dict[str, Relation] = {}
-        #: Morsel-set fingerprint of each alias's filtered sample, memoized
+        #: Content fingerprint of each alias's filtered sample, memoized
         #: per relation identity (see ``_fingerprint_for``).
         self._fingerprints: Dict[str, Tuple[Relation, Tuple]] = {}
-        #: Join-prefix cache: morsel-set key → joined sample relation.
+        #: Join-prefix cache: sample-set key → joined sample relation.
         #: Fingerprints pin the entries to the exact sample content they were
         #: computed from, so cached sub-joins stay valid across
         #: re-optimization rounds for as long as the samples are unchanged.
-        self._prefix_cache: Dict[MorselSetKey, Relation] = {}
-        #: Cache of observed sample-join counts per morsel-set key (shared by
+        self._prefix_cache: Dict[SampleSetKey, Relation] = {}
+        #: Cache of observed sample-join counts per sample-set key (shared by
         #: ``estimate_cardinality`` and ``estimate_selectivity``).
-        self._count_cache: Dict[MorselSetKey, int] = {}
-        #: Cache of sampling estimates per morsel-set key (samples are fixed,
+        self._count_cache: Dict[SampleSetKey, int] = {}
+        #: Cache of sampling estimates per sample-set key (samples are fixed,
         #: so the estimate for a join set never changes within one
         #: re-optimization).
-        self._estimate_cache: Dict[MorselSetKey, float] = {}
+        self._estimate_cache: Dict[SampleSetKey, float] = {}
         #: The query's join graph (aliases as nodes), built once.
         self._join_graph = query.join_graph()
         #: Lifetime counters (``validate_plan`` reports per-round deltas).
@@ -175,16 +159,13 @@ class SamplingEstimator:
             relation,
             alias,
             self.query.local_predicates_for(alias),
-            self.scheduler,
-            self.morsel_rows,
-            stage="sample_filter",
             keep=[f"{alias}.{name}" for name in join_columns],
         )
         self._filtered_cache[alias] = filtered
         return filtered
 
     def _fingerprint_for(self, alias: str) -> Tuple:
-        """Morsel-set fingerprint of ``alias``'s current filtered sample.
+        """Content fingerprint of ``alias``'s current filtered sample.
 
         Memoized per relation *identity*: if the filtered sample is replaced
         (fresh estimator state, test injection), the fingerprint is
@@ -194,17 +175,17 @@ class SamplingEstimator:
         relation = self._filtered_sample(alias)
         entry = self._fingerprints.get(alias)
         if entry is None or entry[0] is not relation:
-            entry = (relation, ChunkedRelation(relation, self.morsel_rows).fingerprint())
+            entry = (relation, relation.fingerprint())
             self._fingerprints[alias] = entry
         return entry[1]
 
-    def _morsel_set_key(self, aliases: Iterable[str]) -> MorselSetKey:
-        """The cache key of a join set: its members' morsel-set fingerprints."""
+    def _sample_set_key(self, aliases: Iterable[str]) -> SampleSetKey:
+        """The cache key of a join set: its members' content fingerprints."""
         return frozenset((alias, self._fingerprint_for(alias)) for alias in aliases)
 
     @staticmethod
-    def _key_aliases(key: MorselSetKey) -> FrozenSet[str]:
-        """The alias set a morsel-set key covers."""
+    def _key_aliases(key: SampleSetKey) -> FrozenSet[str]:
+        """The alias set a sample-set key covers."""
         return frozenset(alias for alias, _ in key)
 
     def _join_relation(self, aliases: FrozenSet[str]) -> Relation:
@@ -216,10 +197,9 @@ class SamplingEstimator:
         connected in the join graph where possible).  Every intermediate
         result is cached, so validating the join sets of one plan — and of
         later re-optimization rounds — degenerates to at most one new join
-        per join set.  Joins themselves run on the shared morsel scheduler
-        (partition-parallel, bit-identical to serial).
+        per join set.
         """
-        key = self._morsel_set_key(aliases)
+        key = self._sample_set_key(aliases)
         cached = self._prefix_cache.get(key)
         if cached is not None:
             self.prefix_cache_hits += 1
@@ -240,7 +220,7 @@ class SamplingEstimator:
             # Re-key with the *current* fingerprints: a stale entry (filtered
             # sample replaced since it was stored) has a matching alias set
             # but a different key, and must be a silent miss, not a hit.
-            best_key = self._morsel_set_key(best)
+            best_key = self._sample_set_key(best)
             promoted = self._prefix_cache.get(best_key)
         if promoted is not None:
             self.prefix_cache_hits += 1
@@ -251,24 +231,22 @@ class SamplingEstimator:
             first = min(aliases)
             current = self._filtered_sample(first)
             included = frozenset({first})
-            self._store_prefix(self._morsel_set_key(included), current)
+            self._store_prefix(self._sample_set_key(included), current)
         for alias in self._extension_order(included, aliases):
             right = self._filtered_sample(alias)
             predicates = self.query.join_predicates_between(included, {alias})
-            joined = parallel_hash_join(
-                current, right, predicates, included, scheduler=self.scheduler
-            )
+            joined = hash_join(current, right, predicates, included)
             self.sample_join_row_ops += current.num_rows + right.num_rows + joined.num_rows
             current = joined
             included = included | {alias}
-            self._store_prefix(self._morsel_set_key(included), current)
+            self._store_prefix(self._sample_set_key(included), current)
         return current
 
-    def _touch_prefix(self, key: MorselSetKey) -> None:
+    def _touch_prefix(self, key: SampleSetKey) -> None:
         """Mark a cache entry as recently used (dict order is LRU order)."""
         self._prefix_cache[key] = self._prefix_cache.pop(key)
 
-    def _store_prefix(self, key: MorselSetKey, relation: Relation) -> None:
+    def _store_prefix(self, key: SampleSetKey, relation: Relation) -> None:
         """Cache an intermediate sample join, evicting LRU entries beyond the
         per-entry and total row budgets."""
         if relation.num_rows > PREFIX_CACHE_MAX_ROWS:
@@ -322,7 +300,7 @@ class SamplingEstimator:
 
     def _sample_join_count(self, aliases: FrozenSet[str]) -> int:
         """Number of rows the join of ``aliases`` produces over the samples."""
-        key = self._morsel_set_key(aliases)
+        key = self._sample_set_key(aliases)
         if key in self._count_cache:
             return self._count_cache[key]
         count = self._join_relation(aliases).num_rows
@@ -337,7 +315,7 @@ class SamplingEstimator:
         key = frozenset(aliases)
         if not key:
             raise ValueError("join set must contain at least one relation")
-        cache_key = self._morsel_set_key(key)
+        cache_key = self._sample_set_key(key)
         if cache_key in self._estimate_cache:
             return self._estimate_cache[cache_key]
         observed = self._sample_join_count(key)
@@ -416,10 +394,8 @@ def validate_plan_for_bindings(
     template: Query,
     bindings: Bindings,
     plan: PlanNode,
-    scheduler: Optional[TaskScheduler] = None,
     samples: Optional[SampleSet] = None,
     validate_base_relations: bool = False,
-    morsel_rows: int = DEFAULT_MORSEL_ROWS,
 ) -> Tuple[Query, SamplingValidation]:
     """Validate a cached ``plan`` under *new* parameter ``bindings``.
 
@@ -437,9 +413,7 @@ def validate_plan_for_bindings(
     """
     query = template.bind(bindings) if bindings is not None else template
     query.ensure_bound()
-    estimator = SamplingEstimator(
-        db, query, samples=samples, scheduler=scheduler, morsel_rows=morsel_rows
-    )
+    estimator = SamplingEstimator(db, query, samples=samples)
     validation = estimator.validate_plan(
         plan, validate_base_relations=validate_base_relations
     )

@@ -32,7 +32,6 @@ from repro.errors import CalibrationError
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.executor.executor import Executor
     from repro.optimizer.optimizer import Optimizer
-    from repro.relalg.scheduler import TaskScheduler
     from repro.sql.ast import Query
     from repro.storage.catalog import Database
 
@@ -86,7 +85,6 @@ def calibrate_cost_units(
     executor: Optional[Executor] = None,
     optimizer: Optional[Optimizer] = None,
     repetitions: int = 1,
-    scheduler: Optional[TaskScheduler] = None,
 ) -> CalibrationResult:
     """Calibrate the cost units against the executor on ``db``.
 
@@ -102,17 +100,12 @@ def calibrate_cost_units(
         omitted.
     repetitions:
         How many times each calibration plan is executed (timings averaged).
-    scheduler:
-        Optional shared morsel :class:`~repro.relalg.TaskScheduler` for the
-        default executor.  Calibration fits units against *observed* wall
-        clock, so calibrating on the same scheduler the deployment executes
-        with keeps the fitted units commensurate with the parallel runtime.
     """
     from repro.executor.executor import Executor
     from repro.optimizer.optimizer import Optimizer
     from repro.sql.builder import QueryBuilder
 
-    executor = executor if executor is not None else Executor(db, scheduler=scheduler)
+    executor = executor if executor is not None else Executor(db)
     optimizer = optimizer if optimizer is not None else Optimizer(db)
 
     if queries is None:

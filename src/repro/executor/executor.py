@@ -31,21 +31,11 @@ three physical-execution concerns on top:
   join keys a *later* join still needs.  A key is dropped by the join that
   consumes it (a :class:`~repro.relalg.Relation` tracks its row count
   explicitly, which keeps ``COUNT(*)`` correct even with no columns left);
-* **morsel-driven parallelism** — when constructed with a parallel
-  :class:`~repro.relalg.TaskScheduler`, plan pipelines execute
-  morsel-at-a-time: scan filters evaluate one morsel task per chunk, hash
-  joins run partition-parallel build/probe tasks, and grouped aggregation
-  reduces group-aligned chunks, all on the *shared* worker pool (the same
-  pool the sampling validator uses).  The kernels run on worker
-  *processes* with columns shipped once through
-  ``multiprocessing.shared_memory`` descriptors (zero-copy attach, no GIL
-  contention), and the executor labels each kernel with its pipeline stage
-  (``"filter"``, ``"join"``, ``"aggregate"``) so the scheduler's adaptive
-  morsel sizer can grow chunk sizes per stage until per-task overhead is
-  negligible.  Every parallel path is bit-identical to
-  its serial counterpart, so the per-node instrumentation (actual
-  cardinalities, resource vectors, simulated cost) is unchanged by the
-  worker count.
+* **one process per query** — every operator runs serially in the caller's
+  process, so the per-node instrumentation (actual cardinalities, resource
+  vectors, simulated cost) is exactly what the kernels did.  The sharded
+  coordinator is the only caller that runs plans elsewhere: it ships whole
+  shard fragments to worker processes, each of which runs this executor.
 """
 
 from __future__ import annotations
@@ -62,15 +52,13 @@ from repro.cost.units import CostUnits, DEFAULT_COST_UNITS
 from repro.errors import ExecutionError
 from repro.executor.materialization import canonicalize_relation, needs_canonical_order
 from repro.relalg import (
-    DEFAULT_MORSEL_ROWS,
     Relation,
-    TaskScheduler,
     filter_relation,
     group_aggregate,
+    hash_join,
     index_nested_loop_join,
     merge_join,
     nested_loop_join,
-    parallel_hash_join,
 )
 from repro.plans.nodes import (
     AggregateNode,
@@ -188,16 +176,11 @@ class Executor:
         db: Database,
         cost_units: CostUnits = DEFAULT_COST_UNITS,
         tuples_per_page: int = 100,
-        scheduler: Optional[TaskScheduler] = None,
-        morsel_rows: int = DEFAULT_MORSEL_ROWS,
         nested_loop_block_elements: Optional[int] = None,
         intermediates: Optional[Dict[FrozenSet[str], Relation]] = None,
     ) -> None:
         self.db = db
         self.cost_model = CostModel(units=cost_units, tuples_per_page=tuples_per_page)
-        #: Shared morsel scheduler; ``None`` executes every kernel serially.
-        self.scheduler = scheduler
-        self.morsel_rows = morsel_rows
         #: Block budget of the nested-loop kernel (``None`` = kernel default);
         #: threaded through from ``OptimizerSettings.nested_loop_block_elements``.
         self.nested_loop_block_elements = nested_loop_block_elements
@@ -243,20 +226,14 @@ class Executor:
             matched = len(row_ids)
             relation = Relation.from_table(table, alias, load).take(row_ids)
             residual = [p for p in predicates if p is not index_predicate]
-            relation = filter_relation(
-                relation, alias, residual, self.scheduler, self.morsel_rows,
-                stage="filter", keep=keep,
-            )
+            relation = filter_relation(relation, alias, residual, keep=keep)
             output_rows = relation.num_rows
             resources = self.cost_model.index_scan_resources(
                 table.num_rows, matched, len(residual), output_rows
             )
         else:
             relation = Relation.from_table(table, alias, load)
-            relation = filter_relation(
-                relation, alias, predicates, self.scheduler, self.morsel_rows,
-                stage="filter", keep=keep,
-            )
+            relation = filter_relation(relation, alias, predicates, keep=keep)
             output_rows = relation.num_rows
             resources = self.cost_model.seq_scan_resources(
                 table.num_rows, len(predicates), output_rows
@@ -334,19 +311,13 @@ class Executor:
             node.method is JoinMethod.INDEX_NESTED_LOOP
             and (probe := self._index_probe(node, left_relation)) is not None
         ):
-            joined = index_nested_loop_join(
-                left_relation, right_relation, *probe,
-                keep=keep, scheduler=self.scheduler,
-            )
+            joined = index_nested_loop_join(left_relation, right_relation, *probe, keep=keep)
         elif node.method in (JoinMethod.HASH_JOIN, JoinMethod.INDEX_NESTED_LOOP):
             # An INDEX_NESTED_LOOP node ``_index_probe`` turned down runs the
-            # hash kernel (its cost profile differs, its output not).  With a
-            # parallel scheduler the kernel runs partition-parallel; the
-            # output is bit-identical either way.
-            joined = parallel_hash_join(
+            # hash kernel (its cost profile differs, its output not).
+            joined = hash_join(
                 left_relation, right_relation, node.predicates,
-                frozenset(node.left.relations),
-                scheduler=self.scheduler, keep=keep,
+                frozenset(node.left.relations), keep=keep,
             )
         else:
             raise ExecutionError(f"unsupported join method {node.method!r}")
@@ -383,14 +354,7 @@ class Executor:
             raise ExecutionError("aggregate node is missing its input")
         child_relation = self._execute_node(node.child, result, query)
         input_rows = child_relation.num_rows
-        output = group_aggregate(
-            child_relation,
-            node.group_by,
-            node.aggregates,
-            scheduler=self.scheduler,
-            morsel_rows=self.morsel_rows,
-            stage="aggregate",
-        )
+        output = group_aggregate(child_relation, node.group_by, node.aggregates)
         output_rows = output.num_rows
         resources = self.cost_model.aggregate_resources(input_rows, output_rows)
         result.node_executions.append(

@@ -17,24 +17,19 @@ Layout
 ``predicates``
     Compiled local-predicate evaluation (``= <> < <= > >= IN BETWEEN``).
 ``joins``
-    Hash, sort-merge, block nested-loop and index-probe equi-join kernels,
-    plus the partition-parallel hash join.
+    Hash, sort-merge, block nested-loop and index-probe equi-join kernels.
 ``aggregate``
-    ``reduceat``-based grouped aggregation (serial and chunk-parallel).
+    ``reduceat``-based grouped aggregation, plus the shard partial/merge
+    kernels of the sharded coordinator.
 ``scheduler``
-    The shared morsel-task scheduler (bounded worker pool with ordered,
-    deterministic result collection) every parallel kernel dispatches onto.
-    Kernel tasks run on a persistent pool of worker *processes*, with
-    adaptive per-stage morsel sizing; coordination tasks stay on threads.
+    The process pool the sharded coordinator scatters shard fragments over
+    (ordered, deterministic result collection, inline degradation).
 ``shm``
-    The shared-memory column transport of the process runtime: refcounted
-    segment registry, scoped arenas, ``(segment, dtype, offset, length)``
-    descriptors and zero-copy worker-side attachment.
+    Shared-memory column transport: refcounted segment registry, scoped
+    arenas, ``(segment, dtype, offset, length)`` descriptors and zero-copy
+    worker-side attachment.
 
-The parallel paths are **bit-identical** to their serial counterparts: task
-results are always merged in deterministic (morsel/partition) order, and
-float reductions keep their serial accumulation order by aligning chunk
-boundaries with group boundaries.
+Every operator of a query runs serially in the caller's process.
 """
 
 from repro.relalg.aggregate import (
@@ -49,7 +44,6 @@ from repro.relalg.encoding import (
     column_fingerprint,
     decode_column,
     factorize_pair,
-    slice_column,
     take_column,
     value_counts,
 )
@@ -59,8 +53,6 @@ from repro.relalg.joins import (
     join_indices,
     merge_join,
     nested_loop_join,
-    parallel_hash_join,
-    parallel_join_indices,
 )
 from repro.relalg.predicates import (
     compile_predicate,
@@ -68,8 +60,6 @@ from repro.relalg.predicates import (
     predicate_mask,
 )
 from repro.relalg.relation import (
-    DEFAULT_MORSEL_ROWS,
-    ChunkedRelation,
     Relation,
     RelationLike,
     as_relation,
@@ -77,12 +67,10 @@ from repro.relalg.relation import (
     relation_num_rows,
 )
 from repro.relalg.scheduler import (
-    AdaptiveMorselSizer,
     TaskScheduler,
     default_worker_count,
-    get_default_scheduler,
     resolve_worker_count,
-    set_default_scheduler,
+    usable_cpu_count,
 )
 from repro.relalg.shm import (
     ArrayDescriptor,
@@ -98,12 +86,9 @@ from repro.relalg.shm import (
 )
 
 __all__ = [
-    "AdaptiveMorselSizer",
     "ArrayDescriptor",
-    "ChunkedRelation",
     "ColumnData",
     "ColumnDescriptor",
-    "DEFAULT_MORSEL_ROWS",
     "DictEncodedArray",
     "Relation",
     "RelationLike",
@@ -122,7 +107,6 @@ __all__ = [
     "default_worker_count",
     "factorize_pair",
     "filter_relation",
-    "get_default_scheduler",
     "group_aggregate",
     "hash_join",
     "index_nested_loop_join",
@@ -130,17 +114,14 @@ __all__ = [
     "merge_join",
     "merge_partials",
     "nested_loop_join",
-    "parallel_hash_join",
-    "parallel_join_indices",
     "partial_aggregate",
     "partial_merge_exact",
     "predicate_mask",
     "relation_num_rows",
     "resolve_worker_count",
     "segment_registry",
-    "set_default_scheduler",
     "shm_dir_segments",
-    "slice_column",
     "take_column",
+    "usable_cpu_count",
     "value_counts",
 ]

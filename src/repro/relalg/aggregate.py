@@ -23,19 +23,8 @@ import numpy as np
 
 from repro.errors import ExecutionError
 from repro.relalg.encoding import ColumnData, DictEncodedArray, sort_key, take_column
-from repro.relalg.relation import (
-    DEFAULT_MORSEL_ROWS,
-    Relation,
-    RelationLike,
-    as_relation,
-)
-from repro.relalg.scheduler import TaskScheduler
-from repro.relalg.shm import ArrayDescriptor, ColumnDescriptor, attach_array, attach_columns
+from repro.relalg.relation import Relation, RelationLike, as_relation
 from repro.sql.ast import Aggregate, ColumnRef
-
-#: Below this many input rows the parallel aggregation path is not worth the
-#: task overhead: fall through to the serial reduceat.
-_MIN_PARALLEL_AGG_ROWS = 16_384
 
 
 def _global_aggregate(relation: Relation, aggregates: Sequence[Aggregate]) -> Relation:
@@ -107,181 +96,14 @@ def _grouped_values(
     raise ExecutionError(f"unsupported aggregate function {aggregate.func!r}")
 
 
-def _group_chunks(
-    group_starts: np.ndarray, rows: int, morsel_rows: int
-) -> List[Tuple[int, int]]:
-    """Split the group list into group-aligned chunks of ≈ ``morsel_rows`` rows.
-
-    Chunk boundaries always coincide with group boundaries, so every group's
-    values stay inside one chunk — the property that makes the per-chunk
-    ``reduceat`` partials bit-identical to the full-column serial reduction
-    (a ``reduceat`` segment accumulates only within itself, so splitting the
-    array *between* segments changes nothing).  The chunk grid depends only
-    on the data and ``morsel_rows``, never on the worker count.
-    """
-    chunks: List[Tuple[int, int]] = []
-    num_groups = len(group_starts)
-    lo = 0
-    while lo < num_groups:
-        target = int(group_starts[lo]) + morsel_rows
-        hi = int(np.searchsorted(group_starts, target, side="left"))
-        hi = max(hi, lo + 1)
-        chunks.append((lo, hi))
-        lo = hi
-    return chunks
-
-
-#: ``_aggregate_chunk_task`` payload: shared descriptors for the value
-#: columns / sort order / group boundaries, this chunk's group and row
-#: windows, and the (picklable) aggregate specs.
-AggregateChunkPayload = Tuple[
-    Tuple[Tuple[str, ColumnDescriptor], ...],
-    ArrayDescriptor,
-    ArrayDescriptor,
-    ArrayDescriptor,
-    int,
-    int,
-    int,
-    int,
-    Tuple[Aggregate, ...],
-]
-
-
-def _aggregate_chunk_task(payload: AggregateChunkPayload) -> Dict[str, np.ndarray]:
-    """Kernel task body: reduce one group-aligned chunk (worker process).
-
-    The payload carries shared-memory descriptors for the value columns, the
-    sort order and the group boundary arrays, plus this chunk's group and row
-    windows; the worker attaches zero-copy views, gathers the chunk's sorted
-    values and runs the same per-group ``reduceat`` reductions as the serial
-    path.  Partials are fresh arrays (gather + reduce output), safe to ship
-    back through the result queue.  Must stay a picklable top-level function.
-    """
-    (
-        columns_desc,
-        order_desc,
-        starts_desc,
-        counts_desc,
-        lo,
-        hi,
-        row_lo,
-        row_hi,
-        aggregates,
-    ) = payload
-    columns = attach_columns(columns_desc)
-    order = attach_array(order_desc)
-    group_starts = attach_array(starts_desc)
-    group_counts = attach_array(counts_desc)
-    indices = order[row_lo:row_hi]
-    starts_local = group_starts[lo:hi] - row_lo
-    counts_local = group_counts[lo:hi]
-    gathered: Dict[str, ColumnData] = {}
-    partials: Dict[str, np.ndarray] = {}
-    for aggregate in aggregates:
-        sorted_column: Optional[ColumnData] = None
-        if aggregate.column is not None:
-            name = f"{aggregate.alias}.{aggregate.column}"
-            if name not in gathered:
-                gathered[name] = take_column(columns[name], indices)
-            sorted_column = gathered[name]
-        partials[aggregate.output_name] = _grouped_values(
-            aggregate, sorted_column, starts_local, counts_local
-        )
-    return partials
-
-
-def _parallel_grouped(
-    relation: Relation,
-    aggregates: Sequence[Aggregate],
-    order: np.ndarray,
-    group_starts: np.ndarray,
-    group_counts: np.ndarray,
-    rows: int,
-    result: Relation,
-    scheduler: TaskScheduler,
-    chunks: Sequence[Tuple[int, int]],
-    stage: Optional[str] = None,
-) -> Relation:
-    """Aggregate values chunk-parallel: per-morsel partials, concatenated merge.
-
-    Each task gathers the sorted values of one group-aligned chunk and runs
-    the same ``reduceat`` reductions the serial path runs on the full column;
-    the merge concatenates the per-chunk partials in chunk order.  Because
-    ``chunks`` are group-aligned (see :func:`_group_chunks`), the merged
-    output is bit-identical to the serial path — including float
-    ``sum``/``avg``, whose accumulation order per group is unchanged.
-
-    The value columns, sort order and group boundaries are published to
-    shared memory once; each chunk task ships descriptors plus its group and
-    row windows, and returns its partials.
-    """
-    num_groups = len(group_starts)
-    needed = sorted(
-        {
-            f"{aggregate.alias}.{aggregate.column}"
-            for aggregate in aggregates
-            if aggregate.column is not None
-        }
-    )
-    aggregates = tuple(aggregates)
-    with scheduler.new_arena() as arena:
-        columns_desc = tuple(
-            (name, arena.share_column(relation[name])) for name in needed
-        )
-        order_desc = arena.share_array(order)
-        starts_desc = arena.share_array(group_starts)
-        counts_desc = arena.share_array(group_counts)
-        payloads = []
-        for lo, hi in chunks:
-            row_lo = int(group_starts[lo])
-            row_hi = int(group_starts[hi]) if hi < num_groups else rows
-            payloads.append(
-                (
-                    columns_desc,
-                    order_desc,
-                    starts_desc,
-                    counts_desc,
-                    lo,
-                    hi,
-                    row_lo,
-                    row_hi,
-                    aggregates,
-                )
-            )
-        chunk_partials = scheduler.map_kernel(
-            _aggregate_chunk_task, payloads, stage=stage
-        )
-    for aggregate in aggregates:
-        result[aggregate.output_name] = np.concatenate(
-            [partials[aggregate.output_name] for partials in chunk_partials]
-        )
-    return result
-
-
 def group_aggregate(
     relation: RelationLike,
     group_by: Sequence[ColumnRef],
     aggregates: Sequence[Aggregate],
-    scheduler: Optional[TaskScheduler] = None,
-    morsel_rows: int = DEFAULT_MORSEL_ROWS,
-    stage: Optional[str] = None,
 ) -> Relation:
-    """Grouped aggregation over a runtime relation (vectorised).
-
-    With a parallel ``scheduler`` and a large enough input, the value
-    gathering and per-group reductions run as group-aligned shared-memory
-    kernel tasks (:func:`_aggregate_chunk_task`) on the shared worker pool;
-    the output is bit-identical to the serial path (see
-    :func:`_parallel_grouped`).  Key grouping (one lexsort) stays serial — it
-    is a single deterministic kernel either way.  A ``stage`` label opts into
-    adaptive morsel sizing: the scheduler grows this stage's chunk rows until
-    per-task overhead is under target (callers that pin an exact
-    ``morsel_rows``, like the bit-identity sweeps, simply omit it).
-    """
+    """Grouped aggregation over a runtime relation (vectorised)."""
     relation = as_relation(relation)
     rows = relation.num_rows
-    if scheduler is not None and stage is not None:
-        morsel_rows = scheduler.adaptive_morsel_rows(stage, morsel_rows)
     if not group_by:
         return _global_aggregate(relation, aggregates)
 
@@ -327,27 +149,6 @@ def group_aggregate(
     result = Relation(num_rows=len(group_starts))
     for name, column in zip(key_names, sorted_keys):
         result[name] = take_column(column, group_starts)
-    if (
-        scheduler is not None
-        and scheduler.parallel
-        and rows >= _MIN_PARALLEL_AGG_ROWS
-        and len(group_starts) > 1
-        and aggregates
-    ):
-        chunks = _group_chunks(group_starts, rows, morsel_rows)
-        if len(chunks) > 1:
-            return _parallel_grouped(
-                relation,
-                aggregates,
-                order,
-                group_starts,
-                group_counts,
-                rows,
-                result,
-                scheduler,
-                chunks,
-                stage,
-            )
     sorted_cache: Dict[str, ColumnData] = {}
     for aggregate in aggregates:
         sorted_column: Optional[ColumnData] = None

@@ -104,18 +104,6 @@ def take_column(column: ColumnData, indices: np.ndarray) -> ColumnData:
     return column[indices]
 
 
-def slice_column(column: ColumnData, start: int, stop: int) -> ColumnData:
-    """Contiguous row range of a runtime column as a zero-copy view.
-
-    NumPy basic slicing returns views, so chunking a relation into morsels
-    allocates no row data whatsoever (encoded columns also share their
-    dictionary).
-    """
-    if isinstance(column, DictEncodedArray):
-        return column.slice(start, stop)
-    return column[start:stop]
-
-
 def decode_column(column: ColumnData) -> np.ndarray:
     """Materialise a runtime column as a plain NumPy array."""
     if isinstance(column, DictEncodedArray):
@@ -126,12 +114,13 @@ def decode_column(column: ColumnData) -> np.ndarray:
 def column_fingerprint(column: ColumnData) -> Tuple:
     """A cheap content fingerprint of a runtime column.
 
-    Used to build *morsel-set fingerprints* (cache keys over chunked
-    relations): identical content always yields an identical fingerprint, so
-    caches keyed on it stay valid across rounds as long as the underlying
-    data is unchanged.  Numeric data hashes its raw bytes with CRC32; encoded
-    columns hash their code bytes plus the dictionary size; object arrays
-    (rare: unencoded strings) fall back to hashing the Python values.
+    Used to build :meth:`~repro.relalg.relation.Relation.fingerprint`, the
+    sampling validator's cache keys: identical content always yields an
+    identical fingerprint, so caches keyed on it stay valid across rounds as
+    long as the underlying data is unchanged.  Numeric data hashes its raw
+    bytes with CRC32; encoded columns hash their code bytes plus the
+    dictionary size; object arrays (rare: unencoded strings) fall back to
+    hashing the Python values.
     """
     import zlib
 

@@ -40,8 +40,6 @@ import numpy as np
 
 from repro.relalg.encoding import ColumnData, factorize_pair, fits_direct_table, take_column
 from repro.relalg.relation import Relation, RelationLike, as_relation
-from repro.relalg.scheduler import TaskScheduler
-from repro.relalg.shm import ArrayDescriptor, attach_array
 from repro.sql.ast import JoinPredicate
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
@@ -54,10 +52,6 @@ _MAX_COMPOSITE_DOMAIN = 2**62
 #: Default element budget for one block of the nested-loop comparison matrix
 #: (overridable per call; see ``OptimizerSettings.nested_loop_block_elements``).
 _NESTED_LOOP_BLOCK_ELEMENTS = 4_000_000
-
-#: Below this many total input rows a parallel join is not worth the
-#: partitioning pass: fall through to the serial kernel.
-_MIN_PARALLEL_JOIN_ROWS = 16_384
 
 
 def _key_columns(
@@ -245,37 +239,22 @@ def _materialise(
     left_index: np.ndarray,
     right_index: np.ndarray,
     keep: Optional[AbstractSet[str]] = None,
-    scheduler: Optional[TaskScheduler] = None,
 ) -> Relation:
     """Gather the matched rows — the one place any join kernel builds output.
 
     ``keep`` names the columns the result carries (``None`` = every column of
     both sides); a join key nothing later reads is matched on and never
-    gathered.  With a parallel ``scheduler`` and a large enough output the
-    gathers run one column per task — fancy indexing releases the GIL, and
-    column identity fixes the task order, so the result is byte-for-byte the
-    serial one.
+    gathered.
     """
-    jobs = [
-        (name, column, index)
-        for side, index in ((left, left_index), (right, right_index))
-        for name, column in side.items()
-        if keep is None or name in keep
-    ]
-
-    def gather(job: Tuple[str, ColumnData, np.ndarray]) -> Tuple[str, ColumnData]:
-        return job[0], take_column(job[1], job[2])
-
-    if (
-        scheduler is not None
-        and scheduler.parallel
-        and len(left_index) >= _MIN_PARALLEL_JOIN_ROWS
-        and len(jobs) > 1
-    ):
-        gathered = scheduler.map(gather, jobs)
-    else:
-        gathered = [gather(job) for job in jobs]
-    return Relation(dict(gathered), num_rows=len(left_index))
+    return Relation(
+        {
+            name: take_column(column, index)
+            for side, index in ((left, left_index), (right, right_index))
+            for name, column in side.items()
+            if keep is None or name in keep
+        },
+        num_rows=len(left_index),
+    )
 
 
 def join_indices(
@@ -370,7 +349,6 @@ def index_nested_loop_join(
     left_keys: np.ndarray,
     index: "SortedIndex",
     keep: Optional[AbstractSet[str]] = None,
-    scheduler: Optional[TaskScheduler] = None,
 ) -> Relation:
     """Index nested-loop equi-join: probe the inner table's sorted index.
 
@@ -387,200 +365,9 @@ def index_nested_loop_join(
     right = as_relation(right)
     starts, counts = index.probe(left_keys)
     left_index, right_index = _expand_matches(left.num_rows, counts, starts, index.rows)
-    return _materialise(left, right, left_index, right_index, keep, scheduler)
+    return _materialise(left, right, left_index, right_index, keep)
 
 
-# --------------------------------------------------------------------------- #
-# Partition-parallel hash join
-# --------------------------------------------------------------------------- #
-def _radix_order(
-    codes: np.ndarray, num_partitions: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Partition row order and boundaries of ``code % num_partitions``.
-
-    One stable counting sort over the partition ids: partition ``p``'s row
-    indices are ``order[boundaries[p] : boundaries[p + 1]]``, ascending — so
-    per-partition matching sees rows in their original relative order, the
-    property the deterministic merge relies on.  The flat ``(order,
-    boundaries)`` form is what the process runtime shares: one array in one
-    segment instead of ``P`` pickled index lists.
-    """
-    parts = codes % num_partitions
-    order = np.argsort(parts, kind="stable")
-    counts = np.bincount(parts, minlength=num_partitions)
-    boundaries = np.concatenate(([0], np.cumsum(counts)))
-    return order, boundaries
-
-
-#: ``_match_partition_task`` payload: the four shared code/order arrays plus
-#: this partition's boundary windows and the partitioning constants.
-MatchPartitionPayload = Tuple[
-    ArrayDescriptor,
-    ArrayDescriptor,
-    ArrayDescriptor,
-    ArrayDescriptor,
-    int,
-    int,
-    int,
-    int,
-    int,
-    int,
-]
-
-
-def _match_partition_task(payload: MatchPartitionPayload) -> Tuple[np.ndarray, np.ndarray]:
-    """Kernel task body: build + probe one radix partition (worker process).
-
-    The payload carries :class:`~repro.relalg.shm.ArrayDescriptor` handles
-    for the composite code arrays and the partition orders, plus this
-    partition's boundary window — the worker attaches zero-copy views and
-    runs exactly the serial :func:`hash_match` on the partition's quotient
-    codes.  The returned index pair is a fresh array (fancy-indexing output),
-    so pickling it back is safe regardless of segment lifetime.
-
-    Must stay a picklable top-level function: the process pool ships it by
-    module reference.
-    """
-    (
-        left_codes_desc,
-        right_codes_desc,
-        left_order_desc,
-        right_order_desc,
-        left_lo,
-        left_hi,
-        right_lo,
-        right_hi,
-        num_partitions,
-        quotient_domain,
-    ) = payload
-    left_codes = attach_array(left_codes_desc)
-    right_codes = attach_array(right_codes_desc)
-    left_rows = attach_array(left_order_desc)[left_lo:left_hi]
-    right_rows = attach_array(right_order_desc)[right_lo:right_hi]
-    sub_left, sub_right = hash_match(
-        left_codes[left_rows] // num_partitions,
-        right_codes[right_rows] // num_partitions,
-        quotient_domain,
-    )
-    return left_rows[sub_left], right_rows[sub_right]
-
-
-def parallel_join_indices(
-    left: RelationLike,
-    right: RelationLike,
-    predicates: Sequence[JoinPredicate],
-    left_aliases: FrozenSet[str],
-    scheduler: Optional[TaskScheduler] = None,
-    num_partitions: Optional[int] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Partition-parallel hash join: radix-partition build, per-partition probe.
-
-    Both sides are radix-partitioned on the composite join code
-    (``code % P``), one build+probe task runs per non-empty partition on the
-    scheduler, and the per-partition pairs are merged deterministically.
-    Every join code lands in exactly one partition, so the merged pair *set*
-    equals the serial kernel's; a final stable sort by left row index
-    restores the serial kernel's exact pair *order* (ascending left row, ties
-    by ascending right row — see :func:`hash_match`), which makes the
-    parallel join bit-identical to :func:`hash_join`.
-
-    With no scheduler (or a serial one, or a small input) this simply runs
-    the serial kernel.
-    """
-    left = as_relation(left)
-    right = as_relation(right)
-    total_rows = left.num_rows + right.num_rows
-    if (
-        scheduler is None
-        or not scheduler.parallel
-        or not predicates
-        or total_rows < _MIN_PARALLEL_JOIN_ROWS
-    ):
-        return join_indices(left, right, predicates, left_aliases, "hash")
-    if left.num_rows == 0 or right.num_rows == 0:
-        return _empty_indices()
-
-    left_codes, right_codes, domain, residual = _composite_codes(
-        left, right, predicates, left_aliases
-    )
-    if num_partitions is None:
-        num_partitions = max(2, 2 * scheduler.workers)
-    num_partitions = min(num_partitions, max(2, domain))
-    left_order, left_bounds = _radix_order(left_codes, num_partitions)
-    right_order, right_bounds = _radix_order(right_codes, num_partitions)
-    # Within partition p every code satisfies code % P == p, so the quotient
-    # is a bijective re-coding — it keeps per-partition bucket tables at
-    # ~domain/P entries instead of each task allocating the full domain.
-    quotient_domain = domain // num_partitions + 1
-    tasks = [
-        p
-        for p in range(num_partitions)
-        if left_bounds[p] < left_bounds[p + 1] and right_bounds[p] < right_bounds[p + 1]
-    ]
-    if len(tasks) <= 1:
-        # Nothing to fan out (one partition holds every match, or none
-        # does): the serial kernel, with nothing published to shared memory.
-        left_index, right_index = hash_match(left_codes, right_codes, domain)
-    else:
-        # Publish the code and order arrays once into shared memory; each
-        # task ships only descriptors plus its boundary window.
-        with scheduler.new_arena() as arena:
-            left_codes_desc = arena.share_array(left_codes)
-            right_codes_desc = arena.share_array(right_codes)
-            left_order_desc = arena.share_array(left_order)
-            right_order_desc = arena.share_array(right_order)
-            payloads = [
-                (
-                    left_codes_desc,
-                    right_codes_desc,
-                    left_order_desc,
-                    right_order_desc,
-                    int(left_bounds[p]),
-                    int(left_bounds[p + 1]),
-                    int(right_bounds[p]),
-                    int(right_bounds[p + 1]),
-                    num_partitions,
-                    quotient_domain,
-                )
-                for p in tasks
-            ]
-            pairs = scheduler.map_kernel(
-                _match_partition_task, payloads, stage="join"
-            )
-        left_index = np.concatenate([pair[0] for pair in pairs])
-        right_index = np.concatenate([pair[1] for pair in pairs])
-        # Deterministic merge: serial pair order is (left row asc, right row
-        # asc); partitions already emit (left asc, right asc) internally and
-        # one left row only ever matches inside one partition, so a stable
-        # sort on the left index alone reproduces the serial order exactly.
-        order = np.argsort(left_index, kind="stable")
-        left_index = left_index[order]
-        right_index = right_index[order]
-    if residual:
-        left_index, right_index = _apply_residual(
-            left, right, residual, left_aliases, left_index, right_index
-        )
-    return left_index, right_index
-
-
-def parallel_hash_join(
-    left: RelationLike,
-    right: RelationLike,
-    predicates: Sequence[JoinPredicate],
-    left_aliases: FrozenSet[str],
-    scheduler: Optional[TaskScheduler] = None,
-    num_partitions: Optional[int] = None,
-    keep: Optional[AbstractSet[str]] = None,
-) -> Relation:
-    """Hash join dispatched onto the shared scheduler (bit-identical to serial).
-
-    Matching is partition-parallel (:func:`parallel_join_indices`) and the
-    output gather column-parallel (:func:`_materialise`), so the result
-    relation is byte-for-byte the serial :func:`hash_join` output.
-    """
-    left = as_relation(left)
-    right = as_relation(right)
-    left_index, right_index = parallel_join_indices(
-        left, right, predicates, left_aliases, scheduler, num_partitions
-    )
-    return _materialise(left, right, left_index, right_index, keep, scheduler)
+#: Kept only because the frozen benchmark's span list (``perfbench/spans.py``)
+#: resolves this name; every hash join is the serial kernel.
+parallel_hash_join = hash_join

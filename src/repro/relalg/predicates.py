@@ -22,24 +22,12 @@ from typing import Callable, Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ExecutionError
-from repro.relalg.encoding import ColumnData, DictEncodedArray, slice_column
-from repro.relalg.relation import (
-    DEFAULT_MORSEL_ROWS,
-    ChunkedRelation,
-    Relation,
-    RelationLike,
-    as_relation,
-)
-from repro.relalg.scheduler import TaskScheduler
-from repro.relalg.shm import ColumnDescriptor, attach_columns
+from repro.relalg.encoding import ColumnData, DictEncodedArray
+from repro.relalg.relation import Relation, RelationLike, as_relation
 from repro.sql.ast import LocalPredicate
 
 #: A compiled predicate: runtime column → boolean mask.
 MaskFn = Callable[[ColumnData], np.ndarray]
-
-#: Below this many rows, morsel-parallel predicate evaluation is not worth
-#: the task overhead: fall through to the single whole-column kernel.
-_MIN_PARALLEL_FILTER_ROWS = 16_384
 
 
 def _between_bounds(value: object) -> Tuple[object, object]:
@@ -161,84 +149,18 @@ def compile_predicate(predicate: LocalPredicate) -> MaskFn:
     return mask
 
 
-#: ``_predicate_mask_task`` payload: shared predicate-column descriptors,
-#: this morsel's row window, and the (picklable) predicate specs.
-PredicateMaskPayload = Tuple[
-    Tuple[Tuple[str, ColumnDescriptor], ...],
-    int,
-    int,
-    Tuple[Tuple[str, LocalPredicate], ...],
-]
-
-
-def _predicate_mask_task(payload: PredicateMaskPayload) -> np.ndarray:
-    """Kernel task body: evaluate one morsel's conjunction mask (worker process).
-
-    The payload carries shared-memory descriptors for the predicate columns,
-    this morsel's ``(start, stop)`` row window, and the (picklable)
-    :class:`LocalPredicate` specs, which the worker compiles — predicate
-    evaluation is elementwise, so the per-morsel mask equals the matching
-    slice of the whole-column mask bit-for-bit.  Must stay a picklable
-    top-level function.
-    """
-    columns_desc, start, stop, spec = payload
-    columns = attach_columns(columns_desc)
-    mask = np.ones(stop - start, dtype=bool)
-    for key, predicate in spec:
-        mask &= compile_predicate(predicate)(slice_column(columns[key], start, stop))
-    return mask
-
-
 def predicate_mask(
     relation: Relation,
     alias: str,
     predicates: Sequence[LocalPredicate],
-    scheduler: Optional[TaskScheduler] = None,
-    morsel_rows: int = DEFAULT_MORSEL_ROWS,
-    stage: Optional[str] = None,
 ) -> np.ndarray:
-    """Conjunction mask of ``predicates`` over ``relation``'s rows.
-
-    With a parallel ``scheduler`` and a large enough relation, the mask is
-    computed one morsel task at a time as shared-memory kernel tasks
-    (:func:`_predicate_mask_task`) and concatenated in morsel order.
-    Predicate evaluation is elementwise, so the chunked mask is bit-identical
-    to the whole-column one.  A ``stage`` label opts into adaptive morsel
-    sizing (omit it to pin ``morsel_rows`` exactly).
-    """
+    """Conjunction mask of ``predicates`` over ``relation``'s rows."""
     compiled = []
     for predicate in predicates:
         key = f"{alias}.{predicate.column}"
         if key not in relation:
             raise ExecutionError(f"column {key!r} missing during predicate evaluation")
         compiled.append((key, compile_predicate(predicate)))
-
-    if scheduler is not None and stage is not None:
-        morsel_rows = scheduler.adaptive_morsel_rows(stage, morsel_rows)
-    if (
-        scheduler is not None
-        and scheduler.parallel
-        and compiled
-        and relation.num_rows >= _MIN_PARALLEL_FILTER_ROWS
-    ):
-        chunked = ChunkedRelation(relation, morsel_rows)
-        if chunked.num_morsels > 1:
-            # Publish each predicate column once; every morsel task ships
-            # descriptors plus its row window.
-            spec = tuple(
-                (f"{alias}.{predicate.column}", predicate) for predicate in predicates
-            )
-            with scheduler.new_arena() as arena:
-                columns_desc = tuple(
-                    (key, arena.share_column(relation[key]))
-                    for key in sorted({key for key, _ in compiled})
-                )
-                payloads = [
-                    (columns_desc, start, stop, spec) for start, stop in chunked.bounds
-                ]
-                return np.concatenate(
-                    scheduler.map_kernel(_predicate_mask_task, payloads, stage=stage)
-                )
 
     mask = np.ones(relation.num_rows, dtype=bool)
     for key, mask_fn in compiled:
@@ -250,9 +172,6 @@ def filter_relation(
     relation: RelationLike,
     alias: str,
     predicates: Sequence[LocalPredicate],
-    scheduler: Optional[TaskScheduler] = None,
-    morsel_rows: int = DEFAULT_MORSEL_ROWS,
-    stage: Optional[str] = None,
     keep: Optional[Iterable[str]] = None,
 ) -> Relation:
     """Filter a relation by a conjunction of local predicates on ``alias``.
@@ -264,6 +183,4 @@ def filter_relation(
     carried = relation if keep is None else relation.project(keep)
     if not predicates:
         return carried
-    return carried.select(
-        predicate_mask(relation, alias, predicates, scheduler, morsel_rows, stage)
-    )
+    return carried.select(predicate_mask(relation, alias, predicates))

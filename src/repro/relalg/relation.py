@@ -15,7 +15,6 @@ from typing import (
     TYPE_CHECKING,
     Dict,
     Iterable,
-    Iterator,
     List,
     Mapping,
     Optional,
@@ -31,10 +30,8 @@ from repro.relalg.encoding import (
     column_fingerprint,
     column_length,
     decode_column,
-    slice_column,
     take_column,
 )
-from repro.relalg.shm import RelationDescriptor, ShmArena, attach_columns
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.storage.table import Table
@@ -42,11 +39,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
 #: Anything the kernels accept as a relation: a :class:`Relation` proper or
 #: the legacy plain column mapping (coerced via :func:`as_relation`).
 RelationLike = Union["Relation", Mapping[str, ColumnData]]
-
-#: Default number of rows per morsel.  Large enough that per-task scheduling
-#: overhead is negligible next to the NumPy kernel work, small enough that a
-#: multi-million-row operator yields dozens of tasks for a handful of workers.
-DEFAULT_MORSEL_ROWS = 65_536
 
 
 class Relation(Dict[str, ColumnData]):
@@ -119,23 +111,13 @@ class Relation(Dict[str, ColumnData]):
             num_rows=self._num_rows,
         )
 
-    def slice_rows(self, start: int, stop: int) -> "Relation":
-        """Contiguous row range as a zero-copy view (columns are NumPy slices)."""
-        start = max(0, min(start, self._num_rows))
-        stop = max(start, min(stop, self._num_rows))
-        return Relation(
-            {name: slice_column(column, start, stop) for name, column in self.items()},
-            num_rows=stop - start,
-        )
-
     def fingerprint(self) -> Tuple[object, ...]:
         """Content fingerprint: column names plus per-column data hashes.
 
         Two relations with equal fingerprints hold the same rows in the same
         order; the sampling validator keys its prefix/count caches on
-        (alias, fingerprint) pairs — the *morsel-set fingerprints* — so
-        cached sub-joins stay valid exactly as long as the samples they were
-        computed from are unchanged.
+        (alias, fingerprint) pairs, so cached sub-joins stay valid exactly as
+        long as the samples they were computed from are unchanged.
         """
         return (
             self._num_rows,
@@ -153,120 +135,19 @@ class Relation(Dict[str, ColumnData]):
             num_rows=self._num_rows,
         )
 
-    # ------------------------------------------------------------------ #
-    # Shared-memory transport (process-backed morsel runtime)
-    # ------------------------------------------------------------------ #
-    def to_shared(self, arena: ShmArena) -> RelationDescriptor:
-        """Publish every column into ``arena``'s shared-memory segments.
-
-        The returned :class:`~repro.relalg.shm.RelationDescriptor` is a tiny
-        picklable handle a worker process turns back into a relation with
-        :meth:`from_descriptor` — attaching zero-copy views rather than
-        receiving pickled arrays.  The segments live as long as the arena's
-        scope (and are force-unlinked by ``TaskScheduler.close()`` at the
-        latest), so descriptors must not outlive the ``map`` they were
-        built for.
-        """
-        return arena.share_relation(self)
-
-    @classmethod
-    def from_descriptor(cls, descriptor: RelationDescriptor) -> "Relation":
-        """Attach a shared relation published by :meth:`to_shared` (zero-copy).
-
-        The columns are read-only views into the parent's segments; callers
-        that need to mutate must copy first.
-        """
-        return cls(attach_columns(descriptor.columns), num_rows=descriptor.num_rows)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         encoded = sum(1 for c in self.values() if isinstance(c, DictEncodedArray))
         return f"Relation(rows={self._num_rows}, columns={len(self)}, encoded={encoded})"
 
 
-class ChunkedRelation:
-    """A relation split into fixed-size column morsels (zero-copy views).
-
-    The unit of work of the morsel-driven runtime: every parallel operator
-    takes tasks of one morsel (or one partition) at a time.  Chunking is pure
-    bookkeeping — each morsel's columns are NumPy slice views into the parent
-    relation's arrays, so building a :class:`ChunkedRelation` never copies row
-    data.
-
-    Morsel boundaries are deterministic (``[0, morsel_rows, 2·morsel_rows,
-    ...]``), so the sequence of morsels — and therefore the submission order
-    of every task derived from it — is a pure function of the relation and
-    the configured morsel size.
-    """
-
-    __slots__ = ("relation", "morsel_rows", "_bounds")
-
-    def __init__(self, relation: Relation, morsel_rows: int = DEFAULT_MORSEL_ROWS) -> None:
-        if morsel_rows <= 0:
-            raise ValueError(f"morsel_rows must be positive, got {morsel_rows}")
-        self.relation = relation
-        self.morsel_rows = int(morsel_rows)
-        rows = relation.num_rows
-        starts = list(range(0, rows, self.morsel_rows)) or [0]
-        self._bounds: List[Tuple[int, int]] = [
-            (start, min(start + self.morsel_rows, rows)) for start in starts
-        ]
-
-    @classmethod
-    def from_relation(
-        cls, relation: RelationLike, morsel_rows: int = DEFAULT_MORSEL_ROWS
-    ) -> "ChunkedRelation":
-        """Chunk a relation (or plain column mapping) into morsels."""
-        return cls(as_relation(relation), morsel_rows)
-
-    @property
-    def num_rows(self) -> int:
-        return self.relation.num_rows
-
-    @property
-    def num_morsels(self) -> int:
-        return len(self._bounds)
-
-    @property
-    def bounds(self) -> List[Tuple[int, int]]:
-        """The (start, stop) row range of every morsel, in order."""
-        return list(self._bounds)
-
-    def morsel(self, index: int) -> Relation:
-        """The ``index``-th morsel as a zero-copy relation view."""
-        start, stop = self._bounds[index]
-        return self.relation.slice_rows(start, stop)
-
-    def __len__(self) -> int:
-        return len(self._bounds)
-
-    def __iter__(self) -> Iterator[Relation]:
-        for index in range(len(self._bounds)):
-            yield self.morsel(index)
-
-    def concat(self) -> Relation:
-        """The chunked relation as one contiguous relation (the parent)."""
-        return self.relation
-
-    def fingerprint(self) -> Tuple[object, ...]:
-        """Morsel-set fingerprint: content fingerprint plus the chunking grid."""
-        return (self.morsel_rows, len(self._bounds)) + self.relation.fingerprint()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ChunkedRelation(rows={self.num_rows}, morsels={len(self._bounds)}, "
-            f"morsel_rows={self.morsel_rows})"
-        )
-
-
 def _concat_encoded(columns: List[DictEncodedArray]) -> DictEncodedArray:
     """Concatenate encoded columns in code space, whatever their dictionaries.
 
-    Parts of one chunked relation share a dictionary object; shard fragments
-    arrive with one dictionary object per shard — equal contents when every
-    shard saw every value, genuinely different otherwise.  Equal dictionaries
-    are reused; different ones are unioned (they are small and sorted) and
-    each part's codes remapped, so the result's dictionary stays sorted and
-    no caller ever sorts the decoded strings.
+    Shard fragments arrive with one dictionary object per shard — equal
+    contents when every shard saw every value, genuinely different otherwise.
+    Equal dictionaries are reused; different ones are unioned (they are small
+    and sorted) and each part's codes remapped, so the result's dictionary
+    stays sorted and no caller ever sorts the decoded strings.
     """
     dictionary = columns[0].dictionary
     if all(
@@ -282,9 +163,9 @@ def _concat_encoded(columns: List[DictEncodedArray]) -> DictEncodedArray:
 def concat_relations(parts: Iterable[Relation]) -> Relation:
     """Concatenate relations with identical columns, in the given order.
 
-    The deterministic merge step of the morsel runtime and of the sharded
-    gather: the caller supplies parts in morsel (or shard) order, so the
-    output row order never depends on worker scheduling.  Encoded columns
+    The deterministic merge step of the sharded gather: the caller supplies
+    parts in shard order, so the output row order never depends on worker
+    scheduling.  Encoded columns
     stay encoded (:func:`_concat_encoded`).
     """
     parts = [part for part in parts]

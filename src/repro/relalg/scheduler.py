@@ -1,49 +1,28 @@
-"""The shared morsel-task scheduler: a process-backed worker pool.
+"""The process-backed worker pool the sharded coordinator scatters over.
 
-One :class:`TaskScheduler` instance is shared by every layer that wants
-intra-operator parallelism — the executor's morsel pipeline, the parallel
-join/aggregation kernels and the sampling validator all dispatch *morsel
-tasks* into the same bounded pool, so a 4-worker configuration parallelises a
-single heavy query just as well as a batch of queries.
-
-The pool has two tiers:
-
-* **Kernel tasks** (:meth:`TaskScheduler.map_kernel`) run on a persistent
-  pool of **worker processes** (a thread pool is GIL-bound for these
-  kernels and lost to serial).  Task functions must be picklable top-level
-  functions (the kernel bodies in :mod:`repro.relalg.joins` /
-  :mod:`~repro.relalg.aggregate` / :mod:`~repro.relalg.predicates`), and
-  their payloads carry :mod:`repro.relalg.shm` descriptors instead of
-  arrays: column data crosses the process boundary through
-  ``multiprocessing.shared_memory`` exactly once, and workers attach
-  zero-copy views.
-* **Coordination tasks** (:meth:`TaskScheduler.map`) — arbitrary callables,
-  closures included — run on a thread pool (or inline).  They coordinate
-  (the join output's column gather); they are not where the cycles go.
+Every query operator runs serially in the caller's process; the only work
+that crosses a process boundary is the sharded coordinator's scatter — one
+task per shard (:func:`repro.service.coordinator._shard_fragment_task`)
+submitted through :meth:`TaskScheduler.map_kernel`.  Task functions must be
+picklable top-level functions, and payloads are descriptor-sized: fork-started
+workers inherit what they need by copy-on-write.
 
 Design constraints, in order:
 
-* **Determinism** — both ``map`` flavours return results in submission
-  order, so a parallel kernel that concatenates its task results is
-  bit-identical to the serial loop over the same tasks.  Workers never
-  decide output order.
+* **Determinism** — ``map_kernel`` returns results in submission order, so a
+  caller that concatenates its task results is bit-identical to the serial
+  loop over the same tasks.  Workers never decide output order.
 * **Graceful degradation** — ``workers <= 1``, a single task, a closed
-  scheduler, or a *crashed worker pool* all degrade to inline execution of
-  exactly the serial kernel; a query never fails because parallelism did.
-* **Deterministic cleanup** — every shared-memory segment a kernel published
-  through this scheduler is tracked by its refcounted
-  :class:`~repro.relalg.shm.SegmentRegistry`; :meth:`close` force-unlinks
-  whatever is still alive, so no segment outlives the scheduler even on
-  error or crash paths.
-
-Adaptive morsel sizing: the scheduler owns an :class:`AdaptiveMorselSizer`
-that, per pipeline stage, grows the morsel row count until the measured
-per-task overhead (queueing + descriptor pickling + result transport) drops
-below 5% of task time.  Sizing only changes how work is chunked, never what
-is computed — every chunk grid is bit-identical by the kernel contracts.
+  scheduler, an unpicklable task or a *crashed worker pool* all degrade to
+  inline execution of exactly the same task function; a request never fails
+  because the pool did.
+* **Deterministic cleanup** — every shared-memory segment published through
+  :meth:`TaskScheduler.new_arena` is tracked by the scheduler's refcounted
+  :class:`~repro.relalg.shm.SegmentRegistry`; :meth:`TaskScheduler.close`
+  force-unlinks whatever is still alive.
 
 Instrumentation: the scheduler counts submitted/completed/inline/process
-tasks and busy seconds, and tracks the current and high-water queue depth.
+tasks and the seconds spent inside task bodies.
 """
 
 from __future__ import annotations
@@ -54,20 +33,8 @@ import pickle
 import queue as queue_module
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    TypeVar,
-    Union,
-)
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar, Union
 
 from repro.relalg.shm import SegmentRegistry, ShmArena, reset_worker_caches
 
@@ -96,14 +63,26 @@ def _total_ram_bytes() -> Optional[int]:
     return None
 
 
+def usable_cpu_count() -> int:
+    """CPUs this process may run on.
+
+    The affinity mask where the platform has one (``taskset``, cgroup cpusets
+    and container CPU pinning all narrow it), else ``os.cpu_count()``.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
+    return os.cpu_count() or 1
+
+
 def default_worker_count() -> int:
     """Auto-sized worker count: ``min(cores - 2, RAM / 4GB)``, floor 1.
 
     Two cores stay reserved for the coordinating threads (planner, service)
     and each worker is budgeted 4 GB of RAM, per the large-scale
-    evaluation runbook.  On a single-core host the rule bottoms out at one
-    worker, i.e. inline serial execution — a pool there is pure overhead.
-    ``REPRO_WORKERS`` overrides the rule outright.
+    evaluation runbook.  ``cores`` is :func:`usable_cpu_count`.  On a
+    single-core host the rule bottoms out at one worker, i.e. inline serial
+    execution — a pool there is pure overhead.  ``REPRO_WORKERS`` overrides
+    the rule outright.
     """
     env = os.environ.get(WORKERS_ENV_VAR)
     if env:
@@ -111,7 +90,7 @@ def default_worker_count() -> int:
             return max(1, int(env))
         except ValueError:
             pass
-    by_cores = (os.cpu_count() or 1) - 2
+    by_cores = usable_cpu_count() - 2
     ram = _total_ram_bytes()
     by_ram = ram // _RAM_BYTES_PER_WORKER if ram else by_cores
     return max(1, min(by_cores, by_ram))
@@ -134,112 +113,6 @@ def _start_method() -> str:
     return "fork" if "fork" in methods else "spawn"
 
 
-# --------------------------------------------------------------------------- #
-# Adaptive morsel sizing
-# --------------------------------------------------------------------------- #
-@dataclass
-class StageSizing:
-    """Sizing state of one pipeline stage."""
-
-    morsel_rows: int
-    observations: int = 0
-    #: EWMA of the measured per-task overhead fraction at the current size.
-    overhead_fraction: float = 0.0
-    #: Every size this stage has used, in order (growth history).
-    sizes: List[int] = field(default_factory=list)
-
-
-class AdaptiveMorselSizer:
-    """Grow morsel sizes until per-task overhead is below a target fraction.
-
-    For every stage label the sizer starts from the caller's default morsel
-    rows and doubles the size whenever a batch's measured overhead fraction —
-    ``(wall · effective workers − worker busy seconds) / (wall · effective
-    workers)``, i.e. the share of pool capacity *not* spent inside task
-    bodies — stays above ``target_overhead``.  Growth is monotone and clamped
-    to ``[min_rows, max_rows]``, so the size converges after at most
-    ``log2(max/min)`` batches; stages are independent (“re-estimated per
-    stage”).
-
-    Sizing is a pure scheduling hint: every kernel is bit-identical across
-    morsel sizes (group-aligned aggregation chunks, elementwise predicate
-    morsels), so the sizer can never affect results, only task granularity.
-    """
-
-    def __init__(
-        self,
-        min_rows: int = 16_384,
-        max_rows: int = 2_097_152,
-        target_overhead: float = 0.05,
-        smoothing: float = 0.5,
-    ) -> None:
-        self.min_rows = int(min_rows)
-        self.max_rows = int(max_rows)
-        self.target_overhead = float(target_overhead)
-        self.smoothing = float(smoothing)
-        self._lock = threading.Lock()
-        self._stages: Dict[str, StageSizing] = {}
-
-    def _stage(self, stage: str, default_rows: int) -> StageSizing:
-        state = self._stages.get(stage)
-        if state is None:
-            rows = max(self.min_rows, min(self.max_rows, int(default_rows)))
-            state = StageSizing(morsel_rows=rows, sizes=[rows])
-            self._stages[stage] = state
-        return state
-
-    def morsel_rows(self, stage: str, default_rows: int) -> int:
-        """The current morsel size of ``stage`` (seeded from ``default_rows``)."""
-        with self._lock:
-            return self._stage(stage, default_rows).morsel_rows
-
-    def observe(
-        self,
-        stage: str,
-        tasks: int,
-        wall_seconds: float,
-        busy_seconds: float,
-        workers: int,
-    ) -> None:
-        """Fold one batch's measurements into the stage's size decision."""
-        if tasks <= 0 or wall_seconds <= 0:
-            return
-        effective = max(1, min(workers, tasks))
-        capacity = wall_seconds * effective
-        fraction = max(0.0, capacity - busy_seconds) / capacity
-        with self._lock:
-            state = self._stage(stage, self.min_rows)
-            if state.observations == 0:
-                state.overhead_fraction = fraction
-            else:
-                state.overhead_fraction += self.smoothing * (
-                    fraction - state.overhead_fraction
-                )
-            state.observations += 1
-            if (
-                state.overhead_fraction > self.target_overhead
-                and state.morsel_rows < self.max_rows
-                and tasks > 1
-            ):
-                state.morsel_rows = min(self.max_rows, state.morsel_rows * 2)
-                state.sizes.append(state.morsel_rows)
-
-    def snapshot(self) -> Dict[str, StageSizing]:
-        with self._lock:
-            return {
-                stage: StageSizing(
-                    morsel_rows=state.morsel_rows,
-                    observations=state.observations,
-                    overhead_fraction=state.overhead_fraction,
-                    sizes=list(state.sizes),
-                )
-                for stage, state in self._stages.items()
-            }
-
-
-# --------------------------------------------------------------------------- #
-# Instrumentation dataclasses
-# --------------------------------------------------------------------------- #
 @dataclass
 class SchedulerStats:
     """Snapshot of the scheduler's lifetime counters."""
@@ -248,8 +121,6 @@ class SchedulerStats:
     tasks_submitted: int = 0
     tasks_completed: int = 0
     tasks_inline: int = 0
-    queue_depth: int = 0
-    max_queue_depth: int = 0
     busy_seconds: float = 0.0
     #: Kernel tasks executed on worker *processes* (subset of completed).
     tasks_process: int = 0
@@ -294,69 +165,49 @@ def _process_worker_main(
 
 
 class TaskScheduler:
-    """A bounded worker pool with ordered result collection.
+    """A bounded pool of worker processes with ordered result collection.
 
     ``workers`` may be an int, ``"auto"`` (the runbook rule ``min(cores - 2,
     RAM / 4GB)``, floor 1) or ``None`` (same as auto, after the
-    ``REPRO_WORKERS`` override).  Kernel tasks (``map_kernel``) run on
-    worker processes over shared-memory columns; coordination ``map`` uses
-    threads.  Both pools spawn lazily and are shut down by :meth:`shutdown`
+    ``REPRO_WORKERS`` override).  The pool spawns lazily on the first
+    parallel :meth:`map_kernel` and is shut down by :meth:`shutdown`
     (non-terminal) or :meth:`close` (terminal, also unlinks every live
     shared-memory segment).
 
-    On a single-core host a pool is pure overhead — fork, pickling and
-    queue transport with zero available parallelism (measured 0.67× vs
-    serial at 2 workers) — so the scheduler degrades to one inline-serial
-    worker when ``os.cpu_count()`` is 1.
+    A pool larger than the CPUs this process may use is pure overhead —
+    fork, pickling and queue transport with nothing to run them on (measured
+    0.67× vs serial at 2 workers on one core) — so the scheduler degrades to
+    one inline-serial worker when :func:`usable_cpu_count` is 1.
     """
 
     def __init__(
         self,
         workers: Union[int, str, None] = None,
         name: str = "relalg",
-        sizer: Optional[AdaptiveMorselSizer] = None,
     ) -> None:
         self.workers = resolve_worker_count(workers)
-        if (os.cpu_count() or 1) <= 1:
+        if usable_cpu_count() <= 1:
             self.workers = 1
         self.name = name
         #: Ledger of every shm segment published through this scheduler's
         #: arenas; :meth:`close` force-unlinks whatever is still alive.
         self.segments = SegmentRegistry()
-        #: Per-stage adaptive morsel sizing (shared by all kernels).
-        self.sizer = sizer if sizer is not None else AdaptiveMorselSizer()
-        self._pool: Optional[ThreadPoolExecutor] = None
         self._procs: List[multiprocessing.process.BaseProcess] = []
         self._task_queue = None
         self._result_queue = None
         self._closed = False
         self._lock = threading.Lock()
         self._kernel_lock = threading.Lock()
-        self._in_worker = threading.local()
         self._tasks_submitted = 0
         self._tasks_completed = 0
         self._tasks_inline = 0
         self._tasks_process = 0
         self._process_pool_crashes = 0
-        self._queue_depth = 0
-        self._max_queue_depth = 0
         self._busy_seconds = 0.0
 
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
-    def _ensure_pool(self) -> Optional[ThreadPoolExecutor]:
-        with self._lock:
-            if self._closed:
-                # A terminally-closed scheduler never respawns workers; the
-                # caller degrades to the inline path.
-                return None
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.workers, thread_name_prefix=f"{self.name}-morsel"
-                )
-            return self._pool
-
     def _ensure_procs(self) -> bool:
         """Spawn the persistent worker-process pool (idempotent).
 
@@ -432,31 +283,26 @@ class TaskScheduler:
                     pass
 
     def shutdown(self) -> None:
-        """Park the worker threads and processes (the scheduler is reusable).
+        """Park the worker processes (the scheduler is reusable).
 
         Idempotent and thread-safe: calling it any number of times — or
-        concurrently — parks the pools exactly once; they respawn lazily on
-        the next parallel map unless the scheduler was :meth:`close`d.
+        concurrently — parks the pool exactly once; it respawns lazily on the
+        next parallel ``map_kernel`` unless the scheduler was :meth:`close`d.
         Shared-memory segments are *not* touched: they are scoped to in-
-        flight kernels by their arenas, so between maps there is nothing to
-        free, and a concurrent map's inputs must survive a shutdown.
+        flight batches by their arenas, so between batches there is nothing
+        to free, and a concurrent batch's inputs must survive a shutdown.
         """
-        with self._lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
         self._stop_procs()
 
     def close(self) -> None:
         """Shut down *terminally*: no worker is ever spawned again.
 
-        After ``close`` the scheduler still accepts ``map`` calls but runs
-        them inline on the caller — the graceful-degradation path — so an
-        error path that closes a shared scheduler can never deadlock callers
-        or leak a lazily respawned pool.  Every shared-memory segment still
-        registered with this scheduler is unlinked deterministically (normal
-        maps release theirs scope-by-scope; this catches crash and error
-        stragglers).  Idempotent, like :meth:`shutdown`.
+        After ``close`` the scheduler still accepts ``map_kernel`` calls but
+        runs them inline on the caller — the graceful-degradation path — so
+        an error path that closes a shared scheduler can never deadlock
+        callers or leak a lazily respawned pool.  Every shared-memory segment
+        still registered with this scheduler is unlinked deterministically.
+        Idempotent, like :meth:`shutdown`.
         """
         with self._lock:
             self._closed = True
@@ -465,7 +311,7 @@ class TaskScheduler:
 
     @property
     def closed(self) -> bool:
-        """True once :meth:`close` ran; the pools will not respawn."""
+        """True once :meth:`close` ran; the pool will not respawn."""
         with self._lock:
             return self._closed
 
@@ -475,7 +321,7 @@ class TaskScheduler:
     def __exit__(self, *exc_info: object) -> None:
         # Context-managed schedulers are scoped to the block: leaving it —
         # normally or through an exception — must not leave workers behind
-        # nor allow a later stray ``map`` to respawn them.
+        # nor allow a later stray ``map_kernel`` to respawn them.
         self.close()
 
     # ------------------------------------------------------------------ #
@@ -490,16 +336,6 @@ class TaskScheduler:
         """A shared-memory arena whose segments this scheduler tracks."""
         return ShmArena(self.segments)
 
-    def adaptive_morsel_rows(self, stage: Optional[str], default_rows: int) -> int:
-        """The morsel size a kernel should use for ``stage``.
-
-        ``stage=None`` (callers that pin an explicit size, e.g. the property
-        tests sweeping morsel grids) bypasses adaptation entirely.
-        """
-        if stage is None or not self.parallel:
-            return default_rows
-        return self.sizer.morsel_rows(stage, default_rows)
-
     def _run_inline(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
         started = time.perf_counter()
         results = [fn(item) for item in items]
@@ -509,93 +345,39 @@ class TaskScheduler:
             self._busy_seconds += elapsed
         return results
 
-    def map(self, fn: Callable[[T], R], items: Iterable[T]) -> List[R]:
-        """Run ``fn`` over ``items`` on the *thread* tier, in submission order.
-
-        This is the coordination tier: arbitrary callables are accepted
-        (closures included).  Heavy kernels should go through
-        :meth:`map_kernel` instead, which reaches the worker processes.
-        """
-        items = list(items)
-        if not items:
-            return []
-        # Inline when serial, trivially small, or already on a worker thread
-        # (re-submitting from a worker could deadlock a saturated pool).
-        if not self.parallel or len(items) == 1 or getattr(self._in_worker, "flag", False):
-            return self._run_inline(fn, items)
-
-        pool = self._ensure_pool()
-        if pool is None:  # closed concurrently: degrade to inline execution
-            return self._run_inline(fn, items)
-        with self._lock:
-            self._tasks_submitted += len(items)
-            self._queue_depth += len(items)
-            self._max_queue_depth = max(self._max_queue_depth, self._queue_depth)
-
-        def run(item: T) -> R:
-            self._in_worker.flag = True
-            started = time.perf_counter()
-            try:
-                return fn(item)
-            finally:
-                self._in_worker.flag = False
-                elapsed = time.perf_counter() - started
-                with self._lock:
-                    self._tasks_completed += 1
-                    self._queue_depth -= 1
-                    self._busy_seconds += elapsed
-
-        futures = [pool.submit(run, item) for item in items]
-        return [future.result() for future in futures]
-
-    def map_kernel(
-        self,
-        fn: Callable[[T], R],
-        payloads: Sequence[T],
-        stage: Optional[str] = None,
-    ) -> List[R]:
+    def map_kernel(self, fn: Callable[[T], R], payloads: Sequence[T]) -> List[R]:
         """Run a picklable kernel ``fn`` over ``payloads`` on worker processes.
 
-        ``fn`` must be a top-level function and each payload picklable
-        (kernels pass :mod:`repro.relalg.shm` descriptors plus small
-        scalars).  Results come back in submission order.  Degrades to
-        inline execution — still bit-identical, merely serial — whenever the
-        process tier is unavailable: serial scheduler, single payload, closed
-        scheduler, unpicklable task, or a worker crash mid-batch (the crashed
-        pool is torn down, finished results are kept, missing tasks re-run
-        inline, and the pool respawns on the next call).  With ``stage``
-        given, the batch's wall/busy seconds feed the
-        :class:`AdaptiveMorselSizer` for that stage.
+        ``fn`` must be a top-level function and each payload picklable.
+        Results come back in submission order.  Degrades to inline execution
+        — still bit-identical, merely serial — whenever the process tier is
+        unavailable: serial scheduler, single payload, closed scheduler,
+        unpicklable task, or a worker crash mid-batch (the crashed pool is
+        torn down, finished results are kept, missing tasks re-run inline,
+        and the pool respawns on the next call).
         """
         payloads = list(payloads)
         if not payloads:
             return []
-        if (
-            not self.parallel
-            or len(payloads) == 1
-            or getattr(self._in_worker, "flag", False)
-        ):
-            return self._map_kernel_fallback(fn, payloads, stage)
+        if not self.parallel or len(payloads) == 1:
+            return self._run_inline(fn, payloads)
         try:
             blobs = [pickle.dumps((fn, payload), protocol=-1) for payload in payloads]
         except Exception:
-            # Unpicklable task: the kernel authors' bug, but never the
-            # query's problem — degrade to the serial path.
-            return self._map_kernel_fallback(fn, payloads, stage)
+            # Unpicklable task: the caller's bug, but never the request's
+            # problem — degrade to the serial path.
+            return self._run_inline(fn, payloads)
 
-        # One batch at a time on the process tier: morsel batches are bursts
-        # of many tasks, so batches from concurrent queries serialize at the
-        # batch level while their tasks still fill all workers.
+        # One batch at a time on the process tier: batches from concurrent
+        # requests serialize at the batch level while their tasks still fill
+        # all workers.
         with self._kernel_lock:
             if not self._ensure_procs():
-                return self._map_kernel_fallback(fn, payloads, stage)
+                return self._run_inline(fn, payloads)
             task_queue = self._task_queue
             result_queue = self._result_queue
             with self._lock:
                 self._tasks_submitted += len(payloads)
-                self._queue_depth += len(payloads)
-                self._max_queue_depth = max(self._max_queue_depth, self._queue_depth)
-            started = time.perf_counter()
             for task_id, blob in enumerate(blobs):
                 task_queue.put((task_id, blob))
             outcomes: Dict[int, Any] = {}
@@ -621,11 +403,9 @@ class TaskScheduler:
                     outcomes[task_id] = pickle.loads(result)
                     busy += seconds
                 self._stop_procs(crashed=True)
-            wall = time.perf_counter() - started
             with self._lock:
                 self._tasks_completed += len(outcomes)
                 self._tasks_process += len(outcomes)
-                self._queue_depth -= len(payloads)
                 self._busy_seconds += busy
 
         missing = [i for i in range(len(payloads)) if i not in outcomes]
@@ -636,8 +416,6 @@ class TaskScheduler:
                 missing, self._run_inline(fn, [payloads[i] for i in missing])
             ):
                 outcomes[index] = (True, value)
-        if stage is not None:
-            self.sizer.observe(stage, len(payloads), wall, busy, self.workers)
         failure: Optional[BaseException] = None
         results: List[R] = []
         for index in range(len(payloads)):
@@ -650,34 +428,9 @@ class TaskScheduler:
             raise failure
         return results
 
-    def _map_kernel_fallback(
-        self,
-        fn: Callable[[T], R],
-        payloads: Sequence[T],
-        stage: Optional[str],
-    ) -> List[R]:
-        started = time.perf_counter()
-        results = self._run_inline(fn, payloads)
-        if stage is not None and len(payloads) > 1:
-            elapsed = time.perf_counter() - started
-            self.sizer.observe(stage, len(payloads), elapsed, elapsed, 1)
-        return results
-
     # ------------------------------------------------------------------ #
     # Instrumentation
     # ------------------------------------------------------------------ #
-    @property
-    def queue_depth(self) -> int:
-        """Tasks currently queued or running on the pools."""
-        with self._lock:
-            return self._queue_depth
-
-    @property
-    def max_queue_depth(self) -> int:
-        """High-water mark of :attr:`queue_depth` over the scheduler's lifetime."""
-        with self._lock:
-            return self._max_queue_depth
-
     def stats(self) -> SchedulerStats:
         """A consistent snapshot of all counters."""
         with self._lock:
@@ -686,37 +439,10 @@ class TaskScheduler:
                 tasks_submitted=self._tasks_submitted,
                 tasks_completed=self._tasks_completed,
                 tasks_inline=self._tasks_inline,
-                queue_depth=self._queue_depth,
-                max_queue_depth=self._max_queue_depth,
                 busy_seconds=self._busy_seconds,
                 tasks_process=self._tasks_process,
                 process_pool_crashes=self._process_pool_crashes,
             )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"TaskScheduler(workers={self.workers}, "
-            f"queue_depth={self.queue_depth})"
-        )
-
-
-#: Process-wide default scheduler (created on first use, serial by default
-#: unless ``REPRO_WORKERS`` says otherwise).
-_default_scheduler: Optional[TaskScheduler] = None
-_default_lock = threading.Lock()
-
-
-def get_default_scheduler() -> TaskScheduler:
-    """The process-wide scheduler shared by callers that do not pass one."""
-    global _default_scheduler
-    with _default_lock:
-        if _default_scheduler is None:
-            _default_scheduler = TaskScheduler()
-        return _default_scheduler
-
-
-def set_default_scheduler(scheduler: Optional[TaskScheduler]) -> None:
-    """Replace the process-wide scheduler (``None`` resets to lazy creation)."""
-    global _default_scheduler
-    with _default_lock:
-        _default_scheduler = scheduler
+        return f"TaskScheduler(workers={self.workers}, name={self.name!r})"

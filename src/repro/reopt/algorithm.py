@@ -39,7 +39,6 @@ from repro.optimizer.optimizer import Optimizer, PlanningSession
 from repro.optimizer.settings import OptimizerSettings
 from repro.plans.join_tree import classify_transformation, plans_identical
 from repro.plans.nodes import PlanNode
-from repro.relalg import TaskScheduler
 from repro.reopt.report import ReoptimizationReport, RoundRecord
 from repro.sql.ast import Query
 from repro.storage.catalog import Database
@@ -103,7 +102,6 @@ class Reoptimizer:
         optimizer: Optional[Optimizer] = None,
         settings: Optional[ReoptimizationSettings] = None,
         optimizer_settings: Optional[OptimizerSettings] = None,
-        scheduler: Optional[TaskScheduler] = None,
     ) -> None:
         self.db = db
         if optimizer is not None:
@@ -111,10 +109,6 @@ class Reoptimizer:
         else:
             self.optimizer = Optimizer(db, settings=optimizer_settings)
         self.settings = settings if settings is not None else ReoptimizationSettings()
-        #: Shared morsel scheduler handed to the sampling validator, so plan
-        #: validation parallelises intra-query on the same pool the executor
-        #: uses (``None`` = serial validation).
-        self.scheduler = scheduler
 
     # ------------------------------------------------------------------ #
     # The loop
@@ -148,7 +142,7 @@ class Reoptimizer:
             self.db.create_samples(
                 ratio=self.settings.sampling_ratio, seed=self.settings.sampling_seed
             )
-        sampler = SamplingEstimator(self.db, query, scheduler=self.scheduler)
+        sampler = SamplingEstimator(self.db, query)
         if session is None:
             session = self.optimizer.planning_session(query)
         elif session.query is not query:
@@ -187,10 +181,6 @@ class Reoptimizer:
                 plan, validate_base_relations=self.settings.validate_base_relations
             )
             record.sampling_seconds = validation.elapsed_seconds
-            if self.scheduler is not None:
-                # Lifetime high-water mark as of this round's end (the
-                # scheduler is shared; see RoundRecord.scheduler_queue_depth).
-                record.scheduler_queue_depth = self.scheduler.max_queue_depth
             sampling_spent += validation.elapsed_seconds
             record.new_gamma_entries = gamma.merge(validation.cardinalities)
 

@@ -40,12 +40,6 @@ class RoundRecord:
     #: DP masks the planner (re-)expanded this round (None on the GEQO path).
     #: Round 1 expands every mask; incremental rounds only the Γ-dirtied ones.
     dp_masks_expanded: Optional[int] = None
-    #: High-water queue depth of the shared morsel scheduler *up to the end
-    #: of this round's validation* (None when no scheduler was attached).
-    #: The mark is monotone over the scheduler's lifetime and the scheduler
-    #: may be shared, so it reflects pool pressure from every query that
-    #: ran on it, not this round alone.
-    scheduler_queue_depth: Optional[int] = None
 
 
 @dataclass
@@ -141,16 +135,6 @@ class ReoptimizationReport:
             union.update(JoinTree.of(record.plan).join_set)
         return frozenset(union)
 
-    def max_scheduler_queue_depth(self) -> Optional[int]:
-        """The scheduler's high-water queue depth as of this run's last
-        validated round (None if untracked); see ``RoundRecord``."""
-        depths = [
-            record.scheduler_queue_depth
-            for record in self.rounds
-            if record.scheduler_queue_depth is not None
-        ]
-        return max(depths) if depths else None
-
     def summary(self) -> Dict[str, object]:
         """Compact dictionary used by the benchmark harness."""
         return {
@@ -160,5 +144,4 @@ class ReoptimizationReport:
             "plan_changed": self.plan_changed(),
             "sampling_seconds": self.total_sampling_seconds,
             "transformations": [kind.value for kind in self.transformation_chain],
-            "scheduler_queue_depth": self.max_scheduler_queue_depth(),
         }

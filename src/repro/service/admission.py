@@ -1,9 +1,9 @@
 """Admission control for the query service.
 
-The service executes on a shared morsel pool
-(:class:`~repro.relalg.TaskScheduler`); admitting an unbounded number of
-concurrent queries would just thrash that pool and grow latency without
-bound.  The :class:`AdmissionController` in front of it provides:
+Each admitted query executes on the host's cores (the caller's process, or
+a sharded coordinator's scatter); admitting an unbounded number of
+concurrent queries would just thrash them and grow latency without bound.
+The :class:`AdmissionController` in front of execution provides:
 
 * a **concurrency bound** — at most ``max_concurrent`` queries hold an
   execution slot at a time;

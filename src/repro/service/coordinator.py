@@ -35,12 +35,13 @@ the unsharded catalog returns:
     their partition columns, take the inherited single-node step over the
     source catalog (replicated tables are shared by reference with it).
 
-Scatter work travels over the PR-6 process scheduler: the shard task is a
-top-level picklable kernel whose payload carries a registry token, never a
-catalog or relation — fork-started workers inherit the shard catalogs by
-copy-on-write.  Workers that never inherited the registration (external
-pre-forked pools, spawn platforms) return a sentinel and the coordinator
-re-runs those shards inline, trading speed, never correctness.
+Scatter work travels over the service's process pool — the only work in
+the repository that does.  The shard task is a top-level picklable kernel
+whose payload carries a registry token, never a catalog or relation:
+fork-started workers inherit the shard catalogs by copy-on-write.  Workers
+that never inherited the registration (external pre-forked pools, spawn
+platforms) return a sentinel and the coordinator re-runs those shards
+inline, trading speed, never correctness.
 
 After every scatter the coordinator runs **exact-Γ gossip**: each shard's
 executed fragment yields exact join-set cardinalities
@@ -123,9 +124,9 @@ class ShardedServiceStats(ServiceStats):
 
 
 #: Scatter payload: ``(token, shard_id, plan, bound query, mode,
-#: morsel_rows, nested_loop_block_elements, cost_units)`` — descriptor-sized
-#: (a registry token and plan metadata), never a catalog or columns.
-_ShardPayload = Tuple[str, int, PlanNode, Query, str, int, Optional[int], CostUnits]
+#: nested_loop_block_elements, cost_units)`` — descriptor-sized (a registry
+#: token and plan metadata), never a catalog or columns.
+_ShardPayload = Tuple[str, int, PlanNode, Query, str, Optional[int], CostUnits]
 
 #: Scatter outcome: ``("ok", columns, num_rows, node_executions, wall)`` or
 #: ``("missing", shard_id, 0, [], 0.0)`` from a worker without the registry.
@@ -135,18 +136,14 @@ _ShardOutcome = Tuple[str, Dict[str, ColumnData], int, List[NodeExecution], floa
 def _execute_shard(db: Database, payload: _ShardPayload) -> _ShardOutcome:
     """Run one shard's residual plan and reduce it for transport.
 
-    The join fragment executes with a serial executor (the shard task *is*
+    The join fragment executes with the serial executor (the shard task *is*
     the unit of parallelism).  ``partial`` mode reduces the fragment to a
     partial aggregate before it crosses the queue; ``gather`` mode ships
     the raw fragment columns for central canonical-order merging.
     """
-    _, shard_id, plan, query, mode, morsel_rows, block_elements, cost_units = payload
+    _, shard_id, plan, query, mode, block_elements, cost_units = payload
     executor = Executor(
-        db,
-        cost_units=cost_units,
-        scheduler=None,
-        morsel_rows=morsel_rows,
-        nested_loop_block_elements=block_elements,
+        db, cost_units=cost_units, nested_loop_block_elements=block_elements
     )
     join_plan, _ = split_final_aggregate(plan)
     fragment = executor.execute_fragment(join_plan, query)
@@ -211,7 +208,8 @@ class ShardedQueryService(QueryService):
         #: first task, so fork-started workers inherit the shard catalogs.
         self._registry_token = register_shards(db.name, shard_dbs)
         #: One planner per shard — statistics, samples and the validated
-        #: plan cache of its slice — all on the shared scheduler.
+        #: plan cache of its slice; they share the coordinator's scheduler
+        #: rather than each owning an idle one.
         self.shards: List[QueryService] = [
             QueryService(
                 shard_db,
@@ -289,7 +287,6 @@ class ShardedQueryService(QueryService):
                 plans[shard_id],
                 bound,
                 mode,
-                self.settings.morsel_rows,
                 optimizer_settings.nested_loop_block_elements,
                 optimizer_settings.cost_units,
             )

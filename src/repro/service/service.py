@@ -19,8 +19,8 @@ layers, outermost first:
    Algorithm 1, warm-started with the fresh Δ, through the template's
    incremental :class:`~repro.optimizer.optimizer.PlanningSession`.
 3. **Admission control** — a bounded, client-fair gate
-   (:class:`~repro.service.admission.AdmissionController`) in front of the
-   shared morsel pool, shedding load with
+   (:class:`~repro.service.admission.AdmissionController`) in front of
+   execution, shedding load with
    :class:`~repro.service.admission.BackpressureError` instead of queueing
    without bound.
 
@@ -64,7 +64,7 @@ from repro.optimizer.optimizer import Optimizer, PlanningSession
 from repro.optimizer.settings import OptimizerSettings
 from repro.plans.join_tree import rebind_plan
 from repro.plans.nodes import MaterializedNode, PlanNode
-from repro.relalg import DEFAULT_MORSEL_ROWS, Relation, TaskScheduler
+from repro.relalg import Relation, TaskScheduler
 from repro.reopt.algorithm import ReoptimizationResult, ReoptimizationSettings, Reoptimizer
 from repro.service.admission import AdmissionController, AdmissionStats, BackpressureError
 from repro.service.cache import PlanCacheEntry, ResultCache, ResultCacheStats, max_drift
@@ -107,18 +107,18 @@ class ServiceSettings:
     plan_cache_entries: int = 128
     #: Bound of the prepared-statement registry (LRU, re-prepared on miss).
     statement_registry_entries: int = 1024
-    #: Concurrent executions admitted onto the morsel pool.
+    #: Concurrent executions admitted at once.
     max_concurrent: int = 8
     #: Callers allowed to wait for a slot before load shedding kicks in.
     max_queued: int = 64
     #: Optional cap (seconds) a caller waits for admission.
     admission_timeout: Optional[float] = None
-    #: Workers of the service-owned morsel scheduler (ignored when a shared
-    #: scheduler is passed in).  ``"auto"`` sizes by the host — ``min(cores
-    #: - 2, RAM / 4GB)``, floor 1 (``relalg.scheduler.default_worker_count``).
+    #: Workers of the service-owned process pool (ignored when a shared
+    #: scheduler is passed in).  Only a sharded coordinator submits to it —
+    #: its shard scatter; every query operator runs in the caller's
+    #: process.  ``"auto"`` sizes by the host — ``min(cores - 2, RAM /
+    #: 4GB)``, floor 1 (``relalg.scheduler.default_worker_count``).
     workers: Union[int, str] = 1
-    #: Morsel size for the executor and validator kernels.
-    morsel_rows: int = DEFAULT_MORSEL_ROWS
 
 
 @dataclass
@@ -245,7 +245,7 @@ class QueryService:
     # Lifecycle
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Stop the service (terminal): park the owned scheduler's workers."""
+        """Stop the service (terminal): close the owned scheduler."""
         self._closed = True
         if self._owns_scheduler:
             self.scheduler.close()
@@ -639,9 +639,7 @@ class QueryService:
                 bound,
                 None,
                 rebound,
-                scheduler=self.scheduler,
                 validate_base_relations=self.reopt_settings.validate_base_relations,
-                morsel_rows=self.settings.morsel_rows,
             )
             entry.validations += 1
             drift = max_drift(entry.expectations, validation.cardinalities)
@@ -689,10 +687,7 @@ class QueryService:
         gamma: Optional[Gamma],
     ) -> ReoptimizationResult:
         reoptimizer = Reoptimizer(
-            self.db,
-            optimizer=self.optimizer,
-            settings=self.reopt_settings,
-            scheduler=self.scheduler,
+            self.db, optimizer=self.optimizer, settings=self.reopt_settings
         )
         return reoptimizer.reoptimize(bound, gamma=gamma, session=session)
 
@@ -703,8 +698,6 @@ class QueryService:
         return Executor(
             self.db,
             cost_units=self.optimizer.settings.cost_units,
-            scheduler=self.scheduler,
-            morsel_rows=self.settings.morsel_rows,
             nested_loop_block_elements=self.optimizer.settings.nested_loop_block_elements,
         )
 

@@ -69,19 +69,6 @@ class TestHarness:
             records[0].original_simulated_cost, rel=1e-6
         )
 
-    def test_run_query_suite_workers_bit_identical(self, small_ott_db):
-        """workers=4 shares one morsel scheduler across the whole pipeline;
-        every recorded metric that is not wall clock must match workers=1."""
-        queries = make_ott_workload(small_ott_db, num_tables=4, num_queries=2, seed=2)
-        serial = run_query_suite(small_ott_db, queries)
-        parallel = run_query_suite(small_ott_db, queries, workers=4)
-        for record_s, record_p in zip(serial, parallel):
-            assert record_s.query_name == record_p.query_name
-            assert record_s.original_simulated_cost == record_p.original_simulated_cost
-            assert record_s.reoptimized_simulated_cost == record_p.reoptimized_simulated_cost
-            assert record_s.plans_generated == record_p.plans_generated
-            assert record_s.plan_changed == record_p.plan_changed
-
     def test_aggregate_by_template_and_mean(self):
         assert mean([]) == 0.0
         assert mean([1.0, 3.0]) == 2.0

@@ -162,3 +162,18 @@ class TestPrefixCache:
         warm.validate_plan(Optimizer(db).optimize(query))
         for aliases in ({"r1", "r2"}, {"r1", "r2", "r3"}, {"r1", "r2", "r3", "r4"}):
             assert cold.estimate_cardinality(aliases) == warm.estimate_cardinality(aliases)
+
+    def test_cache_keys_track_sample_content(self):
+        """The caches key on ``Relation.fingerprint``: equal content gives an
+        equal key, one changed value a different one."""
+        import numpy as np
+
+        from repro.relalg import Relation
+
+        base = Relation({"t.a": np.arange(100), "t.b": np.arange(100) * 2.0})
+        same = Relation({"t.a": np.arange(100), "t.b": np.arange(100) * 2.0})
+        assert base.fingerprint() == same.fingerprint()
+        changed = Relation({"t.a": np.arange(100), "t.b": np.arange(100) * 2.0})
+        changed["t.b"][50] += 1.0
+        assert base.fingerprint() != changed.fingerprint()
+        assert base.fingerprint() != base.project(["t.a"]).fingerprint()

@@ -13,7 +13,6 @@ from repro.cost.calibration import (
 from repro.cost.model import ResourceVector
 from repro.cost.units import DEFAULT_COST_UNITS, CostUnits
 from repro.errors import CalibrationError
-from repro.relalg import TaskScheduler
 
 
 def _observation(resources: ResourceVector, units: CostUnits, label="obs"):
@@ -88,14 +87,6 @@ class TestCalibrateAgainstExecutor:
         # seconds-per-operation on this machine — different by construction.
         assert fitted != defaults
         assert all(value > 0.0 for value in fitted.values())
-
-    def test_scheduler_attached_calibration(self, ott_db):
-        """Calibrating on the deployment's shared morsel scheduler works and
-        fits positive units (timings change, identifiability does not)."""
-        with TaskScheduler(workers=2, name="calib") as scheduler:
-            result = calibrate_cost_units(ott_db, scheduler=scheduler)
-        assert result.num_observations >= 5
-        assert all(value > 0.0 for value in result.units.as_dict().values())
 
     def test_repetitions_average_timings(self, ott_db):
         result = calibrate_cost_units(ott_db, repetitions=2)

@@ -169,3 +169,33 @@ class TestExecutorEndToEnd:
         )
         result = Executor(small_db).execute(query)
         assert result.columns["count"][0] == 0
+
+
+class TestNestedLoopBlockParameter:
+    def test_block_size_does_not_change_results(self, make_rng):
+        from repro.relalg import Relation, nested_loop_join
+
+        rng = make_rng(4)
+        left = Relation({"l.k": rng.integers(0, 20, size=300)})
+        right = Relation({"r.k": rng.integers(0, 20, size=200)})
+        predicates = [JoinPredicate("l", "k", "r", "k")]
+        default = nested_loop_join(left, right, predicates, frozenset({"l"}))
+        for block_elements in (1, 17, 1000, 10_000_000):
+            tiny = nested_loop_join(
+                left, right, predicates, frozenset({"l"}), block_elements=block_elements
+            )
+            assert tiny.num_rows == default.num_rows
+            assert np.array_equal(np.asarray(tiny["l.k"]), np.asarray(default["l.k"]))
+            assert np.array_equal(np.asarray(tiny["r.k"]), np.asarray(default["r.k"]))
+
+    def test_threaded_through_optimizer_settings(self):
+        from repro.cost.units import DEFAULT_COST_UNITS
+        from repro.workloads.ott import generate_ott_database
+
+        settings = OptimizerSettings(nested_loop_block_elements=12_345)
+        assert settings.with_units(DEFAULT_COST_UNITS).nested_loop_block_elements == 12_345
+        db = generate_ott_database(
+            num_tables=3, rows_per_table=200, rows_per_value=10, seed=1, sampling_ratio=0.5
+        )
+        executor = Executor(db, nested_loop_block_elements=settings.nested_loop_block_elements)
+        assert executor.nested_loop_block_elements == 12_345

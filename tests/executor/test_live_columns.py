@@ -4,26 +4,22 @@
 stage's input columns of aliases in the set plus the join keys whose other
 side lies outside it.  These tests hold the executor to it: over random
 connected join graphs (trees and cycles) and *every* connected join set, the
-relation a join returns carries exactly that set under each join method and
-on the partition-parallel path, so a later join always finds its keys and
-two plans that differ in join method reach the output stage with the same
-columns.
+relation a join returns carries exactly that set under each join method, so
+a later join always finds its keys and two plans that differ in join method
+reach the output stage with the same columns.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.relalg.joins as joins_module
 from repro.executor.executor import Executor, live_columns, split_final_aggregate
 from repro.plans.nodes import JoinMethod
-from repro.relalg import TaskScheduler
 from repro.sql.ast import ColumnRef
 from repro.sql.builder import QueryBuilder
 from repro.storage.catalog import Database
@@ -53,12 +49,6 @@ def db() -> Database:
             "s": rng.choice(["x", "y", "z"], size=24).astype(object),
         }))
     return database
-
-
-@pytest.fixture(scope="module")
-def scheduler(multicore_host):
-    with TaskScheduler(workers=2, name="live-columns") as sched:
-        yield sched
 
 
 column_refs = st.tuples(st.sampled_from(TABLES), st.sampled_from(ALL_COLUMNS))
@@ -130,8 +120,8 @@ def expected_columns(db, query, join_set):
 class TestJoinOutputsCarryTheLiveSet:
     @settings(max_examples=40, deadline=None)
     @given(query=queries())
-    def test_every_join_set_under_every_method(self, db, scheduler, left_deep_plan, query):
-        serial, parallel = Executor(db), Executor(db, scheduler=scheduler)
+    def test_every_join_set_under_every_method(self, db, left_deep_plan, query):
+        executor = Executor(db)
 
         def join_plan(order, method):
             return split_final_aggregate(left_deep_plan(query, order, [method]))[0]
@@ -146,15 +136,9 @@ class TestJoinOutputsCarryTheLiveSet:
                         assert f"{alias}.{predicate.column_for(alias)}" in want
             row_counts = set()
             for method in METHODS:
-                fragment = serial.execute_fragment(join_plan(order, method), query)
+                fragment = executor.execute_fragment(join_plan(order, method), query)
                 assert set(fragment.columns) == want, (method, order)
                 row_counts.add(fragment.num_rows)
-            with mock.patch.object(joins_module, "_MIN_PARALLEL_JOIN_ROWS", 0):
-                fragment = parallel.execute_fragment(
-                    join_plan(order, JoinMethod.HASH_JOIN), query
-                )
-            assert set(fragment.columns) == want, ("parallel", order)
-            row_counts.add(fragment.num_rows)
             assert len(row_counts) == 1
 
     def test_scans_carry_the_singleton_live_set(self, db, left_deep_plan):

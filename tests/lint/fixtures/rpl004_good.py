@@ -9,6 +9,3 @@ def _shift_task(payload):
 def run_top_level(scheduler, payloads):
     return scheduler.map_kernel(_shift_task, payloads)
 
-
-def run_with_stage(scheduler, payloads):
-    return scheduler.map_kernel(_shift_task, payloads, stage="shift")

@@ -1,8 +1,8 @@
 """Fixture: materialised relations in task signatures (RPL005)."""
 
-from typing import Optional
+from typing import List, Optional
 
-from repro.relalg import ChunkedRelation, Relation
+from repro.relalg import Relation
 from repro.storage.table import Table
 
 
@@ -10,8 +10,8 @@ def _scan_task(relation: Relation, start: int, stop: int):
     return relation
 
 
-def _chunk_task(chunked: "ChunkedRelation"):
-    return chunked
+def _parts_task(parts: "List[Relation]"):
+    return parts
 
 
 def _load_task(table: Optional[Table]):

@@ -3,8 +3,8 @@
 from repro.relalg import group_aggregate
 
 
-def grouped_sum(relation, keys, aggregates, scheduler):
-    return group_aggregate(relation, keys, aggregates, scheduler=scheduler)
+def grouped_sum(relation, keys, aggregates):
+    return group_aggregate(relation, keys, aggregates)
 
 
 def plain_elementwise(values, other):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import threading
+import time
 
 import pytest
 
@@ -11,51 +13,90 @@ from repro.relalg import TaskScheduler
 pytestmark = pytest.mark.usefixtures("multicore_host")
 
 
-def _worker_threads(scheduler_name: str):
-    prefix = f"{scheduler_name}-morsel"
-    return [t for t in threading.enumerate() if t.name.startswith(prefix)]
+# Kernel bodies are top-level so the worker processes can unpickle them.
+def _identity_task(item: int) -> int:
+    return item
+
+
+def _increment_task(item: int) -> int:
+    return item + 1
+
+
+def _times_ten_task(item: int) -> int:
+    return item * 10
+
+
+def _slow_identity_task(item: int) -> int:
+    # Earlier items sleep longer: completion order is the reverse.
+    time.sleep(0.02 * (5 - item))
+    return item
+
+
+def _worker_processes(scheduler_name: str):
+    prefix = f"{scheduler_name}-kernel"
+    return [p for p in multiprocessing.active_children() if p.name.startswith(prefix)]
+
+
+class TestOrdering:
+    def test_results_in_submission_order(self):
+        with TaskScheduler(workers=4, name="ordered") as scheduler:
+            assert scheduler.map_kernel(_slow_identity_task, range(5)) == [0, 1, 2, 3, 4]
+            stats = scheduler.stats()
+            assert stats.tasks_completed == stats.tasks_process == 5
+
+    def test_serial_scheduler_runs_inline(self):
+        scheduler = TaskScheduler(workers=1, name="serial")
+        assert not scheduler.parallel
+        assert scheduler.map_kernel(_increment_task, [1, 2, 3]) == [2, 3, 4]
+        stats = scheduler.stats()
+        assert stats.tasks_submitted == 0 and stats.tasks_inline == 3
+        assert not _worker_processes("serial")
 
 
 class TestShutdown:
     def test_shutdown_is_idempotent(self):
         scheduler = TaskScheduler(workers=2, name="idem")
-        assert scheduler.map(lambda x: x + 1, [1, 2, 3]) == [2, 3, 4]
+        assert scheduler.map_kernel(_increment_task, [1, 2, 3]) == [2, 3, 4]
+        assert _worker_processes("idem")
         scheduler.shutdown()
         scheduler.shutdown()
         scheduler.shutdown()
-        assert not _worker_threads("idem")
+        assert not _worker_processes("idem")
+        scheduler.close()
 
     def test_shutdown_allows_respawn(self):
-        """A parked pool is revived by the next map."""
+        """A parked pool is revived by the next map_kernel."""
         scheduler = TaskScheduler(workers=2, name="respawn")
-        scheduler.map(lambda x: x, [1, 2])
+        scheduler.map_kernel(_identity_task, [1, 2])
         scheduler.shutdown()
-        assert scheduler.map(lambda x: x * 10, [1, 2]) == [10, 20]
-        assert _worker_threads("respawn")
-        scheduler.shutdown()
+        assert not _worker_processes("respawn")
+        assert scheduler.map_kernel(_times_ten_task, [1, 2]) == [10, 20]
+        assert _worker_processes("respawn")
+        assert scheduler.stats().tasks_process == 4
+        scheduler.close()
 
     def test_concurrent_shutdown_is_safe(self):
-        scheduler = TaskScheduler(workers=4, name="concshut")
-        scheduler.map(lambda x: x, range(8))
+        scheduler = TaskScheduler(workers=2, name="concshut")
+        scheduler.map_kernel(_identity_task, range(8))
         threads = [threading.Thread(target=scheduler.shutdown) for _ in range(8)]
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join(timeout=5)
-        assert not _worker_threads("concshut")
+            thread.join(timeout=10)
+        assert not _worker_processes("concshut")
+        scheduler.close()
 
 
 class TestClose:
     def test_close_is_terminal_but_still_serves_inline(self):
         scheduler = TaskScheduler(workers=2, name="terminal")
-        scheduler.map(lambda x: x, [1])
+        scheduler.map_kernel(_identity_task, [1, 2])
         scheduler.close()
         assert scheduler.closed
-        # Maps still work (inline), but never respawn worker threads.
-        assert scheduler.map(lambda x: x * 2, [1, 2, 3]) == [2, 4, 6]
-        assert not _worker_threads("terminal")
-        stats = scheduler.stats()
-        assert stats.tasks_inline >= 3
+        # Batches still work (inline), but never respawn worker processes.
+        assert scheduler.map_kernel(_times_ten_task, [1, 2, 3]) == [10, 20, 30]
+        assert not _worker_processes("terminal")
+        assert scheduler.stats().tasks_inline >= 3
 
     def test_close_is_idempotent(self):
         scheduler = TaskScheduler(workers=2, name="close-idem")
@@ -68,11 +109,11 @@ class TestClose:
         the service holds its scheduler in exactly this pattern."""
         with pytest.raises(RuntimeError, match="boom"):
             with TaskScheduler(workers=2, name="leaky") as scheduler:
-                scheduler.map(lambda x: x, [1, 2, 3, 4])
+                scheduler.map_kernel(_identity_task, [1, 2, 3, 4])
                 raise RuntimeError("boom")
         assert scheduler.closed
-        scheduler.map(lambda x: x, [5, 6])  # inline, no respawn
-        assert not _worker_threads("leaky")
+        assert scheduler.map_kernel(_identity_task, [5, 6]) == [5, 6]  # inline
+        assert not _worker_processes("leaky")
 
     def test_closed_scheduler_reports_serial(self):
         scheduler = TaskScheduler(workers=4, name="serialized")
@@ -82,7 +123,10 @@ class TestClose:
 
     def test_counters_survive_close(self):
         scheduler = TaskScheduler(workers=2, name="counted")
-        scheduler.map(lambda x: x, range(6))
-        submitted_before = scheduler.stats().tasks_submitted
+        scheduler.map_kernel(_identity_task, range(6))
+        before = scheduler.stats()
+        assert before.tasks_submitted == before.tasks_process == 6
         scheduler.close()
-        assert scheduler.stats().tasks_submitted == submitted_before
+        after = scheduler.stats()
+        assert after.tasks_submitted == before.tasks_submitted
+        assert after.tasks_process == before.tasks_process

@@ -4,10 +4,10 @@
 a position table when the build side is unique, and ``Relation.select``
 gathers by row index.  None of that may show in the output: every kernel must
 produce the pairs an exact Python-int reference produces, in the order "left
-row ascending, ties by right row ascending", and ``hash_join``,
-``merge_join`` and ``parallel_join_indices`` must equal ``nested_loop_join``
-byte for byte — on keys on both sides of the density rule, at the integer
-dtypes' extremes, and on the key types that must keep taking the sorting path.
+row ascending, ties by right row ascending", and ``hash_join`` and
+``merge_join`` must equal ``nested_loop_join`` byte for byte — on keys on
+both sides of the density rule, at the integer dtypes' extremes, and on the
+key types that must keep taking the sorting path.
 The same holds whichever side ``hash_match`` builds on (its orientation rule)
 and for ``index_nested_loop_join``, which probes a sorted index instead.
 """
@@ -18,14 +18,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.relalg.joins as joins_module
 from repro.relalg import (
     DictEncodedArray,
     Relation,
-    TaskScheduler,
     filter_relation,
     hash_join,
     index_nested_loop_join,
@@ -33,7 +32,7 @@ from repro.relalg import (
     nested_loop_join,
 )
 from repro.relalg.encoding import factorize_pair
-from repro.relalg.joins import hash_match, join_indices, parallel_join_indices
+from repro.relalg.joins import hash_match, join_indices
 from repro.sql.ast import JoinPredicate, LocalPredicate
 from repro.storage.index import SortedIndex
 from repro.storage.table import Column, Table, TableSchema
@@ -42,12 +41,6 @@ LEFT = frozenset({"l"})
 ON_K = [JoinPredicate("l", "k", "r", "k")]
 INT_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
 INT64_MAX = np.iinfo(np.int64).max
-
-
-@pytest.fixture(scope="module")
-def scheduler(multicore_host):
-    with TaskScheduler(workers=2, name="sort-free") as sched:
-        yield sched
 
 
 def assert_same_relation(expected: Relation, actual: Relation) -> None:
@@ -80,7 +73,7 @@ def python_values(column):
     return column.tolist()
 
 
-def check_all_kernels(left: Relation, right: Relation, predicates, scheduler=None) -> None:
+def check_all_kernels(left: Relation, right: Relation, predicates) -> None:
     """Every kernel against the Python reference and the nested-loop relation."""
     want_left, want_right = reference_pairs(
         [python_values(left[f"l.{p.left_column}"]) for p in predicates],
@@ -93,13 +86,6 @@ def check_all_kernels(left: Relation, right: Relation, predicates, scheduler=Non
     reference = nested_loop_join(left, right, predicates, LEFT)
     assert_same_relation(reference, hash_join(left, right, predicates, LEFT))
     assert_same_relation(reference, merge_join(left, right, predicates, LEFT))
-    if scheduler is not None:
-        with mock.patch.object(joins_module, "_MIN_PARALLEL_JOIN_ROWS", 0):
-            got_left, got_right = parallel_join_indices(
-                left, right, predicates, LEFT, scheduler=scheduler, num_partitions=3
-            )
-        assert got_left.tolist() == want_left
-        assert got_right.tolist() == want_right
 
 
 def keyed(alias: str, **keys) -> Relation:
@@ -213,12 +199,6 @@ class TestJoinsAgainstReference:
         right = keyed("r", k=first[1][:right_rows], k2=second[1].take(np.arange(right_rows)))
         check_all_kernels(left, right, ON_K + [JoinPredicate("l", "k2", "r", "k2")])
 
-    @settings(max_examples=25, deadline=None)
-    @given(keys=st.one_of(integer_key_pairs(), density_edge_pairs(), other_key_pairs()))
-    def test_partition_parallel_join(self, scheduler, keys):
-        assume(len(keys[0]) and len(keys[1]))
-        check_all_kernels(keyed("l", k=keys[0]), keyed("r", k=keys[1]), ON_K, scheduler)
-
     def test_int64_extremes_in_one_column(self):
         info = np.iinfo(np.int64)
         right = np.array([info.min, info.max, 0, 7], dtype=np.int64)
@@ -330,12 +310,6 @@ class TestBuildOrientation:
     @given(keys=small_left_duplicate_right())
     def test_small_left_against_duplicate_right(self, keys):
         check_all_kernels(keyed("l", k=keys[0]), keyed("r", k=keys[1]), ON_K)
-
-    @settings(max_examples=25, deadline=None)
-    @given(keys=small_left_duplicate_right())
-    def test_partition_parallel_join(self, scheduler, keys):
-        assume(len(keys[0]))
-        check_all_kernels(keyed("l", k=keys[0]), keyed("r", k=keys[1]), ON_K, scheduler)
 
     def test_duplicates_on_the_right_only(self):
         left, right = np.array([7, 2, 5]), np.repeat(np.arange(10), 6)[::-1].copy()

@@ -29,6 +29,10 @@ def service_ott_db():
     )
 
 
+def _double_task(item):
+    return item * 2
+
+
 def ott_template(name="ott_tpl"):
     return (
         QueryBuilder(name)
@@ -325,7 +329,7 @@ class TestBackpressureAndLifecycle:
             service.execute(ott_template(), [0, 0, 0])
             service.close()
             assert not scheduler.closed
-            assert scheduler.map(lambda x: x * 2, [1, 2, 3]) == [2, 4, 6]
+            assert scheduler.map_kernel(_double_task, [1, 2, 3]) == [2, 4, 6]
 
 
 def test_importing_the_service_does_not_load_the_experiments():

@@ -14,9 +14,9 @@ the runtime tests otherwise guard dynamically:
 * **shm lifecycle** — every ``multiprocessing.shared_memory`` segment is
   created through the :class:`~repro.relalg.shm.SegmentRegistry` and only
   the registry ever unlinks;
-* **float order** — float aggregation across chunks goes through the
-  canonical ``reduceat``/concatenate helpers so accumulation order (and
-  therefore every bit of the result) never depends on the worker count;
+* **float order** — grouped float aggregation goes through the canonical
+  ``reduceat`` helpers so accumulation order (and therefore every bit of
+  the result) never depends on the plan or the shard count;
 * **typing** — ``src/repro`` stays fully annotated (the local gate behind
   the CI ``mypy --strict`` sweep).
 

@@ -3,8 +3,8 @@ RPL003 (wall-clock in kernel task bodies), RPL011 (unordered shard/merge
 iteration in the scatter-gather coordinator and merge kernels).
 
 The paper's Algorithm-1 guarantee — re-optimization converges to a stable
-plan, and serial/parallel execution is bit-identical — only holds if every
-run of the pipeline is a pure function of database, query and seed.  These
+plan, and sharded execution is bit-identical to single-node — only holds if
+every run of the pipeline is a pure function of database, query and seed.  These
 rules ban the three ways nondeterminism has historically leaked in.
 """
 
@@ -289,9 +289,9 @@ class WallClockInKernelRule(Rule):
         "determinism — kernel task bodies run on worker processes and their "
         "return values are merged into query results; a wall-clock read "
         "inside one makes the result (or a control-flow decision) depend on "
-        "scheduling, breaking serial/parallel bit-identity.  Timing belongs "
-        "to the scheduler, which already stamps every task (runtime guard: "
-        "serial-vs-parallel equivalence suites)"
+        "scheduling, breaking sharded/single-node bit-identity.  Timing "
+        "belongs to the scheduler, which already stamps every task (runtime "
+        "guard: the sharded-service equivalence suites)"
     )
 
     def check(self, context: FileContext) -> Iterator[Diagnostic]:

@@ -3,10 +3,10 @@ canonical aggregation module.
 
 Floating-point addition is not associative: the same values summed in a
 different order give a different last bit.  The reproduction's
-serial/parallel bit-identity therefore hinges on *one* accumulation order,
-implemented once in ``src/repro/relalg/aggregate.py`` (per-group
-``reduceat`` over boundary-sorted values; chunk partials merged by
-``np.concatenate``, never re-reduced).  A second ``reduceat`` / ``fsum``
+sharded/single-node bit-identity therefore hinges on *one* accumulation
+order, implemented once in ``src/repro/relalg/aggregate.py`` (per-group
+``reduceat`` over boundary-sorted values; shard partials merged there
+too).  A second ``reduceat`` / ``fsum``
 call site elsewhere is someone re-implementing grouped float reduction with
 its own order — exactly the drift the kernel-equivalence suites exist to
 catch at runtime.
@@ -44,9 +44,9 @@ class FloatReductionOutsideHelpersRule(Rule):
         "float order — cross-chunk float aggregation must go through the "
         "canonical reduceat/merge helpers so accumulation order is a pure "
         "function of the data; an ad-hoc reduction elsewhere picks its own "
-        "order and breaks serial/parallel bit-identity in the last ulp "
-        "(runtime guard: kernel-equivalence and adaptive-morsel bit-"
-        "identity property tests)"
+        "order and breaks sharded/single-node and plan-independence "
+        "bit-identity in the last ulp (runtime guard: the kernel-equivalence, "
+        "partial-aggregate and plan-independence property tests)"
     )
     scope_prefixes = ("src/repro",)
     scope_skip = ("src/repro/relalg/aggregate.py",)

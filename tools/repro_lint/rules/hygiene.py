@@ -2,8 +2,8 @@
 
 RPL010 — no mutable default arguments.  A mutable default is shared across
 every call of the function: state leaks between queries, between benchmark
-repetitions, and — worst for this codebase — between the serial and parallel
-runs a bit-identity test compares, making the second run see the first run's
+repetitions, and — worst for this codebase — between the two runs a
+bit-identity test compares, making the second run see the first run's
 accumulations.
 
 RPL012 — no undefined global names.  A name read as a global that the module

@@ -18,7 +18,7 @@ from repro_lint.diagnostics import Diagnostic
 from repro_lint.registry import FileContext, Rule, register
 
 #: Type names that mark a materialised-relation parameter.
-_RELATION_TYPE_NAMES = ("Relation", "ChunkedRelation", "Table")
+_RELATION_TYPE_NAMES = ("Relation", "Table")
 _RELATION_TYPE_RE = re.compile(
     r"\b(" + "|".join(_RELATION_TYPE_NAMES) + r")\b"
 )
@@ -71,7 +71,8 @@ class NonPicklableKernelRule(Rule):
         "silently degrades the whole batch to serial inline execution, "
         "erasing the parallel speedup without failing any correctness test "
         "(runtime guard: the scheduler's unpicklable-task fallback; perfbench "
-        "star_parallel would show it as relalg.scheduler.tasks_process = 0)"
+        "serve_sharded, whose shard scatter is the one kernel, would show it "
+        "as relalg.scheduler.tasks_process = 0)"
     )
 
     def check(self, context: FileContext) -> Iterator[Diagnostic]:
@@ -131,7 +132,7 @@ class RelationInTaskRule(Rule):
     name = "relation-in-task"
     summary = (
         "*_task kernel bodies must take descriptor payloads, never "
-        "Relation/ChunkedRelation/Table parameters"
+        "Relation/Table parameters"
     )
     contract = (
         "picklability + zero-copy — a Relation parameter in a task signature "
@@ -139,7 +140,7 @@ class RelationInTaskRule(Rule):
         "crossing once via shared-memory descriptors, reintroducing the "
         "per-task copy cost the shm runtime exists to remove (no runtime "
         "guard: the result would be correct, just quietly slow — perfbench "
-        "star_parallel's relalg.scheduler.map_kernel_ms would show it)"
+        "serve_sharded's relalg.scheduler.map_kernel_ms would show it)"
     )
 
     def check(self, context: FileContext) -> Iterator[Diagnostic]:
