@@ -14,13 +14,10 @@ scheduler, executor and sampling estimator already stamp their wall-clock
 accounting with, so every deadline, queue wait and per-stage trace duration
 lives on one time axis.
 
-Rules of use:
-
-* every deadline (``deadline = monotonic_s() + timeout``) and every duration
-  (``monotonic_s() - started``) in the service/bench layers goes through this
-  helper — never ``time.monotonic`` or a bare ``time.perf_counter``;
-* kernel ``*_task`` bodies still must not read any clock at all (repro-lint
-  RPL003): timing belongs to the scheduler side of the queue.
+Rule of use: every deadline (``deadline = monotonic_s() + timeout``) and
+every duration (``monotonic_s() - started``) in the service/bench layers goes
+through this helper — never ``time.monotonic`` or a bare
+``time.perf_counter``.
 """
 
 from __future__ import annotations

@@ -34,8 +34,8 @@ three physical-execution concerns on top:
 * **one process per query** — every operator runs serially in the caller's
   process, so the per-node instrumentation (actual cardinalities, resource
   vectors, simulated cost) is exactly what the kernels did.  The sharded
-  coordinator is the only caller that runs plans elsewhere: it ships whole
-  shard fragments to worker processes, each of which runs this executor.
+  coordinator runs each shard's fragment through this executor in the same
+  process.
 """
 
 from __future__ import annotations
@@ -138,7 +138,7 @@ def live_columns(
     plus the columns of join predicates whose other side lies *outside* it.
     A pure function of the query and the join set — plan nodes only ever
     carry ``query.join_predicates_between(left, right)`` — so scans, every
-    join method and shard workers agree on it under any join order.
+    join method and every shard agree on it under any join order.
     ``SELECT *`` and plans executed without a query keep all.
     """
     if query is None:
@@ -418,7 +418,7 @@ class Executor:
     ) -> ExecutionResult:
         """Execute one plan fragment (a pipeline) without output shaping.
 
-        The service and the shard workers run a plan's join pipeline this
+        The service and the sharded coordinator run a plan's join pipeline this
         way: the fragment runs with the usual per-node instrumentation, but
         its output relation is returned *raw* (``result.columns``, encoded
         columns untouched, no projection to the query's output), so it can

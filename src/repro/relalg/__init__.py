@@ -22,8 +22,8 @@ Layout
     ``reduceat``-based grouped aggregation, plus the shard partial/merge
     kernels of the sharded coordinator.
 ``scheduler``
-    The process pool the sharded coordinator scatters shard fragments over
-    (ordered, deterministic result collection, inline degradation).
+    The in-process task runner the sharded coordinator submits its scatter
+    to (runs in order in the caller, counts tasks and busy seconds).
 ``shm``
     Shared-memory column transport: refcounted segment registry, scoped
     arenas, ``(segment, dtype, offset, length)`` descriptors and zero-copy
@@ -66,12 +66,7 @@ from repro.relalg.relation import (
     concat_relations,
     relation_num_rows,
 )
-from repro.relalg.scheduler import (
-    TaskScheduler,
-    default_worker_count,
-    resolve_worker_count,
-    usable_cpu_count,
-)
+from repro.relalg.scheduler import TaskScheduler
 from repro.relalg.shm import (
     ArrayDescriptor,
     ColumnDescriptor,
@@ -104,7 +99,6 @@ __all__ = [
     "compile_predicate",
     "concat_relations",
     "decode_column",
-    "default_worker_count",
     "factorize_pair",
     "filter_relation",
     "group_aggregate",
@@ -118,10 +112,8 @@ __all__ = [
     "partial_merge_exact",
     "predicate_mask",
     "relation_num_rows",
-    "resolve_worker_count",
     "segment_registry",
     "shm_dir_segments",
     "take_column",
-    "usable_cpu_count",
     "value_counts",
 ]

@@ -164,9 +164,8 @@ def concat_relations(parts: Iterable[Relation]) -> Relation:
     """Concatenate relations with identical columns, in the given order.
 
     The deterministic merge step of the sharded gather: the caller supplies
-    parts in shard order, so the output row order never depends on worker
-    scheduling.  Encoded columns
-    stay encoded (:func:`_concat_encoded`).
+    parts in shard order, so the output row order is a function of the
+    shards alone.  Encoded columns stay encoded (:func:`_concat_encoded`).
     """
     parts = [part for part in parts]
     if not parts:

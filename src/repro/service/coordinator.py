@@ -21,9 +21,9 @@ the unsharded catalog returns:
     :func:`~repro.relalg.aggregate.merge_partials`.
 
 ``scatter`` + *gather merge*
-    Order-sensitive outputs (bare projections, float ``SUM``/``AVG``) ship
-    their join fragments back — only the output stage's input columns
-    (:func:`~repro.executor.executor.live_columns`) cross the queue; the
+    Order-sensitive outputs (bare projections, float ``SUM``/``AVG``) keep
+    each shard's raw join fragment, which carries only the output stage's
+    input columns (:func:`~repro.executor.executor.live_columns`); the
     coordinator concatenates them in sorted shard order (encoded columns in
     code space), orders the rows by those columns and runs the final
     projection/aggregation centrally — the same
@@ -35,13 +35,8 @@ the unsharded catalog returns:
     their partition columns, take the inherited single-node step over the
     source catalog (replicated tables are shared by reference with it).
 
-Scatter work travels over the service's process pool — the only work in
-the repository that does.  The shard task is a top-level picklable kernel
-whose payload carries a registry token, never a catalog or relation:
-fork-started workers inherit the shard catalogs by copy-on-write.  Workers
-that never inherited the registration (external pre-forked pools, spawn
-platforms) return a sentinel and the coordinator re-runs those shards
-inline, trading speed, never correctness.
+The shards run one after another in the calling thread; concurrent
+requests scatter concurrently on their own threads.
 
 After every scatter the coordinator runs **exact-Γ gossip**: each shard's
 executed fragment yields exact join-set cardinalities
@@ -58,15 +53,13 @@ order — merge determinism depends on it (repro-lint RPL011).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.clock import monotonic_s
 from repro.cardinality.gamma import Gamma
 from repro.cost.model import CostModel
-from repro.cost.units import CostUnits
 from repro.executor.executor import (
     ExecutionResult,
-    Executor,
     NodeExecution,
     combine_execution_accounting,
     finalize_canonical_execution,
@@ -75,9 +68,8 @@ from repro.executor.executor import (
 from repro.executor.materialization import needs_canonical_order
 from repro.optimizer.settings import OptimizerSettings
 from repro.plans.nodes import PlanNode
-from repro.relalg import Relation, TaskScheduler, concat_relations
+from repro.relalg import TaskScheduler, concat_relations
 from repro.relalg.aggregate import merge_partials, partial_aggregate
-from repro.relalg.encoding import ColumnData
 from repro.reopt.algorithm import ReoptimizationSettings
 from repro.service.service import (
     QueryService,
@@ -85,14 +77,7 @@ from repro.service.service import (
     ServiceSettings,
     ServiceStats,
 )
-from repro.service.sharding import (
-    ShardingSpec,
-    lookup_shard,
-    register_shards,
-    route_query,
-    shard_database,
-    unregister_shards,
-)
+from repro.service.sharding import ShardingSpec, route_query, shard_database
 from repro.service.templates import PreparedStatement
 from repro.service.tracing import RequestTrace
 from repro.sql.ast import Query
@@ -119,62 +104,17 @@ class ShardedServiceStats(ServiceStats):
     single_shard_queries: int = 0
     #: Off-partition-key executions (single-node step over the source catalog).
     fallback_queries: int = 0
-    #: Shard fragments re-run inline because a worker lacked the registry.
+    #: Always 0: shards run in this process and never need a rerun.  Kept
+    #: only because the benchmark reads it.
     inline_shard_reruns: int = 0
 
 
-#: Scatter payload: ``(token, shard_id, plan, bound query, mode,
-#: nested_loop_block_elements, cost_units)`` — descriptor-sized (a registry
-#: token and plan metadata), never a catalog or columns.
-_ShardPayload = Tuple[str, int, PlanNode, Query, str, Optional[int], CostUnits]
-
-#: Scatter outcome: ``("ok", columns, num_rows, node_executions, wall)`` or
-#: ``("missing", shard_id, 0, [], 0.0)`` from a worker without the registry.
-_ShardOutcome = Tuple[str, Dict[str, ColumnData], int, List[NodeExecution], float]
-
-
-def _execute_shard(db: Database, payload: _ShardPayload) -> _ShardOutcome:
-    """Run one shard's residual plan and reduce it for transport.
-
-    The join fragment executes with the serial executor (the shard task *is*
-    the unit of parallelism).  ``partial`` mode reduces the fragment to a
-    partial aggregate before it crosses the queue; ``gather`` mode ships
-    the raw fragment columns for central canonical-order merging.
-    """
-    _, shard_id, plan, query, mode, block_elements, cost_units = payload
-    executor = Executor(
-        db, cost_units=cost_units, nested_loop_block_elements=block_elements
-    )
-    join_plan, _ = split_final_aggregate(plan)
-    fragment = executor.execute_fragment(join_plan, query)
-    relation = fragment.columns
-    if mode == "partial":
-        relation = partial_aggregate(relation, query.group_by, query.aggregates)
-    return (
-        "ok",
-        dict(relation),
-        relation.num_rows,
-        list(fragment.node_executions),
-        fragment.wall_seconds,
-    )
-
-
-def _shard_fragment_task(payload: _ShardPayload) -> _ShardOutcome:
-    """Top-level scatter kernel: resolve the shard catalog, run, reduce.
-
-    Returns the ``"missing"`` sentinel instead of raising when this worker
-    never inherited the shard registration — the coordinator re-runs the
-    shard inline; an exception here would fail the whole batch.
-    """
-    token, shard_id = payload[0], payload[1]
-    db = lookup_shard(token, shard_id)
-    if db is None:
-        return ("missing", {}, 0, [], 0.0)
-    return _execute_shard(db, payload)
-
-
 class ShardedQueryService(QueryService):
-    """Serve one logical database from N hash-partitioned service shards."""
+    """Serve one logical database from N hash-partitioned service shards.
+
+    ``scheduler`` only counts the scatter; it stays because the benchmark
+    passes one.
+    """
 
     stats: ShardedServiceStats
 
@@ -190,11 +130,7 @@ class ShardedQueryService(QueryService):
     ) -> None:
         if num_shards <= 0:
             raise ValueError("num_shards must be positive")
-        owns_scheduler = scheduler is None
-        if scheduler is None:
-            scheduler = TaskScheduler(workers=num_shards, name="sharded")
         super().__init__(db, optimizer_settings, reopt_settings, settings, scheduler)
-        self._owns_scheduler = owns_scheduler
         self.num_shards = num_shards
         self.spec = spec if spec is not None else ShardingSpec.tpch()
         shard_dbs = shard_database(
@@ -204,19 +140,14 @@ class ShardedQueryService(QueryService):
             sampling_ratio=self.reopt_settings.sampling_ratio,
             sampling_seed=self.reopt_settings.sampling_seed,
         )
-        #: Registered before the scheduler's lazily forked pool runs its
-        #: first task, so fork-started workers inherit the shard catalogs.
-        self._registry_token = register_shards(db.name, shard_dbs)
         #: One planner per shard — statistics, samples and the validated
-        #: plan cache of its slice; they share the coordinator's scheduler
-        #: rather than each owning an idle one.
+        #: plan cache of its slice.
         self.shards: List[QueryService] = [
             QueryService(
                 shard_db,
                 optimizer_settings=optimizer_settings,
                 reopt_settings=reopt_settings,
                 settings=self.settings,
-                scheduler=self.scheduler,
             )
             for shard_db in shard_dbs
         ]
@@ -224,8 +155,7 @@ class ShardedQueryService(QueryService):
         self._cost_model = CostModel(units=self.optimizer.settings.cost_units)
 
     def close(self) -> None:
-        """Stop the coordinator, its shards, and the owned scheduler."""
-        unregister_shards(self._registry_token)
+        """Stop the coordinator and its shards."""
         for shard in self.shards:  # construction order == sorted shard ids
             shard.close()
         super().close()
@@ -269,50 +199,46 @@ class ShardedQueryService(QueryService):
             return "partial"
         return "gather"
 
+    def _execute_shard(
+        self, shard_id: int, plan: PlanNode, bound: Query, mode: str
+    ) -> ExecutionResult:
+        """Run one shard's residual join pipeline.
+
+        ``partial`` mode reduces the fragment to a partial aggregate;
+        ``gather`` mode keeps the raw fragment columns for the central
+        canonical-order merge.
+        """
+        join_plan, _ = split_final_aggregate(plan)
+        executor = self.shards[shard_id]._make_executor()
+        fragment = executor.execute_fragment(join_plan, bound)
+        if mode == "partial":
+            fragment.columns = partial_aggregate(
+                fragment.columns, bound.group_by, bound.aggregates
+            )
+            fragment.num_rows = fragment.columns.num_rows
+        return fragment
+
     def _scatter(
         self, plans: Sequence[PlanNode], bound: Query, mode: str
-    ) -> List[_ShardOutcome]:
-        """Run every shard's residual plan over the process scheduler.
+    ) -> List[ExecutionResult]:
+        """Run every shard's residual plan, in canonical shard order.
 
-        Payloads go out in shard-id order and ``map_kernel`` returns in
-        submission order, so the outcomes come back canonically ordered.
-        Workers without the shard registry (``"missing"``) are re-run
-        inline in the coordinator process.
+        Submitted through the scheduler only so that its counters (and the
+        benchmark's ``relalg.scheduler`` span) see the scatter.
         """
-        optimizer_settings = self.optimizer.settings
-        payloads: List[_ShardPayload] = [
-            (
-                self._registry_token,
-                shard_id,
-                plans[shard_id],
-                bound,
-                mode,
-                optimizer_settings.nested_loop_block_elements,
-                optimizer_settings.cost_units,
-            )
-            for shard_id in range(self.num_shards)
-        ]
-        outcomes = self.scheduler.map_kernel(_shard_fragment_task, payloads)
-        for shard_id in range(self.num_shards):
-            if outcomes[shard_id][0] == "missing":
-                outcomes[shard_id] = _execute_shard(
-                    self.shards[shard_id].db, payloads[shard_id]
-                )
-                with self._stats_lock:
-                    self.stats.inline_shard_reruns += 1
-        return outcomes
+        return self.scheduler.map_kernel(
+            lambda shard_id: self._execute_shard(shard_id, plans[shard_id], bound, mode),
+            range(self.num_shards),
+        )
 
     def _merge_partial(
-        self, outcomes: Sequence[_ShardOutcome], bound: Query
+        self, fragments: Sequence[ExecutionResult], bound: Query
     ) -> ExecutionResult:
         """Merge per-shard partial aggregates (canonical shard order)."""
-        parts = [
-            Relation(columns, num_rows=num_rows)
-            for _, columns, num_rows, _, _ in outcomes
-        ]
+        parts = [fragment.columns for fragment in fragments]
         merged = merge_partials(parts, bound.group_by, bound.aggregates).decoded()
         node_executions = [
-            execution for outcome in outcomes for execution in outcome[3]
+            execution for fragment in fragments for execution in fragment.node_executions
         ]
         input_rows = sum(part.num_rows for part in parts)
         node_executions.append(
@@ -331,12 +257,12 @@ class ShardedQueryService(QueryService):
             num_rows=merged.num_rows,
             node_executions=node_executions,
         )
-        result.wall_seconds = sum(outcome[4] for outcome in outcomes)
+        result.wall_seconds = sum(fragment.wall_seconds for fragment in fragments)
         return result.price(self._cost_model)
 
     def _merge_gather(
         self,
-        outcomes: Sequence[_ShardOutcome],
+        fragments: Sequence[ExecutionResult],
         plans: Sequence[PlanNode],
         bound: Query,
     ) -> ExecutionResult:
@@ -348,28 +274,17 @@ class ShardedQueryService(QueryService):
         preserves — so it sees byte-for-byte the rows a single-node
         canonical execution sees.
         """
-        fragments = [
-            Relation(columns, num_rows=num_rows)
-            for _, columns, num_rows, _, _ in outcomes
-        ]
-        combined = concat_relations(fragments)
+        combined = concat_relations([fragment.columns for fragment in fragments])
         _, aggregate_node = split_final_aggregate(plans[0])
         final_execution = finalize_canonical_execution(
             self._make_executor(), bound, combined, aggregate_node
         )
-        shard_results = []
-        for _, _, num_rows, node_executions, wall_seconds in outcomes:
-            part = ExecutionResult(
-                columns=Relation(), num_rows=num_rows, node_executions=node_executions
-            )
-            part.wall_seconds = wall_seconds
-            shard_results.append(part)
         return combine_execution_accounting(
-            shard_results, final_execution, self._cost_model
+            fragments, final_execution, self._cost_model
         )
 
     def _gossip(
-        self, prepared: PreparedStatement, outcomes: Sequence[_ShardOutcome]
+        self, prepared: PreparedStatement, fragments: Sequence[ExecutionResult]
     ) -> int:
         """Broadcast each shard's exact Γ entries to its siblings.
 
@@ -380,9 +295,9 @@ class ShardedQueryService(QueryService):
         of all its siblings.
         """
         gammas: List[Gamma] = []
-        for _, _, _, node_executions, _ in outcomes:
+        for fragment in fragments:
             gamma = Gamma()
-            for execution in node_executions:
+            for execution in fragment.node_executions:
                 if execution.kind != "aggregate":
                     gamma.record_exact(execution.relations, float(execution.actual_rows))
             gammas.append(gamma)
@@ -420,16 +335,16 @@ class ShardedQueryService(QueryService):
                 worst_drift = drift if worst_drift is None else max(worst_drift, drift)
         mode = self._merge_mode(bound)
         scatter_started = monotonic_s()
-        outcomes = self._scatter(plans, bound, mode)
+        fragments = self._scatter(plans, bound, mode)
         merge_started = monotonic_s()
         if mode == "partial":
-            execution = self._merge_partial(outcomes, bound)
+            execution = self._merge_partial(fragments, bound)
         else:
-            execution = self._merge_gather(outcomes, plans, bound)
+            execution = self._merge_gather(fragments, plans, bound)
         if trace is not None:
             trace.execution_s += merge_started - scatter_started
             trace.merge_s += monotonic_s() - merge_started
-        gossiped = self._gossip(prepared, outcomes)
+        gossiped = self._gossip(prepared, fragments)
         with self._stats_lock:
             self.stats.gossip_entries += gossiped
             if mode == "partial":

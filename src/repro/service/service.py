@@ -113,12 +113,9 @@ class ServiceSettings:
     max_queued: int = 64
     #: Optional cap (seconds) a caller waits for admission.
     admission_timeout: Optional[float] = None
-    #: Workers of the service-owned process pool (ignored when a shared
-    #: scheduler is passed in).  Only a sharded coordinator submits to it —
-    #: its shard scatter; every query operator runs in the caller's
-    #: process.  ``"auto"`` sizes by the host — ``min(cores - 2, RAM /
-    #: 4GB)``, floor 1 (``relalg.scheduler.default_worker_count``).
-    workers: Union[int, str] = 1
+    #: Unused: every query runs in the caller's process.  Kept only because
+    #: the benchmark passes it.
+    workers: int = 1
 
 
 @dataclass
@@ -204,7 +201,8 @@ class QueryService:
             reopt_settings if reopt_settings is not None else ReoptimizationSettings()
         )
         self.optimizer = Optimizer(db, settings=optimizer_settings)
-        self._owns_scheduler = scheduler is None
+        #: The in-process task runner a sharded coordinator counts its
+        #: scatter on; kept on every service because the benchmark reads it.
         self.scheduler = (
             scheduler
             if scheduler is not None
@@ -245,10 +243,8 @@ class QueryService:
     # Lifecycle
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Stop the service (terminal): close the owned scheduler."""
+        """Stop the service (terminal): later ``execute`` calls raise."""
         self._closed = True
-        if self._owns_scheduler:
-            self.scheduler.close()
 
     def __enter__(self: _ServiceT) -> _ServiceT:
         return self

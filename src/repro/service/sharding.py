@@ -18,18 +18,13 @@ UTF-8 bytes — never Python's builtin ``hash`` (randomized per process by
 dictionary value once and fan the result out through the codes.
 
 The module also owns the routing analysis (:func:`route_query`) deciding
-whether a query can scatter at all, and the process-wide shard registry the
-scatter workers read: shard databases are registered *before* the
-coordinator's process pool spawns, so fork-started workers inherit them by
-copy-on-write instead of pickling catalogs through the task queue.
+whether a query can scatter at all.
 """
 
 from __future__ import annotations
 
-import itertools
-import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Set
 
 import numpy as np
 
@@ -41,11 +36,8 @@ __all__ = [
     "ShardRouting",
     "ShardingSpec",
     "hash_partition",
-    "lookup_shard",
-    "register_shards",
     "route_query",
     "shard_database",
-    "unregister_shards",
 ]
 
 
@@ -156,7 +148,7 @@ def shard_database(
     by reference — :class:`~repro.storage.table.Table` is immutable.  Each
     shard gets its own ANALYZE statistics and sample tables, so per-shard
     planning sees per-shard data, and **no indexes** — shard plans stay
-    sequential-scan shaped, which is what the scatter workers execute.
+    sequential-scan shaped.
     """
     if num_shards <= 0:
         raise ValueError("num_shards must be positive")
@@ -243,41 +235,4 @@ def route_query(query: Query, spec: ShardingSpec) -> ShardRouting:
             ),
         )
     return ShardRouting(mode="scatter", reason="co-partitioned equi-join subgraph")
-
-
-# --------------------------------------------------------------------------- #
-# The process-wide shard registry (scatter-worker side)
-# --------------------------------------------------------------------------- #
-#: Registered shard sets, keyed by coordinator token.  Populated *before*
-#: the coordinator's process pool spawns: fork-started workers inherit the
-#: mapping (and the immutable shard catalogs behind it) by copy-on-write.
-_SHARD_REGISTRY: Dict[str, Tuple[Database, ...]] = {}
-_REGISTRY_LOCK = threading.Lock()
-_REGISTRY_COUNTER = itertools.count()
-
-
-def register_shards(name: str, shard_dbs: List[Database]) -> str:
-    """Publish a shard set under a fresh token; returns the token."""
-    with _REGISTRY_LOCK:
-        token = f"{name}#{next(_REGISTRY_COUNTER)}"
-        _SHARD_REGISTRY[token] = tuple(shard_dbs)
-    return token
-
-
-def lookup_shard(token: str, shard_id: int) -> Optional[Database]:
-    """The registered shard catalog, or ``None`` in a worker that never
-    inherited the registration (spawn start method, or a pool forked before
-    the coordinator registered) — the caller falls back to inline
-    execution in the coordinator process."""
-    with _REGISTRY_LOCK:
-        shard_dbs = _SHARD_REGISTRY.get(token)
-    if shard_dbs is None or not 0 <= shard_id < len(shard_dbs):
-        return None
-    return shard_dbs[shard_id]
-
-
-def unregister_shards(token: str) -> None:
-    """Drop a shard set (coordinator close)."""
-    with _REGISTRY_LOCK:
-        _SHARD_REGISTRY.pop(token, None)
 

@@ -67,7 +67,7 @@ def test_missing_path_is_a_usage_error() -> None:
 def test_list_rules_shows_all_codes() -> None:
     code, stdout, _ = run_lint("--list-rules")
     assert code == 0
-    for rule_code in [f"RPL{n:03d}" for n in range(1, 11)]:
+    for rule_code in ("RPL001", "RPL002", *(f"RPL{n:03d}" for n in range(6, 13))):
         assert rule_code in stdout
 
 

@@ -25,9 +25,6 @@ FIXTURES = Path(__file__).parent / "fixtures"
 VIRTUAL_PATHS: Dict[str, str] = {
     "RPL001": "src/repro/workloads/fixture.py",
     "RPL002": "src/repro/plans/fixture.py",
-    "RPL003": "src/repro/relalg/fixture.py",
-    "RPL004": "src/repro/relalg/fixture.py",
-    "RPL005": "src/repro/relalg/fixture.py",
     "RPL006": "src/repro/executor/fixture.py",
     "RPL007": "src/repro/executor/fixture.py",
     "RPL008": "src/repro/executor/fixture.py",
@@ -42,9 +39,6 @@ VIRTUAL_PATHS: Dict[str, str] = {
 EXPECTED_BAD_COUNTS: Dict[str, int] = {
     "RPL001": 4,
     "RPL002": 4,
-    "RPL003": 2,
-    "RPL004": 3,
-    "RPL005": 3,
     "RPL006": 2,
     "RPL007": 2,
     "RPL008": 3,

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from repro.plans.join_tree import plans_identical
-from repro.relalg import TaskScheduler
 from repro.service import (
     BackpressureError,
     QueryService,
@@ -27,10 +26,6 @@ def service_ott_db():
     return generate_ott_database(
         num_tables=4, rows_per_table=2000, rows_per_value=40, seed=11, sampling_ratio=0.25
     )
-
-
-def _double_task(item):
-    return item * 2
 
 
 def ott_template(name="ott_tpl"):
@@ -308,28 +303,12 @@ class TestBackpressureAndLifecycle:
             ok = service.execute(ott_template(), [0, 0, 0], client="victim")
             assert ok.source == "fresh"
 
-    def test_service_closes_owned_scheduler(self, service_ott_db):
-        service = QueryService(
-            service_ott_db, settings=ServiceSettings(workers=2)
-        )
-        service.execute(ott_template(), [0, 0, 0])
-        service.close()
-        assert service.scheduler.closed
-
     def test_execute_after_close_raises(self, service_ott_db):
         service = QueryService(service_ott_db)
         service.execute(ott_template(), [0, 0, 0])
         service.close()
         with pytest.raises(RuntimeError, match="closed"):
             service.execute(ott_template(), [0, 0, 0])
-
-    def test_shared_scheduler_survives_service_close(self, service_ott_db):
-        with TaskScheduler(workers=2, name="shared") as scheduler:
-            service = QueryService(service_ott_db, scheduler=scheduler)
-            service.execute(ott_template(), [0, 0, 0])
-            service.close()
-            assert not scheduler.closed
-            assert scheduler.map_kernel(_double_task, [1, 2, 3]) == [2, 4, 6]
 
 
 def test_importing_the_service_does_not_load_the_experiments():

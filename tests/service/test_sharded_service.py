@@ -1,9 +1,9 @@
 """The sharded scatter-gather coordinator.
 
-Bit-identity against the single-node service on every route, deterministic
-hash partitioning and co-partitioning, routing decisions, the missing-
-registry inline fallback, the inherited result cache and admission gate on
-the sharded routes, and cross-shard exact-Γ gossip.
+Bit-identity against the single-node service on every route and under
+concurrent scatters, deterministic hash partitioning and co-partitioning,
+routing decisions, a failing shard, the inherited result cache and admission
+gate on the sharded routes, and cross-shard exact-Γ gossip.
 """
 
 from __future__ import annotations
@@ -11,12 +11,14 @@ from __future__ import annotations
 import dataclasses
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
-import repro.service.coordinator as coordinator_module
 from repro.errors import ExecutionError
+from repro.executor.executor import Executor
+from repro.relalg import TaskScheduler
 from repro.service import (
     BackpressureError,
     QueryService,
@@ -248,20 +250,97 @@ class TestServingLayers:
             assert service.admission_stats().shed == 1
             assert service.execute(SQL_PARTIAL, [30]).source == "scatter_partial"
 
-    def test_scatter_execution_error_is_not_a_rejection(self, db, monkeypatch):
-        def failing_shard(db, payload):
-            raise ExecutionError("shard fragment failed")
+    def test_scatter_execution_error_is_not_a_rejection(self, db, single, monkeypatch):
+        """Shard 1 raises mid-scatter while a second caller waits on the same
+        flight: the leader gets the original exception, the admission slot
+        and the flight are released, the waiter retries instead of being
+        stranded, and the service keeps serving."""
+        original = Executor.execute_fragment
+        failure = ExecutionError("shard 1 failed")
+        leader_in_shard = threading.Event()
+        follower_started = threading.Event()
+        raised = []
 
-        monkeypatch.setattr(
-            coordinator_module, "lookup_shard", lambda token, shard_id: None
-        )
-        monkeypatch.setattr(coordinator_module, "_execute_shard", failing_shard)
+        def execute_fragment(executor, fragment, query=None):
+            if executor.db.name.endswith(".shard1") and not raised:
+                raised.append(executor.db.name)
+                leader_in_shard.set()
+                follower_started.wait(timeout=60)
+                time.sleep(0.05)  # let the follower reach the flight's event
+                raise failure
+            return original(executor, fragment, query)
+
+        monkeypatch.setattr(Executor, "execute_fragment", execute_fragment)
+        outcomes = {}
+
+        def serve(role, service):
+            try:
+                outcomes[role] = service.execute(SQL_PARTIAL, [30], client=role)
+            except Exception as error:  # noqa: BLE001 - collected for the assert
+                outcomes[role] = error
+
         with ShardedQueryService(db, num_shards=2) as service:
-            with pytest.raises(ExecutionError, match="shard fragment failed"):
-                service.execute(SQL_PARTIAL, [30])
+            leader = threading.Thread(target=serve, args=("leader", service))
+            leader.start()
+            assert leader_in_shard.wait(timeout=120)
+            follower = threading.Thread(target=serve, args=("follower", service))
+            follower.start()
+            follower_started.set()
+            for thread in (leader, follower):
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+            assert outcomes["leader"] is failure
+            expected = single.execute(SQL_PARTIAL, [30]).execution
+            assert_bit_identical(expected, outcomes["follower"].execution)
             assert service.stats.rejected == 0
-            assert service.stats.queries == 0
             assert service._in_flight == {}
+            assert service.admission.in_flight == 0
+            again = service.execute(SQL_GATHER, [30])
+            assert again.source == "scatter_gather"
+            assert_bit_identical(single.execute(SQL_GATHER, [30]).execution, again.execution)
+
+    def test_concurrent_scatters_match_single_node(self, db, single):
+        """Shards run on the callers' threads: eight clients scatter at
+        once with the result cache off, and every output equals the
+        single-node bytes."""
+        bindings = ((SQL_PARTIAL, (5, 17)), (SQL_GATHER, (5, 17)), (SQL_PROJECTION, (2, 4)))
+        requests = [(sql, [param]) for sql, params in bindings for param in params]
+        expected = [single.execute(sql, params).execution for sql, params in requests]
+        clients, per_client = 8, 3
+        served = []
+        errors = []
+
+        def client(index, service):
+            try:
+                for step in range(per_client):
+                    position = (index + step) % len(requests)
+                    sql, params = requests[position]
+                    result = service.execute(sql, params, client=f"c{index}")
+                    served.append((position, result))
+            except Exception as error:  # noqa: BLE001 - collected for the assert
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            settings = ServiceSettings(use_result_cache=False)
+            with ShardedQueryService(db, num_shards=2, settings=settings) as service:
+                threads = [
+                    threading.Thread(target=client, args=(index, service))
+                    for index in range(clients)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                    assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        assert len(served) == clients * per_client
+        assert {result.source for _, result in served} == {"scatter_partial", "scatter_gather"}
+        for position, result in served:
+            assert_bit_identical(expected[position], result.execution)
 
     def test_concurrent_scatters_lose_no_counter_update(self, db):
         """More client threads than cores, a short switch interval: every
@@ -300,21 +379,87 @@ class TestServingLayers:
         assert executed == 10  # 5 distinct bindings of each of the 2 templates
         assert stats.rejected == 0 and service._in_flight == {}
 
-    def test_missing_registry_reruns_inline(self, db, monkeypatch):
-        monkeypatch.setattr(
-            coordinator_module, "lookup_shard", lambda token, shard_id: None
-        )
-        with QueryService(db) as single, ShardedQueryService(db, num_shards=2) as service:
-            expected = single.execute(SQL_PARTIAL, [30]).execution
-            actual = service.execute(SQL_PARTIAL, [30]).execution
-            assert service.stats.inline_shard_reruns == 2
-            assert_bit_identical(expected, actual)
-
     def test_closed_coordinator_raises(self, db):
         service = ShardedQueryService(db, num_shards=2)
         service.close()
         with pytest.raises(RuntimeError, match="closed"):
             service.execute(SQL_PARTIAL, [30])
+
+    def test_closing_the_coordinator_closes_every_shard(self, db):
+        service = ShardedQueryService(db, num_shards=3)
+        service.close()
+        for shard in service.shards:
+            with pytest.raises(RuntimeError, match="closed"):
+                shard.execute(SQL_PARTIAL, [30])
+
+
+def _record_shard_calls(monkeypatch, fail_on=None):
+    """Patch ``Executor.execute_fragment`` to log ``(shard db, thread)`` per
+    call; a call on shard ``fail_on`` raises the returned failure instead."""
+    original = Executor.execute_fragment
+    calls = []
+    failure = ExecutionError(f"shard {fail_on} failed")
+
+    def execute_fragment(executor, fragment, query=None):
+        calls.append((executor.db.name, threading.get_ident()))
+        if fail_on is not None and executor.db.name.endswith(f".shard{fail_on}"):
+            raise failure
+        return original(executor, fragment, query)
+
+    monkeypatch.setattr(Executor, "execute_fragment", execute_fragment)
+    return calls, failure
+
+
+class TestInProcessScatter:
+    def test_shards_run_in_canonical_order_on_the_callers_thread(self, db, monkeypatch):
+        calls, _ = _record_shard_calls(monkeypatch)
+        with ShardedQueryService(db, num_shards=3) as service:
+            assert service.execute(SQL_PARTIAL, [30]).source == "scatter_partial"
+        caller = threading.get_ident()
+        assert calls == [(f"{db.name}.shard{index}", caller) for index in range(3)]
+
+    @pytest.mark.parametrize("num_shards", [2, 3, 4])
+    def test_scatter_counts_one_inline_task_per_shard(self, db, num_shards):
+        settings = ServiceSettings(use_result_cache=False)
+        with ShardedQueryService(db, num_shards=num_shards, settings=settings) as service:
+            service.execute(SQL_PARTIAL, [30])
+            service.execute(SQL_GATHER, [30])
+            service.execute(SQL_REPLICATED, [20])  # single route: no scatter
+            stats = service.scheduler.stats()
+            assert stats.tasks_inline == 2 * num_shards
+            assert stats.tasks_process == 0
+            assert service.stats.inline_shard_reruns == 0
+
+    def test_shared_scheduler_counts_every_coordinators_scatter(self, db):
+        shared = TaskScheduler(name="shared")
+        for num_shards in (2, 3):
+            with ShardedQueryService(db, num_shards=num_shards, scheduler=shared) as service:
+                assert service.scheduler is shared
+                service.execute(SQL_PARTIAL, [30])
+        assert shared.stats().tasks_inline == 2 + 3
+        # Closing the services leaves the caller's scheduler usable.
+        assert shared.map_kernel(lambda item: item, [1]) == [1]
+
+    @pytest.mark.parametrize("failing_shard", [0, 1])
+    def test_failing_shard_releases_the_request(self, db, single, monkeypatch, failing_shard):
+        """The caller gets the shard's own exception; later shards do not
+        run; the admission slot and the flight are released; the next
+        request on the same service is served."""
+        calls, failure = _record_shard_calls(monkeypatch, fail_on=failing_shard)
+        with ShardedQueryService(db, num_shards=2) as service:
+            with pytest.raises(ExecutionError) as excinfo:
+                service.execute(SQL_PARTIAL, [30])
+            assert excinfo.value is failure
+            assert [name for name, _ in calls] == [
+                f"{db.name}.shard{index}" for index in range(failing_shard + 1)
+            ]
+            assert service.stats.rejected == 0
+            assert service._in_flight == {}
+            assert service.admission.in_flight == 0
+            monkeypatch.undo()
+            again = service.execute(SQL_PARTIAL, [30])
+            assert again.source == "scatter_partial"
+            assert_bit_identical(single.execute(SQL_PARTIAL, [30]).execution, again.execution)
 
 
 class TestGammaGossip:

@@ -1,16 +1,13 @@
 """repro-lint: AST-based invariant checker for the reproduction's contracts.
 
-The runtime property suites (bit-identity, shm leak-freedom, picklability
-round-trips) catch contract violations *after* they ship into a hot path;
-this package catches them at review time.  Each rule encodes one invariant
-the runtime tests otherwise guard dynamically:
+The runtime property suites (bit-identity, shm leak-freedom) catch contract
+violations *after* they ship into a hot path; this package catches them at
+review time.  Each rule encodes one invariant the runtime tests otherwise
+guard dynamically:
 
 * **determinism** — plans and merged results must be pure functions of the
   inputs (no unseeded RNG, no hash-order iteration feeding plan enumeration
-  or result merges, no wall-clock reads inside kernel task bodies);
-* **picklability** — everything crossing the process boundary must survive
-  ``pickle.dumps`` by module reference (top-level task functions, descriptor
-  payloads — never :class:`~repro.relalg.relation.Relation` objects);
+  or result merges);
 * **shm lifecycle** — every ``multiprocessing.shared_memory`` segment is
   created through the :class:`~repro.relalg.shm.SegmentRegistry` and only
   the registry ever unlinks;

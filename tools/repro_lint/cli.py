@@ -20,7 +20,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro_lint",
         description=(
             "AST-based invariant checker for the determinism / shared-memory "
-            "/ picklability / typing contracts of this reproduction.  Exits "
+            "/ float-order / typing contracts of this reproduction.  Exits "
             "1 when any diagnostic is emitted."
         ),
     )

@@ -6,7 +6,6 @@ from repro_lint.rules import (  # noqa: F401  (imported for registration)
     determinism,
     float_order,
     hygiene,
-    picklability,
     shm_lifecycle,
     typing_gate,
 )

@@ -1,11 +1,11 @@
 """Determinism rules: RPL001 (unseeded RNG), RPL002 (unordered iteration),
-RPL003 (wall-clock in kernel task bodies), RPL011 (unordered shard/merge
-iteration in the scatter-gather coordinator and merge kernels).
+RPL011 (unordered shard/merge iteration in the scatter-gather coordinator
+and merge kernels).
 
 The paper's Algorithm-1 guarantee — re-optimization converges to a stable
 plan, and sharded execution is bit-identical to single-node — only holds if
 every run of the pipeline is a pure function of database, query and seed.  These
-rules ban the three ways nondeterminism has historically leaked in.
+rules ban the ways nondeterminism has historically leaked in.
 """
 
 from __future__ import annotations
@@ -259,59 +259,3 @@ class UnorderedShardIterationRule(Rule):
                     "and merge inputs in canonical sorted order "
                     "(sorted(...), or an explicitly ordered list)",
                 )
-
-
-#: Wall-clock entry points banned inside kernel task bodies.
-_WALL_CLOCK = frozenset(
-    (
-        "time.time",
-        "time.time_ns",
-        "time.perf_counter",
-        "time.perf_counter_ns",
-        "time.monotonic",
-        "time.monotonic_ns",
-        "time.process_time",
-        "time.process_time_ns",
-        "datetime.datetime.now",
-        "datetime.datetime.utcnow",
-        "datetime.datetime.today",
-        "datetime.date.today",
-    )
-)
-
-
-@register
-class WallClockInKernelRule(Rule):
-    code = "RPL003"
-    name = "wallclock-in-kernel"
-    summary = "no wall-clock reads inside *_task kernel bodies"
-    contract = (
-        "determinism — kernel task bodies run on worker processes and their "
-        "return values are merged into query results; a wall-clock read "
-        "inside one makes the result (or a control-flow decision) depend on "
-        "scheduling, breaking sharded/single-node bit-identity.  Timing "
-        "belongs to the scheduler, which already stamps every task (runtime "
-        "guard: the sharded-service equivalence suites)"
-    )
-
-    def check(self, context: FileContext) -> Iterator[Diagnostic]:
-        aliases = import_aliases(context.tree)
-        for node in ast.walk(context.tree):
-            if not isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef)
-            ) or not node.name.endswith("_task"):
-                continue
-            for inner in ast.walk(node):
-                if not isinstance(inner, ast.Call):
-                    continue
-                target = qualified_name(inner.func, aliases)
-                if target in _WALL_CLOCK:
-                    yield Diagnostic(
-                        context.path.as_posix(),
-                        inner.lineno,
-                        inner.col_offset,
-                        self.code,
-                        f"{target} inside kernel task body {node.name!r}; "
-                        "task results must not depend on when or where the "
-                        "task ran — time on the scheduler side instead",
-                    )

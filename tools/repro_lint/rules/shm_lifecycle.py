@@ -4,8 +4,8 @@ registry) and RPL007 (raw ``.unlink()`` outside the registry).
 ``src/repro/relalg/shm.py`` is the single module allowed to create or
 unlink ``multiprocessing.shared_memory`` segments: every segment goes
 through the refcounting :class:`~repro.relalg.shm.SegmentRegistry` so that
-``TaskScheduler.close()`` can enumerate and force-unlink whatever is still
-alive, and the leak tests can audit the ledger against ``/dev/shm``.  A
+``SegmentRegistry.unlink_all()`` can enumerate and force-unlink whatever is
+still alive, and the leak tests can audit the ledger against ``/dev/shm``.  A
 segment created (or unlinked) anywhere else is invisible to that ledger —
 the exact class of leak the lifecycle tests only catch after the fact.
 """
@@ -46,7 +46,7 @@ class ShmCreateOutsideRegistryRule(Rule):
     contract = (
         "shm lifecycle — a segment created outside SegmentRegistry.create "
         "is missing from the refcount ledger, so arenas cannot release it "
-        "and TaskScheduler.close() cannot force-unlink it: a guaranteed "
+        "and SegmentRegistry.unlink_all() cannot force-unlink it: a guaranteed "
         "/dev/shm leak on any non-happy path (runtime guard: the lifecycle "
         "tests' registry-ledger and /dev/shm audits, which only fire for "
         "code paths the tests happen to execute)"
@@ -83,7 +83,7 @@ class RawUnlinkRule(Rule):
         "shm lifecycle — the registry refcounts attachments; a raw "
         ".unlink() elsewhere either double-unlinks (FileNotFoundError races "
         "in workers) or unlinks a segment another arena still references, "
-        "invalidating live zero-copy views (runtime guard: the crash/"
+        "invalidating live zero-copy views (runtime guard: the scope-exit/"
         "exception leak-freedom tests)"
     )
     scope_skip = (_SHM_MODULE,)
