@@ -526,9 +526,7 @@ def incremental_planning(
         ],
     )
     for record in records:
-        masks = [m for m in record.dp_masks_expanded_per_round if m is not None]
-        if not masks:
-            continue
+        masks = record.dp_masks_expanded_per_round
         later = masks[1:]
         planning = record.planning_seconds_per_round
         result.add_row(

@@ -20,7 +20,7 @@ configuration by fitting the five cost units against the executor
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
 from repro.cost.calibration import calibrate_cost_units
@@ -52,8 +52,8 @@ class QueryRunRecord:
     #: Wall-clock seconds spent inside the optimizer per round; with the
     #: incremental planner, round 2+ entries shrink towards zero.
     planning_seconds_per_round: List[float] = field(default_factory=list)
-    #: DP masks (re-)expanded per round (None entries for GEQO rounds).
-    dp_masks_expanded_per_round: List[Optional[int]] = field(default_factory=list)
+    #: DP masks (re-)expanded per round.
+    dp_masks_expanded_per_round: List[int] = field(default_factory=list)
 
     @property
     def total_with_reoptimization(self) -> float:
@@ -76,11 +76,7 @@ def run_query_suite(
 ) -> List[QueryRunRecord]:
     """Run the full pipeline for every query and collect per-query records."""
     optimizer = Optimizer(db, settings=optimizer_settings)
-    executor = Executor(
-        db,
-        cost_units=optimizer.settings.cost_units,
-        nested_loop_block_elements=optimizer.settings.nested_loop_block_elements,
-    )
+    executor = Executor(db, cost_units=optimizer.settings.cost_units)
     reoptimizer = Reoptimizer(db, optimizer=optimizer, settings=reopt_settings)
     results = [reoptimizer.reoptimize(query) for query in queries]
     records: List[QueryRunRecord] = []
@@ -149,7 +145,7 @@ def calibrated_settings(
     """
     base = base_settings if base_settings is not None else OptimizerSettings()
     calibration = calibrate_cost_units(db, queries=calibration_queries)
-    return base.with_units(calibration.units)
+    return replace(base, cost_units=calibration.units)
 
 
 def aggregate_by_template(records: Sequence[QueryRunRecord]) -> Dict[str, List[QueryRunRecord]]:

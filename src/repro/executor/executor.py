@@ -176,14 +176,10 @@ class Executor:
         db: Database,
         cost_units: CostUnits = DEFAULT_COST_UNITS,
         tuples_per_page: int = 100,
-        nested_loop_block_elements: Optional[int] = None,
         intermediates: Optional[Dict[FrozenSet[str], Relation]] = None,
     ) -> None:
         self.db = db
         self.cost_model = CostModel(units=cost_units, tuples_per_page=tuples_per_page)
-        #: Block budget of the nested-loop kernel (``None`` = kernel default);
-        #: threaded through from ``OptimizerSettings.nested_loop_block_elements``.
-        self.nested_loop_block_elements = nested_loop_block_elements
         #: Join set → relation, resolving ``MaterializedNode`` leaves
         #: (:func:`finalize_canonical_execution` stores the full join result
         #: here); plans without such leaves never consult it.
@@ -304,8 +300,7 @@ class Executor:
         elif node.method is JoinMethod.NESTED_LOOP:
             joined = nested_loop_join(
                 left_relation, right_relation, node.predicates,
-                frozenset(node.left.relations),
-                block_elements=self.nested_loop_block_elements, keep=keep,
+                frozenset(node.left.relations), keep=keep,
             )
         elif (
             node.method is JoinMethod.INDEX_NESTED_LOOP

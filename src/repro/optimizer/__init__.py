@@ -1,4 +1,4 @@
-"""Query optimizer: DP join-order search, GEQO fallback and optimizer profiles."""
+"""Query optimizer: DP join-order search and optimizer profiles."""
 
 from __future__ import annotations
 

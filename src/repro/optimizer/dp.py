@@ -7,6 +7,12 @@ sub-plans connected by at least one join predicate, and every enabled
 physical join method.  Bushy trees are explored by default; restricting the
 inner side to single relations yields the classic left-deep search.
 
+The search is exhaustive for up to :data:`MAX_JOIN_RELATIONS` relations and
+refuses wider queries with :class:`~repro.errors.PlanningError` before
+enumerating anything.  That is the range where PostgreSQL hands over to its
+genetic search (above 12 relations, the paper's footnote 2); no query of the
+paper's workloads comes near it.
+
 The enumeration runs in bitmask space.  A split is two integers; whether a
 join predicate crosses it is one lookup in a per-planner ``neighbours[mask]``
 table; each (split, method) alternative is priced from plain floats by one
@@ -59,6 +65,10 @@ from repro.plans.nodes import JoinMethod, JoinNode, PlanNode, ScanNode
 from repro.sql.ast import JoinPredicate, Query
 from repro.storage.catalog import Database
 
+#: Widest query the exhaustive search accepts (PostgreSQL's genetic-search
+#: threshold).
+MAX_JOIN_RELATIONS = 12
+
 
 class DynamicProgrammingPlanner:
     """Exhaustive DP search over join orders for one query.
@@ -82,6 +92,11 @@ class DynamicProgrammingPlanner:
         self.cost_model = cost_model
         self.settings = settings
         self.aliases: List[str] = list(query.aliases)
+        if len(self.aliases) > MAX_JOIN_RELATIONS:
+            raise PlanningError(
+                f"query {query.name!r} joins {len(self.aliases)} relations; the "
+                f"exhaustive join search plans at most {MAX_JOIN_RELATIONS}"
+            )
         self._alias_bit: Dict[str, int] = {alias: 1 << i for i, alias in enumerate(self.aliases)}
         #: Number of distinct logical join trees (connected unordered splits)
         #: examined — the paper's ``N``.

@@ -1,15 +1,15 @@
 """Optimizer configuration knobs.
 
 The settings mirror the PostgreSQL knobs the paper interacts with: the five
-cost units (default or calibrated, Section 5.1.2), the GEQO threshold (the
-paper's footnote 2 notes PostgreSQL switches to a genetic search above 12
-joins), which physical operators are enabled, and whether bushy join trees
-are explored.
+cost units (default or calibrated, Section 5.1.2), which physical operators
+are enabled, and whether bushy join trees are explored.  The join search is
+always the exhaustive DP, up to ``repro.optimizer.dp.MAX_JOIN_RELATIONS``
+relations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import FrozenSet
 
 from repro.cost.units import CostUnits, DEFAULT_COST_UNITS
@@ -25,13 +25,6 @@ class OptimizerSettings:
     cost_units: CostUnits = DEFAULT_COST_UNITS
     #: Explore bushy join trees (True) or only left-deep trees (False).
     allow_bushy: bool = True
-    #: Above this number of relations the DP search is replaced by the
-    #: randomized GEQO-style search (PostgreSQL's geqo_threshold).
-    geqo_threshold: int = 12
-    #: Random seed for the GEQO search (determinism in tests and benches).
-    geqo_seed: int = 0
-    #: Number of random join orders GEQO evaluates.
-    geqo_pool_size: int = 64
     #: Physical join operators the planner may use.
     enabled_join_methods: FrozenSet[JoinMethod] = frozenset(
         {
@@ -47,25 +40,5 @@ class OptimizerSettings:
     #: Use PostgreSQL-style MCV matching when estimating join selectivities;
     #: False falls back to the plain System R reduction factor.
     use_mcv_join_refinement: bool = True
-    #: Element budget for one block of the nested-loop join's comparison
-    #: matrix (work_mem-style knob): peak memory per block vs. per-block
-    #: NumPy dispatch overhead.  Threaded through to the executor's
-    #: ``nested_loop_join`` calls.
-    nested_loop_block_elements: int = 4_000_000
     #: Human-readable profile name ("postgresql", "system_a", "system_b").
     profile: str = "postgresql"
-
-    def with_units(self, units: CostUnits) -> "OptimizerSettings":
-        """Return a copy of the settings with different cost units."""
-        return OptimizerSettings(
-            cost_units=units,
-            allow_bushy=self.allow_bushy,
-            geqo_threshold=self.geqo_threshold,
-            geqo_seed=self.geqo_seed,
-            geqo_pool_size=self.geqo_pool_size,
-            enabled_join_methods=self.enabled_join_methods,
-            enable_index_scan=self.enable_index_scan,
-            use_mcv_join_refinement=self.use_mcv_join_refinement,
-            nested_loop_block_elements=self.nested_loop_block_elements,
-            profile=self.profile,
-        )

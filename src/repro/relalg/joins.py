@@ -50,7 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
 _MAX_COMPOSITE_DOMAIN = 2**62
 
 #: Default element budget for one block of the nested-loop comparison matrix
-#: (overridable per call; see ``OptimizerSettings.nested_loop_block_elements``).
+#: (overridable per call through ``block_elements``).
 _NESTED_LOOP_BLOCK_ELEMENTS = 4_000_000
 
 
@@ -207,8 +207,7 @@ def nested_loop_match(
 
     ``block_elements`` bounds the size of one comparison-matrix block
     (defaults to :data:`_NESTED_LOOP_BLOCK_ELEMENTS`); it trades peak memory
-    against per-block NumPy dispatch overhead and is threaded through from
-    ``OptimizerSettings.nested_loop_block_elements``.
+    against per-block NumPy dispatch overhead.
     """
     left_rows, right_rows = len(left_codes), len(right_codes)
     if left_rows == 0 or right_rows == 0:

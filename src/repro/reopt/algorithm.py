@@ -15,8 +15,9 @@ The loop is the paper's:
    the fixed point);
 6. go to 2.
 
-Each round plans through one :class:`~repro.optimizer.optimizer.PlanningSession`,
-so the System-R DP memo survives between rounds and round ``i+1`` re-expands
+The rounds of one call plan through one
+:class:`~repro.optimizer.optimizer.PlanningSession`, opened for that call, so
+the System-R DP memo survives between rounds and round ``i+1`` re-expands
 only the masks dirtied by Δ_i — the incremental planning that keeps the
 paper's re-optimization overhead argument (Section 3.3) true in practice.
 
@@ -29,13 +30,12 @@ so far (by sampled-cost estimate) is returned.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.cardinality.gamma import Gamma
 from repro.cardinality.sampling_estimator import SamplingEstimator
-from repro.errors import SamplingError
-from repro.optimizer.optimizer import Optimizer, PlanningSession
+from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.settings import OptimizerSettings
 from repro.plans.join_tree import classify_transformation, plans_identical
 from repro.plans.nodes import PlanNode
@@ -113,12 +113,7 @@ class Reoptimizer:
     # ------------------------------------------------------------------ #
     # The loop
     # ------------------------------------------------------------------ #
-    def reoptimize(
-        self,
-        query: Query,
-        gamma: Optional[Gamma] = None,
-        session: Optional["PlanningSession"] = None,
-    ) -> ReoptimizationResult:
+    def reoptimize(self, query: Query, gamma: Optional[Gamma] = None) -> ReoptimizationResult:
         """Run Algorithm 1 on ``query`` and return the full result.
 
         Termination (besides the round/time budgets) happens when either
@@ -131,22 +126,16 @@ class Reoptimizer:
           optimizer would re-produce the same plan next round.
 
         ``gamma`` may carry pre-validated cardinalities; it is mutated in
-        place, exactly as Algorithm 1 writes ``Γ ← Γ ∪ Δ``.
-
-        ``session`` may be a caller-held :class:`PlanningSession` already
-        targeting ``query`` (the query service re-plans a template through
-        the session it keeps per template, carrying GEQO seed orders across
-        parameter bindings); by default a fresh session is opened.
+        place, exactly as Algorithm 1 writes ``Γ ← Γ ∪ Δ``.  Every call
+        plans through a fresh :class:`PlanningSession`, so nothing of an
+        earlier call's search carries over.
         """
         if self.db.samples is None:
             self.db.create_samples(
                 ratio=self.settings.sampling_ratio, seed=self.settings.sampling_seed
             )
         sampler = SamplingEstimator(self.db, query)
-        if session is None:
-            session = self.optimizer.planning_session(query)
-        elif session.query is not query:
-            raise ValueError("caller-provided planning session targets a different query")
+        session = self.optimizer.planning_session(query)
 
         gamma = gamma if gamma is not None else Gamma()
         report = ReoptimizationReport(query_name=query.name)

@@ -37,9 +37,9 @@ class RoundRecord:
     new_gamma_entries: int = 0
     #: Seconds the optimizer spent producing this round's plan.
     planning_seconds: float = 0.0
-    #: DP masks the planner (re-)expanded this round (None on the GEQO path).
-    #: Round 1 expands every mask; incremental rounds only the Γ-dirtied ones.
-    dp_masks_expanded: Optional[int] = None
+    #: DP masks the planner (re-)expanded this round.  Round 1 expands every
+    #: mask; incremental rounds only the Γ-dirtied ones.
+    dp_masks_expanded: int = 0
 
 
 @dataclass
@@ -81,8 +81,8 @@ class ReoptimizationReport:
         """Total wall-clock seconds spent inside the optimizer."""
         return sum(record.planning_seconds for record in self.rounds)
 
-    def dp_masks_per_round(self) -> List[Optional[int]]:
-        """DP masks expanded per round (None entries for GEQO rounds)."""
+    def dp_masks_per_round(self) -> List[int]:
+        """DP masks expanded per round."""
         return [record.dp_masks_expanded for record in self.rounds]
 
     @property

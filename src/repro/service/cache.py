@@ -10,10 +10,11 @@ memory back immediately.
 
 **Plan cache** — one :class:`PlanCacheEntry` per template, holding the plan
 Algorithm 1 converged to for some binding, the Γ *expectations* it was
-validated under (join set → sampled cardinality) and the planning session
-that produced it.  The entry is what the sampling validator guards: a new
-binding's Δ is compared against ``expectations`` and the plan is reused only
-while the drift stays under the service's threshold.
+validated under (join set → sampled cardinality) and the exact cardinalities
+gossiped in from sibling shards.  No planning state is kept: a drift replan
+runs Algorithm 1 from scratch.  The entry is what the sampling validator
+guards: a new binding's Δ is compared against ``expectations`` and the plan
+is reused only while the drift stays under the service's threshold.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from typing import Dict, Optional, Tuple
 
 from repro.cardinality.gamma import Gamma, JoinSet
 from repro.executor.executor import ExecutionResult
-from repro.optimizer.optimizer import PlanningSession
 from repro.plans.nodes import PlanNode
 from repro.sql.ast import Query
 
@@ -110,10 +110,6 @@ class PlanCacheEntry:
     #: cardinality at planning time.  The drift guard compares each new
     #: binding's sampled Δ against these.
     expectations: Dict[JoinSet, float] = field(default_factory=dict)
-    #: The incremental planning session that produced (and re-plans) the
-    #: template's plans; kept so GEQO templates carry their winning join
-    #: order across bindings (see ``PlanningSession.rebind``).
-    session: Optional[PlanningSession] = None
     #: Exact cardinalities gossiped in from sibling shards of a
     #: :class:`~repro.service.coordinator.ShardedQueryService`.  Hash
     #: partitioning keeps shards statistically symmetric, so one shard's

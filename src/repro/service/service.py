@@ -16,8 +16,7 @@ layers, outermost first:
    guard): if the observed Δ stays within ``drift_threshold`` of the Γ
    expectations the plan was chosen under, the plan is reused at zero
    planning cost; otherwise the template is re-planned through
-   Algorithm 1, warm-started with the fresh Δ, through the template's
-   incremental :class:`~repro.optimizer.optimizer.PlanningSession`.
+   Algorithm 1 from scratch, warm-started with the fresh Δ.
 3. **Admission control** — a bounded, client-fair gate
    (:class:`~repro.service.admission.AdmissionController`) in front of
    execution, shedding load with
@@ -60,12 +59,12 @@ from repro.executor.executor import (
     split_final_aggregate,
 )
 from repro.executor.materialization import needs_canonical_order
-from repro.optimizer.optimizer import Optimizer, PlanningSession
+from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.settings import OptimizerSettings
 from repro.plans.join_tree import rebind_plan
 from repro.plans.nodes import MaterializedNode, PlanNode
 from repro.relalg import Relation, TaskScheduler
-from repro.reopt.algorithm import ReoptimizationResult, ReoptimizationSettings, Reoptimizer
+from repro.reopt.algorithm import ReoptimizationSettings, Reoptimizer
 from repro.service.admission import AdmissionController, AdmissionStats, BackpressureError
 from repro.service.cache import PlanCacheEntry, ResultCache, ResultCacheStats, max_drift
 from repro.service.templates import PreparedStatement, StatementRegistry
@@ -101,9 +100,10 @@ class ServiceSettings:
     #: Bound of the result cache (entries).
     result_cache_entries: int = 256
     #: Bound of the per-template plan cache (LRU; an evicted template is
-    #: simply re-planned on its next execution).  Each entry retains a
-    #: planning session, so the bound caps memory in a long-lived server fed
-    #: ad-hoc constant-only SQL (one template per distinct literal set).
+    #: simply re-planned on its next execution).  Each entry holds a plan,
+    #: its Γ expectations and its gossip, so the bound caps memory in a
+    #: long-lived server fed ad-hoc constant-only SQL (one template per
+    #: distinct literal set).
     plan_cache_entries: int = 128
     #: Bound of the prepared-statement registry (LRU, re-prepared on miss).
     statement_registry_entries: int = 1024
@@ -201,6 +201,9 @@ class QueryService:
             reopt_settings if reopt_settings is not None else ReoptimizationSettings()
         )
         self.optimizer = Optimizer(db, settings=optimizer_settings)
+        self._reoptimizer = Reoptimizer(
+            db, optimizer=self.optimizer, settings=self.reopt_settings
+        )
         #: The in-process task runner a sharded coordinator counts its
         #: scatter on; kept on every service because the benchmark reads it.
         self.scheduler = (
@@ -595,7 +598,7 @@ class QueryService:
         """Return ``(plan, source, drift, validation_seconds, planning_seconds)``."""
         if not self.settings.use_plan_cache:
             planning_started = monotonic_s()
-            result = self._run_algorithm1(bound, session=None, gamma=None)
+            result = self._reoptimizer.reoptimize(bound)
             planning_seconds = monotonic_s() - planning_started
             with self._stats_lock:
                 self.stats.fresh_plans += 1
@@ -605,8 +608,7 @@ class QueryService:
             entry = self._plan_cache_get(prepared.fingerprint)
             if entry is None:
                 planning_started = monotonic_s()
-                session = self.optimizer.planning_session(bound)
-                result = self._run_algorithm1(bound, session=session, gamma=None)
+                result = self._reoptimizer.reoptimize(bound)
                 planning_seconds = monotonic_s() - planning_started
                 self._plan_cache_put(
                     prepared.fingerprint,
@@ -614,7 +616,6 @@ class QueryService:
                         plan=result.final_plan,
                         bound_query=bound,
                         expectations=dict(result.gamma.items()),
-                        session=session,
                     ),
                 )
                 with self._stats_lock:
@@ -646,9 +647,9 @@ class QueryService:
                 return rebound, "validated_reuse", drift, validation.elapsed_seconds, 0.0
 
             # Drift: the cached plan's cardinality assumptions no longer hold
-            # for these bindings.  Re-plan through Algorithm 1, warm-started
-            # with the Δ just sampled (those join sets are already validated),
-            # through the template's rebound planning session.
+            # for these bindings.  Re-plan through Algorithm 1 from scratch,
+            # warm-started with the Δ just sampled (those join sets are
+            # already validated).
             entry.rejections += 1
             planning_started = monotonic_s()
             gamma = Gamma()
@@ -658,10 +659,7 @@ class QueryService:
             # covers still seed the replan.
             gamma.merge(entry.gossip)
             gamma.merge(validation.cardinalities)
-            session = (
-                entry.session.rebind(bound) if entry.session is not None else None
-            )
-            result = self._run_algorithm1(bound, session=session, gamma=gamma)
+            result = self._reoptimizer.reoptimize(bound, gamma=gamma)
             planning_seconds = monotonic_s() - planning_started
             entry.plan = result.final_plan
             entry.bound_query = bound
@@ -676,26 +674,11 @@ class QueryService:
                 planning_seconds,
             )
 
-    def _run_algorithm1(
-        self,
-        bound: Query,
-        session: Optional[PlanningSession],
-        gamma: Optional[Gamma],
-    ) -> ReoptimizationResult:
-        reoptimizer = Reoptimizer(
-            self.db, optimizer=self.optimizer, settings=self.reopt_settings
-        )
-        return reoptimizer.reoptimize(bound, gamma=gamma, session=session)
-
     # ------------------------------------------------------------------ #
     # Plan-independent deterministic execution
     # ------------------------------------------------------------------ #
     def _make_executor(self) -> Executor:
-        return Executor(
-            self.db,
-            cost_units=self.optimizer.settings.cost_units,
-            nested_loop_block_elements=self.optimizer.settings.nested_loop_block_elements,
-        )
+        return Executor(self.db, cost_units=self.optimizer.settings.cost_units)
 
     def _execute_plan(
         self, plan: PlanNode, query: Query, trace: Optional[RequestTrace] = None

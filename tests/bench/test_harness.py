@@ -1,5 +1,7 @@
 """Tests for the benchmark harness and reporting (integration level)."""
 
+import dataclasses
+
 import pytest
 
 from repro.bench.experiments import (
@@ -16,6 +18,7 @@ from repro.bench.harness import (
     run_query_suite,
 )
 from repro.bench.reporting import ExperimentResult
+from repro.optimizer.profiles import profile_settings
 from repro.workloads.ott import generate_ott_database, make_ott_workload
 
 
@@ -81,6 +84,21 @@ class TestHarness:
 
         defaults = set(DEFAULT_COST_UNITS.as_dict().values())
         assert calibrated != defaults
+
+    def test_calibrated_settings_keep_the_base_profile(self, small_ott_db):
+        base = profile_settings("system_b")
+        settings = calibrated_settings(small_ott_db, base)
+        assert settings == dataclasses.replace(base, cost_units=settings.cost_units)
+        assert settings.cost_units != base.cost_units
+
+    def test_records_count_dp_masks_every_round(self, small_ott_db):
+        queries = make_ott_workload(small_ott_db, num_tables=4, num_queries=2, seed=2)
+        for record in run_query_suite(small_ott_db, queries, execute_plans=False):
+            masks = record.dp_masks_expanded_per_round
+            assert len(masks) == record.plans_generated
+            assert all(type(count) is int for count in masks)
+            assert masks[0] == 2 ** 4 - 1
+            assert all(count < masks[0] for count in masks[1:])
 
 
 class TestExperimentDrivers:

@@ -187,15 +187,3 @@ class TestNestedLoopBlockParameter:
             assert tiny.num_rows == default.num_rows
             assert np.array_equal(np.asarray(tiny["l.k"]), np.asarray(default["l.k"]))
             assert np.array_equal(np.asarray(tiny["r.k"]), np.asarray(default["r.k"]))
-
-    def test_threaded_through_optimizer_settings(self):
-        from repro.cost.units import DEFAULT_COST_UNITS
-        from repro.workloads.ott import generate_ott_database
-
-        settings = OptimizerSettings(nested_loop_block_elements=12_345)
-        assert settings.with_units(DEFAULT_COST_UNITS).nested_loop_block_elements == 12_345
-        db = generate_ott_database(
-            num_tables=3, rows_per_table=200, rows_per_value=10, seed=1, sampling_ratio=0.5
-        )
-        executor = Executor(db, nested_loop_block_elements=settings.nested_loop_block_elements)
-        assert executor.nested_loop_block_elements == 12_345

@@ -1,16 +1,20 @@
-"""Tests for the DP/GEQO optimizer and access-path selection."""
+"""Tests for the DP optimizer and access-path selection."""
+
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import pytest
 
 from repro.cardinality.gamma import Gamma
+from repro.cost.model import CostModel
 from repro.errors import PlanningError
-from repro.executor.executor import Executor
-from repro.relalg import relation_num_rows
+from repro.optimizer import dp
 from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.profiles import OPTIMIZER_PROFILES, profile_settings
 from repro.optimizer.settings import OptimizerSettings
 from repro.plans.join_tree import JoinTree
-from repro.plans.nodes import AggregateNode, JoinNode, ScanMethod, ScanNode
+from repro.plans.nodes import AggregateNode, ScanMethod, ScanNode
 from repro.sql.builder import QueryBuilder
 from repro.workloads.ott import generate_ott_database, make_ott_query
 
@@ -57,14 +61,6 @@ class TestPlanShape:
         plan = Optimizer(db, settings).optimize(query)
         tree = JoinTree.of(plan)
         assert tree.is_left_deep()
-
-    def test_optimizer_report_populated(self, db):
-        query = make_ott_query(db, [0, 0, 0, 0, 0])
-        optimizer = Optimizer(db)
-        optimizer.optimize(query)
-        assert optimizer.last_report is not None
-        assert optimizer.last_report.num_join_trees_considered > 0
-        assert not optimizer.last_report.used_geqo
 
     def test_no_tables_rejected(self, db):
         query = QueryBuilder("empty").build()
@@ -174,33 +170,59 @@ class TestJoinTreeCount:
         assert JoinTree.of(confirmed_plan).join_set == JoinTree.of(baseline).join_set
 
 
-class TestGeqo:
-    def test_geqo_kicks_in_above_threshold(self, db):
-        query = make_ott_query(db, [0, 0, 0, 0, 0])
-        settings = OptimizerSettings(geqo_threshold=3, geqo_pool_size=16)
-        optimizer = Optimizer(db, settings)
-        plan = optimizer.optimize(query)
-        assert optimizer.last_report.used_geqo
-        assert plan.relations == frozenset({"r1", "r2", "r3", "r4", "r5"})
-        assert JoinTree.of(plan).is_left_deep()
+def _chain_query(width):
+    """``width`` aliases over the fixture's five tables, joined in a chain."""
+    builder = QueryBuilder(f"chain{width}")
+    for index in range(width):
+        builder.table(f"r{index % 5 + 1}", f"t{index}")
+    for index in range(width - 1):
+        builder.join(f"t{index}", "b", f"t{index + 1}", "b")
+    return builder.build()
 
-    def test_geqo_plans_execute_correctly(self, db):
-        # A three-relation all-matching query keeps the join result small
-        # enough to execute while still exercising the GEQO code path.
-        query = make_ott_query(db, [0, 0, 0])
-        dp_plan = Optimizer(db).optimize(query)
-        geqo_plan = Optimizer(db, OptimizerSettings(geqo_threshold=2)).optimize(query)
-        executor = Executor(db)
-        dp_rows = executor.execute_plan(dp_plan, query).columns["result_rows"][0]
-        geqo_rows = executor.execute_plan(geqo_plan, query).columns["result_rows"][0]
-        assert dp_rows == geqo_rows
 
-    def test_geqo_deterministic_for_fixed_seed(self, db):
-        query = make_ott_query(db, [0, 0, 0, 0, 0])
-        settings = OptimizerSettings(geqo_threshold=3, geqo_seed=5)
-        first = Optimizer(db, settings).optimize(query)
-        second = Optimizer(db, settings).optimize(query)
-        assert first.signature() == second.signature()
+class TestJoinRelationCap:
+    """The exhaustive search stops where PostgreSQL's genetic search starts."""
+
+    @pytest.mark.parametrize("allow_bushy", [True, False], ids=["bushy", "left_deep"])
+    def test_thirteen_relations_are_refused_before_enumeration(self, db, allow_bushy):
+        query = _chain_query(13)
+        optimizer = Optimizer(db, OptimizerSettings(allow_bushy=allow_bushy))
+        with mock.patch.object(dp, "best_scan") as scan, mock.patch.object(
+            CostModel, "join_pricing"
+        ) as pricing:
+            with pytest.raises(PlanningError, match="13 relations.*at most 12"):
+                optimizer.optimize(query)
+        scan.assert_not_called()
+        pricing.assert_not_called()
+
+    def test_twelve_relations_still_plan(self, db):
+        assert dp.MAX_JOIN_RELATIONS == 12
+        plan = Optimizer(db).optimize(_chain_query(12))
+        assert plan.relations == frozenset(f"t{index}" for index in range(12))
+        assert len(plan.join_nodes()) == 11
+
+
+class TestSharedOptimizer:
+    @pytest.mark.parametrize("workers", [4, 8])
+    def test_concurrent_sessions_plan_as_if_alone(self, db, workers):
+        """One ``Optimizer`` serves every request thread of a service: a
+        plan must not depend on what the other threads plan meanwhile."""
+        queries = [
+            make_ott_query(db, constants)
+            for constants in ([0, 0, 0, 0, 0], [0, 0, 0, 0, 1], [1, 0, 0, 0, 0], [0, 2, 0])
+        ] * 3
+        serial = [Optimizer(db).optimize(query) for query in queries]
+        shared = Optimizer(db)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                concurrent = list(pool.map(shared.optimize, queries, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for alone, together in zip(serial, concurrent):
+            assert together.signature() == alone.signature()
+            assert together.estimated_cost.hex() == alone.estimated_cost.hex()
 
 
 class TestProfiles:

@@ -1,94 +1,37 @@
-"""Both join searches against the build-every-candidate references.
+"""The DP's tie-break against the build-every-candidate reference.
 
-The planners price splits through one ``JoinPricing`` per join output, and
-the DP skips a split whose inputs alone cost at least the best split so far.
-``ReferencePlanner`` (``test_dp_reference.py``) and ``GeqoReference`` below
-instead build a ``JoinNode`` for every applicable method, price it through
-``join_resources`` → ``cost`` and take ``min`` — no cutoff, no shared
+The planner prices splits through one ``JoinPricing`` per join output and
+skips a split whose inputs alone cost at least the best split so far.
+``ReferencePlanner`` (``test_dp_reference.py``) instead builds a
+``JoinNode`` for every applicable method, prices it through
+``join_resources`` → ``cost`` and takes ``min`` — no cutoff, no shared
 pricing code — so agreement down to the cost bits pins both the formula and
 the tie-break rule.
 """
 
 from __future__ import annotations
 
-from typing import Optional
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.cardinality.gamma import Gamma
 from repro.cost.model import CostModel, JoinPricing
 from repro.cost.units import DEFAULT_COST_UNITS
 from repro.optimizer.dp import DynamicProgrammingPlanner
-from repro.optimizer.geqo import GeqoPlanner
 from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.settings import OptimizerSettings
-from repro.plans.nodes import JoinMethod, JoinNode, PlanNode, ScanNode
+from repro.plans.nodes import JoinMethod, JoinNode
 from repro.sql.builder import QueryBuilder
 from repro.storage.catalog import Database
 from repro.storage.table import Column, Table, TableSchema
 
-from test_dp_reference import ReferencePlanner, assert_same_search, db, join_graphs  # noqa: F401
+from test_dp_reference import ReferencePlanner, assert_same_search
 
 
-class GeqoReference(GeqoPlanner):
-    """GEQO's search with ``ReferencePlanner``'s pricing: every applicable
-    method built as a ``JoinNode``, the first cheapest kept."""
-
-    _build_join = ReferencePlanner._build_join
-
-    def _cheapest_join(self, left: PlanNode, right: ScanNode) -> JoinNode:
-        output_rows = self.estimator.joinset_cardinality(left.relations | right.relations)
-        candidates = [
-            join
-            for method in sorted(self.settings.enabled_join_methods, key=lambda m: m.value)
-            if (join := self._build_join(left, right, method, output_rows)) is not None
-        ]
-        if not candidates:
-            candidates = [self._build_join(left, right, JoinMethod.NESTED_LOOP, output_rows)]
-        return min(candidates, key=lambda node: node.estimated_cost)
-
-
-def _planner(
-    cls, db: Database, query, opt_settings: OptimizerSettings, gamma: Optional[Gamma] = None
-):
-    estimator = Optimizer(db, opt_settings).make_estimator(query, gamma)
+def _planner(cls, db: Database, query, opt_settings: OptimizerSettings):
+    estimator = Optimizer(db, opt_settings).make_estimator(query)
     return cls(db, query, estimator, CostModel(units=opt_settings.cost_units), opt_settings)
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    data=st.data(),
-    query=join_graphs(),
-    methods=st.sets(st.sampled_from(sorted(JoinMethod)), min_size=1).map(frozenset),
-    geqo_seed=st.integers(0, 3),
-)
-def test_geqo_agrees_with_its_reference(db, data, query, methods, geqo_seed):
-    """Same orders tried, same winner, same plan and cost bits — over the DP
-    reference's join graphs (a split no predicate crosses takes GEQO's
-    nested-loop fallback when nested loop is disabled), every method subset
-    and a random Γ."""
-    opt_settings = OptimizerSettings(
-        enabled_join_methods=methods, geqo_threshold=1, geqo_seed=geqo_seed, geqo_pool_size=16
-    )
-    gamma = Gamma()
-    join_sets = st.sets(st.sampled_from(list(query.aliases)), min_size=2).map(frozenset)
-    cardinalities = st.floats(min_value=0.0, max_value=1e9, allow_nan=False)
-    injections = data.draw(st.dictionaries(join_sets, cardinalities, max_size=3))
-    for join_set, cardinality in injections.items():
-        gamma.record(join_set, cardinality)
-    planner, reference = (
-        _planner(cls, db, query, opt_settings, gamma) for cls in (GeqoPlanner, GeqoReference)
-    )
-    plan, expected = planner.plan_joins(), reference.plan_joins()
-    assert planner.best_order == reference.best_order
-    assert planner.num_orders_considered == reference.num_orders_considered
-    assert plan.signature() == expected.signature()
-    assert plan.estimated_cost.hex() == expected.estimated_cost.hex()
-    assert Optimizer(db, opt_settings).planning_session(query).use_geqo
 
 
 @pytest.mark.parametrize(

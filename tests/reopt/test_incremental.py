@@ -11,10 +11,14 @@ Covers the three invariants of the engine:
   terminates via the paper's coverage rule.
 """
 
+from unittest import mock
+
 import pytest
 
 from repro.cardinality.gamma import Gamma
+from repro.cardinality.sampling_estimator import SamplingEstimator
 from repro.cost.model import CostModel
+from repro.errors import PlanningError
 from repro.optimizer.dp import DynamicProgrammingPlanner
 from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.settings import OptimizerSettings
@@ -131,6 +135,36 @@ class TestSessionInsideAlgorithm1:
             replay_gamma.merge(sampler.validate_plan(record.plan).cardinalities)
 
 
+    def test_each_call_plans_from_a_fresh_session(self, db):
+        """Consecutive calls on one ``Reoptimizer`` share nothing: every call's
+        round 1 is the full search, and each result equals a fresh
+        reoptimizer's, down to the cost bits."""
+        shared = Reoptimizer(db)
+        for constants in ([0, 0, 0, 0, 1], [1, 0, 0, 0, 0], [0, 0, 0, 0, 1]):
+            query = make_ott_query(db, constants)
+            result = shared.reoptimize(query)
+            alone = Reoptimizer(db).reoptimize(query)
+            assert result.report.dp_masks_per_round()[0] == 2 ** 5 - 1
+            assert result.report.dp_masks_per_round() == alone.report.dp_masks_per_round()
+            assert [r.plan.signature() for r in result.report.rounds] == [
+                r.plan.signature() for r in alone.report.rounds
+            ]
+            assert result.final_plan.estimated_cost.hex() == alone.final_plan.estimated_cost.hex()
+
+    def test_a_query_over_the_join_cap_fails_before_any_validation(self, db):
+        """Algorithm 1 has no fallback search: a 13-relation query raises the
+        planner's ``PlanningError`` in round 1, before a plan is validated."""
+        builder = QueryBuilder("chain13")
+        for index in range(13):
+            builder.table(f"r{index % 5 + 1}", f"t{index}")
+        for index in range(12):
+            builder.join(f"t{index}", "b", f"t{index + 1}", "b")
+        with mock.patch.object(SamplingEstimator, "validate_plan") as validate:
+            with pytest.raises(PlanningError, match="13 relations.*at most 12"):
+                Reoptimizer(db).reoptimize(builder.build())
+        validate.assert_not_called()
+
+
 class TestConvergenceFixes:
     @staticmethod
     def _scripted_reoptimizer(db, plans, max_rounds=8):
@@ -140,7 +174,7 @@ class TestConvergenceFixes:
             def __init__(self, script):
                 self._script = script
                 self._calls = 0
-                self.last_masks_expanded = None
+                self.last_masks_expanded = 0
 
             def optimize(self, gamma=None):
                 plan = self._script[self._calls % len(self._script)]

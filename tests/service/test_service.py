@@ -8,7 +8,11 @@ import sys
 import numpy as np
 import pytest
 
-from repro.plans.join_tree import plans_identical
+from repro.cardinality.gamma import Gamma
+from repro.cardinality.sampling_estimator import validate_plan_for_bindings
+from repro.errors import PlanningError
+from repro.plans.join_tree import plans_identical, rebind_plan
+from repro.reopt.algorithm import Reoptimizer
 from repro.service import (
     BackpressureError,
     QueryService,
@@ -143,6 +147,36 @@ class TestDriftGuard:
         entry = service._plan_cache[prepared.fingerprint]
         assert entry.validations == 1 and entry.reuses == 1
         service.close()
+
+    @pytest.mark.parametrize("binding", [[0, 0, 1], [1, 0, 0], [3, 3, 3]])
+    def test_drift_replan_matches_a_from_scratch_reoptimization(self, service_ott_db, binding):
+        """A drift replan is Algorithm 1 from scratch under ``gossip ∪ Δ``:
+        same plan, same cost bits, same Γ — nothing of the template's earlier
+        planning survives into it."""
+        settings = ServiceSettings(drift_threshold=1.0, use_result_cache=False)
+        with QueryService(service_ott_db, settings=settings) as service:
+            prepared = service.prepare(ott_template())
+            service.execute(prepared, [0, 0, 0])
+            gossip = Gamma()
+            gossip.record({"r1", "r2"}, 1234.0, exact=True)
+            assert service.apply_gamma_gossip(prepared.fingerprint, gossip) == 1
+            entry = service._plan_cache[prepared.fingerprint]
+            bound = prepared.bind(binding)
+            _, validation = validate_plan_for_bindings(
+                service_ott_db, bound, None, rebind_plan(entry.plan, bound)
+            )
+
+            replanned = service.execute(prepared, binding)
+
+        assert replanned.source == "replan"
+        gamma = Gamma()
+        gamma.merge(gossip)
+        gamma.merge(validation.cardinalities)
+        expected = Reoptimizer(service_ott_db).reoptimize(bound, gamma=gamma)
+        assert replanned.plan.signature() == expected.final_plan.signature()
+        assert replanned.plan.estimated_cost.hex() == expected.final_plan.estimated_cost.hex()
+        assert entry.plan is replanned.plan
+        assert entry.expectations == dict(expected.gamma.items())
 
 
 class TestEpochInvalidation:
@@ -302,6 +336,25 @@ class TestBackpressureAndLifecycle:
             assert service.admission_stats().shed == 1
             ok = service.execute(ott_template(), [0, 0, 0], client="victim")
             assert ok.source == "fresh"
+
+    def test_a_query_over_the_join_cap_fails_and_the_service_serves_on(self, service_ott_db):
+        """A 13-relation query surfaces the planner's ``PlanningError``; it
+        leaves no plan-cache entry and gives its admission slot back."""
+        builder = QueryBuilder("chain13")
+        for index in range(13):
+            builder.table(f"r{index % 4 + 1}", f"t{index}")
+        for index in range(12):
+            builder.join(f"t{index}", "b", f"t{index + 1}", "b")
+        builder.aggregate("count", output_name="n")
+        settings = ServiceSettings(max_concurrent=1, max_queued=0)
+        with QueryService(service_ott_db, settings=settings) as service:
+            with pytest.raises(PlanningError, match="13 relations.*at most 12"):
+                service.execute(builder.build())
+            assert service.plan_cache_size() == 0
+            assert service.stats.queries == 0
+            ok = service.execute(ott_template(), [0, 0, 0])
+            assert ok.source == "fresh"
+            assert service.admission_stats().shed == 0
 
     def test_execute_after_close_raises(self, service_ott_db):
         service = QueryService(service_ott_db)

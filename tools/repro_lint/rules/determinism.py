@@ -82,7 +82,7 @@ class UnseededRngRule(Rule):
         "global-state numpy.random.* / random.* calls"
     )
     contract = (
-        "determinism — every sample, shuffled workload and GEQO population "
+        "determinism — every sample, shuffled workload and generated table "
         "must be a pure function of an explicit seed, or re-running a query "
         "can silently produce a different Γ and a different plan "
         "(runtime guard: the bit-identity property suites and the seeded "
@@ -169,7 +169,7 @@ class UnorderedIterationRule(Rule):
         "merge modules without an explicit sorted(...)"
     )
     contract = (
-        "determinism — plan enumeration (DP subset expansion, GEQO pools) "
+        "determinism — plan enumeration (DP subset expansion and split order) "
         "and result merges must visit candidates in a content-defined order; "
         "set iteration order depends on insertion history and PYTHONHASHSEED "
         "for strings, so an unsorted loop can pick a different tie-breaking "
