@@ -1,15 +1,13 @@
-"""Experiment drivers regenerating every figure of the paper's evaluation."""
+"""The paper scorecard (:mod:`repro.bench.experiments`), its harness and the load generator."""
 
 from __future__ import annotations
 
 from repro.bench.reporting import ExperimentResult
 from repro.bench.harness import QueryRunRecord, run_query_suite, calibrated_settings
-from repro.bench import experiments
 
 __all__ = [
     "ExperimentResult",
     "QueryRunRecord",
     "calibrated_settings",
-    "experiments",
     "run_query_suite",
 ]

@@ -1,4 +1,4 @@
-"""The experiment harness shared by all figure benchmarks.
+"""The experiment harness behind every figure of the paper scorecard.
 
 ``run_query_suite`` runs every query of a workload through the full paper
 pipeline — original optimization, Algorithm 1 re-optimization, execution of
@@ -8,6 +8,9 @@ figures plot:
 * "running time" of the original and the re-optimized plan, both as the
   deterministic simulated cost (cost model at true cardinalities) and as
   measured wall-clock seconds;
+* the rows every executed node produced (``plan_work_rows``, the same sum
+  ``BENCHMARK.json`` gates) for both plans, and how many executed joins of
+  the final plan contradict their final Γ entry by more than 10×;
 * number of plans generated during re-optimization (Figures 5/8/16/20);
 * time spent inside re-optimization, so the "excluding vs including
   re-optimization time" figures (6/9/17/18) can be produced;
@@ -21,15 +24,20 @@ configuration by fitting the five cost units against the executor
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
+from repro.cardinality.gamma import Gamma
 from repro.cost.calibration import calibrate_cost_units
-from repro.executor.executor import Executor
+from repro.executor.executor import ExecutionResult, Executor
 from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.settings import OptimizerSettings
 from repro.reopt.algorithm import ReoptimizationSettings, Reoptimizer
 from repro.sql.ast import Query
 from repro.storage.catalog import Database
+
+#: A join's final Γ entry is contradicted when it and the executed row count
+#: differ by more than this factor (each side floored at one row).
+CONTRADICTION_FACTOR = 10.0
 
 
 @dataclass
@@ -41,10 +49,15 @@ class QueryRunRecord:
     reoptimized_simulated_cost: float
     original_wall_seconds: float
     reoptimized_wall_seconds: float
+    #: Rows produced by every executed node of the original / final plan.
+    original_work_rows: int
+    reoptimized_work_rows: int
+    #: Executed joins of the final plan whose final Γ entry the actual rows
+    #: contradict by more than :data:`CONTRADICTION_FACTOR`.
+    contradicted_joins: int
     plans_generated: int
     plan_changed: bool
     reoptimization_seconds: float
-    sampling_seconds: float
     converged: bool
     #: Simulated cost of the plan produced in each re-optimization round
     #: (index 0 = original plan) — the data behind Figures 14/15.
@@ -55,15 +68,23 @@ class QueryRunRecord:
     #: DP masks (re-)expanded per round.
     dp_masks_expanded_per_round: List[int] = field(default_factory=list)
 
-    @property
-    def total_with_reoptimization(self) -> float:
-        """Re-optimized running time including the re-optimization overhead.
 
-        Overhead is charged in wall-clock seconds on top of the re-optimized
-        plan's wall-clock time (the paper's Figures 6/9/17/18 use the same
-        accounting).
-        """
-        return self.reoptimized_wall_seconds + self.reoptimization_seconds
+def work_rows(execution: ExecutionResult) -> int:
+    """Rows produced by every executed node (``plan_work_rows``)."""
+    return sum(node.actual_rows for node in execution.node_executions)
+
+
+def contradicted_joins(execution: ExecutionResult, gamma: Gamma) -> int:
+    """Executed joins whose Γ entry is off by more than the contradiction factor."""
+    count = 0
+    for node in execution.node_executions:
+        validated = gamma.get(node.relations)
+        if not node.kind.startswith("join:") or validated is None:
+            continue
+        actual, believed = max(node.actual_rows, 1), max(validated, 1.0)
+        if max(actual / believed, believed / actual) > CONTRADICTION_FACTOR:
+            count += 1
+    return count
 
 
 def run_query_suite(
@@ -72,7 +93,6 @@ def run_query_suite(
     optimizer_settings: Optional[OptimizerSettings] = None,
     reopt_settings: Optional[ReoptimizationSettings] = None,
     execute_intermediate_plans: bool = False,
-    execute_plans: bool = True,
 ) -> List[QueryRunRecord]:
     """Run the full pipeline for every query and collect per-query records."""
     optimizer = Optimizer(db, settings=optimizer_settings)
@@ -81,15 +101,11 @@ def run_query_suite(
     results = [reoptimizer.reoptimize(query) for query in queries]
     records: List[QueryRunRecord] = []
     for query, result in zip(queries, results):
-        if execute_plans:
-            original_execution = executor.execute_plan(result.original_plan, query)
-            if result.plan_changed:
-                final_execution = executor.execute_plan(result.final_plan, query)
-            else:
-                final_execution = original_execution
+        original_execution = executor.execute_plan(result.original_plan, query)
+        if result.plan_changed:
+            final_execution = executor.execute_plan(result.final_plan, query)
         else:
-            original_execution = None
-            final_execution = None
+            final_execution = original_execution
 
         per_round_costs: List[float] = []
         if execute_intermediate_plans:
@@ -105,22 +121,16 @@ def run_query_suite(
         records.append(
             QueryRunRecord(
                 query_name=query.name,
-                original_simulated_cost=(
-                    original_execution.simulated_cost if original_execution else 0.0
-                ),
-                reoptimized_simulated_cost=(
-                    final_execution.simulated_cost if final_execution else 0.0
-                ),
-                original_wall_seconds=(
-                    original_execution.wall_seconds if original_execution else 0.0
-                ),
-                reoptimized_wall_seconds=(
-                    final_execution.wall_seconds if final_execution else 0.0
-                ),
+                original_simulated_cost=original_execution.simulated_cost,
+                reoptimized_simulated_cost=final_execution.simulated_cost,
+                original_wall_seconds=original_execution.wall_seconds,
+                reoptimized_wall_seconds=final_execution.wall_seconds,
+                original_work_rows=work_rows(original_execution),
+                reoptimized_work_rows=work_rows(final_execution),
+                contradicted_joins=contradicted_joins(final_execution, result.gamma),
                 plans_generated=result.report.num_plans_generated,
                 plan_changed=result.plan_changed,
                 reoptimization_seconds=result.reoptimization_seconds,
-                sampling_seconds=result.report.total_sampling_seconds,
                 converged=result.converged,
                 per_round_simulated_cost=per_round_costs,
                 planning_seconds_per_round=[
@@ -133,9 +143,7 @@ def run_query_suite(
 
 
 def calibrated_settings(
-    db: Database,
-    base_settings: Optional[OptimizerSettings] = None,
-    calibration_queries: Optional[Sequence[Query]] = None,
+    db: Database, base_settings: Optional[OptimizerSettings] = None
 ) -> OptimizerSettings:
     """Return optimizer settings whose cost units were calibrated on ``db``.
 
@@ -144,22 +152,4 @@ def calibrated_settings(
     with observed execution effort on this machine.
     """
     base = base_settings if base_settings is not None else OptimizerSettings()
-    calibration = calibrate_cost_units(db, queries=calibration_queries)
-    return replace(base, cost_units=calibration.units)
-
-
-def aggregate_by_template(records: Sequence[QueryRunRecord]) -> Dict[str, List[QueryRunRecord]]:
-    """Group instance records (named ``q3_i0``, ``q3_i1``, ...) by template name."""
-    grouped: Dict[str, List[QueryRunRecord]] = {}
-    for record in records:
-        template = record.query_name.split("_i")[0]
-        grouped.setdefault(template, []).append(record)
-    return grouped
-
-
-def mean(values: Sequence[float]) -> float:
-    """Arithmetic mean (0.0 for an empty sequence)."""
-    values = list(values)
-    if not values:
-        return 0.0
-    return sum(values) / len(values)
+    return replace(base, cost_units=calibrate_cost_units(db).units)

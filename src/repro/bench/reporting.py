@@ -1,10 +1,10 @@
 """Plain-text reporting of experiment results and latency aggregation.
 
-Every experiment driver returns an :class:`ExperimentResult`: a titled list of
-row dictionaries plus the column order to print.  ``to_text()`` renders the
-same rows/series the corresponding figure of the paper plots, so running a
-bench with ``-s`` shows a table that can be compared side by side with the
-paper (and is what EXPERIMENTS.md records).
+Every figure of the paper scorecard (:mod:`repro.bench.experiments`) becomes
+an :class:`ExperimentResult`: a titled list of row dictionaries plus the
+column order to print.  ``to_text()`` renders the same rows/series the
+corresponding figure of the paper plots, which is the table REPRODUCTION.md
+records next to the paper's claim.
 
 The latency helpers (:class:`LatencySummary`, :func:`summarize_latencies`,
 :func:`stage_breakdown`) turn the per-request traces the load generator
@@ -14,7 +14,7 @@ per-stage means the SLO gate reads."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence
 
 import numpy as np
 
@@ -31,19 +31,10 @@ class ExperimentResult:
     columns: List[str]
     rows: List[Dict[str, object]] = field(default_factory=list)
 
-    def add_row(self, **values: object) -> None:
-        """Append one row (missing columns render as blanks)."""
-        self.rows.append(values)
-
-    def column_values(self, column: str) -> List[object]:
-        """All values of one column, in row order."""
-        return [row.get(column) for row in self.rows]
-
-    def to_text(self, max_rows: Optional[int] = None) -> str:
-        """Render the result as an aligned plain-text table."""
-        rows = self.rows if max_rows is None else self.rows[:max_rows]
+    def to_text(self) -> str:
+        """Render the result as an aligned plain-text table (missing cells blank)."""
         formatted: List[List[str]] = []
-        for row in rows:
+        for row in self.rows:
             formatted.append([_format_value(row.get(column)) for column in self.columns])
         widths = [len(column) for column in self.columns]
         for line in formatted:
@@ -55,8 +46,6 @@ class ExperimentResult:
             "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(line)) for line in formatted
         ]
         lines = [f"== {self.experiment}: {self.description} ==", header, separator, *body]
-        if max_rows is not None and len(self.rows) > max_rows:
-            lines.append(f"... ({len(self.rows) - max_rows} more rows)")
         return "\n".join(lines)
 
     def __str__(self) -> str:  # pragma: no cover - convenience
