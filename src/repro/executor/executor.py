@@ -17,7 +17,7 @@ actually performs.  Wall-clock time is measured as well and reported next to
 the simulated time.
 
 All relational kernels come from :mod:`repro.relalg`.  The executor adds
-three physical-execution concerns on top:
+four physical-execution concerns on top:
 
 * **join dispatch** — ``HASH_JOIN`` runs the hash kernel, ``MERGE_JOIN`` the
   sort-merge kernel, ``NESTED_LOOP`` the block nested-loop kernel and
@@ -31,6 +31,9 @@ three physical-execution concerns on top:
   join keys a *later* join still needs.  A key is dropped by the join that
   consumes it (a :class:`~repro.relalg.Relation` tracks its row count
   explicitly, which keeps ``COUNT(*)`` correct even with no columns left);
+* **one output stage** — :func:`finalize_canonical_execution` ends every
+  execution path (a plan, a served request, either sharded merge): the
+  aggregate or projection runs there, never inside the join pipeline;
 * **one process per query** — every operator runs serially in the caller's
   process, so the per-node instrumentation (actual cardinalities, resource
   vectors, simulated cost) is exactly what the kernels did.  The sharded
@@ -42,7 +45,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import AbstractSet, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -50,21 +53,22 @@ import numpy as np
 from repro.cost.model import CostModel, ResourceVector
 from repro.cost.units import CostUnits, DEFAULT_COST_UNITS
 from repro.errors import ExecutionError
-from repro.executor.materialization import canonicalize_relation, needs_canonical_order
+from repro.executor.materialization import canonicalize_relation
 from repro.relalg import (
     Relation,
+    concat_relations,
     filter_relation,
     group_aggregate,
     hash_join,
     index_nested_loop_join,
     merge_join,
+    merge_partials,
     nested_loop_join,
 )
 from repro.plans.nodes import (
     AggregateNode,
     JoinMethod,
     JoinNode,
-    MaterializedNode,
     PlanNode,
     ScanMethod,
     ScanNode,
@@ -176,16 +180,9 @@ class Executor:
         db: Database,
         cost_units: CostUnits = DEFAULT_COST_UNITS,
         tuples_per_page: int = 100,
-        intermediates: Optional[Dict[FrozenSet[str], Relation]] = None,
     ) -> None:
         self.db = db
         self.cost_model = CostModel(units=cost_units, tuples_per_page=tuples_per_page)
-        #: Join set → relation, resolving ``MaterializedNode`` leaves
-        #: (:func:`finalize_canonical_execution` stores the full join result
-        #: here); plans without such leaves never consult it.
-        self.intermediates: Dict[FrozenSet[str], Relation] = (
-            {} if intermediates is None else intermediates
-        )
 
     # ------------------------------------------------------------------ #
     # Node evaluation
@@ -339,56 +336,6 @@ class Executor:
         )
         return joined
 
-    def _execute_aggregate(
-        self,
-        node: AggregateNode,
-        result: ExecutionResult,
-        query: Optional[Query],
-    ) -> Relation:
-        if node.child is None:
-            raise ExecutionError("aggregate node is missing its input")
-        child_relation = self._execute_node(node.child, result, query)
-        input_rows = child_relation.num_rows
-        output = group_aggregate(child_relation, node.group_by, node.aggregates)
-        output_rows = output.num_rows
-        resources = self.cost_model.aggregate_resources(input_rows, output_rows)
-        result.node_executions.append(
-            NodeExecution(
-                relations=frozenset(node.relations),
-                kind="aggregate",
-                actual_rows=output_rows,
-                estimated_rows=node.estimated_rows,
-                resources=resources,
-            )
-        )
-        return output
-
-    def _execute_materialized(
-        self, node: MaterializedNode, result: ExecutionResult
-    ) -> Relation:
-        """Resolve a materialized leaf from :attr:`intermediates`.
-
-        Reading it is free by construction: the resources that produced the
-        relation were charged when its fragment ran, so the node contributes
-        an empty resource vector (only its cardinality, for the
-        instrumentation consumers).
-        """
-        relation = self.intermediates.get(frozenset(node.relations))
-        if relation is None:
-            raise ExecutionError(
-                f"no materialized intermediate for {sorted(node.relations)!r}"
-            )
-        result.node_executions.append(
-            NodeExecution(
-                relations=frozenset(node.relations),
-                kind="materialized",
-                actual_rows=relation.num_rows,
-                estimated_rows=node.estimated_rows,
-                resources=ResourceVector(),
-            )
-        )
-        return relation
-
     def _execute_node(
         self,
         node: PlanNode,
@@ -399,11 +346,7 @@ class Executor:
             return self._execute_scan(node, result, query)
         if isinstance(node, JoinNode):
             return self._execute_join(node, result, query)
-        if isinstance(node, MaterializedNode):
-            return self._execute_materialized(node, result)
-        if isinstance(node, AggregateNode):
-            return self._execute_aggregate(node, result, query)
-        raise ExecutionError(f"unknown plan node type {type(node).__name__}")
+        raise ExecutionError(f"{type(node).__name__} is not a join pipeline node")
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -411,14 +354,12 @@ class Executor:
     def execute_fragment(
         self, fragment: PlanNode, query: Optional[Query] = None
     ) -> ExecutionResult:
-        """Execute one plan fragment (a pipeline) without output shaping.
+        """Execute one join pipeline (scans and joins) without the output stage.
 
-        The service and the sharded coordinator run a plan's join pipeline this
-        way: the fragment runs with the usual per-node instrumentation, but
-        its output relation is returned *raw* (``result.columns``, encoded
-        columns untouched, no projection to the query's output), so it can
-        feed :func:`finalize_canonical_execution`.
-        It carries :func:`live_columns` of ``query`` and the fragment's join
+        The fragment runs with the usual per-node instrumentation and its
+        output relation is returned *raw* (``result.columns``, encoded columns
+        untouched), ready for :func:`finalize_canonical_execution`.  It
+        carries :func:`live_columns` of ``query`` and the fragment's join
         set — whatever plan the fragment was cut from.
         """
         result = ExecutionResult(columns=Relation(), num_rows=0)
@@ -431,19 +372,10 @@ class Executor:
 
     def execute_plan(self, plan: PlanNode, query: Optional[Query] = None) -> ExecutionResult:
         """Execute a physical plan and return the instrumented result."""
-        result = self.execute_fragment(plan, query)
-        relation = result.columns
-        # Project to the query's requested output columns, in SELECT order
-        # (not join order: the column order must not show the plan either),
-        # if it asked for specific columns and no aggregation shaped the output.
-        if query is not None and query.projections and not query.aggregates and not query.group_by:
-            names = [f"{ref.alias}.{ref.column}" for ref in query.projections]
-            relation = Relation(
-                {name: relation[name] for name in names if name in relation},
-                num_rows=relation.num_rows,
-            )
-        result.columns = relation.decoded()
-        return result
+        join_plan, aggregate = split_final_aggregate(plan)
+        return finalize_canonical_execution(
+            self, query, [self.execute_fragment(join_plan, query)], aggregate
+        )
 
     def execute(self, query: Query, plan: Optional[PlanNode] = None) -> ExecutionResult:
         """Optimize (if needed) and execute ``query``."""
@@ -456,60 +388,66 @@ class Executor:
 
 def finalize_canonical_execution(
     executor: Executor,
-    query: Query,
-    relation: Relation,
-    aggregate_node: Optional[AggregateNode],
-) -> ExecutionResult:
-    """Run the output stage of ``query`` over its full join result.
-
-    ``relation`` covers every alias — produced locally by
-    :meth:`QueryService._execute_plan`, or concatenated from shard fragments
-    by the sharded coordinator.  When the output is order-sensitive
-    (:func:`needs_canonical_order`) its rows are first ordered by the output
-    stage's input columns —
-    ``live_columns(query, all aliases)``, stated rather than "whatever the
-    fragment carried": rows equal on every column the output reads are
-    interchangeable, so that order makes the output bytes a function of the
-    row multiset, never of the plan.  The relation is stored in the
-    ``executor``'s :attr:`~Executor.intermediates` and the final
-    projection/aggregation runs over a materialized leaf.
-    """
-    full_set = frozenset(query.aliases)
-    if needs_canonical_order(executor.db, query):
-        relation = canonicalize_relation(relation, live_columns(query, full_set))
-    executor.intermediates[full_set] = relation
-    final_plan: PlanNode = MaterializedNode(
-        relations=full_set,
-        estimated_rows=float(relation.num_rows),
-        estimated_cost=0.0,
-    )
-    if aggregate_node is not None:
-        final_plan = replace(aggregate_node, child=final_plan)
-    return executor.execute_plan(final_plan, query)
-
-
-def combine_execution_accounting(
+    query: Optional[Query],
     parts: Sequence[ExecutionResult],
-    final: ExecutionResult,
-    cost_model: CostModel,
+    aggregate: Optional[AggregateNode] = None,
+    order_rows: bool = False,
+    partial_states: bool = False,
 ) -> ExecutionResult:
-    """Merge fragment executions with the final stage into one result.
+    """The output stage: every execution path ends here.
 
-    The combined result reports the final stage's rows, the concatenation
-    of every part's per-node instrumentation (parts first, in the given
-    order), resources and simulated cost summed across all of it, and
-    ``wall_seconds`` as total *work* (the sum), not elapsed time.
+    It turns executed join pipelines into the query's canonical output form.
+    ``parts`` are one pipeline, or one per shard in canonical shard order;
+    their rows concatenate in that order (encoded columns stay encoded).
+
+    * With ``order_rows`` (order-sensitive outputs, see
+      :func:`~repro.executor.materialization.needs_canonical_order`) the rows
+      are first ordered by the output stage's input columns,
+      ``live_columns(query, all aliases)``: rows equal on every column the
+      output reads are interchangeable, so that order makes the output bytes
+      a function of the row multiset — never of the plan or of the sharding.
+    * ``aggregate`` then runs over the rows with ``group_aggregate`` or, when
+      the parts carry shard :func:`~repro.relalg.aggregate.partial_aggregate`
+      states (``partial_states``), merges them with ``merge_partials``.
+      Without one, a query with a SELECT list is projected to it in SELECT
+      order (not join order: the column order must not show the plan).
+    * Columns are decoded.
+
+    The result reports the parts' per-node instrumentation followed by the
+    aggregate's, their resources priced with the executor's cost units, and
+    ``wall_seconds`` as total *work* (the parts' sum plus this stage).
     """
-    node_executions = [
-        execution for part in parts for execution in part.node_executions
-    ]
-    node_executions.extend(final.node_executions)
-    merged = ExecutionResult(
-        columns=final.columns,
-        num_rows=final.num_rows,
-        node_executions=node_executions,
+    started = time.perf_counter()
+    relation = concat_relations([part.columns for part in parts])
+    node_executions = [execution for part in parts for execution in part.node_executions]
+    if order_rows and query is not None:
+        relation = canonicalize_relation(relation, live_columns(query, frozenset(query.aliases)))
+    if aggregate is not None:
+        kernel = merge_partials if partial_states else group_aggregate
+        output = kernel(relation, aggregate.group_by, aggregate.aggregates)
+        node_executions.append(
+            NodeExecution(
+                relations=frozenset(aggregate.relations),
+                kind="aggregate",
+                actual_rows=output.num_rows,
+                estimated_rows=aggregate.estimated_rows,
+                resources=executor.cost_model.aggregate_resources(
+                    relation.num_rows, output.num_rows
+                ),
+            )
+        )
+    elif query is not None and query.projections and not query.aggregates and not query.group_by:
+        names = [f"{ref.alias}.{ref.column}" for ref in query.projections]
+        output = Relation(
+            {name: relation[name] for name in names if name in relation},
+            num_rows=relation.num_rows,
+        )
+    else:
+        output = relation
+    result = ExecutionResult(
+        columns=output.decoded(), num_rows=output.num_rows, node_executions=node_executions
     )
-    merged.wall_seconds = (
-        sum(part.wall_seconds for part in parts) + final.wall_seconds
+    result.wall_seconds = sum(part.wall_seconds for part in parts) + (
+        time.perf_counter() - started
     )
-    return merged.price(cost_model)
+    return result.price(executor.cost_model)

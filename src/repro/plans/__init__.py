@@ -6,7 +6,6 @@ from repro.plans.nodes import (
     AggregateNode,
     JoinMethod,
     JoinNode,
-    MaterializedNode,
     PlanNode,
     ScanMethod,
     ScanNode,
@@ -25,7 +24,6 @@ __all__ = [
     "JoinMethod",
     "JoinNode",
     "JoinTree",
-    "MaterializedNode",
     "PlanNode",
     "ScanMethod",
     "ScanNode",

@@ -6,9 +6,6 @@ A plan is a tree of :class:`PlanNode` objects:
   with the local predicates applied at the scan;
 * :class:`JoinNode` — a binary join (hash, sort-merge, nested-loop or
   index-nested-loop) over two sub-plans with its equi-join predicates;
-* :class:`MaterializedNode` — a leaf standing for an intermediate result
-  already materialized; the canonical output stage runs over one holding the
-  full, canonically ordered join result;
 * :class:`AggregateNode` — an optional grouped aggregation on top.
 
 Every node carries the optimizer's estimated output cardinality and estimated
@@ -115,26 +112,6 @@ class ScanNode(PlanNode):
         if self.predicates:
             parts.append("filter[" + " and ".join(str(p) for p in self.predicates) + "]")
         return " " * indent + " ".join(parts) + f"  (rows={self.estimated_rows:.1f})"
-
-
-@dataclass
-class MaterializedNode(PlanNode):
-    """A leaf standing for an already-materialized intermediate result.
-
-    The node covers the join of ``relations`` (local and join predicates
-    within the set applied); its rows live in the executor's
-    ``intermediates``, keyed by the same join set.  ``estimated_rows`` is the
-    *exact* observed cardinality and ``estimated_cost`` is 0 — the work that
-    produced the intermediate was charged when it ran.
-    """
-
-    def signature(self) -> tuple:
-        """Hashable description used for structural plan equality."""
-        return ("materialized", tuple(sorted(self.relations)))
-
-    def describe(self, indent: int = 0) -> str:
-        members = ",".join(sorted(self.relations))
-        return " " * indent + f"materialized {{{members}}}  (rows={self.estimated_rows:.1f})"
 
 
 @dataclass

@@ -17,6 +17,7 @@ dictionary-encoded string columns reduce the codes and decode the winners
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -197,27 +198,30 @@ def partial_merge_exact(
     return True
 
 
-def _decomposed_partials(aggregates: Sequence[Aggregate]) -> List[Aggregate]:
-    """The partial-state aggregates one shard computes.
+#: Alias of the partial-state columns: state ``s`` of a shard partial is
+#: column ``$.s``, so the merge reads it as an ordinary aggregate argument.
+_STATE_ALIAS = "$"
 
-    ``avg`` decomposes into a ``$sum`` / ``$count`` column pair (re-divided
-    after the merge); every other function is its own partial state.
+
+def _partial_states(aggregates: Sequence[Aggregate]) -> List[Tuple[Aggregate, str]]:
+    """Each partial state one shard computes, with the function merging it.
+
+    ``avg`` decomposes into a ``$sum`` / ``$count`` state pair (re-divided
+    after the merge); every other function is its own state.  Counts merge by
+    summing, sums by summing, min/max winners by min/max.
     """
-    decomposed: List[Aggregate] = []
+    states: List[Tuple[Aggregate, str]] = []
     for aggregate in aggregates:
         if aggregate.func == "avg":
-            decomposed.append(
-                Aggregate(
-                    "sum", aggregate.alias, aggregate.column,
-                    f"{aggregate.output_name}$sum",
-                )
+            name = aggregate.output_name
+            states.append(
+                (Aggregate("sum", aggregate.alias, aggregate.column, f"{name}$sum"), "sum")
             )
-            decomposed.append(
-                Aggregate("count", None, None, f"{aggregate.output_name}$count")
-            )
+            states.append((Aggregate("count", None, None, f"{name}$count"), "sum"))
         else:
-            decomposed.append(aggregate)
-    return decomposed
+            merge = "sum" if aggregate.func == "count" else aggregate.func
+            states.append((aggregate, merge))
+    return states
 
 
 def partial_aggregate(
@@ -225,165 +229,74 @@ def partial_aggregate(
     group_by: Sequence[ColumnRef],
     aggregates: Sequence[Aggregate],
 ) -> Relation:
-    """One shard's partial-aggregate state over its fragment.
+    """One shard's partial-aggregate states over its fragment.
 
     Returns a relation of *decoded* group keys (object arrays for strings, so
-    the state is independent of any per-shard dictionary) plus one partial
-    column per decomposed aggregate: counts, sums, ``avg``'s ``$sum`` /
-    ``$count`` pair, and min/max winners.  A global (no ``group_by``) partial
-    is a single row carrying an extra ``$rows`` column so the merge can tell
-    an empty shard's placeholder NaNs from real values.
+    the states are independent of any per-shard dictionary) plus one
+    ``$.<state>`` column per partial state: counts, sums, ``avg``'s ``$sum``
+    / ``$count`` pair, and min/max winners.  A shard with no rows contributes
+    no state rows, not even to a global (no ``group_by``) aggregate, whose
+    single row would otherwise carry placeholder NaNs into the merge.
     """
     relation = as_relation(relation)
-    partial = group_aggregate(relation, group_by, _decomposed_partials(aggregates))
-    if not group_by:
-        partial["$rows"] = np.array([relation.num_rows], dtype=np.int64)
-        return partial
+    partial = group_aggregate(
+        relation,
+        group_by,
+        [replace(state, output_name=f"{_STATE_ALIAS}.{state.output_name}")
+         for state, _ in _partial_states(aggregates)],
+    )
+    if not group_by and relation.num_rows == 0:
+        return partial.empty_like()
     # Group keys leave the shard in value space: dictionaries are per-shard.
     return partial.decoded()
 
 
-def _merge_global_partials(
-    parts: Sequence[Relation], aggregates: Sequence[Aggregate]
-) -> Relation:
-    """Merge single-row global partials (caller passes sorted shard order)."""
-    result = Relation(num_rows=1)
-    valid = [part for part in parts if int(np.asarray(part["$rows"])[0]) > 0]
-    for aggregate in aggregates:
-        func = aggregate.func
-        if func == "count":
-            total = sum(int(np.asarray(part[aggregate.output_name])[0]) for part in parts)
-            result[aggregate.output_name] = np.array([total], dtype=np.int64)
-            continue
-        if not valid:
-            # Every shard was empty: same NaN placeholder as single-node.
-            result[aggregate.output_name] = np.array([float("nan")])
-            continue
-        if func == "sum":
-            sums = np.array(
-                [float(np.asarray(part[aggregate.output_name])[0]) for part in valid]
-            )
-            result[aggregate.output_name] = np.array([float(sums.sum())])
-        elif func == "avg":
-            sums = np.array(
-                [
-                    float(np.asarray(part[f"{aggregate.output_name}$sum"])[0])
-                    for part in valid
-                ]
-            )
-            counts = sum(
-                int(np.asarray(part[f"{aggregate.output_name}$count"])[0])
-                for part in valid
-            )
-            result[aggregate.output_name] = np.array([float(sums.sum()) / counts])
-        elif func in ("min", "max"):
-            chooser = min if func == "min" else max
-            values = [np.asarray(part[aggregate.output_name])[0] for part in valid]
-            if any(isinstance(value, str) for value in values):
-                winner = np.empty(1, dtype=object)
-                winner[0] = chooser(values)
-                result[aggregate.output_name] = winner
-            else:
-                result[aggregate.output_name] = np.array(
-                    [float(chooser(float(value) for value in values))]
-                )
-        else:
-            raise ExecutionError(f"unsupported aggregate function {func!r}")
-    return result
-
-
 def merge_partials(
-    partials: Sequence[RelationLike],
+    states: RelationLike,
     group_by: Sequence[ColumnRef],
     aggregates: Sequence[Aggregate],
 ) -> Relation:
-    """Merge per-shard partial aggregates into the single-node result.
+    """Merge shard partial states into the single-node result.
 
-    ``partials`` must be supplied in canonical (sorted shard-id) order —
-    the merge is value-exact for every composition :func:`partial_merge_exact`
-    admits, but a deterministic input order keeps the whole pipeline
-    reproducible byte for byte.  Groups are re-sorted by key value, which is
-    exactly the order the single-node ``group_aggregate`` emits (its sorted
-    dictionaries make code order agree with value order), so the merged
-    relation is bit-identical to aggregating the union fragment on one node.
+    ``states`` are the :func:`partial_aggregate` outputs of every shard,
+    concatenated in canonical (sorted shard-id) order.  The merge is one
+    :func:`group_aggregate` over them: string columns are re-encoded against
+    a sorted dictionary first, so groups come out in key-value order — the
+    order single-node aggregation emits — and string winners compare by
+    value.  It is value-exact for every composition
+    :func:`partial_merge_exact` admits, so the result is bit-identical to
+    aggregating the union of the shards' rows on one node.
     """
-    parts = [as_relation(part) for part in partials]
-    if not parts:
-        raise ExecutionError("merge_partials requires at least one shard partial")
-    if not group_by:
-        return _merge_global_partials(parts, aggregates)
-
-    key_names = [f"{ref.alias}.{ref.column}" for ref in group_by]
-    nonempty = [part for part in parts if part.num_rows > 0]
-    if not nonempty:
-        empty_indices = np.empty(0, dtype=np.int64)
-        result = Relation(num_rows=0)
-        for name in key_names:
-            result[name] = np.asarray(parts[0][name])[empty_indices]
-        for aggregate in aggregates:
-            if aggregate.func == "count":
-                result[aggregate.output_name] = np.empty(0, dtype=np.int64)
-            elif aggregate.func == "avg":
-                result[aggregate.output_name] = np.empty(0, dtype=np.float64)
-            else:
-                source = np.asarray(parts[0][aggregate.output_name])
-                result[aggregate.output_name] = source[empty_indices]
-        return result
-
-    names = list(nonempty[0].keys())
-    columns: Dict[str, np.ndarray] = {
-        name: np.concatenate([np.asarray(part[name]) for part in nonempty])
-        for name in names
-    }
-    total = int(columns[key_names[0]].shape[0])
-    # Sort keys in value order; object keys go through a sorted dictionary so
-    # the lexsort runs on int32 codes (and matches single-node key order).
-    sort_columns: List[np.ndarray] = []
-    for name in key_names:
-        column = columns[name]
-        if column.dtype == object:
-            sort_columns.append(DictEncodedArray.encode(column).codes)
-        else:
-            sort_columns.append(column)
-    order = np.lexsort(tuple(reversed(sort_columns)))
-    sorted_sort_keys = [column[order] for column in sort_columns]
-    changes = np.zeros(total, dtype=bool)
-    changes[0] = True
-    for key in sorted_sort_keys:
-        changes[1:] |= key[1:] != key[:-1]
-    group_starts = np.nonzero(changes)[0]
-
-    result = Relation(num_rows=len(group_starts))
-    for name in key_names:
-        result[name] = columns[name][order][group_starts]
+    states = as_relation(states)
+    states = Relation(
+        {
+            name: DictEncodedArray.encode(column)
+            if isinstance(column, np.ndarray) and column.dtype == object
+            else column
+            for name, column in sorted(states.items())
+        },
+        num_rows=states.num_rows,
+    )
+    merged = group_aggregate(
+        states,
+        group_by,
+        [Aggregate(merge, _STATE_ALIAS, state.output_name, state.output_name)
+         for state, merge in _partial_states(aggregates)],
+    )
+    result = Relation(
+        {f"{ref.alias}.{ref.column}": merged[f"{ref.alias}.{ref.column}"] for ref in group_by},
+        num_rows=merged.num_rows,
+    )
     for aggregate in aggregates:
-        func = aggregate.func
-        if func == "count":
-            result[aggregate.output_name] = np.add.reduceat(
-                columns[aggregate.output_name][order], group_starts
-            ).astype(np.int64, copy=False)
-        elif func == "sum":
-            result[aggregate.output_name] = np.add.reduceat(
-                columns[aggregate.output_name][order], group_starts
+        name = aggregate.output_name
+        if aggregate.func == "avg":
+            result[name] = np.asarray(merged[f"{name}$sum"]) / np.asarray(
+                merged[f"{name}$count"]
             )
-        elif func == "avg":
-            sums = np.add.reduceat(
-                columns[f"{aggregate.output_name}$sum"][order], group_starts
-            )
-            counts = np.add.reduceat(
-                columns[f"{aggregate.output_name}$count"][order], group_starts
-            )
-            result[aggregate.output_name] = sums / counts
-        elif func in ("min", "max"):
-            values = columns[aggregate.output_name][order]
-            reducer = np.minimum if func == "min" else np.maximum
-            if values.dtype == object:
-                # String winners: reduce sorted-dictionary codes, decode.
-                encoded = DictEncodedArray.encode(values)
-                winners = reducer.reduceat(encoded.codes, group_starts)
-                result[aggregate.output_name] = encoded.dictionary[winners]
-            else:
-                result[aggregate.output_name] = reducer.reduceat(values, group_starts)
+        elif aggregate.func == "count":
+            # Counts merge as a float sum; a global merge of no state rows
+            # sums to NaN, which counted zero rows.
+            result[name] = np.nan_to_num(np.asarray(merged[name])).astype(np.int64)
         else:
-            raise ExecutionError(f"unsupported aggregate function {func!r}")
+            result[name] = merged[name]
     return result

@@ -261,9 +261,7 @@ class Reoptimizer:
                     node.estimated_rows,
                 )
             else:
-                # A MaterializedNode leaf holds rows already computed:
-                # reading it is free, so it contributes nothing.
-                continue
+                raise TypeError(f"unknown plan node {type(node).__name__}")
             total += cost_model.cost(resources)
         return total
 

@@ -9,26 +9,28 @@ across ``N`` in-process shards.  A shard is a ``QueryService`` over a
 hash-partitioned catalog slice (:mod:`repro.service.sharding`) used for its
 ANALYZE statistics, sample tables and sampling-validated plan cache only;
 shard results merge **bit-identically** to what one single-node service over
-the unsharded catalog returns:
+the unsharded catalog returns.  Both scatter modes finish through
+:func:`~repro.executor.executor.finalize_canonical_execution`, the output
+stage every execution path ends with, over the shards' results in canonical
+sorted-shard order:
 
 ``scatter`` + *partial merge*
     Aggregate queries whose aggregates compose exactly across shards
     (``COUNT``/``MIN``/``MAX`` always; ``SUM``/``AVG`` over integer-typed
     columns, with ``AVG`` decomposed into sum+count) run on every shard,
-    each shard reducing its fragment to a partial with
-    :func:`~repro.relalg.aggregate.partial_aggregate`; the coordinator
-    merges partials in canonical sorted-shard order with
-    :func:`~repro.relalg.aggregate.merge_partials`.
+    each shard reducing its fragment to partial states with
+    :func:`~repro.relalg.aggregate.partial_aggregate`; the output stage
+    merges the states with :func:`~repro.relalg.aggregate.merge_partials`,
+    one ``group_aggregate`` over them.
 
 ``scatter`` + *gather merge*
-    Order-sensitive outputs (bare projections, float ``SUM``/``AVG``) keep
-    each shard's raw join fragment, which carries only the output stage's
-    input columns (:func:`~repro.executor.executor.live_columns`); the
-    coordinator concatenates them in sorted shard order (encoded columns in
-    code space), orders the rows by those columns and runs the final
-    projection/aggregation centrally — the same
-    :func:`~repro.executor.executor.finalize_canonical_execution` the
-    single-node service uses, so the output bytes match by construction.
+    Other outputs keep each shard's raw join fragment, which carries only
+    the output stage's input columns
+    (:func:`~repro.executor.executor.live_columns`); the output stage
+    concatenates them (encoded columns in code space), orders the rows by
+    those columns if the output is order-sensitive (bare projections, float
+    ``SUM``/``AVG``) and runs the final projection/aggregation, exactly as
+    for a single-node request.
 
 ``single`` / ``fallback``
     Replicated-only queries, and queries joining partitioned tables off
@@ -57,19 +59,16 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.clock import monotonic_s
 from repro.cardinality.gamma import Gamma
-from repro.cost.model import CostModel
 from repro.executor.executor import (
     ExecutionResult,
-    NodeExecution,
-    combine_execution_accounting,
     finalize_canonical_execution,
     split_final_aggregate,
 )
 from repro.executor.materialization import needs_canonical_order
 from repro.optimizer.settings import OptimizerSettings
 from repro.plans.nodes import PlanNode
-from repro.relalg import TaskScheduler, concat_relations
-from repro.relalg.aggregate import merge_partials, partial_aggregate
+from repro.relalg import TaskScheduler
+from repro.relalg.aggregate import partial_aggregate
 from repro.reopt.algorithm import ReoptimizationSettings
 from repro.service.service import (
     QueryService,
@@ -152,7 +151,6 @@ class ShardedQueryService(QueryService):
             for shard_db in shard_dbs
         ]
         self.stats = ShardedServiceStats()
-        self._cost_model = CostModel(units=self.optimizer.settings.cost_units)
 
     def close(self) -> None:
         """Stop the coordinator and its shards."""
@@ -193,25 +191,18 @@ class ShardedQueryService(QueryService):
                 self.stats.fallback_queries += 1
         return super()._plan_and_execute(prepared, bound, trace)
 
-    def _merge_mode(self, bound: Query) -> str:
-        """``partial`` when every aggregate composes exactly, else ``gather``."""
-        if bound.aggregates and not needs_canonical_order(self.db, bound):
-            return "partial"
-        return "gather"
-
     def _execute_shard(
-        self, shard_id: int, plan: PlanNode, bound: Query, mode: str
+        self, shard_id: int, plan: PlanNode, bound: Query, partial: bool
     ) -> ExecutionResult:
         """Run one shard's residual join pipeline.
 
-        ``partial`` mode reduces the fragment to a partial aggregate;
-        ``gather`` mode keeps the raw fragment columns for the central
-        canonical-order merge.
+        With ``partial`` the fragment is reduced to its partial-aggregate
+        states; otherwise its raw columns go to the central output stage.
         """
         join_plan, _ = split_final_aggregate(plan)
         executor = self.shards[shard_id]._make_executor()
         fragment = executor.execute_fragment(join_plan, bound)
-        if mode == "partial":
+        if partial:
             fragment.columns = partial_aggregate(
                 fragment.columns, bound.group_by, bound.aggregates
             )
@@ -219,7 +210,7 @@ class ShardedQueryService(QueryService):
         return fragment
 
     def _scatter(
-        self, plans: Sequence[PlanNode], bound: Query, mode: str
+        self, plans: Sequence[PlanNode], bound: Query, partial: bool
     ) -> List[ExecutionResult]:
         """Run every shard's residual plan, in canonical shard order.
 
@@ -227,60 +218,8 @@ class ShardedQueryService(QueryService):
         benchmark's ``relalg.scheduler`` span) see the scatter.
         """
         return self.scheduler.map_kernel(
-            lambda shard_id: self._execute_shard(shard_id, plans[shard_id], bound, mode),
+            lambda shard_id: self._execute_shard(shard_id, plans[shard_id], bound, partial),
             range(self.num_shards),
-        )
-
-    def _merge_partial(
-        self, fragments: Sequence[ExecutionResult], bound: Query
-    ) -> ExecutionResult:
-        """Merge per-shard partial aggregates (canonical shard order)."""
-        parts = [fragment.columns for fragment in fragments]
-        merged = merge_partials(parts, bound.group_by, bound.aggregates).decoded()
-        node_executions = [
-            execution for fragment in fragments for execution in fragment.node_executions
-        ]
-        input_rows = sum(part.num_rows for part in parts)
-        node_executions.append(
-            NodeExecution(
-                relations=frozenset(bound.aliases),
-                kind="aggregate",
-                actual_rows=merged.num_rows,
-                estimated_rows=float(merged.num_rows),
-                resources=self._cost_model.aggregate_resources(
-                    input_rows, merged.num_rows
-                ),
-            )
-        )
-        result = ExecutionResult(
-            columns=merged,
-            num_rows=merged.num_rows,
-            node_executions=node_executions,
-        )
-        result.wall_seconds = sum(fragment.wall_seconds for fragment in fragments)
-        return result.price(self._cost_model)
-
-    def _merge_gather(
-        self,
-        fragments: Sequence[ExecutionResult],
-        plans: Sequence[PlanNode],
-        bound: Query,
-    ) -> ExecutionResult:
-        """Concatenate shard fragments and finish centrally.
-
-        Fragments concatenate in canonical shard order, then the final
-        stage orders the rows by the output stage's input columns — a pure
-        function of the row multiset, which the disjoint shard union
-        preserves — so it sees byte-for-byte the rows a single-node
-        canonical execution sees.
-        """
-        combined = concat_relations([fragment.columns for fragment in fragments])
-        _, aggregate_node = split_final_aggregate(plans[0])
-        final_execution = finalize_canonical_execution(
-            self._make_executor(), bound, combined, aggregate_node
-        )
-        return combine_execution_accounting(
-            fragments, final_execution, self._cost_model
         )
 
     def _gossip(
@@ -333,21 +272,26 @@ class ShardedQueryService(QueryService):
             planning_seconds += shard_planning
             if drift is not None:
                 worst_drift = drift if worst_drift is None else max(worst_drift, drift)
-        mode = self._merge_mode(bound)
+        # Shards send partial states when every aggregate composes exactly;
+        # otherwise raw fragments, ordered centrally if the output is
+        # order-sensitive.
+        order_rows = needs_canonical_order(self.db, bound)
+        partial = bool(bound.aggregates) and not order_rows
         scatter_started = monotonic_s()
-        fragments = self._scatter(plans, bound, mode)
+        fragments = self._scatter(plans, bound, partial)
         merge_started = monotonic_s()
-        if mode == "partial":
-            execution = self._merge_partial(fragments, bound)
-        else:
-            execution = self._merge_gather(fragments, plans, bound)
+        _, aggregate = split_final_aggregate(plans[0])
+        execution = finalize_canonical_execution(
+            self._make_executor(), bound, fragments, aggregate,
+            order_rows=order_rows, partial_states=partial,
+        )
         if trace is not None:
             trace.execution_s += merge_started - scatter_started
             trace.merge_s += monotonic_s() - merge_started
         gossiped = self._gossip(prepared, fragments)
         with self._stats_lock:
             self.stats.gossip_entries += gossiped
-            if mode == "partial":
+            if partial:
                 self.stats.partial_merges += 1
             else:
                 self.stats.gather_merges += 1
@@ -356,7 +300,7 @@ class ShardedQueryService(QueryService):
             query=bound,
             execution=execution,
             plan=plans[0],
-            source=f"scatter_{mode}",
+            source="scatter_partial" if partial else "scatter_gather",
             drift=worst_drift,
             validation_seconds=validation_seconds,
             planning_seconds=planning_seconds,

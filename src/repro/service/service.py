@@ -54,7 +54,6 @@ from repro.cardinality.sampling_estimator import validate_plan_for_bindings
 from repro.executor.executor import (
     ExecutionResult,
     Executor,
-    combine_execution_accounting,
     finalize_canonical_execution,
     split_final_aggregate,
 )
@@ -62,7 +61,7 @@ from repro.executor.materialization import needs_canonical_order
 from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.settings import OptimizerSettings
 from repro.plans.join_tree import rebind_plan
-from repro.plans.nodes import MaterializedNode, PlanNode
+from repro.plans.nodes import PlanNode
 from repro.relalg import Relation, TaskScheduler
 from repro.reopt.algorithm import ReoptimizationSettings, Reoptimizer
 from repro.service.admission import AdmissionController, AdmissionStats, BackpressureError
@@ -157,7 +156,9 @@ class ServiceResult:
     statement: PreparedStatement
     query: Query
     execution: ExecutionResult
-    plan: PlanNode
+    #: The executed plan; ``None`` when no plan ran for this request (a
+    #: result-cache hit or a coalesced wait).
+    plan: Optional[PlanNode]
     #: How the plan was obtained: ``result_cache`` (no execution at all),
     #: ``coalesced`` (rode an identical in-flight execution),
     #: ``validated_reuse``, ``replan`` (drift), ``fresh`` (first binding of
@@ -382,15 +383,9 @@ class QueryService:
     ) -> ServiceResult:
         # The rows came from the cache, not from executing any current plan
         # (the template's cached plan may since have been replanned for a
-        # different binding), so the reported plan is a materialized leaf —
-        # "served as-is" — rather than a plan that never produced these rows.
-        plan = MaterializedNode(
-            relations=frozenset(bound.aliases),
-            estimated_rows=float(cached.num_rows),
-            estimated_cost=0.0,
-        )
+        # different binding), so no plan is reported.
         return ServiceResult(
-            statement=prepared, query=bound, execution=cached, plan=plan, source=source
+            statement=prepared, query=bound, execution=cached, plan=None, source=source
         )
 
     def _serve_coalesced(
@@ -686,36 +681,26 @@ class QueryService:
         """Execute ``plan`` with plan-independent output determinism.
 
         Order-insensitive outputs (``COUNT``/``MIN``/``MAX`` and integer
-        ``SUM``/``AVG`` aggregates with sorted group keys) run straight
-        through the executor.  Order-sensitive outputs (bare projections,
-        float ``SUM``/``AVG``) pass the join pipeline's rows through a sort
-        by the output stage's input columns before the output (or
-        aggregation) stage, so any two correct plans of the same bound query
-        — cached, replanned, or from scratch — produce byte-identical
-        results.
+        ``SUM``/``AVG`` aggregates with sorted group keys) are a function of
+        the row multiset as they stand.  Order-sensitive outputs (bare
+        projections, float ``SUM``/``AVG``) have the join pipeline's rows
+        ordered by the output stage's input columns first, so any two
+        correct plans of the same bound query — cached, replanned, or from
+        scratch — produce byte-identical results.
 
         When a ``trace`` is given, the join pipeline is charged to its
-        ``execution_s`` stage and the canonical sort + final stage to
-        ``merge_s``.
+        ``execution_s`` stage and the output stage to ``merge_s``.
         """
-        if not needs_canonical_order(self.db, query):
-            started = monotonic_s()
-            result = self._make_executor().execute_plan(plan, query)
-            if trace is not None:
-                trace.execution_s += monotonic_s() - started
-            return result
-
-        join_plan, aggregate_node = split_final_aggregate(plan)
+        join_plan, aggregate = split_final_aggregate(plan)
         executor = self._make_executor()
         started = monotonic_s()
         fragment = executor.execute_fragment(join_plan, query)
         executed = monotonic_s()
-        final_execution = finalize_canonical_execution(
-            executor, query, fragment.columns, aggregate_node
+        result = finalize_canonical_execution(
+            executor, query, [fragment], aggregate,
+            order_rows=needs_canonical_order(self.db, query),
         )
         if trace is not None:
             trace.execution_s += executed - started
             trace.merge_s += monotonic_s() - executed
-        return combine_execution_accounting(
-            [fragment], final_execution, executor.cost_model
-        )
+        return result

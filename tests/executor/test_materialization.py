@@ -1,15 +1,13 @@
-"""MaterializedNode execution, canonical order, order sensitivity and the
-output stage the service and the sharded coordinator share."""
-
-from dataclasses import replace
+"""Canonical order, order sensitivity and the output stage every execution
+path ends with."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ExecutionError
 from repro.executor.executor import (
+    ExecutionResult,
     Executor,
-    combine_execution_accounting,
     finalize_canonical_execution,
     split_final_aggregate,
 )
@@ -20,8 +18,8 @@ from repro.executor.materialization import (
     needs_canonical_order,
 )
 from repro.optimizer.optimizer import Optimizer
-from repro.plans.nodes import AggregateNode, MaterializedNode
-from repro.relalg import Relation
+from repro.plans.nodes import AggregateNode
+from repro.relalg import Relation, partial_aggregate
 from repro.relalg.encoding import DictEncodedArray
 from repro.sql.builder import QueryBuilder
 from repro.sql.parser import parse_query
@@ -180,8 +178,9 @@ class TestSplitFinalAggregate:
             split_final_aggregate(AggregateNode(child=None))
 
 
-def _shuffled(relation, rng):
-    return relation.take(rng.permutation(relation.num_rows))
+def _shuffled(fragment, rng):
+    relation = fragment.columns.take(rng.permutation(fragment.num_rows))
+    return ExecutionResult(columns=relation, num_rows=relation.num_rows)
 
 
 class TestFinalizeCanonicalExecution:
@@ -197,7 +196,8 @@ class TestFinalizeCanonicalExecution:
         rng = make_rng(1)
         outputs = [
             finalize_canonical_execution(
-                Executor(small_db), query, _shuffled(fragment.columns, rng), aggregate
+                Executor(small_db), query, [_shuffled(fragment, rng)], aggregate,
+                order_rows=True,
             ).columns["out"]
             for _ in range(4)
         ]
@@ -211,11 +211,12 @@ class TestFinalizeCanonicalExecution:
         )
         fragment, aggregate = self._pipeline(small_db, query)
         assert aggregate is None
-        first = finalize_canonical_execution(
-            Executor(small_db), query, _shuffled(fragment.columns, make_rng(2)), None
-        )
-        second = finalize_canonical_execution(
-            Executor(small_db), query, _shuffled(fragment.columns, make_rng(3)), None
+        first, second = (
+            finalize_canonical_execution(
+                Executor(small_db), query, [_shuffled(fragment, make_rng(seed))], None,
+                order_rows=True,
+            )
+            for seed in (2, 3)
         )
         assert list(first.columns) == ["o.o_customer", "i.i_part"]
         for name in first.columns:
@@ -223,28 +224,18 @@ class TestFinalizeCanonicalExecution:
         keys = list(zip(first.columns["i.i_part"], first.columns["o.o_customer"]))
         assert keys == sorted(keys)
 
-    def test_full_join_result_is_stored_as_the_materialized_leaf(self, small_db):
-        query = _aggregate_query("sum", "i_price")
-        fragment, aggregate = self._pipeline(small_db, query)
-        executor = Executor(small_db)
-        result = finalize_canonical_execution(
-            executor, query, fragment.columns, aggregate
+    def test_rows_keep_their_order_unless_asked(self, small_db, make_rng):
+        query = parse_query(
+            "SELECT o.o_customer, i.i_part FROM orders o, items i "
+            "WHERE o.o_id = i.i_order AND o.o_customer < 5"
         )
-        stored = executor.intermediates[frozenset({"o", "i"})]
-        assert stored.num_rows == fragment.num_rows
-        assert [execution.kind for execution in result.node_executions] == [
-            "materialized", "aggregate"
-        ]
-
-    def test_order_free_query_stores_the_relation_unsorted(self, small_db):
-        query = _aggregate_query("count", None)
-        fragment, aggregate = self._pipeline(small_db, query)
-        executor = Executor(small_db)
-        result = finalize_canonical_execution(
-            executor, query, fragment.columns, aggregate
-        )
-        assert executor.intermediates[frozenset({"o", "i"})] is fragment.columns
-        assert result.columns["out"].tolist() == [fragment.num_rows]
+        fragment, _ = self._pipeline(small_db, query)
+        shuffled = _shuffled(fragment, make_rng(4))
+        result = finalize_canonical_execution(Executor(small_db), query, [shuffled])
+        for name in result.columns:
+            assert np.array_equal(
+                result.columns[name], shuffled.columns.decoded()[name]
+            )
 
     def test_matches_monolithic_execution(self, small_db):
         query = _aggregate_query("sum", "i_quantity")
@@ -252,51 +243,78 @@ class TestFinalizeCanonicalExecution:
         monolithic = Executor(small_db).execute_plan(plan, query)
         fragment, aggregate = self._pipeline(small_db, query)
         staged = finalize_canonical_execution(
-            Executor(small_db), query, fragment.columns, aggregate
+            Executor(small_db), query, [fragment], aggregate, order_rows=True
         )
         assert staged.columns["out"].tolist() == monolithic.columns["out"].tolist()
 
+    def test_partial_states_merge_to_the_bytes_of_the_raw_rows(self, small_db):
+        query = (
+            QueryBuilder("groups")
+            .table("orders", "o").table("items", "i")
+            .join("o", "o_id", "i", "i_order")
+            .group_by("o", "o_priority")
+            .aggregate("count", output_name="n")
+            .aggregate("avg", "i", "i_quantity", output_name="q")
+            .aggregate("min", "o", "o_priority", output_name="p")
+            .build()
+        )
+        fragment, aggregate = self._pipeline(small_db, query)
+        halves = [
+            fragment.columns.take(np.arange(fragment.num_rows)[parity::2])
+            for parity in (0, 1)
+        ]
+        raw = [ExecutionResult(columns=half, num_rows=half.num_rows) for half in halves]
+        states = [
+            ExecutionResult(columns=state, num_rows=state.num_rows)
+            for state in (
+                partial_aggregate(half, query.group_by, query.aggregates) for half in halves
+            )
+        ]
+        executor = Executor(small_db)
+        merged = finalize_canonical_execution(
+            executor, query, states, aggregate, partial_states=True
+        )
+        whole = finalize_canonical_execution(executor, query, raw, aggregate)
+        assert list(merged.columns) == list(whole.columns)
+        for name in whole.columns:
+            assert merged.columns[name].dtype == whole.columns[name].dtype
+            assert merged.columns[name].tolist() == whole.columns[name].tolist()
 
-class TestCombineExecutionAccounting:
-    def _parts(self, small_db):
+
+class TestOutputStageAccounting:
+    def _staged(self, small_db):
         query = _aggregate_query("count", None)
         plan = Optimizer(small_db).optimize(query)
         pipeline, aggregate = split_final_aggregate(plan)
         executor = Executor(small_db)
         parts = [executor.execute_fragment(pipeline, query) for _ in range(2)]
-        final = finalize_canonical_execution(
-            executor, query, parts[0].columns, aggregate
-        )
-        return executor, parts, final
+        return parts, finalize_canonical_execution(executor, query, parts, aggregate)
 
-    def test_node_executions_are_parts_first_then_final(self, small_db):
-        executor, parts, final = self._parts(small_db)
-        merged = combine_execution_accounting(parts, final, executor.cost_model)
-        expected = (
-            parts[0].node_executions + parts[1].node_executions + final.node_executions
-        )
-        assert merged.node_executions == expected
+    def test_node_executions_are_parts_first_then_the_aggregate(self, small_db):
+        parts, result = self._staged(small_db)
+        expected = parts[0].node_executions + parts[1].node_executions
+        assert result.node_executions[:-1] == expected
+        aggregate = result.node_executions[-1]
+        assert aggregate.kind == "aggregate"
+        assert aggregate.actual_rows == 1
 
-    def test_rows_and_columns_come_from_the_final_stage(self, small_db):
-        executor, parts, final = self._parts(small_db)
-        merged = combine_execution_accounting(parts, final, executor.cost_model)
-        assert merged.columns is final.columns
-        assert merged.num_rows == final.num_rows == 1
+    def test_rows_come_from_the_output_and_count_every_part(self, small_db):
+        parts, result = self._staged(small_db)
+        assert result.num_rows == 1
+        assert result.columns["out"].tolist() == [sum(part.num_rows for part in parts)]
 
     def test_cost_and_wall_time_are_summed(self, small_db):
-        executor, parts, final = self._parts(small_db)
-        merged = combine_execution_accounting(parts, final, executor.cost_model)
-        # The materialized leaf is free, so the parts and the aggregate are
-        # all the work there is.
-        assert merged.simulated_cost == pytest.approx(
-            sum(part.simulated_cost for part in parts) + final.simulated_cost
+        parts, result = self._staged(small_db)
+        aggregate_cost = Executor(small_db).cost_model.cost(
+            result.node_executions[-1].resources
         )
-        assert merged.wall_seconds == pytest.approx(
-            sum(part.wall_seconds for part in parts) + final.wall_seconds
+        assert result.simulated_cost == pytest.approx(
+            sum(part.simulated_cost for part in parts) + aggregate_cost
         )
+        assert result.wall_seconds >= sum(part.wall_seconds for part in parts)
 
 
-class TestMaterializedExecution:
+class TestFragmentExecution:
     def test_fragment_output_keeps_its_encoding(self, small_db):
         query = parse_query(
             "SELECT i.i_part, o.o_priority FROM orders o, items i "
@@ -315,46 +333,10 @@ class TestMaterializedExecution:
             == shaped.columns["o.o_priority"].tolist()
         )
 
-    def test_materialized_leaf_resolves_from_intermediates(self, small_db):
-        relation = Relation({"o.o_id": np.arange(10)})
-        executor = Executor(small_db, intermediates={frozenset({"o"}): relation})
-        node = MaterializedNode(relations=frozenset({"o"}), estimated_rows=10.0)
-        result = executor.execute_fragment(node)
-        assert result.num_rows == 10
-        assert result.node_executions[0].kind == "materialized"
-        # Reuse is free: no resources charged.
-        assert result.simulated_cost == 0.0
-        assert result.actual_cardinalities()[frozenset({"o"})] == 10
-
-    def test_missing_materialized_leaf_raises(self, small_db):
-        executor = Executor(small_db)
-        node = MaterializedNode(relations=frozenset({"o"}), estimated_rows=1.0)
-        with pytest.raises(ExecutionError):
-            executor.execute_fragment(node)
-
-    def test_fragmentwise_join_matches_monolithic(self, small_db):
-        """Executing scans and the join as separate checkpointed fragments
-        reproduces the monolithic execution bit for bit."""
-        query = parse_query(
-            "SELECT count(*) FROM orders o, items i WHERE o.o_id = i.i_order"
-        )
-        plan = Optimizer(small_db).optimize(query)
-        monolithic = Executor(small_db).execute_plan(plan, query)
-
-        executor = Executor(small_db)
-        join_node = plan.child
-        for scan in join_node.scan_nodes():
-            fragment = executor.execute_fragment(scan, query)
-            executor.intermediates[frozenset({scan.alias})] = fragment.columns
-        spliced = replace(
-            join_node,
-            left=MaterializedNode(relations=frozenset(join_node.left.relations)),
-            right=MaterializedNode(relations=frozenset(join_node.right.relations)),
-        )
-        fragment = executor.execute_fragment(spliced, query)
-        assert fragment.num_rows == monolithic.actual_cardinalities()[
-            frozenset({"o", "i"})
-        ]
+    def test_an_aggregate_is_not_a_pipeline_node(self, small_db):
+        plan = Optimizer(small_db).optimize(_aggregate_query("count", None))
+        with pytest.raises(ExecutionError, match="not a join pipeline node"):
+            Executor(small_db).execute_fragment(plan)
 
 
 class TestSingleTableCardinalities:

@@ -22,7 +22,7 @@ import pathlib
 import pytest
 
 from repro.optimizer.optimizer import Optimizer
-from repro.plans.nodes import AggregateNode, JoinNode, MaterializedNode, PlanNode, ScanNode
+from repro.plans.nodes import AggregateNode, JoinNode, PlanNode, ScanNode
 from repro.workloads.ott import generate_ott_database, make_ott_workload
 from repro.workloads.tpch import generate_tpch_database
 from repro.workloads.tpch_queries import make_tpch_workload
@@ -68,8 +68,6 @@ def plan_snapshot(node: PlanNode) -> dict:
             "child": plan_snapshot(node.child),
             **common,
         }
-    if isinstance(node, MaterializedNode):  # pragma: no cover - never golden
-        return {"kind": "materialized", **common}
     raise TypeError(f"unknown plan node {type(node).__name__}")
 
 

@@ -15,7 +15,6 @@ from repro.plans.nodes import (
     AggregateNode,
     JoinMethod,
     JoinNode,
-    MaterializedNode,
     ScanMethod,
     ScanNode,
 )
@@ -134,12 +133,3 @@ class TestPlanEquality:
         assert JoinTree.of(t1()) == JoinTree.of(t1())
         assert hash(JoinTree.of(t1())) == hash(JoinTree.of(t1()))
         assert JoinTree.of(t1()) != JoinTree.of(t2())
-
-
-class TestMaterializedNode:
-    def test_materialized_node_signature_and_leaf_order(self):
-        leaf = MaterializedNode(relations=frozenset({"b", "a"}), estimated_rows=1.0)
-        assert leaf.signature() == ("materialized", ("a", "b"))
-        plan = join(leaf, scan("c"))
-        assert JoinTree.of(plan).encoding() == ("abc",)
-        assert "materialized" in leaf.describe()

@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 import pytest
 
-from repro.relalg import Relation
+from repro.relalg import Relation, concat_relations
 from repro.relalg.aggregate import (
     group_aggregate,
     merge_partials,
@@ -68,7 +68,7 @@ def _merged(
     aggregates: Sequence[Aggregate],
 ) -> Relation:
     partials = [partial_aggregate(part, group_by, aggregates) for part in parts]
-    return merge_partials(partials, group_by, aggregates)
+    return merge_partials(concat_relations(partials), group_by, aggregates)
 
 
 def _assignments(
@@ -187,7 +187,7 @@ class TestGroupedMerge:
 
 
 class TestGlobalMerge:
-    """No GROUP BY: one global row, ``$rows`` validity tracking."""
+    """No GROUP BY: one global row; an empty shard contributes no state."""
 
     @pytest.mark.parametrize("num_shards", [1, 2, 4, 8])
     def test_global_aggregates_match_single_node(self, case, num_shards):
@@ -196,6 +196,12 @@ class TestGlobalMerge:
         rng = np.random.default_rng(5)
         assignment = rng.integers(0, num_shards, size=relation.num_rows)
         merged = _merged(_split(relation, assignment, num_shards), [], aggregates)
+        _assert_bit_identical(whole, merged)
+
+    def test_empty_shards_are_harmless(self, case):
+        relation, _, aggregates = case
+        whole = group_aggregate(relation, [], aggregates)
+        merged = _merged(_split(relation, np.full(relation.num_rows, 3), 8), [], aggregates)
         _assert_bit_identical(whole, merged)
 
     def test_all_empty_parts_merge_like_empty_input(self, case):
@@ -211,9 +217,9 @@ class TestAvgDecomposition:
         relation, group_by, aggregates = case
         avg = next(a for a in aggregates if a.func == "avg")
         partial = partial_aggregate(relation, group_by, aggregates)
-        assert f"{avg.output_name}$sum" in partial
-        assert f"{avg.output_name}$count" in partial
-        assert avg.output_name not in partial
+        assert f"$.{avg.output_name}$sum" in partial
+        assert f"$.{avg.output_name}$count" in partial
+        assert f"$.{avg.output_name}" not in partial
 
     def test_avg_equals_merged_sum_over_count(self, case):
         relation, group_by, aggregates = case

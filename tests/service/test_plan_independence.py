@@ -170,8 +170,7 @@ class TestOneOrderSensitivityClassification:
         with ShardedQueryService(db, num_shards=2, spec=SPEC) as service:
             for query in (INT_SUM, FLOAT_SUM):
                 want = "gather" if needs_canonical_order(db, query) else "partial"
-                assert service._merge_mode(query) == want
-            assert service.execute(INT_SUM).source == "scatter_partial"
+                assert service.execute(query).source == f"scatter_{want}"
 
     def test_integer_sum_never_reaches_the_canonical_sort(self, db, plans, monkeypatch):
         def refuse(relation):
@@ -208,3 +207,19 @@ class TestCanonicalSortKeyCount:
         with ShardedQueryService(db, num_shards=2, spec=SPEC) as sharded:
             sharded.execute(template)
         assert seen == [["f.g", "f.v"]] * 2
+
+
+@pytest.mark.parametrize("query", [FLOAT_SUM, PROJECTION], ids=lambda query: query.name)
+def test_ordering_rows_adds_no_plan_node(db, plans, query):
+    """A served order-sensitive request reports the nodes, rows and cost the
+    plan ran, exactly as ``Executor.execute_plan`` does: the canonical order
+    is part of the output stage, not an extra node re-counting the join
+    result (which inflated ``plan_work_rows``)."""
+    plan = plans[query.name][0]
+    with QueryService(db) as service:
+        served = service._execute_plan(plan, query)
+        direct = service._make_executor().execute_plan(plan, query)
+    assert [
+        (node.kind, node.relations, node.actual_rows) for node in served.node_executions
+    ] == [(node.kind, node.relations, node.actual_rows) for node in direct.node_executions]
+    assert served.simulated_cost == direct.simulated_cost
