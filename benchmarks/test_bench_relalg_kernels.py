@@ -193,8 +193,9 @@ def test_grouped_aggregation_speedup():
 
 
 def test_validate_plan_row_ops_below_seed():
-    """A 5-join plan validates with fewer sample-join row operations than a
-    prefix-cache-less estimator would need (the seed re-joined every set)."""
+    """A 5-join plan validates with fewer sample-join row operations than an
+    estimator without the join cache would need (the seed re-joined every
+    set)."""
     from repro.cardinality.sampling_estimator import SamplingEstimator
     from repro.optimizer.optimizer import Optimizer
     from repro.workloads.ott import generate_ott_database, make_ott_query
@@ -207,16 +208,14 @@ def test_validate_plan_row_ops_below_seed():
     estimator = SamplingEstimator(db, query)
     validation = estimator.validate_plan(plan)
 
-    # Seed behaviour: every join set is rebuilt from scratch — replay the
-    # same join sets on fresh estimators so nothing is shared.
+    # Seed behaviour: every join set is rebuilt from scratch — replay each
+    # join node's subtree on a fresh estimator so nothing is shared.
     seed_row_ops = 0
-    for join_set in validation.cardinalities:
-        fresh = SamplingEstimator(db, query)
-        fresh.estimate_cardinality(join_set)
-        seed_row_ops += fresh.sample_join_row_ops
+    for node in plan.join_nodes():
+        seed_row_ops += SamplingEstimator(db, query).validate_plan(node).sample_join_row_ops
     print(
         f"\nvalidate_plan on {validation.joins_validated} join sets: "
-        f"{validation.sample_join_row_ops} row ops with prefix cache vs "
+        f"{validation.sample_join_row_ops} row ops with the join cache vs "
         f"{seed_row_ops} without ({validation.prefix_cache_hits} cache hits)"
     )
     assert validation.joins_validated >= 5

@@ -29,7 +29,6 @@ setup(
     install_requires=[
         "numpy",
         "scipy",
-        "networkx",
     ],
     classifiers=[
         "Development Status :: 4 - Beta",

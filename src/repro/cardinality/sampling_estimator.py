@@ -8,59 +8,48 @@ per-table samples ``R1s ... RKs`` and scales the observed cardinality back up:
 which is exactly ``rho_hat * |R1| * ... * |RK|`` with ``rho_hat`` the paper's
 selectivity estimator.  The estimator is unbiased and strongly consistent for
 Bernoulli samples.  Local predicates of the query are applied to the samples
-before joining, so the same machinery also yields validated base-table
-(selection) cardinalities.
+before joining.
 
-``validate_plan`` is the entry point Algorithm 1 uses: it computes the
-sampling estimate for every join appearing in a plan (plus the scanned base
-relations) and returns them as a Δ mapping ready to be merged into Γ.
+``validate_plan`` is the entry point Algorithm 1 uses (line 9): it runs the
+plan over the samples and returns the scaled-up count of every join node as a
+Δ mapping ready to be merged into Γ.  A scan node's sample relation is its
+filtered sample, projected down to its join columns (counting needs no
+payload columns); a join node's sample relation is one ``hash_join`` of its
+two children's sample relations.  Join cardinality does not depend on join
+order, so a join set's estimate is the same whichever plan reaches it.
 
 All relational kernels come from :mod:`repro.relalg` (shared with the
-executor) and run serially in the caller's process.  Two properties of this
-workload make sample joins much cheaper than re-running them naively:
-
-* filtered samples are projected down to their *join columns* — counting the
-  join result needs no payload columns;
-* the join sets Algorithm 1 validates are nested (every join node of a plan
-  contains its child's join set), so intermediate sample joins are kept in a
-  **join-prefix cache**: validating ``{R1,R2,R3}`` after ``{R1,R2}`` reuses
-  the cached two-way join and performs only the third join, both within one
-  plan and across re-optimization rounds.
-
-Cache keys are **content fingerprints**: each alias's filtered sample is
-fingerprinted by its row data (``Relation.fingerprint``), and the
-prefix/count/estimate caches key on frozensets of ``(alias, fingerprint)``
-pairs.  Identical sample content therefore hits the cache across rounds,
-while a changed sample (e.g. a re-created :class:`SampleSet`) can never
-alias a stale entry.
+executor) and run serially in the caller's process.  Joined sample relations
+are cached in one dict keyed by the join set, so a join node whose child
+joins were run before — lower in the same plan, or in an earlier
+re-optimization round — costs one sample join.  An estimator lives for one
+``reoptimize()`` call or one service validation over one fixed
+:class:`~repro.storage.sampling.SampleSet`, so a join set names one sample
+relation for the cache's whole life.  The cache skips relations above
+:data:`PREFIX_CACHE_MAX_ROWS` and evicts least recently used entries beyond
+:data:`PREFIX_CACHE_TOTAL_ROWS` in total.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
-
-import networkx as nx
+from typing import Dict, Iterable, List
 
 from repro.cardinality.gamma import JoinSet
 from repro.errors import SamplingError
 from repro.plans.nodes import JoinNode, PlanNode, ScanNode
 from repro.relalg import Relation, filter_relation, hash_join
-from repro.sql.ast import Bindings, Query
+from repro.sql.ast import Query
 from repro.storage.catalog import Database
-from repro.storage.sampling import SampleSet
 
-#: A join-set cache key: one ``(alias, fingerprint)`` pair per member.
-SampleSetKey = FrozenSet[Tuple[str, Tuple]]
-
-#: Intermediate sample joins larger than this are not kept in the prefix
-#: cache: a many-to-many (or cross-product) sample join can dwarf the base
-#: samples, and pinning such relations for the estimator's lifetime would
-#: grow memory without bound.  Their *counts* are still cached.
+#: Joined sample relations larger than this are not cached: a many-to-many
+#: (or cross-product) sample join can dwarf the base samples, and pinning
+#: such relations for the estimator's lifetime would grow memory without
+#: bound.
 PREFIX_CACHE_MAX_ROWS = 2_000_000
 
-#: Total rows the prefix cache may hold across all entries; the least
+#: Total rows the join cache may hold across all entries; the least
 #: recently used entries are evicted beyond this budget.
 PREFIX_CACHE_TOTAL_ROWS = 10_000_000
 
@@ -78,7 +67,7 @@ class SamplingValidation:
     #: while its selection is estimated non-empty: the Haas estimator has no
     #: support there and would "validate" a spurious zero.
     joins_skipped_no_support: int = 0
-    #: Sample sub-joins answered from the join-prefix cache in this round.
+    #: Joined sample relations read from the join cache in this round.
     prefix_cache_hits: int = 0
     #: Row operations (input + output rows of each executed sample join) this
     #: round actually performed; cache hits keep this low.
@@ -86,48 +75,24 @@ class SamplingValidation:
 
 
 class SamplingEstimator:
-    """Run (sub-)joins of a query over sample tables and scale the counts up."""
+    """Run a plan's joins over the sample tables and scale the counts up."""
 
-    def __init__(
-        self,
-        db: Database,
-        query: Query,
-        samples: Optional[SampleSet] = None,
-    ) -> None:
-        self.db = db
+    def __init__(self, db: Database, query: Query) -> None:
         query.ensure_bound()
-        self.query = query
-        self.samples = samples if samples is not None else db.samples
-        if self.samples is None:
+        if db.samples is None:
             raise SamplingError(
                 "no sample tables available; call Database.create_samples() first"
             )
+        self.query = query
+        self.samples = db.samples
         #: Cache of filtered (and join-column-projected) sample relations.
         self._filtered_cache: Dict[str, Relation] = {}
-        #: Content fingerprint of each alias's filtered sample, memoized
-        #: per relation identity (see ``_fingerprint_for``).
-        self._fingerprints: Dict[str, Tuple[Relation, Tuple]] = {}
-        #: Join-prefix cache: sample-set key → joined sample relation.
-        #: Fingerprints pin the entries to the exact sample content they were
-        #: computed from, so cached sub-joins stay valid across
-        #: re-optimization rounds for as long as the samples are unchanged.
-        self._prefix_cache: Dict[SampleSetKey, Relation] = {}
-        #: Cache of observed sample-join counts per sample-set key (shared by
-        #: ``estimate_cardinality`` and ``estimate_selectivity``).
-        self._count_cache: Dict[SampleSetKey, int] = {}
-        #: Cache of sampling estimates per sample-set key (samples are fixed,
-        #: so the estimate for a join set never changes within one
-        #: re-optimization).
-        self._estimate_cache: Dict[SampleSetKey, float] = {}
-        #: The query's join graph (aliases as nodes), built once.
-        self._join_graph = query.join_graph()
+        #: Join set → joined sample relation, in least-recently-used order.
+        self._join_cache: Dict[JoinSet, Relation] = {}
         #: Lifetime counters (``validate_plan`` reports per-round deltas).
         self.prefix_cache_hits = 0
         self.sample_join_row_ops = 0
 
-    # ------------------------------------------------------------------ #
-    # Sample-side evaluation
-    # ------------------------------------------------------------------ #
     def _join_columns_for(self, alias: str) -> List[str]:
         """The columns of ``alias`` that appear in any join predicate."""
         columns = set()
@@ -164,128 +129,47 @@ class SamplingEstimator:
         self._filtered_cache[alias] = filtered
         return filtered
 
-    def _fingerprint_for(self, alias: str) -> Tuple:
-        """Content fingerprint of ``alias``'s current filtered sample.
-
-        Memoized per relation *identity*: if the filtered sample is replaced
-        (fresh estimator state, test injection), the fingerprint is
-        recomputed, so cache keys can never alias content they were not
-        computed from.
-        """
-        relation = self._filtered_sample(alias)
-        entry = self._fingerprints.get(alias)
-        if entry is None or entry[0] is not relation:
-            entry = (relation, relation.fingerprint())
-            self._fingerprints[alias] = entry
-        return entry[1]
-
-    def _sample_set_key(self, aliases: Iterable[str]) -> SampleSetKey:
-        """The cache key of a join set: its members' content fingerprints."""
-        return frozenset((alias, self._fingerprint_for(alias)) for alias in aliases)
-
-    @staticmethod
-    def _key_aliases(key: SampleSetKey) -> FrozenSet[str]:
-        """The alias set a sample-set key covers."""
-        return frozenset(alias for alias, _ in key)
-
-    def _join_relation(self, aliases: FrozenSet[str]) -> Relation:
-        """The joined sample relation for ``aliases``, reusing cached sub-joins.
-
-        The join result for an alias set does not depend on the join order,
-        so *any* cached subset is a valid starting point: the largest one is
-        picked and the remaining aliases are joined outward from it (staying
-        connected in the join graph where possible).  Every intermediate
-        result is cached, so validating the join sets of one plan — and of
-        later re-optimization rounds — degenerates to at most one new join
-        per join set.
-        """
-        key = self._sample_set_key(aliases)
-        cached = self._prefix_cache.get(key)
+    def _sample_relation(self, node: PlanNode) -> Relation:
+        """``node``'s output over the samples: a filtered sample or one join."""
+        if isinstance(node, ScanNode):
+            return self._filtered_sample(node.alias)
+        assert isinstance(node, JoinNode) and node.left is not None and node.right is not None
+        join_set = frozenset(node.relations)
+        cached = self._join_cache.pop(join_set, None)
         if cached is not None:
             self.prefix_cache_hits += 1
-            self._touch_prefix(key)
+            self._join_cache[join_set] = cached
             return cached
-        best: Optional[FrozenSet[str]] = None
-        for cached_key in self._prefix_cache:
-            subset = self._key_aliases(cached_key)
-            if subset < aliases and (best is None or len(subset) > len(best)):
-                # A disconnected cached subset is a sample cross product —
-                # typically far larger than a freshly built connected join —
-                # so it is never worth starting from.
-                if len(subset) > 1 and not self._is_connected(subset):
-                    continue
-                best = subset
-        promoted: Optional[Relation] = None
-        if best is not None and len(best) > 1:
-            # Re-key with the *current* fingerprints: a stale entry (filtered
-            # sample replaced since it was stored) has a matching alias set
-            # but a different key, and must be a silent miss, not a hit.
-            best_key = self._sample_set_key(best)
-            promoted = self._prefix_cache.get(best_key)
-        if promoted is not None:
-            self.prefix_cache_hits += 1
-            self._touch_prefix(best_key)
-            current = promoted
-            included = best
-        else:
-            first = min(aliases)
-            current = self._filtered_sample(first)
-            included = frozenset({first})
-            self._store_prefix(self._sample_set_key(included), current)
-        for alias in self._extension_order(included, aliases):
-            right = self._filtered_sample(alias)
-            predicates = self.query.join_predicates_between(included, {alias})
-            joined = hash_join(current, right, predicates, included)
-            self.sample_join_row_ops += current.num_rows + right.num_rows + joined.num_rows
-            current = joined
-            included = included | {alias}
-            self._store_prefix(self._sample_set_key(included), current)
-        return current
+        left = self._sample_relation(node.left)
+        right = self._sample_relation(node.right)
+        predicates = self.query.join_predicates_between(
+            node.left.relations, node.right.relations
+        )
+        joined = hash_join(left, right, predicates, node.left.relations)
+        self.sample_join_row_ops += left.num_rows + right.num_rows + joined.num_rows
+        self._store(join_set, joined)
+        return joined
 
-    def _touch_prefix(self, key: SampleSetKey) -> None:
-        """Mark a cache entry as recently used (dict order is LRU order)."""
-        self._prefix_cache[key] = self._prefix_cache.pop(key)
-
-    def _store_prefix(self, key: SampleSetKey, relation: Relation) -> None:
-        """Cache an intermediate sample join, evicting LRU entries beyond the
+    def _store(self, join_set: JoinSet, relation: Relation) -> None:
+        """Cache a joined sample relation, evicting LRU entries beyond the
         per-entry and total row budgets."""
         if relation.num_rows > PREFIX_CACHE_MAX_ROWS:
             return
-        self._prefix_cache[key] = relation
-        total = sum(entry.num_rows for entry in self._prefix_cache.values())
-        for old_key in list(self._prefix_cache):
-            if total <= PREFIX_CACHE_TOTAL_ROWS or old_key == key:
+        self._join_cache[join_set] = relation
+        total = sum(entry.num_rows for entry in self._join_cache.values())
+        for old_key in list(self._join_cache):
+            if total <= PREFIX_CACHE_TOTAL_ROWS or old_key == join_set:
                 continue
-            total -= self._prefix_cache.pop(old_key).num_rows
+            total -= self._join_cache.pop(old_key).num_rows
 
-    def _is_connected(self, aliases: FrozenSet[str]) -> bool:
-        """True when ``aliases`` are mutually reachable via join predicates."""
-        return nx.is_connected(self._join_graph.subgraph(aliases))
-
-    def _extension_order(
-        self, included: FrozenSet[str], aliases: FrozenSet[str]
-    ) -> List[str]:
-        """Order for joining ``aliases - included`` onto an existing sub-join.
-
-        Each step prefers an alias connected (through a join predicate) to
-        what is already included, so cross products only appear for genuinely
-        disconnected join graphs.
-        """
-        graph = self._join_graph.subgraph(aliases)
-        done = set(included)
-        remaining = set(aliases) - done
-        ordered: List[str] = []
-        while remaining:
-            connected = sorted(
-                alias
-                for alias in remaining
-                if any(neighbor in done for neighbor in graph.neighbors(alias))
-            )
-            next_alias = connected[0] if connected else sorted(remaining)[0]
-            ordered.append(next_alias)
-            done.add(next_alias)
-            remaining.discard(next_alias)
-        return ordered
+    def _scale_up(self, join_set: JoinSet, observed: int) -> float:
+        """The Haas et al. estimate: ``observed`` times each ``|R| / |Rs|``."""
+        scale = 1.0
+        # Sorted iteration keeps the float product independent of set
+        # construction order (and therefore run-to-run reproducible).
+        for alias in sorted(join_set):
+            scale *= self.samples.scale_factor(self.query.table_for_alias(alias))
+        return observed * scale
 
     def has_sample_support(self, aliases: Iterable[str]) -> bool:
         """True when every member's filtered sample contains at least one row.
@@ -298,90 +182,34 @@ class SamplingEstimator:
         """
         return all(self._filtered_sample(alias).num_rows > 0 for alias in aliases)
 
-    def _sample_join_count(self, aliases: FrozenSet[str]) -> int:
-        """Number of rows the join of ``aliases`` produces over the samples."""
-        key = self._sample_set_key(aliases)
-        if key in self._count_cache:
-            return self._count_cache[key]
-        count = self._join_relation(aliases).num_rows
-        self._count_cache[key] = count
-        return count
-
-    # ------------------------------------------------------------------ #
-    # Public estimation API
-    # ------------------------------------------------------------------ #
-    def estimate_cardinality(self, aliases: Iterable[str]) -> float:
-        """Sampling-based estimate of the join of ``aliases`` on the full data."""
-        key = frozenset(aliases)
-        if not key:
-            raise ValueError("join set must contain at least one relation")
-        cache_key = self._sample_set_key(key)
-        if cache_key in self._estimate_cache:
-            return self._estimate_cache[cache_key]
-        observed = self._sample_join_count(key)
-        scale = 1.0
-        # Sorted iteration keeps the float product independent of set
-        # construction order (and therefore run-to-run reproducible).
-        for alias in sorted(key):
-            table_name = self.query.table_for_alias(alias)
-            scale *= self.samples.scale_factor(table_name)
-        estimate = observed * scale
-        self._estimate_cache[cache_key] = estimate
-        return estimate
-
-    def estimate_selectivity(self, aliases: Iterable[str]) -> float:
-        """The paper's rho_hat: sample join size over the product of sample sizes."""
-        key = frozenset(aliases)
-        if not key:
-            raise ValueError("join set must contain at least one relation")
-        observed = self._sample_join_count(key)
-        denominator = 1.0
-        for alias in sorted(key):
-            table_name = self.query.table_for_alias(alias)
-            denominator *= max(1, self.samples.sample_for(table_name).num_rows)
-        return observed / denominator
-
-    def validate_plan(
-        self, plan: PlanNode, validate_base_relations: bool = False
-    ) -> SamplingValidation:
+    def validate_plan(self, plan: PlanNode) -> SamplingValidation:
         """Validate every join of ``plan`` (Algorithm 1, line 9).
 
-        Returns the Δ of Algorithm 1: a mapping from join set to the
-        sampling-based cardinality estimate.  Following the paper (Section 2:
-        "we focus on using sampling to refine selectivity estimates for join
-        predicates"), only join nodes are validated by default; pass
-        ``validate_base_relations=True`` to also validate the base-relation
-        selections (useful for ablation experiments).
+        Returns the Δ of Algorithm 1: a mapping from each join node's join
+        set to its sampling-based cardinality estimate.  Following the paper
+        (Section 2: "we focus on using sampling to refine selectivity
+        estimates for join predicates"), only join nodes are validated.
 
         The returned :class:`SamplingValidation` also reports how much work
-        the round performed (``sample_join_row_ops``) and how often the
-        join-prefix cache satisfied a sub-join (``prefix_cache_hits``).
+        the round performed (``sample_join_row_ops``) and how many joined
+        sample relations the join cache supplied (``prefix_cache_hits``).
         """
         started = time.perf_counter()
         hits_before = self.prefix_cache_hits
         row_ops_before = self.sample_join_row_ops
         validation = SamplingValidation()
-        join_sets: List[FrozenSet[str]] = []
-        for node in plan.walk():
-            if isinstance(node, ScanNode) and validate_base_relations:
-                join_sets.append(frozenset({node.alias}))
-            elif isinstance(node, JoinNode):
-                join_sets.append(frozenset(node.relations))
-        # Validate small join sets first so every larger one finds its
-        # sub-join already in the prefix cache.
-        for join_set in sorted(join_sets, key=len):
-            if join_set in validation.cardinalities:
-                continue
+        # Reversed pre-order visits children before parents, so every join
+        # node finds its child joins in the cache.
+        for node in reversed(plan.join_nodes()):
+            join_set = frozenset(node.relations)
             if not self.has_sample_support(join_set):
                 # No sample support for some member: the estimate would be a
                 # spurious zero (see has_sample_support).  Leave the join set
                 # unvalidated; the optimizer keeps its histogram estimate.
-                # This applies to singletons too — an empty filtered sample
-                # of a non-empty selection must not validate the base
-                # relation to zero rows.
                 validation.joins_skipped_no_support += 1
                 continue
-            validation.cardinalities[join_set] = self.estimate_cardinality(join_set)
+            observed = self._sample_relation(node).num_rows
+            validation.cardinalities[join_set] = self._scale_up(join_set, observed)
             validation.joins_validated += 1
         validation.elapsed_seconds = time.perf_counter() - started
         validation.prefix_cache_hits = self.prefix_cache_hits - hits_before
@@ -390,31 +218,16 @@ class SamplingEstimator:
 
 
 def validate_plan_for_bindings(
-    db: Database,
-    template: Query,
-    bindings: Bindings,
-    plan: PlanNode,
-    samples: Optional[SampleSet] = None,
-    validate_base_relations: bool = False,
-) -> Tuple[Query, SamplingValidation]:
-    """Validate a cached ``plan`` under *new* parameter ``bindings``.
+    db: Database, query: Query, plan: PlanNode
+) -> SamplingValidation:
+    """Validate a cached ``plan`` under the bound ``query``'s constants.
 
     This is the paper's sampling validator repurposed as a plan-cache guard
-    (the query service's layer 1): the parameterized ``template`` is bound to
-    the new constants, a fresh estimator runs the cached plan's join sets
-    over the samples *with the new bindings' local predicates applied*, and
-    the resulting Δ is returned next to the bound query.  The caller compares
-    the Δ against the Γ expectations the plan was originally chosen under
-    (see :func:`repro.cardinality.gamma.Gamma` and
-    :meth:`repro.service.QueryService.execute`) to decide whether the cached
-    plan is still supported or must be re-planned.
-
-    ``bindings`` may be ``None`` when ``template`` is already a bound query.
+    (the query service's layer 1): a fresh estimator runs the cached plan
+    over the samples *with ``query``'s local predicates applied*, and returns
+    the resulting Δ.  The caller compares it against the Γ expectations the
+    plan was originally chosen under (see :func:`repro.service.cache.max_drift`)
+    to decide whether the cached plan is still supported or must be
+    re-planned.
     """
-    query = template.bind(bindings) if bindings is not None else template
-    query.ensure_bound()
-    estimator = SamplingEstimator(db, query, samples=samples)
-    validation = estimator.validate_plan(
-        plan, validate_base_relations=validate_base_relations
-    )
-    return query, validation
+    return SamplingEstimator(db, query).validate_plan(plan)

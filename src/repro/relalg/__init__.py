@@ -41,7 +41,6 @@ from repro.relalg.aggregate import (
 from repro.relalg.encoding import (
     ColumnData,
     DictEncodedArray,
-    column_fingerprint,
     decode_column,
     factorize_pair,
     take_column,
@@ -95,7 +94,6 @@ __all__ = [
     "attach_array",
     "attach_column",
     "attach_columns",
-    "column_fingerprint",
     "compile_predicate",
     "concat_relations",
     "decode_column",

@@ -111,29 +111,6 @@ def decode_column(column: ColumnData) -> np.ndarray:
     return column
 
 
-def column_fingerprint(column: ColumnData) -> Tuple:
-    """A cheap content fingerprint of a runtime column.
-
-    Used to build :meth:`~repro.relalg.relation.Relation.fingerprint`, the
-    sampling validator's cache keys: identical content always yields an
-    identical fingerprint, so caches keyed on it stay valid across rounds as
-    long as the underlying data is unchanged.  Numeric data hashes its raw
-    bytes with CRC32; encoded columns hash their code bytes plus the
-    dictionary size; object arrays (rare: unencoded strings) fall back to
-    hashing the Python values.
-    """
-    import zlib
-
-    if isinstance(column, DictEncodedArray):
-        codes = np.ascontiguousarray(column.codes)
-        return ("dict", len(codes), len(column.dictionary), zlib.crc32(codes.tobytes()))
-    values = np.asarray(column)
-    if values.dtype == object:
-        return ("object", len(values), hash(tuple(values.tolist())))
-    contiguous = np.ascontiguousarray(values)
-    return ("plain", str(contiguous.dtype), len(contiguous), zlib.crc32(contiguous.tobytes()))
-
-
 def sort_key(column: ColumnData) -> np.ndarray:
     """An array whose ordering matches the column's value ordering.
 

@@ -18,7 +18,6 @@ from typing import (
     List,
     Mapping,
     Optional,
-    Tuple,
     Union,
 )
 
@@ -27,7 +26,6 @@ import numpy as np
 from repro.relalg.encoding import (
     ColumnData,
     DictEncodedArray,
-    column_fingerprint,
     column_length,
     decode_column,
     take_column,
@@ -109,19 +107,6 @@ class Relation(Dict[str, ColumnData]):
         return Relation(
             {name: column for name, column in self.items() if name in wanted},
             num_rows=self._num_rows,
-        )
-
-    def fingerprint(self) -> Tuple[object, ...]:
-        """Content fingerprint: column names plus per-column data hashes.
-
-        Two relations with equal fingerprints hold the same rows in the same
-        order; the sampling validator keys its prefix/count caches on
-        (alias, fingerprint) pairs, so cached sub-joins stay valid exactly as
-        long as the samples they were computed from are unchanged.
-        """
-        return (
-            self._num_rows,
-            tuple(sorted((name, column_fingerprint(column)) for name, column in self.items())),
         )
 
     def decoded(self) -> "Relation":

@@ -60,10 +60,6 @@ class ReoptimizationSettings:
     sampling_ratio: float = DEFAULT_SAMPLING_RATIO
     #: Seed used when samples have to be created on the fly.
     sampling_seed: int = 42
-    #: Also validate base-relation (selection) cardinalities over the samples.
-    #: The paper validates join predicates only (Section 2); enabling this is
-    #: an ablation knob.
-    validate_base_relations: bool = False
 
 
 @dataclass
@@ -166,9 +162,7 @@ class Reoptimizer:
                 converged = True
                 break
 
-            validation = sampler.validate_plan(
-                plan, validate_base_relations=self.settings.validate_base_relations
-            )
+            validation = sampler.validate_plan(plan)
             record.sampling_seconds = validation.elapsed_seconds
             sampling_spent += validation.elapsed_seconds
             record.new_gamma_entries = gamma.merge(validation.cardinalities)

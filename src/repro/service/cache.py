@@ -30,7 +30,6 @@ from typing import Dict, Optional, Tuple
 from repro.cardinality.gamma import Gamma, JoinSet
 from repro.executor.executor import ExecutionResult
 from repro.plans.nodes import PlanNode
-from repro.sql.ast import Query
 
 
 @dataclass
@@ -102,10 +101,8 @@ class ResultCache:
 class PlanCacheEntry:
     """The cached, sampling-guarded plan of one prepared template."""
 
-    #: The plan Algorithm 1 converged to for ``bound_query``'s bindings.
+    #: The plan Algorithm 1 converged to for the bindings it was planned for.
     plan: PlanNode
-    #: The bound query the plan was produced for (the *reference* binding).
-    bound_query: Query
     #: Γ expectations the plan was validated under: join set → sampled
     #: cardinality at planning time.  The drift guard compares each new
     #: binding's sampled Δ against these.

@@ -609,7 +609,6 @@ class QueryService:
                     prepared.fingerprint,
                     PlanCacheEntry(
                         plan=result.final_plan,
-                        bound_query=bound,
                         expectations=dict(result.gamma.items()),
                     ),
                 )
@@ -626,13 +625,7 @@ class QueryService:
             # *rebound* first — its scans must filter on the new constants
             # (the shape is cached, the literals are per-execution).
             rebound = rebind_plan(entry.plan, bound)
-            _, validation = validate_plan_for_bindings(
-                self.db,
-                bound,
-                None,
-                rebound,
-                validate_base_relations=self.reopt_settings.validate_base_relations,
-            )
+            validation = validate_plan_for_bindings(self.db, bound, rebound)
             entry.validations += 1
             drift = max_drift(entry.expectations, validation.cardinalities)
             if drift <= self.settings.drift_threshold:
@@ -657,7 +650,6 @@ class QueryService:
             result = self._reoptimizer.reoptimize(bound, gamma=gamma)
             planning_seconds = monotonic_s() - planning_started
             entry.plan = result.final_plan
-            entry.bound_query = bound
             entry.expectations = dict(result.gamma.items())
             with self._stats_lock:
                 self.stats.drift_replans += 1

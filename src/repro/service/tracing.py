@@ -56,9 +56,9 @@ class RequestTrace:
     #: Prepared-statement name (filled once the statement is normalized).
     template: str = ""
     #: How the request was served — the cache-hit class: ``result_cache``,
-    #: ``coalesced``, ``validated_reuse``, ``reuse``, ``replan``, ``fresh``
-    #: or a ``scatter_*`` mode on the sharded coordinator.  Empty while in
-    #: flight and for shed requests.
+    #: ``coalesced``, ``validated_reuse``, ``replan``, ``fresh`` or a
+    #: ``scatter_*`` mode on the sharded coordinator.  Empty while in flight
+    #: and for shed requests.
     source: str = ""
     #: ``ok``, or how the request failed: ``shed`` (admission queue full),
     #: ``timeout`` (admission/coalesce deadline expired).

@@ -12,16 +12,15 @@ grouped aggregation.  A :class:`Query` holds:
   (``B_1 = B_2``-style equi-joins);
 * an optional projection / aggregation block.
 
-The join graph (relations as nodes, join predicates as edges) is derived from
-the query and consumed by the optimizer's dynamic-programming search.
+The join graph (relations as nodes, join predicates as edges) is the
+query's aliases and join predicates; the optimizer's dynamic-programming
+search reads them directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
-
-import networkx as nx
 
 from repro.errors import ParseError
 
@@ -349,29 +348,6 @@ class Query:
             elif predicate.left_alias in right and predicate.right_alias in left:
                 result.append(predicate)
         return result
-
-    def join_graph(self) -> nx.Graph:
-        """Build the join graph: aliases as nodes, join predicates as edges.
-
-        Multiple predicates between the same pair of relations are collected
-        on one edge under the ``predicates`` attribute.
-        """
-        graph = nx.Graph()
-        graph.add_nodes_from(self.aliases)
-        for predicate in self.join_predicates:
-            left, right = predicate.left_alias, predicate.right_alias
-            if graph.has_edge(left, right):
-                graph[left][right]["predicates"].append(predicate)
-            else:
-                graph.add_edge(left, right, predicates=[predicate])
-        return graph
-
-    def is_join_graph_connected(self) -> bool:
-        """True if every relation is reachable through join predicates."""
-        graph = self.join_graph()
-        if graph.number_of_nodes() <= 1:
-            return True
-        return nx.is_connected(graph)
 
     @property
     def num_joins(self) -> int:

@@ -126,3 +126,36 @@ def _left_deep_plan(query, order, methods) -> PlanNode:
 def left_deep_plan():
     """Factory: ``left_deep_plan(query, order, methods)`` (see above)."""
     return _left_deep_plan
+
+
+def _join_edges(query):
+    """The query's join graph as edges: alias pair → its join predicates."""
+    edges = {}
+    for predicate in query.join_predicates:
+        edges.setdefault(predicate.aliases(), []).append(predicate)
+    return edges
+
+
+def _join_graph_connected(query):
+    """True if every alias reaches every other through join predicates."""
+    reached = set(query.aliases[:1])
+    grew = True
+    while grew:
+        grew = False
+        for pair in _join_edges(query):
+            if len(pair & reached) == 1:
+                reached |= pair
+                grew = True
+    return reached == set(query.aliases)
+
+
+@pytest.fixture(scope="session")
+def join_edges():
+    """Factory: ``join_edges(query)`` (see above)."""
+    return _join_edges
+
+
+@pytest.fixture(scope="session")
+def join_graph_connected():
+    """Factory: ``join_graph_connected(query)`` (see above)."""
+    return _join_graph_connected

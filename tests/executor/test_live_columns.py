@@ -90,14 +90,13 @@ def queries(draw):
 
 def connected_join_sets(query):
     """Every alias subset of two or more that the join graph connects."""
-    graph = query.join_graph()
     for size in range(2, len(query.aliases) + 1):
         for subset in combinations(query.aliases, size):
             order = [subset[0]]
             while len(order) < size:
                 reachable = [
                     alias for alias in subset
-                    if alias not in order and any(graph.has_edge(alias, seen) for seen in order)
+                    if alias not in order and query.join_predicates_between({alias}, set(order))
                 ]
                 if not reachable:
                     break

@@ -162,8 +162,8 @@ class TestDriftGuard:
             assert service.apply_gamma_gossip(prepared.fingerprint, gossip) == 1
             entry = service._plan_cache[prepared.fingerprint]
             bound = prepared.bind(binding)
-            _, validation = validate_plan_for_bindings(
-                service_ott_db, bound, None, rebind_plan(entry.plan, bound)
+            validation = validate_plan_for_bindings(
+                service_ott_db, bound, rebind_plan(entry.plan, bound)
             )
 
             replanned = service.execute(prepared, binding)

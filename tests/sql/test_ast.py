@@ -66,20 +66,19 @@ class TestQueryValidation:
 
 
 class TestJoinGraph:
-    def test_chain_graph_structure(self):
+    def test_chain_graph_structure(self, join_edges, join_graph_connected):
         query = chain_query(4)
-        graph = query.join_graph()
-        assert graph.number_of_nodes() == 4
-        assert graph.number_of_edges() == 3
-        assert query.is_join_graph_connected()
+        assert len(query.aliases) == 4
+        assert len(join_edges(query)) == 3
+        assert join_graph_connected(query)
         assert query.num_joins == 3
 
-    def test_disconnected_graph_detected(self):
+    def test_disconnected_graph_detected(self, join_graph_connected):
         query = (
             QueryBuilder("q").table("a").table("b").table("c")
             .join("a", "k", "b", "k").build()
         )
-        assert not query.is_join_graph_connected()
+        assert not join_graph_connected(query)
 
     def test_join_predicates_between(self):
         query = chain_query(4)
@@ -88,14 +87,14 @@ class TestJoinGraph:
         assert between[0].aliases() == frozenset({"t2", "t3"})
         assert query.join_predicates_between({"t1"}, {"t4"}) == []
 
-    def test_parallel_edges_collected(self):
+    def test_parallel_edges_collected(self, join_edges):
         query = (
             QueryBuilder("q").table("a").table("b")
             .join("a", "k1", "b", "k1").join("a", "k2", "b", "k2").build()
         )
-        graph = query.join_graph()
-        assert graph.number_of_edges() == 1
-        assert len(graph["a"]["b"]["predicates"]) == 2
+        edges = join_edges(query)
+        assert len(edges) == 1
+        assert len(edges[frozenset({"a", "b"})]) == 2
 
     def test_local_predicates_for(self):
         query = (

@@ -74,7 +74,7 @@ class TestAggregatesAndGrouping:
         assert query.aggregates[0].func == "count"
         assert query.aggregates[0].column is None
 
-    def test_full_tpch_like_query(self):
+    def test_full_tpch_like_query(self, join_graph_connected):
         query = parse_query(
             "SELECT c.c_name, sum(l.l_price) AS revenue "
             "FROM customer c, orders o, lineitem l "
@@ -85,7 +85,7 @@ class TestAggregatesAndGrouping:
         assert len(query.tables) == 3
         assert len(query.join_predicates) == 2
         assert len(query.local_predicates) == 2
-        assert query.is_join_graph_connected()
+        assert join_graph_connected(query)
 
 
 class TestParseErrors:

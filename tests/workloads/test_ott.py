@@ -54,11 +54,11 @@ class TestDataGeneration:
 
 
 class TestQueries:
-    def test_query_structure(self, db):
+    def test_query_structure(self, db, join_graph_connected):
         query = make_ott_query(db, [0, 1, 2, 3])
         assert query.num_joins == 3
         assert len(query.local_predicates) == 4
-        assert query.is_join_graph_connected()
+        assert join_graph_connected(query)
 
     def test_query_requires_two_tables(self, db):
         with pytest.raises(ValueError):
