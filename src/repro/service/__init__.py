@@ -36,7 +36,6 @@ from repro.service.sharding import (
 )
 from repro.service.templates import (
     PreparedStatement,
-    StatementRegistry,
     prepare_statement,
 )
 from repro.service.tracing import (
@@ -62,7 +61,6 @@ __all__ = [
     "ShardedQueryService",
     "ShardedServiceStats",
     "ShardingSpec",
-    "StatementRegistry",
     "hash_partition",
     "max_drift",
     "prepare_statement",

@@ -94,7 +94,7 @@ class AdmissionStats:
 
 
 class AdmissionController:
-    """Bounded, client-fair gate in front of the execution pool."""
+    """Bounded, client-fair gate in front of query execution."""
 
     def __init__(self, max_concurrent: int = 4, max_queued: int = 64) -> None:
         self.max_concurrent = max(1, int(max_concurrent))

@@ -8,13 +8,14 @@ later lookup miss, and the stale lines age out through the LRU bound.  An
 explicit ``invalidate_table`` sweep is provided for callers that want the
 memory back immediately.
 
-**Plan cache** — one :class:`PlanCacheEntry` per template, holding the plan
-Algorithm 1 converged to for some binding, the Γ *expectations* it was
-validated under (join set → sampled cardinality) and the exact cardinalities
-gossiped in from sibling shards.  No planning state is kept: a drift replan
-runs Algorithm 1 from scratch.  The entry is what the sampling validator
-guards: a new binding's Δ is compared against ``expectations`` and the plan
-is reused only while the drift stays under the service's threshold.
+**Plan cache** — one :class:`PlanCacheEntry` per template: the lock that
+serializes the template's validation and (re)planning, the plan Algorithm 1
+converged to for some binding, the Γ *expectations* it was validated under
+(join set → sampled cardinality) and the exact cardinalities gossiped in
+from sibling shards.  No planning state is kept: a drift replan runs
+Algorithm 1 from scratch.  The entry is what the sampling validator guards:
+a new binding's Δ is compared against ``expectations`` and the plan is
+reused only while the drift stays under the service's threshold.
 """
 
 from __future__ import annotations
@@ -23,9 +24,6 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
-
-# Note: per-template serialization of validation/replan lives in the
-# service's ``_template_locks`` map, not on the entries themselves.
 
 from repro.cardinality.gamma import Gamma, JoinSet
 from repro.executor.executor import ExecutionResult
@@ -101,8 +99,12 @@ class ResultCache:
 class PlanCacheEntry:
     """The cached, sampling-guarded plan of one prepared template."""
 
-    #: The plan Algorithm 1 converged to for the bindings it was planned for.
-    plan: PlanNode
+    #: Serializes validation and (re)planning of this template, so distinct
+    #: templates plan concurrently.  Evicting the entry drops its lock too.
+    lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    #: The plan Algorithm 1 converged to for the bindings it was planned
+    #: for; ``None`` until the template's first plan is in.
+    plan: Optional[PlanNode] = None
     #: Γ expectations the plan was validated under: join set → sampled
     #: cardinality at planning time.  The drift guard compares each new
     #: binding's sampled Δ against these.
@@ -115,12 +117,6 @@ class PlanCacheEntry:
     #: guard compares against gossiped truth instead of a stale sample) and
     #: warm-starts the next replan's Γ with exact-provenance entries.
     gossip: Gamma = field(default_factory=Gamma)
-    #: How many executions reused this plan after validation.
-    reuses: int = 0
-    #: How many binding validations ran against the entry.
-    validations: int = 0
-    #: How many validations rejected the plan (drift → replan).
-    rejections: int = 0
 
 
 def max_drift(

@@ -2,7 +2,7 @@
 
 :class:`ShardedQueryService` *is* a
 :class:`~repro.service.service.QueryService` over the unsharded source
-catalog: statement registry, result cache, singleflight, admission gate,
+catalog: statement preparation, result cache, singleflight, admission gate,
 trace and backpressure bookkeeping are the inherited ones.  It replaces one
 step — plan and execute one admitted request — routing each bound query
 across ``N`` in-process shards.  A shard is a ``QueryService`` over a
@@ -178,7 +178,7 @@ class ShardedQueryService(QueryService):
         return snapshot
 
     def _plan_and_execute(
-        self, prepared: PreparedStatement, bound: Query, trace: Optional[RequestTrace]
+        self, prepared: PreparedStatement, bound: Query, trace: RequestTrace
     ) -> ServiceResult:
         """Route one admitted request: scatter it, or run it single-node."""
         mode = route_query(bound, self.spec).mode
@@ -256,20 +256,17 @@ class ShardedQueryService(QueryService):
         self,
         prepared: PreparedStatement,
         bound: Query,
-        trace: Optional[RequestTrace] = None,
+        trace: RequestTrace,
     ) -> ServiceResult:
-        """Plan per shard, scatter, merge bit-identically, gossip Γ."""
+        """Plan per shard, scatter, merge bit-identically, gossip Γ.
+
+        Every shard's validation and planning seconds add into ``trace``.
+        """
         plans: List[PlanNode] = []
         worst_drift: Optional[float] = None
-        validation_seconds = 0.0
-        planning_seconds = 0.0
         for shard in self.shards:  # canonical shard order
-            plan, _, drift, shard_validation, shard_planning = shard._plan_for(
-                prepared, bound
-            )
+            plan, _, drift = shard._plan_for(prepared, bound, trace)
             plans.append(plan)
-            validation_seconds += shard_validation
-            planning_seconds += shard_planning
             if drift is not None:
                 worst_drift = drift if worst_drift is None else max(worst_drift, drift)
         # Shards send partial states when every aggregate composes exactly;
@@ -285,9 +282,8 @@ class ShardedQueryService(QueryService):
             self._make_executor(), bound, fragments, aggregate,
             order_rows=order_rows, partial_states=partial,
         )
-        if trace is not None:
-            trace.execution_s += merge_started - scatter_started
-            trace.merge_s += monotonic_s() - merge_started
+        trace.execution_s += merge_started - scatter_started
+        trace.merge_s += monotonic_s() - merge_started
         gossiped = self._gossip(prepared, fragments)
         with self._stats_lock:
             self.stats.gossip_entries += gossiped
@@ -302,6 +298,4 @@ class ShardedQueryService(QueryService):
             plan=plans[0],
             source="scatter_partial" if partial else "scatter_gather",
             drift=worst_drift,
-            validation_seconds=validation_seconds,
-            planning_seconds=planning_seconds,
         )

@@ -34,18 +34,21 @@ relations even when their join orders differ.
 This module owns the **one request pipeline** of the repo —
 ``execute`` (trace, backpressure and stat bookkeeping) →
 ``_serve_coalesced`` (result cache → singleflight → admission) → ``_serve``
-(snapshot epochs, run, publish).  The sharded
-:class:`~repro.service.coordinator.ShardedQueryService` is a subclass that
-replaces only ``_plan_and_execute`` (and widens ``_epoch_snapshot`` and
-``invalidate_table`` to its shard catalogs); single-node serving is that
-pipeline with the default step.
+(snapshot epochs, run, publish).  Each template's plan-cache entry is its
+one home: it carries the lock that serializes the template's validation and
+(re)planning along with the plan, and ``_plan_for`` charges the stage times
+straight to the request's :class:`~repro.service.tracing.RequestTrace`.
+The sharded :class:`~repro.service.coordinator.ShardedQueryService` is a
+subclass that replaces only ``_plan_and_execute`` (and widens
+``_epoch_snapshot`` and ``invalidate_table`` to its shard catalogs);
+single-node serving is that pipeline with the default step.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple, TypeVar, Union
 
 from repro.clock import monotonic_s
@@ -66,7 +69,7 @@ from repro.relalg import Relation, TaskScheduler
 from repro.reopt.algorithm import ReoptimizationSettings, Reoptimizer
 from repro.service.admission import AdmissionController, AdmissionStats, BackpressureError
 from repro.service.cache import PlanCacheEntry, ResultCache, ResultCacheStats, max_drift
-from repro.service.templates import PreparedStatement, StatementRegistry
+from repro.service.templates import PreparedStatement, prepare_statement
 from repro.service.tracing import RequestTrace
 from repro.sql.ast import Bindings, Query
 from repro.storage.catalog import Database
@@ -79,6 +82,16 @@ __all__ = [
 ]
 
 _ServiceT = TypeVar("_ServiceT", bound="QueryService")
+
+
+@dataclass
+class _Flight:
+    """An in-flight execution identical requests coalesce onto: the leader
+    sets ``done`` when it finishes, its result in ``execution`` (``None``
+    when it failed)."""
+
+    done: threading.Event = field(default_factory=threading.Event)
+    execution: Optional[ExecutionResult] = None
 
 
 @dataclass(frozen=True)
@@ -104,8 +117,6 @@ class ServiceSettings:
     #: long-lived server fed ad-hoc constant-only SQL (one template per
     #: distinct literal set).
     plan_cache_entries: int = 128
-    #: Bound of the prepared-statement registry (LRU, re-prepared on miss).
-    statement_registry_entries: int = 1024
     #: Concurrent executions admitted at once.
     max_concurrent: int = 8
     #: Callers allowed to wait for a slot before load shedding kicks in.
@@ -143,10 +154,6 @@ class ServiceStats:
     #: Exact Γ entries merged in from sibling shards (sharded serving only;
     #: see :meth:`QueryService.apply_gamma_gossip`).
     gossip_entries: int = 0
-    #: Wall-clock seconds spent validating cached plans over samples.
-    validation_seconds: float = 0.0
-    #: Wall-clock seconds spent inside Algorithm 1 (fresh plans + replans).
-    planning_seconds: float = 0.0
 
 
 @dataclass
@@ -168,12 +175,9 @@ class ServiceResult:
     #: Largest deviation factor the validator observed (``None`` when no
     #: validation ran for this execution).
     drift: Optional[float] = None
-    validation_seconds: float = 0.0
-    planning_seconds: float = 0.0
-    #: Total service-side latency (admission wait included).
-    wall_seconds: float = 0.0
     #: Per-stage latency accounting of this request (queue wait, validation,
-    #: planning, execution, merge) on the shared monotonic clock.
+    #: planning, execution, merge) on the shared monotonic clock;
+    #: ``trace.total_s`` is its service-side wall time.
     trace: Optional[RequestTrace] = None
 
     @property
@@ -217,10 +221,6 @@ class QueryService:
                 ratio=self.reopt_settings.sampling_ratio,
                 seed=self.reopt_settings.sampling_seed,
             )
-        self.statements = StatementRegistry(
-            max_entries=self.settings.statement_registry_entries
-        )
-        self._samples_lock = threading.Lock()
         self.result_cache = ResultCache(max_entries=self.settings.result_cache_entries)
         self.admission = AdmissionController(
             max_concurrent=self.settings.max_concurrent,
@@ -230,16 +230,14 @@ class QueryService:
         self._stats_lock = threading.Lock()
         #: Template fingerprint → cached plan entry, LRU-bounded by
         #: ``settings.plan_cache_entries``.  Guarded by ``_plan_cache_guard``
-        #: for structure; per-template *work* (validation, replanning) is
-        #: serialized by the `_template_locks` map instead, so distinct
-        #: templates plan concurrently.
+        #: for structure; per-template *work* (validation, replanning) runs
+        #: under the entry's own lock, so distinct templates plan
+        #: concurrently.
         self._plan_cache: "OrderedDict[Tuple, PlanCacheEntry]" = OrderedDict()
         self._plan_cache_guard = threading.Lock()
-        self._template_locks: Dict[Tuple, threading.Lock] = {}
-        self._template_locks_guard = threading.Lock()
-        #: Singleflight: result-cache key → event the in-flight leader sets
-        #: once the result is published.  Guarded by ``_in_flight_guard``.
-        self._in_flight: Dict[Tuple, threading.Event] = {}
+        #: Singleflight: result-cache key → the in-flight leader's flight.
+        #: Guarded by ``_in_flight_guard``.
+        self._in_flight: Dict[Tuple, _Flight] = {}
         self._in_flight_guard = threading.Lock()
         self._closed = False
 
@@ -262,8 +260,12 @@ class QueryService:
     def prepare(
         self, statement: Union[str, Query, PreparedStatement], name: Optional[str] = None
     ) -> PreparedStatement:
-        """Normalize and register a prepared statement (idempotent)."""
-        return self.statements.register(statement, name=name)
+        """Normalize ``statement`` into a fingerprinted template.
+
+        Every cache keys on the template fingerprint, so two spellings of
+        one statement share their plan and result lines.
+        """
+        return prepare_statement(statement, name=name)
 
     def execute(
         self,
@@ -306,16 +308,11 @@ class QueryService:
             with self._stats_lock:
                 self.stats.rejected += 1
             raise
-        result.wall_seconds = monotonic_s() - started
         trace.source = result.source
-        trace.validation_s = result.validation_seconds
-        trace.planning_s = result.planning_seconds
-        trace.total_s = result.wall_seconds
+        trace.total_s = monotonic_s() - started
         result.trace = trace
         with self._stats_lock:
             self.stats.queries += 1
-            self.stats.validation_seconds += result.validation_seconds
-            self.stats.planning_seconds += result.planning_seconds
         return result
 
     def invalidate_table(self, table: str) -> int:
@@ -340,8 +337,9 @@ class QueryService:
         return self.result_cache.stats
 
     def plan_cache_size(self) -> int:
+        """Templates holding a plan (a failed planning leaves a plan-less entry)."""
         with self._plan_cache_guard:
-            return len(self._plan_cache)
+            return sum(entry.plan is not None for entry in self._plan_cache.values())
 
     def apply_gamma_gossip(self, fingerprint: Tuple, gossip: Gamma) -> int:
         """Merge sibling shards' exact Γ observations into a cached template.
@@ -358,9 +356,12 @@ class QueryService:
         order.  Returns the number of entries applied (0 when the template
         has no cached plan on this shard).
         """
-        with self._template_lock(fingerprint):
-            entry = self._plan_cache_get(fingerprint)
-            if entry is None:
+        with self._plan_cache_guard:
+            entry = self._plan_cache.get(fingerprint)
+        if entry is None:
+            return 0
+        with entry.lock:
+            if entry.plan is None:
                 return 0
             applied = 0
             for join_set in sorted(gossip.exact_join_sets(), key=sorted):
@@ -402,8 +403,8 @@ class QueryService:
         answered from the cache — or riding on an identical in-flight
         execution — consumes no execution slot at all.  Coalescing is what
         keeps a thundering herd of identical requests at one execution: the
-        first becomes the leader, the rest wait on its event and read the
-        published result; if the leader fails — planning/execution error,
+        first becomes the leader, the rest wait on its flight and read the
+        result it carries; if the leader fails — planning/execution error,
         shed by admission, anything — its ``finally`` always deregisters the
         flight and releases the followers, each of which retries from the
         top (and one becomes the next leader).  A follower is never
@@ -426,11 +427,10 @@ class QueryService:
                 return self._cached_result(prepared, bound, cached, "result_cache")
 
             with self._in_flight_guard:
-                event = self._in_flight.get(cache_key)
-                leader = event is None
-                if leader:
-                    event = threading.Event()
-                    self._in_flight[cache_key] = event
+                flight = self._in_flight.get(cache_key)
+                leader = flight is None
+                if flight is None:
+                    flight = self._in_flight[cache_key] = _Flight()
             if leader:
                 # Nothing may run between registering the flight and this
                 # try: the finally below is the *only* thing standing
@@ -440,18 +440,20 @@ class QueryService:
                         client, timeout=self.settings.admission_timeout
                     ) as queue_wait:
                         trace.queue_wait_s += queue_wait
-                        return self._serve(prepared, bound, binding, trace)
+                        result = self._serve(prepared, bound, binding, trace)
+                    flight.execution = result.execution
+                    return result
                 finally:
                     with self._in_flight_guard:
                         self._in_flight.pop(cache_key, None)
-                    event.set()
+                    flight.done.set()
 
             # Follower: ride on the leader's in-flight execution.  The
             # admission_timeout cap applies to coalesced waiters too: a
             # leader stuck in a long queue must not hold its followers past
             # the latency bound they were configured with.
             wait_started = monotonic_s()
-            released = event.wait(timeout=self.settings.admission_timeout)
+            released = flight.done.wait(timeout=self.settings.admission_timeout)
             waited = monotonic_s() - wait_started
             if not released:
                 # waited_s travels on the error; execute() charges it to the
@@ -463,29 +465,11 @@ class QueryService:
                     waited_s=waited,
                 )
             trace.queue_wait_s += waited
-            cached = self.result_cache.get(cache_key)
-            if cached is not None:
+            if flight.execution is not None:
                 with self._stats_lock:
                     self.stats.coalesced += 1
-                return self._cached_result(prepared, bound, cached, "coalesced")
-            continue  # leader failed or epochs moved: retry from the top
-
-    def _ensure_samples(self) -> None:
-        """Recreate sample tables if a catalog change dropped them.
-
-        ``create_table(replace=True)`` invalidates ``db.samples`` (they
-        described the old rows); the validation path runs *before* any
-        ``Reoptimizer`` (which recreates them lazily), so the service must
-        restore samples itself or every cached template would fail with
-        ``SamplingError`` after a data change.
-        """
-        if self.db.samples is None:
-            with self._samples_lock:
-                if self.db.samples is None:
-                    self.db.create_samples(
-                        ratio=self.reopt_settings.sampling_ratio,
-                        seed=self.reopt_settings.sampling_seed,
-                    )
+                return self._cached_result(prepared, bound, flight.execution, "coalesced")
+            # The leader failed: retry from the top (one follower leads).
 
     def _epoch_snapshot(self, prepared: PreparedStatement) -> Tuple[Tuple[str, int], ...]:
         """``(table, epoch)`` pairs stamping ``prepared``'s result-cache keys."""
@@ -496,10 +480,9 @@ class QueryService:
         prepared: PreparedStatement,
         bound: Query,
         binding: Tuple,
-        trace: Optional[RequestTrace] = None,
+        trace: RequestTrace,
     ) -> ServiceResult:
         """Run one admitted request and publish its result."""
-        self._ensure_samples()
         # Snapshot the epochs *before* executing: the result is published
         # under the data version it started from, so a concurrent epoch bump
         # can never stamp stale rows with the new version.
@@ -512,154 +495,85 @@ class QueryService:
         return result
 
     def _plan_and_execute(
-        self, prepared: PreparedStatement, bound: Query, trace: Optional[RequestTrace]
+        self, prepared: PreparedStatement, bound: Query, trace: RequestTrace
     ) -> ServiceResult:
         """Plan (through the guarded cache) and execute one admitted request.
 
         The one step a :class:`~repro.service.coordinator.ShardedQueryService`
         replaces; everything around it is shared.
         """
-        plan, source, drift, validation_seconds, planning_seconds = self._plan_for(
-            prepared, bound
-        )
+        plan, source, drift = self._plan_for(prepared, bound, trace)
         execution = self._execute_plan(plan, bound, trace=trace)
-        return ServiceResult(
-            statement=prepared,
-            query=bound,
-            execution=execution,
-            plan=plan,
-            source=source,
-            drift=drift,
-            validation_seconds=validation_seconds,
-            planning_seconds=planning_seconds,
-        )
+        return ServiceResult(prepared, bound, execution, plan, source, drift)
 
     # ------------------------------------------------------------------ #
     # Layer 2: the sampling-validated plan cache
     # ------------------------------------------------------------------ #
-    def _template_lock(self, fingerprint: Tuple) -> threading.Lock:
-        with self._template_locks_guard:
-            lock = self._template_locks.get(fingerprint)
-            if lock is None:
-                lock = threading.Lock()
-                self._template_locks[fingerprint] = lock
-            needs_prune = len(self._template_locks) > 2 * max(
-                1, self.settings.plan_cache_entries
-            )
-        if needs_prune:
-            # Templates whose planning *failed* never reach _plan_cache_put,
-            # so eviction-based cleanup misses their locks; sweep locks with
-            # no cache entry here.  The guards are taken sequentially (never
-            # nested) to keep a single lock order with _plan_cache_put.
-            with self._plan_cache_guard:
-                cached = set(self._plan_cache)
-            with self._template_locks_guard:
-                stale = [
-                    fp
-                    for fp, stale_lock in self._template_locks.items()
-                    if fp not in cached and fp != fingerprint and not stale_lock.locked()
-                ]
-                for fp in stale:
-                    del self._template_locks[fp]
-        return lock
+    def _plan_entry(self, fingerprint: Tuple) -> PlanCacheEntry:
+        """``fingerprint``'s plan-cache entry, inserted empty on a miss.
 
-    def _plan_cache_get(self, fingerprint: Tuple) -> Optional[PlanCacheEntry]:
+        Inserting evicts the least recently used entries beyond
+        ``settings.plan_cache_entries``; a thread still working under an
+        evicted entry's lock simply finishes, and the template is planned
+        afresh on its next execution.  With ``use_plan_cache`` off every
+        request plans on a throwaway entry.
+        """
+        if not self.settings.use_plan_cache:
+            return PlanCacheEntry()
         with self._plan_cache_guard:
             entry = self._plan_cache.get(fingerprint)
             if entry is not None:
                 self._plan_cache.move_to_end(fingerprint)
+                return entry
+            entry = self._plan_cache[fingerprint] = PlanCacheEntry()
+            while len(self._plan_cache) > max(1, self.settings.plan_cache_entries):
+                self._plan_cache.popitem(last=False)
             return entry
 
-    def _plan_cache_put(self, fingerprint: Tuple, entry: PlanCacheEntry) -> None:
-        evicted = []
-        with self._plan_cache_guard:
-            self._plan_cache[fingerprint] = entry
-            self._plan_cache.move_to_end(fingerprint)
-            while len(self._plan_cache) > max(1, self.settings.plan_cache_entries):
-                evicted_fp, _ = self._plan_cache.popitem(last=False)
-                evicted.append(evicted_fp)
-        if evicted:
-            # Drop the evicted templates' locks too, or the lock map would
-            # grow unbounded with the (evicted) fingerprints.  A thread
-            # currently holding such a lock simply finishes; the template is
-            # re-planned under a fresh lock on its next execution.
-            with self._template_locks_guard:
-                for evicted_fp in evicted:
-                    self._template_locks.pop(evicted_fp, None)
-
     def _plan_for(
-        self, prepared: PreparedStatement, bound: Query
-    ) -> Tuple[PlanNode, str, Optional[float], float, float]:
-        """Return ``(plan, source, drift, validation_seconds, planning_seconds)``."""
-        if not self.settings.use_plan_cache:
-            planning_started = monotonic_s()
-            result = self._reoptimizer.reoptimize(bound)
-            planning_seconds = monotonic_s() - planning_started
-            with self._stats_lock:
-                self.stats.fresh_plans += 1
-            return result.final_plan, "fresh", None, 0.0, planning_seconds
+        self, prepared: PreparedStatement, bound: Query, trace: RequestTrace
+    ) -> Tuple[PlanNode, str, Optional[float]]:
+        """Return ``(plan, source, drift)`` for ``bound``.
 
-        with self._template_lock(prepared.fingerprint):
-            entry = self._plan_cache_get(prepared.fingerprint)
-            if entry is None:
-                planning_started = monotonic_s()
-                result = self._reoptimizer.reoptimize(bound)
-                planning_seconds = monotonic_s() - planning_started
-                self._plan_cache_put(
-                    prepared.fingerprint,
-                    PlanCacheEntry(
-                        plan=result.final_plan,
-                        expectations=dict(result.gamma.items()),
-                    ),
-                )
+        Validation and planning seconds are added to ``trace``.
+        """
+        entry = self._plan_entry(prepared.fingerprint)
+        with entry.lock:
+            gamma: Optional[Gamma] = None
+            drift: Optional[float] = None
+            if entry.plan is not None:
                 with self._stats_lock:
-                    self.stats.fresh_plans += 1
-                return result.final_plan, "fresh", None, 0.0, planning_seconds
+                    self.stats.plan_cache_hits += 1
+                # The paper's validator as a plan-cache guard: run the cached
+                # plan, rebound to the *new* constants, over the samples and
+                # compare its Δ with the Γ expectations it was chosen under.
+                rebound = rebind_plan(entry.plan, bound)
+                validation = validate_plan_for_bindings(self.db, bound, rebound)
+                trace.validation_s += validation.elapsed_seconds
+                drift = max_drift(entry.expectations, validation.cardinalities)
+                if drift <= self.settings.drift_threshold:
+                    with self._stats_lock:
+                        self.stats.validated_reuses += 1
+                    return rebound, "validated_reuse", drift
+                # Drift: re-plan through Algorithm 1 from scratch, warm-started
+                # with sibling-shard exact observations first and the fresh Δ
+                # second: a sampled value never downgrades an exact one, and
+                # join sets only the gossip covers still seed the replan.
+                gamma = Gamma()
+                gamma.merge(entry.gossip)
+                gamma.merge(validation.cardinalities)
 
-            with self._stats_lock:
-                self.stats.plan_cache_hits += 1
-
-            # The paper's validator as a plan-cache guard: sample the cached
-            # plan's join sets under the *new* bindings and compare with the
-            # Γ expectations the plan was chosen under.  The plan itself is
-            # *rebound* first — its scans must filter on the new constants
-            # (the shape is cached, the literals are per-execution).
-            rebound = rebind_plan(entry.plan, bound)
-            validation = validate_plan_for_bindings(self.db, bound, rebound)
-            entry.validations += 1
-            drift = max_drift(entry.expectations, validation.cardinalities)
-            if drift <= self.settings.drift_threshold:
-                entry.reuses += 1
-                with self._stats_lock:
-                    self.stats.validated_reuses += 1
-                return rebound, "validated_reuse", drift, validation.elapsed_seconds, 0.0
-
-            # Drift: the cached plan's cardinality assumptions no longer hold
-            # for these bindings.  Re-plan through Algorithm 1 from scratch,
-            # warm-started with the Δ just sampled (those join sets are
-            # already validated).
-            entry.rejections += 1
             planning_started = monotonic_s()
-            gamma = Gamma()
-            # Sibling-shard exact observations first, the fresh Δ second:
-            # exact provenance survives the sampled merge (a sampled value
-            # never downgrades an exact one), and join sets only the gossip
-            # covers still seed the replan.
-            gamma.merge(entry.gossip)
-            gamma.merge(validation.cardinalities)
             result = self._reoptimizer.reoptimize(bound, gamma=gamma)
-            planning_seconds = monotonic_s() - planning_started
+            trace.planning_s += monotonic_s() - planning_started
             entry.plan = result.final_plan
             entry.expectations = dict(result.gamma.items())
             with self._stats_lock:
-                self.stats.drift_replans += 1
-            return (
-                result.final_plan,
-                "replan",
-                drift,
-                validation.elapsed_seconds,
-                planning_seconds,
-            )
+                if gamma is None:
+                    self.stats.fresh_plans += 1
+                else:
+                    self.stats.drift_replans += 1
+            return result.final_plan, "fresh" if gamma is None else "replan", drift
 
     # ------------------------------------------------------------------ #
     # Plan-independent deterministic execution

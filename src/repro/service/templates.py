@@ -15,8 +15,6 @@ result cache uses.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
@@ -78,38 +76,3 @@ def prepare_statement(
         fingerprint=template_fingerprint(query),
     )
 
-
-class StatementRegistry:
-    """Thread-safe, bounded registry deduplicating templates by fingerprint.
-
-    Preparing the same statement twice (any client, any spelling) returns
-    the *first* registration, so every per-template cache keyed off the
-    registry sees one line per distinct template.  The registry is an LRU
-    bounded by ``max_entries``: ad-hoc constant-only SQL creates one
-    template per distinct literal set, and a long-lived server must not
-    accumulate those forever (an evicted template is simply re-prepared on
-    its next use).
-    """
-
-    def __init__(self, max_entries: int = 1024) -> None:
-        self.max_entries = max(1, int(max_entries))
-        self._lock = threading.Lock()
-        self._by_fingerprint: "OrderedDict" = OrderedDict()
-
-    def register(
-        self, statement: Union[str, Query, PreparedStatement], name: Optional[str] = None
-    ) -> PreparedStatement:
-        prepared = prepare_statement(statement, name=name)
-        with self._lock:
-            existing = self._by_fingerprint.get(prepared.fingerprint)
-            if existing is not None:
-                self._by_fingerprint.move_to_end(prepared.fingerprint)
-                return existing
-            self._by_fingerprint[prepared.fingerprint] = prepared
-            while len(self._by_fingerprint) > self.max_entries:
-                self._by_fingerprint.popitem(last=False)
-            return prepared
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._by_fingerprint)

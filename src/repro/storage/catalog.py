@@ -54,7 +54,12 @@ class Database:
     # Tables
     # ------------------------------------------------------------------ #
     def create_table(self, table: Table, replace: bool = False) -> Table:
-        """Register ``table`` in the catalog and return it."""
+        """Register ``table`` in the catalog and return it.
+
+        Once samples exist, the table is sampled into them right away, so a
+        table created (or replaced) after :meth:`create_samples` has the
+        sample a full rebuild would draw.
+        """
         if table.name in self._tables and not replace:
             raise CatalogError(f"table {table.name!r} already exists in database {self.name!r}")
         self._tables[table.name] = table
@@ -64,8 +69,8 @@ class Database:
             self.statistics.pop(table.name, None)
             for key in [k for k in self._indexes if k[0] == table.name]:
                 del self._indexes[key]
-            if self.samples is not None and table.name in self.samples.samples:
-                self.samples = None
+        if self.samples is not None:
+            self.samples.add(table.name, table)
         return table
 
     def drop_table(self, name: str) -> None:

@@ -110,6 +110,9 @@ class SampleSet:
     samples: Dict[str, Table] = field(default_factory=dict)
     base_row_counts: Dict[str, int] = field(default_factory=dict)
     min_rows: int = DEFAULT_MIN_SAMPLE_ROWS
+    #: Base seed every table's generator derives from (``None``: unseeded).
+    seed: Optional[int] = None
+    method: str = "bernoulli"
 
     @classmethod
     def build(
@@ -120,19 +123,24 @@ class SampleSet:
         method: str = "bernoulli",
         min_rows: int = DEFAULT_MIN_SAMPLE_ROWS,
     ) -> "SampleSet":
-        """Sample every table in ``tables`` with a shared ratio and seed.
-
-        Each table's generator is seeded from ``(seed, table_name)``, so a
-        table's sample is stable under additions/removals of other tables.
-        """
-        sample_set = cls(ratio=ratio, min_rows=min_rows)
+        """Sample every table in ``tables`` with a shared ratio and seed."""
+        sample_set = cls(ratio=ratio, min_rows=min_rows, seed=seed, method=method)
         for name, table in sorted(tables.items()):
-            per_table_seed = None if seed is None else table_seed(seed, name)
-            sample_set.samples[name] = sample_table(
-                table, ratio, per_table_seed, method, min_rows=min_rows
-            )
-            sample_set.base_row_counts[name] = table.num_rows
+            sample_set.add(name, table)
         return sample_set
+
+    def add(self, name: str, table: Table) -> None:
+        """Sample ``table`` under ``name``, replacing any earlier sample.
+
+        The table's generator is seeded from ``(seed, name)`` alone, so the
+        sample equals the one :meth:`build` draws over any catalog holding
+        the table, whatever other tables are added or removed.
+        """
+        per_table_seed = None if self.seed is None else table_seed(self.seed, name)
+        self.samples[name] = sample_table(
+            table, self.ratio, per_table_seed, self.method, min_rows=self.min_rows
+        )
+        self.base_row_counts[name] = table.num_rows
 
     def sample_for(self, table_name: str) -> Table:
         """Return the sample of ``table_name``.

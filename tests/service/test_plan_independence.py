@@ -149,7 +149,7 @@ class TestByteIdenticalUnderEveryPlan:
                     plan = plans[query.name][(start + shard_id) % len(plans[query.name])]
                     monkeypatch.setattr(
                         shard, "_plan_for",
-                        lambda prepared, bound, plan=plan: (plan, "fresh", None, 0.0, 0.0),
+                        lambda prepared, bound, trace, plan=plan: (plan, "fresh", None),
                     )
                 result = service.execute(query)
                 assert result.source == "scatter_gather"

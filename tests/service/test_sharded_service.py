@@ -471,7 +471,7 @@ class TestGammaGossip:
             prepared = service.prepare(SQL_PARTIAL)
             for shard in service.shards:
                 assert shard.stats.gossip_entries > 0
-                entry = shard._plan_cache_get(prepared.fingerprint)
+                entry = shard._plan_cache[prepared.fingerprint]
                 assert entry is not None
                 exact = entry.gossip.exact_join_sets()
                 assert exact, "no exact Γ entries reached the sibling's cache"
@@ -485,13 +485,13 @@ class TestGammaGossip:
             service.execute(SQL_PARTIAL, [30])
             prepared = service.prepare(SQL_PARTIAL)
             shard = service.shards[0]
-            entry = shard._plan_cache_get(prepared.fingerprint)
+            entry = shard._plan_cache[prepared.fingerprint]
             gossiped = dict(entry.gossip.items())
             assert gossiped
             # Force a drift rejection on the next execution of the template.
             shard.settings = dataclasses.replace(shard.settings, drift_threshold=0.0)
             result = shard.execute(SQL_PARTIAL, [18])
             assert result.source == "replan"
-            refreshed = shard._plan_cache_get(prepared.fingerprint)
+            refreshed = shard._plan_cache[prepared.fingerprint]
             for join_set in sorted(gossiped, key=sorted):
                 assert join_set in refreshed.gossip.exact_join_sets()

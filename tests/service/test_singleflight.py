@@ -107,9 +107,16 @@ def _park_leader(service):
 
 
 class TestCoalescing:
-    def test_followers_ride_the_leaders_flight(self, make_service):
+    @pytest.mark.parametrize(
+        "settings",
+        [ServiceSettings(result_cache_entries=256), ServiceSettings(result_cache_entries=0)],
+        ids=["cached", "no_cache_lines"],
+    )
+    def test_followers_ride_the_leaders_flight(self, make_service, settings):
+        """Followers read the leader's result off its flight, so they never
+        re-execute, even when the result cache keeps no line for it."""
         factory, executed_source = make_service
-        with factory() as service:
+        with factory(settings=settings) as service:
             prepared = service.prepare(ott_template())
             leader_entered, release_leader = _park_leader(service)
             results, errors = [], []

@@ -1,13 +1,12 @@
-"""Prepared-statement templates and the statement registry."""
+"""Prepared-statement templates."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import ParseError
-from repro.service.templates import StatementRegistry, prepare_statement
+from repro.service.templates import prepare_statement
 from repro.sql.builder import QueryBuilder
-from repro.sql.parser import parse_query
 
 
 def _builder_template(name="tpl"):
@@ -49,35 +48,3 @@ class TestPreparedStatement:
         assert prepared.binding_key(["HIGH"]) != prepared.binding_key(["LOW"])
         assert prepared.binding_key(["HIGH"]) == prepared.binding_key(["HIGH"])
 
-
-class TestStatementRegistry:
-    def test_registry_deduplicates_by_fingerprint(self):
-        registry = StatementRegistry()
-        first = registry.register(_builder_template("a"))
-        second = registry.register(_builder_template("b"))
-        assert first is second
-        assert len(registry) == 1
-
-    def test_sql_and_builder_share_a_line(self):
-        registry = StatementRegistry()
-        built = registry.register(_builder_template())
-        parsed = registry.register(
-            parse_query(
-                "SELECT count(*) AS n FROM orders o, items i "
-                "WHERE o.o_id = i.i_order AND o.o_priority = ?"
-            )
-        )
-        assert built is parsed
-
-    def test_distinct_templates_get_distinct_lines(self):
-        registry = StatementRegistry()
-        registry.register(_builder_template())
-        other = (
-            QueryBuilder("other")
-            .table("orders", "o")
-            .filter_param("o", "o_priority", "=")
-            .aggregate("count", output_name="n")
-            .build()
-        )
-        registry.register(other)
-        assert len(registry) == 2

@@ -112,6 +112,16 @@ class TestTemplateFingerprint:
         )
         assert template_fingerprint(parsed) == template_fingerprint(built)
 
+    def test_distinct_shapes_get_distinct_templates(self):
+        single = parse_query("SELECT count(*) AS n FROM orders o WHERE o.o_customer = ?")
+        joined = parse_query(
+            "SELECT count(*) AS n FROM orders o, items i "
+            "WHERE o.o_id = i.i_order AND o.o_customer = ?"
+        )
+        other_column = parse_query("SELECT count(*) AS n FROM orders o WHERE o.o_id = ?")
+        fingerprints = {template_fingerprint(q) for q in (single, joined, other_column)}
+        assert len(fingerprints) == 3
+
     def test_parameter_slot_differs_from_constant(self):
         parameterized = parse_query("SELECT count(*) AS n FROM orders o WHERE o.o_customer = ?")
         constant = parse_query("SELECT count(*) AS n FROM orders o WHERE o.o_customer = 5")

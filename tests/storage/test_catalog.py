@@ -3,9 +3,14 @@
 import numpy as np
 import pytest
 
+from repro import Executor, reoptimize
 from repro.errors import CatalogError, StatisticsError
+from repro.service import QueryService
+from repro.sql.parser import parse_query
 from repro.storage.catalog import Database
+from repro.storage.sampling import SampleSet
 from repro.storage.table import Column, Table, TableSchema
+from repro.workloads.ott import generate_ott_database
 
 
 @pytest.fixture
@@ -43,7 +48,9 @@ class TestTables:
         db.create_table(make_table(rows=50), replace=True)
         assert not db.has_index("t", "a")
         assert "t" not in db.statistics
-        assert db.samples is None
+        # The samples stay, with the replaced table re-sampled in place.
+        assert db.samples.base_row_counts["t"] == 50
+        assert db.samples.samples["t"].num_rows == 50  # under min_rows: all rows
 
     def test_drop_table(self, make_table):
         db = Database()
@@ -106,3 +113,54 @@ class TestStatisticsAndSamples:
         )
         assert table.num_rows == 3
         assert db.has_table("x")
+
+
+class TestTableCreatedAfterSampling:
+    """A table created after ``create_samples`` is sampled on creation."""
+
+    @pytest.fixture
+    def db(self, make_rng):
+        db = generate_ott_database(
+            num_tables=2, rows_per_table=600, rows_per_value=30, seed=3, sampling_ratio=0.3
+        )
+        rng = make_rng()
+        schema = TableSchema("extra", (Column("a", "int"), Column("b", "int")))
+        db.create_table(
+            Table(schema, {"a": rng.integers(0, 20, 500), "b": rng.integers(0, 20, 500)})
+        )
+        db.analyze(["extra"])
+        return db
+
+    QUERY = "SELECT count(*) AS n FROM r1, extra WHERE r1.b = extra.b AND r1.a = 0"
+
+    def _truth(self, db):
+        r1_b = db.table("r1").column("b")[db.table("r1").column("a") == 0]
+        extra_b = db.table("extra").column("b")
+        return int(sum(np.count_nonzero(extra_b == value) for value in r1_b))
+
+    def test_sample_equals_a_full_rebuild(self, db):
+        samples = db.samples
+        rebuilt = SampleSet.build(
+            db.tables(), ratio=samples.ratio, seed=samples.seed,
+            method=samples.method, min_rows=samples.min_rows,
+        )
+        assert sorted(samples.samples) == sorted(rebuilt.samples) == db.table_names()
+        assert samples.base_row_counts == rebuilt.base_row_counts
+        for name in db.table_names():
+            for column in db.table(name).column_names:
+                assert np.array_equal(
+                    samples.sample_for(name).column(column),
+                    rebuilt.sample_for(name).column(column),
+                ), (name, column)
+        assert 0 < samples.sample_for("extra").num_rows < 500
+
+    def test_join_on_it_reoptimizes(self, db):
+        query = parse_query(self.QUERY)
+        result = reoptimize(db, query)
+        executed = Executor(db).execute_plan(result.final_plan, query)
+        assert int(executed.columns["n"][0]) == self._truth(db)
+
+    def test_join_on_it_is_served(self, db):
+        with QueryService(db) as service:
+            served = service.execute(self.QUERY)
+        assert int(served.columns["n"][0]) == self._truth(db)
