@@ -1,16 +1,12 @@
 """The query service layer: prepared statements served through a
-sampling-validated plan cache, an epoch-stamped result cache and client-fair
-admission control (see :mod:`repro.service.service`), plus the sharded
+sampling-validated plan cache, an epoch-stamped result cache and a FIFO
+admission gate (see :mod:`repro.service.service`), plus the sharded
 scatter-gather coordinator over hash-partitioned catalog slices
 (:mod:`repro.service.coordinator`, :mod:`repro.service.sharding`)."""
 
 from __future__ import annotations
 
-from repro.service.admission import (
-    AdmissionController,
-    AdmissionStats,
-    BackpressureError,
-)
+from repro.service.admission import AdmissionController, BackpressureError
 from repro.service.cache import (
     PlanCacheEntry,
     ResultCache,
@@ -47,7 +43,6 @@ __all__ = [
     "STAGE_FIELDS",
     "RequestTrace",
     "AdmissionController",
-    "AdmissionStats",
     "BackpressureError",
     "PlanCacheEntry",
     "PreparedStatement",

@@ -17,7 +17,7 @@ layers, outermost first:
    expectations the plan was chosen under, the plan is reused at zero
    planning cost; otherwise the template is re-planned through
    Algorithm 1 from scratch, warm-started with the fresh Δ.
-3. **Admission control** — a bounded, client-fair gate
+3. **Admission control** — a bounded FIFO gate
    (:class:`~repro.service.admission.AdmissionController`) in front of
    execution, shedding load with
    :class:`~repro.service.admission.BackpressureError` instead of queueing
@@ -67,7 +67,7 @@ from repro.plans.join_tree import rebind_plan
 from repro.plans.nodes import PlanNode
 from repro.relalg import Relation, TaskScheduler
 from repro.reopt.algorithm import ReoptimizationSettings, Reoptimizer
-from repro.service.admission import AdmissionController, AdmissionStats, BackpressureError
+from repro.service.admission import AdmissionController, BackpressureError
 from repro.service.cache import PlanCacheEntry, ResultCache, ResultCacheStats, max_drift
 from repro.service.templates import PreparedStatement, prepare_statement
 from repro.service.tracing import RequestTrace
@@ -148,9 +148,12 @@ class ServiceStats:
     drift_replans: int = 0
     #: Executions that planned their template from scratch (first binding).
     fresh_plans: int = 0
-    #: Requests rejected with ``BackpressureError``: shed or timed out at
-    #: the admission gate, or timed out waiting on a coalesced flight.
-    rejected: int = 0
+    #: Requests rejected because the admission queue was full (load
+    #: shedding).
+    shed: int = 0
+    #: Requests rejected because their deadline expired while waiting for a
+    #: slot or for a coalesced flight (a latency failure, not shedding).
+    timed_out: int = 0
     #: Exact Γ entries merged in from sibling shards (sharded serving only;
     #: see :meth:`QueryService.apply_gamma_gossip`).
     gossip_entries: int = 0
@@ -300,13 +303,16 @@ class QueryService:
         bound = prepared.bind(params)
         binding = prepared.binding_key(params)
         try:
-            result = self._serve_coalesced(prepared, bound, binding, client, trace)
+            result = self._serve_coalesced(prepared, bound, binding, trace)
         except BackpressureError as error:
-            trace.outcome = error.kind if error.kind in ("shed", "timeout") else "shed"
+            trace.outcome = "timeout" if error.kind == "timeout" else "shed"
             trace.queue_wait_s += error.waited_s
             trace.total_s = monotonic_s() - started
             with self._stats_lock:
-                self.stats.rejected += 1
+                if trace.outcome == "timeout":
+                    self.stats.timed_out += 1
+                else:
+                    self.stats.shed += 1
             raise
         trace.source = result.source
         trace.total_s = monotonic_s() - started
@@ -324,14 +330,6 @@ class QueryService:
         """
         self.db.bump_table_epoch(table)
         return self.result_cache.invalidate_table(table)
-
-    def admission_stats(self) -> AdmissionStats:
-        """Backpressure counters (admitted/shed/timed-out/queue high-water).
-
-        Returns an independent snapshot safe to iterate while requests are
-        in flight.
-        """
-        return self.admission.stats_snapshot()
 
     def result_cache_stats(self) -> ResultCacheStats:
         return self.result_cache.stats
@@ -394,7 +392,6 @@ class QueryService:
         prepared: PreparedStatement,
         bound: Query,
         binding: Tuple,
-        client: str,
         trace: RequestTrace,
     ) -> ServiceResult:
         """Result cache → singleflight coalescing → admission → execution.
@@ -411,9 +408,7 @@ class QueryService:
         stranded on a dead leader's event and never poisoned by its error.
         """
         if not self.settings.use_result_cache:
-            with self.admission.admit(
-                client, timeout=self.settings.admission_timeout
-            ) as queue_wait:
+            with self.admission.admit(self.settings.admission_timeout) as queue_wait:
                 trace.queue_wait_s += queue_wait
                 return self._serve(prepared, bound, binding, trace)
 
@@ -436,9 +431,7 @@ class QueryService:
                 # try: the finally below is the *only* thing standing
                 # between a crashed leader and stranded followers.
                 try:
-                    with self.admission.admit(
-                        client, timeout=self.settings.admission_timeout
-                    ) as queue_wait:
+                    with self.admission.admit(self.settings.admission_timeout) as queue_wait:
                         trace.queue_wait_s += queue_wait
                         result = self._serve(prepared, bound, binding, trace)
                     flight.execution = result.execution
@@ -459,7 +452,7 @@ class QueryService:
                 # waited_s travels on the error; execute() charges it to the
                 # trace's queue-wait stage exactly once.
                 raise BackpressureError(
-                    f"client {client!r} timed out waiting for a coalesced "
+                    f"client {trace.client!r} timed out waiting for a coalesced "
                     "in-flight execution",
                     kind="timeout",
                     waited_s=waited,

@@ -51,7 +51,8 @@ class RequestTrace:
     request has only ``queue_wait_s``.
     """
 
-    #: Client id the request was submitted under (admission fairness key).
+    #: Client id the request was submitted under; the load generator groups
+    #: requests by it.
     client: str = "default"
     #: Prepared-statement name (filled once the statement is normalized).
     template: str = ""

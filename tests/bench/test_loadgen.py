@@ -277,3 +277,27 @@ class TestRunLoad:
         shed_traces = [trace for trace in run.traces if trace.outcome == "shed"]
         assert len(shed_traces) == run.shed
         assert all(trace.total_s > 0 for trace in shed_traces)
+
+    def test_queued_requests_are_served(self, loadgen_db, loadgen_mix, monkeypatch):
+        """Four clients share one slot: requests wait in the admission queue
+        and are then served, none is rejected.  The admission deadline only
+        bounds the run: a gate that never grants fails the test instead of
+        hanging it."""
+        settings = ServiceSettings(
+            max_concurrent=1, max_queued=8, use_result_cache=False, admission_timeout=5.0
+        )
+        config = LoadgenConfig(num_requests=16, num_clients=4, seed=5)
+        with QueryService(loadgen_db, settings=settings) as service:
+            serve = service._serve
+
+            def slow_serve(*args, **kwargs):
+                threading.Event().wait(timeout=0.005)
+                return serve(*args, **kwargs)
+
+            monkeypatch.setattr(service, "_serve", slow_serve)
+            run = run_load(service, loadgen_mix, config)
+            assert service.admission.in_flight == 0
+        assert run.completed == config.num_requests
+        assert run.shed == run.timed_out == 0
+        assert any(trace.queue_wait_s > 0 for trace in run.traces)
+        assert all(trace.outcome == "ok" for trace in run.traces)

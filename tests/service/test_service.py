@@ -327,15 +327,28 @@ class TestEpochInvalidation:
 
 
 class TestBackpressureAndLifecycle:
-    def test_backpressure_counts_rejections(self, service_ott_db):
-        settings = ServiceSettings(max_concurrent=1, max_queued=0)
+    @pytest.mark.parametrize(
+        "max_queued, admission_timeout, kind, counted",
+        [(0, None, "shed", (1, 0)), (1, 0.02, "timeout", (0, 1))],
+        ids=["shed", "timeout"],
+    )
+    def test_backpressure_counts_rejections(
+        self, service_ott_db, max_queued, admission_timeout, kind, counted
+    ):
+        """A full queue is a shed, an expired admission deadline a timeout:
+        each rejection lands in exactly one of ``(stats.shed,
+        stats.timed_out)``."""
+        settings = ServiceSettings(
+            max_concurrent=1, max_queued=max_queued, admission_timeout=admission_timeout
+        )
         with QueryService(service_ott_db, settings=settings) as service:
-            service.admission.acquire("hog")  # occupy the only slot
-            with pytest.raises(BackpressureError):
+            service.admission.acquire()  # occupy the only slot
+            with pytest.raises(BackpressureError) as excinfo:
                 service.execute(ott_template(), [0, 0, 0], client="victim")
             service.admission.release()
-            assert service.stats.rejected == 1
-            assert service.admission_stats().shed == 1
+            assert excinfo.value.kind == kind
+            assert (service.stats.shed, service.stats.timed_out) == counted
+            assert service.stats.queries == 0
             ok = service.execute(ott_template(), [0, 0, 0], client="victim")
             assert ok.source == "fresh"
 
@@ -356,7 +369,8 @@ class TestBackpressureAndLifecycle:
             assert service.stats.queries == 0
             ok = service.execute(ott_template(), [0, 0, 0])
             assert ok.source == "fresh"
-            assert service.admission_stats().shed == 0
+            assert (service.stats.shed, service.stats.timed_out) == (0, 0)
+            assert service.admission.in_flight == 0
 
     def test_execute_after_close_raises(self, service_ott_db):
         service = QueryService(service_ott_db)

@@ -228,7 +228,7 @@ class TestServingLayers:
         never imported, so a shed scatter request surfaced as ``NameError``."""
         settings = ServiceSettings(max_concurrent=1, max_queued=4, admission_timeout=0.05)
         with ShardedQueryService(db, num_shards=2, settings=settings) as service:
-            service.admission.acquire("hog")  # occupy the only slot
+            service.admission.acquire()  # occupy the only slot
             trace = RequestTrace()
             with pytest.raises(BackpressureError) as excinfo:
                 service.execute(SQL_PARTIAL, [30], client="victim", trace=trace)
@@ -236,18 +236,17 @@ class TestServingLayers:
             assert excinfo.value.kind == "timeout"
             assert trace.outcome == "timeout"
             assert trace.queue_wait_s == excinfo.value.waited_s >= 0.05
-            assert service.stats.rejected == 1
+            assert (service.stats.shed, service.stats.timed_out) == (0, 1)
 
         settings = ServiceSettings(max_concurrent=1, max_queued=0)
         with ShardedQueryService(db, num_shards=2, settings=settings) as service:
-            service.admission.acquire("hog")
+            service.admission.acquire()
             trace = RequestTrace()
             with pytest.raises(BackpressureError):
                 service.execute(SQL_PARTIAL, [30], client="victim", trace=trace)
             service.admission.release()
             assert trace.outcome == "shed"
-            assert service.stats.rejected == 1
-            assert service.admission_stats().shed == 1
+            assert (service.stats.shed, service.stats.timed_out) == (1, 0)
             assert service.execute(SQL_PARTIAL, [30]).source == "scatter_partial"
 
     def test_scatter_execution_error_is_not_a_rejection(self, db, single, monkeypatch):
@@ -280,10 +279,12 @@ class TestServingLayers:
                 outcomes[role] = error
 
         with ShardedQueryService(db, num_shards=2) as service:
-            leader = threading.Thread(target=serve, args=("leader", service))
+            leader = threading.Thread(target=serve, args=("leader", service), daemon=True)
             leader.start()
             assert leader_in_shard.wait(timeout=120)
-            follower = threading.Thread(target=serve, args=("follower", service))
+            follower = threading.Thread(
+                target=serve, args=("follower", service), daemon=True
+            )
             follower.start()
             follower_started.set()
             for thread in (leader, follower):
@@ -292,7 +293,7 @@ class TestServingLayers:
             assert outcomes["leader"] is failure
             expected = single.execute(SQL_PARTIAL, [30]).execution
             assert_bit_identical(expected, outcomes["follower"].execution)
-            assert service.stats.rejected == 0
+            assert (service.stats.shed, service.stats.timed_out) == (0, 0)
             assert service._in_flight == {}
             assert service.admission.in_flight == 0
             again = service.execute(SQL_GATHER, [30])
@@ -326,7 +327,7 @@ class TestServingLayers:
             settings = ServiceSettings(use_result_cache=False)
             with ShardedQueryService(db, num_shards=2, settings=settings) as service:
                 threads = [
-                    threading.Thread(target=client, args=(index, service))
+                    threading.Thread(target=client, args=(index, service), daemon=True)
                     for index in range(clients)
                 ]
                 for thread in threads:
@@ -361,7 +362,7 @@ class TestServingLayers:
         try:
             with ShardedQueryService(db, num_shards=2) as service:
                 threads = [
-                    threading.Thread(target=client, args=(index, service))
+                    threading.Thread(target=client, args=(index, service), daemon=True)
                     for index in range(clients)
                 ]
                 for thread in threads:
@@ -377,7 +378,7 @@ class TestServingLayers:
         executed = stats.partial_merges + stats.gather_merges
         assert executed + stats.result_cache_hits + stats.coalesced == stats.queries
         assert executed == 10  # 5 distinct bindings of each of the 2 templates
-        assert stats.rejected == 0 and service._in_flight == {}
+        assert stats.shed == stats.timed_out == 0 and service._in_flight == {}
 
     def test_closed_coordinator_raises(self, db):
         service = ShardedQueryService(db, num_shards=2)
@@ -453,7 +454,7 @@ class TestInProcessScatter:
             assert [name for name, _ in calls] == [
                 f"{db.name}.shard{index}" for index in range(failing_shard + 1)
             ]
-            assert service.stats.rejected == 0
+            assert (service.stats.shed, service.stats.timed_out) == (0, 0)
             assert service._in_flight == {}
             assert service.admission.in_flight == 0
             monkeypatch.undo()

@@ -85,7 +85,7 @@ def _run_concurrently(service, prepared, count, results, errors, barrier=None):
         except Exception as error:  # noqa: BLE001 - collected for assertions
             errors.append(error)
 
-    threads = [threading.Thread(target=run) for _ in range(count)]
+    threads = [threading.Thread(target=run, daemon=True) for _ in range(count)]
     for thread in threads:
         thread.start()
     return threads
@@ -201,13 +201,13 @@ class TestCoalescing:
             sheds = []
             original_acquire = service.admission.acquire
 
-            def shedding_acquire(client="default", timeout=None):
+            def shedding_acquire(timeout=None):
                 if not sheds:
                     sheds.append(True)
                     leader_entered.set()
                     assert shed_leader.wait(timeout=10)
                     raise BackpressureError("synthetic shed", kind="shed")
-                return original_acquire(client, timeout=timeout)
+                return original_acquire(timeout=timeout)
 
             service.admission.acquire = shedding_acquire
             results, errors = [], []
@@ -227,8 +227,8 @@ class TestCoalescing:
             assert len(results) == 2
             assert service._in_flight == {}
             # The shed leader's trace-side accounting happened in execute():
-            # the service counted exactly one rejection.
-            assert service.stats.rejected == 1
+            # the service counted exactly one rejection, a shed.
+            assert (service.stats.shed, service.stats.timed_out) == (1, 0)
 
     def test_sequential_requests_do_not_coalesce(self, make_service):
         """Coalescing only merges *concurrent* identical requests."""
@@ -260,7 +260,8 @@ class TestCoalescing:
             assert excinfo.value.kind == "timeout"
             assert trace.outcome == "timeout"
             assert trace.queue_wait_s == excinfo.value.waited_s >= 0.05
-            assert service.stats.rejected == 1
+            # A coalesced follower's expired wait is a timeout, not a shed.
+            assert (service.stats.shed, service.stats.timed_out) == (0, 1)
             release_leader.set()
             for thread in leader_thread:
                 thread.join(timeout=10)

@@ -85,7 +85,7 @@ class TestServiceTracing:
         with QueryService(tracing_db, settings=settings) as service:
             prepared = service.prepare(ott_template())
             service.execute(prepared, [0, 0, 0])  # warm the plan cache
-            service.admission.acquire("holder")  # occupy the only slot
+            service.admission.acquire()  # occupy the only slot
             trace = RequestTrace()
             with pytest.raises(BackpressureError):
                 service.execute(prepared, [1, 1, 1], client="bob", trace=trace)
