@@ -14,19 +14,6 @@ cardinality in Γ (:class:`repro.cardinality.gamma.Gamma`), that value is used
 instead of the histogram estimate.  This is how the refined sampling-based
 estimates are "fed back" to the optimizer without changing its search
 algorithm.
-
-*Exact* Γ entries (true cardinalities executed shard fragments observed,
-delivered by the sharded coordinator's gossip)
-additionally **extrapolate**: the estimate of a superset of an exact join set
-is anchored at the observed value and expanded outward (remaining base
-cardinalities times the crossing join selectivities) instead of re-deriving
-the whole product from single-column statistics.  Without this, an observed
-explosion would correct only the one join set that was executed while every
-superset kept the original mis-estimate — and the re-planned search would
-walk back into the same trap one join later.  Sampled entries deliberately do
-not extrapolate: the paper feeds them back only for the exact join sets the
-samples validated, and the reproduction keeps Algorithm 1's behavior
-bit-identical to that.
 """
 
 from __future__ import annotations
@@ -137,30 +124,10 @@ class CardinalityEstimator:
         self._selectivity_cache[key] = selectivity
         return selectivity
 
-    def _largest_exact_subset(self, key: FrozenSet[str]) -> Optional[FrozenSet[str]]:
-        """The largest strict subset of ``key`` with an exact Γ entry.
-
-        Only multi-relation subsets anchor an extrapolation (singletons are
-        already consulted by ``base_cardinality``).  Ties break on the sorted
-        alias tuple so the estimate is deterministic.
-        """
-        best: Optional[FrozenSet[str]] = None
-        for exact in self.gamma.exact_join_sets():
-            if len(exact) < 2 or not exact < key:
-                continue
-            if best is None or (len(exact), sorted(exact)) > (len(best), sorted(best)):
-                best = exact
-        return best
-
     def joinset_cardinality(self, aliases: Iterable[str]) -> float:
         """Estimated rows of the join of ``aliases`` (local predicates applied).
 
         A validated entry for exactly this join set in Γ takes precedence.
-        Otherwise, if a subset of the join set has an *exact* Γ entry, the
-        estimate is anchored there: observed cardinality times the estimate
-        of the remaining relations times the selectivities of the join
-        predicates crossing between the two parts (predicates inside the
-        anchor are already baked into the observation).
         """
         key = frozenset(aliases)
         if not key:
@@ -173,40 +140,12 @@ class CardinalityEstimator:
             return self.base_cardinality(alias)
         if key in self._join_cache:
             return self._join_cache[key]
-
-        anchor = self._largest_exact_subset(key)
-        if anchor is not None:
-            cardinality = max(self.gamma.get(anchor) or 0.0, 0.0)
-            rest = key - anchor
-            cardinality *= self.joinset_cardinality(rest)
-            for predicate in self.query.join_predicates:
-                left_in_anchor = predicate.left_alias in anchor
-                right_in_anchor = predicate.right_alias in anchor
-                if left_in_anchor and right_in_anchor:
-                    continue
-                if (predicate.left_alias in key and predicate.right_alias in key) and (
-                    left_in_anchor or right_in_anchor
-                ):
-                    cardinality *= self.join_predicate_selectivity(predicate)
-        else:
-            cardinality = 1.0
-            for alias in key:
-                cardinality *= self.base_cardinality(alias)
-            for predicate in self.query.join_predicates:
-                if predicate.left_alias in key and predicate.right_alias in key:
-                    cardinality *= self.join_predicate_selectivity(predicate)
+        cardinality = 1.0
+        for alias in key:
+            cardinality *= self.base_cardinality(alias)
+        for predicate in self.query.join_predicates:
+            if predicate.left_alias in key and predicate.right_alias in key:
+                cardinality *= self.join_predicate_selectivity(predicate)
         cardinality = max(cardinality, MIN_SELECTIVITY)
         self._join_cache[key] = cardinality
         return cardinality
-
-    def join_cardinality(self, left: Iterable[str], right: Iterable[str]) -> float:
-        """Estimated output rows of joining two disjoint relation sets."""
-        return self.joinset_cardinality(frozenset(left) | frozenset(right))
-
-    # ------------------------------------------------------------------ #
-    # Cache control
-    # ------------------------------------------------------------------ #
-    def invalidate(self) -> None:
-        """Drop memoized estimates (call after Γ changes)."""
-        self._base_cache.clear()
-        self._join_cache.clear()

@@ -10,16 +10,6 @@ cardinalities after their local selections.
 join set is re-validated the newer estimate wins, which is what "merging"
 means operationally.
 
-Entries carry a **provenance** rank: *sampled* entries come from validating
-plans over the sample tables (the paper's Δ), *exact* entries are true
-cardinalities observed by actually executing a (sub-)plan — the sharded
-coordinator's gossip records one for every join set a shard fragment
-executed.  An exact entry
-outranks every sampled entry for the same join set: merging a sampled Δ
-never overwrites an exact value, while recording an exact value always
-wins (and re-recording a different exact value for the same join set keeps
-the newest, which only happens when the underlying data changed).
-
 Γ is also *versioned*: every mutation that actually changes a stored value
 bumps a monotone epoch counter and remembers the epoch at which each join set
 last changed.  ``changed_since(epoch)`` returns the dirty join sets, which is
@@ -31,7 +21,7 @@ re-optimization round.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Tuple
 
 #: A join set: the relation aliases joined together.
 JoinSet = FrozenSet[str]
@@ -46,8 +36,6 @@ class Gamma:
     _epoch: int = 0
     #: Epoch at which each join set last changed (added or re-valued).
     _changed_at: Dict[JoinSet, int] = field(default_factory=dict)
-    #: Join sets whose stored value is an exact (executed) cardinality.
-    _exact: Set[JoinSet] = field(default_factory=set)
 
     # ------------------------------------------------------------------ #
     # Versioning
@@ -68,56 +56,34 @@ class Gamma:
             key for key, changed in self._changed_at.items() if changed > epoch
         )
 
-    def _store(self, key: JoinSet, value: float, exact: bool = False) -> None:
-        if not exact and key in self._exact:
-            # A sampled estimate never downgrades an exact observation.
-            return
+    def _store(self, key: JoinSet, value: float) -> None:
         if self._cardinalities.get(key) != value:
             self._epoch += 1
             self._changed_at[key] = self._epoch
         self._cardinalities[key] = value
-        if exact:
-            self._exact.add(key)
 
     # ------------------------------------------------------------------ #
     # Mutation
     # ------------------------------------------------------------------ #
-    def record(self, relations: Iterable[str], cardinality: float, exact: bool = False) -> None:
-        """Record (or overwrite) the validated cardinality of one join set.
-
-        ``exact=True`` marks the entry as a true executed cardinality, which
-        from then on outranks any sampled re-validation of the same join set.
-        """
+    def record(self, relations: Iterable[str], cardinality: float) -> None:
+        """Record (or overwrite) the validated cardinality of one join set."""
         key = frozenset(relations)
         if not key:
             raise ValueError("cannot record a cardinality for an empty join set")
-        self._store(key, float(cardinality), exact=exact)
-
-    def record_exact(self, relations: Iterable[str], cardinality: float) -> None:
-        """Record a true cardinality observed by executing the join set."""
-        self.record(relations, cardinality, exact=True)
+        self._store(key, float(cardinality))
 
     def merge(self, delta: Mapping[JoinSet, float] | "Gamma") -> int:
         """Merge ``delta`` into Γ; return how many entries were new.
 
         The return value drives the coverage argument: a plan whose validation
         adds zero new entries is covered by the earlier plans (Theorem 1).
-        Merging a :class:`Gamma` preserves each entry's provenance; merging a
-        plain mapping treats every entry as sampled, so existing exact entries
-        keep their values.
         """
-        if isinstance(delta, Gamma):
-            items: Iterable[Tuple[JoinSet, float, bool]] = [
-                (key, value, key in delta._exact)
-                for key, value in delta._cardinalities.items()
-            ]
-        else:
-            items = [(frozenset(key), value, False) for key, value in delta.items()]
         newly_added = 0
-        for key, value, exact in items:
+        for relations, value in delta.items():
+            key = frozenset(relations)
             if key not in self._cardinalities:
                 newly_added += 1
-            self._store(key, float(value), exact=exact)
+            self._store(key, float(value))
         return newly_added
 
     # ------------------------------------------------------------------ #
@@ -126,14 +92,6 @@ class Gamma:
     def get(self, relations: Iterable[str]) -> Optional[float]:
         """Return the validated cardinality of a join set, or None if unknown."""
         return self._cardinalities.get(frozenset(relations))
-
-    def is_exact(self, relations: Iterable[str]) -> bool:
-        """True when the join set's stored value is an executed cardinality."""
-        return frozenset(relations) in self._exact
-
-    def exact_join_sets(self) -> FrozenSet[JoinSet]:
-        """All join sets whose stored cardinality is exact."""
-        return frozenset(self._exact)
 
     def __contains__(self, relations: Iterable[str]) -> bool:
         return frozenset(relations) in self._cardinalities
@@ -147,19 +105,6 @@ class Gamma:
     def items(self) -> Iterable[Tuple[JoinSet, float]]:
         """Iterate over (join set, cardinality) pairs."""
         return self._cardinalities.items()
-
-    def copy(self) -> "Gamma":
-        """Return an independent copy (used by what-if experiments)."""
-        clone = Gamma()
-        clone._cardinalities = dict(self._cardinalities)
-        clone._epoch = self._epoch
-        clone._changed_at = dict(self._changed_at)
-        clone._exact = set(self._exact)
-        return clone
-
-    def covered_join_sets(self) -> FrozenSet[JoinSet]:
-        """All join sets with a validated cardinality."""
-        return frozenset(self._cardinalities)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         entries = ", ".join(

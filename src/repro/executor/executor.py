@@ -110,9 +110,8 @@ class ExecutionResult:
 
         Singleton sets are included: every scan contributes its *post-filter*
         output count, so single-table (join-free) results report their true
-        cardinality too — which is what the coordinator's exact-Γ gossip and
-        the golden suite rely on.  Aggregation nodes are skipped: they share
-        the relation set of the join below them but their output count is the
+        cardinality too.  Aggregation nodes are skipped: they share the
+        relation set of the join below them but their output count is the
         number of groups, not the join-set cardinality the paper's Γ talks
         about.
         """

@@ -188,8 +188,3 @@ class AggregateNode(PlanNode):
         if self.child is not None:
             lines.append(self.child.describe(indent + 2))
         return "\n".join(lines)
-
-
-def describe_plan(plan: PlanNode) -> str:
-    """Pretty-print a plan tree."""
-    return plan.describe()

@@ -21,10 +21,10 @@ the System-R DP memo survives between rounds and round ``i+1`` re-expands
 only the masks dirtied by Δ_i — the incremental planning that keeps the
 paper's re-optimization overhead argument (Section 3.3) true in practice.
 
-The only policy knobs beyond the paper's algorithm are practical safeguards
-the paper itself discusses in Section 5.4: an optional bound on the number of
-rounds and an optional sampling-time budget, after which the best plan seen
-so far (by sampled-cost estimate) is returned.
+The only policy knob beyond the paper's algorithm is a practical safeguard
+the paper itself discusses in Section 5.4: a bound on the number of rounds,
+after which the best plan seen so far (by sampled-cost estimate) is
+returned.
 """
 
 from __future__ import annotations
@@ -53,9 +53,6 @@ class ReoptimizationSettings:
     #: observes fewer than 10 rounds for every tested query; the default is a
     #: generous safety net, not a tuning knob.
     max_rounds: int = 20
-    #: Optional budget (seconds) for time spent validating plans over samples;
-    #: ``None`` disables the budget (Section 5.4 discusses such timeouts).
-    sampling_time_budget: Optional[float] = None
     #: Sampling ratio used when the database has no samples yet.
     sampling_ratio: float = DEFAULT_SAMPLING_RATIO
     #: Seed used when samples have to be created on the fly.
@@ -75,7 +72,7 @@ class ReoptimizationResult:
     #: (optimizer invocations + sampling validation).
     reoptimization_seconds: float = 0.0
     #: True when the loop stopped because the plan stopped changing (as
-    #: opposed to hitting the round/time budget).
+    #: opposed to hitting the round budget).
     converged: bool = True
 
     @property
@@ -112,7 +109,7 @@ class Reoptimizer:
     def reoptimize(self, query: Query, gamma: Optional[Gamma] = None) -> ReoptimizationResult:
         """Run Algorithm 1 on ``query`` and return the full result.
 
-        Termination (besides the round/time budgets) happens when either
+        Termination (besides the round budget) happens when either
 
         * the new plan is identical to the plan of **any** earlier round —
           not just the immediately preceding one, which would loop forever
@@ -137,7 +134,6 @@ class Reoptimizer:
         report = ReoptimizationReport(query_name=query.name)
         started = time.perf_counter()
         converged = False
-        sampling_spent = 0.0
 
         for round_number in range(1, self.settings.max_rounds + 1):
             planning_started = time.perf_counter()
@@ -164,19 +160,12 @@ class Reoptimizer:
 
             validation = sampler.validate_plan(plan)
             record.sampling_seconds = validation.elapsed_seconds
-            sampling_spent += validation.elapsed_seconds
             record.new_gamma_entries = gamma.merge(validation.cardinalities)
 
             if record.new_gamma_entries == 0:
                 # Coverage (Theorem 1): Γ did not grow, so the optimizer's
                 # next answer would be this very plan — it is the fixed point.
                 converged = True
-                break
-
-            if (
-                self.settings.sampling_time_budget is not None
-                and sampling_spent >= self.settings.sampling_time_budget
-            ):
                 break
 
         elapsed = time.perf_counter() - started
@@ -200,7 +189,7 @@ class Reoptimizer:
         """Pick the plan Algorithm 1 returns.
 
         On convergence that is simply the last plan (the fixed point).  If the
-        loop was cut short by the round/time budget, Section 5.4's fallback is
+        loop was cut short by the round budget, Section 5.4's fallback is
         used: re-cost every generated plan under the validated cardinalities
         in Γ and return the cheapest.
         """

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional
 
-from repro.plans.join_tree import JoinTree, TransformationKind, classify_transformation
+from repro.plans.join_tree import JoinTree, TransformationKind
 from repro.plans.nodes import PlanNode
 
 
@@ -75,11 +75,6 @@ class ReoptimizationReport:
     def total_sampling_seconds(self) -> float:
         """Total wall-clock seconds spent running plans over samples."""
         return sum(record.sampling_seconds for record in self.rounds)
-
-    @property
-    def total_planning_seconds(self) -> float:
-        """Total wall-clock seconds spent inside the optimizer."""
-        return sum(record.planning_seconds for record in self.rounds)
 
     def dp_masks_per_round(self) -> List[int]:
         """DP masks expanded per round."""

@@ -10,10 +10,9 @@ memory back immediately.
 
 **Plan cache** — one :class:`PlanCacheEntry` per template: the lock that
 serializes the template's validation and (re)planning, the plan Algorithm 1
-converged to for some binding, the Γ *expectations* it was validated under
-(join set → sampled cardinality) and the exact cardinalities gossiped in
-from sibling shards.  No planning state is kept: a drift replan runs
-Algorithm 1 from scratch.  The entry is what the sampling validator guards:
+converged to for some binding, and the Γ *expectations* it was validated
+under (join set → sampled cardinality).  No planning state is kept: a drift
+replan runs Algorithm 1 from scratch.  The entry is what the sampling validator guards:
 a new binding's Δ is compared against ``expectations`` and the plan is
 reused only while the drift stays under the service's threshold.
 """
@@ -25,7 +24,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from repro.cardinality.gamma import Gamma, JoinSet
+from repro.cardinality.gamma import JoinSet
 from repro.executor.executor import ExecutionResult
 from repro.plans.nodes import PlanNode
 
@@ -109,14 +108,6 @@ class PlanCacheEntry:
     #: cardinality at planning time.  The drift guard compares each new
     #: binding's sampled Δ against these.
     expectations: Dict[JoinSet, float] = field(default_factory=dict)
-    #: Exact cardinalities gossiped in from sibling shards of a
-    #: :class:`~repro.service.coordinator.ShardedQueryService`.  Hash
-    #: partitioning keeps shards statistically symmetric, so one shard's
-    #: *executed* join-set cardinality is the best available estimate for
-    #: its siblings: the gossip both corrects ``expectations`` (the drift
-    #: guard compares against gossiped truth instead of a stale sample) and
-    #: warm-starts the next replan's Γ with exact-provenance entries.
-    gossip: Gamma = field(default_factory=Gamma)
 
 
 def max_drift(

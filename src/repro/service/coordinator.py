@@ -40,14 +40,6 @@ sorted-shard order:
 The shards run one after another in the calling thread; concurrent
 requests scatter concurrently on their own threads.
 
-After every scatter the coordinator runs **exact-Γ gossip**: each shard's
-executed fragment yields exact join-set cardinalities
-(:meth:`~repro.executor.executor.ExecutionResult.actual_cardinalities`),
-and the coordinator broadcasts every shard's exact entries to its
-*siblings'* plan caches (:meth:`QueryService.apply_gamma_gossip`), so a
-mis-estimate observed on one shard corrects the drift guard and the next
-replan's warm-start Γ on all of them before they replan.
-
 Every loop over shards in this module runs in canonical sorted shard-id
 order — merge determinism depends on it (repro-lint RPL011).
 """
@@ -58,7 +50,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.clock import monotonic_s
-from repro.cardinality.gamma import Gamma
 from repro.executor.executor import (
     ExecutionResult,
     finalize_canonical_execution,
@@ -91,8 +82,7 @@ class ShardedServiceStats(ServiceStats):
 
     An *executed* request bumps exactly one of the four route counters (a
     cache hit or coalesced wait none).  The inherited planning counters cover
-    the single/fallback step — scatter planning is on each shard's ``stats``
-    — and ``gossip_entries`` counts exact Γ entries delivered to shards.
+    the single/fallback step — scatter planning is on each shard's ``stats``.
     """
 
     #: Scattered executions merged through exact partial aggregates.
@@ -106,6 +96,9 @@ class ShardedServiceStats(ServiceStats):
     #: Always 0: shards run in this process and never need a rerun.  Kept
     #: only because the benchmark reads it.
     inline_shard_reruns: int = 0
+    #: Always 0: shards plan from their own samples and share no Γ.  Kept
+    #: only because the benchmark reads it.
+    gossip_entries: int = 0
 
 
 class ShardedQueryService(QueryService):
@@ -222,43 +215,13 @@ class ShardedQueryService(QueryService):
             range(self.num_shards),
         )
 
-    def _gossip(
-        self, prepared: PreparedStatement, fragments: Sequence[ExecutionResult]
-    ) -> int:
-        """Broadcast each shard's exact Γ entries to its siblings.
-
-        Hash partitioning keeps shards statistically symmetric, so an exact
-        cardinality executed on one shard is the best estimate of the same
-        join set on every other.  Senders merge in ascending shard order
-        (later shards win ties) and every receiver gets the combined view
-        of all its siblings.
-        """
-        gammas: List[Gamma] = []
-        for fragment in fragments:
-            gamma = Gamma()
-            for execution in fragment.node_executions:
-                if execution.kind != "aggregate":
-                    gamma.record_exact(execution.relations, float(execution.actual_rows))
-            gammas.append(gamma)
-        applied = 0
-        for receiver in range(self.num_shards):
-            combined = Gamma()
-            for sender in range(self.num_shards):
-                if sender != receiver:
-                    combined.merge(gammas[sender])
-            if len(combined):
-                applied += self.shards[receiver].apply_gamma_gossip(
-                    prepared.fingerprint, combined
-                )
-        return applied
-
     def _serve_scatter(
         self,
         prepared: PreparedStatement,
         bound: Query,
         trace: RequestTrace,
     ) -> ServiceResult:
-        """Plan per shard, scatter, merge bit-identically, gossip Γ.
+        """Plan per shard, scatter, merge bit-identically.
 
         Every shard's validation and planning seconds add into ``trace``.
         """
@@ -284,9 +247,7 @@ class ShardedQueryService(QueryService):
         )
         trace.execution_s += merge_started - scatter_started
         trace.merge_s += monotonic_s() - merge_started
-        gossiped = self._gossip(prepared, fragments)
         with self._stats_lock:
-            self.stats.gossip_entries += gossiped
             if partial:
                 self.stats.partial_merges += 1
             else:

@@ -112,10 +112,10 @@ class ServiceSettings:
     #: Bound of the result cache (entries).
     result_cache_entries: int = 256
     #: Bound of the per-template plan cache (LRU; an evicted template is
-    #: simply re-planned on its next execution).  Each entry holds a plan,
-    #: its Γ expectations and its gossip, so the bound caps memory in a
-    #: long-lived server fed ad-hoc constant-only SQL (one template per
-    #: distinct literal set).
+    #: simply re-planned on its next execution).  Each entry holds a plan
+    #: and its Γ expectations, so the bound caps memory in a long-lived
+    #: server fed ad-hoc constant-only SQL (one template per distinct
+    #: literal set).
     plan_cache_entries: int = 128
     #: Concurrent executions admitted at once.
     max_concurrent: int = 8
@@ -154,9 +154,6 @@ class ServiceStats:
     #: Requests rejected because their deadline expired while waiting for a
     #: slot or for a coalesced flight (a latency failure, not shedding).
     timed_out: int = 0
-    #: Exact Γ entries merged in from sibling shards (sharded serving only;
-    #: see :meth:`QueryService.apply_gamma_gossip`).
-    gossip_entries: int = 0
 
 
 @dataclass
@@ -339,41 +336,6 @@ class QueryService:
         with self._plan_cache_guard:
             return sum(entry.plan is not None for entry in self._plan_cache.values())
 
-    def apply_gamma_gossip(self, fingerprint: Tuple, gossip: Gamma) -> int:
-        """Merge sibling shards' exact Γ observations into a cached template.
-
-        Called by the sharded coordinator after any shard executes the
-        template: every *exact* entry of ``gossip`` is recorded into the
-        entry's gossip Γ and overwrites the matching drift-guard
-        expectation, so this shard's next validation compares its Δ against
-        observed truth instead of the stale sample the plan was chosen
-        under — and its next replan warm-starts from exact-provenance
-        entries.  Hash partitioning keeps shards statistically symmetric,
-        which is what makes a sibling's executed cardinality the best
-        available estimate here.  Join sets are applied in canonical sorted
-        order.  Returns the number of entries applied (0 when the template
-        has no cached plan on this shard).
-        """
-        with self._plan_cache_guard:
-            entry = self._plan_cache.get(fingerprint)
-        if entry is None:
-            return 0
-        with entry.lock:
-            if entry.plan is None:
-                return 0
-            applied = 0
-            for join_set in sorted(gossip.exact_join_sets(), key=sorted):
-                value = gossip.get(join_set)
-                if value is None:
-                    continue
-                entry.gossip.record(join_set, value, exact=True)
-                entry.expectations[join_set] = float(value)
-                applied += 1
-        if applied:
-            with self._stats_lock:
-                self.stats.gossip_entries += applied
-        return applied
-
     # ------------------------------------------------------------------ #
     # Serving pipeline
     # ------------------------------------------------------------------ #
@@ -549,11 +511,8 @@ class QueryService:
                         self.stats.validated_reuses += 1
                     return rebound, "validated_reuse", drift
                 # Drift: re-plan through Algorithm 1 from scratch, warm-started
-                # with sibling-shard exact observations first and the fresh Δ
-                # second: a sampled value never downgrades an exact one, and
-                # join sets only the gossip covers still seed the replan.
+                # with the fresh Δ.
                 gamma = Gamma()
-                gamma.merge(entry.gossip)
                 gamma.merge(validation.cardinalities)
 
             planning_started = monotonic_s()

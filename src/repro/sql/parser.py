@@ -110,10 +110,6 @@ class _TokenStream:
             return True
         return False
 
-    def at_keyword(self, *keywords: str) -> bool:
-        token = self.peek()
-        return token is not None and token.lower() in keywords
-
     def exhausted(self) -> bool:
         return self._pos >= len(self._tokens)
 

@@ -12,7 +12,6 @@ parameters), while the true selectivities differ by orders of magnitude.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -50,17 +49,6 @@ class MultiDimHistogram:
         width = (self.high - self.low) / self.buckets_per_dim
         bucket = int((value - self.low) / width)
         return min(max(bucket, 0), self.buckets_per_dim - 1)
-
-    def point_fraction(self, a_value: float, b_value: float) -> float:
-        """Estimated fraction of rows with ``A = a_value`` and ``B = b_value``.
-
-        The cell fraction is spread uniformly over the distinct integer pairs
-        the cell covers (per-bucket uniformity + independence inside the cell).
-        """
-        cell = self.cell_fractions[self._bucket_of(a_value), self._bucket_of(b_value)]
-        width = (self.high - self.low) / self.buckets_per_dim
-        distinct_per_dim = max(1.0, np.floor(width))
-        return float(cell) / (distinct_per_dim * distinct_per_dim)
 
     def selection_fraction(self, a_value: float) -> float:
         """Estimated fraction of rows with ``A = a_value`` (marginalised over B)."""

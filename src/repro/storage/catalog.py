@@ -119,11 +119,6 @@ class Database:
             self._table_epochs[name] = self._epoch_counter
             return self._epoch_counter
 
-    def table_epoch(self, name: str) -> int:
-        """The epoch of ``name``'s last data change (0 if never registered)."""
-        with self._epoch_lock:
-            return self._table_epochs.get(name, 0)
-
     def epoch_snapshot(self, names: Iterable[str]) -> Tuple[Tuple[str, int], ...]:
         """A hashable snapshot of the epochs of ``names`` (sorted by name).
 

@@ -19,7 +19,7 @@ sequential and random page accesses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
@@ -256,10 +256,6 @@ class Table:
             {col: self.column(col)[i] for col in self.column_names}
             for i in range(n)
         ]
-
-    def to_columns(self) -> Dict[str, np.ndarray]:
-        """Return the columns as plain arrays (strings decoded)."""
-        return {name: self.column(name) for name in self.column_names}
 
     def __len__(self) -> int:
         return self._num_rows

@@ -64,23 +64,25 @@ class TestJoinCardinality:
         # Join sets not in Gamma still use the histogram estimate.
         assert estimator.joinset_cardinality({"r2", "r3"}) < 1500
 
-    def test_join_cardinality_merges_sets(self, db, query):
-        estimator = CardinalityEstimator(db, query)
-        merged = estimator.join_cardinality({"r1"}, {"r2"})
-        assert merged == pytest.approx(estimator.joinset_cardinality({"r1", "r2"}))
-
     def test_empty_joinset_rejected(self, db, query):
         estimator = CardinalityEstimator(db, query)
         with pytest.raises(ValueError):
             estimator.joinset_cardinality(set())
 
-    def test_invalidate_clears_caches(self, db, query):
+    def test_gamma_entry_recorded_after_caching_takes_effect(self, db, query):
+        """Γ is consulted before the estimate cache, so an entry recorded
+        after the first lookup wins without any cache invalidation."""
         estimator = CardinalityEstimator(db, query)
         before = estimator.joinset_cardinality({"r1", "r2"})
         estimator.gamma.record({"r1", "r2"}, 42.0)
-        estimator.invalidate()
         assert estimator.joinset_cardinality({"r1", "r2"}) == 42.0
         assert before != 42.0
+
+    def test_negative_gamma_entry_clamps_to_zero(self, db, query):
+        gamma = Gamma()
+        gamma.record({"r1", "r2"}, -3.0)
+        estimator = CardinalityEstimator(db, query, gamma)
+        assert estimator.joinset_cardinality({"r1", "r2"}) == 0.0
 
     def test_mcv_refinement_toggle(self, db, query):
         with_mcv = CardinalityEstimator(db, query, use_mcv_join_refinement=True)
@@ -91,33 +93,13 @@ class TestJoinCardinality:
         assert without_mcv.joinset_cardinality({"r1", "r2"}) > 0
 
 
-class TestExactExtrapolation:
-    """Exact Γ entries (as the sharded coordinator's gossip records them)
-    anchor superset estimates; sampled entries override only their own set."""
+class TestGammaScope:
+    """A Γ entry overrides the estimate of its own join set only."""
 
-    def test_exact_anchor_extrapolates_to_supersets(self, ott_db):
-        query = make_ott_query(ott_db, [0, 0, 0, 0], name="ott_extrapolate")
-        gamma = Gamma()
-        plain = CardinalityEstimator(ott_db, query, gamma=Gamma())
-        baseline = plain.joinset_cardinality({"r1", "r2", "r3"})
-
-        gamma.record_exact({"r1", "r2"}, 5000.0)
-        anchored = CardinalityEstimator(ott_db, query, gamma=gamma)
-        estimate = anchored.joinset_cardinality({"r1", "r2", "r3"})
-        # anchored = 5000 * base(r3) * sel(r2.b = r3.b) — far above the AVI
-        # product that multiplied the r1⋈r2 mis-estimate in.
-        expected = (
-            5000.0
-            * anchored.base_cardinality("r3")
-            * anchored.join_predicate_selectivity(query.join_predicates[1])
-        )
-        assert estimate == pytest.approx(expected)
-        assert estimate > baseline
-
-    def test_sampled_entries_do_not_extrapolate(self, ott_db):
+    def test_sampled_entry_overrides_only_its_own_join_set(self, ott_db):
         query = make_ott_query(ott_db, [0, 0, 0, 0], name="ott_sampled")
         gamma = Gamma()
-        gamma.record({"r1", "r2"}, 5000.0)  # sampled: exact-set override only
+        gamma.record({"r1", "r2"}, 5000.0)
         estimator = CardinalityEstimator(ott_db, query, gamma=gamma)
         baseline = CardinalityEstimator(ott_db, query, gamma=Gamma())
         assert estimator.joinset_cardinality({"r1", "r2"}) == 5000.0
@@ -125,15 +107,25 @@ class TestExactExtrapolation:
             baseline.joinset_cardinality({"r1", "r2", "r3"})
         )
 
-    def test_disjoint_anchor_and_exact_rest(self, ott_db):
-        query = make_ott_query(ott_db, [0, 0, 0, 0], name="ott_two_anchors")
+    def test_disjoint_entries_do_not_combine_into_their_union(self, ott_db):
+        query = make_ott_query(ott_db, [0, 0, 0, 0], name="ott_two_entries")
         gamma = Gamma()
-        gamma.record_exact({"r1", "r2"}, 700.0)
-        gamma.record_exact({"r3", "r4"}, 900.0)
+        gamma.record({"r1", "r2"}, 700.0)
+        gamma.record({"r3", "r4"}, 900.0)
         estimator = CardinalityEstimator(ott_db, query, gamma=gamma)
-        estimate = estimator.joinset_cardinality({"r1", "r2", "r3", "r4"})
-        expected = (
-            700.0 * 900.0
-            * estimator.join_predicate_selectivity(query.join_predicates[1])
+        baseline = CardinalityEstimator(ott_db, query, gamma=Gamma())
+        assert estimator.joinset_cardinality({"r1", "r2", "r3", "r4"}) == pytest.approx(
+            baseline.joinset_cardinality({"r1", "r2", "r3", "r4"})
         )
-        assert estimate == pytest.approx(expected)
+
+    def test_singleton_entry_rescales_superset_estimates(self, ott_db):
+        """A validated base cardinality is the one Γ entry that reaches
+        supersets: it replaces the base factor of the AVI product."""
+        query = make_ott_query(ott_db, [0, 0, 0, 0], name="ott_singleton")
+        baseline = CardinalityEstimator(ott_db, query, gamma=Gamma())
+        gamma = Gamma()
+        gamma.record({"r1"}, 4 * baseline.base_cardinality("r1"))
+        estimator = CardinalityEstimator(ott_db, query, gamma=gamma)
+        assert estimator.joinset_cardinality({"r1", "r2"}) == pytest.approx(
+            4 * baseline.joinset_cardinality({"r1", "r2"})
+        )

@@ -40,13 +40,30 @@ class TestGamma:
         gamma.record({"a", "b"}, 4.0)
         assert gamma.merge({frozenset({"a", "b"}): 4.0}) == 0
 
-    def test_copy_is_independent(self):
+    def test_merge_gamma_leaves_the_source_unchanged(self):
+        source = Gamma()
+        source.record({"a", "b"}, 42.0)
+        target = Gamma()
+        target.merge(source)
+        target.record({"a", "b"}, 43.0)
+        target.record({"c"}, 3.0)
+        assert source.get({"a", "b"}) == 42.0
+        assert {"c"} not in source
+        assert len(source) == 1
+
+    def test_merge_normalises_join_set_keys(self):
+        gamma = Gamma()
+        assert gamma.merge({("b", "a"): 7}) == 1
+        assert gamma.get({"a", "b"}) == 7.0
+        assert isinstance(gamma.get({"a", "b"}), float)
+
+    def test_merge_of_empty_delta_changes_nothing(self):
         gamma = Gamma()
         gamma.record({"a"}, 1.0)
-        clone = gamma.copy()
-        clone.record({"b"}, 2.0)
-        assert {"b"} not in gamma
-        assert {"b"} in clone
+        checkpoint = gamma.epoch
+        assert gamma.merge({}) == 0
+        assert gamma.epoch == checkpoint
+        assert len(gamma) == 1
 
     def test_epoch_increases_on_change_only(self):
         gamma = Gamma()
@@ -73,64 +90,29 @@ class TestGamma:
             {frozenset({"a"}), frozenset({"a", "b"})}
         )
 
-    def test_copy_preserves_versioning(self):
-        gamma = Gamma()
-        gamma.record({"a"}, 1.0)
-        checkpoint = gamma.epoch
-        clone = gamma.copy()
-        assert clone.epoch == checkpoint
-        clone.record({"b"}, 2.0)
-        assert clone.changed_since(checkpoint) == frozenset({frozenset({"b"})})
-        assert gamma.changed_since(checkpoint) == frozenset()
-
-    def test_exact_entries_outrank_sampled(self):
+    def test_latest_record_wins(self):
+        """Γ is a plain map: every entry is a sampled estimate, and a
+        re-validation overwrites the earlier value in either direction."""
         gamma = Gamma()
         gamma.record({"a", "b"}, 10.0)
-        assert not gamma.is_exact({"a", "b"})
-        gamma.record_exact({"a", "b"}, 999.0)
-        assert gamma.is_exact({"a", "b"})
+        gamma.record({"a", "b"}, 999.0)
         assert gamma.get({"a", "b"}) == 999.0
-        # A sampled re-validation never downgrades the exact observation.
         gamma.record({"a", "b"}, 10.0)
-        assert gamma.get({"a", "b"}) == 999.0
+        assert gamma.get({"a", "b"}) == 10.0
         gamma.merge({frozenset({"a", "b"}): 12.0})
-        assert gamma.get({"a", "b"}) == 999.0
-        # A newer exact observation wins.
-        gamma.record_exact({"a", "b"}, 1000.0)
-        assert gamma.get({"a", "b"}) == 1000.0
-        assert gamma.exact_join_sets() == frozenset({frozenset({"a", "b"})})
+        assert gamma.get({"a", "b"}) == 12.0
 
-    def test_sampled_overwrite_of_exact_does_not_dirty(self):
+    def test_overwrite_with_a_new_value_dirties_the_join_set(self):
         gamma = Gamma()
-        gamma.record_exact({"a"}, 5.0)
+        gamma.record({"a"}, 5.0)
         checkpoint = gamma.epoch
-        gamma.record({"a"}, 7.0)  # silently ignored
-        assert gamma.epoch == checkpoint
-        assert gamma.changed_since(checkpoint) == frozenset()
+        gamma.record({"a"}, 7.0)
+        assert gamma.epoch > checkpoint
+        assert gamma.changed_since(checkpoint) == frozenset({frozenset({"a"})})
 
-    def test_merge_gamma_preserves_provenance(self):
-        source = Gamma()
-        source.record_exact({"a", "b"}, 42.0)
-        source.record({"c"}, 3.0)
-        target = Gamma()
-        target.merge(source)
-        assert target.is_exact({"a", "b"})
-        assert not target.is_exact({"c"})
-
-    def test_copy_preserves_provenance(self):
-        gamma = Gamma()
-        gamma.record_exact({"a"}, 1.0)
-        clone = gamma.copy()
-        assert clone.is_exact({"a"})
-        clone.record({"a"}, 2.0)
-        assert clone.get({"a"}) == 1.0
-
-    def test_iteration_and_covered_sets(self):
+    def test_iteration_and_items(self):
         gamma = Gamma()
         gamma.record({"a"}, 1.0)
         gamma.record({"a", "b"}, 2.0)
         assert set(gamma) == {frozenset({"a"}), frozenset({"a", "b"})}
-        assert gamma.covered_join_sets() == frozenset(
-            {frozenset({"a"}), frozenset({"a", "b"})}
-        )
         assert dict(gamma.items())[frozenset({"a"})] == 1.0

@@ -340,8 +340,7 @@ class TestFragmentExecution:
 
 
 class TestSingleTableCardinalities:
-    """Join-free queries must report their result cardinality (the
-    coordinator's exact-Γ gossip and the golden suite rely on these)."""
+    """Join-free queries must report their result cardinality."""
 
     def test_seq_scan_single_table(self, small_db):
         query = parse_query("SELECT count(*) FROM orders o WHERE o.o_total > 500")

@@ -7,9 +7,9 @@ from __future__ import annotations
 from typing import Dict, List, Set
 
 
-def broadcast_gossip(shards: Dict[int, object], gamma: object) -> None:
+def invalidate_shards(shards: Dict[int, object], table: str) -> None:
     for shard in shards.values():  # violation: dict-view (arrival) order
-        shard.apply_gamma_gossip(gamma)  # type: ignore[attr-defined]
+        shard.invalidate_table(table)  # type: ignore[attr-defined]
 
 
 def merge_columns(partials: Dict[str, List[float]]) -> List[List[float]]:
@@ -17,8 +17,8 @@ def merge_columns(partials: Dict[str, List[float]]) -> List[List[float]]:
     return [partials[name] for name in partials.keys()]
 
 
-def gossip_receivers(senders: Set[int], extra: Set[int]) -> List[int]:
-    receivers = []
-    for receiver in senders.union(extra):  # violation: set union, hash order
-        receivers.append(receiver)
-    return receivers
+def scatter_targets(routed: Set[int], extra: Set[int]) -> List[int]:
+    targets = []
+    for shard_id in routed.union(extra):  # violation: set union, hash order
+        targets.append(shard_id)
+    return targets

@@ -6,20 +6,20 @@ from __future__ import annotations
 from typing import Dict, List, Set
 
 
-def broadcast_gossip(shards: Dict[int, object], gamma: object) -> None:
+def invalidate_shards(shards: Dict[int, object], table: str) -> None:
     for shard_id in sorted(shards):  # canonical shard-id order
-        shards[shard_id].apply_gamma_gossip(gamma)  # type: ignore[attr-defined]
+        shards[shard_id].invalidate_table(table)  # type: ignore[attr-defined]
 
 
 def merge_columns(partials: Dict[str, List[float]]) -> List[List[float]]:
     return [partials[name] for name in sorted(partials)]
 
 
-def gossip_receivers(senders: Set[int], extra: Set[int]) -> List[int]:
-    receivers = []
-    for receiver in sorted(senders.union(extra)):
-        receivers.append(receiver)
-    return receivers
+def scatter_targets(routed: Set[int], extra: Set[int]) -> List[int]:
+    targets = []
+    for shard_id in sorted(routed.union(extra)):
+        targets.append(shard_id)
+    return targets
 
 
 def merge_parts(parts: List[object]) -> List[object]:

@@ -148,18 +148,28 @@ class TestDriftGuard:
         assert service.stats.validated_reuses == 1 and service.stats.fresh_plans == 1
         service.close()
 
+    def test_fresh_plan_expectations_are_the_sampled_gamma(self, service_ott_db):
+        """A template's first plan is Algorithm 1 from an empty Γ, and its
+        drift-guard expectations are exactly the Γ that run validated."""
+        with QueryService(service_ott_db) as service:
+            prepared = service.prepare(ott_template())
+            result = service.execute(prepared, [0, 0, 0])
+            entry = service._plan_cache[prepared.fingerprint]
+
+        assert result.source == "fresh"
+        expected = Reoptimizer(service_ott_db).reoptimize(prepared.bind([0, 0, 0]))
+        assert entry.plan.signature() == expected.final_plan.signature()
+        assert entry.expectations == dict(expected.gamma.items())
+
     @pytest.mark.parametrize("binding", [[0, 0, 1], [1, 0, 0], [3, 3, 3]])
     def test_drift_replan_matches_a_from_scratch_reoptimization(self, service_ott_db, binding):
-        """A drift replan is Algorithm 1 from scratch under ``gossip ∪ Δ``:
+        """A drift replan is Algorithm 1 from scratch under the fresh Δ:
         same plan, same cost bits, same Γ — nothing of the template's earlier
         planning survives into it."""
         settings = ServiceSettings(drift_threshold=1.0, use_result_cache=False)
         with QueryService(service_ott_db, settings=settings) as service:
             prepared = service.prepare(ott_template())
             service.execute(prepared, [0, 0, 0])
-            gossip = Gamma()
-            gossip.record({"r1", "r2"}, 1234.0, exact=True)
-            assert service.apply_gamma_gossip(prepared.fingerprint, gossip) == 1
             entry = service._plan_cache[prepared.fingerprint]
             bound = prepared.bind(binding)
             validation = validate_plan_for_bindings(
@@ -170,7 +180,6 @@ class TestDriftGuard:
 
         assert replanned.source == "replan"
         gamma = Gamma()
-        gamma.merge(gossip)
         gamma.merge(validation.cardinalities)
         expected = Reoptimizer(service_ott_db).reoptimize(bound, gamma=gamma)
         assert replanned.plan.signature() == expected.final_plan.signature()

@@ -3,7 +3,7 @@
 Bit-identity against the single-node service on every route and under
 concurrent scatters, deterministic hash partitioning and co-partitioning,
 routing decisions, a failing shard, the inherited result cache and admission
-gate on the sharded routes, and cross-shard exact-Γ gossip.
+gate on the sharded routes, and each shard's own sampled drift guard.
 """
 
 from __future__ import annotations
@@ -16,9 +16,13 @@ import time
 import numpy as np
 import pytest
 
+from repro.cardinality.gamma import Gamma
+from repro.cardinality.sampling_estimator import validate_plan_for_bindings
 from repro.errors import ExecutionError
 from repro.executor.executor import Executor
+from repro.plans.join_tree import rebind_plan
 from repro.relalg import TaskScheduler
+from repro.reopt.algorithm import Reoptimizer
 from repro.service import (
     BackpressureError,
     QueryService,
@@ -463,36 +467,56 @@ class TestInProcessScatter:
             assert_bit_identical(single.execute(SQL_PARTIAL, [30]).execution, again.execution)
 
 
-class TestGammaGossip:
-    def test_scatter_broadcasts_exact_entries_to_siblings(self, db):
+class TestShardPlanCache:
+    def test_shard_drift_guard_keeps_its_own_sampled_expectations(self, db):
+        """Each shard plans from its own samples: after a scatter, every
+        shard's drift guard holds exactly the Γ its own Algorithm 1 run
+        validated, untouched by its siblings' executions."""
         with ShardedQueryService(db, num_shards=3) as service:
             result = service.execute(SQL_PARTIAL, [30])
             assert result.source == "scatter_partial"
-            assert service.stats.gossip_entries > 0
-            prepared = service.prepare(SQL_PARTIAL)
             for shard in service.shards:
-                assert shard.stats.gossip_entries > 0
+                prepared = shard.prepare(SQL_PARTIAL)
+                bound = prepared.bind([30])
+                expected = Reoptimizer(shard.db).reoptimize(bound)
                 entry = shard._plan_cache[prepared.fingerprint]
-                assert entry is not None
-                exact = entry.gossip.exact_join_sets()
-                assert exact, "no exact Γ entries reached the sibling's cache"
-                for join_set in sorted(exact, key=sorted):
-                    assert entry.expectations[join_set] == entry.gossip.get(join_set)
+                assert entry.plan.signature() == expected.final_plan.signature()
+                assert entry.expectations == dict(expected.gamma.items())
+            assert service.stats.gossip_entries == 0
 
-    def test_gossip_seeds_the_replan_warm_start(self, db):
-        """A replan after gossip starts from a Γ that already contains the
-        siblings' exact entries — merged ahead of the fresh sampled Δ."""
+    def test_shard_replan_starts_from_its_own_delta(self, db):
+        """A drift replan on one shard is Algorithm 1 under that shard's
+        fresh Δ alone, and leaves its siblings' cache entries untouched."""
         with ShardedQueryService(db, num_shards=2) as service:
             service.execute(SQL_PARTIAL, [30])
-            prepared = service.prepare(SQL_PARTIAL)
-            shard = service.shards[0]
+            shard, sibling = service.shards
+            prepared = shard.prepare(SQL_PARTIAL)
+            sibling_entry = sibling._plan_cache[prepared.fingerprint]
+            sibling_plan = sibling_entry.plan
+            sibling_expectations = dict(sibling_entry.expectations)
+
             entry = shard._plan_cache[prepared.fingerprint]
-            gossiped = dict(entry.gossip.items())
-            assert gossiped
+            bound = prepared.bind([18])
+            validation = validate_plan_for_bindings(
+                shard.db, bound, rebind_plan(entry.plan, bound)
+            )
             # Force a drift rejection on the next execution of the template.
             shard.settings = dataclasses.replace(shard.settings, drift_threshold=0.0)
             result = shard.execute(SQL_PARTIAL, [18])
+
             assert result.source == "replan"
-            refreshed = shard._plan_cache[prepared.fingerprint]
-            for join_set in sorted(gossiped, key=sorted):
-                assert join_set in refreshed.gossip.exact_join_sets()
+            gamma = Gamma()
+            gamma.merge(validation.cardinalities)
+            expected = Reoptimizer(shard.db).reoptimize(bound, gamma=gamma)
+            assert entry.plan.signature() == expected.final_plan.signature()
+            assert entry.expectations == dict(expected.gamma.items())
+            assert sibling_entry.plan is sibling_plan
+            assert sibling_entry.expectations == sibling_expectations
+
+    @pytest.mark.parametrize("sql", [SQL_PARTIAL, SQL_GATHER, SQL_PROJECTION])
+    def test_coordinator_gossip_counter_stays_zero(self, db, sql):
+        """The coordinator keeps ``gossip_entries`` only for readers of its
+        stats; no route ever moves it off zero."""
+        with ShardedQueryService(db, num_shards=2) as service:
+            service.execute(sql, [30])
+            assert service.stats.gossip_entries == 0

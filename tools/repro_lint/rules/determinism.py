@@ -223,7 +223,7 @@ class UnorderedShardIterationRule(Rule):
         "rests on visiting shards and merging partials in canonical sorted "
         "shard-id order; a loop over a dict view reflects insertion (i.e. "
         "arrival) history and a set loop is hash-dependent, so either can "
-        "reorder a merge or a Γ-gossip broadcast between runs (runtime "
+        "reorder a merge or a per-shard invalidation between runs (runtime "
         "guard: the sharded-vs-single-node bit-identity suites)"
     )
     #: File-scoped, not directory-scoped: exactly the modules whose loop
