@@ -1,11 +1,19 @@
 """System-R style dynamic-programming join enumeration.
 
-The planner enumerates connected subsets of the query's relations bottom-up
-(smallest subsets first) and keeps, per subset, the cheapest plan found.  For
-every subset it tries every (outer, inner) split into two disjoint
-sub-plans connected by at least one join predicate, and every enabled
+The planner enumerates the connected subsets of the query's relations
+bottom-up (smallest subsets first) and keeps, per subset, the cheapest plan
+found.  For every subset it tries every (outer, inner) split into two
+connected sub-plans — each has a join predicate across it — and every enabled
 physical join method.  Bushy trees are explored by default; restricting the
 inner side to single relations yields the classic left-deep search.
+
+This is PostgreSQL's search space: ``join_search_one_level`` builds a
+clauseless join only when no join clause connects the relations, so no plan
+contains a cartesian product a join predicate could replace.  A query whose
+join graph is disconnected also plans the unions of its whole components,
+whose only splits are cartesian products: it plans each component, then joins
+the components by nested-loop cartesian product.  Under the left-deep
+restriction that plans only if at most one component joins several relations.
 
 The search is exhaustive for up to :data:`MAX_JOIN_RELATIONS` relations and
 refuses wider queries with :class:`~repro.errors.PlanningError` before
@@ -14,14 +22,13 @@ genetic search (above 12 relations, the paper's footnote 2); no query of the
 paper's workloads comes near it.
 
 The enumeration runs in bitmask space.  A split is two integers; whether a
-join predicate crosses it is one lookup in a per-planner ``neighbours[mask]``
-table; each (split, method) alternative is priced from plain floats by one
-:class:`~repro.cost.model.JoinPricing`, built per subset because every
-split of a subset yields the same output rows; and only the running winner
-— strictly cheaper in enumeration order: sub-masks descending, methods by
-name — is remembered.  One ``JoinNode`` is built per subset, for that
-winner.  Splits no predicate crosses (cartesian products) are priced
-lazily, only for a subset whose connected splits produced no candidate.
+join predicate reaches a relation is one lookup in a per-planner
+``neighbours[mask]`` table; each (split, method) alternative is priced from
+plain floats by one :class:`~repro.cost.model.JoinPricing`, built per subset
+because every split of a subset yields the same output rows; and only the
+running winner — strictly cheaper in enumeration order: sub-masks descending,
+methods by name — is remembered.  One ``JoinNode`` is built per subset, for
+that winner.
 
 A split whose two inputs together already cost at least the running winner
 is not priced at all.  The cutoff is exact: cardinalities are non-negative
@@ -31,13 +38,12 @@ so the split's total is at least its input cost; and a total equal to the
 winner's loses the strict ``<`` tie-break anyway.  A skipped split still
 counts towards ``N`` below.
 
-The number of *distinct logical join trees* (unordered splits connected by a
-join predicate) examined is tracked in
+The number of *distinct logical join trees* examined is tracked in
 :attr:`DynamicProgrammingPlanner.num_join_trees_considered` — that is the
-``N`` of the theoretical analysis in Section 3.3.  Commuted splits
-``(outer, inner)`` / ``(inner, outer)`` describe the same logical join, and
-disconnected splits are cartesian-product fallbacks, so neither inflates the
-count.
+``N`` of the theoretical analysis in Section 3.3, which counts the trees free
+of cartesian products.  Commuted splits ``(outer, inner)`` /
+``(inner, outer)`` describe the same logical join and count once; the
+cartesian joins of a disconnected query's components do not count.
 
 Incremental re-planning (re-optimization support)
 -------------------------------------------------
@@ -47,7 +53,7 @@ round and re-expands only the subsets that contain a dirty join set.  A mask
 whose every subset kept its cardinality estimate would re-derive exactly the
 same cheapest plan, so skipping it is lossless — the re-planned result is
 bit-identical to a from-scratch search with the same Γ, while touching only a
-small fraction of the ``2^K`` masks (the paper's Section 3.3 argument that
+small fraction of the planned masks (the paper's Section 3.3 argument that
 re-optimization rounds are cheap, made literal).
 """
 
@@ -98,8 +104,8 @@ class DynamicProgrammingPlanner:
                 f"exhaustive join search plans at most {MAX_JOIN_RELATIONS}"
             )
         self._alias_bit: Dict[str, int] = {alias: 1 << i for i, alias in enumerate(self.aliases)}
-        #: Number of distinct logical join trees (connected unordered splits)
-        #: examined — the paper's ``N``.
+        #: Number of distinct logical join trees (unordered splits with a join
+        #: predicate across them) examined — the paper's ``N``.
         self.num_join_trees_considered = 0
         #: Masks (scans included) expanded by the most recent
         #: ``plan_joins``/``replan`` call; the incremental-planning metric.
@@ -130,14 +136,21 @@ class DynamicProgrammingPlanner:
             self._index_probe[bit] = (probed, float(db.table(table).num_rows))
         full_mask = (1 << len(self.aliases)) - 1
         #: ``neighbours[mask]``: relations joined by a predicate to a member
-        #: of ``mask``; a split has a cross edge iff ``neighbours[left] & right``.
+        #: of ``mask``.
         self._neighbours: List[int] = [0] * (full_mask + 1)
         for mask in range(1, full_mask + 1):
             low = mask & -mask
             self._neighbours[mask] = self._neighbours[mask ^ low] | adjacent[low]
-        #: Multi-relation masks, smallest subsets first (the expansion order).
+        #: The planned multi-relation masks, smallest subsets first (the
+        #: expansion order): the connected ones, and the masks no join
+        #: predicate leaves — on a disconnected join graph, the unions of
+        #: whole components.
         self._join_masks = sorted(
-            (mask for mask in range(1, full_mask + 1) if mask & (mask - 1)),
+            (
+                mask for mask in range(1, full_mask + 1)
+                if mask & (mask - 1)
+                and (self._connected(mask) or not self._neighbours[mask] & ~mask)
+            ),
             key=lambda mask: (mask.bit_count(), mask),
         )
 
@@ -146,6 +159,16 @@ class DynamicProgrammingPlanner:
     # ------------------------------------------------------------------ #
     def _mask_aliases(self, mask: int) -> Tuple[str, ...]:
         return tuple(alias for alias in self.aliases if self._alias_bit[alias] & mask)
+
+    def _connected(self, mask: int) -> bool:
+        """Whether join predicates connect all relations of ``mask``: grow
+        from its lowest relation until nothing new is reached."""
+        reached = mask & -mask
+        while True:
+            grown = reached | (self._neighbours[reached] & mask)
+            if grown == reached:
+                return reached == mask
+            reached = grown
 
     def _expand_scan(self, alias: str) -> None:
         """(Re)compute the best access path for one base relation."""
@@ -159,10 +182,15 @@ class DynamicProgrammingPlanner:
         self, mask: int, pricing: JoinPricing, connected: bool
     ) -> Optional[Tuple[float, int, int, JoinMethod]]:
         """Cheapest ``(cost, left_mask, right_mask, method)`` over the ordered
-        splits of ``mask`` that do (``connected``) or do not have a cross edge;
-        the first such alternative in enumeration order on ties.
+        splits of ``mask`` into two planned sub-plans; the first such
+        alternative in enumeration order on ties.
+
+        ``connected`` says whether ``mask`` is connected.  If it is, every
+        such split has a join predicate across it (both halves are connected
+        sub-plans); if not, ``mask`` is a union of whole components and no
+        split has one.
         """
-        best, neighbours, index_probe = self._best, self._neighbours, self._index_probe
+        best, index_probe = self._best, self._index_probe
         price = pricing.cheapest
         left_deep = not self.settings.allow_bushy
         winner: Optional[Tuple[float, int, int, JoinMethod]] = None
@@ -178,8 +206,6 @@ class DynamicProgrammingPlanner:
                 continue
             if left_deep and right_mask & (right_mask - 1):
                 continue
-            if bool(neighbours[left_mask] & right_mask) != connected:
-                continue
             if connected:
                 # (outer, inner) and (inner, outer) are the same logical join
                 # tree: count it at the orientation enumerated first, which is
@@ -192,10 +218,9 @@ class DynamicProgrammingPlanner:
                 # Join costs are non-negative, so no method can get below.
                 continue
             indexed_inner_rows = None
-            if connected:
-                probe = index_probe.get(right_mask)
-                if probe is not None and probe[0] & left_mask and isinstance(right_plan, ScanNode):
-                    indexed_inner_rows = probe[1]
+            probe = index_probe.get(right_mask)
+            if probe is not None and probe[0] & left_mask and isinstance(right_plan, ScanNode):
+                indexed_inner_rows = probe[1]
             priced = price(
                 input_cost, left_plan.estimated_rows, right_plan.estimated_rows,
                 connected, indexed_inner_rows, bound,
@@ -210,11 +235,7 @@ class DynamicProgrammingPlanner:
         self.last_masks_expanded += 1
         output_rows = self.estimator.joinset_cardinality(self._mask_aliases(mask))
         pricing = self.cost_model.join_pricing(self._methods, output_rows)
-        # Prefer splits connected by join predicates; price the cartesian
-        # products only when no connected split yields a candidate.
-        winner = self._cheapest_split(mask, pricing, connected=True)
-        if winner is None:
-            winner = self._cheapest_split(mask, pricing, connected=False)
+        winner = self._cheapest_split(mask, pricing, self._connected(mask))
         if winner is None:
             return
         cost, left_mask, right_mask, method = winner
@@ -254,8 +275,9 @@ class DynamicProgrammingPlanner:
         plan = self._best.get((1 << len(self.aliases)) - 1)
         if plan is None:
             raise PlanningError(
-                f"could not build a plan for query {self.query.name!r}; "
-                "the join graph may be disconnected and cartesian products disabled"
+                f"could not build a plan for query {self.query.name!r}; no enabled "
+                "join method joins its relations (a disconnected join graph needs "
+                "NESTED_LOOP, and bushy trees to join two multi-relation components)"
             )
         return plan
 

@@ -38,7 +38,7 @@ class RoundRecord:
     #: Seconds the optimizer spent producing this round's plan.
     planning_seconds: float = 0.0
     #: DP masks the planner (re-)expanded this round.  Round 1 expands every
-    #: mask; incremental rounds only the Γ-dirtied ones.
+    #: planned mask; incremental rounds only the Γ-dirtied ones.
     dp_masks_expanded: int = 0
 
 

@@ -10,6 +10,10 @@ order, so the two agreeing — plan, cost bits, the paper's *N*, masks
 expanded, every memo entry — over random join graphs, method subsets,
 search shapes and Γ injections is the evidence that the rewrite changed
 speed only.
+
+The search order includes *which* masks are planned (``_join_masks``), so
+``test_planned_masks_are_the_connected_subsets`` checks that set on its own,
+against a breadth-first search over the query's join predicates.
 """
 
 from __future__ import annotations
@@ -272,6 +276,75 @@ def test_one_join_node_is_built_per_planned_mask(db):
     with mock.patch.object(JoinNode, "__init__", counting_init):
         planner.plan_joins()
     joins_in_memo = [node for node in planner._best.values() if isinstance(node, JoinNode)]
-    assert len(joins_in_memo) == 2 ** 6 - 1 - 6  # every multi-relation mask
+    # Every connected multi-relation mask: the 5 + 4 + 3 + 2 + 1 intervals of
+    # length >= 2 of a 6-chain.
+    assert len(joins_in_memo) == 15
     assert len(built) == len(joins_in_memo)
     assert {id(node) for node in built} == {id(node) for node in joins_in_memo}
+
+
+def _reachable(query, start, within):
+    """The relations of ``within`` a breadth-first search over join
+    predicates reaches from ``start``."""
+    reached, frontier = {start}, [start]
+    while frontier:
+        alias = frontier.pop()
+        for other in within - reached:
+            if query.join_predicates_between(frozenset({alias}), frozenset({other})):
+                reached.add(other)
+                frontier.append(other)
+    return frozenset(reached)
+
+
+@settings(max_examples=150, deadline=None)
+@given(query=join_graphs())
+def test_planned_masks_are_the_connected_subsets(db, query):
+    """The DP plans exactly the connected subsets of the relations, plus —
+    on a disconnected join graph — the unions of two or more whole
+    components, and nothing else."""
+    aliases = list(query.aliases)
+    subsets = [
+        frozenset(alias for position, alias in enumerate(aliases) if mask >> position & 1)
+        for mask in range(1, 1 << len(aliases))
+    ]
+    expected = {
+        subset for subset in subsets if _reachable(query, min(subset), subset) == subset
+    }
+    components = {_reachable(query, alias, frozenset(aliases)) for alias in aliases}
+    expected |= {
+        subset for subset in subsets
+        if sum(component <= subset for component in components) >= 2
+        and all(component <= subset or not component & subset for component in components)
+    }
+    planner = _planner(db, query, OptimizerSettings())
+    planner.plan_joins()
+    planned = {frozenset(planner._mask_aliases(mask)) for mask in planner._best}
+    assert planned == expected
+
+
+def test_dangling_relation_joins_its_component_by_cartesian_product(db):
+    """t0-t1 joined, t2 dangling: the plan joins the t0-t1 join and the t2
+    scan by a predicate-free nested loop, no mask mixing t2 with only part
+    of the other component is planned, and each planned join mask takes one
+    pass over its splits."""
+    query = (
+        QueryBuilder("dangling").table("t0").table("t1").table("t2")
+        .join("t0", "a", "t1", "a").build()
+    )
+    planner = _planner(db, query, OptimizerSettings())
+    with mock.patch.object(
+        DynamicProgrammingPlanner, "_cheapest_split", autospec=True,
+        side_effect=DynamicProgrammingPlanner._cheapest_split,
+    ) as passes:
+        plan = planner.plan_joins()
+    assert [call.args[1] for call in passes.call_args_list] == [0b011, 0b111]
+    assert isinstance(plan, JoinNode)
+    assert plan.method is JoinMethod.NESTED_LOOP
+    assert plan.predicates == ()
+    assert {plan.left.relations, plan.right.relations} == {
+        frozenset({"t0", "t1"}), frozenset({"t2"}),
+    }
+    assert {node.relations for node in planner._best.values()} == {
+        frozenset({"t0"}), frozenset({"t1"}), frozenset({"t2"}),
+        frozenset({"t0", "t1"}), frozenset({"t0", "t1", "t2"}),
+    }

@@ -91,29 +91,27 @@ class TestJoinTreeCount:
         )
 
     def test_bushy_chain_of_four_matches_hand_count(self, db):
-        """Hand count for the chain r1-r2-r3-r4 (edges 12, 23, 34).
-
-        Connected unordered splits per subset:
+        """Hand count of cp-free trees for the chain r1-r2-r3-r4 (edges 12,
+        23, 34).  Only connected subsets are planned, and each split of one
+        into two connected halves:
           size 2: {1|2}, {2|3}, {3|4}                                →  3
-          size 3: {123}: {1|23},{2|13},{3|12}; {234}: likewise       →  6
-                  {124}: {1|24},{2|14}; {134}: {3|14},{4|13}         →  4
-          size 4: {1|234},{2|134},{3|124},{4|123},
-                  {12|34},{13|24},{14|23}                            →  7
-        Total: 20.  The old counter reported every ordered split including
-        the disconnected ones (50 for this query).
+          size 3: {123}: {1|23},{3|12}; {234}: {2|34},{4|23}         →  4
+          size 4: {1|234},{4|123},{12|34}                            →  3
+        Total: 10.  {124} and {134} are not connected, and a split such as
+        {2|13} or {13|24} has a disconnected half.
         """
         planner = self._planner(db, self._chain_query(db), OptimizerSettings())
         planner.plan_joins()
-        assert planner.num_join_trees_considered == 20
+        assert planner.num_join_trees_considered == 10
 
     def test_left_deep_chain_of_four_matches_hand_count(self, db):
-        """Left-deep drops the three splits with no single-relation side:
-        {12|34}, {13|24}, {14|23} — leaving 17."""
+        """Left-deep drops the one split with no single-relation side,
+        {12|34} — leaving 9."""
         planner = self._planner(
             db, self._chain_query(db), OptimizerSettings(allow_bushy=False)
         )
         planner.plan_joins()
-        assert planner.num_join_trees_considered == 17
+        assert planner.num_join_trees_considered == 9
 
     def test_commuted_split_not_double_counted(self, db):
         query = (
@@ -126,16 +124,16 @@ class TestJoinTreeCount:
         assert planner.num_join_trees_considered == 1
 
     def test_disconnected_split_not_counted(self, db):
-        # r1-r2 joined; r3 dangling without any join predicate.  Splits with
-        # no cross join predicate — {1|3}, {2|3} and {3|12} — are cartesian
-        # fallbacks the search discards, so they must not count towards N.
-        # What remains: {1|2}, and the size-3 splits whose cut crosses the
-        # 1-2 edge ({1|23} and {2|13}).  Hand count: 3.
+        # r1-r2 joined; r3 dangling without any join predicate.  The planned
+        # masks are the component {12} and the union of both components
+        # {123}; {13} and {23} are not connected.  {123} has one split,
+        # {12|3}, a cartesian product, which does not count towards N.
+        # Hand count: {1|2} alone, 1.
         query = QueryBuilder("cross").table("r1").table("r2").table("r3")
         query = query.join("r1", "b", "r2", "b").build()
         planner = self._planner(db, query, OptimizerSettings())
         planner.plan_joins()
-        assert planner.num_join_trees_considered == 3
+        assert planner.num_join_trees_considered == 1
     def test_empty_join_pushed_down_after_validation(self, db):
         """Feeding the validated empty join makes the optimizer evaluate it first."""
         query = make_ott_query(db, [0, 0, 0, 0, 1])

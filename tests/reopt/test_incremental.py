@@ -3,7 +3,7 @@
 Covers the three invariants of the engine:
 
 * cross-round DP reuse — rounds after the first re-expand only Γ-dirtied
-  masks (a small fraction of the ``2^K`` subsets);
+  masks (a small fraction of the connected subsets the first round plans);
 * bit-identical results — incremental re-planning returns exactly the plan a
   from-scratch search under the same Γ would return;
 * convergence bugfixes — an A→B→A oscillation terminates via the
@@ -53,7 +53,9 @@ class TestIncrementalDP:
         planner = _fresh_planner(db, query)
         planner.plan_joins()
         full_masks = planner.last_masks_expanded
-        assert full_masks == 2 ** 5 - 1  # every mask, scans included
+        # Every connected subset of the 5-chain, scans included: its 15
+        # intervals.
+        assert full_masks == 15
 
         gamma = Gamma()
         gamma.record({"r4", "r5"}, 0.0)
@@ -62,8 +64,9 @@ class TestIncrementalDP:
         )
         scratch = _fresh_planner(db, query, gamma)
         assert plans_identical(replanned, scratch.plan_joins())
-        # Only supersets of {r4, r5} are dirty: 2^3 = 8 masks.
-        assert planner.last_masks_expanded == 8
+        # Only the connected supersets of {r4, r5} are dirty: the intervals
+        # r_i..r5 for i = 1..4.
+        assert planner.last_masks_expanded == 4
         assert planner.last_masks_expanded < full_masks
 
     def test_replan_with_singleton_dirty_set_rebuilds_scan(self, db):
@@ -79,8 +82,9 @@ class TestIncrementalDP:
         )
         scratch = _fresh_planner(db, query, gamma)
         assert plans_identical(replanned, scratch.plan_joins())
-        # Supersets of {r1}: the scan itself plus 2^4 - 1 join masks.
-        assert planner.last_masks_expanded == 16
+        # Connected supersets of {r1}: the scan itself plus the four join
+        # masks r1..r_j for j = 2..5.
+        assert planner.last_masks_expanded == 5
 
     def test_replan_with_no_changes_expands_nothing(self, db):
         query = make_ott_query(db, [0, 0, 0, 0, 1])
@@ -109,7 +113,7 @@ class TestSessionInsideAlgorithm1:
     def test_later_rounds_expand_fewer_masks(self, db):
         result = reoptimize(db, make_ott_query(db, [0, 0, 0, 0, 1]))
         masks = [r.dp_masks_expanded for r in result.report.rounds]
-        assert masks[0] == 2 ** 5 - 1
+        assert masks[0] == 15
         assert len(masks) >= 2
         for later in masks[1:]:
             assert later < masks[0]
@@ -144,7 +148,7 @@ class TestSessionInsideAlgorithm1:
             query = make_ott_query(db, constants)
             result = shared.reoptimize(query)
             alone = Reoptimizer(db).reoptimize(query)
-            assert result.report.dp_masks_per_round()[0] == 2 ** 5 - 1
+            assert result.report.dp_masks_per_round()[0] == 15
             assert result.report.dp_masks_per_round() == alone.report.dp_masks_per_round()
             assert [r.plan.signature() for r in result.report.rounds] == [
                 r.plan.signature() for r in alone.report.rounds
