@@ -10,11 +10,24 @@ Two importable pieces ship from this repository:
   installed into (the repo root also symlinks it for in-tree runs).
 """
 
+import re
+from pathlib import Path
+
 from setuptools import find_packages, setup
+
+
+def _version() -> str:
+    """``repro.__version__``, read without importing the package."""
+    source = (Path(__file__).parent / "src" / "repro" / "__init__.py").read_text()
+    match = re.search(r'^__version__ = "([^"]+)"$', source, re.MULTILINE)
+    if match is None:
+        raise RuntimeError("src/repro/__init__.py defines no __version__")
+    return match.group(1)
+
 
 setup(
     name="repro-sampling-reopt",
-    version="0.7.0",
+    version=_version(),
     description=(
         "Reproduction of sampling-based query re-optimization (SIGMOD 2016): "
         "deterministic relational runtime, Algorithm 1, and benchmarks"

@@ -1,4 +1,5 @@
-"""The paper scorecard (:mod:`repro.bench.experiments`), its harness and the load generator."""
+"""The paper scorecard (:mod:`repro.bench.experiments`), its harness and its
+table reporting, plus the zipf weights ``perfbench`` draws skewed streams from."""
 
 from __future__ import annotations
 

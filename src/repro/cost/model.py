@@ -31,6 +31,9 @@ from repro.plans.nodes import JoinMethod, ScanMethod
 _HASH_JOIN, _MERGE_JOIN = JoinMethod.HASH_JOIN, JoinMethod.MERGE_JOIN
 _NESTED_LOOP, _INDEX_NESTED_LOOP = JoinMethod.NESTED_LOOP, JoinMethod.INDEX_NESTED_LOOP
 
+#: Tuples on one logical page: page reads are ``ceil(rows / TUPLES_PER_PAGE)``.
+TUPLES_PER_PAGE = 100
+
 
 def _operator_evals(
     method: JoinMethod, outer_rows: float, inner_rows: float, inner_table_rows: float
@@ -89,9 +92,8 @@ class ResourceVector:
 class CostModel:
     """Per-operator resource formulas plus the dot product with the cost units."""
 
-    def __init__(self, units: CostUnits = DEFAULT_COST_UNITS, tuples_per_page: int = 100) -> None:
+    def __init__(self, units: CostUnits = DEFAULT_COST_UNITS) -> None:
         self.units = units
-        self.tuples_per_page = tuples_per_page
 
     # ------------------------------------------------------------------ #
     # Scalar cost
@@ -108,13 +110,13 @@ class CostModel:
 
     def with_units(self, units: CostUnits) -> "CostModel":
         """Return a copy of the model using different cost units."""
-        return CostModel(units=units, tuples_per_page=self.tuples_per_page)
+        return CostModel(units=units)
 
     # ------------------------------------------------------------------ #
     # Scans
     # ------------------------------------------------------------------ #
     def _pages(self, rows: float) -> float:
-        return max(1.0, math.ceil(rows / self.tuples_per_page))
+        return max(1.0, math.ceil(rows / TUPLES_PER_PAGE))
 
     def seq_scan_resources(
         self, table_rows: float, num_predicates: int, output_rows: float

@@ -174,14 +174,9 @@ def split_final_aggregate(plan: PlanNode) -> Tuple[PlanNode, Optional[AggregateN
 class Executor:
     """Evaluate physical plans over the database."""
 
-    def __init__(
-        self,
-        db: Database,
-        cost_units: CostUnits = DEFAULT_COST_UNITS,
-        tuples_per_page: int = 100,
-    ) -> None:
+    def __init__(self, db: Database, cost_units: CostUnits = DEFAULT_COST_UNITS) -> None:
         self.db = db
-        self.cost_model = CostModel(units=cost_units, tuples_per_page=tuples_per_page)
+        self.cost_model = CostModel(units=cost_units)
 
     # ------------------------------------------------------------------ #
     # Node evaluation

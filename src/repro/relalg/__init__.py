@@ -60,10 +60,7 @@ from repro.relalg.predicates import (
 )
 from repro.relalg.relation import (
     Relation,
-    RelationLike,
-    as_relation,
     concat_relations,
-    relation_num_rows,
 )
 from repro.relalg.scheduler import TaskScheduler
 from repro.relalg.shm import (
@@ -85,12 +82,10 @@ __all__ = [
     "ColumnDescriptor",
     "DictEncodedArray",
     "Relation",
-    "RelationLike",
     "RelationDescriptor",
     "SegmentRegistry",
     "ShmArena",
     "TaskScheduler",
-    "as_relation",
     "attach_array",
     "attach_column",
     "attach_columns",
@@ -109,7 +104,6 @@ __all__ = [
     "partial_aggregate",
     "partial_merge_exact",
     "predicate_mask",
-    "relation_num_rows",
     "segment_registry",
     "shm_dir_segments",
     "take_column",

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.errors import ExecutionError
 from repro.relalg.encoding import ColumnData, DictEncodedArray, sort_key, take_column
-from repro.relalg.relation import Relation, RelationLike, as_relation
+from repro.relalg.relation import Relation
 from repro.sql.ast import Aggregate, ColumnRef
 
 
@@ -98,12 +98,11 @@ def _grouped_values(
 
 
 def group_aggregate(
-    relation: RelationLike,
+    relation: Relation,
     group_by: Sequence[ColumnRef],
     aggregates: Sequence[Aggregate],
 ) -> Relation:
     """Grouped aggregation over a runtime relation (vectorised)."""
-    relation = as_relation(relation)
     rows = relation.num_rows
     if not group_by:
         return _global_aggregate(relation, aggregates)
@@ -225,7 +224,7 @@ def _partial_states(aggregates: Sequence[Aggregate]) -> List[Tuple[Aggregate, st
 
 
 def partial_aggregate(
-    relation: RelationLike,
+    relation: Relation,
     group_by: Sequence[ColumnRef],
     aggregates: Sequence[Aggregate],
 ) -> Relation:
@@ -238,7 +237,6 @@ def partial_aggregate(
     no state rows, not even to a global (no ``group_by``) aggregate, whose
     single row would otherwise carry placeholder NaNs into the merge.
     """
-    relation = as_relation(relation)
     partial = group_aggregate(
         relation,
         group_by,
@@ -252,7 +250,7 @@ def partial_aggregate(
 
 
 def merge_partials(
-    states: RelationLike,
+    states: Relation,
     group_by: Sequence[ColumnRef],
     aggregates: Sequence[Aggregate],
 ) -> Relation:
@@ -267,7 +265,6 @@ def merge_partials(
     :func:`partial_merge_exact` admits, so the result is bit-identical to
     aggregating the union of the shards' rows on one node.
     """
-    states = as_relation(states)
     states = Relation(
         {
             name: DictEncodedArray.encode(column)

@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING, AbstractSet, FrozenSet, List, Optional, Sequen
 import numpy as np
 
 from repro.relalg.encoding import ColumnData, factorize_pair, fits_direct_table, take_column
-from repro.relalg.relation import Relation, RelationLike, as_relation
+from repro.relalg.relation import Relation
 from repro.sql.ast import JoinPredicate
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
@@ -257,16 +257,14 @@ def _materialise(
 
 
 def join_indices(
-    left: RelationLike,
-    right: RelationLike,
+    left: Relation,
+    right: Relation,
     predicates: Sequence[JoinPredicate],
     left_aliases: FrozenSet[str],
     method: str = "hash",
     nested_loop_block_elements: Optional[int] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Row-index pairs the join of ``left`` and ``right`` produces."""
-    left = as_relation(left)
-    right = as_relation(right)
     if left.num_rows == 0 or right.num_rows == 0:
         return _empty_indices()
     if not predicates:
@@ -292,16 +290,14 @@ def join_indices(
 
 
 def _join(
-    left: RelationLike,
-    right: RelationLike,
+    left: Relation,
+    right: Relation,
     predicates: Sequence[JoinPredicate],
     left_aliases: FrozenSet[str],
     method: str,
     nested_loop_block_elements: Optional[int] = None,
     keep: Optional[AbstractSet[str]] = None,
 ) -> Relation:
-    left = as_relation(left)
-    right = as_relation(right)
     left_index, right_index = join_indices(
         left, right, predicates, left_aliases, method, nested_loop_block_elements
     )
@@ -309,8 +305,8 @@ def _join(
 
 
 def hash_join(
-    left: RelationLike,
-    right: RelationLike,
+    left: Relation,
+    right: Relation,
     predicates: Sequence[JoinPredicate],
     left_aliases: FrozenSet[str],
     keep: Optional[AbstractSet[str]] = None,
@@ -320,8 +316,8 @@ def hash_join(
 
 
 def merge_join(
-    left: RelationLike,
-    right: RelationLike,
+    left: Relation,
+    right: Relation,
     predicates: Sequence[JoinPredicate],
     left_aliases: FrozenSet[str],
     keep: Optional[AbstractSet[str]] = None,
@@ -331,8 +327,8 @@ def merge_join(
 
 
 def nested_loop_join(
-    left: RelationLike,
-    right: RelationLike,
+    left: Relation,
+    right: Relation,
     predicates: Sequence[JoinPredicate],
     left_aliases: FrozenSet[str],
     block_elements: Optional[int] = None,
@@ -343,8 +339,8 @@ def nested_loop_join(
 
 
 def index_nested_loop_join(
-    left: RelationLike,
-    right: RelationLike,
+    left: Relation,
+    right: Relation,
     left_keys: np.ndarray,
     index: "SortedIndex",
     keep: Optional[AbstractSet[str]] = None,
@@ -360,8 +356,6 @@ def index_nested_loop_join(
     with local predicates is not mapped through a selection vector: such a
     node keeps the hash kernel (see ``Executor._index_probe``).
     """
-    left = as_relation(left)
-    right = as_relation(right)
     starts, counts = index.probe(left_keys)
     left_index, right_index = _expand_matches(left.num_rows, counts, starts, index.rows)
     return _materialise(left, right, left_index, right_index, keep)

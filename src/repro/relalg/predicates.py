@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.errors import ExecutionError
 from repro.relalg.encoding import ColumnData, DictEncodedArray
-from repro.relalg.relation import Relation, RelationLike, as_relation
+from repro.relalg.relation import Relation
 from repro.sql.ast import LocalPredicate
 
 #: A compiled predicate: runtime column → boolean mask.
@@ -169,7 +169,7 @@ def predicate_mask(
 
 
 def filter_relation(
-    relation: RelationLike,
+    relation: Relation,
     alias: str,
     predicates: Sequence[LocalPredicate],
     keep: Optional[Iterable[str]] = None,
@@ -179,7 +179,6 @@ def filter_relation(
     ``keep`` names the (qualified) columns of the result; columns read only
     by the predicates are then never gathered.  ``None`` keeps every column.
     """
-    relation = as_relation(relation)
     carried = relation if keep is None else relation.project(keep)
     if not predicates:
         return carried

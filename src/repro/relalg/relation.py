@@ -2,11 +2,11 @@
 
 A :class:`Relation` maps qualified column names (``"alias.column"``) to
 runtime columns — plain NumPy arrays or :class:`~repro.relalg.encoding.
-DictEncodedArray` for dictionary-encoded strings.  It subclasses ``dict`` so
-legacy code (and tests) that treat a relation as a plain mapping keep
-working, but it additionally tracks an explicit row count: with projection
-pushdown a relation can legitimately carry *zero* columns (e.g. the input of
-``COUNT(*)``) while still knowing how many rows it has.
+DictEncodedArray` for dictionary-encoded strings.  It is a ``dict`` of those
+columns that also tracks an explicit row count: with projection pushdown a
+relation can legitimately carry *zero* columns (e.g. the input of
+``COUNT(*)``) while still knowing how many rows it has.  Every kernel takes
+and returns a :class:`Relation`.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from typing import (
     List,
     Mapping,
     Optional,
-    Union,
 )
 
 import numpy as np
@@ -33,11 +32,6 @@ from repro.relalg.encoding import (
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.storage.table import Table
-
-#: Anything the kernels accept as a relation: a :class:`Relation` proper or
-#: the legacy plain column mapping (coerced via :func:`as_relation`).
-RelationLike = Union["Relation", Mapping[str, ColumnData]]
-
 
 class Relation(Dict[str, ColumnData]):
     """A columnar batch of rows: qualified column name → runtime column."""
@@ -167,19 +161,3 @@ def concat_relations(parts: Iterable[Relation]) -> Relation:
         else:
             columns[name] = np.concatenate([decode_column(piece) for piece in pieces])
     return Relation(columns, num_rows=total_rows)
-
-
-def as_relation(columns: RelationLike) -> Relation:
-    """Coerce a plain column mapping (legacy representation) to a Relation."""
-    if isinstance(columns, Relation):
-        return columns
-    return Relation(columns)
-
-
-def relation_num_rows(relation: RelationLike) -> int:
-    """Number of rows of a relation or plain column mapping."""
-    if isinstance(relation, Relation):
-        return relation.num_rows
-    if not relation:
-        return 0
-    return column_length(next(iter(relation.values())))

@@ -34,13 +34,9 @@ from repro.service.templates import (
     PreparedStatement,
     prepare_statement,
 )
-from repro.service.tracing import (
-    STAGE_FIELDS,
-    RequestTrace,
-)
+from repro.service.tracing import RequestTrace
 
 __all__ = [
-    "STAGE_FIELDS",
     "RequestTrace",
     "AdmissionController",
     "BackpressureError",

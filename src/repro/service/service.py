@@ -271,7 +271,6 @@ class QueryService:
         self,
         statement: Union[str, Query, PreparedStatement],
         params: Optional[Bindings] = None,
-        client: str = "default",
         trace: Optional[RequestTrace] = None,
     ) -> ServiceResult:
         """Serve one execution of ``statement`` bound to ``params``.
@@ -291,10 +290,8 @@ class QueryService:
         if self._closed:
             raise RuntimeError(f"{type(self).__name__} is closed")
         if trace is None:
-            trace = RequestTrace(client=client)
-        trace.client = client
+            trace = RequestTrace()
         started = monotonic_s()
-        trace.started_s = started
         prepared = self.prepare(statement)
         trace.template = prepared.name
         bound = prepared.bind(params)
@@ -414,7 +411,7 @@ class QueryService:
                 # waited_s travels on the error; execute() charges it to the
                 # trace's queue-wait stage exactly once.
                 raise BackpressureError(
-                    f"client {trace.client!r} timed out waiting for a coalesced "
+                    f"request for {trace.template!r} timed out waiting for a coalesced "
                     "in-flight execution",
                     kind="timeout",
                     waited_s=waited,

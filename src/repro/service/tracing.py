@@ -8,37 +8,22 @@ shared monotonic clock (:func:`repro.clock.monotonic_s`), so the
 stages of one request are directly comparable with each other and with the
 admission deadline the request ran under.
 
-The trace is the observability primitive the load generator
-(:mod:`repro.bench.loadgen`) aggregates into p50/p95/p99 latency and
-per-stage breakdowns; it costs two clock reads per stage and allocates
-nothing after construction, so it is cheap enough to leave on for every
-request.
+``perfbench`` sums the stage fields into its per-layer times; a trace costs
+two clock reads per stage and allocates nothing after construction, so it
+is cheap enough to leave on for every request.
 
 Callers can pass their own trace into
-:meth:`repro.service.QueryService.execute` (the load generator does, so it
-keeps the trace even when the request is shed with
-:class:`~repro.service.admission.BackpressureError`); when they don't, the
-service creates one and attaches it to the returned
+:meth:`repro.service.QueryService.execute` to keep it even when the request
+is shed with :class:`~repro.service.admission.BackpressureError`; when they
+don't, the service creates one and attaches it to the returned
 :class:`~repro.service.service.ServiceResult`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
 
-__all__ = ["RequestTrace", "STAGE_FIELDS"]
-
-#: The per-stage duration fields of a trace, in pipeline order.  The load
-#: generator's per-stage breakdown and the BENCH artifact's columns follow
-#: this order.
-STAGE_FIELDS: Tuple[str, ...] = (
-    "queue_wait_s",
-    "validation_s",
-    "planning_s",
-    "execution_s",
-    "merge_s",
-)
+__all__ = ["RequestTrace"]
 
 
 @dataclass
@@ -51,9 +36,6 @@ class RequestTrace:
     request has only ``queue_wait_s``.
     """
 
-    #: Client id the request was submitted under; the load generator groups
-    #: requests by it.
-    client: str = "default"
     #: Prepared-statement name (filled once the statement is normalized).
     template: str = ""
     #: How the request was served — the cache-hit class: ``result_cache``,
@@ -79,25 +61,3 @@ class RequestTrace:
     merge_s: float = 0.0
     #: End-to-end service-side latency (every stage plus overhead).
     total_s: float = 0.0
-    #: Monotonic stamp at which the service started handling the request.
-    started_s: float = 0.0
-
-    @property
-    def accounted_s(self) -> float:
-        """Seconds attributed to a named stage."""
-        return (
-            self.queue_wait_s
-            + self.validation_s
-            + self.planning_s
-            + self.execution_s
-            + self.merge_s
-        )
-
-    @property
-    def overhead_s(self) -> float:
-        """Latency not attributed to any stage (dispatch, caches, locks)."""
-        return max(0.0, self.total_s - self.accounted_s)
-
-    def stage_seconds(self) -> Dict[str, float]:
-        """Stage → seconds, in :data:`STAGE_FIELDS` order."""
-        return {stage: float(getattr(self, stage)) for stage in STAGE_FIELDS}

@@ -16,8 +16,6 @@ from repro.sql.builder import QueryBuilder
 from repro.sql.fingerprint import (
     binding_key,
     normalize_value,
-    plan_fingerprint,
-    statistics_fingerprint,
     template_fingerprint,
 )
 from repro.sql.parser import parse_query
@@ -35,7 +33,5 @@ __all__ = [
     "binding_key",
     "normalize_value",
     "parse_query",
-    "plan_fingerprint",
-    "statistics_fingerprint",
     "template_fingerprint",
 ]

@@ -1,21 +1,18 @@
 """Normalized query fingerprints shared by the service's caches.
 
-Two caches key on "the same query":
+The query service (:mod:`repro.service`) keys both of its caches on one
+:func:`template_fingerprint`: a prepared *template* is identified up to its
+parameter slots.  The plan cache keys on it alone; the result cache adds the
+:func:`binding_key` of one execution and the epochs of the referenced
+tables.
 
-* the query service's parameterized plan cache (:mod:`repro.service`) — a
-  prepared *template* is identified up to its parameter slots, and each
-  execution additionally carries a *binding key*;
-* the service's result cache — keyed by template, bindings and the epochs of
-  the referenced tables.
-
-Both go through the fingerprints below, which **normalize** values
-before comparing: numerically equal constants fingerprint identically
-(``5`` vs ``5.0`` vs ``numpy.int64(5)``), set-valued ``IN`` lists are order
-insensitive, and the query *name* is excluded (workload instances named
-``q3_i0`` / ``q3_i1`` with the same body are duplicates).  Normalization
-never merges semantically different constants: two queries differing only in
-a literal get distinct fingerprints — the regression the shared utility
-exists to prevent.
+Both keys **normalize** values before comparing: numerically equal constants
+fingerprint identically (``5`` vs ``5.0`` vs ``numpy.int64(5)``), set-valued
+``IN`` lists are order insensitive, and the query *name* is excluded
+(workload instances named ``q3_i0`` / ``q3_i1`` with the same body are
+duplicates).  Normalization never merges semantically different constants:
+two queries differing only in a literal get distinct fingerprints — the
+regression the shared utility exists to prevent.
 """
 
 from __future__ import annotations
@@ -80,12 +77,16 @@ def _predicate_value_key(op: str, value: object) -> NormalizedValue:
     return normalize_value(value)
 
 
-def statistics_fingerprint(query: Query) -> Tuple:
-    """Key under which two queries may share validated cardinalities (Γ).
+def template_fingerprint(query: Query) -> Tuple:
+    """Identity of a *prepared-statement template*, the key of every service cache.
 
-    Covers everything the sampling validator sees: table references, local
-    predicates (with normalized constants) and join predicates.  Aggregations
-    and projections are excluded — they affect no join-set cardinality.
+    Covers the table references, the local predicates (normalized constants;
+    parameter slots normalize to their key, position or name, rather than a
+    value), the join predicates and the output block (projections,
+    aggregates, group-by).  Two preparations of the same template — whatever
+    their eventual bindings — share one plan-cache line, while templates
+    differing in any baked-in constant, placeholder position or structure do
+    not.  The query *name* is deliberately excluded.
     """
     tables = tuple(sorted((ref.alias, ref.table) for ref in query.tables))
     locals_ = tuple(
@@ -100,34 +101,12 @@ def statistics_fingerprint(query: Query) -> Tuple:
             for p in (predicate.normalized() for predicate in query.join_predicates)
         )
     )
-    return (tables, locals_, joins)
-
-
-def plan_fingerprint(query: Query) -> Tuple:
-    """Key under which two queries produce identical (re-)optimization results.
-
-    Extends the statistics fingerprint with the output block (projections,
-    aggregates, group-by), which shapes the final plan's aggregation node.
-    The query *name* is deliberately excluded.
-    """
     aggregates = tuple(
         (a.func, a.alias, a.column, a.output_name) for a in query.aggregates
     )
     group_by = tuple((c.alias, c.column) for c in query.group_by)
     projections = tuple((c.alias, c.column) for c in query.projections)
-    return statistics_fingerprint(query) + (aggregates, group_by, projections)
-
-
-def template_fingerprint(query: Query) -> Tuple:
-    """Identity of a *prepared-statement template*.
-
-    This is :func:`plan_fingerprint` over the parameterized query: parameter
-    slots normalize to their key (position or name) rather than a value, so
-    two preparations of the same template — whatever their eventual bindings
-    — share one plan-cache line, while templates differing in any baked-in
-    constant, placeholder position or structure do not.
-    """
-    return ("template",) + plan_fingerprint(query)
+    return ("template", tables, locals_, joins, aggregates, group_by, projections)
 
 
 def binding_key(query: Query, bindings: Bindings) -> Tuple:

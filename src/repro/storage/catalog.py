@@ -199,12 +199,11 @@ class Database:
         name: str,
         column_declarations: Iterable[Column],
         columns: Mapping[str, Iterable],
-        tuples_per_page: int = 100,
         replace: bool = False,
     ) -> Table:
         """Build a :class:`Table` from raw columns and register it."""
         schema = TableSchema(name, tuple(column_declarations))
-        table = Table(schema, columns, tuples_per_page=tuples_per_page)
+        table = Table(schema, columns)
         return self.create_table(table, replace=replace)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -1,8 +1,8 @@
 """Secondary indexes over table columns.
 
 One index class, :class:`SortedIndex`: a stable argsort of the column (one
-sort per indexed column) serving equality lookups for index scans, range
-lookups, and the batch :meth:`SortedIndex.probe` the index nested-loop join
+sort per indexed column) serving equality lookups for index scans and the
+batch :meth:`SortedIndex.probe` the index nested-loop join
 kernel (:func:`repro.relalg.joins.index_nested_loop_join`) runs on.
 
 Indexes store *row positions* into the base table, so a lookup composes with
@@ -11,7 +11,7 @@ Indexes store *row positions* into the base table, so a lookup composes with
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from repro.storage.table import Table
 
 
 class SortedIndex:
-    """Order-preserving index: equality, range and batch lookups by binary search."""
+    """Order-preserving index: equality and batch lookups by binary search."""
 
     def __init__(self, table: Table, column: str) -> None:
         if not table.has_column(column):
@@ -58,27 +58,3 @@ class SortedIndex:
         except TypeError:
             return self.rows[:0]
         return self.rows[int(start) : int(start + count)]
-
-    def range_lookup(
-        self,
-        low: Optional[object] = None,
-        high: Optional[object] = None,
-        include_low: bool = True,
-        include_high: bool = True,
-    ) -> np.ndarray:
-        """Return the row positions whose indexed value lies in ``[low, high]``.
-
-        Either bound may be ``None`` for an open-ended range; inclusivity of
-        each bound is controlled independently.
-        """
-        lo = 0
-        hi = len(self._sorted)
-        if low is not None:
-            side = "left" if include_low else "right"
-            lo = int(np.searchsorted(self._sorted, low, side=side))
-        if high is not None:
-            side = "right" if include_high else "left"
-            hi = int(np.searchsorted(self._sorted, high, side=side))
-        if hi < lo:
-            hi = lo
-        return self.rows[lo:hi]

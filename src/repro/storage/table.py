@@ -10,15 +10,12 @@ for the lifetime of the table and makes sample tables cheap, reproducible
 snapshots — derived tables (:meth:`Table.take`) share their parent's
 dictionary instead of re-encoding.
 
-The storage model intentionally mirrors what the paper's cost model needs:
-a table exposes a row count and a page count (``ceil(rows / tuples_per_page)``)
-so that the PostgreSQL-style cost formulas in :mod:`repro.cost` can charge
-sequential and random page accesses.
+A table exposes its row count; the PostgreSQL-style cost formulas in
+:mod:`repro.cost` turn row counts into the page accesses they charge.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
@@ -29,9 +26,6 @@ from repro.relalg.encoding import ColumnData, DictEncodedArray
 
 #: Logical column types supported by the engine.
 SUPPORTED_TYPES = ("int", "float", "str")
-
-#: Default number of tuples that fit on one "page" for costing purposes.
-DEFAULT_TUPLES_PER_PAGE = 100
 
 
 @dataclass(frozen=True)
@@ -112,21 +106,10 @@ class Table:
     columns:
         Mapping from column name to a one-dimensional array-like of values.
         All columns must have the same length.
-    tuples_per_page:
-        How many tuples fit on one logical page; used by the cost model to
-        translate row counts into page counts.
     """
 
-    def __init__(
-        self,
-        schema: TableSchema,
-        columns: Mapping[str, Iterable],
-        tuples_per_page: int = DEFAULT_TUPLES_PER_PAGE,
-    ) -> None:
+    def __init__(self, schema: TableSchema, columns: Mapping[str, Iterable]) -> None:
         self.schema = schema
-        self.tuples_per_page = int(tuples_per_page)
-        if self.tuples_per_page <= 0:
-            raise SchemaError("tuples_per_page must be positive")
 
         self._data: Dict[str, ColumnData] = {}
         self._decoded: Dict[str, np.ndarray] = {}
@@ -188,11 +171,6 @@ class Table:
         return self._num_rows
 
     @property
-    def num_pages(self) -> int:
-        """Number of logical pages the table occupies (at least 1)."""
-        return max(1, math.ceil(self._num_rows / self.tuples_per_page))
-
-    @property
     def column_names(self) -> List[str]:
         """Names of all columns, in declaration order."""
         return self.schema.column_names
@@ -237,7 +215,7 @@ class Table:
             col: data.take(row_indices) if isinstance(data, DictEncodedArray) else data[row_indices]
             for col, data in self._data.items()
         }
-        return Table(new_schema, new_columns, tuples_per_page=self.tuples_per_page)
+        return Table(new_schema, new_columns)
 
     def filter(self, mask: np.ndarray, name: Optional[str] = None) -> "Table":
         """Return a new table containing only the rows where ``mask`` is True."""
@@ -264,11 +242,7 @@ class Table:
         return f"Table({self.name!r}, rows={self._num_rows}, columns={self.column_names})"
 
 
-def table_from_rows(
-    schema: TableSchema,
-    rows: Sequence[Mapping[str, object]],
-    tuples_per_page: int = DEFAULT_TUPLES_PER_PAGE,
-) -> Table:
+def table_from_rows(schema: TableSchema, rows: Sequence[Mapping[str, object]]) -> Table:
     """Build a :class:`Table` from an iterable of row dictionaries.
 
     Convenience constructor used mostly in tests and examples; the workload
@@ -280,4 +254,4 @@ def table_from_rows(
             if name not in row:
                 raise SchemaError(f"row is missing column {name!r} for table {schema.name!r}")
             columns[name].append(row[name])
-    return Table(schema, columns, tuples_per_page=tuples_per_page)
+    return Table(schema, columns)

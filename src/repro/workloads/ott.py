@@ -55,13 +55,11 @@ def ott_table_name(index: int) -> str:
     return f"r{index}"
 
 
-def generate_ott_table(
-    name: str, rows: int, domain_size: int, rng: np.random.Generator, tuples_per_page: int = 100
-) -> Table:
+def generate_ott_table(name: str, rows: int, domain_size: int, rng: np.random.Generator) -> Table:
     """Generate one OTT relation with ``B = A`` (Algorithm 2, lines 2-4)."""
     a_column = rng.integers(0, domain_size, size=rows, dtype=np.int64)
     schema = TableSchema(name, (Column("a", "int"), Column("b", "int")))
-    return Table(schema, {"a": a_column, "b": a_column.copy()}, tuples_per_page=tuples_per_page)
+    return Table(schema, {"a": a_column, "b": a_column.copy()})
 
 
 def generate_ott_database(
@@ -73,7 +71,6 @@ def generate_ott_database(
     analyze: bool = True,
     sampling_ratio: float = 0.05,
     create_samples: bool = True,
-    tuples_per_page: int = 100,
 ) -> Database:
     """Build an OTT database ready for (re-)optimization experiments.
 
@@ -92,11 +89,7 @@ def generate_ott_database(
     for index in range(1, num_tables + 1):
         rng = np.random.default_rng(seed + index)
         table = generate_ott_table(
-            ott_table_name(index),
-            rows_per_table,
-            config.domain_size,
-            rng,
-            tuples_per_page=tuples_per_page,
+            ott_table_name(index), rows_per_table, config.domain_size, rng
         )
         db.create_table(table)
         if create_indexes:

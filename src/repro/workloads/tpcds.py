@@ -66,7 +66,6 @@ def generate_tpcds_database(
     create_indexes: bool = True,
     create_samples: bool = True,
     sampling_ratio: float = 0.5,
-    tuples_per_page: int = 100,
 ) -> Database:
     """Generate the TPC-DS-like snowflake database at the given scale."""
     rng = np.random.default_rng(seed)
@@ -92,7 +91,6 @@ def generate_tpcds_database(
             "d_dom": np.arange(n_dates) % 28 + 1,
             "d_qoy": ((np.arange(n_dates) // 30) % 12) // 3 + 1,
         },
-        tuples_per_page=tuples_per_page,
     ))
 
     n_items = rows("item")
@@ -109,7 +107,6 @@ def generate_tpcds_database(
             "i_manager_id": rng.integers(1, 100, size=n_items, dtype=np.int64),
             "i_current_price": rng.uniform(1.0, 300.0, size=n_items),
         },
-        tuples_per_page=tuples_per_page,
     ))
 
     n_customers = rows("customer")
@@ -129,7 +126,6 @@ def generate_tpcds_database(
             "c_current_hdemo_sk": rng.integers(0, n_hdemo, size=n_customers, dtype=np.int64),
             "c_birth_year": rng.integers(1930, 2000, size=n_customers, dtype=np.int64),
         },
-        tuples_per_page=tuples_per_page,
     ))
     db.create_table(Table(
         TableSchema("customer_address", (
@@ -141,7 +137,6 @@ def generate_tpcds_database(
             "ca_state": rng.choice(STATES, size=n_addresses).astype(object),
             "ca_gmt_offset": rng.choice([-5, -6, -7, -8], size=n_addresses).astype(np.int64),
         },
-        tuples_per_page=tuples_per_page,
     ))
     db.create_table(Table(
         TableSchema("customer_demographics", (
@@ -154,7 +149,6 @@ def generate_tpcds_database(
             "cd_marital_status": rng.choice(MARITAL, size=n_cdemo).astype(object),
             "cd_education_status": rng.choice(EDUCATION, size=n_cdemo).astype(object),
         },
-        tuples_per_page=tuples_per_page,
     ))
     db.create_table(Table(
         TableSchema("household_demographics", (
@@ -166,7 +160,6 @@ def generate_tpcds_database(
             "hd_dep_count": rng.integers(0, 10, size=n_hdemo, dtype=np.int64),
             "hd_vehicle_count": rng.integers(0, 5, size=n_hdemo, dtype=np.int64),
         },
-        tuples_per_page=tuples_per_page,
     ))
 
     n_stores = rows("store")
@@ -180,7 +173,6 @@ def generate_tpcds_database(
             "s_state": rng.choice(STATES, size=n_stores).astype(object),
             "s_number_employees": rng.integers(200, 300, size=n_stores, dtype=np.int64),
         },
-        tuples_per_page=tuples_per_page,
     ))
     n_promos = rows("promotion")
     db.create_table(Table(
@@ -191,7 +183,6 @@ def generate_tpcds_database(
             "p_promo_sk": np.arange(n_promos, dtype=np.int64),
             "p_channel_email": rng.choice(["Y", "N"], size=n_promos).astype(object),
         },
-        tuples_per_page=tuples_per_page,
     ))
     n_ship_modes = rows("ship_mode")
     db.create_table(Table(
@@ -204,7 +195,6 @@ def generate_tpcds_database(
                 ["EXPRESS", "OVERNIGHT", "REGULAR", "TWO DAY", "LIBRARY"], size=n_ship_modes
             ).astype(object),
         },
-        tuples_per_page=tuples_per_page,
     ))
     n_warehouses = rows("warehouse")
     db.create_table(Table(
@@ -215,7 +205,6 @@ def generate_tpcds_database(
             "w_warehouse_sk": np.arange(n_warehouses, dtype=np.int64),
             "w_state": rng.choice(STATES, size=n_warehouses).astype(object),
         },
-        tuples_per_page=tuples_per_page,
     ))
 
     # ----------------------------- facts ------------------------------ #
@@ -253,7 +242,6 @@ def generate_tpcds_database(
             "ss_quantity": ss["quantity"], "ss_sales_price": ss["sales_price"],
             "ss_net_profit": ss["net_profit"],
         },
-        tuples_per_page=tuples_per_page,
     ))
 
     n_sr = rows("store_returns")
@@ -272,7 +260,6 @@ def generate_tpcds_database(
             "sr_ticket_number": returned_tickets,
             "sr_return_amt": rng.uniform(1.0, 300.0, size=n_sr),
         },
-        tuples_per_page=tuples_per_page,
     ))
 
     n_cs = rows("catalog_sales")
@@ -291,7 +278,6 @@ def generate_tpcds_database(
             "cs_ship_mode_sk": rng.integers(0, n_ship_modes, size=n_cs, dtype=np.int64),
             "cs_quantity": cs["quantity"], "cs_sales_price": cs["sales_price"],
         },
-        tuples_per_page=tuples_per_page,
     ))
 
     n_ws = rows("web_sales")
@@ -307,7 +293,6 @@ def generate_tpcds_database(
             "ws_bill_customer_sk": ws["customer_sk"],
             "ws_quantity": ws["quantity"], "ws_sales_price": ws["sales_price"],
         },
-        tuples_per_page=tuples_per_page,
     ))
 
     if create_indexes:

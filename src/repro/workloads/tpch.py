@@ -75,7 +75,6 @@ class TpchConfig:
     scale_factor: float = 0.01
     zipf_z: float = 0.0
     seed: int = 0
-    tuples_per_page: int = 100
 
     def rows(self, table: str) -> int:
         """Scaled row count for ``table`` (with sensible minimums)."""
@@ -116,7 +115,6 @@ def generate_tpch_database(
     create_indexes: bool = True,
     create_samples: bool = True,
     sampling_ratio: float = 0.05,
-    tuples_per_page: int = 100,
 ) -> Database:
     """Generate the TPC-H-like database.
 
@@ -125,9 +123,7 @@ def generate_tpch_database(
     dominate the fact tables in the skewed configuration — the situation in
     which MCV-based estimates matter most.
     """
-    config = TpchConfig(
-        scale_factor=scale_factor, zipf_z=zipf_z, seed=seed, tuples_per_page=tuples_per_page
-    )
+    config = TpchConfig(scale_factor=scale_factor, zipf_z=zipf_z, seed=seed)
     rng = np.random.default_rng(seed)
     z = zipf_z
     db = Database(name=f"tpch_sf{scale_factor}_z{zipf_z}")
@@ -142,7 +138,6 @@ def generate_tpch_database(
             "r_regionkey": np.arange(region_rows, dtype=np.int64),
             "r_name": np.array(REGION_NAMES[:region_rows], dtype=object),
         },
-        tuples_per_page=tuples_per_page,
     ))
 
     nation_rows = config.rows("nation")
@@ -156,7 +151,6 @@ def generate_tpch_database(
             "n_regionkey": rng.integers(0, region_rows, size=nation_rows, dtype=np.int64),
             "n_name": np.array(NATION_NAMES[:nation_rows], dtype=object),
         },
-        tuples_per_page=tuples_per_page,
     ))
 
     # ------------------------------------------------------------------ #
@@ -177,7 +171,6 @@ def generate_tpch_database(
             "s_nationkey": _skewed_integers(rng, nation_rows, supplier_rows, z),
             "s_acctbal": rng.uniform(-999.99, 9999.99, size=supplier_rows),
         },
-        tuples_per_page=tuples_per_page,
     ))
 
     customer_rows = config.rows("customer")
@@ -197,7 +190,6 @@ def generate_tpch_database(
             "c_mktsegment": _skewed_choice(rng, MARKET_SEGMENTS, customer_rows, z),
             "c_acctbal": rng.uniform(-999.99, 9999.99, size=customer_rows),
         },
-        tuples_per_page=tuples_per_page,
     ))
 
     part_rows = config.rows("part")
@@ -221,7 +213,6 @@ def generate_tpch_database(
             "p_container": _skewed_choice(rng, CONTAINERS, part_rows, z),
             "p_retailprice": rng.uniform(900.0, 2000.0, size=part_rows),
         },
-        tuples_per_page=tuples_per_page,
     ))
 
     # ------------------------------------------------------------------ #
@@ -244,7 +235,6 @@ def generate_tpch_database(
             "ps_supplycost": rng.uniform(1.0, 1000.0, size=partsupp_rows),
             "ps_availqty": rng.integers(1, 10_000, size=partsupp_rows, dtype=np.int64),
         },
-        tuples_per_page=tuples_per_page,
     ))
 
     # ------------------------------------------------------------------ #
@@ -272,7 +262,6 @@ def generate_tpch_database(
             "o_orderstatus": _skewed_choice(rng, ORDER_STATUSES, orders_rows, z),
             "o_totalprice": rng.uniform(1000.0, 500_000.0, size=orders_rows),
         },
-        tuples_per_page=tuples_per_page,
     ))
 
     lineitem_rows = config.rows("lineitem")
@@ -317,7 +306,6 @@ def generate_tpch_database(
             "l_shipmode": _skewed_choice(rng, SHIP_MODES, lineitem_rows, z),
             "l_shipinstruct": _skewed_choice(rng, SHIP_INSTRUCTS, lineitem_rows, z),
         },
-        tuples_per_page=tuples_per_page,
     ))
 
     if create_indexes:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cost.calibration import CalibrationObservation, fit_cost_units
-from repro.cost.model import CostModel, ResourceVector
+from repro.cost.model import TUPLES_PER_PAGE, CostModel, ResourceVector
 from repro.cost.units import CostUnits, DEFAULT_COST_UNITS
 from repro.errors import CalibrationError
 from repro.plans.nodes import JoinMethod, ScanMethod
@@ -74,6 +74,18 @@ class TestCostModel:
         assert resources.seq_pages == 10
         assert resources.tuples == 1000
         assert resources.operator_evals == pytest.approx(2 * 1000 + 10)
+
+    def test_pages_round_up_and_are_at_least_one(self):
+        assert self.model.seq_scan_resources(250, 0, 0).seq_pages == 3
+        assert self.model.seq_scan_resources(0, 0, 0).seq_pages == 1
+
+    def test_a_page_holds_tuples_per_page_rows(self):
+        """One page size for every table; the golden plans are priced at 100."""
+        assert TUPLES_PER_PAGE == 100
+        full = 7 * TUPLES_PER_PAGE
+        assert self.model.seq_scan_resources(full, 0, 0).seq_pages == 7
+        assert self.model.seq_scan_resources(full + 1, 0, 0).seq_pages == 8
+        assert self.model.index_scan_resources(full, 10 * full, 0, 0).random_pages == 7
 
     def test_index_scan_cheaper_than_seq_scan_for_selective_predicates(self):
         seq = self.model.seq_scan_resources(100_000, 1, 10)

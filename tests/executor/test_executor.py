@@ -5,10 +5,10 @@ import pytest
 
 from repro.executor.executor import Executor
 from repro.relalg import (
+    Relation,
     filter_relation,
     group_aggregate,
     hash_join,
-    relation_num_rows,
 )
 from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.settings import OptimizerSettings
@@ -20,7 +20,9 @@ from repro.sql.parser import parse_query
 
 class TestKernels:
     def test_apply_predicate_mask_all_operators(self):
-        relation = {"t.a": np.array([1, 2, 3, 4, 5]), "t.b": np.array([10, 20, 30, 40, 50])}
+        relation = Relation(
+            {"t.a": np.array([1, 2, 3, 4, 5]), "t.b": np.array([10, 20, 30, 40, 50])}
+        )
         cases = [
             (LocalPredicate("t", "a", "=", 3), [3]),
             (LocalPredicate("t", "a", "<>", 3), [1, 2, 4, 5]),
@@ -34,37 +36,37 @@ class TestKernels:
             assert list(filtered["t.a"]) == expected
 
     def test_equi_join_matches_reference(self):
-        left = {"l.k": np.array([1, 2, 2, 3]), "l.v": np.array([10, 20, 21, 30])}
-        right = {"r.k": np.array([2, 2, 3, 4]), "r.w": np.array([200, 201, 300, 400])}
+        left = Relation({"l.k": np.array([1, 2, 2, 3]), "l.v": np.array([10, 20, 21, 30])})
+        right = Relation({"r.k": np.array([2, 2, 3, 4]), "r.w": np.array([200, 201, 300, 400])})
         predicate = JoinPredicate("l", "k", "r", "k")
         result = hash_join(left, right, [predicate], frozenset({"l"}))
         pairs = sorted(zip(result["l.v"].tolist(), result["r.w"].tolist()))
         assert pairs == [(20, 200), (20, 201), (21, 200), (21, 201), (30, 300)]
 
     def test_equi_join_empty_input(self):
-        left = {"l.k": np.array([], dtype=np.int64)}
-        right = {"r.k": np.array([1, 2])}
+        left = Relation({"l.k": np.array([], dtype=np.int64)})
+        right = Relation({"r.k": np.array([1, 2])})
         result = hash_join(left, right, [JoinPredicate("l", "k", "r", "k")], frozenset({"l"}))
-        assert relation_num_rows(result) == 0
+        assert result.num_rows == 0
 
     def test_equi_join_without_predicates_is_cross_product(self):
-        left = {"l.a": np.array([1, 2])}
-        right = {"r.b": np.array([10, 20, 30])}
+        left = Relation({"l.a": np.array([1, 2])})
+        right = Relation({"r.b": np.array([10, 20, 30])})
         result = hash_join(left, right, [], frozenset({"l"}))
-        assert relation_num_rows(result) == 6
+        assert result.num_rows == 6
 
     def test_equi_join_multiple_predicates(self):
-        left = {"l.k1": np.array([1, 1, 2]), "l.k2": np.array([5, 6, 7])}
-        right = {"r.k1": np.array([1, 1, 2]), "r.k2": np.array([5, 9, 7])}
+        left = Relation({"l.k1": np.array([1, 1, 2]), "l.k2": np.array([5, 6, 7])})
+        right = Relation({"r.k1": np.array([1, 1, 2]), "r.k2": np.array([5, 9, 7])})
         predicates = [JoinPredicate("l", "k1", "r", "k1"), JoinPredicate("l", "k2", "r", "k2")]
         result = hash_join(left, right, predicates, frozenset({"l"}))
-        assert relation_num_rows(result) == 2
+        assert result.num_rows == 2
 
     def test_group_aggregate_grouped(self):
-        relation = {
+        relation = Relation({
             "t.g": np.array([1, 1, 2, 2, 2]),
             "t.v": np.array([10.0, 20.0, 1.0, 2.0, 3.0]),
-        }
+        })
         result = group_aggregate(
             relation,
             [ColumnRef("t", "g")],
@@ -84,16 +86,30 @@ class TestKernels:
         assert list(result["hi"]) == [20.0, 3.0]
 
     def test_group_aggregate_global(self):
-        relation = {"t.v": np.array([1.0, 2.0, 3.0])}
+        relation = Relation({"t.v": np.array([1.0, 2.0, 3.0])})
         result = group_aggregate(relation, [], [Aggregate("sum", "t", "v", "s")])
         assert result["s"][0] == 6.0
 
     def test_group_aggregate_empty_input(self):
-        relation = {"t.g": np.array([], dtype=np.int64), "t.v": np.array([], dtype=float)}
+        relation = Relation({"t.g": np.array([], dtype=np.int64), "t.v": np.array([], dtype=float)})
         grouped = group_aggregate(relation, [ColumnRef("t", "g")], [Aggregate("count", None, None, "c")])
-        assert relation_num_rows(grouped) == 0
+        assert grouped.num_rows == 0
         global_agg = group_aggregate(relation, [], [Aggregate("count", None, None, "c")])
         assert global_agg["c"][0] == 0
+
+    def test_cross_product_with_a_column_free_relation_keeps_its_rows(self):
+        """A ``COUNT(*)`` input carries no columns, only a row count."""
+        left = Relation({}, num_rows=3)
+        right = Relation({"r.b": np.array([1, 2])})
+        result = hash_join(left, right, [], frozenset({"l"}))
+        assert result.num_rows == 6
+        assert list(result) == ["r.b"]
+        assert sorted(result["r.b"].tolist()) == [1, 1, 1, 2, 2, 2]
+
+    def test_count_star_over_a_column_free_relation(self):
+        relation = Relation({}, num_rows=4)
+        result = group_aggregate(relation, [], [Aggregate("count", None, None, "c")])
+        assert result["c"][0] == 4
 
 
 class TestExecutorEndToEnd:

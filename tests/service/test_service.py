@@ -353,12 +353,12 @@ class TestBackpressureAndLifecycle:
         with QueryService(service_ott_db, settings=settings) as service:
             service.admission.acquire()  # occupy the only slot
             with pytest.raises(BackpressureError) as excinfo:
-                service.execute(ott_template(), [0, 0, 0], client="victim")
+                service.execute(ott_template(), [0, 0, 0])
             service.admission.release()
             assert excinfo.value.kind == kind
             assert (service.stats.shed, service.stats.timed_out) == counted
             assert service.stats.queries == 0
-            ok = service.execute(ott_template(), [0, 0, 0], client="victim")
+            ok = service.execute(ott_template(), [0, 0, 0])
             assert ok.source == "fresh"
 
     def test_a_query_over_the_join_cap_fails_and_the_service_serves_on(self, service_ott_db):

@@ -235,7 +235,7 @@ class TestServingLayers:
             service.admission.acquire()  # occupy the only slot
             trace = RequestTrace()
             with pytest.raises(BackpressureError) as excinfo:
-                service.execute(SQL_PARTIAL, [30], client="victim", trace=trace)
+                service.execute(SQL_PARTIAL, [30], trace=trace)
             service.admission.release()
             assert excinfo.value.kind == "timeout"
             assert trace.outcome == "timeout"
@@ -247,7 +247,7 @@ class TestServingLayers:
             service.admission.acquire()
             trace = RequestTrace()
             with pytest.raises(BackpressureError):
-                service.execute(SQL_PARTIAL, [30], client="victim", trace=trace)
+                service.execute(SQL_PARTIAL, [30], trace=trace)
             service.admission.release()
             assert trace.outcome == "shed"
             assert (service.stats.shed, service.stats.timed_out) == (1, 0)
@@ -278,7 +278,7 @@ class TestServingLayers:
 
         def serve(role, service):
             try:
-                outcomes[role] = service.execute(SQL_PARTIAL, [30], client=role)
+                outcomes[role] = service.execute(SQL_PARTIAL, [30])
             except Exception as error:  # noqa: BLE001 - collected for the assert
                 outcomes[role] = error
 
@@ -320,7 +320,7 @@ class TestServingLayers:
                 for step in range(per_client):
                     position = (index + step) % len(requests)
                     sql, params = requests[position]
-                    result = service.execute(sql, params, client=f"c{index}")
+                    result = service.execute(sql, params)
                     served.append((position, result))
             except Exception as error:  # noqa: BLE001 - collected for the assert
                 errors.append(error)
@@ -357,7 +357,7 @@ class TestServingLayers:
             try:
                 for step in range(per_client):
                     sql = SQL_PARTIAL if step % 2 else SQL_PROJECTION
-                    service.execute(sql, [2 + (index + step) % 5], client=f"c{index}")
+                    service.execute(sql, [2 + (index + step) % 5])
             except Exception as error:  # noqa: BLE001 - collected for the assert
                 errors.append(error)
 

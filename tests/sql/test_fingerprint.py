@@ -1,4 +1,4 @@
-"""Normalized fingerprints: the shared plan/template/binding cache keys."""
+"""Normalized fingerprints: the template and binding keys the service caches share."""
 
 from __future__ import annotations
 
@@ -8,8 +8,6 @@ from repro.sql.builder import QueryBuilder
 from repro.sql.fingerprint import (
     binding_key,
     normalize_value,
-    plan_fingerprint,
-    statistics_fingerprint,
     template_fingerprint,
 )
 from repro.sql.parser import parse_query
@@ -43,23 +41,20 @@ class TestNormalization:
         assert normalize_value((1, 2, 3)) != normalize_value((1, 2, 4))
 
 
-class TestPlanFingerprint:
+class TestTemplateFingerprintNormalization:
     def test_literal_difference_splits_the_key(self):
         """The regression the shared utility exists for: two queries that
         differ only in a predicate constant must never share a plan."""
-        assert plan_fingerprint(_orders_query(5)) != plan_fingerprint(_orders_query(6))
-        assert statistics_fingerprint(_orders_query(5)) != statistics_fingerprint(
-            _orders_query(6)
-        )
+        assert template_fingerprint(_orders_query(5)) != template_fingerprint(_orders_query(6))
 
     def test_numeric_spelling_does_not_split_the_key(self):
-        assert plan_fingerprint(_orders_query(5)) == plan_fingerprint(
+        assert template_fingerprint(_orders_query(5)) == template_fingerprint(
             _orders_query(np.int64(5))
         )
-        assert plan_fingerprint(_orders_query(5)) == plan_fingerprint(_orders_query(5.0))
+        assert template_fingerprint(_orders_query(5)) == template_fingerprint(_orders_query(5.0))
 
     def test_name_is_excluded(self):
-        assert plan_fingerprint(_orders_query(5, "a")) == plan_fingerprint(
+        assert template_fingerprint(_orders_query(5, "a")) == template_fingerprint(
             _orders_query(5, "b")
         )
 
@@ -72,7 +67,7 @@ class TestPlanFingerprint:
             QueryBuilder("q").table("orders", "o")
             .filter("o", "o_priority", "in", ("LOW", "HIGH")).build()
         )
-        assert plan_fingerprint(first) == plan_fingerprint(second)
+        assert template_fingerprint(first) == template_fingerprint(second)
 
     def test_between_bounds_keep_their_order(self):
         first = (
@@ -83,19 +78,42 @@ class TestPlanFingerprint:
             QueryBuilder("q").table("orders", "o")
             .filter("o", "o_customer", "between", (5, 1)).build()
         )
-        assert plan_fingerprint(first) != plan_fingerprint(second)
+        assert template_fingerprint(first) != template_fingerprint(second)
 
-
-    def test_aggregates_only_affect_plan_fingerprint(self):
+    def test_aggregates_split_the_key(self):
         base = QueryBuilder("a").table("r1").table("r2").join("r1", "b", "r2", "b")
         aggregated = (
             QueryBuilder("b").table("r1").table("r2").join("r1", "b", "r2", "b")
             .aggregate("count", output_name="c")
         )
-        assert statistics_fingerprint(base.build()) == statistics_fingerprint(
-            aggregated.build()
+        assert template_fingerprint(base.build()) != template_fingerprint(aggregated.build())
+
+    def test_join_predicate_direction_does_not_split_the_key(self):
+        forward = QueryBuilder("f").table("r1").table("r2").join("r1", "b", "r2", "b").build()
+        backward = QueryBuilder("b").table("r1").table("r2").join("r2", "b", "r1", "b").build()
+        assert template_fingerprint(forward) == template_fingerprint(backward)
+
+    def test_predicate_order_does_not_split_the_key(self):
+        first = (
+            QueryBuilder("q").table("orders", "o")
+            .filter("o", "o_customer", "=", 5).filter("o", "o_priority", "=", "HIGH").build()
         )
-        assert plan_fingerprint(base.build()) != plan_fingerprint(aggregated.build())
+        second = (
+            QueryBuilder("q").table("orders", "o")
+            .filter("o", "o_priority", "=", "HIGH").filter("o", "o_customer", "=", 5).build()
+        )
+        assert template_fingerprint(first) == template_fingerprint(second)
+
+    def test_group_by_splits_the_key(self):
+        def counted(*group_by):
+            builder = QueryBuilder("q").table("orders", "o")
+            for column in group_by:
+                builder = builder.group_by("o", column)
+            return builder.aggregate("count", output_name="n").build()
+
+        keys = {template_fingerprint(counted(*columns))
+                for columns in ((), ("o_priority",), ("o_customer",))}
+        assert len(keys) == 3
 
 
 class TestTemplateFingerprint:

@@ -1,4 +1,4 @@
-"""Unit tests for the sorted index (equality, range and batch lookups)."""
+"""Unit tests for the sorted index (equality and batch lookups)."""
 
 import numpy as np
 import pytest
@@ -41,6 +41,11 @@ class TestLookup:
     def test_lookup_lists_rows_ascending(self, table):
         assert SortedIndex(table, "k").lookup(5).tolist() == [0, 2, 5]
 
+    def test_lookup_of_numpy_scalars(self, table):
+        index = SortedIndex(table, "k")
+        assert index.lookup(np.int64(3)).tolist() == [1, 4]
+        assert index.lookup(np.float64(1.0)).tolist() == [3]
+
     @pytest.mark.parametrize("value", ["5", None, 5.5, b"5"])
     def test_lookup_of_a_wrongly_typed_value_is_empty(self, table, value):
         assert SortedIndex(table, "k").lookup(value).size == 0
@@ -68,35 +73,20 @@ class TestProbe:
         runs = [index.rows[s : s + c].tolist() for s, c in zip(starts, counts)]
         assert runs == [[0, 2, 5], [], [3], [1, 4], []]
 
+    def test_probe_of_no_keys_is_empty(self, table):
+        starts, counts = SortedIndex(table, "k").probe(np.empty(0, dtype=np.int64))
+        assert starts.size == counts.size == 0
+
+    def test_probe_with_float_keys_on_an_int_column(self, table):
+        """An equality probe compares values, not spellings: 3.0 finds 3."""
+        index = SortedIndex(table, "k")
+        starts, counts = index.probe(np.array([3.0, 3.5]))
+        assert counts.tolist() == [2, 0]
+        assert index.rows[starts[0] : starts[0] + counts[0]].tolist() == [1, 4]
+
     def test_probe_agrees_with_lookup(self, table):
         index = SortedIndex(table, "k")
         keys = np.arange(-1, 8)
         starts, counts = index.probe(keys)
         for key, start, count in zip(keys, starts, counts):
             assert index.rows[start : start + count].tolist() == index.lookup(key).tolist()
-
-
-class TestRangeLookup:
-    def test_range_lookup_inclusive(self, table):
-        index = SortedIndex(table, "k")
-        rows = index.range_lookup(3, 5)
-        assert sorted(table.column("k")[rows].tolist()) == [3, 3, 5, 5, 5]
-
-    def test_range_lookup_exclusive_bounds(self, table):
-        index = SortedIndex(table, "k")
-        rows = index.range_lookup(1, 5, include_low=False, include_high=False)
-        assert sorted(table.column("k")[rows].tolist()) == [3, 3]
-
-    def test_open_ended_ranges(self, table):
-        index = SortedIndex(table, "k")
-        assert len(index.range_lookup(None, None)) == 6
-        assert sorted(table.column("k")[index.range_lookup(4, None)].tolist()) == [5, 5, 5]
-        assert sorted(table.column("k")[index.range_lookup(None, 2)].tolist()) == [1]
-
-    def test_empty_range(self, table):
-        index = SortedIndex(table, "k")
-        assert index.range_lookup(10, 20).size == 0
-
-    def test_missing_column_rejected(self, table):
-        with pytest.raises(CatalogError):
-            SortedIndex(table, "missing")

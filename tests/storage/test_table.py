@@ -51,11 +51,6 @@ class TestTable:
         assert table.num_rows == 10
         assert len(table) == 10
         assert table.column_names == ["a", "b", "c"]
-        assert table.num_pages == 1
-
-    def test_num_pages_rounds_up(self):
-        table = make_table(250)
-        assert table.num_pages == 3
 
     def test_column_access_and_dtype_coercion(self):
         table = make_table()
@@ -108,11 +103,6 @@ class TestTable:
         head = table.head(2)
         assert len(head) == 2
         assert head[0]["a"] == 0
-
-    def test_zero_tuples_per_page_rejected(self):
-        schema = TableSchema("t", (Column("a"),))
-        with pytest.raises(SchemaError):
-            Table(schema, {"a": [1]}, tuples_per_page=0)
 
     def test_table_from_rows(self):
         schema = TableSchema("t", (Column("a"), Column("b", "str")))
