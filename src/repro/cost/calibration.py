@@ -4,8 +4,8 @@ The paper's "with calibration" configurations replace PostgreSQL's default
 cost units with values fitted against observed query running times.  We
 reproduce the procedure:
 
-1. run a set of calibration plans (simple scans and joins over the workload's
-   own tables) through the executor;
+1. run a set of calibration plans (full and index-filtered scans of the
+   workload's own tables) through the executor;
 2. record, for each plan, the executor's resource vector (pages read, tuples
    visited, ...) and its measured wall-clock time;
 3. fit the five cost units by non-negative least squares so that
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence
 
 import numpy as np
 from scipy.optimize import nnls
@@ -30,8 +30,6 @@ from repro.cost.units import CostUnits
 from repro.errors import CalibrationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from repro.executor.executor import Executor
-    from repro.optimizer.optimizer import Optimizer
     from repro.sql.ast import Query
     from repro.storage.catalog import Database
 
@@ -79,57 +77,42 @@ def fit_cost_units(observations: Sequence[CalibrationObservation]) -> Calibratio
     return CalibrationResult(units=units, observations=list(observations), residual_norm=float(residual))
 
 
-def calibrate_cost_units(
-    db: Database,
-    queries: Optional[Sequence[Query]] = None,
-    executor: Optional[Executor] = None,
-    optimizer: Optional[Optimizer] = None,
-    repetitions: int = 1,
-) -> CalibrationResult:
+def calibrate_cost_units(db: Database, repetitions: int = 1) -> CalibrationResult:
     """Calibrate the cost units against the executor on ``db``.
 
-    Parameters
-    ----------
-    db:
-        Database whose tables drive the calibration workload.
-    queries:
-        Calibration queries; defaults to a generated micro-workload of single
-        table scans and two-way joins over the largest tables.
-    executor, optimizer:
-        Injected to avoid import cycles; default instances are created when
-        omitted.
-    repetitions:
-        How many times each calibration plan is executed (timings averaged).
+    The calibration workload is a full sequential scan of every table, largest
+    first, plus one equality-filtered scan on each of its first two indexed
+    columns; ``repetitions`` is how many times each plan is executed (timings
+    averaged).
     """
     from repro.executor.executor import Executor
     from repro.optimizer.optimizer import Optimizer
     from repro.sql.builder import QueryBuilder
 
-    executor = executor if executor is not None else Executor(db)
-    optimizer = optimizer if optimizer is not None else Optimizer(db)
+    executor = Executor(db)
+    optimizer = Optimizer(db)
 
-    if queries is None:
-        queries = []
-        table_names = sorted(db.table_names(), key=lambda name: -db.table(name).num_rows)
-        for name in table_names:
-            # A full sequential scan of every table.
-            queries.append(QueryBuilder(f"calib_scan_{name}").table(name).build())
-            table = db.table(name)
-            # One filtered scan per indexed column: exercises index scans and
-            # predicate evaluation so that the index/CPU cost units are
-            # identifiable even on databases with few tables.
-            for column in db.indexed_columns(name)[:2]:
-                if table.num_rows == 0:
-                    continue
-                probe_value = table.column(column)[0]
-                if hasattr(probe_value, "item"):
-                    probe_value = probe_value.item()
-                queries.append(
-                    QueryBuilder(f"calib_index_{name}_{column}")
-                    .table(name)
-                    .filter(name, column, "=", probe_value)
-                    .build()
-                )
+    queries: List[Query] = []
+    table_names = sorted(db.table_names(), key=lambda name: -db.table(name).num_rows)
+    for name in table_names:
+        # A full sequential scan of every table.
+        queries.append(QueryBuilder(f"calib_scan_{name}").table(name).build())
+        table = db.table(name)
+        # One filtered scan per indexed column: exercises index scans and
+        # predicate evaluation so that the index/CPU cost units are
+        # identifiable even on databases with few tables.
+        for column in db.indexed_columns(name)[:2]:
+            if table.num_rows == 0:
+                continue
+            probe_value = table.column(column)[0]
+            if hasattr(probe_value, "item"):
+                probe_value = probe_value.item()
+            queries.append(
+                QueryBuilder(f"calib_index_{name}_{column}")
+                .table(name)
+                .filter(name, column, "=", probe_value)
+                .build()
+            )
 
     observations: List[CalibrationObservation] = []
     for query in queries:

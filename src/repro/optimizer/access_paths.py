@@ -12,12 +12,11 @@ cost, which is how PostgreSQL chooses between them.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.cardinality.estimator import CardinalityEstimator
 from repro.cardinality.selectivity import equality_selectivity
 from repro.cost.model import CostModel
-from repro.optimizer.settings import OptimizerSettings
 from repro.plans.nodes import ScanMethod, ScanNode
 from repro.sql.ast import Query
 from repro.storage.catalog import Database
@@ -29,7 +28,6 @@ def best_scan(
     alias: str,
     estimator: CardinalityEstimator,
     cost_model: CostModel,
-    settings: OptimizerSettings,
 ) -> ScanNode:
     """Build the cheapest scan over ``alias`` given the query's local predicates."""
     table_name = query.table_for_alias(alias)
@@ -53,34 +51,33 @@ def best_scan(
         )
     )
 
-    if settings.enable_index_scan:
-        table_stats = db.statistics.get(table_name)
-        for predicate in predicates:
-            if predicate.op != "=":
-                continue
-            if not db.has_index(table_name, predicate.column):
-                continue
-            column_stats = (
-                table_stats.column(predicate.column)
-                if table_stats is not None and table_stats.has_column(predicate.column)
-                else None
+    table_stats = db.statistics.get(table_name)
+    for predicate in predicates:
+        if predicate.op != "=":
+            continue
+        if not db.has_index(table_name, predicate.column):
+            continue
+        column_stats = (
+            table_stats.column(predicate.column)
+            if table_stats is not None and table_stats.has_column(predicate.column)
+            else None
+        )
+        matched_rows = table_rows * equality_selectivity(column_stats, predicate.value)
+        residual = len(predicates) - 1
+        resources = cost_model.index_scan_resources(
+            table_rows, matched_rows, residual, output_rows
+        )
+        candidates.append(
+            ScanNode(
+                relations=frozenset({alias}),
+                estimated_rows=output_rows,
+                estimated_cost=cost_model.cost(resources),
+                table=table_name,
+                alias=alias,
+                method=ScanMethod.INDEX_SCAN,
+                predicates=predicates,
+                index_column=predicate.column,
             )
-            matched_rows = table_rows * equality_selectivity(column_stats, predicate.value)
-            residual = len(predicates) - 1
-            resources = cost_model.index_scan_resources(
-                table_rows, matched_rows, residual, output_rows
-            )
-            candidates.append(
-                ScanNode(
-                    relations=frozenset({alias}),
-                    estimated_rows=output_rows,
-                    estimated_cost=cost_model.cost(resources),
-                    table=table_name,
-                    alias=alias,
-                    method=ScanMethod.INDEX_SCAN,
-                    predicates=predicates,
-                    index_column=predicate.column,
-                )
-            )
+        )
 
     return min(candidates, key=lambda node: node.estimated_cost)

@@ -174,9 +174,7 @@ class DynamicProgrammingPlanner:
         """(Re)compute the best access path for one base relation."""
         bit = self._alias_bit[alias]
         self.last_masks_expanded += 1
-        self._best[bit] = best_scan(
-            self.db, self.query, alias, self.estimator, self.cost_model, self.settings
-        )
+        self._best[bit] = best_scan(self.db, self.query, alias, self.estimator, self.cost_model)
 
     def _cheapest_split(
         self, mask: int, pricing: JoinPricing, connected: bool

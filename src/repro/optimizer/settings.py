@@ -1,10 +1,12 @@
 """Optimizer configuration knobs.
 
-The settings mirror the PostgreSQL knobs the paper interacts with: the five
-cost units (default or calibrated, Section 5.1.2), which physical operators
-are enabled, and whether bushy join trees are explored.  The join search is
-always the exhaustive DP, up to ``repro.optimizer.dp.MAX_JOIN_RELATIONS``
-relations.
+The settings are the knobs the paper's configurations vary: the five cost
+units (default or calibrated, Section 5.1.2), which join operators are
+enabled, whether bushy join trees are explored and whether join
+selectivities use MCV matching (the Figure 12/13 profiles).  Index scans are
+always considered, as at PostgreSQL's default ``enable_indexscan = on``.
+The join search is always the exhaustive DP, up to
+``repro.optimizer.dp.MAX_JOIN_RELATIONS`` relations.
 """
 
 from __future__ import annotations
@@ -34,9 +36,6 @@ class OptimizerSettings:
             JoinMethod.INDEX_NESTED_LOOP,
         }
     )
-    #: Allow index scans on base tables (when an index and an equality
-    #: predicate are available).
-    enable_index_scan: bool = True
     #: Use PostgreSQL-style MCV matching when estimating join selectivities;
     #: False falls back to the plain System R reduction factor.
     use_mcv_join_refinement: bool = True

@@ -49,8 +49,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
 #: remaining predicates are applied as residual filters on the matched pairs.
 _MAX_COMPOSITE_DOMAIN = 2**62
 
-#: Default element budget for one block of the nested-loop comparison matrix
-#: (overridable per call through ``block_elements``).
+#: Element budget for one block of the nested-loop comparison matrix: it
+#: trades peak memory against per-block NumPy dispatch overhead.
 _NESTED_LOOP_BLOCK_ELEMENTS = 4_000_000
 
 
@@ -199,22 +199,14 @@ def merge_match(
 
 
 def nested_loop_match(
-    left_codes: np.ndarray,
-    right_codes: np.ndarray,
-    block_elements: Optional[int] = None,
+    left_codes: np.ndarray, right_codes: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Match codes by comparing every (left, right) pair, in blocks.
-
-    ``block_elements`` bounds the size of one comparison-matrix block
-    (defaults to :data:`_NESTED_LOOP_BLOCK_ELEMENTS`); it trades peak memory
-    against per-block NumPy dispatch overhead.
-    """
+    """Match codes by comparing every (left, right) pair, in blocks of at
+    most :data:`_NESTED_LOOP_BLOCK_ELEMENTS` comparisons."""
     left_rows, right_rows = len(left_codes), len(right_codes)
     if left_rows == 0 or right_rows == 0:
         return _empty_indices()
-    if block_elements is None:
-        block_elements = _NESTED_LOOP_BLOCK_ELEMENTS
-    block = max(1, block_elements // max(1, right_rows))
+    block = max(1, _NESTED_LOOP_BLOCK_ELEMENTS // max(1, right_rows))
     left_parts: List[np.ndarray] = []
     right_parts: List[np.ndarray] = []
     for start in range(0, left_rows, block):
@@ -262,7 +254,6 @@ def join_indices(
     predicates: Sequence[JoinPredicate],
     left_aliases: FrozenSet[str],
     method: str = "hash",
-    nested_loop_block_elements: Optional[int] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Row-index pairs the join of ``left`` and ``right`` produces."""
     if left.num_rows == 0 or right.num_rows == 0:
@@ -277,9 +268,7 @@ def join_indices(
     elif method == "merge":
         left_index, right_index = merge_match(left_codes, right_codes)
     elif method == "nested_loop":
-        left_index, right_index = nested_loop_match(
-            left_codes, right_codes, nested_loop_block_elements
-        )
+        left_index, right_index = nested_loop_match(left_codes, right_codes)
     else:
         raise ValueError(f"unknown join kernel {method!r}")
     if residual:
@@ -295,12 +284,9 @@ def _join(
     predicates: Sequence[JoinPredicate],
     left_aliases: FrozenSet[str],
     method: str,
-    nested_loop_block_elements: Optional[int] = None,
     keep: Optional[AbstractSet[str]] = None,
 ) -> Relation:
-    left_index, right_index = join_indices(
-        left, right, predicates, left_aliases, method, nested_loop_block_elements
-    )
+    left_index, right_index = join_indices(left, right, predicates, left_aliases, method)
     return _materialise(left, right, left_index, right_index, keep)
 
 
@@ -312,7 +298,7 @@ def hash_join(
     keep: Optional[AbstractSet[str]] = None,
 ) -> Relation:
     """Hash-based equi-join (factorize → build code table → probe)."""
-    return _join(left, right, predicates, left_aliases, "hash", keep=keep)
+    return _join(left, right, predicates, left_aliases, "hash", keep)
 
 
 def merge_join(
@@ -323,7 +309,7 @@ def merge_join(
     keep: Optional[AbstractSet[str]] = None,
 ) -> Relation:
     """Sort-merge equi-join (factorize → sort → binary search)."""
-    return _join(left, right, predicates, left_aliases, "merge", keep=keep)
+    return _join(left, right, predicates, left_aliases, "merge", keep)
 
 
 def nested_loop_join(
@@ -331,11 +317,10 @@ def nested_loop_join(
     right: Relation,
     predicates: Sequence[JoinPredicate],
     left_aliases: FrozenSet[str],
-    block_elements: Optional[int] = None,
     keep: Optional[AbstractSet[str]] = None,
 ) -> Relation:
     """Block nested-loop equi-join (reference kernel, O(n·m) comparisons)."""
-    return _join(left, right, predicates, left_aliases, "nested_loop", block_elements, keep)
+    return _join(left, right, predicates, left_aliases, "nested_loop", keep)
 
 
 def index_nested_loop_join(

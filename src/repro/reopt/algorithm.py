@@ -37,7 +37,7 @@ from repro.cardinality.gamma import Gamma
 from repro.cardinality.sampling_estimator import SamplingEstimator
 from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.settings import OptimizerSettings
-from repro.plans.join_tree import classify_transformation, plans_identical
+from repro.plans.join_tree import plans_identical
 from repro.plans.nodes import PlanNode
 from repro.reopt.report import ReoptimizationReport, RoundRecord
 from repro.sql.ast import Query
@@ -139,16 +139,9 @@ class Reoptimizer:
             planning_started = time.perf_counter()
             plan = session.optimize(gamma)
             planning_seconds = time.perf_counter() - planning_started
-            previous_plan = report.rounds[-1].plan if report.rounds else None
-            transformation = (
-                classify_transformation(previous_plan, plan) if previous_plan is not None else None
-            )
             record = RoundRecord(
                 round_number=round_number,
                 plan=plan,
-                estimated_cost=plan.estimated_cost,
-                estimated_rows=plan.estimated_rows,
-                transformation=transformation,
                 planning_seconds=planning_seconds,
                 dp_masks_expanded=session.last_masks_expanded,
             )

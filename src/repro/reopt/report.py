@@ -11,9 +11,9 @@ or global transformation (Theorem 2's characterisation).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional
+from typing import FrozenSet, List
 
-from repro.plans.join_tree import JoinTree, TransformationKind
+from repro.plans.join_tree import JoinTree, TransformationKind, classify_transformation
 from repro.plans.nodes import PlanNode
 
 
@@ -22,14 +22,9 @@ class RoundRecord:
     """What happened in one round of Algorithm 1."""
 
     round_number: int
+    #: The optimizer's plan this round; it carries the cost and row estimates
+    #: made under the Γ available at that time.
     plan: PlanNode
-    #: Cost estimated by the optimizer when it produced this plan (using the Γ
-    #: available at that time).
-    estimated_cost: float
-    estimated_rows: float
-    #: Transformation kind relative to the previous round's plan (None for the
-    #: first round).
-    transformation: Optional[TransformationKind]
     #: Seconds spent validating this plan over the samples (0 for the final
     #: round, which is never validated because the loop already terminated).
     sampling_seconds: float = 0.0
@@ -66,12 +61,6 @@ class ReoptimizationReport:
         return len(self.rounds)
 
     @property
-    def num_distinct_plans(self) -> int:
-        """Number of structurally distinct plans among the rounds."""
-        signatures = {record.plan.signature() for record in self.rounds}
-        return len(signatures)
-
-    @property
     def total_sampling_seconds(self) -> float:
         """Total wall-clock seconds spent running plans over samples."""
         return sum(record.sampling_seconds for record in self.rounds)
@@ -82,16 +71,13 @@ class ReoptimizationReport:
 
     @property
     def transformation_chain(self) -> List[TransformationKind]:
-        """Transformation kinds for rounds 2..n (Theorem 2's chain)."""
+        """How each round's plan relates to the previous round's, for rounds
+        2..n (Theorem 2's chain); classified on demand, so the loop itself
+        never walks the join trees."""
         return [
-            record.transformation
-            for record in self.rounds
-            if record.transformation is not None
+            classify_transformation(previous.plan, current.plan)
+            for previous, current in zip(self.rounds, self.rounds[1:])
         ]
-
-    def plan_changed(self) -> bool:
-        """True if re-optimization produced a plan different from the original."""
-        return self.num_distinct_plans > 1
 
     def final_plan(self) -> PlanNode:
         """The plan of the last round (the fixed point)."""
@@ -129,14 +115,3 @@ class ReoptimizationReport:
         for record in self.rounds:
             union.update(JoinTree.of(record.plan).join_set)
         return frozenset(union)
-
-    def summary(self) -> Dict[str, object]:
-        """Compact dictionary used by the benchmark harness."""
-        return {
-            "query": self.query_name,
-            "rounds": self.num_plans_generated,
-            "distinct_plans": self.num_distinct_plans,
-            "plan_changed": self.plan_changed(),
-            "sampling_seconds": self.total_sampling_seconds,
-            "transformations": [kind.value for kind in self.transformation_chain],
-        }

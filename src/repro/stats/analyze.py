@@ -1,7 +1,6 @@
 """The ANALYZE command: collect per-column statistics for the optimizer.
 
-``analyze(db)`` walks every table (or a chosen subset), optionally samples
-rows (like PostgreSQL's 300 * statistics_target row sample), and produces a
+``analyze(db)`` scans every table in full and produces a
 :class:`repro.stats.statistics.TableStatistics` per table containing, for
 each column:
 
@@ -9,17 +8,17 @@ each column:
 * a most-common-value (MCV) list with frequencies,
 * an equal-depth histogram over the non-MCV values (numeric columns).
 
-The defaults (100 MCVs, 100 histogram buckets) match PostgreSQL's default
+The limits (100 MCVs, 100 histogram buckets) match PostgreSQL's default
 ``default_statistics_target``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.relalg.encoding import ColumnData, take_column, value_counts
+from repro.relalg.encoding import ColumnData, value_counts
 from repro.stats.histogram import EquiDepthHistogram
 from repro.stats.statistics import ColumnStatistics, TableStatistics
 from repro.storage.table import Table
@@ -27,9 +26,9 @@ from repro.storage.table import Table
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.storage.catalog import Database
 
-#: Default number of most-common values kept per column.
+#: Number of most-common values kept per column.
 DEFAULT_MCV_TARGET = 100
-#: Default number of histogram buckets per numeric column.
+#: Number of histogram buckets per numeric column.
 DEFAULT_HISTOGRAM_BUCKETS = 100
 #: MCV inclusion rule: a value qualifies when its frequency exceeds
 #: ``MCV_SELECTIVITY_THRESHOLD`` times the average frequency, mirroring the
@@ -37,13 +36,7 @@ DEFAULT_HISTOGRAM_BUCKETS = 100
 MCV_SELECTIVITY_THRESHOLD = 1.25
 
 
-def analyze_column(
-    values: ColumnData,
-    column_name: str,
-    is_numeric: bool,
-    mcv_target: int = DEFAULT_MCV_TARGET,
-    histogram_buckets: int = DEFAULT_HISTOGRAM_BUCKETS,
-) -> ColumnStatistics:
+def analyze_column(values: ColumnData, column_name: str, is_numeric: bool) -> ColumnStatistics:
     """Compute :class:`ColumnStatistics` for one column.
 
     Accepts either a plain array or a dictionary-encoded string column; for
@@ -56,14 +49,13 @@ def analyze_column(
             column=column_name,
             num_rows=0,
             n_distinct=0,
-            null_fraction=0.0,
             is_numeric=is_numeric,
         )
 
     unique_values, counts = value_counts(values)
     n_distinct = len(unique_values)
 
-    # Most common values: keep up to ``mcv_target`` values whose frequency is
+    # Most common values: keep up to DEFAULT_MCV_TARGET values whose frequency is
     # above the "more common than average" threshold, ordered by frequency.
     order = np.argsort(counts)[::-1]
     average_count = num_rows / n_distinct
@@ -72,8 +64,8 @@ def analyze_column(
     # A column with few distinct values (<= target) keeps *all* of them in the
     # MCV list, which is what PostgreSQL effectively does and what makes the
     # OTT selections exactly estimable.
-    keep_all = n_distinct <= mcv_target
-    for position in order[:mcv_target]:
+    keep_all = n_distinct <= DEFAULT_MCV_TARGET
+    for position in order[:DEFAULT_MCV_TARGET]:
         count = counts[position]
         if not keep_all and count < MCV_SELECTIVITY_THRESHOLD * average_count:
             break
@@ -94,13 +86,12 @@ def analyze_column(
             non_mcv = numeric[non_mcv_mask]
         else:
             non_mcv = numeric
-        histogram = EquiDepthHistogram.from_values(non_mcv, num_buckets=histogram_buckets)
+        histogram = EquiDepthHistogram.from_values(non_mcv, num_buckets=DEFAULT_HISTOGRAM_BUCKETS)
 
     return ColumnStatistics(
         column=column_name,
         num_rows=num_rows,
         n_distinct=n_distinct,
-        null_fraction=0.0,
         mcv_values=mcv_values,
         mcv_fractions=mcv_fractions,
         histogram=histogram,
@@ -110,64 +101,19 @@ def analyze_column(
     )
 
 
-def analyze_table(
-    table: Table,
-    mcv_target: int = DEFAULT_MCV_TARGET,
-    histogram_buckets: int = DEFAULT_HISTOGRAM_BUCKETS,
-    sample_rows: Optional[int] = None,
-    seed: Optional[int] = None,
-) -> TableStatistics:
-    """Compute statistics for every column of ``table``.
-
-    ``sample_rows`` restricts ANALYZE to a random row sample, like the real
-    command; ``None`` scans the whole table (fine at the scales we use).
-    """
+def analyze_table(table: Table) -> TableStatistics:
+    """Compute statistics for every column of ``table`` over all its rows."""
     statistics = TableStatistics(table=table.name, row_count=table.num_rows)
-    if sample_rows is not None and 0 < sample_rows < table.num_rows:
-        rng = np.random.default_rng(seed)
-        row_indices = np.sort(rng.choice(table.num_rows, size=sample_rows, replace=False))
-    else:
-        row_indices = None
-
     for declaration in table.schema.columns:
-        values = table.data_column(declaration.name)
-        if row_indices is not None:
-            values = take_column(values, row_indices)
-        column_stats = analyze_column(
-            values,
+        statistics.columns[declaration.name] = analyze_column(
+            table.data_column(declaration.name),
             column_name=declaration.name,
             is_numeric=declaration.type in ("int", "float"),
-            mcv_target=mcv_target,
-            histogram_buckets=histogram_buckets,
         )
-        # Scale distinct counts and row counts back to the full table when
-        # ANALYZE ran on a sample.
-        if row_indices is not None and len(values) > 0:
-            scale = table.num_rows / len(values)
-            column_stats.num_rows = table.num_rows
-            column_stats.n_distinct = min(
-                table.num_rows, max(column_stats.n_distinct, int(column_stats.n_distinct * min(scale, 1.0) + 0.5))
-            )
-        statistics.columns[declaration.name] = column_stats
     return statistics
 
 
-def analyze(
-    db: "Database",
-    table_names: Optional[Iterable[str]] = None,
-    mcv_target: int = DEFAULT_MCV_TARGET,
-    histogram_buckets: int = DEFAULT_HISTOGRAM_BUCKETS,
-    sample_rows: Optional[int] = None,
-    seed: Optional[int] = None,
-) -> None:
-    """Collect statistics for ``table_names`` (default: all tables) of ``db``."""
-    names = list(table_names) if table_names is not None else db.table_names()
-    for name in names:
-        table = db.table(name)
-        db.statistics[name] = analyze_table(
-            table,
-            mcv_target=mcv_target,
-            histogram_buckets=histogram_buckets,
-            sample_rows=sample_rows,
-            seed=seed,
-        )
+def analyze(db: "Database") -> None:
+    """Collect statistics for every table of ``db``."""
+    for name in db.table_names():
+        db.statistics[name] = analyze_table(db.table(name))

@@ -14,9 +14,7 @@ These are the inputs the histogram-based cardinality estimator in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional
 
 from repro.errors import StatisticsError
 from repro.stats.histogram import EquiDepthHistogram
@@ -31,8 +29,6 @@ class ColumnStatistics:
     num_rows: int
     #: Number of distinct non-null values.
     n_distinct: int
-    #: Fraction of rows that are null (always 0.0 for generated workloads).
-    null_fraction: float
     #: Most common values, most frequent first.
     mcv_values: List[object] = field(default_factory=list)
     #: Frequencies (fractions of all rows) aligned with ``mcv_values``.

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.errors import CatalogError, StatisticsError
 from repro.storage.index import SortedIndex
-from repro.storage.sampling import DEFAULT_MIN_SAMPLE_ROWS, DEFAULT_SAMPLING_RATIO, SampleSet
+from repro.storage.sampling import DEFAULT_SAMPLING_RATIO, SampleSet
 from repro.storage.table import Column, Table, TableSchema
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
@@ -36,7 +36,7 @@ class Database:
         self._tables: Dict[str, Table] = {}
         self._indexes: Dict[Tuple[str, str], SortedIndex] = {}
         #: Table name -> TableStatistics, populated by repro.stats.analyze.
-        self.statistics: Dict[str, "object"] = {}
+        self.statistics: Dict[str, "TableStatistics"] = {}
         #: Sample tables used by the sampling estimator.
         self.samples: Optional[SampleSet] = None
         #: Monotone counter driving the per-table epochs below.
@@ -156,13 +156,11 @@ class Database:
     # ------------------------------------------------------------------ #
     # Statistics and samples
     # ------------------------------------------------------------------ #
-    def analyze(
-        self, table_names: Optional[Iterable[str]] = None, **kwargs: object
-    ) -> None:
-        """Collect optimizer statistics (delegates to :func:`repro.stats.analyze.analyze`)."""
+    def analyze(self) -> None:
+        """Collect optimizer statistics for every table (:func:`repro.stats.analyze.analyze`)."""
         from repro.stats.analyze import analyze as run_analyze
 
-        run_analyze(self, table_names=table_names, **kwargs)
+        run_analyze(self)
 
     def table_statistics(self, table_name: str) -> "TableStatistics":
         """Return the ANALYZE statistics for ``table_name``.
@@ -182,13 +180,9 @@ class Database:
         self,
         ratio: float = DEFAULT_SAMPLING_RATIO,
         seed: Optional[int] = None,
-        method: str = "bernoulli",
-        min_rows: int = DEFAULT_MIN_SAMPLE_ROWS,
     ) -> SampleSet:
         """Create sample tables for every base table and remember them."""
-        self.samples = SampleSet.build(
-            self._tables, ratio=ratio, seed=seed, method=method, min_rows=min_rows
-        )
+        self.samples = SampleSet.build(self._tables, ratio=ratio, seed=seed)
         return self.samples
 
     # ------------------------------------------------------------------ #

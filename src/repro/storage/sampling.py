@@ -5,14 +5,10 @@ The paper (Section 2.1) estimates the selectivity of a join query
 
     rho_hat = |R1s ⋈ ... ⋈ RKs| / (|R1s| * ... * |RKs|)
 
-This module produces the per-table samples.  Two sampling methods are
-offered:
-
-* ``"bernoulli"`` — every row is included independently with probability
-  equal to the sampling ratio (the method assumed by the estimator's
-  unbiasedness proof);
-* ``"fixed"`` — a simple random sample of exactly ``ceil(ratio * rows)``
-  rows, which gives deterministic sample sizes for testing.
+This module produces the per-table samples: every row is included
+independently with probability equal to the sampling ratio (Bernoulli
+sampling, the method the estimator's unbiasedness proof assumes), except
+that a table is never sampled below ``DEFAULT_MIN_SAMPLE_ROWS`` rows.
 
 Sampling is seeded so that experiments are reproducible.
 """
@@ -55,10 +51,8 @@ def sample_table(
     table: Table,
     ratio: float = DEFAULT_SAMPLING_RATIO,
     seed: Optional[int] = None,
-    method: str = "bernoulli",
-    min_rows: int = DEFAULT_MIN_SAMPLE_ROWS,
 ) -> Table:
-    """Return a sample of ``table``.
+    """Return a Bernoulli sample of ``table``.
 
     Parameters
     ----------
@@ -68,31 +62,25 @@ def sample_table(
         Sampling ratio in ``(0, 1]``.
     seed:
         Seed for the pseudo-random generator; pass an int for reproducibility.
-    method:
-        ``"bernoulli"`` or ``"fixed"`` (see module docstring).
-    min_rows:
-        Lower bound on the sample size; tables smaller than this are sampled
-        in full (scale factor 1, still unbiased).
+
+    A table of at most ``DEFAULT_MIN_SAMPLE_ROWS`` rows is sampled in full
+    (scale factor 1, still unbiased); a larger one whose expected sample would
+    fall below that floor gets a simple random sample of exactly that many
+    rows.
     """
     if not 0.0 < ratio <= 1.0:
         raise SamplingError(f"sampling ratio must be in (0, 1], got {ratio}")
-    if method not in ("bernoulli", "fixed"):
-        raise SamplingError(f"unknown sampling method {method!r}")
     rng = np.random.default_rng(seed)
     n = table.num_rows
     if n == 0:
         return table.take(np.empty(0, dtype=np.int64), name=f"{table.name}__sample")
     target_rows = ratio * n
-    if ratio == 1.0 or target_rows >= n or n <= min_rows:
+    if target_rows >= n or n <= DEFAULT_MIN_SAMPLE_ROWS:
         indices = np.arange(n)
-    elif target_rows < min_rows:
-        size = min(n, int(min_rows))
-        indices = np.sort(rng.choice(n, size=size, replace=False))
-    elif method == "bernoulli":
-        indices = np.nonzero(rng.random(n) < ratio)[0]
+    elif target_rows < DEFAULT_MIN_SAMPLE_ROWS:
+        indices = np.sort(rng.choice(n, size=DEFAULT_MIN_SAMPLE_ROWS, replace=False))
     else:
-        size = max(1, int(np.ceil(ratio * n)))
-        indices = np.sort(rng.choice(n, size=size, replace=False))
+        indices = np.nonzero(rng.random(n) < ratio)[0]
     return table.take(indices, name=f"{table.name}__sample")
 
 
@@ -109,10 +97,8 @@ class SampleSet:
     ratio: float
     samples: Dict[str, Table] = field(default_factory=dict)
     base_row_counts: Dict[str, int] = field(default_factory=dict)
-    min_rows: int = DEFAULT_MIN_SAMPLE_ROWS
     #: Base seed every table's generator derives from (``None``: unseeded).
     seed: Optional[int] = None
-    method: str = "bernoulli"
 
     @classmethod
     def build(
@@ -120,11 +106,9 @@ class SampleSet:
         tables: Mapping[str, Table],
         ratio: float = DEFAULT_SAMPLING_RATIO,
         seed: Optional[int] = None,
-        method: str = "bernoulli",
-        min_rows: int = DEFAULT_MIN_SAMPLE_ROWS,
     ) -> "SampleSet":
         """Sample every table in ``tables`` with a shared ratio and seed."""
-        sample_set = cls(ratio=ratio, min_rows=min_rows, seed=seed, method=method)
+        sample_set = cls(ratio=ratio, seed=seed)
         for name, table in sorted(tables.items()):
             sample_set.add(name, table)
         return sample_set
@@ -137,9 +121,7 @@ class SampleSet:
         the table, whatever other tables are added or removed.
         """
         per_table_seed = None if self.seed is None else table_seed(self.seed, name)
-        self.samples[name] = sample_table(
-            table, self.ratio, per_table_seed, self.method, min_rows=self.min_rows
-        )
+        self.samples[name] = sample_table(table, self.ratio, per_table_seed)
         self.base_row_counts[name] = table.num_rows
 
     def sample_for(self, table_name: str) -> Table:
@@ -158,10 +140,11 @@ class SampleSet:
         """Return ``|R| / |Rs|`` for the given table.
 
         An empty sample falls back to ``1 / effective_ratio``, where the
-        effective ratio accounts for the ``min_rows`` floor: a table whose
-        target sample size was raised to ``min_rows`` is effectively sampled
-        at ``min_rows / |R|``, not at ``ratio`` — using the raw ``1 / ratio``
-        there would overscale counts by up to ``min_rows / (ratio * |R|)``.
+        effective ratio accounts for the ``DEFAULT_MIN_SAMPLE_ROWS`` floor
+        ``m``: a table whose target sample size was raised to ``m`` is
+        effectively sampled at ``m / |R|``, not at ``ratio`` — using the raw
+        ``1 / ratio`` there would overscale counts by up to
+        ``m / (ratio * |R|)``.
         """
         base_rows = self.base_row_counts.get(table_name)
         if base_rows is None:
@@ -170,8 +153,8 @@ class SampleSet:
         if sample_rows == 0:
             if base_rows <= 0:
                 return 1.0
-            expected_rows = max(self.ratio * base_rows, float(min(self.min_rows, base_rows)))
-            return base_rows / expected_rows
+            floor_rows = float(min(DEFAULT_MIN_SAMPLE_ROWS, base_rows))
+            return base_rows / max(self.ratio * base_rows, floor_rows)
         return base_rows / sample_rows
 
     def table_names(self) -> Iterable[str]:

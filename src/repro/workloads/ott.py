@@ -67,7 +67,6 @@ def generate_ott_database(
     rows_per_table: int = 5000,
     rows_per_value: int = PAPER_ROWS_PER_VALUE,
     seed: int = 0,
-    create_indexes: bool = True,
     analyze: bool = True,
     sampling_ratio: float = 0.05,
     create_samples: bool = True,
@@ -92,9 +91,8 @@ def generate_ott_database(
             ott_table_name(index), rows_per_table, config.domain_size, rng
         )
         db.create_table(table)
-        if create_indexes:
-            db.create_index(table.name, "a")
-            db.create_index(table.name, "b")
+        db.create_index(table.name, "a")
+        db.create_index(table.name, "b")
     if analyze:
         db.analyze()
     if create_samples:

@@ -63,7 +63,6 @@ def generate_tpcds_database(
     scale: float = 0.2,
     seed: int = 0,
     analyze: bool = True,
-    create_indexes: bool = True,
     create_samples: bool = True,
     sampling_ratio: float = 0.5,
 ) -> Database:
@@ -295,20 +294,19 @@ def generate_tpcds_database(
         },
     ))
 
-    if create_indexes:
-        for table, column in (
-            ("date_dim", "d_date_sk"), ("item", "i_item_sk"), ("customer", "c_customer_sk"),
-            ("customer_address", "ca_address_sk"), ("customer_demographics", "cd_demo_sk"),
-            ("household_demographics", "hd_demo_sk"), ("store", "s_store_sk"),
-            ("promotion", "p_promo_sk"), ("warehouse", "w_warehouse_sk"),
-            ("ship_mode", "sm_ship_mode_sk"),
-            ("store_sales", "ss_sold_date_sk"), ("store_sales", "ss_item_sk"),
-            ("store_sales", "ss_customer_sk"), ("store_sales", "ss_ticket_number"),
-            ("store_returns", "sr_ticket_number"), ("store_returns", "sr_item_sk"),
-            ("catalog_sales", "cs_sold_date_sk"), ("catalog_sales", "cs_item_sk"),
-            ("web_sales", "ws_sold_date_sk"), ("web_sales", "ws_item_sk"),
-        ):
-            db.create_index(table, column)
+    for table, column in (
+        ("date_dim", "d_date_sk"), ("item", "i_item_sk"), ("customer", "c_customer_sk"),
+        ("customer_address", "ca_address_sk"), ("customer_demographics", "cd_demo_sk"),
+        ("household_demographics", "hd_demo_sk"), ("store", "s_store_sk"),
+        ("promotion", "p_promo_sk"), ("warehouse", "w_warehouse_sk"),
+        ("ship_mode", "sm_ship_mode_sk"),
+        ("store_sales", "ss_sold_date_sk"), ("store_sales", "ss_item_sk"),
+        ("store_sales", "ss_customer_sk"), ("store_sales", "ss_ticket_number"),
+        ("store_returns", "sr_ticket_number"), ("store_returns", "sr_item_sk"),
+        ("catalog_sales", "cs_sold_date_sk"), ("catalog_sales", "cs_item_sk"),
+        ("web_sales", "ws_sold_date_sk"), ("web_sales", "ws_item_sk"),
+    ):
+        db.create_index(table, column)
     if analyze:
         db.analyze()
     if create_samples:
@@ -578,12 +576,11 @@ def make_tpcds_query(db: Database, name: str, seed: int = 0) -> Query:
     return query
 
 
-def make_tpcds_workload(db: Database, seed: int = 0, include_q50_prime: bool = True) -> List[Query]:
-    """Instantiate the paper's 29-query TPC-DS workload (plus Q50')."""
+def make_tpcds_workload(db: Database, seed: int = 0) -> List[Query]:
+    """Instantiate the paper's 29-query TPC-DS workload plus Q50'."""
     queries: List[Query] = []
     for number in TPCDS_QUERY_NUMBERS:
         name = f"q{number}"
         queries.append(make_tpcds_query(db, name, seed=seed * 100 + number))
-    if include_q50_prime:
-        queries.append(make_tpcds_query(db, "q50_prime", seed=seed * 100 + 50))
+    queries.append(make_tpcds_query(db, "q50_prime", seed=seed * 100 + 50))
     return queries

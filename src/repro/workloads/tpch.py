@@ -18,7 +18,7 @@ structure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -112,7 +112,6 @@ def generate_tpch_database(
     zipf_z: float = 0.0,
     seed: int = 0,
     analyze: bool = True,
-    create_indexes: bool = True,
     create_samples: bool = True,
     sampling_ratio: float = 0.05,
 ) -> Database:
@@ -308,25 +307,24 @@ def generate_tpch_database(
         },
     ))
 
-    if create_indexes:
-        for table, column in (
-            ("nation", "n_nationkey"),
-            ("nation", "n_regionkey"),
-            ("region", "r_regionkey"),
-            ("supplier", "s_suppkey"),
-            ("supplier", "s_nationkey"),
-            ("customer", "c_custkey"),
-            ("customer", "c_nationkey"),
-            ("part", "p_partkey"),
-            ("partsupp", "ps_partkey"),
-            ("partsupp", "ps_suppkey"),
-            ("orders", "o_orderkey"),
-            ("orders", "o_custkey"),
-            ("lineitem", "l_orderkey"),
-            ("lineitem", "l_partkey"),
-            ("lineitem", "l_suppkey"),
-        ):
-            db.create_index(table, column)
+    for table, column in (
+        ("nation", "n_nationkey"),
+        ("nation", "n_regionkey"),
+        ("region", "r_regionkey"),
+        ("supplier", "s_suppkey"),
+        ("supplier", "s_nationkey"),
+        ("customer", "c_custkey"),
+        ("customer", "c_nationkey"),
+        ("part", "p_partkey"),
+        ("partsupp", "ps_partkey"),
+        ("partsupp", "ps_suppkey"),
+        ("orders", "o_orderkey"),
+        ("orders", "o_custkey"),
+        ("lineitem", "l_orderkey"),
+        ("lineitem", "l_partkey"),
+        ("lineitem", "l_suppkey"),
+    ):
+        db.create_index(table, column)
     if analyze:
         db.analyze()
     if create_samples:

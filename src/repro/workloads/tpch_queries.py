@@ -492,25 +492,16 @@ def make_tpch_query(db: Database, number: int, seed: int = 0) -> Query:
     return query
 
 
-def make_tpch_workload(
-    db: Database,
-    numbers: List[int] | None = None,
-    instances_per_query: int = 1,
-    seed: int = 0,
-) -> Dict[str, List[Query]]:
+def make_tpch_workload(db: Database, seed: int = 0) -> Dict[str, List[Query]]:
     """Instantiate the full TPC-H workload.
 
-    Returns a mapping ``"q3" -> [instance1, instance2, ...]`` with
-    ``instances_per_query`` random instances per template (the paper uses 10).
+    Returns a mapping ``"q3" -> [q3_i0]``: one random instance per template
+    (the paper uses 10; instance ``i`` of query ``n`` is
+    ``make_tpch_query(db, n, seed * 1000 + n * 17 + i)``).
     """
-    numbers = numbers if numbers is not None else TPCH_QUERY_NUMBERS
     workload: Dict[str, List[Query]] = {}
-    for number in numbers:
-        name = f"q{number}"
-        instances = []
-        for instance in range(instances_per_query):
-            query = make_tpch_query(db, number, seed=seed * 1000 + number * 17 + instance)
-            query.name = f"{name}_i{instance}"
-            instances.append(query)
-        workload[name] = instances
+    for number in TPCH_QUERY_NUMBERS:
+        query = make_tpch_query(db, number, seed=seed * 1000 + number * 17)
+        query.name = f"q{number}_i0"
+        workload[f"q{number}"] = [query]
     return workload

@@ -16,8 +16,8 @@ from repro.sql.ast import LocalPredicate
 from repro.stats.analyze import analyze_column
 
 
-def stats_for(values, mcv_target=100):
-    return analyze_column(np.asarray(values), "a", is_numeric=True, mcv_target=mcv_target)
+def stats_for(values):
+    return analyze_column(np.asarray(values), "a", is_numeric=True)
 
 
 class TestEqualitySelectivity:
@@ -30,7 +30,9 @@ class TestEqualitySelectivity:
 
     def test_non_mcv_value_uses_uniform_remainder(self):
         values = np.concatenate([np.full(900, 1), np.arange(100, 200)])
-        stats = analyze_column(values, "a", is_numeric=True, mcv_target=1)
+        # 101 distinct values: only the 900-row value clears the MCV cut.
+        stats = stats_for(values)
+        assert stats.mcv_values == [1]
         selectivity = equality_selectivity(stats, 150)
         assert selectivity == pytest.approx(0.1 / 100, rel=0.2)
 
@@ -98,9 +100,12 @@ class TestEquijoinSelectivity:
         assert equijoin_selectivity(stats, None) == pytest.approx(1 / 20)
 
     def test_uniform_key_join_matches_system_r(self):
-        left = stats_for(np.repeat(np.arange(100), 10), mcv_target=0)
-        right = stats_for(np.repeat(np.arange(50), 10), mcv_target=0)
-        assert equijoin_selectivity(left, right) == pytest.approx(1 / 100, rel=0.1)
+        # More distinct values than the MCV target, all equally common: no
+        # MCVs on either side, so only n_distinct is left to estimate with.
+        left = stats_for(np.repeat(np.arange(1000), 10))
+        right = stats_for(np.repeat(np.arange(500), 10))
+        assert left.num_mcvs == right.num_mcvs == 0
+        assert equijoin_selectivity(left, right) == pytest.approx(1 / 1000, rel=0.1)
 
     def test_mcv_join_refinement_on_skewed_data(self):
         # 90% of both sides share one hot value: the true join selectivity is

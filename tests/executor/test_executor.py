@@ -1,5 +1,7 @@
 """Tests for the executor: correctness of operators and instrumentation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from repro.relalg import (
 )
 from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.settings import OptimizerSettings
-from repro.plans.nodes import JoinMethod
+from repro.plans.nodes import JoinMethod, ScanMethod
 from repro.sql.ast import Aggregate, ColumnRef, JoinPredicate, LocalPredicate
 from repro.sql.builder import QueryBuilder
 from repro.sql.parser import parse_query
@@ -171,7 +173,12 @@ class TestExecutorEndToEnd:
             .aggregate("count", output_name="c").build()
         )
         index_plan = Optimizer(small_db).optimize(query)
-        seq_plan = Optimizer(small_db, OptimizerSettings(enable_index_scan=False)).optimize(query)
+        index_scan = index_plan.child
+        assert index_scan.method is ScanMethod.INDEX_SCAN
+        seq_plan = replace(
+            index_plan,
+            child=replace(index_scan, method=ScanMethod.SEQ_SCAN, index_column=None),
+        )
         executor = Executor(small_db)
         assert (
             executor.execute_plan(index_plan, query).columns["c"][0]
@@ -188,8 +195,8 @@ class TestExecutorEndToEnd:
 
 
 class TestNestedLoopBlockParameter:
-    def test_block_size_does_not_change_results(self, make_rng):
-        from repro.relalg import Relation, nested_loop_join
+    def test_block_size_does_not_change_results(self, make_rng, monkeypatch):
+        from repro.relalg import Relation, joins, nested_loop_join
 
         rng = make_rng(4)
         left = Relation({"l.k": rng.integers(0, 20, size=300)})
@@ -197,9 +204,8 @@ class TestNestedLoopBlockParameter:
         predicates = [JoinPredicate("l", "k", "r", "k")]
         default = nested_loop_join(left, right, predicates, frozenset({"l"}))
         for block_elements in (1, 17, 1000, 10_000_000):
-            tiny = nested_loop_join(
-                left, right, predicates, frozenset({"l"}), block_elements=block_elements
-            )
+            monkeypatch.setattr(joins, "_NESTED_LOOP_BLOCK_ELEMENTS", block_elements)
+            tiny = nested_loop_join(left, right, predicates, frozenset({"l"}))
             assert tiny.num_rows == default.num_rows
             assert np.array_equal(np.asarray(tiny["l.k"]), np.asarray(default["l.k"]))
             assert np.array_equal(np.asarray(tiny["r.k"]), np.asarray(default["r.k"]))

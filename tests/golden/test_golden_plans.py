@@ -87,7 +87,7 @@ def _build_tpch():
     db = generate_tpch_database(
         scale_factor=0.004, zipf_z=0.0, seed=1, create_samples=False
     )
-    workload = make_tpch_workload(db, instances_per_query=1, seed=1)
+    workload = make_tpch_workload(db, seed=1)
     return db, [instances[0] for instances in workload.values()]
 
 

@@ -267,7 +267,3 @@ class TestAccessPaths:
         plan = Optimizer(db).optimize(query)
         assert plan.method is ScanMethod.SEQ_SCAN
 
-    def test_index_scan_disabled_by_settings(self, db):
-        query = QueryBuilder("q").table("r1").filter("r1", "a", "=", 3).build()
-        plan = Optimizer(db, OptimizerSettings(enable_index_scan=False)).optimize(query)
-        assert plan.method is ScanMethod.SEQ_SCAN

@@ -1,5 +1,7 @@
 """Tests for Algorithm 1 (the re-optimization loop) and its reports."""
 
+from unittest import mock
+
 import pytest
 
 from repro.executor.executor import Executor
@@ -22,7 +24,7 @@ class TestTermination:
         result = reoptimize(db, make_ott_query(db, [0, 0, 0, 0, 1]))
         assert result.converged
         assert 2 <= result.rounds <= 20
-        assert result.report.rounds[-1].transformation is not None
+        assert len(result.report.transformation_chain) == result.rounds - 1
 
     def test_convergence_is_by_identity_or_coverage(self, db):
         result = reoptimize(db, make_ott_query(db, [0, 0, 0, 1, 0]))
@@ -116,11 +118,24 @@ class TestPlanQuality:
 class TestReports:
     def test_report_summary_fields(self, db):
         result = reoptimize(db, make_ott_query(db, [0, 1, 0, 0, 0]))
-        summary = result.report.summary()
-        assert summary["query"] == result.query.name
-        assert summary["rounds"] == result.rounds
-        assert isinstance(summary["transformations"], list)
-        assert result.report.total_sampling_seconds >= 0.0
+        report = result.report
+        assert report.query_name == result.query.name
+        assert report.num_plans_generated == result.rounds == len(report.rounds)
+        assert isinstance(report.transformation_chain, list)
+        assert report.total_sampling_seconds >= 0.0
+
+    def test_transformations_are_classified_when_read_not_per_round(self, db):
+        from repro.reopt import report as report_module
+
+        with mock.patch.object(
+            report_module, "classify_transformation",
+            wraps=report_module.classify_transformation,
+        ) as classify:
+            result = reoptimize(db, make_ott_query(db, [0, 0, 0, 0, 1]))
+            assert result.rounds >= 2
+            classify.assert_not_called()
+            chain = result.report.transformation_chain
+        assert classify.call_count == len(chain) == result.rounds - 1
 
     def test_theorem2_holds_for_observed_chains(self, db):
         """At most one local transformation, and only as the last step."""

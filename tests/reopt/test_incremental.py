@@ -22,7 +22,7 @@ from repro.errors import PlanningError
 from repro.optimizer.dp import DynamicProgrammingPlanner
 from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.settings import OptimizerSettings
-from repro.plans.join_tree import plans_identical
+from repro.plans.join_tree import classify_transformation, plans_identical
 from repro.plans.nodes import JoinMethod, JoinNode
 from repro.reopt.algorithm import ReoptimizationSettings, Reoptimizer, reoptimize
 from repro.sql.builder import QueryBuilder
@@ -235,6 +235,13 @@ class TestConvergenceFixes:
         assert result.converged
         assert result.rounds == 3
         assert plans_identical(result.final_plan, plan_a)
+        # A run that returns to its first plan did not change the plan, and
+        # its chain has one step per consecutive pair of round plans.
+        assert result.plan_changed is False
+        assert result.report.transformation_chain == [
+            classify_transformation(plan_a, plan_b),
+            classify_transformation(plan_b, plan_a),
+        ]
 
     def test_covered_plan_terminates_by_zero_new_entries(self, db):
         """A commuted (local-transformation) plan adds no Γ entries → stop.

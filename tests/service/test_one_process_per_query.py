@@ -115,7 +115,7 @@ def _ott_queries():
 
 def _tpch_queries():
     db = generate_tpch_database(scale_factor=0.002, seed=3, sampling_ratio=0.4)
-    workload = make_tpch_workload(db, instances_per_query=1, seed=3)
+    workload = make_tpch_workload(db, seed=3)
     return db, ShardingSpec.tpch(), [instances[0] for instances in workload.values()]
 
 

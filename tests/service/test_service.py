@@ -219,7 +219,7 @@ class TestEpochInvalidation:
                 replace=True,
             )
             db.create_index("r1", "a")
-            db.analyze(["r1"])
+            db.analyze()
             db.create_samples(ratio=0.3, seed=9)
 
             refreshed = service.execute(template, [0])
@@ -299,7 +299,7 @@ class TestEpochInvalidation:
                 replace=True,
             )
             db.create_index("r1", "a")
-            db.analyze(["r1"])
+            db.analyze()
             assert db.samples.base_row_counts["r1"] == len(grown)
             after = service.execute(template, [0, 0])
             assert after.source != "result_cache"

@@ -22,7 +22,7 @@ class TestAnalyzeColumn:
 
     def test_all_values_become_mcvs_for_small_domains(self):
         values = np.repeat(np.arange(10), 10)
-        stats = analyze_column(values, "a", is_numeric=True, mcv_target=100)
+        stats = analyze_column(values, "a", is_numeric=True)
         assert stats.num_mcvs == 10
         assert stats.mcv_total_fraction == pytest.approx(1.0)
         assert stats.mcv_fraction_for(3) == pytest.approx(0.1)
@@ -30,16 +30,16 @@ class TestAnalyzeColumn:
     def test_mcvs_capture_skewed_values(self, make_rng):
         rng = make_rng()
         skewed = np.concatenate([np.full(900, 7), rng.integers(100, 1000, size=100)])
-        stats = analyze_column(skewed, "a", is_numeric=True, mcv_target=10)
+        stats = analyze_column(skewed, "a", is_numeric=True)
         assert stats.mcv_values[0] == 7
         assert stats.mcv_fractions[0] == pytest.approx(0.9)
 
     def test_mcv_fraction_for_missing_value(self):
-        stats = analyze_column(np.arange(1000), "a", is_numeric=True, mcv_target=10)
+        stats = analyze_column(np.arange(1000), "a", is_numeric=True)
         assert stats.mcv_fraction_for(123456) is None
 
     def test_histogram_built_for_numeric_spread(self):
-        stats = analyze_column(np.arange(1000), "a", is_numeric=True, mcv_target=0)
+        stats = analyze_column(np.arange(1000), "a", is_numeric=True)
         assert stats.histogram is not None
         assert stats.min_value == 0
         assert stats.max_value == 999
@@ -73,13 +73,6 @@ class TestAnalyzeTable:
         assert set(stats.columns) == {"a", "b", "c"}
         assert stats.column("a").n_distinct == 100
         assert stats.column("c").n_distinct == 3
-
-    def test_sampled_analyze(self, make_rng):
-        table = self.make_table(make_rng, rows=5000)
-        stats = analyze_table(table, sample_rows=500, seed=3)
-        assert stats.row_count == 5000
-        # Distinct count observed on the sample never exceeds the table size.
-        assert stats.column("a").n_distinct <= 5000
 
     def test_has_column_and_missing_column(self, make_rng):
         stats = analyze_table(self.make_table(make_rng))

@@ -50,7 +50,7 @@ class TestTables:
         assert "t" not in db.statistics
         # The samples stay, with the replaced table re-sampled in place.
         assert db.samples.base_row_counts["t"] == 50
-        assert db.samples.samples["t"].num_rows == 50  # under min_rows: all rows
+        assert db.samples.samples["t"].num_rows == 50  # under the sample floor: all rows
 
     def test_drop_table(self, make_table):
         db = Database()
@@ -128,7 +128,7 @@ class TestTableCreatedAfterSampling:
         db.create_table(
             Table(schema, {"a": rng.integers(0, 20, 500), "b": rng.integers(0, 20, 500)})
         )
-        db.analyze(["extra"])
+        db.analyze()
         return db
 
     QUERY = "SELECT count(*) AS n FROM r1, extra WHERE r1.b = extra.b AND r1.a = 0"
@@ -141,8 +141,7 @@ class TestTableCreatedAfterSampling:
     def test_sample_equals_a_full_rebuild(self, db):
         samples = db.samples
         rebuilt = SampleSet.build(
-            db.tables(), ratio=samples.ratio, seed=samples.seed,
-            method=samples.method, min_rows=samples.min_rows,
+            db.tables(), ratio=samples.ratio, seed=samples.seed
         )
         assert sorted(samples.samples) == sorted(rebuilt.samples) == db.table_names()
         assert samples.base_row_counts == rebuilt.base_row_counts

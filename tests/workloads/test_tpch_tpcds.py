@@ -53,7 +53,7 @@ class TestTpchGenerator:
     def test_skewed_generation_is_skewed(self):
         skewed = generate_tpch_database(
             scale_factor=0.002, zipf_z=1.0, seed=3,
-            analyze=False, create_indexes=False, create_samples=False,
+            analyze=False, create_samples=False,
         )
         counts = np.bincount(skewed.table("lineitem").column("l_partkey"))
         top_share = counts.max() / counts.sum()
@@ -88,16 +88,21 @@ class TestTpchQueries:
         assert result.simulated_cost > 0
 
     def test_workload_instances_differ_in_constants(self, tpch_db):
-        workload = make_tpch_workload(tpch_db, numbers=[3], instances_per_query=3, seed=1)
-        constants = [
-            tuple(p.value for p in query.local_predicates) for query in workload["q3"]
-        ]
+        # Instance i of query n at workload seed s draws its constants from
+        # seed s * 1000 + n * 17 + i; the workload holds instance 0.
+        instances = [make_tpch_query(tpch_db, 3, seed=1 * 1000 + 3 * 17 + i) for i in range(3)]
+        constants = [tuple(p.value for p in query.local_predicates) for query in instances]
         assert len(set(constants)) > 1
+        (first,) = make_tpch_workload(tpch_db, seed=1)["q3"]
+        assert tuple(p.value for p in first.local_predicates) == constants[0]
 
     def test_workload_shape(self, tpch_db):
-        workload = make_tpch_workload(tpch_db, instances_per_query=1, seed=0)
+        workload = make_tpch_workload(tpch_db, seed=0)
         assert len(workload) == 21
-        assert all(len(instances) == 1 for instances in workload.values())
+        assert all(
+            [query.name for query in instances] == [f"{name}_i0"]
+            for name, instances in workload.items()
+        )
 
 
 class TestTpcdsGeneratorAndQueries:
