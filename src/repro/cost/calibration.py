@@ -51,11 +51,6 @@ class CalibrationResult:
     observations: List[CalibrationObservation] = field(default_factory=list)
     residual_norm: float = 0.0
 
-    @property
-    def num_observations(self) -> int:
-        """Number of calibration plans used for the fit."""
-        return len(self.observations)
-
 
 def fit_cost_units(observations: Sequence[CalibrationObservation]) -> CalibrationResult:
     """Fit the five cost units from calibration observations via NNLS."""

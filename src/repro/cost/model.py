@@ -108,10 +108,6 @@ class CostModel:
             + resources.operator_evals * self.units.cpu_operator_cost
         )
 
-    def with_units(self, units: CostUnits) -> "CostModel":
-        """Return a copy of the model using different cost units."""
-        return CostModel(units=units)
-
     # ------------------------------------------------------------------ #
     # Scans
     # ------------------------------------------------------------------ #

@@ -10,7 +10,7 @@ reproduces that procedure against our executor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Iterable
 
 
@@ -41,20 +41,6 @@ class CostUnits:
             "cpu_index_tuple_cost": self.cpu_index_tuple_cost,
             "cpu_operator_cost": self.cpu_operator_cost,
         }
-
-    def scaled(self, factor: float) -> "CostUnits":
-        """Return units uniformly scaled by ``factor`` (cost ratios unchanged)."""
-        return CostUnits(
-            seq_page_cost=self.seq_page_cost * factor,
-            random_page_cost=self.random_page_cost * factor,
-            cpu_tuple_cost=self.cpu_tuple_cost * factor,
-            cpu_index_tuple_cost=self.cpu_index_tuple_cost * factor,
-            cpu_operator_cost=self.cpu_operator_cost * factor,
-        )
-
-    def with_values(self, **kwargs: float) -> "CostUnits":
-        """Return a copy with some units replaced."""
-        return replace(self, **kwargs)
 
     @classmethod
     def from_vector(cls, vector: Iterable[float]) -> "CostUnits":

@@ -15,7 +15,6 @@ from repro.plans.join_tree import (
     TransformationKind,
     classify_transformation,
     is_covered_by,
-    is_local_transformation,
     plans_structurally_equal,
 )
 
@@ -30,6 +29,5 @@ __all__ = [
     "TransformationKind",
     "classify_transformation",
     "is_covered_by",
-    "is_local_transformation",
     "plans_structurally_equal",
 ]

@@ -94,11 +94,6 @@ class JoinTree:
         """The bottom-up, left-to-right encoding of Appendix E (e.g. ``("AB", "ABC")``)."""
         return tuple("".join(left + right) for left, right in self.ordered_joins)
 
-    @property
-    def num_joins(self) -> int:
-        """Number of logical joins in the tree."""
-        return len(self.ordered_joins)
-
     def is_left_deep(self) -> bool:
         """True if every join's right input is a single base relation."""
         return all(len(right) == 1 for _, right in self.ordered_joins)
@@ -111,10 +106,6 @@ class JoinTree:
         return sorted(self.unordered_joins, key=sorted) == sorted(
             other.unordered_joins, key=sorted
         )
-
-    def is_global_transformation_of(self, other: "JoinTree") -> bool:
-        """Definition 1: not a local transformation."""
-        return not self.is_local_transformation_of(other)
 
     def is_covered_by(self, others: Iterable["JoinTree"]) -> bool:
         """Definition 2: every join of this tree appears in the union of ``others``."""
@@ -149,11 +140,6 @@ def classify_transformation(previous: PlanNode, current: PlanNode) -> Transforma
     if curr_tree.is_local_transformation_of(prev_tree):
         return TransformationKind.LOCAL
     return TransformationKind.GLOBAL
-
-
-def is_local_transformation(first: PlanNode, second: PlanNode) -> bool:
-    """True when the two plans' join trees are local transformations of each other."""
-    return JoinTree.of(first).is_local_transformation_of(JoinTree.of(second))
 
 
 def is_covered_by(plan: PlanNode, plans: Sequence[PlanNode]) -> bool:

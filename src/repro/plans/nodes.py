@@ -64,17 +64,6 @@ class PlanNode:
         """All join nodes in the plan, pre-order."""
         return [node for node in self.walk() if isinstance(node, JoinNode)]
 
-    def scan_nodes(self) -> List["ScanNode"]:
-        """All scan nodes in the plan, pre-order."""
-        return [node for node in self.walk() if isinstance(node, ScanNode)]
-
-    def depth(self) -> int:
-        """Height of the plan tree (a single scan has depth 1)."""
-        kids = self.children()
-        if not kids:
-            return 1
-        return 1 + max(child.depth() for child in kids)
-
 
 @dataclass
 class ScanNode(PlanNode):

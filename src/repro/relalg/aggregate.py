@@ -131,12 +131,7 @@ def group_aggregate(
         return result
 
     # Group ids via one lexsort over the key columns (codes for encoded ones).
-    try:
-        order = np.lexsort(tuple(reversed([sort_key(column) for column in key_columns])))
-    except TypeError as exc:
-        raise ExecutionError(
-            f"cannot group by column(s) {key_names} containing unorderable values"
-        ) from exc
+    order = np.lexsort(tuple(reversed([sort_key(column) for column in key_columns])))
     sorted_keys = [take_column(column, order) for column in key_columns]
     changes = np.zeros(rows, dtype=bool)
     changes[0] = True

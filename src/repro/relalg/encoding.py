@@ -61,10 +61,6 @@ class DictEncodedArray:
         """Row subset sharing the same dictionary (no re-encoding)."""
         return DictEncodedArray(self.codes[indices], self.dictionary)
 
-    def slice(self, start: int, stop: int) -> "DictEncodedArray":
-        """Contiguous row range as a zero-copy view (codes are a NumPy slice)."""
-        return DictEncodedArray(self.codes[start:stop], self.dictionary)
-
     def code_for(self, value: object) -> Optional[int]:
         """The code of ``value``, or ``None`` when it is not in the dictionary.
 
@@ -90,11 +86,6 @@ class DictEncodedArray:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DictEncodedArray(rows={len(self.codes)}, distinct={len(self.dictionary)})"
-
-
-def column_length(column: ColumnData) -> int:
-    """Number of rows in a runtime column of either representation."""
-    return len(column)
 
 
 def take_column(column: ColumnData, indices: np.ndarray) -> ColumnData:
@@ -132,17 +123,7 @@ def value_counts(column: ColumnData) -> Tuple[np.ndarray, np.ndarray]:
         counts = np.bincount(column.codes, minlength=len(column.dictionary))
         present = counts > 0
         return column.dictionary[present], counts[present]
-    try:
-        return np.unique(column, return_counts=True)
-    except TypeError:
-        # Unorderable values (e.g. None among strings) cannot be sorted by
-        # np.unique; count them by hashing instead (order is unspecified).
-        from collections import Counter
-
-        counter = Counter(np.asarray(column).tolist())
-        values = np.empty(len(counter), dtype=object)
-        values[:] = list(counter.keys())
-        return values, np.array(list(counter.values()), dtype=np.int64)
+    return np.unique(column, return_counts=True)
 
 
 def codes_against(sorted_values: np.ndarray, probe: np.ndarray) -> np.ndarray:
@@ -150,10 +131,10 @@ def codes_against(sorted_values: np.ndarray, probe: np.ndarray) -> np.ndarray:
 
     The shared translation step of the join kernels: values missing from
     ``sorted_values`` — including values that cannot be *compared* with its
-    entries, such as ``None`` among strings or a numeric probe against a
-    string dictionary — map to the sentinel code ``len(sorted_values)``,
-    which never matches a real code.  Incomparable values degrade to a
-    per-element probe so one bad row never poisons the rest.
+    entries, such as a numeric probe against a string dictionary — map to
+    the sentinel code ``len(sorted_values)``, which never matches a real
+    code.  Incomparable values degrade to a per-element probe so one bad
+    row never poisons the rest.
     """
     sentinel = len(sorted_values)
     probe = np.asarray(probe)
@@ -259,18 +240,5 @@ def factorize_pair(
     if direct is not None:
         return direct
     # Factorize over the right side's distinct values.
-    try:
-        right_unique, right_codes = np.unique(right, return_inverse=True)
-    except TypeError:
-        # Unorderable right-side values (e.g. None among strings): factorize
-        # by hashing instead of sorting.
-        mapping: dict = {}
-        right_codes = np.empty(len(right), dtype=np.int64)
-        for index, value in enumerate(np.asarray(right, dtype=object).tolist()):
-            right_codes[index] = mapping.setdefault(value, len(mapping))
-        left_codes = np.array(
-            [mapping.get(value, len(mapping)) for value in np.asarray(left, dtype=object).tolist()],
-            dtype=np.int64,
-        )
-        return left_codes, right_codes, len(mapping) + 1
+    right_unique, right_codes = np.unique(right, return_inverse=True)
     return codes_against(right_unique, left), right_codes, len(right_unique) + 1

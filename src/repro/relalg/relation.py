@@ -25,7 +25,6 @@ import numpy as np
 from repro.relalg.encoding import (
     ColumnData,
     DictEncodedArray,
-    column_length,
     decode_column,
     take_column,
 )
@@ -45,7 +44,7 @@ class Relation(Dict[str, ColumnData]):
     ) -> None:
         super().__init__(columns or {})
         if num_rows is None:
-            num_rows = column_length(next(iter(self.values()))) if len(self) else 0
+            num_rows = len(next(iter(self.values()))) if len(self) else 0
         self._num_rows = int(num_rows)
 
     # ------------------------------------------------------------------ #

@@ -9,10 +9,9 @@ starts a thread or a process.
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, List, TypeVar
-
-from repro.clock import monotonic_s
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -49,9 +48,9 @@ class TaskScheduler:
 
         An exception from ``fn`` propagates unchanged and stops the batch.
         """
-        started = monotonic_s()
+        started = time.perf_counter()
         results = [fn(payload) for payload in payloads]
-        elapsed = monotonic_s() - started
+        elapsed = time.perf_counter() - started
         with self._lock:
             self._tasks_inline += len(results)
             self._busy_seconds += elapsed

@@ -60,11 +60,6 @@ class ReoptimizationReport:
         """
         return len(self.rounds)
 
-    @property
-    def total_sampling_seconds(self) -> float:
-        """Total wall-clock seconds spent running plans over samples."""
-        return sum(record.sampling_seconds for record in self.rounds)
-
     def dp_masks_per_round(self) -> List[int]:
         """DP masks expanded per round."""
         return [record.dp_masks_expanded for record in self.rounds]

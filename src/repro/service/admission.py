@@ -11,19 +11,18 @@ queueing collapse).
 Each waiter blocks on its own :class:`threading.Event`, and a release hands
 its slot straight to the head waiter: a grant wakes exactly one waiter, and
 a newcomer arriving in between cannot take the slot first.  Waits are read
-from the shared monotonic clock (:func:`repro.clock.monotonic_s`) every
-request trace is stamped with.  The gate keeps no counters: the service
-counts its rejections (:class:`~repro.service.service.ServiceStats`).
+from ``time.perf_counter``, the clock every request trace is stamped with.
+The gate keeps no counters: the service counts its rejections
+(:class:`~repro.service.service.ServiceStats`).
 """
 
 from __future__ import annotations
 
 import threading
+import time
 from collections import deque
 from contextlib import contextmanager
 from typing import Deque, Iterator, Optional
-
-from repro.clock import monotonic_s
 
 
 class BackpressureError(RuntimeError):
@@ -71,7 +70,7 @@ class AdmissionController:
             ``kind="timeout"`` if the optional ``timeout`` expires before a
             slot is granted.
         """
-        started = monotonic_s()
+        started = time.perf_counter()
         with self._lock:
             if self._in_flight < self.max_concurrent and not self._waiters:
                 self._in_flight += 1
@@ -89,12 +88,12 @@ class AdmissionController:
             # A slot handed over just after the deadline is still ours;
             # ``release`` sets events under this lock, so the check is exact.
             if event.is_set():
-                return monotonic_s() - started
+                return time.perf_counter() - started
             self._waiters.remove(event)
         raise BackpressureError(
             "timed out waiting for an execution slot",
             kind="timeout",
-            waited_s=monotonic_s() - started,
+            waited_s=time.perf_counter() - started,
         )
 
     def release(self) -> None:

@@ -46,10 +46,10 @@ order — merge determinism depends on it (repro-lint RPL011).
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.clock import monotonic_s
 from repro.executor.executor import (
     ExecutionResult,
     finalize_canonical_execution,
@@ -237,16 +237,16 @@ class ShardedQueryService(QueryService):
         # order-sensitive.
         order_rows = needs_canonical_order(self.db, bound)
         partial = bool(bound.aggregates) and not order_rows
-        scatter_started = monotonic_s()
+        scatter_started = time.perf_counter()
         fragments = self._scatter(plans, bound, partial)
-        merge_started = monotonic_s()
+        merge_started = time.perf_counter()
         _, aggregate = split_final_aggregate(plans[0])
         execution = finalize_canonical_execution(
             self._make_executor(), bound, fragments, aggregate,
             order_rows=order_rows, partial_states=partial,
         )
         trace.execution_s += merge_started - scatter_started
-        trace.merge_s += monotonic_s() - merge_started
+        trace.merge_s += time.perf_counter() - merge_started
         with self._stats_lock:
             if partial:
                 self.stats.partial_merges += 1

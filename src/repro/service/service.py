@@ -47,11 +47,11 @@ single-node serving is that pipeline with the default step.
 from __future__ import annotations
 
 import threading
+import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple, TypeVar, Union
 
-from repro.clock import monotonic_s
 from repro.cardinality.gamma import Gamma
 from repro.cardinality.sampling_estimator import validate_plan_for_bindings
 from repro.executor.executor import (
@@ -291,7 +291,7 @@ class QueryService:
             raise RuntimeError(f"{type(self).__name__} is closed")
         if trace is None:
             trace = RequestTrace()
-        started = monotonic_s()
+        started = time.perf_counter()
         prepared = self.prepare(statement)
         trace.template = prepared.name
         bound = prepared.bind(params)
@@ -301,7 +301,7 @@ class QueryService:
         except BackpressureError as error:
             trace.outcome = "timeout" if error.kind == "timeout" else "shed"
             trace.queue_wait_s += error.waited_s
-            trace.total_s = monotonic_s() - started
+            trace.total_s = time.perf_counter() - started
             with self._stats_lock:
                 if trace.outcome == "timeout":
                     self.stats.timed_out += 1
@@ -309,7 +309,7 @@ class QueryService:
                     self.stats.shed += 1
             raise
         trace.source = result.source
-        trace.total_s = monotonic_s() - started
+        trace.total_s = time.perf_counter() - started
         result.trace = trace
         with self._stats_lock:
             self.stats.queries += 1
@@ -404,9 +404,9 @@ class QueryService:
             # admission_timeout cap applies to coalesced waiters too: a
             # leader stuck in a long queue must not hold its followers past
             # the latency bound they were configured with.
-            wait_started = monotonic_s()
+            wait_started = time.perf_counter()
             released = flight.done.wait(timeout=self.settings.admission_timeout)
-            waited = monotonic_s() - wait_started
+            waited = time.perf_counter() - wait_started
             if not released:
                 # waited_s travels on the error; execute() charges it to the
                 # trace's queue-wait stage exactly once.
@@ -512,9 +512,9 @@ class QueryService:
                 gamma = Gamma()
                 gamma.merge(validation.cardinalities)
 
-            planning_started = monotonic_s()
+            planning_started = time.perf_counter()
             result = self._reoptimizer.reoptimize(bound, gamma=gamma)
-            trace.planning_s += monotonic_s() - planning_started
+            trace.planning_s += time.perf_counter() - planning_started
             entry.plan = result.final_plan
             entry.expectations = dict(result.gamma.items())
             with self._stats_lock:
@@ -548,14 +548,14 @@ class QueryService:
         """
         join_plan, aggregate = split_final_aggregate(plan)
         executor = self._make_executor()
-        started = monotonic_s()
+        started = time.perf_counter()
         fragment = executor.execute_fragment(join_plan, query)
-        executed = monotonic_s()
+        executed = time.perf_counter()
         result = finalize_canonical_execution(
             executor, query, [fragment], aggregate,
             order_rows=needs_canonical_order(self.db, query),
         )
         if trace is not None:
             trace.execution_s += executed - started
-            trace.merge_s += monotonic_s() - executed
+            trace.merge_s += time.perf_counter() - executed
         return result

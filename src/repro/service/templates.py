@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
-from repro.sql.ast import Bindings, Parameter, Query
+from repro.sql.ast import Bindings, Query
 from repro.sql.fingerprint import binding_key, template_fingerprint
 from repro.sql.parser import parse_query
 
@@ -33,15 +33,6 @@ class PreparedStatement:
     query: Query
     #: Normalized identity of the template (parameter slots abstracted).
     fingerprint: Tuple = field(repr=False)
-
-    @property
-    def parameters(self) -> List[Parameter]:
-        """The template's parameter slots, in appearance order."""
-        return self.query.parameters()
-
-    @property
-    def num_parameters(self) -> int:
-        return len(self.parameters)
 
     @property
     def tables(self) -> List[str]:

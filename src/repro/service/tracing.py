@@ -3,10 +3,12 @@
 A :class:`RequestTrace` rides along one ``execute`` call through the whole
 serving stack — admission (queue wait), the sampling validator, Algorithm 1
 planning, the join pipeline, and the canonical-order merge/finalize stage —
-and comes back with one wall-clock duration per stage, all read from the
-shared monotonic clock (:func:`repro.clock.monotonic_s`), so the
-stages of one request are directly comparable with each other and with the
-admission deadline the request ran under.
+and comes back with one wall-clock duration per stage, so the stages of one
+request are directly comparable with each other and with the admission
+deadline the request ran under.
+
+One clock: every deadline and duration in ``src/repro`` is read from
+``time.perf_counter``, never ``time.monotonic`` or ``time.time``.
 
 ``perfbench`` sums the stage fields into its per-layer times; a trace costs
 two clock reads per stage and allocates nothing after construction, so it

@@ -20,7 +20,7 @@ search reads them directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Union
 
 from repro.errors import ParseError
 
@@ -165,10 +165,6 @@ class JoinPredicate:
     left_column: str
     right_alias: str
     right_column: str
-
-    def aliases(self) -> FrozenSet[str]:
-        """The two relation aliases the predicate connects."""
-        return frozenset((self.left_alias, self.right_alias))
 
     def normalized(self) -> "JoinPredicate":
         """Return an equivalent predicate with sides in lexicographic order."""
@@ -348,11 +344,6 @@ class Query:
             elif predicate.left_alias in right and predicate.right_alias in left:
                 result.append(predicate)
         return result
-
-    @property
-    def num_joins(self) -> int:
-        """Number of join predicates (edges counted with multiplicity)."""
-        return len(self.join_predicates)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

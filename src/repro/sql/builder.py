@@ -16,7 +16,7 @@ readable:
 ...     .aggregate("sum", "l", "l_extendedprice", "revenue")
 ...     .build()
 ... )
->>> query.num_joins
+>>> len(query.join_predicates)
 2
 """
 

@@ -11,7 +11,7 @@ System-R/PostgreSQL approach.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -52,16 +52,6 @@ class EquiDepthHistogram:
         """Number of buckets in the histogram."""
         return len(self.bounds) - 1
 
-    @property
-    def low(self) -> float:
-        """Smallest value covered by the histogram."""
-        return float(self.bounds[0])
-
-    @property
-    def high(self) -> float:
-        """Largest value covered by the histogram."""
-        return float(self.bounds[-1])
-
     def fraction_below(self, value: float, inclusive: bool = False) -> float:
         """Estimate the fraction of rows with column value ``< value`` (or ``<=``).
 
@@ -87,15 +77,3 @@ class EquiDepthHistogram:
         else:
             within = (value - bucket_low) / (bucket_high - bucket_low)
         return (bucket + within) / self.num_buckets
-
-    def fraction_between(
-        self,
-        low: Optional[float] = None,
-        high: Optional[float] = None,
-        include_low: bool = True,
-        include_high: bool = True,
-    ) -> float:
-        """Estimate the fraction of rows within ``[low, high]`` (open-ended allowed)."""
-        upper = 1.0 if high is None else self.fraction_below(high, inclusive=include_high)
-        lower = 0.0 if low is None else self.fraction_below(low, inclusive=not include_low)
-        return max(0.0, upper - lower)

@@ -50,13 +50,6 @@ class MultiDimHistogram:
         bucket = int((value - self.low) / width)
         return min(max(bucket, 0), self.buckets_per_dim - 1)
 
-    def selection_fraction(self, a_value: float) -> float:
-        """Estimated fraction of rows with ``A = a_value`` (marginalised over B)."""
-        row = self.cell_fractions[self._bucket_of(a_value), :]
-        width = (self.high - self.low) / self.buckets_per_dim
-        distinct_per_dim = max(1.0, np.floor(width))
-        return float(row.sum()) / distinct_per_dim
-
     def estimate_ott_pair_selectivity(
         self, a1_value: float, a2_value: float, other: "MultiDimHistogram"
     ) -> float:

@@ -17,12 +17,12 @@ exactly as a DBA must run ``ANALYZE`` before expecting decent plans.
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
-from repro.errors import CatalogError, StatisticsError
+from repro.errors import CatalogError
 from repro.storage.index import SortedIndex
 from repro.storage.sampling import DEFAULT_SAMPLING_RATIO, SampleSet
-from repro.storage.table import Column, Table, TableSchema
+from repro.storage.table import Table
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.stats.statistics import TableStatistics
@@ -100,10 +100,6 @@ class Database:
         """Names of all tables, sorted."""
         return sorted(self._tables)
 
-    def tables(self) -> Mapping[str, Table]:
-        """Read-only view of the table mapping."""
-        return dict(self._tables)
-
     # ------------------------------------------------------------------ #
     # Table epochs (result-cache invalidation)
     # ------------------------------------------------------------------ #
@@ -162,20 +158,6 @@ class Database:
 
         run_analyze(self)
 
-    def table_statistics(self, table_name: str) -> "TableStatistics":
-        """Return the ANALYZE statistics for ``table_name``.
-
-        Raises
-        ------
-        StatisticsError
-            If ANALYZE has not been run for the table.
-        """
-        if table_name not in self.statistics:
-            raise StatisticsError(
-                f"no statistics for table {table_name!r}; call Database.analyze() first"
-            )
-        return self.statistics[table_name]
-
     def create_samples(
         self,
         ratio: float = DEFAULT_SAMPLING_RATIO,
@@ -184,21 +166,6 @@ class Database:
         """Create sample tables for every base table and remember them."""
         self.samples = SampleSet.build(self._tables, ratio=ratio, seed=seed)
         return self.samples
-
-    # ------------------------------------------------------------------ #
-    # Convenience constructors
-    # ------------------------------------------------------------------ #
-    def create_table_from_columns(
-        self,
-        name: str,
-        column_declarations: Iterable[Column],
-        columns: Mapping[str, Iterable],
-        replace: bool = False,
-    ) -> Table:
-        """Build a :class:`Table` from raw columns and register it."""
-        schema = TableSchema(name, tuple(column_declarations))
-        table = Table(schema, columns)
-        return self.create_table(table, replace=replace)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Database({self.name!r}, tables={self.table_names()})"

@@ -32,13 +32,6 @@ class SortedIndex:
         self.rows = np.argsort(values, kind="stable")
         self._sorted = values[self.rows]
 
-    @property
-    def num_keys(self) -> int:
-        """Number of distinct keys in the index."""
-        if len(self._sorted) == 0:
-            return 0
-        return int(np.count_nonzero(self._sorted[1:] != self._sorted[:-1])) + 1
-
     def probe(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Batch equality lookup: ``(starts, counts)`` of each key's run in :attr:`rows`."""
         starts = np.searchsorted(self._sorted, keys, side="left")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional
+from typing import Dict, Mapping, Optional
 
 import numpy as np
 
@@ -156,7 +156,3 @@ class SampleSet:
             floor_rows = float(min(DEFAULT_MIN_SAMPLE_ROWS, base_rows))
             return base_rows / max(self.ratio * base_rows, floor_rows)
         return base_rows / sample_rows
-
-    def table_names(self) -> Iterable[str]:
-        """Names of all sampled tables."""
-        return self.samples.keys()

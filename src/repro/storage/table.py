@@ -50,14 +50,6 @@ class Column:
                 f"expected one of {SUPPORTED_TYPES}"
             )
 
-    def numpy_dtype(self) -> np.dtype:
-        """Return the NumPy dtype used to store this column."""
-        if self.type == "int":
-            return np.dtype(np.int64)
-        if self.type == "float":
-            return np.dtype(np.float64)
-        return np.dtype(object)
-
 
 @dataclass(frozen=True)
 class TableSchema:
@@ -90,10 +82,6 @@ class TableSchema:
             if column.name == name:
                 return column
         raise SchemaError(f"table {self.name!r} has no column {name!r}")
-
-    def has_column(self, name: str) -> bool:
-        """Return True if the schema declares a column called ``name``."""
-        return any(column.name == name for column in self.columns)
 
 
 class Table:
@@ -137,12 +125,7 @@ class Table:
                         "must be 1-dimensional"
                     )
                 if declaration.type == "str":
-                    try:
-                        array = DictEncodedArray.encode(values)
-                    except TypeError:
-                        # Mixed / unorderable values (e.g. None among strings)
-                        # cannot be dictionary-sorted; store them unencoded.
-                        array = values
+                    array = _encode_strings(values, declaration.name, schema.name)
                 elif declaration.type == "int":
                     array = values.astype(np.int64, copy=False)
                 else:
@@ -217,24 +200,6 @@ class Table:
         }
         return Table(new_schema, new_columns)
 
-    def filter(self, mask: np.ndarray, name: Optional[str] = None) -> "Table":
-        """Return a new table containing only the rows where ``mask`` is True."""
-        mask = np.asarray(mask, dtype=bool)
-        if len(mask) != self._num_rows:
-            raise SchemaError(
-                f"boolean mask of length {len(mask)} does not match table "
-                f"{self.name!r} with {self._num_rows} rows"
-            )
-        return self.take(np.nonzero(mask)[0], name=name)
-
-    def head(self, n: int = 5) -> List[dict]:
-        """Return the first ``n`` rows as a list of dicts (for debugging)."""
-        n = min(n, self._num_rows)
-        return [
-            {col: self.column(col)[i] for col in self.column_names}
-            for i in range(n)
-        ]
-
     def __len__(self) -> int:
         return self._num_rows
 
@@ -242,16 +207,18 @@ class Table:
         return f"Table({self.name!r}, rows={self._num_rows}, columns={self.column_names})"
 
 
-def table_from_rows(schema: TableSchema, rows: Sequence[Mapping[str, object]]) -> Table:
-    """Build a :class:`Table` from an iterable of row dictionaries.
+def _encode_strings(values: np.ndarray, column: str, table: str) -> DictEncodedArray:
+    """Dictionary-encode a ``str`` column, which holds strings only.
 
-    Convenience constructor used mostly in tests and examples; the workload
-    generators build columns directly for speed.
+    The engine has no NULLs, so ``None`` or any other non-string value is a
+    :class:`SchemaError`.  The check reads the distinct values only.
     """
-    columns: Dict[str, list] = {name: [] for name in schema.column_names}
-    for row in rows:
-        for name in schema.column_names:
-            if name not in row:
-                raise SchemaError(f"row is missing column {name!r} for table {schema.name!r}")
-            columns[name].append(row[name])
-    return Table(schema, columns)
+    try:
+        encoded = DictEncodedArray.encode(values)
+    except TypeError:
+        encoded = None
+    if encoded is None or not all(isinstance(value, str) for value in encoded.dictionary):
+        raise SchemaError(
+            f"str column {column!r} of table {table!r} holds a non-string value"
+        )
+    return encoded

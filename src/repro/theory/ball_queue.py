@@ -15,7 +15,7 @@ independent Monte-Carlo check of the closed form.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 

@@ -132,7 +132,7 @@ def _join_edges(query):
     """The query's join graph as edges: alias pair → its join predicates."""
     edges = {}
     for predicate in query.join_predicates:
-        edges.setdefault(predicate.aliases(), []).append(predicate)
+        edges.setdefault(frozenset((predicate.left_alias, predicate.right_alias)), []).append(predicate)
     return edges
 
 

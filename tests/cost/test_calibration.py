@@ -48,7 +48,7 @@ class TestFitCostUnits:
         for name, value in truth.as_dict().items():
             assert fitted[name] == pytest.approx(value, rel=1e-6), name
         assert result.residual_norm == pytest.approx(0.0, abs=1e-9)
-        assert result.num_observations == 6
+        assert len(result.observations) == 6
 
     def test_requires_five_observations(self):
         observations = _synthetic_observations(DEFAULT_COST_UNITS)[:4]
@@ -80,7 +80,7 @@ class TestFitCostUnits:
 class TestCalibrateAgainstExecutor:
     def test_calibrated_units_differ_from_defaults(self, ott_db):
         result = calibrate_cost_units(ott_db)
-        assert result.num_observations >= 5
+        assert len(result.observations) >= 5
         fitted = result.units.as_dict()
         defaults = DEFAULT_COST_UNITS.as_dict()
         # The defaults are PostgreSQL's abstract units; fitted values are in
@@ -90,5 +90,5 @@ class TestCalibrateAgainstExecutor:
 
     def test_repetitions_average_timings(self, ott_db):
         result = calibrate_cost_units(ott_db, repetitions=2)
-        assert result.num_observations >= 5
+        assert len(result.observations) >= 5
         assert all(obs.elapsed_seconds >= 0.0 for obs in result.observations)

@@ -1,6 +1,7 @@
 """Unit tests for cost units, the cost model and calibration."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,22 +28,13 @@ class TestCostUnits:
         units = CostUnits.from_vector(list(DEFAULT_COST_UNITS.as_dict().values()))
         assert units == DEFAULT_COST_UNITS
 
-    def test_scaled_preserves_ratios(self):
-        scaled = DEFAULT_COST_UNITS.scaled(10.0)
-        assert scaled.random_page_cost / scaled.seq_page_cost == pytest.approx(4.0)
-
-    def test_with_values(self):
-        modified = DEFAULT_COST_UNITS.with_values(random_page_cost=8.0)
-        assert modified.random_page_cost == 8.0
-        assert modified.seq_page_cost == 1.0
-
     @pytest.mark.parametrize("value", [-1.0, -1e-300, float("inf"), float("nan")])
     def test_negative_or_non_finite_units_are_rejected(self, value):
         """The join search's cutoff is exact only for non-negative costs."""
         with pytest.raises(ValueError, match="cpu_operator_cost"):
             CostUnits(cpu_operator_cost=value)
         with pytest.raises(ValueError, match="random_page_cost"):
-            DEFAULT_COST_UNITS.with_values(random_page_cost=value)
+            replace(DEFAULT_COST_UNITS, random_page_cost=value)
 
     def test_zero_units_are_accepted(self):
         assert CostUnits(seq_page_cost=0.0).seq_page_cost == 0.0
@@ -133,8 +125,10 @@ class TestCostModel:
         assert resources.operator_evals == 1000
         assert resources.tuples == 10
 
-    def test_with_units_changes_pricing_not_formulas(self):
-        expensive = self.model.with_units(DEFAULT_COST_UNITS.scaled(100))
+    def test_units_change_pricing_not_formulas(self):
+        expensive = CostModel(
+            CostUnits.from_vector(100 * value for value in DEFAULT_COST_UNITS.as_dict().values())
+        )
         vector = ResourceVector(seq_pages=10, tuples=100)
         assert expensive.cost(vector) == pytest.approx(100 * self.model.cost(vector))
 
@@ -227,7 +221,7 @@ class TestCalibration:
         result = fit_cost_units(observations)
         fitted = np.array(list(result.units.as_dict().values()))
         assert np.allclose(fitted, true_units, rtol=0.05)
-        assert result.num_observations == 50
+        assert len(result.observations) == 50
 
     def test_rejects_non_finite_observations(self):
         observations = [

@@ -130,8 +130,9 @@ class TestJoinOutputsCarryTheLiveSet:
             want = expected_columns(db, query, join_set)
             # Every key a later join matches on is still there.
             for predicate in query.join_predicates:
-                for alias in predicate.aliases() & join_set:
-                    if not predicate.aliases() <= join_set:
+                aliases = {predicate.left_alias, predicate.right_alias}
+                for alias in aliases & join_set:
+                    if not aliases <= join_set:
                         assert f"{alias}.{predicate.column_for(alias)}" in want
             row_counts = set()
             for method in METHODS:

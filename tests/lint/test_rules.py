@@ -32,6 +32,7 @@ VIRTUAL_PATHS: Dict[str, str] = {
     "RPL010": "src/repro/service/fixture.py",
     "RPL011": "src/repro/service/coordinator.py",
     "RPL012": "src/repro/service/fixture.py",
+    "RPL013": "src/repro/service/fixture.py",
 }
 
 #: How many distinct violations the bad fixture plants (the rule must find
@@ -46,6 +47,7 @@ EXPECTED_BAD_COUNTS: Dict[str, int] = {
     "RPL010": 3,
     "RPL011": 3,
     "RPL012": 3,
+    "RPL013": 4,
 }
 
 ALL_CODES = sorted(VIRTUAL_PATHS)
@@ -125,6 +127,12 @@ def test_shard_order_rule_is_file_scoped() -> None:
     assert lint_source(bad, "src/repro/service/sharding.py", select=["RPL011"])
     assert lint_source(bad, "src/repro/relalg/aggregate.py", select=["RPL011"])
     assert lint_source(bad, "src/repro/service/service.py", select=["RPL011"]) == []
+
+
+def test_unused_import_rule_exempts_package_reexports() -> None:
+    # An ``__init__.py`` imports names for its importers, not for itself.
+    bad = _fixture("RPL013", "bad")
+    assert lint_source(bad, "src/repro/service/__init__.py", select=["RPL013"]) == []
 
 
 def test_shm_rules_exempt_the_registry_module() -> None:

@@ -38,7 +38,7 @@ class TestPlanShape:
         assert isinstance(plan, AggregateNode)
         assert plan.relations == frozenset({"r1", "r2", "r3", "r4", "r5"})
         assert len(plan.child.join_nodes()) == 4
-        assert len(plan.child.scan_nodes()) == 5
+        assert sum(isinstance(node, ScanNode) for node in plan.child.walk()) == 5
 
     def test_plan_contains_only_query_join_predicates(self, db):
         query = make_ott_query(db, [0, 0, 0, 0, 0])
@@ -258,7 +258,7 @@ class TestAccessPaths:
             .join("r1", "b", "r2", "b").build()
         )
         plan = Optimizer(selective_db).optimize(query)
-        scans = {node.alias: node for node in plan.scan_nodes()}
+        scans = {node.alias: node for node in plan.walk() if isinstance(node, ScanNode)}
         assert scans["r1"].method is ScanMethod.INDEX_SCAN
         assert scans["r1"].index_column == "a"
 

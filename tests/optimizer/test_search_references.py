@@ -11,6 +11,7 @@ the tie-break rule.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -60,7 +61,7 @@ def test_interchangeable_relations_keep_the_first_split_and_method(
     database.analyze()
     query = QueryBuilder("twins").table("x").table("y").join("x", "a", "y", "a").build()
     opt_settings = OptimizerSettings(
-        cost_units=DEFAULT_COST_UNITS.with_values(seq_page_cost=seq_page_cost)
+        cost_units=replace(DEFAULT_COST_UNITS, seq_page_cost=seq_page_cost)
     )
 
     planner = _planner(DynamicProgrammingPlanner, database, query, opt_settings)

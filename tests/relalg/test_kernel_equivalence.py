@@ -11,7 +11,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, SchemaError
 from repro.relalg import (
     DictEncodedArray,
     Relation,
@@ -256,49 +256,17 @@ class TestTypeMismatches:
         result = hash_join(left, right, [JoinPredicate("l", "k", "r", "k")], frozenset({"l"}))
         assert result.num_rows == 0
 
-    def test_table_accepts_unorderable_string_column(self):
+    @pytest.mark.parametrize("stray", [None, 7])
+    def test_table_rejects_a_non_string_in_a_string_column(self, stray):
+        # The engine has no NULLs: a str column holds strings only, so
+        # ``s <> 'a'`` can never keep a None row.
         from repro.storage.table import Column, Table, TableSchema
 
-        table = Table(
-            TableSchema("t", (Column("s", "str"),)),
-            {"s": np.array(["a", None, "b"], dtype=object)},
-        )
-        assert list(table.column("s")) == ["a", None, "b"]
-        assert table.take(np.array([2, 0])).column("s").tolist() == ["b", "a"]
-
-    def test_analyze_handles_unorderable_string_column(self):
-        from repro.storage.catalog import Database
-        from repro.storage.table import Column, Table, TableSchema
-
-        db = Database("u")
-        db.create_table(Table(
-            TableSchema("t", (Column("s", "str"),)),
-            {"s": np.array(["a", None, "b", "a"], dtype=object)},
-        ))
-        db.analyze()
-        stats = db.table_statistics("t").columns["s"]
-        assert stats.n_distinct == 3
-
-    def test_join_with_unorderable_values_keeps_valid_matches(self):
-        # One None among the keys must not poison the comparable rows.
-        left = Relation({"l.k": np.array(["x", None, "y"], dtype=object)})
-        right = Relation({"r.k": DictEncodedArray.encode(np.array(["x", "y"], dtype=object))})
-        for l, r in ((left, right), (right, left)):
-            aliases = frozenset({"l"}) if "l.k" in l else frozenset({"r"})
-            result = hash_join(l, r, [JoinPredicate("l", "k", "r", "k")], aliases)
-            assert result.num_rows == 2
-        # Plain-vs-plain with None on either side.
-        plain_right = Relation({"r.k": np.array(["x", "y"], dtype=object)})
-        assert hash_join(left, plain_right, [JoinPredicate("l", "k", "r", "k")],
-                         frozenset({"l"})).num_rows == 2
-        assert hash_join(plain_right, left, [JoinPredicate("l", "k", "r", "k")],
-                         frozenset({"r"})).num_rows == 2
-
-    def test_group_by_unorderable_column_raises_execution_error(self):
-        relation = Relation({"t.g": np.array(["a", None], dtype=object)})
-        with pytest.raises(ExecutionError):
-            group_aggregate(relation, [ColumnRef("t", "g")],
-                            [Aggregate("count", None, None, "n")])
+        schema = TableSchema("t", (Column("s", "str"),))
+        with pytest.raises(SchemaError, match="non-string"):
+            Table(schema, {"s": np.array(["a", stray, "b"], dtype=object)})
+        with pytest.raises(SchemaError, match="non-string"):
+            Table(schema, {"s": np.array([stray, stray], dtype=object)})
 
     def test_in_with_mixed_type_literals_matches_comparable_values(self):
         relation = Relation({"t.a": np.array([1, 2, 3])})

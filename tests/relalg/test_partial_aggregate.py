@@ -13,7 +13,7 @@ shard counts 1–8, random/skewed/adversarial assignments.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 import pytest

@@ -148,7 +148,7 @@ class TestShardDatabase:
         )
         for shard_db in shard_dbs:
             assert shard_db.samples is not None
-            assert shard_db.table_statistics("lineitem") is not None
+            assert "lineitem" in shard_db.statistics
 
     def test_unknown_partition_column_rejected(self, db):
         with pytest.raises(Exception):

@@ -29,7 +29,7 @@ class TestPreparedStatement:
             name="by_priority",
         )
         assert prepared.name == "by_priority"
-        assert prepared.num_parameters == 1
+        assert len(prepared.query.parameters()) == 1
         assert prepared.tables == ["items", "orders"]
 
     def test_bind_produces_executable_query(self):

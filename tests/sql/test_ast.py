@@ -71,7 +71,7 @@ class TestJoinGraph:
         assert len(query.aliases) == 4
         assert len(join_edges(query)) == 3
         assert join_graph_connected(query)
-        assert query.num_joins == 3
+        assert len(query.join_predicates) == 3
 
     def test_disconnected_graph_detected(self, join_graph_connected):
         query = (
@@ -84,7 +84,7 @@ class TestJoinGraph:
         query = chain_query(4)
         between = query.join_predicates_between({"t1", "t2"}, {"t3"})
         assert len(between) == 1
-        assert between[0].aliases() == frozenset({"t2", "t3"})
+        assert {between[0].left_alias, between[0].right_alias} == {"t2", "t3"}
         assert query.join_predicates_between({"t1"}, {"t4"}) == []
 
     def test_parallel_edges_collected(self, join_edges):

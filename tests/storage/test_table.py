@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SchemaError
-from repro.storage.table import Column, Table, TableSchema, table_from_rows
+from repro.storage.table import Column, Table, TableSchema
 
 
 def make_table(rows=10):
@@ -21,11 +21,6 @@ class TestColumn:
         with pytest.raises(SchemaError):
             Column("x", "decimal")
 
-    def test_numpy_dtype_mapping(self):
-        assert Column("x", "int").numpy_dtype() == np.dtype(np.int64)
-        assert Column("x", "float").numpy_dtype() == np.dtype(np.float64)
-        assert Column("x", "str").numpy_dtype() == np.dtype(object)
-
 
 class TestTableSchema:
     def test_duplicate_columns_rejected(self):
@@ -39,8 +34,6 @@ class TestTableSchema:
     def test_column_lookup(self):
         schema = TableSchema("t", (Column("a"), Column("b")))
         assert schema.column("a").name == "a"
-        assert schema.has_column("b")
-        assert not schema.has_column("z")
         with pytest.raises(SchemaError):
             schema.column("z")
 
@@ -86,31 +79,3 @@ class TestTable:
         assert sub.num_rows == 3
         assert list(sub.column("a")) == [3, 1, 7]
         assert sub.column_names == table.column_names
-
-    def test_filter_with_mask(self):
-        table = make_table(10)
-        sub = table.filter(table.column("a") >= 5)
-        assert sub.num_rows == 5
-        assert list(sub.column("a")) == [5, 6, 7, 8, 9]
-
-    def test_filter_mask_length_mismatch(self):
-        table = make_table(10)
-        with pytest.raises(SchemaError):
-            table.filter(np.ones(3, dtype=bool))
-
-    def test_head_returns_dicts(self):
-        table = make_table(4)
-        head = table.head(2)
-        assert len(head) == 2
-        assert head[0]["a"] == 0
-
-    def test_table_from_rows(self):
-        schema = TableSchema("t", (Column("a"), Column("b", "str")))
-        table = table_from_rows(schema, [{"a": 1, "b": "x"}, {"a": 2, "b": "y"}])
-        assert table.num_rows == 2
-        assert list(table.column("b")) == ["x", "y"]
-
-    def test_table_from_rows_missing_column(self):
-        schema = TableSchema("t", (Column("a"), Column("b", "str")))
-        with pytest.raises(SchemaError):
-            table_from_rows(schema, [{"a": 1}])

@@ -56,7 +56,7 @@ class TestDataGeneration:
 class TestQueries:
     def test_query_structure(self, db, join_graph_connected):
         query = make_ott_query(db, [0, 1, 2, 3])
-        assert query.num_joins == 3
+        assert len(query.join_predicates) == 3
         assert len(query.local_predicates) == 4
         assert join_graph_connected(query)
 

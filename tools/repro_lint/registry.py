@@ -87,12 +87,12 @@ def register(rule: Type[Rule]) -> Type[Rule]:
 def all_rules() -> List[Type[Rule]]:
     """Every registered rule, sorted by code (rule modules must be imported
     first — importing :mod:`repro_lint.rules` does that)."""
-    import repro_lint.rules  # noqa: F401  (registers on import)
+    import repro_lint.rules  # noqa: F401  # repro-lint: ignore[RPL013] (registers on import)
 
     return [REGISTRY[code] for code in sorted(REGISTRY)]
 
 
 def rule_for_code(code: str) -> Type[Rule]:
-    import repro_lint.rules  # noqa: F401
+    import repro_lint.rules  # noqa: F401  # repro-lint: ignore[RPL013]
 
     return REGISTRY[code]

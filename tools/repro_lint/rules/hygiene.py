@@ -1,4 +1,4 @@
-"""Hygiene rules: RPL010 and RPL012.
+"""Hygiene rules: RPL010, RPL012 and RPL013.
 
 RPL010 — no mutable default arguments.  A mutable default is shared across
 every call of the function: state leaks between queries, between benchmark
@@ -10,6 +10,10 @@ RPL012 — no undefined global names.  A name read as a global that the module
 never binds is a ``NameError`` waiting for the first call that reaches it;
 on an error path (an ``except`` clause naming a class that was never
 imported) that call is the one no happy-path test makes.
+
+RPL013 — no unused imports.  An import nothing reads is dead weight that
+outlives the code it served: after a helper is deleted its imports stay and
+still claim a dependency the module no longer has.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 import ast
 import builtins
 import symtable
-from typing import Iterator, List, Set
+from typing import Iterator, List, Set, Tuple
 
 from repro_lint.diagnostics import Diagnostic
 from repro_lint.registry import FileContext, Rule, register
@@ -140,3 +144,82 @@ class UndefinedGlobalRule(Rule):
                 "imports, defines or assigns it (and builtins lacks it): "
                 "NameError on the first call that reaches this line",
             )
+
+
+def _annotations(tree: ast.Module) -> Iterator[ast.expr]:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _names_read(tree: ast.Module) -> Set[str]:
+    """Every name the module reads, in code, in string annotations or in ``__all__``."""
+    used = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    }
+    for annotation in _annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                try:
+                    parsed = ast.parse(node.value, mode="eval")
+                except SyntaxError:
+                    continue
+                used.update(n.id for n in ast.walk(parsed) if isinstance(n, ast.Name))
+    for node in ast.walk(tree):
+        targets = (
+            node.targets if isinstance(node, ast.Assign)
+            else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign))
+            else []
+        )
+        if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+            used.update(
+                n.value
+                for n in ast.walk(node)
+                if isinstance(n, ast.Constant) and isinstance(n.value, str)
+            )
+    return used
+
+
+@register
+class UnusedImportRule(Rule):
+    code = "RPL013"
+    name = "unused-import"
+    summary = "no imported name that the module never reads"
+    contract = (
+        "minimality — an import nothing reads outlives the code it served "
+        "and claims a dependency the module no longer has; a name counts as "
+        "read in code, in a string annotation or in __all__, and package "
+        "__init__.py re-exports and __future__ imports are exempt"
+    )
+    scope_skip = ("__init__.py",)
+
+    def check(self, context: FileContext) -> Iterator[Diagnostic]:
+        imported: List[Tuple[ast.alias, str]] = []
+        for node in ast.walk(context.tree):
+            if isinstance(node, ast.Import):
+                imported.extend(
+                    (alias, alias.asname or alias.name.split(".")[0]) for alias in node.names
+                )
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.extend(
+                    (alias, alias.asname or alias.name) for alias in node.names
+                    if alias.name != "*"
+                )
+        if not imported:
+            return
+        used = _names_read(context.tree)
+        for alias, name in imported:
+            if name not in used:
+                yield Diagnostic(
+                    context.path.as_posix(),
+                    alias.lineno,
+                    alias.col_offset,
+                    self.code,
+                    f"{name!r} is imported but never read; delete the import",
+                )

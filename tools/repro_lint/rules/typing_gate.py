@@ -11,7 +11,7 @@ never regress to implicit-``Any`` signatures between mypy runs.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Tuple
+from typing import Iterator, List
 
 from repro_lint.diagnostics import Diagnostic
 from repro_lint.registry import FileContext, Rule, register
