@@ -31,7 +31,7 @@ from repro.cost.calibration import calibrate_cost_units
 from repro.executor.executor import ExecutionResult, Executor
 from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.settings import OptimizerSettings
-from repro.reopt.algorithm import ReoptimizationSettings, Reoptimizer
+from repro.reopt.algorithm import Reoptimizer
 from repro.sql.ast import Query
 from repro.storage.catalog import Database
 
@@ -91,13 +91,12 @@ def run_query_suite(
     db: Database,
     queries: Sequence[Query],
     optimizer_settings: Optional[OptimizerSettings] = None,
-    reopt_settings: Optional[ReoptimizationSettings] = None,
     execute_intermediate_plans: bool = False,
 ) -> List[QueryRunRecord]:
     """Run the full pipeline for every query and collect per-query records."""
     optimizer = Optimizer(db, settings=optimizer_settings)
     executor = Executor(db, cost_units=optimizer.settings.cost_units)
-    reoptimizer = Reoptimizer(db, optimizer=optimizer, settings=reopt_settings)
+    reoptimizer = Reoptimizer(db, optimizer=optimizer)
     results = [reoptimizer.reoptimize(query) for query in queries]
     records: List[QueryRunRecord] = []
     for query, result in zip(queries, results):

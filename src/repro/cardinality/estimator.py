@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, Optional
 
 from repro.cardinality.gamma import Gamma
-from repro.cardinality.join_estimation import equijoin_selectivity
+from repro.cardinality.join_estimation import equijoin_selectivity, system_r_selectivity
 from repro.cardinality.selectivity import (
     MIN_SELECTIVITY,
     conjunction_selectivity,
@@ -118,9 +118,7 @@ class CardinalityEstimator:
         if self.use_mcv_join_refinement:
             selectivity = equijoin_selectivity(left_stats, right_stats)
         else:
-            n_left = left_stats.n_distinct if left_stats is not None else 1
-            n_right = right_stats.n_distinct if right_stats is not None else 1
-            selectivity = 1.0 / max(1, n_left, n_right)
+            selectivity = system_r_selectivity(left_stats, right_stats)
         self._selectivity_cache[key] = selectivity
         return selectivity
 

@@ -22,20 +22,27 @@ from repro.stats.statistics import ColumnStatistics
 DEFAULT_JOIN_SELECTIVITY = 0.005
 
 
+def system_r_selectivity(
+    left: Optional[ColumnStatistics], right: Optional[ColumnStatistics]
+) -> float:
+    """System R's reduction factor ``1 / max(n_distinct)``, the rule without MCVs.
+
+    A side without statistics does not vote; with neither side analyzed the
+    selectivity is :data:`DEFAULT_JOIN_SELECTIVITY`.
+    """
+    if left is None and right is None:
+        return DEFAULT_JOIN_SELECTIVITY
+    n_left = left.n_distinct if left is not None else 1
+    n_right = right.n_distinct if right is not None else 1
+    return _clamp(1.0 / max(1, n_left, n_right))
+
+
 def equijoin_selectivity(
     left: Optional[ColumnStatistics], right: Optional[ColumnStatistics]
 ) -> float:
     """Selectivity of ``left_column = right_column`` relative to the cross product."""
-    if left is None and right is None:
-        return DEFAULT_JOIN_SELECTIVITY
-    if left is None or right is None:
-        present = left if left is not None else right
-        n_distinct = max(1, present.n_distinct)
-        return _clamp(1.0 / n_distinct)
-
-    have_both_mcvs = bool(left.mcv_values) and bool(right.mcv_values)
-    if not have_both_mcvs:
-        return _clamp(1.0 / max(1, left.n_distinct, right.n_distinct))
+    if left is None or right is None or not (left.mcv_values and right.mcv_values):
+        return system_r_selectivity(left, right)
 
     # --- PostgreSQL eqjoinsel with MCV matching -------------------------- #
     right_mcv = dict(zip(right.mcv_values, right.mcv_fractions))

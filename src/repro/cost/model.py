@@ -24,7 +24,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.cost.units import CostUnits, DEFAULT_COST_UNITS
-from repro.plans.nodes import JoinMethod, ScanMethod
+from repro.plans.nodes import JoinMethod
 
 # Aliases: an enum member lookup costs ~0.1 µs, and the join formulas run once
 # per (split, method) alternative of the join search.
@@ -142,20 +142,6 @@ class CostModel:
             + num_residual_predicates * matched
             + output_rows,
         )
-
-    def scan_resources(
-        self,
-        method: ScanMethod,
-        table_rows: float,
-        output_rows: float,
-        num_predicates: int,
-        index_matched_rows: float = 0.0,
-    ) -> ResourceVector:
-        """Dispatch on the scan method."""
-        if method is ScanMethod.SEQ_SCAN:
-            return self.seq_scan_resources(table_rows, num_predicates, output_rows)
-        residual = max(0, num_predicates - 1)
-        return self.index_scan_resources(table_rows, index_matched_rows, residual, output_rows)
 
     # ------------------------------------------------------------------ #
     # Joins

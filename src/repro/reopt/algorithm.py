@@ -21,10 +21,10 @@ the System-R DP memo survives between rounds and round ``i+1`` re-expands
 only the masks dirtied by Δ_i — the incremental planning that keeps the
 paper's re-optimization overhead argument (Section 3.3) true in practice.
 
-The only policy knob beyond the paper's algorithm is a practical safeguard
-the paper itself discusses in Section 5.4: a bound on the number of rounds,
-after which the best plan seen so far (by sampled-cost estimate) is
-returned.
+Beyond the paper's algorithm there is one practical safeguard the paper
+itself discusses in Section 5.4: a bound on the number of rounds,
+:data:`MAX_ROUNDS`, after which the best plan seen so far (by sampled-cost
+estimate) is returned.
 """
 
 from __future__ import annotations
@@ -36,23 +36,23 @@ from typing import Optional
 from repro.cardinality.gamma import Gamma
 from repro.cardinality.sampling_estimator import SamplingEstimator
 from repro.optimizer.optimizer import Optimizer
-from repro.optimizer.settings import OptimizerSettings
 from repro.plans.join_tree import plans_identical
-from repro.plans.nodes import PlanNode
+from repro.plans.nodes import AggregateNode, JoinNode, PlanNode, ScanNode
 from repro.reopt.report import ReoptimizationReport, RoundRecord
 from repro.sql.ast import Query
 from repro.storage.catalog import Database
 from repro.storage.sampling import DEFAULT_SAMPLING_RATIO
 
+#: Hard bound on the number of optimizer invocations (rounds).  The paper
+#: observes fewer than 10 rounds for every tested query; the bound is a
+#: generous safety net, not a tuning knob.
+MAX_ROUNDS = 20
+
 
 @dataclass(frozen=True)
 class ReoptimizationSettings:
-    """Policy knobs around Algorithm 1."""
+    """How Algorithm 1 samples a database that has no samples yet."""
 
-    #: Hard bound on the number of optimizer invocations (rounds).  The paper
-    #: observes fewer than 10 rounds for every tested query; the default is a
-    #: generous safety net, not a tuning knob.
-    max_rounds: int = 20
     #: Sampling ratio used when the database has no samples yet.
     sampling_ratio: float = DEFAULT_SAMPLING_RATIO
     #: Seed used when samples have to be created on the fly.
@@ -94,13 +94,9 @@ class Reoptimizer:
         db: Database,
         optimizer: Optional[Optimizer] = None,
         settings: Optional[ReoptimizationSettings] = None,
-        optimizer_settings: Optional[OptimizerSettings] = None,
     ) -> None:
         self.db = db
-        if optimizer is not None:
-            self.optimizer = optimizer
-        else:
-            self.optimizer = Optimizer(db, settings=optimizer_settings)
+        self.optimizer = optimizer if optimizer is not None else Optimizer(db)
         self.settings = settings if settings is not None else ReoptimizationSettings()
 
     # ------------------------------------------------------------------ #
@@ -135,7 +131,7 @@ class Reoptimizer:
         started = time.perf_counter()
         converged = False
 
-        for round_number in range(1, self.settings.max_rounds + 1):
+        for round_number in range(1, MAX_ROUNDS + 1):
             planning_started = time.perf_counter()
             plan = session.optimize(gamma)
             planning_seconds = time.perf_counter() - planning_started
@@ -186,21 +182,14 @@ class Reoptimizer:
         used: re-cost every generated plan under the validated cardinalities
         in Γ and return the cheapest.
         """
-        if converged or len(report.rounds) == 1:
+        if converged:
             return report.final_plan()
-        best_plan = None
-        best_cost = float("inf")
-        for record in report.rounds:
-            cost = self._sampled_cost(record.plan, gamma)
-            if cost < best_cost:
-                best_cost = cost
-                best_plan = record.plan
-        return best_plan if best_plan is not None else report.final_plan()
+        return min(
+            report.rounds, key=lambda record: self._sampled_cost(record.plan, gamma)
+        ).plan
 
     def _sampled_cost(self, plan: PlanNode, gamma: Gamma) -> float:
         """Re-cost ``plan`` using Γ where available (the paper's cost_s)."""
-        from repro.plans.nodes import AggregateNode, JoinNode, ScanNode
-
         cost_model = self.optimizer.cost_model
         total = 0.0
 
@@ -212,15 +201,14 @@ class Reoptimizer:
 
         for node in plan.walk():
             if isinstance(node, ScanNode):
-                table = self.db.table(node.table)
-                resources = cost_model.scan_resources(
-                    node.method,
-                    table_rows=float(table.num_rows),
-                    output_rows=rows_for(node),
-                    num_predicates=len(node.predicates),
-                    index_matched_rows=rows_for(node),
+                # A scan's output rows enter only its operator term, so a
+                # validated row count moves its own cost by one operator
+                # evaluation per row of difference.
+                total += node.estimated_cost + cost_model.units.cpu_operator_cost * (
+                    rows_for(node) - node.estimated_rows
                 )
-            elif isinstance(node, JoinNode):
+                continue
+            if isinstance(node, JoinNode):
                 inner_table_rows = 0.0
                 if isinstance(node.right, ScanNode):
                     inner_table_rows = float(self.db.table(node.right.table).num_rows)
@@ -243,11 +231,7 @@ class Reoptimizer:
 
 
 def reoptimize(
-    db: Database,
-    query: Query,
-    settings: Optional[ReoptimizationSettings] = None,
-    optimizer_settings: Optional[OptimizerSettings] = None,
+    db: Database, query: Query, settings: Optional[ReoptimizationSettings] = None
 ) -> ReoptimizationResult:
     """Convenience wrapper: run Algorithm 1 with default components."""
-    reoptimizer = Reoptimizer(db, settings=settings, optimizer_settings=optimizer_settings)
-    return reoptimizer.reoptimize(query)
+    return Reoptimizer(db, settings=settings).reoptimize(query)

@@ -3,8 +3,8 @@
 Each admitted query executes on the host's cores; admitting an unbounded
 number of concurrent queries would just thrash them and grow latency
 without bound.  The :class:`AdmissionController` lets at most
-``max_concurrent`` queries hold an execution slot, lets at most
-``max_queued`` callers wait for one in arrival order, and rejects anyone
+:data:`MAX_CONCURRENT` queries hold an execution slot, lets at most
+:data:`MAX_QUEUED` callers wait for one in arrival order, and rejects anyone
 beyond that immediately with :class:`BackpressureError` (fail fast beats
 queueing collapse).
 
@@ -23,6 +23,11 @@ import time
 from collections import deque
 from contextlib import contextmanager
 from typing import Deque, Iterator, Optional
+
+#: Concurrent executions admitted at once.
+MAX_CONCURRENT = 8
+#: Callers allowed to wait for a slot before load shedding kicks in.
+MAX_QUEUED = 64
 
 
 class BackpressureError(RuntimeError):
@@ -46,9 +51,7 @@ class BackpressureError(RuntimeError):
 class AdmissionController:
     """Bounded FIFO gate in front of query execution."""
 
-    def __init__(self, max_concurrent: int = 4, max_queued: int = 64) -> None:
-        self.max_concurrent = max(1, int(max_concurrent))
-        self.max_queued = max(0, int(max_queued))
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._in_flight = 0
         #: One event per waiter, in arrival order.  A waiter is queued only
@@ -72,12 +75,12 @@ class AdmissionController:
         """
         started = time.perf_counter()
         with self._lock:
-            if self._in_flight < self.max_concurrent and not self._waiters:
+            if self._in_flight < MAX_CONCURRENT and not self._waiters:
                 self._in_flight += 1
                 return 0.0
-            if len(self._waiters) >= self.max_queued:
+            if len(self._waiters) >= MAX_QUEUED:
                 raise BackpressureError(
-                    f"admission queue full ({self.max_queued} waiting); request shed",
+                    f"admission queue full ({MAX_QUEUED} waiting); request shed",
                     kind="shed",
                 )
             event = threading.Event()

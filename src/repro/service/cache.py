@@ -14,7 +14,7 @@ converged to for some binding, and the Γ *expectations* it was validated
 under (join set → sampled cardinality).  No planning state is kept: a drift
 replan runs Algorithm 1 from scratch.  The entry is what the sampling validator guards:
 a new binding's Δ is compared against ``expectations`` and the plan is
-reused only while the drift stays under the service's threshold.
+reused only while the drift stays within :data:`DRIFT_THRESHOLD`.
 """
 
 from __future__ import annotations
@@ -27,6 +27,9 @@ from typing import Dict, Optional, Tuple
 from repro.cardinality.gamma import JoinSet
 from repro.executor.executor import ExecutionResult
 from repro.plans.nodes import PlanNode
+
+#: Bound of the result cache (entries).
+RESULT_CACHE_ENTRIES = 256
 
 
 @dataclass
@@ -42,8 +45,7 @@ class ResultCacheStats:
 class ResultCache:
     """Bounded LRU of executed results, epoch-stamped against staleness."""
 
-    def __init__(self, max_entries: int = 256) -> None:
-        self.max_entries = max(0, int(max_entries))
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._entries: "OrderedDict[Tuple, ExecutionResult]" = OrderedDict()
         self.stats = ResultCacheStats()
@@ -63,12 +65,10 @@ class ResultCache:
             return entry
 
     def put(self, key: Tuple, result: ExecutionResult) -> None:
-        if self.max_entries == 0:
-            return
         with self._lock:
             self._entries[key] = result
             self._entries.move_to_end(key)
-            while len(self._entries) > self.max_entries:
+            while len(self._entries) > RESULT_CACHE_ENTRIES:
                 self._entries.popitem(last=False)
                 self.stats.evictions += 1
 
@@ -108,6 +108,13 @@ class PlanCacheEntry:
     #: cardinality at planning time.  The drift guard compares each new
     #: binding's sampled Δ against these.
     expectations: Dict[JoinSet, float] = field(default_factory=dict)
+
+
+#: Largest deviation factor (:func:`max_drift`) a cached plan survives: a new
+#: binding whose sampled cardinalities drift further triggers a replan.  It
+#: tolerates the sampling noise of unchanged workloads while catching the
+#: order-of-magnitude shifts that flip join orders.
+DRIFT_THRESHOLD = 4.0
 
 
 def max_drift(

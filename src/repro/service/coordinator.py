@@ -56,7 +56,6 @@ from repro.executor.executor import (
     split_final_aggregate,
 )
 from repro.executor.materialization import needs_canonical_order
-from repro.optimizer.settings import OptimizerSettings
 from repro.plans.nodes import PlanNode
 from repro.relalg import TaskScheduler
 from repro.relalg.aggregate import partial_aggregate
@@ -115,14 +114,13 @@ class ShardedQueryService(QueryService):
         db: Database,
         num_shards: int = 4,
         spec: Optional[ShardingSpec] = None,
-        optimizer_settings: Optional[OptimizerSettings] = None,
         reopt_settings: Optional[ReoptimizationSettings] = None,
         settings: Optional[ServiceSettings] = None,
         scheduler: Optional[TaskScheduler] = None,
     ) -> None:
         if num_shards <= 0:
             raise ValueError("num_shards must be positive")
-        super().__init__(db, optimizer_settings, reopt_settings, settings, scheduler)
+        super().__init__(db, reopt_settings, settings, scheduler)
         self.num_shards = num_shards
         self.spec = spec if spec is not None else ShardingSpec.tpch()
         shard_dbs = shard_database(
@@ -135,12 +133,7 @@ class ShardedQueryService(QueryService):
         #: One planner per shard — statistics, samples and the validated
         #: plan cache of its slice.
         self.shards: List[QueryService] = [
-            QueryService(
-                shard_db,
-                optimizer_settings=optimizer_settings,
-                reopt_settings=reopt_settings,
-                settings=self.settings,
-            )
+            QueryService(shard_db, reopt_settings=reopt_settings, settings=self.settings)
             for shard_db in shard_dbs
         ]
         self.stats = ShardedServiceStats()

@@ -13,10 +13,11 @@ layers, outermost first:
    Algorithm 1 for the first binding.  Each later binding *validates* the
    cached plan by running the paper's sampling estimator over the new
    bindings' filtered samples (the validator repurposed as a plan-cache
-   guard): if the observed Δ stays within ``drift_threshold`` of the Γ
-   expectations the plan was chosen under, the plan is reused at zero
-   planning cost; otherwise the template is re-planned through
-   Algorithm 1 from scratch, warm-started with the fresh Δ.
+   guard): if the observed Δ stays within
+   :data:`~repro.service.cache.DRIFT_THRESHOLD` of the Γ expectations the
+   plan was chosen under, the plan is reused at zero planning cost;
+   otherwise the template is re-planned through Algorithm 1 from scratch,
+   warm-started with the fresh Δ.
 3. **Admission control** — a bounded FIFO gate
    (:class:`~repro.service.admission.AdmissionController`) in front of
    execution, shedding load with
@@ -62,11 +63,11 @@ from repro.executor.executor import (
 )
 from repro.executor.materialization import needs_canonical_order
 from repro.optimizer.optimizer import Optimizer
-from repro.optimizer.settings import OptimizerSettings
 from repro.plans.join_tree import rebind_plan
 from repro.plans.nodes import PlanNode
-from repro.relalg import Relation, TaskScheduler
+from repro.relalg import TaskScheduler
 from repro.reopt.algorithm import ReoptimizationSettings, Reoptimizer
+from repro.service import cache
 from repro.service.admission import AdmissionController, BackpressureError
 from repro.service.cache import PlanCacheEntry, ResultCache, ResultCacheStats, max_drift
 from repro.service.templates import PreparedStatement, prepare_statement
@@ -83,6 +84,12 @@ __all__ = [
 
 _ServiceT = TypeVar("_ServiceT", bound="QueryService")
 
+#: Bound of the per-template plan cache (LRU; an evicted template is simply
+#: re-planned on its next execution).  Each entry holds a plan and its Γ
+#: expectations, so the bound caps memory in a long-lived server fed ad-hoc
+#: constant-only SQL (one template per distinct literal set).
+PLAN_CACHE_ENTRIES = 128
+
 
 @dataclass
 class _Flight:
@@ -96,31 +103,12 @@ class _Flight:
 
 @dataclass(frozen=True)
 class ServiceSettings:
-    """Policy knobs of the query service."""
+    """Which serving layers run, and how long a caller waits for admission."""
 
-    #: Largest deviation factor (``max(expected, observed) / min(...)``, both
-    #: floored at one row) a cached plan survives: a new binding whose sampled
-    #: cardinalities drift further triggers a replan.  The default tolerates
-    #: the sampling noise of unchanged workloads while catching the
-    #: order-of-magnitude shifts that flip join orders; ``float("inf")``
-    #: never replans (the classical unguarded prepared-statement cache).
-    drift_threshold: float = 4.0
     #: Reuse plans across bindings of one template at all.
     use_plan_cache: bool = True
     #: Serve repeated (template, bindings, epochs) from the result cache.
     use_result_cache: bool = True
-    #: Bound of the result cache (entries).
-    result_cache_entries: int = 256
-    #: Bound of the per-template plan cache (LRU; an evicted template is
-    #: simply re-planned on its next execution).  Each entry holds a plan
-    #: and its Γ expectations, so the bound caps memory in a long-lived
-    #: server fed ad-hoc constant-only SQL (one template per distinct
-    #: literal set).
-    plan_cache_entries: int = 128
-    #: Concurrent executions admitted at once.
-    max_concurrent: int = 8
-    #: Callers allowed to wait for a slot before load shedding kicks in.
-    max_queued: int = 64
     #: Optional cap (seconds) a caller waits for admission.
     admission_timeout: Optional[float] = None
     #: Unused: every query runs in the caller's process.  Kept only because
@@ -180,14 +168,6 @@ class ServiceResult:
     #: ``trace.total_s`` is its service-side wall time.
     trace: Optional[RequestTrace] = None
 
-    @property
-    def num_rows(self) -> int:
-        return self.execution.num_rows
-
-    @property
-    def columns(self) -> Relation:
-        return self.execution.columns
-
 
 class QueryService:
     """Serve prepared, parameterized queries against one database."""
@@ -195,7 +175,6 @@ class QueryService:
     def __init__(
         self,
         db: Database,
-        optimizer_settings: Optional[OptimizerSettings] = None,
         reopt_settings: Optional[ReoptimizationSettings] = None,
         settings: Optional[ServiceSettings] = None,
         scheduler: Optional[TaskScheduler] = None,
@@ -205,7 +184,7 @@ class QueryService:
         self.reopt_settings = (
             reopt_settings if reopt_settings is not None else ReoptimizationSettings()
         )
-        self.optimizer = Optimizer(db, settings=optimizer_settings)
+        self.optimizer = Optimizer(db)
         self._reoptimizer = Reoptimizer(
             db, optimizer=self.optimizer, settings=self.reopt_settings
         )
@@ -221,15 +200,12 @@ class QueryService:
                 ratio=self.reopt_settings.sampling_ratio,
                 seed=self.reopt_settings.sampling_seed,
             )
-        self.result_cache = ResultCache(max_entries=self.settings.result_cache_entries)
-        self.admission = AdmissionController(
-            max_concurrent=self.settings.max_concurrent,
-            max_queued=self.settings.max_queued,
-        )
+        self.result_cache = ResultCache()
+        self.admission = AdmissionController()
         self.stats = ServiceStats()
         self._stats_lock = threading.Lock()
         #: Template fingerprint → cached plan entry, LRU-bounded by
-        #: ``settings.plan_cache_entries``.  Guarded by ``_plan_cache_guard``
+        #: :data:`PLAN_CACHE_ENTRIES`.  Guarded by ``_plan_cache_guard``
         #: for structure; per-template *work* (validation, replanning) runs
         #: under the entry's own lock, so distinct templates plan
         #: concurrently.
@@ -257,15 +233,13 @@ class QueryService:
     # ------------------------------------------------------------------ #
     # Public API
     # ------------------------------------------------------------------ #
-    def prepare(
-        self, statement: Union[str, Query, PreparedStatement], name: Optional[str] = None
-    ) -> PreparedStatement:
+    def prepare(self, statement: Union[str, Query, PreparedStatement]) -> PreparedStatement:
         """Normalize ``statement`` into a fingerprinted template.
 
         Every cache keys on the template fingerprint, so two spellings of
         one statement share their plan and result lines.
         """
-        return prepare_statement(statement, name=name)
+        return prepare_statement(statement)
 
     def execute(
         self,
@@ -465,7 +439,7 @@ class QueryService:
         """``fingerprint``'s plan-cache entry, inserted empty on a miss.
 
         Inserting evicts the least recently used entries beyond
-        ``settings.plan_cache_entries``; a thread still working under an
+        :data:`PLAN_CACHE_ENTRIES`; a thread still working under an
         evicted entry's lock simply finishes, and the template is planned
         afresh on its next execution.  With ``use_plan_cache`` off every
         request plans on a throwaway entry.
@@ -478,7 +452,7 @@ class QueryService:
                 self._plan_cache.move_to_end(fingerprint)
                 return entry
             entry = self._plan_cache[fingerprint] = PlanCacheEntry()
-            while len(self._plan_cache) > max(1, self.settings.plan_cache_entries):
+            while len(self._plan_cache) > PLAN_CACHE_ENTRIES:
                 self._plan_cache.popitem(last=False)
             return entry
 
@@ -503,7 +477,7 @@ class QueryService:
                 validation = validate_plan_for_bindings(self.db, bound, rebound)
                 trace.validation_s += validation.elapsed_seconds
                 drift = max_drift(entry.expectations, validation.cardinalities)
-                if drift <= self.settings.drift_threshold:
+                if drift <= cache.DRIFT_THRESHOLD:
                     with self._stats_lock:
                         self.stats.validated_reuses += 1
                     return rebound, "validated_reuse", drift

@@ -27,7 +27,7 @@ from repro.sql.parser import parse_query
 class PreparedStatement:
     """A normalized, fingerprinted prepared statement."""
 
-    #: Client-facing statement name (defaults to the query's name).
+    #: Statement name: the query's name (``prepared`` for SQL text).
     name: str
     #: The parameterized (or constant-only) query template.
     query: Query
@@ -39,30 +39,28 @@ class PreparedStatement:
         """Base tables the statement reads (for epoch snapshots)."""
         return sorted({ref.table for ref in self.query.tables})
 
-    def bind(self, bindings: Optional[Bindings] = None, name: Optional[str] = None) -> Query:
+    def bind(self, bindings: Optional[Bindings] = None) -> Query:
         """A bound, executable query for one set of parameter values."""
         if bindings is None:
             bindings = ()
-        return self.query.bind(bindings, name=name if name is not None else self.name)
+        return self.query.bind(bindings, name=self.name)
 
     def binding_key(self, bindings: Optional[Bindings] = None) -> Tuple:
         """Canonical result-cache key component for ``bindings``."""
         return binding_key(self.query, bindings if bindings is not None else ())
 
 
-def prepare_statement(
-    statement: Union[str, Query, PreparedStatement], name: Optional[str] = None
-) -> PreparedStatement:
+def prepare_statement(statement: Union[str, Query, PreparedStatement]) -> PreparedStatement:
     """Normalize SQL text / a query / an existing statement into a template."""
     if isinstance(statement, PreparedStatement):
         return statement
     if isinstance(statement, str):
-        query = parse_query(statement, name=name or "prepared")
+        query = parse_query(statement, name="prepared")
     else:
         query = statement
         query.validate()
     return PreparedStatement(
-        name=name or query.name,
+        name=query.name,
         query=query,
         fingerprint=template_fingerprint(query),
     )

@@ -4,8 +4,12 @@ import pytest
 
 from repro.cardinality.estimator import CardinalityEstimator
 from repro.cardinality.gamma import Gamma
+from repro.cardinality.join_estimation import DEFAULT_JOIN_SELECTIVITY
+from repro.optimizer.optimizer import Optimizer
+from repro.optimizer.profiles import OPTIMIZER_PROFILES
 from repro.sql.builder import QueryBuilder
 from repro.workloads.ott import generate_ott_database, make_ott_query
+from repro.workloads.tpch import generate_tpch_database
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +95,29 @@ class TestJoinCardinality:
         # must both be positive and finite.
         assert with_mcv.joinset_cardinality({"r1", "r2"}) > 0
         assert without_mcv.joinset_cardinality({"r1", "r2"}) > 0
+
+
+    def test_profiles_agree_on_an_unanalyzed_equijoin(self):
+        """Without statistics on either side every profile falls back to the
+        default join selectivity; the MCV-off profile used to size the join
+        as a cross product."""
+        db = generate_tpch_database(
+            scale_factor=0.002, seed=1, analyze=False, create_samples=False
+        )
+        query = (
+            QueryBuilder("unanalyzed").table("orders", "o").table("lineitem", "l")
+            .join("o", "o_orderkey", "l", "l_orderkey")
+            .aggregate("count", output_name="n").build()
+        )
+        (predicate,) = query.join_predicates
+        cross = db.table("orders").num_rows * db.table("lineitem").num_rows
+        for name, settings in OPTIMIZER_PROFILES.items():
+            estimator = Optimizer(db, settings).make_estimator(query)
+            selectivity = estimator.join_predicate_selectivity(predicate)
+            assert selectivity == DEFAULT_JOIN_SELECTIVITY, name
+            assert estimator.joinset_cardinality({"o", "l"}) == pytest.approx(
+                cross * DEFAULT_JOIN_SELECTIVITY
+            ), name
 
 
 class TestGammaScope:

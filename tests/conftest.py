@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.plans.nodes import AggregateNode, JoinNode, PlanNode, ScanNode
+from repro.service import admission
 from repro.storage.catalog import Database
 from repro.storage.table import Column, Table, TableSchema
 from repro.workloads.ott import generate_ott_database, make_ott_query
@@ -36,6 +37,18 @@ def make_rng():
 def rng(make_rng) -> np.random.Generator:
     """The default deterministic generator (offset 0)."""
     return make_rng()
+
+
+@pytest.fixture
+def admission_bounds(monkeypatch):
+    """``admission_bounds(max_concurrent, max_queued)`` sets every admission
+    gate's bounds for the rest of the test."""
+
+    def set_bounds(max_concurrent: int, max_queued: int) -> None:
+        monkeypatch.setattr(admission, "MAX_CONCURRENT", max_concurrent)
+        monkeypatch.setattr(admission, "MAX_QUEUED", max_queued)
+
+    return set_bounds
 
 
 @pytest.fixture

@@ -12,7 +12,7 @@ from repro.cost.calibration import CalibrationObservation, fit_cost_units
 from repro.cost.model import TUPLES_PER_PAGE, CostModel, ResourceVector
 from repro.cost.units import CostUnits, DEFAULT_COST_UNITS
 from repro.errors import CalibrationError
-from repro.plans.nodes import JoinMethod, ScanMethod
+from repro.plans.nodes import JoinMethod
 
 
 class TestCostUnits:
@@ -87,11 +87,6 @@ class TestCostModel:
     def test_index_scan_pages_capped_by_table_pages(self):
         resources = self.model.index_scan_resources(1000, 5000, 0, 5000)
         assert resources.random_pages <= 10
-
-    def test_scan_dispatch(self):
-        seq = self.model.scan_resources(ScanMethod.SEQ_SCAN, 1000, 10, 1)
-        index = self.model.scan_resources(ScanMethod.INDEX_SCAN, 1000, 10, 1, index_matched_rows=10)
-        assert seq.seq_pages > 0 and index.random_pages > 0
 
     def test_hash_join_linear_in_inputs(self):
         small = self.model.join_resources(JoinMethod.HASH_JOIN, 100, 100, 10)

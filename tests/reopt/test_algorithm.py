@@ -4,12 +4,18 @@ from unittest import mock
 
 import pytest
 
+from repro.cardinality.gamma import Gamma
 from repro.executor.executor import Executor
+from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.settings import OptimizerSettings
 from repro.plans.join_tree import JoinTree, plans_identical
-from repro.reopt.algorithm import ReoptimizationSettings, Reoptimizer, reoptimize
+from repro.plans.nodes import ScanMethod
+from repro.reopt import algorithm as algorithm_module
+from repro.reopt.algorithm import Reoptimizer, reoptimize
 from repro.sql.builder import QueryBuilder
 from repro.workloads.ott import generate_ott_database, make_ott_query, make_ott_workload
+from repro.workloads.tpch import generate_tpch_database
+from repro.workloads.tpch_queries import make_tpch_workload
 
 
 @pytest.fixture(scope="module")
@@ -51,18 +57,14 @@ class TestTermination:
         assert result.converged
         assert not result.plan_changed
 
-    def test_max_rounds_budget_respected(self, db):
-        settings = ReoptimizationSettings(max_rounds=2)
-        result = Reoptimizer(db, settings=settings).reoptimize(
-            make_ott_query(db, [0, 0, 0, 0, 1])
-        )
+    def test_max_rounds_budget_respected(self, db, monkeypatch):
+        monkeypatch.setattr(algorithm_module, "MAX_ROUNDS", 2)
+        result = Reoptimizer(db).reoptimize(make_ott_query(db, [0, 0, 0, 0, 1]))
         assert result.rounds <= 2
 
-    def test_single_round_budget_returns_the_original_plan(self, db):
-        settings = ReoptimizationSettings(max_rounds=1)
-        result = Reoptimizer(db, settings=settings).reoptimize(
-            make_ott_query(db, [0, 0, 0, 0, 1])
-        )
+    def test_single_round_budget_returns_the_original_plan(self, db, monkeypatch):
+        monkeypatch.setattr(algorithm_module, "MAX_ROUNDS", 1)
+        result = Reoptimizer(db).reoptimize(make_ott_query(db, [0, 0, 0, 0, 1]))
         # One round validates the original plan and the budget ends the loop;
         # with a single candidate the Section 5.4 fallback returns it.
         assert result.rounds == 1
@@ -115,6 +117,32 @@ class TestPlanQuality:
         assert result.plan_changed == (not plans_identical(result.final_plan, result.original_plan))
 
 
+class TestFallbackCost:
+    def test_empty_gamma_reproduces_the_optimizers_cost(self):
+        """Section 5.4's re-costing under an empty Γ is the optimizer's own
+        estimate, index scans included: an index scan's matched rows are not
+        its output rows, so it is re-costed from its own estimate."""
+        tpch = generate_tpch_database(scale_factor=0.01, seed=1)
+        indexed = (
+            QueryBuilder("indexed").table("orders", "o").table("lineitem", "l")
+            .join("o", "o_orderkey", "l", "l_orderkey")
+            .filter("o", "o_custkey", "=", 7)
+            .filter("o", "o_orderpriority", "=", "1-URGENT")
+            .aggregate("count", output_name="n").build()
+        )
+        reoptimizer = Reoptimizer(tpch)
+        plan = reoptimizer.optimizer.optimize(indexed)
+        assert any(getattr(node, "method", None) is ScanMethod.INDEX_SCAN for node in plan.walk())
+        queries = [indexed] + [
+            query for queries in make_tpch_workload(tpch).values() for query in queries
+        ]
+        for query in queries:
+            plan = reoptimizer.optimizer.optimize(query)
+            assert reoptimizer._sampled_cost(plan, Gamma()) == pytest.approx(
+                plan.estimated_cost, rel=1e-9
+            ), query.name
+
+
 class TestReports:
     def test_report_summary_fields(self, db):
         result = reoptimize(db, make_ott_query(db, [0, 1, 0, 0, 0]))
@@ -149,6 +177,8 @@ class TestReports:
         assert final_tree.join_set <= result.report.covered_join_sets()
 
     def test_custom_optimizer_settings_are_used(self, db):
-        settings = OptimizerSettings(allow_bushy=False)
-        result = reoptimize(db, make_ott_query(db, [0, 0, 0, 0, 1]), optimizer_settings=settings)
+        optimizer = Optimizer(db, OptimizerSettings(allow_bushy=False))
+        result = Reoptimizer(db, optimizer=optimizer).reoptimize(
+            make_ott_query(db, [0, 0, 0, 0, 1])
+        )
         assert JoinTree.of(result.final_plan).is_left_deep()

@@ -24,7 +24,7 @@ from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.settings import OptimizerSettings
 from repro.plans.join_tree import classify_transformation, plans_identical
 from repro.plans.nodes import JoinMethod, JoinNode
-from repro.reopt.algorithm import ReoptimizationSettings, Reoptimizer, reoptimize
+from repro.reopt.algorithm import Reoptimizer, reoptimize
 from repro.sql.builder import QueryBuilder
 from repro.workloads.ott import generate_ott_database, make_ott_query
 
@@ -171,7 +171,7 @@ class TestSessionInsideAlgorithm1:
 
 class TestConvergenceFixes:
     @staticmethod
-    def _scripted_reoptimizer(db, plans, max_rounds=8):
+    def _scripted_reoptimizer(db, plans):
         """A Reoptimizer whose optimizer replays ``plans`` (cycling)."""
 
         class _ScriptedSession:
@@ -193,11 +193,7 @@ class TestConvergenceFixes:
             def planning_session(self, query):
                 return _ScriptedSession(self._script)
 
-        return Reoptimizer(
-            db,
-            optimizer=_ScriptedOptimizer(db, plans),
-            settings=ReoptimizationSettings(max_rounds=max_rounds),
-        )
+        return Reoptimizer(db, optimizer=_ScriptedOptimizer(db, plans))
 
     @staticmethod
     def _chain_query(name="chain3"):
@@ -212,7 +208,7 @@ class TestConvergenceFixes:
         """A→B→A must stop at round 3: plan A was already validated in round 1.
 
         The old loop compared only against the previous round's plan, so an
-        oscillating estimator re-validated covered plans until max_rounds.
+        oscillating estimator re-validated covered plans until the round budget.
         """
         query = self._chain_query()
         plan_a = Optimizer(db).optimize(query)

@@ -16,6 +16,17 @@ import pytest
 from repro.service.admission import AdmissionController, BackpressureError
 
 
+@pytest.fixture
+def gate(admission_bounds):
+    """``gate(max_concurrent, max_queued)``: a controller under those bounds."""
+
+    def make(max_concurrent, max_queued):
+        admission_bounds(max_concurrent, max_queued)
+        return AdmissionController()
+
+    return make
+
+
 def _start(target, *args):
     thread = threading.Thread(target=target, args=args, daemon=True)
     thread.start()
@@ -40,8 +51,8 @@ def _queue_waiters(controller, count, run):
 
 
 class TestBounds:
-    def test_fast_path_admits_up_to_capacity(self):
-        controller = AdmissionController(max_concurrent=2, max_queued=0)
+    def test_fast_path_admits_up_to_capacity(self, gate):
+        controller = gate(2, 0)
         controller.acquire()
         controller.acquire()
         assert controller.in_flight == 2
@@ -51,8 +62,8 @@ class TestBounds:
         controller.acquire()
         assert controller.in_flight == 2
 
-    def test_queue_full_is_shed(self):
-        controller = AdmissionController(max_concurrent=1, max_queued=1)
+    def test_queue_full_is_shed(self, gate):
+        controller = gate(1, 1)
         controller.acquire()
 
         entered = threading.Event()
@@ -75,8 +86,8 @@ class TestBounds:
         assert not thread.is_alive()
         assert (controller.in_flight, controller.queued) == (0, 0)
 
-    def test_timeout_rejects_the_waiter(self):
-        controller = AdmissionController(max_concurrent=1, max_queued=4)
+    def test_timeout_rejects_the_waiter(self, gate):
+        controller = gate(1, 4)
         controller.acquire()
         with pytest.raises(BackpressureError, match="timed out") as excinfo:
             controller.acquire(timeout=0.02)
@@ -88,8 +99,8 @@ class TestBounds:
         assert controller.acquire(timeout=5) == 0.0
         assert controller.in_flight == 1
 
-    def test_acquire_reports_queue_wait_on_the_shared_clock(self):
-        controller = AdmissionController(max_concurrent=1, max_queued=4)
+    def test_acquire_reports_queue_wait_on_the_shared_clock(self, gate):
+        controller = gate(1, 4)
         assert controller.acquire() == 0.0  # uncontended fast path
         waited = []
         done = threading.Event()
@@ -106,8 +117,8 @@ class TestBounds:
         assert waited[0] >= 0.015  # the waiter really waited
         controller.release()
 
-    def test_context_manager_releases_on_error(self):
-        controller = AdmissionController(max_concurrent=1, max_queued=0)
+    def test_context_manager_releases_on_error(self, gate):
+        controller = gate(1, 0)
         with pytest.raises(RuntimeError, match="boom"):
             with controller.admit():
                 raise RuntimeError("boom")
@@ -116,8 +127,8 @@ class TestBounds:
 
 
 class TestFifo:
-    def test_single_ticket_clients_are_granted_in_arrival_order(self):
-        controller = AdmissionController(max_concurrent=1, max_queued=10)
+    def test_single_ticket_clients_are_granted_in_arrival_order(self, gate):
+        controller = gate(1, 10)
         controller.acquire()
         order = []
 
@@ -133,8 +144,8 @@ class TestFifo:
         assert order == [0, 1, 2, 3]
         assert (controller.in_flight, controller.queued) == (0, 0)
 
-    def test_a_released_slot_goes_to_the_waiter_not_a_newcomer(self):
-        controller = AdmissionController(max_concurrent=1, max_queued=10)
+    def test_a_released_slot_goes_to_the_waiter_not_a_newcomer(self, gate):
+        controller = gate(1, 10)
         controller.acquire()
         granted = threading.Event()
         finish = threading.Event()
@@ -163,10 +174,10 @@ class TestFifo:
         assert not thread.is_alive()
         assert (controller.in_flight, controller.queued) == (0, 0)
 
-    def test_one_release_lets_exactly_one_of_n_waiters_proceed(self):
+    def test_one_release_lets_exactly_one_of_n_waiters_proceed(self, gate):
         """Each grant wakes one waiter: the others stay queued."""
         n = 8
-        controller = AdmissionController(max_concurrent=1, max_queued=n)
+        controller = gate(1, n)
         controller.acquire()
         proceeded = []
         finish = threading.Event()
@@ -192,11 +203,11 @@ class TestFifo:
 
 
 class TestStress:
-    def test_no_slot_leaks_under_contention(self):
+    def test_no_slot_leaks_under_contention(self, gate):
         """More threads than cores, a short switch interval and deadlines
-        that expire while grants are handed over: at most ``max_concurrent``
+        that expire while grants are handed over: at most ``MAX_CONCURRENT``
         callers ever hold a slot, and every slot comes back."""
-        controller = AdmissionController(max_concurrent=2, max_queued=16)
+        controller = gate(2, 16)
         guard = threading.Lock()
         holding = [0]
         peak = [0]

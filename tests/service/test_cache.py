@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from repro.executor.executor import ExecutionResult
 from repro.relalg import Relation
+from repro.service import cache as cache_module
 from repro.service.cache import ResultCache, max_drift
 
 
@@ -16,8 +17,9 @@ def _key(i: int, table: str = "t", epoch: int = 0):
 
 
 class TestResultCache:
-    def test_lru_eviction_beyond_bound(self):
-        cache = ResultCache(max_entries=2)
+    def test_lru_eviction_beyond_bound(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "RESULT_CACHE_ENTRIES", 2)
+        cache = ResultCache()
         cache.put(_key(1), _result(1))
         cache.put(_key(2), _result(2))
         assert cache.get(_key(1)) is not None  # 1 becomes most recent
@@ -28,14 +30,15 @@ class TestResultCache:
         assert cache.stats.evictions == 1
         assert len(cache) == 2
 
-    def test_zero_entries_disables_the_cache(self):
-        cache = ResultCache(max_entries=0)
+    def test_zero_entries_disables_the_cache(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "RESULT_CACHE_ENTRIES", 0)
+        cache = ResultCache()
         cache.put(_key(1), _result())
         assert cache.get(_key(1)) is None
         assert len(cache) == 0
 
     def test_invalidate_table_only_sweeps_matching_lines(self):
-        cache = ResultCache(max_entries=8)
+        cache = ResultCache()
         cache.put(_key(1, table="a"), _result())
         cache.put(_key(2, table="b"), _result())
         assert cache.invalidate_table("a") == 1
@@ -44,7 +47,7 @@ class TestResultCache:
         assert cache.stats.invalidations == 1
 
     def test_epoch_is_part_of_the_key(self):
-        cache = ResultCache(max_entries=8)
+        cache = ResultCache()
         cache.put(_key(1, epoch=0), _result())
         assert cache.get(_key(1, epoch=1)) is None
 

@@ -133,10 +133,13 @@ def test_closed_loop_outputs_match_a_serial_pass(clients_db, make_service):
 
 
 @both_services
-def test_shed_requests_are_counted_and_traced(clients_db, monkeypatch, make_service):
+def test_shed_requests_are_counted_and_traced(
+    clients_db, monkeypatch, admission_bounds, make_service
+):
     """Eight clients against a one-slot, queue-less gate; every admitted
     request holds the slot for 20 ms, so requests overlap and some are shed."""
-    settings = ServiceSettings(max_concurrent=1, max_queued=0, use_result_cache=False)
+    admission_bounds(1, 0)
+    settings = ServiceSettings(use_result_cache=False)
     offered = 40
     with make_service(clients_db, settings) as service:
         _slow_serve(service, monkeypatch, 0.02)
@@ -153,13 +156,14 @@ def test_shed_requests_are_counted_and_traced(clients_db, monkeypatch, make_serv
 
 
 @both_services
-def test_queued_requests_are_all_served(clients_db, monkeypatch, make_service):
+def test_queued_requests_are_all_served(
+    clients_db, monkeypatch, admission_bounds, make_service
+):
     """Four clients share one slot: requests wait in the admission queue and
     are then served, none is rejected.  The admission deadline only bounds
     the run: a gate that never grants fails the test instead of hanging it."""
-    settings = ServiceSettings(
-        max_concurrent=1, max_queued=8, use_result_cache=False, admission_timeout=5.0
-    )
+    admission_bounds(1, 8)
+    settings = ServiceSettings(use_result_cache=False, admission_timeout=5.0)
     with make_service(clients_db, settings) as service:
         _slow_serve(service, monkeypatch, 0.005)
         outcomes = _run_clients(service, _requests(16), clients=4)
@@ -171,13 +175,14 @@ def test_queued_requests_are_all_served(clients_db, monkeypatch, make_service):
 
 
 @both_services
-def test_timed_out_requests_are_counted_and_traced(clients_db, monkeypatch, make_service):
+def test_timed_out_requests_are_counted_and_traced(
+    clients_db, monkeypatch, admission_bounds, make_service
+):
     """Eight clients queue for one slot that each admitted request holds for
     30 ms, under a 10 ms admission deadline: some requests time out in the
     queue, and each is counted once and traced as ``timeout``."""
-    settings = ServiceSettings(
-        max_concurrent=1, max_queued=8, use_result_cache=False, admission_timeout=0.01
-    )
+    admission_bounds(1, 8)
+    settings = ServiceSettings(use_result_cache=False, admission_timeout=0.01)
     offered = 24
     with make_service(clients_db, settings) as service:
         _slow_serve(service, monkeypatch, 0.03)

@@ -86,8 +86,8 @@ def _serve_on_both(db, spec, requests) -> list:
     with sharded, single:
         for statement, params in requests:
             got = sharded.execute(statement, params)
-            want = single.execute(statement, params).columns
-            _assert_same_columns(got.columns, want)
+            want = single.execute(statement, params).execution.columns
+            _assert_same_columns(got.execution.columns, want)
             sources.append(got.source)
         assert {child.pid for child in multiprocessing.active_children()} == children_before
         assert shm_dir_segments() == segments_before

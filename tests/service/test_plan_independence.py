@@ -153,7 +153,9 @@ class TestByteIdenticalUnderEveryPlan:
                     )
                 result = service.execute(query)
                 assert result.source == "scatter_gather"
-                assert output_bytes(result.columns) == reference[query.name], (num_shards, start)
+                assert output_bytes(result.execution.columns) == reference[query.name], (
+                    num_shards, start
+                )
 
 
 class TestOneOrderSensitivityClassification:
@@ -182,7 +184,7 @@ class TestOneOrderSensitivityClassification:
         with ShardedQueryService(db, num_shards=2, spec=SPEC) as sharded:
             scattered = sharded.execute(INT_SUM)
         assert scattered.source == "scatter_partial"
-        assert output_bytes(scattered.columns) == output_bytes(served.columns)
+        assert output_bytes(scattered.execution.columns) == output_bytes(served.execution.columns)
 
 
 class TestCanonicalSortKeyCount:

@@ -13,6 +13,8 @@ from repro.cardinality.sampling_estimator import validate_plan_for_bindings
 from repro.errors import PlanningError
 from repro.plans.join_tree import plans_identical, rebind_plan
 from repro.reopt.algorithm import Reoptimizer
+from repro.service import cache as cache_module
+from repro.service import service as service_module
 from repro.service import (
     BackpressureError,
     QueryService,
@@ -54,7 +56,7 @@ class TestServingLayers:
             assert first.source == "fresh"
             repeat = service.execute(prepared, [0, 0, 0])
             assert repeat.source == "result_cache"
-            assert repeat.num_rows == first.num_rows
+            assert repeat.execution.num_rows == first.execution.num_rows
             same_template = service.execute(prepared, [2, 2, 2])
             assert same_template.source in ("validated_reuse", "replan")
             assert service.stats.queries == 3
@@ -91,10 +93,10 @@ class TestServingLayers:
 
 
 class TestDriftGuard:
-    def test_drift_injection_rejects_stale_plan(self, service_ott_db):
+    def test_drift_injection_rejects_stale_plan(self, service_ott_db, monkeypatch):
         """The paper's validator as a plan-cache guard: a binding whose
         sampled cardinalities collapse must evict the cached plan, while a
-        cache that never replans (``drift_threshold=inf``) executes it."""
+        cache that never replans (``DRIFT_THRESHOLD = inf``) executes it."""
         guarded = QueryService(service_ott_db)
         prepared = guarded.prepare(ott_template())
         warm = guarded.execute(prepared, [0, 0, 0])
@@ -106,15 +108,15 @@ class TestDriftGuard:
         # plan's Γ expectations.
         drifted = guarded.execute(prepared, [0, 0, 1])
         assert drifted.source == "replan"
-        assert drifted.drift is not None and drifted.drift > guarded.settings.drift_threshold
+        assert drifted.drift is not None and drifted.drift > cache_module.DRIFT_THRESHOLD
         assert guarded.stats.drift_replans == 1
         guarded.close()
 
         # With an infinite threshold the same drift is observed and ignored:
         # the stale plan is executed, as in a classical unguarded plan cache.
+        monkeypatch.setattr(cache_module, "DRIFT_THRESHOLD", float("inf"))
         unguarded = QueryService(
-            service_ott_db,
-            settings=ServiceSettings(drift_threshold=float("inf"), use_result_cache=False),
+            service_ott_db, settings=ServiceSettings(use_result_cache=False)
         )
         unguarded.execute(prepared, [0, 0, 0])
         stale = unguarded.execute(prepared, [0, 0, 1])
@@ -134,10 +136,9 @@ class TestDriftGuard:
         assert drifted.execution.columns["n"][0] == stale.execution.columns["n"][0] == 0
         assert not plans_identical(drifted.plan, cached_plan) or drifted.source == "replan"
 
-    def test_validated_reuse_skips_planning(self, service_ott_db):
-        service = QueryService(
-            service_ott_db, settings=ServiceSettings(drift_threshold=1e9)
-        )
+    def test_validated_reuse_skips_planning(self, service_ott_db, monkeypatch):
+        monkeypatch.setattr(cache_module, "DRIFT_THRESHOLD", 1e9)
+        service = QueryService(service_ott_db)
         prepared = service.prepare(ott_template())
         service.execute(prepared, [0, 0, 0])
         reused = service.execute(prepared, [4, 4, 4])
@@ -162,11 +163,14 @@ class TestDriftGuard:
         assert entry.expectations == dict(expected.gamma.items())
 
     @pytest.mark.parametrize("binding", [[0, 0, 1], [1, 0, 0], [3, 3, 3]])
-    def test_drift_replan_matches_a_from_scratch_reoptimization(self, service_ott_db, binding):
+    def test_drift_replan_matches_a_from_scratch_reoptimization(
+        self, service_ott_db, monkeypatch, binding
+    ):
         """A drift replan is Algorithm 1 from scratch under the fresh Δ:
         same plan, same cost bits, same Γ — nothing of the template's earlier
         planning survives into it."""
-        settings = ServiceSettings(drift_threshold=1.0, use_result_cache=False)
+        monkeypatch.setattr(cache_module, "DRIFT_THRESHOLD", 1.0)
+        settings = ServiceSettings(use_result_cache=False)
         with QueryService(service_ott_db, settings=settings) as service:
             prepared = service.prepare(ott_template())
             service.execute(prepared, [0, 0, 0])
@@ -305,9 +309,10 @@ class TestEpochInvalidation:
             assert after.source != "result_cache"
             assert after.execution.columns["n"][0] > before.execution.columns["n"][0]
 
-    def test_plan_cache_is_lru_bounded(self):
+    def test_plan_cache_is_lru_bounded(self, monkeypatch):
         db = self._tiny_db()
-        settings = ServiceSettings(plan_cache_entries=2, use_result_cache=False)
+        monkeypatch.setattr(service_module, "PLAN_CACHE_ENTRIES", 2)
+        settings = ServiceSettings(use_result_cache=False)
         with QueryService(db, settings=settings) as service:
             fingerprints = []
             for value in range(4):
@@ -342,14 +347,13 @@ class TestBackpressureAndLifecycle:
         ids=["shed", "timeout"],
     )
     def test_backpressure_counts_rejections(
-        self, service_ott_db, max_queued, admission_timeout, kind, counted
+        self, service_ott_db, admission_bounds, max_queued, admission_timeout, kind, counted
     ):
         """A full queue is a shed, an expired admission deadline a timeout:
         each rejection lands in exactly one of ``(stats.shed,
         stats.timed_out)``."""
-        settings = ServiceSettings(
-            max_concurrent=1, max_queued=max_queued, admission_timeout=admission_timeout
-        )
+        admission_bounds(1, max_queued)
+        settings = ServiceSettings(admission_timeout=admission_timeout)
         with QueryService(service_ott_db, settings=settings) as service:
             service.admission.acquire()  # occupy the only slot
             with pytest.raises(BackpressureError) as excinfo:
@@ -361,7 +365,9 @@ class TestBackpressureAndLifecycle:
             ok = service.execute(ott_template(), [0, 0, 0])
             assert ok.source == "fresh"
 
-    def test_a_query_over_the_join_cap_fails_and_the_service_serves_on(self, service_ott_db):
+    def test_a_query_over_the_join_cap_fails_and_the_service_serves_on(
+        self, service_ott_db, admission_bounds
+    ):
         """A 13-relation query surfaces the planner's ``PlanningError``; it
         caches no plan and gives its admission slot back."""
         builder = QueryBuilder("chain13")
@@ -370,8 +376,8 @@ class TestBackpressureAndLifecycle:
         for index in range(12):
             builder.join(f"t{index}", "b", f"t{index + 1}", "b")
         builder.aggregate("count", output_name="n")
-        settings = ServiceSettings(max_concurrent=1, max_queued=0)
-        with QueryService(service_ott_db, settings=settings) as service:
+        admission_bounds(1, 0)
+        with QueryService(service_ott_db) as service:
             with pytest.raises(PlanningError, match="13 relations.*at most 12"):
                 service.execute(builder.build())
             assert service.plan_cache_size() == 0

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.service import QueryService, ServiceSettings
+from repro.service import cache as cache_module
 from repro.sql.builder import QueryBuilder
 from repro.workloads.ott import generate_ott_database
 from repro.workloads.tpcds import generate_tpcds_database
@@ -168,20 +169,22 @@ class TestBitIdentity:
         assert "result_cache" in sources  # repeated bindings in every set
 
     def test_forced_replans(
-        self, label, db_fixture, template_factory, binding_sets, request
+        self, label, db_fixture, template_factory, binding_sets, request, monkeypatch
     ):
-        """drift_threshold=1.0 forces a replan on every non-identical Δ —
+        """``DRIFT_THRESHOLD = 1.0`` forces a replan on every non-identical Δ —
         the replanned plans must still return one-shot results."""
         db = request.getfixturevalue(db_fixture)
-        settings = ServiceSettings(drift_threshold=1.0, use_result_cache=False)
+        monkeypatch.setattr(cache_module, "DRIFT_THRESHOLD", 1.0)
+        settings = ServiceSettings(use_result_cache=False)
         _assert_served_matches_reference(db, template_factory(), binding_sets, settings)
 
     def test_unguarded_reuse(
-        self, label, db_fixture, template_factory, binding_sets, request
+        self, label, db_fixture, template_factory, binding_sets, request, monkeypatch
     ):
-        """Even a cache that never replans (``drift_threshold=inf``: stale
+        """Even a cache that never replans (``DRIFT_THRESHOLD = inf``: stale
         plan, rebound constants) is result-correct — the guard is about
         performance, not correctness."""
         db = request.getfixturevalue(db_fixture)
-        settings = ServiceSettings(drift_threshold=float("inf"), use_result_cache=False)
+        monkeypatch.setattr(cache_module, "DRIFT_THRESHOLD", float("inf"))
+        settings = ServiceSettings(use_result_cache=False)
         _assert_served_matches_reference(db, template_factory(), binding_sets, settings)

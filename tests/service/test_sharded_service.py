@@ -8,7 +8,6 @@ gate on the sharded routes, and each shard's own sampled drift guard.
 
 from __future__ import annotations
 
-import dataclasses
 import sys
 import threading
 import time
@@ -23,6 +22,7 @@ from repro.executor.executor import Executor
 from repro.plans.join_tree import rebind_plan
 from repro.relalg import TaskScheduler
 from repro.reopt.algorithm import Reoptimizer
+from repro.service import cache as cache_module
 from repro.service import (
     BackpressureError,
     QueryService,
@@ -227,10 +227,11 @@ class TestServingLayers:
             assert all(shard.stats.fresh_plans == 0 for shard in service.shards)
             assert all(shard.stats.queries == 0 for shard in service.shards)
 
-    def test_shed_scatter_request_is_backpressure(self, db):
+    def test_shed_scatter_request_is_backpressure(self, db, admission_bounds):
         """Regression: the coordinator's forked ``execute`` caught a name it
         never imported, so a shed scatter request surfaced as ``NameError``."""
-        settings = ServiceSettings(max_concurrent=1, max_queued=4, admission_timeout=0.05)
+        admission_bounds(1, 4)
+        settings = ServiceSettings(admission_timeout=0.05)
         with ShardedQueryService(db, num_shards=2, settings=settings) as service:
             service.admission.acquire()  # occupy the only slot
             trace = RequestTrace()
@@ -242,8 +243,8 @@ class TestServingLayers:
             assert trace.queue_wait_s == excinfo.value.waited_s >= 0.05
             assert (service.stats.shed, service.stats.timed_out) == (0, 1)
 
-        settings = ServiceSettings(max_concurrent=1, max_queued=0)
-        with ShardedQueryService(db, num_shards=2, settings=settings) as service:
+        admission_bounds(1, 0)
+        with ShardedQueryService(db, num_shards=2) as service:
             service.admission.acquire()
             trace = RequestTrace()
             with pytest.raises(BackpressureError):
@@ -484,7 +485,7 @@ class TestShardPlanCache:
                 assert entry.expectations == dict(expected.gamma.items())
             assert service.stats.gossip_entries == 0
 
-    def test_shard_replan_starts_from_its_own_delta(self, db):
+    def test_shard_replan_starts_from_its_own_delta(self, db, monkeypatch):
         """A drift replan on one shard is Algorithm 1 under that shard's
         fresh Δ alone, and leaves its siblings' cache entries untouched."""
         with ShardedQueryService(db, num_shards=2) as service:
@@ -501,7 +502,7 @@ class TestShardPlanCache:
                 shard.db, bound, rebind_plan(entry.plan, bound)
             )
             # Force a drift rejection on the next execution of the template.
-            shard.settings = dataclasses.replace(shard.settings, drift_threshold=0.0)
+            monkeypatch.setattr(cache_module, "DRIFT_THRESHOLD", 0.0)
             result = shard.execute(SQL_PARTIAL, [18])
 
             assert result.source == "replan"

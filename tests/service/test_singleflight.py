@@ -19,6 +19,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.service import cache as cache_module
 from repro.service import (
     BackpressureError,
     QueryService,
@@ -108,15 +109,16 @@ def _park_leader(service):
 
 class TestCoalescing:
     @pytest.mark.parametrize(
-        "settings",
-        [ServiceSettings(result_cache_entries=256), ServiceSettings(result_cache_entries=0)],
-        ids=["cached", "no_cache_lines"],
+        "result_cache_entries", [256, 0], ids=["cached", "no_cache_lines"]
     )
-    def test_followers_ride_the_leaders_flight(self, make_service, settings):
+    def test_followers_ride_the_leaders_flight(
+        self, make_service, monkeypatch, result_cache_entries
+    ):
         """Followers read the leader's result off its flight, so they never
         re-execute, even when the result cache keeps no line for it."""
+        monkeypatch.setattr(cache_module, "RESULT_CACHE_ENTRIES", result_cache_entries)
         factory, executed_source = make_service
-        with factory(settings=settings) as service:
+        with factory() as service:
             prepared = service.prepare(ott_template())
             leader_entered, release_leader = _park_leader(service)
             results, errors = [], []

@@ -25,10 +25,9 @@ class TestPreparedStatement:
     def test_prepare_from_sql(self):
         prepared = prepare_statement(
             "SELECT count(*) AS n FROM orders o, items i "
-            "WHERE o.o_id = i.i_order AND o.o_priority = ?",
-            name="by_priority",
+            "WHERE o.o_id = i.i_order AND o.o_priority = ?"
         )
-        assert prepared.name == "by_priority"
+        assert prepared.name == "prepared"
         assert len(prepared.query.parameters()) == 1
         assert prepared.tables == ["items", "orders"]
 

@@ -6,6 +6,7 @@ import dataclasses
 
 import pytest
 
+from repro.service import cache as cache_module
 from repro.service import (
     BackpressureError,
     QueryService,
@@ -63,9 +64,9 @@ class TestServiceTracing:
             assert hit.execution_s == 0.0
             assert hit.total_s > 0.0
 
-    def test_caller_supplied_trace_survives_shedding(self, tracing_db):
-        settings = ServiceSettings(max_concurrent=1, max_queued=0)
-        with QueryService(tracing_db, settings=settings) as service:
+    def test_caller_supplied_trace_survives_shedding(self, tracing_db, admission_bounds):
+        admission_bounds(1, 0)
+        with QueryService(tracing_db) as service:
             prepared = service.prepare(ott_template())
             service.execute(prepared, [0, 0, 0])  # warm the plan cache
             service.admission.acquire()  # occupy the only slot
@@ -125,9 +126,10 @@ class TestServiceTracing:
             assert all(duration >= 0.0 for duration in durations)
             assert sum(durations) <= trace.total_s
 
-    def test_drift_replan_accounts_validation_and_planning(self, tracing_db):
+    def test_drift_replan_accounts_validation_and_planning(self, tracing_db, monkeypatch):
         """A replan first validates the cached plan, then runs Algorithm 1."""
-        settings = ServiceSettings(use_result_cache=False, drift_threshold=0.0)
+        monkeypatch.setattr(cache_module, "DRIFT_THRESHOLD", 0.0)
+        settings = ServiceSettings(use_result_cache=False)
         with QueryService(tracing_db, settings=settings) as service:
             prepared = service.prepare(ott_template())
             fresh = service.execute(prepared, [0, 0, 0]).trace

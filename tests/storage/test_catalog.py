@@ -148,4 +148,4 @@ class TestTableCreatedAfterSampling:
     def test_join_on_it_is_served(self, db):
         with QueryService(db) as service:
             served = service.execute(self.QUERY)
-        assert int(served.columns["n"][0]) == self._truth(db)
+        assert int(served.execution.columns["n"][0]) == self._truth(db)

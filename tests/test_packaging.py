@@ -1,8 +1,11 @@
 """Packaging metadata agrees with the package it ships, every package's
-``__all__`` resolves, and the docstring examples run."""
+``__all__`` resolves, the docstring examples run, and every settings field
+has a production caller."""
 
 from __future__ import annotations
 
+import ast
+import dataclasses
 import doctest
 import importlib
 import pkgutil
@@ -14,6 +17,9 @@ import pytest
 
 import repro
 import repro.sql.builder
+from repro.optimizer.settings import OptimizerSettings
+from repro.reopt.algorithm import ReoptimizationSettings
+from repro.service.service import ServiceSettings
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -45,3 +51,53 @@ def test_every_all_entry_resolves(name):
 def test_docstring_examples_run(module):
     failed, attempted = doctest.testmod(module)
     assert attempted > 0 and failed == 0
+
+
+#: Where production callers live; tests under ``tests/`` do not count.
+PRODUCTION_TREES = ("src", "perfbench", "benchmarks", "examples", "tools")
+SETTINGS_CLASSES = (ServiceSettings, ReoptimizationSettings, OptimizerSettings)
+#: Fields no production caller sets, each kept for the reason given.
+UNSET_FIELDS_KEPT = {
+    ("ServiceSettings", "admission_timeout"): (
+        "deadline expiry is a fault the service must handle; its tests set it"
+    ),
+}
+
+
+def _keywords_passed(tree: ast.AST, classes: frozenset, owner: str = "") -> set:
+    """``(class, keyword)`` pairs passed to a call of one of ``classes`` or to
+    any ``replace``, outside the class's own body."""
+    if isinstance(tree, ast.ClassDef) and tree.name in classes:
+        owner = tree.name
+    passed = set()
+    if isinstance(tree, ast.Call):
+        func = tree.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+        targets = classes if name == "replace" else classes & {name}
+        passed |= {
+            (target, keyword.arg)
+            for target in targets - {owner}
+            for keyword in tree.keywords
+            if keyword.arg is not None
+        }
+    for child in ast.iter_child_nodes(tree):
+        passed |= _keywords_passed(child, classes, owner)
+    return passed
+
+
+def test_every_settings_field_has_a_production_caller():
+    """An option only tests set is a constant in disguise: each field of the
+    settings dataclasses is passed by keyword (to the class or to
+    ``dataclasses.replace``) somewhere in production code."""
+    classes = frozenset(cls.__name__ for cls in SETTINGS_CLASSES)
+    passed = set()
+    for tree in PRODUCTION_TREES:
+        for path in sorted((ROOT / tree).rglob("*.py")):
+            passed |= _keywords_passed(ast.parse(path.read_text(), str(path)), classes)
+    fields = {
+        (cls.__name__, field.name)
+        for cls in SETTINGS_CLASSES
+        for field in dataclasses.fields(cls)
+    }
+    assert sorted(fields - passed - set(UNSET_FIELDS_KEPT)) == []
+    assert set(UNSET_FIELDS_KEPT) <= fields - passed
