@@ -11,8 +11,7 @@ from unittest import mock
 import pytest
 
 from repro.bench import experiments
-from repro.bench.experiments import FIGURES, run_figures
-from repro.bench.harness import run_query_suite
+from repro.bench.experiments import FIGURES, run_figures, run_query_suite
 from repro.optimizer.profiles import profile_settings
 
 SUITES = {suite for figure in FIGURES for suite in figure.suites}
@@ -20,13 +19,13 @@ SUITES = {suite for figure in FIGURES for suite in figure.suites}
 
 @pytest.fixture(scope="module")
 def scorecard():
-    """Every figure's outcome, and (settings, records) of every suite run behind them."""
+    """Every figure's outcome, and (settings, rows) of every suite run behind them."""
     runs = []
 
     def run_and_keep(*args, **kwargs):
-        records = run_query_suite(*args, **kwargs)
-        runs.append((kwargs["optimizer_settings"], records))
-        return records
+        rows = run_query_suite(*args, **kwargs)
+        runs.append((kwargs["optimizer_settings"], rows))
+        return rows
 
     with mock.patch.object(experiments, "run_query_suite", run_and_keep):
         outcomes = {outcome.figure.name: outcome for outcome in run_figures()}
@@ -37,8 +36,10 @@ def scorecard():
 def test_figure(scorecard, figure):
     outcome = scorecard[0][figure.name]
     print()
-    print(outcome.table.to_text())
+    print(outcome.to_text())
     assert outcome.failure is None, outcome.failure
+    blank = [column for row in outcome.rows for column in figure.columns if row[column] is None]
+    assert blank == [], f"cells with no value in columns {sorted(set(blank))}"
 
 
 def test_each_suite_runs_once(scorecard):
@@ -48,15 +49,15 @@ def test_each_suite_runs_once(scorecard):
 @pytest.mark.parametrize("shown, counted", [("figure4b", "figure5"), ("figure7b", "figure8")])
 def test_calibrated_figures_read_one_calibration(scorecard, shown, counted):
     outcomes, runs = scorecard
-    calibrated = [records for settings, records in runs
+    calibrated = [rows for settings, rows in runs
                   if settings != profile_settings(settings.profile)]
     assert len(calibrated) == sum(suite.calibrated for suite in SUITES)
-    rows = outcomes[shown].table.rows
-    [records] = [
-        records for records in calibrated
-        if [(r.query_name, r.reoptimized_simulated_cost) for r in records]
-        == [(row["query"], row["reoptimized_sim_cost"]) for row in rows]
+    shown_rows = outcomes[shown].rows
+    [rows] = [
+        rows for rows in calibrated
+        if [(row["query"], row["reoptimized_sim_cost"]) for row in rows]
+        == [(row["query"], row["reoptimized_sim_cost"]) for row in shown_rows]
     ]
-    assert [row["plans_with_calibration"] for row in outcomes[counted].table.rows] == [
-        r.plans_generated for r in records
+    assert [row["plans_with_calibration"] for row in outcomes[counted].rows] == [
+        row["plans_generated"] for row in rows
     ]

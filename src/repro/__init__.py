@@ -10,8 +10,8 @@ The package implements, in pure Python:
 * the theoretical model of the loop's convergence (:mod:`repro.theory`);
 * the workloads used in the paper's evaluation — TPC-H-like, TPC-DS-like and
   the "optimizer torture test" (OTT) of Section 4 (:mod:`repro.workloads`);
-* a benchmark harness regenerating every figure of the evaluation
-  (:mod:`repro.bench`).
+* the paper scorecard regenerating every figure of the evaluation
+  (:mod:`repro.bench.experiments`).
 
 Quickstart
 ----------

@@ -1,14 +1,12 @@
-"""The paper scorecard (:mod:`repro.bench.experiments`), its harness and its
-table reporting, plus the zipf weights ``perfbench`` draws skewed streams from."""
+"""The paper scorecard (:mod:`repro.bench.experiments`, run it with
+``python -m``) and the zipf weights ``perfbench`` draws skewed streams from.
+
+The package re-exports nothing and does not import the scorecard, so that
+``python -m repro.bench.experiments`` runs it as a fresh ``__main__``.
+"""
 
 from __future__ import annotations
 
-from repro.bench.reporting import ExperimentResult
-from repro.bench.harness import QueryRunRecord, run_query_suite, calibrated_settings
+from repro.bench import loadgen
 
-__all__ = [
-    "ExperimentResult",
-    "QueryRunRecord",
-    "calibrated_settings",
-    "run_query_suite",
-]
+__all__ = ["loadgen"]

@@ -8,6 +8,11 @@ figures read it, so Fig 4b and Fig 5's "with calibration" column are one run
 under one set of fitted cost units.  The theory figures (3, Example 2,
 Appendix B) are the small row functions the table points to.
 
+A suite runs through :func:`run_query_suite`: Algorithm 1 re-optimizes every
+query, then its original and final plan run.  Each query gives one row with
+every per-query column a figure may show, plus the simulated cost of each
+distinct round plan that Figs 14/15 read.
+
 Scale: the databases are MB-scale instead of 10 GB, and "running time" is
 primarily the deterministic simulated cost (cost model at true
 cardinalities), with wall-clock seconds reported alongside.  Sampling ratios
@@ -30,12 +35,18 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.bench.harness import QueryRunRecord, calibrated_settings, run_query_suite
-from repro.bench.reporting import ExperimentResult
+from repro.cardinality.gamma import Gamma
+from repro.cost.calibration import calibrate_cost_units
+from repro.executor.executor import ExecutionResult, Executor
 from repro.optimizer.dp import DynamicProgrammingPlanner
 from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.profiles import profile_settings
+from repro.optimizer.settings import OptimizerSettings
+from repro.plans.nodes import PlanNode
+from repro.reopt.algorithm import Reoptimizer
+from repro.sql.ast import Query
 from repro.stats.multidim import MultiDimHistogram, true_ott_pair_selectivity
+from repro.storage.catalog import Database
 from repro.theory.ball_queue import expected_steps
 from repro.theory.special_cases import (
     overestimation_only_bound,
@@ -61,6 +72,76 @@ OTT_SAMPLING_RATIO = 0.25
 #: Laptop-scale knobs for the TPC-DS experiments.
 TPCDS_SCALE = 0.15
 TPCDS_SAMPLING_RATIO = 0.5
+#: A join's final Γ entry is contradicted when it and the executed row count
+#: differ by more than this factor (each side floored at one row).
+CONTRADICTION_FACTOR = 10.0
+
+
+def work_rows(execution: ExecutionResult) -> int:
+    """Rows produced by every executed node (``plan_work_rows``)."""
+    return sum(node.actual_rows for node in execution.node_executions)
+
+
+def contradicted_joins(execution: ExecutionResult, gamma: Gamma) -> int:
+    """Executed joins whose Γ entry is off by more than the contradiction factor."""
+    count = 0
+    for node in execution.node_executions:
+        validated = gamma.get(node.relations)
+        if not node.kind.startswith("join:") or validated is None:
+            continue
+        actual, believed = max(node.actual_rows, 1), max(validated, 1.0)
+        if max(actual / believed, believed / actual) > CONTRADICTION_FACTOR:
+            count += 1
+    return count
+
+
+def run_query_suite(
+    db: Database,
+    queries: Sequence[Query],
+    optimizer_settings: Optional[OptimizerSettings] = None,
+    execute_intermediate_plans: bool = False,
+) -> Rows:
+    """Re-optimize every query, execute its original and final plan, and
+    return one row per query; ``round_sim_costs`` holds each distinct round
+    plan's simulated cost when ``execute_intermediate_plans``."""
+    optimizer = Optimizer(db, settings=optimizer_settings)
+    executor = Executor(db, cost_units=optimizer.settings.cost_units)
+    reoptimizer = Reoptimizer(db, optimizer=optimizer)
+    results = [reoptimizer.reoptimize(query) for query in queries]
+    rows = []
+    for query, result in zip(queries, results):
+        original = executor.execute_plan(result.original_plan, query)
+        final = executor.execute_plan(result.final_plan, query) if result.plan_changed else original
+        round_plans: Dict[tuple, PlanNode] = {}
+        if execute_intermediate_plans:
+            for record in result.report.rounds:
+                round_plans.setdefault(record.plan.signature(), record.plan)
+        masks = result.report.dp_masks_per_round()
+        planning = [record.planning_seconds for record in result.report.rounds]
+        rows.append({
+            "query": query.name,
+            "original_sim_cost": original.simulated_cost,
+            "reoptimized_sim_cost": final.simulated_cost,
+            "original_wall_s": original.wall_seconds,
+            "reoptimized_wall_s": final.wall_seconds,
+            "original_work_rows": work_rows(original),
+            "reoptimized_work_rows": work_rows(final),
+            "contradicted_joins": contradicted_joins(final, result.gamma),
+            "plans_generated": result.report.num_plans_generated,
+            "plan_changed": result.plan_changed,
+            "converged": result.converged,
+            "execution_only_s": final.wall_seconds,
+            "reopt_plus_execution_s": final.wall_seconds + result.reoptimization_seconds,
+            "reopt_overhead_s": result.reoptimization_seconds,
+            "round1_masks": masks[0],
+            "max_later_masks": max(masks[1:], default=0),
+            "total_later_masks": sum(masks[1:]),
+            "round1_planning_s": planning[0],
+            "later_planning_s": sum(planning[1:]),
+            "round_sim_costs": [executor.execute_plan(plan, query).simulated_cost
+                                for plan in round_plans.values()],
+        })
+    return rows
 
 
 @dataclass(frozen=True)
@@ -78,8 +159,8 @@ class Suite:
     intermediate: bool = False
 
 
-def run_suite(suite: Suite) -> List[QueryRunRecord]:
-    """Generate the suite's database and workload and run the harness once."""
+def run_suite(suite: Suite) -> Rows:
+    """Generate the suite's database and workload and run it once."""
     if suite.workload == "tpch":
         db = generate_tpch_database(scale_factor=TPCH_SCALE_FACTOR, zipf_z=suite.zipf_z,
                                     seed=suite.seed, sampling_ratio=TPCH_SAMPLING_RATIO)
@@ -97,7 +178,7 @@ def run_suite(suite: Suite) -> List[QueryRunRecord]:
         queries = make_tpcds_workload(db, seed=suite.seed)
     settings = profile_settings(suite.profile)
     if suite.calibrated:
-        settings = calibrated_settings(db, settings)
+        settings = replace(settings, cost_units=calibrate_cost_units(db).units)
     return run_query_suite(db, queries, optimizer_settings=settings,
                            execute_intermediate_plans=suite.intermediate)
 
@@ -183,48 +264,17 @@ SPREAD = table("max(original_sim_cost) > 5 * min(original_sim_cost)",
                > 5.0 * min(_values(rows, "original_sim_cost")))
 
 
-def per_query(records: Sequence[QueryRunRecord]) -> Rows:
-    """One row per query with every per-query column a figure may show."""
-    rows = []
-    for r in records:
-        masks, planning = r.dp_masks_expanded_per_round, r.planning_seconds_per_round
-        rows.append({
-            "query": r.query_name,
-            "original_sim_cost": r.original_simulated_cost,
-            "reoptimized_sim_cost": r.reoptimized_simulated_cost,
-            "original_wall_s": r.original_wall_seconds,
-            "reoptimized_wall_s": r.reoptimized_wall_seconds,
-            "original_work_rows": r.original_work_rows,
-            "reoptimized_work_rows": r.reoptimized_work_rows,
-            "contradicted_joins": r.contradicted_joins,
-            "plans_generated": r.plans_generated,
-            "plan_changed": r.plan_changed,
-            "converged": r.converged,
-            "execution_only_s": r.reoptimized_wall_seconds,
-            "reopt_plus_execution_s": r.reoptimized_wall_seconds + r.reoptimization_seconds,
-            "reopt_overhead_s": r.reoptimization_seconds,
-            "round1_masks": masks[0],
-            "max_later_masks": max(masks[1:], default=0),
-            "total_later_masks": sum(masks[1:]),
-            "round1_planning_s": planning[0],
-            "later_planning_s": sum(planning[1:]),
-        })
-    return rows
-
-
-def per_round(records: Sequence[QueryRunRecord]) -> Rows:
+def per_round(rows: Rows) -> Rows:
     """One row per distinct plan of each query's re-optimization (Figs 14/15)."""
-    return [{"query": r.query_name, "round": index, "simulated_cost": cost}
-            for r in records for index, cost in enumerate(r.per_round_simulated_cost, start=1)]
+    return [{"query": row["query"], "round": index, "simulated_cost": cost}
+            for row in rows for index, cost in enumerate(row["round_sim_costs"], start=1)]
 
 
-def plans_with_and_without(
-    without: Sequence[QueryRunRecord], calibrated: Sequence[QueryRunRecord]
-) -> Rows:
+def plans_with_and_without(without: Rows, calibrated: Rows) -> Rows:
     """Plans generated per query under default and calibrated cost units."""
-    with_units = {r.query_name: r.plans_generated for r in calibrated}
-    return [{"query": r.query_name, "plans_without_calibration": r.plans_generated,
-             "plans_with_calibration": with_units.get(r.query_name)} for r in without]
+    with_units = {row["query"]: row["plans_generated"] for row in calibrated}
+    return [{"query": row["query"], "plans_without_calibration": row["plans_generated"],
+             "plans_with_calibration": with_units.get(row["query"])} for row in without]
 
 
 def figure3_sn_curve() -> Rows:
@@ -261,13 +311,13 @@ def ott_join_trees(joins: int) -> int:
     return planner.num_join_trees_considered
 
 
-def appendix_b_bounds(records: Sequence[QueryRunRecord]) -> Rows:
+def appendix_b_bounds(rows: Rows) -> Rows:
     """Appendix B: observed 4-join OTT round counts against the special-case bounds."""
     over = overestimation_only_bound(4)
     under = underestimation_only_expected_steps(num_join_trees=ott_join_trees(4),
                                                 num_join_graph_edges=4)
     return [dict(row, overestimation_bound_m_plus_1=over, underestimation_S_N_over_M=under)
-            for row in per_query(records)]
+            for row in rows]
 
 
 @dataclass(frozen=True)
@@ -280,8 +330,9 @@ class Figure:
     columns: Tuple[str, ...]
     checks: Tuple[Check, ...]
     suites: Tuple[Suite, ...] = ()
-    #: Builds the rows from one record list per suite (no argument without suites).
-    rows: Callable[..., Rows] = per_query
+    #: Builds the table from the rows of each suite (no argument without
+    #: suites); by default the one suite's rows.
+    rows: Callable[..., Rows] = lambda rows: rows
 
     @property
     def tolerance(self) -> str:
@@ -380,8 +431,8 @@ FIGURES: Tuple[Figure, ...] = (
            ROUNDS,
            (NON_EMPTY, each("simulated_cost > 0", lambda row: row["simulated_cost"] > 0.0)),
            (TPCH_UNIFORM,),
-           lambda records: per_round([r for r in records
-                                      if r.query_name in ("q8_i0", "q9_i0", "q21_i0")])),
+           lambda rows: per_round([row for row in rows
+                                   if row["query"] in ("q8_i0", "q9_i0", "q21_i0")])),
     Figure("figure15", "OTT 4-join: simulated cost of each round's plan",
            "No query's fixed point costs more than its first plan (Theorem 5, modulo "
            "sampling noise the OTT data does not exhibit).",
@@ -442,26 +493,52 @@ FIGURES: Tuple[Figure, ...] = (
 
 @dataclass(frozen=True)
 class Outcome:
-    """One figure's table and verdict."""
+    """One figure's rows, projected onto its columns, and its verdict."""
 
     figure: Figure
-    table: ExperimentResult
+    rows: Rows
     failure: Optional[str]
+
+    def to_text(self) -> str:
+        """The rows as an aligned plain-text table (``None`` cells blank)."""
+        columns = self.figure.columns
+        cells = [[_format_value(row[column]) for column in columns] for row in self.rows]
+        widths = [max([len(column), *(len(line[i]) for line in cells)])
+                  for i, column in enumerate(columns)]
+        lines = [f"== {self.figure.name}: {self.figure.title} ==",
+                 "  ".join(column.ljust(width) for column, width in zip(columns, widths)),
+                 "  ".join("-" * width for width in widths),
+                 *("  ".join(cell.ljust(width) for cell, width in zip(line, widths))
+                   for line in cells)]
+        return "\n".join(lines)
+
+
+def _format_value(value: object) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, float):
+        if value == 0:
+            return "0"
+        if abs(value) >= 1000 or abs(value) < 0.01:
+            return f"{value:.3g}"
+        return f"{value:.2f}"
+    return str(value)
 
 
 def run_figures(figures: Sequence[Figure] = FIGURES) -> List[Outcome]:
     """Build and check every figure, running each distinct suite once."""
-    records: Dict[Suite, List[QueryRunRecord]] = {}
+    suite_rows: Dict[Suite, Rows] = {}
     outcomes = []
     for figure in figures:
         for suite in figure.suites:
-            if suite not in records:
-                records[suite] = run_suite(suite)
+            if suite not in suite_rows:
+                suite_rows[suite] = run_suite(suite)
         rows = [{column: row.get(column) for column in figure.columns}
-                for row in figure.rows(*(records[suite] for suite in figure.suites))]
+                for row in figure.rows(*(suite_rows[suite] for suite in figure.suites))]
         failures = [check.failure(rows) for check in figure.checks]
-        result = ExperimentResult(figure.name, figure.title, list(figure.columns), rows)
-        outcomes.append(Outcome(figure, result, "; ".join(f for f in failures if f) or None))
+        outcomes.append(Outcome(figure, rows, "; ".join(f for f in failures if f) or None))
     return outcomes
 
 
@@ -487,14 +564,14 @@ def render_markdown(outcomes: Sequence[Outcome]) -> str:
         lines += ["", f"## {o.figure.name}: {o.figure.title}", "",
                   f"- Claim: {o.figure.claim}", f"- Tolerance: {o.figure.tolerance}",
                   f"- Verdict: {'pass' if o.failure is None else f'FAIL ({o.failure})'}",
-                  "", "```", o.table.to_text(), "```"]
+                  "", "```", o.to_text(), "```"]
     return "\n".join(lines) + "\n"
 
 
 def main() -> int:
     outcomes = run_figures()
     for outcome in outcomes:
-        print(outcome.table.to_text())
+        print(outcome.to_text())
         print("->", "pass" if outcome.failure is None else f"FAIL: {outcome.failure}", "\n")
     Path("REPRODUCTION.md").write_text(render_markdown(outcomes))
     return 0 if all(outcome.failure is None for outcome in outcomes) else 1

@@ -9,7 +9,7 @@ in-memory tables and records, for every node:
   actual cardinalities.
 
 The scalar obtained by pricing that resource vector with the cost units is
-the **simulated running time** used throughout the benchmark harness: it is a
+the **simulated running time** used throughout the paper scorecard: it is a
 deterministic, machine-independent proxy for the wall-clock numbers the paper
 reports from its 10 GB PostgreSQL installation, and it preserves the ordering
 and rough ratios between plans because it charges exactly the work the plan
@@ -200,7 +200,13 @@ class Executor:
             or any(p.column == name for p in predicates)
         ]
 
-        if node.method is ScanMethod.INDEX_SCAN and node.index_column is not None:
+        # A plan cached before its table was replaced or dropped may name an
+        # index that went with it: it runs as a sequential scan instead.
+        if (
+            node.method is ScanMethod.INDEX_SCAN
+            and node.index_column is not None
+            and self.db.has_index(node.table, node.index_column)
+        ):
             index_predicate = next(
                 (p for p in predicates if p.column == node.index_column and p.op == "="), None
             )

@@ -10,8 +10,8 @@ A plan is a tree of :class:`PlanNode` objects:
 
 Every node carries the optimizer's estimated output cardinality and estimated
 cumulative cost; the executor later annotates the same structure with *actual*
-cardinalities, which is what the sampling validator and the experiment
-harness compare against.
+cardinalities, which is what the sampling validator and the paper
+scorecard compare against.
 """
 
 from __future__ import annotations

@@ -130,11 +130,11 @@ def codes_against(sorted_values: np.ndarray, probe: np.ndarray) -> np.ndarray:
     """Positions of ``probe`` values in ``sorted_values`` (sentinel = miss).
 
     The shared translation step of the join kernels: values missing from
-    ``sorted_values`` — including values that cannot be *compared* with its
-    entries, such as a numeric probe against a string dictionary — map to
-    the sentinel code ``len(sorted_values)``, which never matches a real
-    code.  Incomparable values degrade to a per-element probe so one bad
-    row never poisons the rest.
+    ``sorted_values`` map to the sentinel code ``len(sorted_values)``, which
+    never matches a real code.  A ``str`` column holds strings only and every
+    other column is int64 or float64, so a probe that cannot be compared with
+    the entries — a numeric probe against a string dictionary — misses in
+    every element.
     """
     sentinel = len(sorted_values)
     probe = np.asarray(probe)
@@ -143,23 +143,10 @@ def codes_against(sorted_values: np.ndarray, probe: np.ndarray) -> np.ndarray:
     try:
         positions = np.searchsorted(sorted_values, probe)
     except TypeError:
-        return _codes_against_elementwise(sorted_values, probe)
+        return np.full(len(probe), sentinel, dtype=np.int64)
     clipped = np.minimum(positions, sentinel - 1)
     valid = (positions < sentinel) & (sorted_values[clipped] == probe)
     return np.where(valid, clipped, sentinel)
-
-
-def _codes_against_elementwise(sorted_values: np.ndarray, probe: np.ndarray) -> np.ndarray:
-    sentinel = len(sorted_values)
-    out = np.full(len(probe), sentinel, dtype=np.int64)
-    for index, value in enumerate(np.asarray(probe, dtype=object)):
-        try:
-            position = int(np.searchsorted(sorted_values, value))
-        except TypeError:
-            continue
-        if position < sentinel and sorted_values[position] == value:
-            out[index] = position
-    return out
 
 
 def fits_direct_table(domain: int, left_rows: int, right_rows: int) -> bool:

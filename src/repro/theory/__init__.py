@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.theory.ball_queue import expected_steps, expected_steps_curve, simulate_procedure1
+from repro.theory.ball_queue import expected_steps, simulate_procedure1
 from repro.theory.special_cases import (
     overestimation_only_bound,
     underestimation_only_expected_steps,
@@ -10,7 +10,6 @@ from repro.theory.special_cases import (
 
 __all__ = [
     "expected_steps",
-    "expected_steps_curve",
     "overestimation_only_bound",
     "simulate_procedure1",
     "underestimation_only_expected_steps",

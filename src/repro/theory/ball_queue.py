@@ -8,14 +8,15 @@ at a uniformly random position.  The expected number of steps is
     S_N = sum_{k=1..N} k * (1 - 1/N) * ... * (1 - (k-1)/N) * k/N        (Eq. 1)
 
 and Theorem 3 shows ``S_N = O(sqrt(N))``.  Figure 3 plots ``S_N`` against
-``sqrt(N)`` and ``2*sqrt(N)`` for ``N`` up to 1000; :func:`expected_steps_curve`
-regenerates exactly that data, and :func:`simulate_procedure1` provides an
-independent Monte-Carlo check of the closed form.
+``sqrt(N)`` and ``2*sqrt(N)`` for ``N`` up to 1000 (the scorecard's
+``figure3_sn_curve`` regenerates it from :func:`expected_steps`), and
+:func:`simulate_procedure1` provides an independent Monte-Carlo check of the
+closed form.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -37,11 +38,6 @@ def expected_steps(n: int) -> float:
         if survival <= 0.0:
             break
     return total
-
-
-def expected_steps_curve(max_n: int = 1000, step: int = 1) -> Dict[int, float]:
-    """``S_N`` for ``N = 1, 1 + step, ...`` up to ``max_n`` (the data behind Figure 3)."""
-    return {n: expected_steps(n) for n in range(1, max_n + 1, step)}
 
 
 def simulate_procedure1(
@@ -77,14 +73,3 @@ def simulate_procedure1(
         total_steps += steps
     return total_steps / trials
 
-
-def sqrt_bound_holds(max_n: int = 1000, factor: float = 2.0) -> bool:
-    """Check ``S_N <= factor * sqrt(N)`` over a range of N (Theorem 3's shape).
-
-    The paper's Figure 3 shows ``S_N`` sandwiched between ``sqrt(N)`` and
-    ``2 sqrt(N)`` for N up to 1000; this helper verifies the upper envelope.
-    """
-    for n in range(1, max_n + 1):
-        if expected_steps(n) > factor * np.sqrt(n) + 1e-9:
-            return False
-    return True

@@ -1,4 +1,4 @@
-"""Tests for the benchmark harness, the figure table and its reporting."""
+"""Tests for the suite runner, the figure table and its reporting."""
 
 import dataclasses
 from unittest import mock
@@ -10,7 +10,9 @@ from repro.bench.experiments import (
     FIGURES,
     NON_EMPTY,
     Outcome,
+    Suite,
     bound,
+    contradicted_joins,
     cost_ratio,
     example2_multidimensional_histograms,
     figure3_sn_curve,
@@ -19,9 +21,9 @@ from repro.bench.experiments import (
     render_markdown,
     row_count,
     run_figures,
+    run_query_suite,
+    run_suite,
 )
-from repro.bench.harness import calibrated_settings, contradicted_joins, run_query_suite
-from repro.bench.reporting import ExperimentResult
 from repro.cardinality.gamma import Gamma
 from repro.executor.executor import ExecutionResult, NodeExecution
 from repro.optimizer.profiles import profile_settings
@@ -45,24 +47,25 @@ def _small(name, **changes):
     ))
 
 
+def _outcome(columns, rows):
+    figure = dataclasses.replace(FIGURE["figure4b"], name="figX", title="demo", columns=columns)
+    return Outcome(figure, rows, None)
+
+
 class TestReporting:
     def test_table_rendering(self):
-        result = ExperimentResult("figX", "demo", columns=["a", "b"])
-        result.rows += [{"a": 1, "b": 0.123456}, {"a": "text", "b": None}]
-        text = result.to_text()
+        text = _outcome(("a", "b"), [{"a": 1, "b": 0.123456}, {"a": "text", "b": None}]).to_text()
         assert "figX" in text and "demo" in text
         assert "0.12" in text
 
     def test_boolean_and_large_float_formatting(self):
-        result = ExperimentResult("figX", "demo", columns=["flag", "big"])
-        result.rows.append({"flag": True, "big": 123456.789})
-        assert "yes" in result.to_text()
-        assert "1.23e+05" in result.to_text()
+        text = _outcome(("flag", "big"), [{"flag": True, "big": 123456.789}]).to_text()
+        assert "yes" in text
+        assert "1.23e+05" in text
 
     def test_markdown_states_claim_tolerance_and_failure(self):
         figure = FIGURE["figure4b"]
-        table = ExperimentResult("figure4b", figure.title, list(figure.columns))
-        text = render_markdown([Outcome(figure, table, "not 21 rows")])
+        text = render_markdown([Outcome(figure, [], "not 21 rows")])
         assert "0 of 1 figures pass" in text
         assert figure.claim in text and "- Tolerance: 21 rows" in text
         assert "- Verdict: FAIL (not 21 rows)" in text
@@ -71,43 +74,36 @@ class TestReporting:
 class TestHarness:
     def test_run_query_suite_records(self, small_ott_db):
         queries = make_ott_workload(small_ott_db, num_tables=4, num_queries=3, seed=2)
-        records = run_query_suite(small_ott_db, queries)
-        assert len(records) == 3
-        for record in records:
-            assert record.plans_generated >= 2
-            assert record.original_simulated_cost > 0
-            assert record.reoptimized_simulated_cost > 0
-            assert record.original_work_rows > 0 and record.reoptimized_work_rows > 0
+        rows = run_query_suite(small_ott_db, queries)
+        assert len(rows) == 3
+        for row in rows:
+            assert row["plans_generated"] >= 2
+            assert row["original_sim_cost"] > 0
+            assert row["reoptimized_sim_cost"] > 0
+            assert row["original_work_rows"] > 0 and row["reoptimized_work_rows"] > 0
+            assert row["round_sim_costs"] == []
 
     def test_intermediate_plan_execution(self, small_ott_db):
         queries = make_ott_workload(small_ott_db, num_tables=4, num_queries=1, seed=2)
-        records = run_query_suite(small_ott_db, queries, execute_intermediate_plans=True)
-        assert records[0].per_round_simulated_cost
-        assert records[0].per_round_simulated_cost[0] == pytest.approx(
-            records[0].original_simulated_cost, rel=1e-6
-        )
+        [row] = run_query_suite(small_ott_db, queries, execute_intermediate_plans=True)
+        assert row["round_sim_costs"]
+        assert row["round_sim_costs"][0] == pytest.approx(row["original_sim_cost"], rel=1e-6)
 
-    def test_calibrated_settings_changes_units(self, small_ott_db):
-        settings = calibrated_settings(small_ott_db)
-        from repro.cost.units import DEFAULT_COST_UNITS
-
-        calibrated = set(settings.cost_units.as_dict().values())
-        assert calibrated != set(DEFAULT_COST_UNITS.as_dict().values())
-
-    def test_calibrated_settings_keep_the_base_profile(self, small_ott_db):
+    def test_calibrated_suite_keeps_its_profile(self):
+        suite = Suite("ott", seed=3, queries=1, profile="system_b", calibrated=True)
+        with mock.patch.object(experiments, "run_query_suite", return_value=[]) as run:
+            run_suite(suite)
+        settings = run.call_args.kwargs["optimizer_settings"]
         base = profile_settings("system_b")
-        settings = calibrated_settings(small_ott_db, base)
         assert settings == dataclasses.replace(base, cost_units=settings.cost_units)
         assert settings.cost_units != base.cost_units
 
     def test_records_count_dp_masks_every_round(self, small_ott_db):
         queries = make_ott_workload(small_ott_db, num_tables=4, num_queries=2, seed=2)
-        for record in run_query_suite(small_ott_db, queries):
-            masks = record.dp_masks_expanded_per_round
-            assert len(masks) == record.plans_generated
-            assert all(type(count) is int for count in masks)
-            assert masks[0] == 10  # the connected subsets of a 4-chain
-            assert all(count < masks[0] for count in masks[1:])
+        for row in run_query_suite(small_ott_db, queries):
+            assert type(row["round1_masks"]) is int and type(row["max_later_masks"]) is int
+            assert row["round1_masks"] == 10  # the connected subsets of a 4-chain
+            assert row["max_later_masks"] < row["round1_masks"]
 
     def test_contradicted_joins_count_executed_joins_off_by_more_than_10x(self):
         def node(relations, kind, actual):
@@ -174,25 +170,25 @@ class TestFigureTable:
 
     def test_ott_running_time_small(self):
         [outcome] = run_figures([_small("figure10a", seed=3)])
-        assert len(outcome.table.rows) == 2
+        assert len(outcome.rows) == 2
         assert outcome.failure.startswith("not 10 rows")
 
     def test_ott_num_plans_small(self):
         [outcome] = run_figures([_small("figure16", seed=3)])
-        assert all(row["plans_generated"] >= 2 for row in outcome.table.rows)
+        assert all(row["plans_generated"] >= 2 for row in outcome.rows)
 
     def test_appendix_b_small(self):
         [outcome] = run_figures([_small("appendix_b", seed=3)])
-        assert len(outcome.table.rows) == 2
+        assert len(outcome.rows) == 2
 
     def test_figures_sharing_a_calibrated_suite_read_one_calibration(self):
         shown, counted = _small("figure10b"), _small("figure16", calibrated=True)
         assert shown.suites == counted.suites
         with mock.patch.object(
-            experiments, "calibrated_settings", wraps=experiments.calibrated_settings
+            experiments, "calibrate_cost_units", wraps=experiments.calibrate_cost_units
         ) as calibrate:
             shown_outcome, counted_outcome = run_figures([shown, counted])
         assert calibrate.call_count == 1
-        assert [row["plans_generated"] for row in shown_outcome.table.rows] == [
-            row["plans_generated"] for row in counted_outcome.table.rows
+        assert [row["plans_generated"] for row in shown_outcome.rows] == [
+            row["plans_generated"] for row in counted_outcome.rows
         ]

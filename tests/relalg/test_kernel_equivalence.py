@@ -250,10 +250,15 @@ class TestTypeMismatches:
         with pytest.raises(ExecutionError):
             filter_relation(relation, "t", [LocalPredicate("t", "s", "<", 5)])
 
-    def test_join_between_string_and_numeric_keys_is_empty(self):
-        left = Relation({"l.k": DictEncodedArray.encode(np.array(["1", "2"], dtype=object))})
-        right = Relation({"r.k": np.array([1, 2])})
-        result = hash_join(left, right, [JoinPredicate("l", "k", "r", "k")], frozenset({"l"}))
+    @pytest.mark.parametrize("kernel", [hash_join, merge_join, nested_loop_join],
+                             ids=lambda kernel: kernel.__name__)
+    @pytest.mark.parametrize("string_side", ["left", "right"])
+    def test_join_between_string_and_numeric_keys_is_empty(self, kernel, string_side):
+        strings = DictEncodedArray.encode(np.array(["1", "2"], dtype=object))
+        numbers = np.array([1, 2])
+        left, right = (strings, numbers) if string_side == "left" else (numbers, strings)
+        result = kernel(Relation({"l.k": left}), Relation({"r.k": right}),
+                        [JoinPredicate("l", "k", "r", "k")], frozenset({"l"}))
         assert result.num_rows == 0
 
     @pytest.mark.parametrize("stray", [None, 7])

@@ -6,12 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.theory.ball_queue import (
-    expected_steps,
-    expected_steps_curve,
-    simulate_procedure1,
-    sqrt_bound_holds,
-)
+from repro.theory.ball_queue import expected_steps, simulate_procedure1
 from repro.theory.special_cases import (
     overestimation_only_bound,
     underestimation_only_expected_steps,
@@ -43,14 +38,6 @@ class TestExpectedSteps:
     def test_lower_envelope(self, n):
         """Figure 3: S_N stays above sqrt(N) (for N beyond the first few points)."""
         assert expected_steps(n) >= math.sqrt(n) * 0.95
-
-    def test_curve_matches_point_evaluations(self):
-        curve = expected_steps_curve(max_n=50, step=7)
-        for n, value in curve.items():
-            assert value == pytest.approx(expected_steps(n))
-
-    def test_sqrt_bound_helper(self):
-        assert sqrt_bound_holds(max_n=300)
 
     def test_monte_carlo_agrees_with_closed_form(self):
         for n in (5, 20, 100):

@@ -5,6 +5,7 @@ import pytest
 
 from repro import Executor, reoptimize
 from repro.errors import CatalogError
+from repro.plans.nodes import ScanMethod
 from repro.service import QueryService
 from repro.sql.parser import parse_query
 from repro.storage.catalog import Database
@@ -149,3 +150,48 @@ class TestTableCreatedAfterSampling:
         with QueryService(db) as service:
             served = service.execute(self.QUERY)
         assert int(served.execution.columns["n"][0]) == self._truth(db)
+
+
+def _replace(db, name):
+    db.create_table(db.table(name), replace=True)
+
+
+def _drop_and_create(db, name):
+    table = db.table(name)
+    db.drop_table(name)
+    db.create_table(table)
+
+
+class TestIndexGoneWithItsTable:
+    """A cached plan whose index scan lost its index with the table runs as
+    a sequential scan over the same predicates."""
+
+    QUERY = "SELECT count(*) AS n FROM r1, r2 WHERE r1.b = r2.b AND r1.a = ?"
+
+    @staticmethod
+    def _scans_r1_by_index(plan):
+        [scan] = [node for node in plan.walk() if node.relations == {"r1"}]
+        return scan.method is ScanMethod.INDEX_SCAN and scan.index_column == "a"
+
+    @pytest.mark.parametrize("recreate", [_replace, _drop_and_create],
+                             ids=["replace", "drop_and_create"])
+    def test_cached_index_scan_is_served(self, recreate):
+        db = generate_ott_database(
+            num_tables=2, rows_per_table=3000, rows_per_value=3, seed=3, sampling_ratio=0.3
+        )
+        with QueryService(db) as service:
+            assert self._scans_r1_by_index(service.execute(self.QUERY, (0,)).plan)
+            recreate(db, "r1")
+            assert not db.has_index("r1", "a")
+            served = service.execute(self.QUERY, (2,))
+        assert served.source == "validated_reuse" and self._scans_r1_by_index(served.plan)
+        with QueryService(db) as fresh:
+            expected = fresh.execute(self.QUERY, (2,))
+        assert served.execution.columns.keys() == expected.execution.columns.keys()
+        for name, column in expected.execution.columns.items():
+            assert column.tobytes() == served.execution.columns[name].tobytes()
+        r1, r2 = db.table("r1"), db.table("r2")
+        r1_b = r1.column("b")[r1.column("a") == 2]
+        assert int(served.execution.columns["n"][0]) == int(
+            sum(np.count_nonzero(r2.column("b") == value) for value in r1_b)
+        )

@@ -11,6 +11,7 @@ import importlib
 import pkgutil
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -101,3 +102,52 @@ def test_every_settings_field_has_a_production_caller():
     }
     assert sorted(fields - passed - set(UNSET_FIELDS_KEPT)) == []
     assert set(UNSET_FIELDS_KEPT) <= fields - passed
+
+
+#: Documents whose python code blocks readers copy.
+DOCUMENTS = ("README.md", ".claude/skills/verify/SKILL.md")
+
+
+def _python_blocks(text: str):
+    """The ```python fenced blocks of a markdown text, dedented."""
+    blocks, block = [], None
+    for line in text.splitlines():
+        fence = line.strip()
+        if block is None and fence == "```python":
+            block = []
+        elif block is not None and fence == "```":
+            blocks.append(textwrap.dedent("\n".join(block)))
+            block = None
+        elif block is not None:
+            block.append(line)
+    return blocks
+
+
+def _documented_imports():
+    """``(document, module, name)`` of every ``from repro… import name``."""
+    imports = []
+    for document in DOCUMENTS:
+        for block in _python_blocks((ROOT / document).read_text()):
+            imports += [(document, node.module, alias.name)
+                        for node in ast.walk(ast.parse(block))
+                        if isinstance(node, ast.ImportFrom) and node.level == 0
+                        and node.module.split(".")[0] == "repro"
+                        for alias in node.names]
+    return imports
+
+
+def _resolves(module: str, name: str) -> bool:
+    """``name`` is an attribute or a submodule of ``module``."""
+    try:
+        package = importlib.import_module(module)
+        return hasattr(package, name) or bool(importlib.import_module(f"{module}.{name}"))
+    except ModuleNotFoundError:
+        return False
+
+
+def test_documented_snippets_import_names_that_exist():
+    imports = _documented_imports()
+    assert {document for document, _, _ in imports} == set(DOCUMENTS)
+    missing = [f"{document}: from {module} import {name}"
+               for document, module, name in imports if not _resolves(module, name)]
+    assert missing == []
