@@ -133,7 +133,7 @@ class SamplingEstimator:
         """``node``'s output over the samples: a filtered sample or one join."""
         if isinstance(node, ScanNode):
             return self._filtered_sample(node.alias)
-        assert isinstance(node, JoinNode) and node.left is not None and node.right is not None
+        assert isinstance(node, JoinNode)
         join_set = frozenset(node.relations)
         cached = self._join_cache.pop(join_set, None)
         if cached is not None:

@@ -165,8 +165,6 @@ def live_columns(
 def split_final_aggregate(plan: PlanNode) -> Tuple[PlanNode, Optional[AggregateNode]]:
     """Split ``plan`` into its join pipeline and the final aggregate, if any."""
     if isinstance(plan, AggregateNode):
-        if plan.child is None:
-            raise ValueError("aggregate node is missing its input")
         return plan.child, plan
     return plan, None
 
@@ -281,8 +279,6 @@ class Executor:
         result: ExecutionResult,
         query: Optional[Query],
     ) -> Relation:
-        if node.left is None or node.right is None:
-            raise ExecutionError("join node is missing an input")
         left_relation = self._execute_node(node.left, result, query)
         right_relation = self._execute_node(node.right, result, query)
         left_rows = left_relation.num_rows

@@ -20,7 +20,7 @@ work from round 2 on.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.cardinality.estimator import CardinalityEstimator
 from repro.cardinality.gamma import Gamma
@@ -32,6 +32,18 @@ from repro.sql.ast import Query
 from repro.storage.catalog import Database
 
 __all__ = ["Optimizer", "OptimizerSettings", "PlanningSession"]
+
+
+def estimated_groups(input_rows: float, group_by: Sequence[object]) -> float:
+    """The group count of an aggregate over ``input_rows`` rows.
+
+    One group without a ``GROUP BY``; otherwise a rough estimate capped by the
+    input cardinality (no grouping statistics on join outputs are kept, as in
+    PostgreSQL before extended stats).
+    """
+    if not group_by:
+        return 1.0
+    return max(1.0, min(input_rows, input_rows ** 0.5))
 
 
 class PlanningSession:
@@ -97,14 +109,7 @@ class Optimizer:
         """Wrap a join plan in the query's aggregation node (when it has one)."""
         if query.aggregates or query.group_by:
             input_rows = plan.estimated_rows
-            group_columns = len(query.group_by)
-            # Rough group-count estimate: the product of per-column distinct
-            # counts capped by the input cardinality (no grouping statistics on
-            # join outputs are kept, as in PostgreSQL before extended stats).
-            if group_columns == 0:
-                output_groups = 1.0
-            else:
-                output_groups = max(1.0, min(input_rows, input_rows ** 0.5))
+            output_groups = estimated_groups(input_rows, query.group_by)
             resources = self.cost_model.aggregate_resources(input_rows, output_groups)
             plan = AggregateNode(
                 relations=frozenset(plan.relations),

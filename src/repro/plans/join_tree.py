@@ -46,10 +46,8 @@ def _leaf_order(node: PlanNode) -> Tuple[str, ...]:
     if isinstance(node, ScanNode):
         return (node.alias,)
     if isinstance(node, JoinNode):
-        left = _leaf_order(node.left) if node.left is not None else ()
-        right = _leaf_order(node.right) if node.right is not None else ()
-        return left + right
-    if isinstance(node, AggregateNode) and node.child is not None:
+        return _leaf_order(node.left) + _leaf_order(node.right)
+    if isinstance(node, AggregateNode):
         return _leaf_order(node.child)
     return tuple(sorted(node.relations))
 
@@ -70,9 +68,7 @@ class JoinTree:
             for child in node.children():
                 visit(child)
             if isinstance(node, JoinNode):
-                left = _leaf_order(node.left) if node.left is not None else ()
-                right = _leaf_order(node.right) if node.right is not None else ()
-                ordered.append((left, right))
+                ordered.append((_leaf_order(node.left), _leaf_order(node.right)))
 
         visit(plan)
         return cls(ordered_joins=tuple(ordered))
@@ -175,9 +171,9 @@ def rebind_plan(plan: PlanNode, query: Query) -> PlanNode:
     sampling validator, not the estimates, decides whether that choice still
     stands).
     """
-    if isinstance(plan, AggregateNode) and plan.child is not None:
+    if isinstance(plan, AggregateNode):
         return replace(plan, child=rebind_plan(plan.child, query))
-    if isinstance(plan, JoinNode) and plan.left is not None and plan.right is not None:
+    if isinstance(plan, JoinNode):
         return replace(
             plan,
             left=rebind_plan(plan.left, query),

@@ -107,28 +107,28 @@ class ScanNode(PlanNode):
 class JoinNode(PlanNode):
     """Join ``left`` and ``right`` on ``predicates`` using ``method``."""
 
-    left: Optional[PlanNode] = None
-    right: Optional[PlanNode] = None
+    left: PlanNode = field(kw_only=True)
+    right: PlanNode = field(kw_only=True)
     method: JoinMethod = JoinMethod.HASH_JOIN
     predicates: Tuple[JoinPredicate, ...] = ()
 
     def __post_init__(self) -> None:
-        if not self.relations and self.left is not None and self.right is not None:
+        if self.left is None or self.right is None:
+            raise ValueError("join node is missing an input")
+        if not self.relations:
             self.relations = frozenset(self.left.relations | self.right.relations)
 
     def children(self) -> Sequence[PlanNode]:
-        return tuple(child for child in (self.left, self.right) if child is not None)
+        return (self.left, self.right)
 
     def signature(self) -> tuple:
         """Hashable description used for structural plan equality."""
-        left_sig = self.left.signature() if self.left is not None else None
-        right_sig = self.right.signature() if self.right is not None else None
         return (
             "join",
             self.method.value,
             tuple(sorted(str(p.normalized()) for p in self.predicates)),
-            left_sig,
-            right_sig,
+            self.left.signature(),
+            self.right.signature(),
         )
 
     def describe(self, indent: int = 0) -> str:
@@ -138,42 +138,38 @@ class JoinNode(PlanNode):
             + f"{self.method.value} on [{condition}]  (rows={self.estimated_rows:.1f}, "
             + f"cost={self.estimated_cost:.1f})"
         )
-        lines = [header]
-        if self.left is not None:
-            lines.append(self.left.describe(indent + 2))
-        if self.right is not None:
-            lines.append(self.right.describe(indent + 2))
-        return "\n".join(lines)
+        return "\n".join(
+            [header, self.left.describe(indent + 2), self.right.describe(indent + 2)]
+        )
 
 
 @dataclass
 class AggregateNode(PlanNode):
     """Grouped aggregation over a single input plan."""
 
-    child: Optional[PlanNode] = None
+    child: PlanNode = field(kw_only=True)
     group_by: Tuple[ColumnRef, ...] = ()
     aggregates: Tuple[Aggregate, ...] = ()
 
     def __post_init__(self) -> None:
-        if not self.relations and self.child is not None:
+        if self.child is None:
+            raise ValueError("aggregate node is missing its input")
+        if not self.relations:
             self.relations = frozenset(self.child.relations)
 
     def children(self) -> Sequence[PlanNode]:
-        return (self.child,) if self.child is not None else ()
+        return (self.child,)
 
     def signature(self) -> tuple:
-        child_sig = self.child.signature() if self.child is not None else None
         return (
             "aggregate",
             tuple(str(c) for c in self.group_by),
             tuple((a.func, a.alias, a.column) for a in self.aggregates),
-            child_sig,
+            self.child.signature(),
         )
 
     def describe(self, indent: int = 0) -> str:
         keys = ", ".join(str(c) for c in self.group_by) or "<all>"
         funcs = ", ".join(a.output_name for a in self.aggregates)
-        lines = [" " * indent + f"aggregate group by [{keys}] compute [{funcs}]"]
-        if self.child is not None:
-            lines.append(self.child.describe(indent + 2))
-        return "\n".join(lines)
+        header = " " * indent + f"aggregate group by [{keys}] compute [{funcs}]"
+        return header + "\n" + self.child.describe(indent + 2)

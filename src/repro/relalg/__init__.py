@@ -25,9 +25,8 @@ Layout
     The in-process task runner the sharded coordinator submits its scatter
     to (runs in order in the caller, counts tasks and busy seconds).
 ``shm``
-    Shared-memory column transport: refcounted segment registry, scoped
-    arenas, ``(segment, dtype, offset, length)`` descriptors and zero-copy
-    worker-side attachment.
+    Only the names the frozen benchmark resolves: the ``/dev/shm`` leak
+    audit and an :class:`~repro.relalg.shm.ShmArena` whose methods raise.
 
 Every operator of a query runs serially in the caller's process.
 """
@@ -63,32 +62,13 @@ from repro.relalg.relation import (
     concat_relations,
 )
 from repro.relalg.scheduler import TaskScheduler
-from repro.relalg.shm import (
-    ArrayDescriptor,
-    ColumnDescriptor,
-    RelationDescriptor,
-    SegmentRegistry,
-    ShmArena,
-    attach_array,
-    attach_column,
-    attach_columns,
-    segment_registry,
-    shm_dir_segments,
-)
+from repro.relalg.shm import shm_dir_segments
 
 __all__ = [
-    "ArrayDescriptor",
     "ColumnData",
-    "ColumnDescriptor",
     "DictEncodedArray",
     "Relation",
-    "RelationDescriptor",
-    "SegmentRegistry",
-    "ShmArena",
     "TaskScheduler",
-    "attach_array",
-    "attach_column",
-    "attach_columns",
     "compile_predicate",
     "concat_relations",
     "decode_column",
@@ -104,7 +84,6 @@ __all__ = [
     "partial_aggregate",
     "partial_merge_exact",
     "predicate_mask",
-    "segment_registry",
     "shm_dir_segments",
     "take_column",
     "value_counts",

@@ -1,197 +1,22 @@
-"""Shared-memory column transport for the process-backed morsel runtime.
+"""Names the frozen benchmark resolves; no code path shares memory.
 
-The GIL-bound thread runtime copied nothing but also parallelised nothing;
-the process runtime must not trade the copy problem for a pickle problem.
-This module is the zero-copy layer between the two: numeric columns and
-dictionary codes (already flat NumPy arrays everywhere in :mod:`repro.relalg`)
-are published once into ``multiprocessing.shared_memory`` segments, and every
-morsel task ships only a tiny :class:`ArrayDescriptor` — ``(segment name,
-dtype, offset, length)`` — from which a worker process attaches a zero-copy
-``np.ndarray`` view.  Only task *results* (join index pairs, per-chunk
-aggregate partials, boolean masks) travel back through the result queue.
-
-Lifecycle is explicit and deterministic:
-
-* every segment is created through the process-wide :class:`SegmentRegistry`,
-  which refcounts it and can enumerate (``live_names``) or force-unlink
-  (``unlink_all``) everything still alive — the hook
-  :meth:`~repro.relalg.scheduler.TaskScheduler.close` uses to guarantee
-  nothing outlives the scheduler;
-* kernels publish their inputs through a scoped :class:`ShmArena`
-  (``with arena: ...``): leaving the block — normally or through an
-  exception — releases every segment the block created, so a failed ``map``
-  can never leak;
-* worker processes never unlink.  They attach read-only views through a
-  bounded per-process cache and unregister each attachment from
-  ``multiprocessing.resource_tracker`` (attaching registers the segment a
-  second time on Python < 3.13, which would make the tracker spuriously
-  unlink — or warn about — segments the parent still owns).
-
-Segment names carry the :data:`SEGMENT_PREFIX` so tests (and operators) can
-audit ``/dev/shm`` for leaks independently of the registry's own accounting.
+Every operator and every shard runs in the caller's process, so nothing
+publishes a shared-memory segment.  ``perfbench/`` still audits
+``/dev/shm`` for leaks through :func:`shm_dir_segments` and wraps the
+:class:`ShmArena` methods in its span list, so those names stay.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
-import secrets
-import threading
-from collections import OrderedDict
-from dataclasses import dataclass
-from multiprocessing import resource_tracker, shared_memory
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+from typing import List, NoReturn
 
-import numpy as np
-
-from repro.relalg.encoding import ColumnData, DictEncodedArray
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from repro.relalg.relation import Relation
-
-#: Every segment name starts with this, so a leak is visible in /dev/shm.
+#: The name prefix a leaked segment of this package would carry.
 SEGMENT_PREFIX = "repro_shm"
 
 
-# --------------------------------------------------------------------------- #
-# Descriptors
-# --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class ArrayDescriptor:
-    """A flat NumPy array living in a shared-memory segment.
-
-    ``(segment, dtype, offset, length)`` is all a worker needs to attach a
-    zero-copy view: ``np.ndarray((length,), dtype, buffer=shm.buf, offset)``.
-    """
-
-    segment: str
-    dtype: str
-    offset: int
-    length: int
-
-
-@dataclass(frozen=True)
-class ColumnDescriptor:
-    """One runtime column in shared memory.
-
-    ``kind`` selects the representation:
-
-    * ``"plain"`` — ``data`` is the numeric array itself;
-    * ``"dict"`` — ``data`` is the ``int32`` code array, ``aux`` is the
-      pickled sorted dictionary (decoded once per worker, then cached);
-    * ``"pickled"`` — ``aux`` is the whole pickled column (object arrays,
-      which cannot be shared flat; rare — unencoded string columns only).
-    """
-
-    kind: str
-    data: Optional[ArrayDescriptor]
-    aux: Optional[ArrayDescriptor] = None
-
-
-@dataclass(frozen=True)
-class RelationDescriptor:
-    """A whole relation as shared-memory column descriptors."""
-
-    num_rows: int
-    columns: Tuple[Tuple[str, ColumnDescriptor], ...]
-
-
-# --------------------------------------------------------------------------- #
-# Parent side: registry + arena
-# --------------------------------------------------------------------------- #
-class SegmentRegistry:
-    """Refcounted ledger of every shared-memory segment this process created.
-
-    The registry exists to make ``unlink`` deterministic: arenas release
-    their segments scope-by-scope, and whatever is still alive when the
-    scheduler closes is force-unlinked by :meth:`unlink_all`.  ``live_names``
-    is the introspection hook the lifecycle tests assert on.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._segments: Dict[str, shared_memory.SharedMemory] = {}
-        self._refcounts: Dict[str, int] = {}
-        self.created_total = 0
-        self.unlinked_total = 0
-
-    def create(self, nbytes: int) -> shared_memory.SharedMemory:
-        """A fresh segment of at least ``nbytes`` (refcount 1)."""
-        name = f"{SEGMENT_PREFIX}_{os.getpid()}_{secrets.token_hex(6)}"
-        segment = shared_memory.SharedMemory(
-            name=name, create=True, size=max(1, nbytes)
-        )
-        with self._lock:
-            self._segments[segment.name] = segment
-            self._refcounts[segment.name] = 1
-            self.created_total += 1
-        return segment
-
-    def retain(self, name: str) -> None:
-        with self._lock:
-            if name in self._refcounts:
-                self._refcounts[name] += 1
-
-    def release(self, name: str) -> None:
-        """Drop one reference; the last reference closes *and unlinks*."""
-        with self._lock:
-            count = self._refcounts.get(name)
-            if count is None:
-                return
-            if count > 1:
-                self._refcounts[name] = count - 1
-                return
-            segment = self._segments.pop(name)
-            del self._refcounts[name]
-            self.unlinked_total += 1
-        _destroy(segment)
-
-    def unlink_all(self) -> int:
-        """Force-unlink every live segment (scheduler close / crash cleanup)."""
-        with self._lock:
-            segments = list(self._segments.values())
-            self._segments.clear()
-            self._refcounts.clear()
-            self.unlinked_total += len(segments)
-        for segment in segments:
-            _destroy(segment)
-        return len(segments)
-
-    def live_names(self) -> List[str]:
-        with self._lock:
-            return sorted(self._segments)
-
-
-def _destroy(segment: shared_memory.SharedMemory) -> None:
-    try:
-        segment.close()
-    except BufferError:  # pragma: no cover - a view outlived its arena
-        pass
-    try:
-        segment.unlink()
-    except FileNotFoundError:  # pragma: no cover - already gone
-        pass
-
-
-_registry: Optional[SegmentRegistry] = None
-_registry_lock = threading.Lock()
-
-
-def segment_registry() -> SegmentRegistry:
-    """The process-wide registry (one ledger per parent process)."""
-    global _registry
-    with _registry_lock:
-        if _registry is None:
-            _registry = SegmentRegistry()
-        return _registry
-
-
 def shm_dir_segments() -> List[str]:
-    """Registry-independent audit: our segments visible under ``/dev/shm``.
-
-    Empty on platforms without a POSIX shm filesystem, in which case the
-    registry's :meth:`~SegmentRegistry.live_names` is the only signal.
-    """
+    """Segments under ``/dev/shm`` with :data:`SEGMENT_PREFIX` (empty if none)."""
     try:
         return sorted(
             name for name in os.listdir("/dev/shm") if name.startswith(SEGMENT_PREFIX)
@@ -201,205 +26,9 @@ def shm_dir_segments() -> List[str]:
 
 
 class ShmArena:
-    """A scope of shared segments: publish inside, release on exit.
+    """Kept only for the benchmark's span list: every method raises."""
 
-    One arena brackets one parallel kernel invocation — the columns it
-    publishes live exactly as long as the ``map`` that consumes them.  The
-    arena is also where copies happen (one ``memcpy`` per published array);
-    everything after is zero-copy.
-    """
+    def _unsupported(self, *args: object) -> NoReturn:
+        raise NotImplementedError("repro shares no memory between processes")
 
-    def __init__(self, registry: Optional[SegmentRegistry] = None) -> None:
-        self.registry = registry if registry is not None else segment_registry()
-        self._names: List[str] = []
-
-    # -- publishing ----------------------------------------------------- #
-    def share_bytes(self, payload: bytes) -> ArrayDescriptor:
-        segment = self.registry.create(len(payload))
-        segment.buf[: len(payload)] = payload
-        self._names.append(segment.name)
-        return ArrayDescriptor(segment.name, "uint8", 0, len(payload))
-
-    def share_array(self, array: np.ndarray) -> ArrayDescriptor:
-        """Publish one flat numeric array (object dtypes are pickled)."""
-        array = np.ascontiguousarray(array)
-        if array.dtype == object or array.dtype.hasobject:
-            return self.share_bytes(pickle.dumps(array, protocol=-1))
-        segment = self.registry.create(array.nbytes)
-        if array.nbytes:
-            view = np.ndarray(array.shape, dtype=array.dtype, buffer=segment.buf)
-            view[:] = array
-            del view
-        self._names.append(segment.name)
-        return ArrayDescriptor(segment.name, array.dtype.str, 0, len(array))
-
-    def share_column(self, column: ColumnData) -> ColumnDescriptor:
-        if isinstance(column, DictEncodedArray):
-            return ColumnDescriptor(
-                kind="dict",
-                data=self.share_array(column.codes),
-                aux=self.share_bytes(pickle.dumps(column.dictionary, protocol=-1)),
-            )
-        values = np.asarray(column)
-        if values.dtype == object or values.dtype.hasobject:
-            return ColumnDescriptor(
-                kind="pickled",
-                data=None,
-                aux=self.share_bytes(pickle.dumps(values, protocol=-1)),
-            )
-        return ColumnDescriptor(kind="plain", data=self.share_array(values))
-
-    def share_relation(self, relation: "Relation") -> RelationDescriptor:
-        return RelationDescriptor(
-            num_rows=relation.num_rows,
-            columns=tuple(
-                (name, self.share_column(column)) for name, column in relation.items()
-            ),
-        )
-
-    # -- lifecycle ------------------------------------------------------ #
-    def release_all(self) -> None:
-        names, self._names = self._names, []
-        for name in names:
-            self.registry.release(name)
-
-    def __enter__(self) -> "ShmArena":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.release_all()
-
-
-# --------------------------------------------------------------------------- #
-# Worker side: attachment cache + view construction
-# --------------------------------------------------------------------------- #
-_attach_lock = threading.Lock()
-
-
-def _attach_untracked(name: str) -> shared_memory.SharedMemory:
-    """Attach to an existing segment without registering it with the tracker.
-
-    Python < 3.13 has no ``SharedMemory(track=False)``: *attaching* registers
-    the segment with ``multiprocessing.resource_tracker`` exactly like
-    creating it.  That is wrong both ways — under ``fork`` the children share
-    the parent's tracker, so a worker-side unregister-after-attach would
-    delete the parent's own registration; under ``spawn`` each worker's
-    private tracker would "clean up" (unlink!) segments the parent still
-    owns when the worker exits.  Suppressing registration for the duration of
-    the attach sidesteps both: only the creating process ever holds a
-    tracker registration.
-    """
-    with _attach_lock:
-        original = resource_tracker.register
-        resource_tracker.register = lambda *args, **kwargs: None
-        try:
-            return shared_memory.SharedMemory(name=name)
-        finally:
-            resource_tracker.register = original
-
-class _AttachmentCache:
-    """Per-process LRU of attached segments.
-
-    Attaching is a ``shm_open`` + ``mmap`` per segment; morsel tasks of one
-    kernel all reference the same handful of segments, so caching turns that
-    into one attach per segment per worker.  Eviction closes best-effort: a
-    NumPy view still alive raises ``BufferError`` on close, in which case the
-    handle is simply dropped and the mapping dies with the view.  The parent
-    unlinks names regardless, so a cached attachment can never leak a
-    *segment* — at worst it briefly keeps its memory mapped.
-    """
-
-    def __init__(self, capacity: int = 128) -> None:
-        self.capacity = capacity
-        self._handles: "OrderedDict[str, shared_memory.SharedMemory]" = OrderedDict()
-
-    def get(self, name: str) -> shared_memory.SharedMemory:
-        handle = self._handles.get(name)
-        if handle is not None:
-            self._handles.move_to_end(name)
-            return handle
-        handle = _attach_untracked(name)
-        self._handles[name] = handle
-        while len(self._handles) > self.capacity:
-            _, evicted = self._handles.popitem(last=False)
-            try:
-                evicted.close()
-            except BufferError:  # pragma: no cover - a view is still alive
-                pass
-        return handle
-
-    def close_all(self) -> None:
-        handles, self._handles = list(self._handles.values()), OrderedDict()
-        for handle in handles:
-            try:
-                handle.close()
-            except BufferError:  # pragma: no cover
-                pass
-
-
-_attachments: Optional[_AttachmentCache] = None
-#: Unpickled dictionaries / object columns, keyed by segment name (names are
-#: unique per published content, so entries can never go stale).
-_pickle_cache: "OrderedDict[str, np.ndarray]" = OrderedDict()
-_PICKLE_CACHE_ENTRIES = 64
-
-
-def _attachment_cache() -> _AttachmentCache:
-    global _attachments
-    if _attachments is None:
-        _attachments = _AttachmentCache()
-    return _attachments
-
-
-def reset_worker_caches() -> None:
-    """Drop this process's attachment and pickle caches (worker shutdown)."""
-    global _attachments
-    if _attachments is not None:
-        _attachments.close_all()
-        _attachments = None
-    _pickle_cache.clear()
-
-
-def attach_array(descriptor: ArrayDescriptor) -> np.ndarray:
-    """A zero-copy view of a published array (valid while the segment lives)."""
-    handle = _attachment_cache().get(descriptor.segment)
-    return np.ndarray(
-        (descriptor.length,),
-        dtype=np.dtype(descriptor.dtype),
-        buffer=handle.buf,
-        offset=descriptor.offset,
-    )
-
-
-def _attach_pickled(descriptor: ArrayDescriptor) -> np.ndarray:
-    cached = _pickle_cache.get(descriptor.segment)
-    if cached is not None:
-        _pickle_cache.move_to_end(descriptor.segment)
-        return cached
-    handle = _attachment_cache().get(descriptor.segment)
-    value = pickle.loads(bytes(handle.buf[: descriptor.length]))
-    _pickle_cache[descriptor.segment] = value
-    while len(_pickle_cache) > _PICKLE_CACHE_ENTRIES:
-        _pickle_cache.popitem(last=False)
-    return value
-
-
-def attach_column(descriptor: ColumnDescriptor) -> ColumnData:
-    if descriptor.kind == "plain":
-        assert descriptor.data is not None
-        return attach_array(descriptor.data)
-    if descriptor.kind == "dict":
-        assert descriptor.data is not None and descriptor.aux is not None
-        return DictEncodedArray(
-            attach_array(descriptor.data), _attach_pickled(descriptor.aux)
-        )
-    if descriptor.kind == "pickled":
-        assert descriptor.aux is not None
-        return _attach_pickled(descriptor.aux)
-    raise ValueError(f"unknown column descriptor kind {descriptor.kind!r}")
-
-
-def attach_columns(
-    columns: Iterable[Tuple[str, ColumnDescriptor]]
-) -> Dict[str, ColumnData]:
-    return {name: attach_column(descriptor) for name, descriptor in columns}
+    share_relation = share_column = share_array = _unsupported

@@ -35,7 +35,7 @@ from typing import Optional
 
 from repro.cardinality.gamma import Gamma
 from repro.cardinality.sampling_estimator import SamplingEstimator
-from repro.optimizer.optimizer import Optimizer
+from repro.optimizer.optimizer import Optimizer, estimated_groups
 from repro.plans.join_tree import plans_identical
 from repro.plans.nodes import AggregateNode, JoinNode, PlanNode, ScanNode
 from repro.reopt.report import ReoptimizationReport, RoundRecord
@@ -214,15 +214,15 @@ class Reoptimizer:
                     inner_table_rows = float(self.db.table(node.right.table).num_rows)
                 resources = cost_model.join_resources(
                     node.method,
-                    outer_rows=rows_for(node.left) if node.left is not None else 0.0,
-                    inner_rows=rows_for(node.right) if node.right is not None else 0.0,
+                    outer_rows=rows_for(node.left),
+                    inner_rows=rows_for(node.right),
                     output_rows=rows_for(node),
                     inner_table_rows=inner_table_rows,
                 )
             elif isinstance(node, AggregateNode):
+                input_rows = rows_for(node.child)
                 resources = cost_model.aggregate_resources(
-                    rows_for(node.child) if node.child is not None else 0.0,
-                    node.estimated_rows,
+                    input_rows, estimated_groups(input_rows, node.group_by)
                 )
             else:
                 raise TypeError(f"unknown plan node {type(node).__name__}")

@@ -16,6 +16,7 @@ A table exposes its row count; the PostgreSQL-style cost formulas in
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
@@ -126,10 +127,10 @@ class Table:
                     )
                 if declaration.type == "str":
                     array = _encode_strings(values, declaration.name, schema.name)
-                elif declaration.type == "int":
-                    array = values.astype(np.int64, copy=False)
                 else:
-                    array = values.astype(np.float64, copy=False)
+                    array = _numeric_column(
+                        values, declaration.type, declaration.name, schema.name
+                    )
             if length is None:
                 length = len(array)
             elif len(array) != length:
@@ -222,3 +223,29 @@ def _encode_strings(values: np.ndarray, column: str, table: str) -> DictEncodedA
             f"str column {column!r} of table {table!r} holds a non-string value"
         )
     return encoded
+
+
+def _numeric_column(values: np.ndarray, type_: str, column: str, table: str) -> np.ndarray:
+    """Convert an ``int`` or ``float`` column, which holds numbers of its type only.
+
+    Booleans and integers load into either type; a float loads into an
+    ``int`` column only when it is integral and fits ``int64``.  Strings,
+    ``None``, fractions, ``nan`` and out-of-range values are a
+    :class:`SchemaError`, never a silent cast.
+    """
+    if values.dtype == object and all(isinstance(v, numbers.Number) for v in values):
+        values = np.asarray(values.tolist())
+    kind = values.dtype.kind
+    if type_ == "float" and kind in "biuf":
+        return values.astype(np.float64, copy=False)
+    if type_ == "int" and kind in "biu":
+        array = values.astype(np.int64, copy=False)
+        if kind != "u" or bool((array >= 0).all()):
+            return array
+    if type_ == "int" and kind == "f":
+        fits = (values >= -(2.0**63)) & (values < 2.0**63) & (values == np.trunc(values))
+        if fits.all():
+            return values.astype(np.int64)
+    raise SchemaError(
+        f"{type_} column {column!r} of table {table!r} holds a non-{type_} value"
+    )

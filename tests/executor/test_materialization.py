@@ -175,7 +175,7 @@ class TestSplitFinalAggregate:
 
     def test_aggregate_without_input_is_rejected(self):
         with pytest.raises(ValueError, match="missing its input"):
-            split_final_aggregate(AggregateNode(child=None))
+            AggregateNode(child=None)
 
 
 def _shuffled(fragment, rng):

@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 from typing import List, Tuple
 
+from repro_lint import REGISTRY, all_rules
+
 REPO_ROOT = Path(__file__).resolve().parents[2]
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -67,7 +69,9 @@ def test_missing_path_is_a_usage_error() -> None:
 def test_list_rules_shows_all_codes() -> None:
     code, stdout, _ = run_lint("--list-rules")
     assert code == 0
-    for rule_code in ("RPL001", "RPL002", *(f"RPL{n:03d}" for n in range(6, 13))):
+    all_rules()  # rule modules register on import
+    assert REGISTRY
+    for rule_code in REGISTRY:
         assert rule_code in stdout
 
 

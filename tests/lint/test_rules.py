@@ -25,8 +25,6 @@ FIXTURES = Path(__file__).parent / "fixtures"
 VIRTUAL_PATHS: Dict[str, str] = {
     "RPL001": "src/repro/workloads/fixture.py",
     "RPL002": "src/repro/plans/fixture.py",
-    "RPL006": "src/repro/executor/fixture.py",
-    "RPL007": "src/repro/executor/fixture.py",
     "RPL008": "src/repro/executor/fixture.py",
     "RPL009": "src/repro/typing_fixture.py",
     "RPL010": "src/repro/service/fixture.py",
@@ -40,8 +38,6 @@ VIRTUAL_PATHS: Dict[str, str] = {
 EXPECTED_BAD_COUNTS: Dict[str, int] = {
     "RPL001": 4,
     "RPL002": 4,
-    "RPL006": 2,
-    "RPL007": 2,
     "RPL008": 3,
     "RPL009": 3,
     "RPL010": 3,
@@ -133,14 +129,6 @@ def test_unused_import_rule_exempts_package_reexports() -> None:
     # An ``__init__.py`` imports names for its importers, not for itself.
     bad = _fixture("RPL013", "bad")
     assert lint_source(bad, "src/repro/service/__init__.py", select=["RPL013"]) == []
-
-
-def test_shm_rules_exempt_the_registry_module() -> None:
-    # RPL006/RPL007 must not fire inside the one module allowed to own
-    # segment lifecycles.
-    for code in ("RPL006", "RPL007"):
-        bad = _fixture(code, "bad")
-        assert lint_source(bad, "src/repro/relalg/shm.py", select=[code]) == []
 
 
 def test_syntax_error_reported_as_rpl000() -> None:

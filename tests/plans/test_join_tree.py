@@ -1,5 +1,7 @@
 """Tests for the join-tree formalism (Definitions 1-4, Appendix E)."""
 
+import pytest
+
 from repro.plans.join_tree import (
     JoinTree,
     TransformationKind,
@@ -133,3 +135,16 @@ class TestPlanEquality:
         assert JoinTree.of(t1()) == JoinTree.of(t1())
         assert hash(JoinTree.of(t1())) == hash(JoinTree.of(t1()))
         assert JoinTree.of(t1()) != JoinTree.of(t2())
+
+
+class TestRequiredInputs:
+    @pytest.mark.parametrize("missing", ["left", "right"])
+    def test_a_join_without_an_input_is_rejected(self, missing):
+        inputs = {"left": scan("a"), "right": scan("b"), missing: None}
+        with pytest.raises(ValueError, match="missing an input"):
+            JoinNode(**inputs)
+
+    def test_a_join_takes_its_relations_from_its_inputs(self):
+        node = JoinNode(left=join(scan("a"), scan("b")), right=scan("c"))
+        assert node.relations == frozenset({"a", "b", "c"})
+        assert node.children() == (node.left, node.right)

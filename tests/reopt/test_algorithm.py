@@ -1,5 +1,6 @@
 """Tests for Algorithm 1 (the re-optimization loop) and its reports."""
 
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -9,7 +10,7 @@ from repro.executor.executor import Executor
 from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.settings import OptimizerSettings
 from repro.plans.join_tree import JoinTree, plans_identical
-from repro.plans.nodes import ScanMethod
+from repro.plans.nodes import AggregateNode, ScanMethod
 from repro.reopt import algorithm as algorithm_module
 from repro.reopt.algorithm import Reoptimizer, reoptimize
 from repro.sql.builder import QueryBuilder
@@ -141,6 +142,24 @@ class TestFallbackCost:
             assert reoptimizer._sampled_cost(plan, Gamma()) == pytest.approx(
                 plan.estimated_cost, rel=1e-9
             ), query.name
+
+
+    def test_the_aggregate_is_priced_from_gamma_not_its_stale_estimate(self, db):
+        """The fallback derives the group count from the Γ-priced input rows,
+        so the round's own group estimate does not enter the cost."""
+        query = (
+            QueryBuilder("grouped").table("r1").table("r2").table("r3")
+            .join("r1", "b", "r2", "b").join("r2", "a", "r3", "a")
+            .group_by("r1", "a").aggregate("count", output_name="c").build()
+        )
+        result = reoptimize(db, query)
+        plan = result.final_plan
+        assert isinstance(plan, AggregateNode) and plan.group_by
+        stale = replace(plan, estimated_rows=10.0 * plan.estimated_rows + 1.0)
+        reoptimizer = Reoptimizer(db)
+        assert reoptimizer._sampled_cost(stale, result.gamma) == reoptimizer._sampled_cost(
+            plan, result.gamma
+        )
 
 
 class TestReports:

@@ -79,3 +79,33 @@ class TestTable:
         assert sub.num_rows == 3
         assert list(sub.column("a")) == [3, 1, 7]
         assert sub.column_names == table.column_names
+
+    @pytest.mark.parametrize(
+        "column_type, values",
+        [
+            ("int", [1.5, 2.7]),
+            ("int", [float("nan")]),
+            ("int", [2**63]),
+            ("int", ["7"]),
+            ("int", [1, None]),
+            ("float", ["1.5"]),
+            ("float", ["x"]),
+        ],
+    )
+    def test_numeric_column_rejects_values_of_another_type(self, column_type, values):
+        schema = TableSchema("t", (Column("a", column_type),))
+        with pytest.raises(SchemaError, match=f"non-{column_type}"):
+            Table(schema, {"a": values})
+
+    @pytest.mark.parametrize(
+        "column_type, values, expected",
+        [
+            ("int", [True, False], [1, 0]),
+            ("int", [1.0, -3.0], [1, -3]),
+            ("int", np.array([4, 5], dtype=object), [4, 5]),
+            ("float", [1, True], [1.0, 1.0]),
+        ],
+    )
+    def test_numeric_column_loads_numbers_of_its_type(self, column_type, values, expected):
+        table = Table(TableSchema("t", (Column("a", column_type),)), {"a": values})
+        assert table.column("a").tolist() == expected

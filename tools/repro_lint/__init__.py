@@ -1,6 +1,6 @@
 """repro-lint: AST-based invariant checker for the reproduction's contracts.
 
-The runtime property suites (bit-identity, shm leak-freedom) catch contract
+The runtime property suites (bit-identity, one process per query) catch contract
 violations *after* they ship into a hot path; this package catches them at
 review time.  Each rule encodes one invariant the runtime tests otherwise
 guard dynamically:
@@ -8,9 +8,6 @@ guard dynamically:
 * **determinism** — plans and merged results must be pure functions of the
   inputs (no unseeded RNG, no hash-order iteration feeding plan enumeration
   or result merges);
-* **shm lifecycle** — every ``multiprocessing.shared_memory`` segment is
-  created through the :class:`~repro.relalg.shm.SegmentRegistry` and only
-  the registry ever unlinks;
 * **float order** — grouped float aggregation goes through the canonical
   ``reduceat`` helpers so accumulation order (and therefore every bit of
   the result) never depends on the plan or the shard count;

@@ -19,8 +19,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro_lint",
         description=(
-            "AST-based invariant checker for the determinism / shared-memory "
-            "/ float-order / typing contracts of this reproduction.  Exits "
+            "AST-based invariant checker for the determinism / float-order "
+            "/ typing / hygiene contracts of this reproduction.  Exits "
             "1 when any diagnostic is emitted."
         ),
     )

@@ -36,9 +36,9 @@ class Rule:
 
     ``scope_prefixes`` restricts a rule to files under the given
     repository-relative directories (empty means every file); ``scope_skip``
-    exempts specific files *inside* the scope — e.g. the shm-lifecycle rules
-    exempt ``src/repro/relalg/shm.py`` itself, the one module allowed to
-    create and unlink segments.
+    exempts specific files *inside* the scope — e.g. the float-order rule
+    exempts ``src/repro/relalg/aggregate.py``, the module that owns the
+    canonical ``reduceat`` helpers.
     """
 
     code: str = ""

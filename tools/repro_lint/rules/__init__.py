@@ -6,6 +6,5 @@ from repro_lint.rules import (  # noqa: F401  (imported for registration)
     determinism,
     float_order,
     hygiene,
-    shm_lifecycle,
     typing_gate,
 )
