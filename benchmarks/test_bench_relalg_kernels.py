@@ -7,7 +7,10 @@ kernels this PR replaced:
 * string-keyed equi-join — the seed sorted NumPy object arrays; relalg joins
   dictionary-encoded ``int32`` codes;
 * grouped aggregation — the seed looped over groups in Python; relalg uses
-  ``np.add.reduceat`` over sorted group boundaries.
+  ``np.add.reduceat`` over sorted group boundaries;
+* stable sort permutations — the seed called ``np.argsort(kind="stable")``
+  and ``np.lexsort``; relalg builds the same permutation from ``uint16``
+  radix passes (``encoding.stable_order``).
 
 The assertions hold the relalg kernels to the seed kernels' results; the
 printed lines are the throughput record (run with ``pytest -s``).  Wall-clock
@@ -22,6 +25,7 @@ from typing import Callable, Dict, Sequence
 import numpy as np
 
 from repro.relalg import DictEncodedArray, Relation, group_aggregate, hash_join
+from repro.relalg.encoding import stable_order
 from repro.sql.ast import Aggregate, ColumnRef, JoinPredicate
 
 #: Rows per side of the string-keyed join benchmark.
@@ -31,6 +35,11 @@ JOIN_KEYS = 20_000
 #: Rows / groups of the aggregation benchmark.
 AGG_ROWS = 200_000
 AGG_GROUPS = 10_000
+#: Rows and code domain of star_parallel's duplicate-build join; the
+#: canonical order there sorts a float column, ties by an int < 5,000.
+STAR_JOIN_ROWS = 171_000
+STAR_JOIN_DOMAIN = 150_000
+STAR_GROUPS = 5_000
 
 
 def _best_seconds(fn: Callable[[], object], repeats: int = 3) -> float:
@@ -190,6 +199,27 @@ def test_grouped_aggregation_speedup():
         f"seed {seed_seconds * 1e3:.1f} ms, relalg {relalg_seconds * 1e3:.1f} ms "
         f"({speedup:.1f}x, {throughput:.1f} M rows/s)"
     )
+
+
+def test_stable_order_speedup():
+    rng = np.random.default_rng(17)
+    codes = rng.integers(0, STAR_JOIN_DOMAIN, size=STAR_JOIN_ROWS)
+    values = rng.uniform(0.0, 100.0, size=STAR_JOIN_ROWS)
+    groups = rng.integers(0, STAR_GROUPS, size=STAR_JOIN_ROWS)
+    cases = [
+        ("join codes", lambda: np.argsort(codes, kind="stable"), lambda: stable_order(codes)),
+        ("canonical (float, int)", lambda: np.lexsort((groups, values)),
+         lambda: stable_order(values, groups)),
+    ]
+    for label, seed_sort, relalg_sort in cases:
+        assert relalg_sort().tolist() == seed_sort().tolist()
+        seed_seconds = _best_seconds(seed_sort)
+        relalg_seconds = _best_seconds(relalg_sort)
+        print(
+            f"\nstable order, {label} ({STAR_JOIN_ROWS} rows): "
+            f"seed {seed_seconds * 1e3:.1f} ms, relalg {relalg_seconds * 1e3:.1f} ms "
+            f"({seed_seconds / relalg_seconds:.1f}x)"
+        )
 
 
 def test_validate_plan_row_ops_below_seed():

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.relalg import Relation
 from repro.relalg.aggregate import partial_merge_exact
-from repro.relalg.encoding import sort_key
+from repro.relalg.encoding import sort_key, stable_order
 from repro.sql.ast import Query
 from repro.storage.catalog import Database
 
@@ -60,7 +60,7 @@ def needs_canonical_order(db: Database, query: Query) -> bool:
 
 def canonical_row_order(relation: Relation) -> Optional[np.ndarray]:
     """A permutation sorting the relation's rows lexicographically by all
-    columns (column names in sorted order, ``np.lexsort`` stable ties).
+    columns (column names in sorted order, ties by row: one ``stable_order``).
 
     Returns ``None`` when the relation carries no columns (nothing to order
     by — and nothing whose order could matter) or fewer than two rows.
@@ -68,8 +68,7 @@ def canonical_row_order(relation: Relation) -> Optional[np.ndarray]:
     if not relation or relation.num_rows < 2:
         return None
     names = sorted(relation)
-    keys = tuple(reversed([sort_key(relation[name]) for name in names]))
-    return np.lexsort(keys)
+    return stable_order(*[sort_key(relation[name]) for name in names])
 
 
 def canonicalize_relation(

@@ -23,7 +23,9 @@ from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ExecutionError
-from repro.relalg.encoding import ColumnData, DictEncodedArray, sort_key, take_column
+from repro.relalg.encoding import (
+    ColumnData, DictEncodedArray, sort_key, stable_order, take_column,
+)
 from repro.relalg.relation import Relation
 from repro.sql.ast import Aggregate, ColumnRef
 
@@ -130,8 +132,8 @@ def group_aggregate(
             result[aggregate.output_name] = np.empty(0, dtype=dtype)
         return result
 
-    # Group ids via one lexsort over the key columns (codes for encoded ones).
-    order = np.lexsort(tuple(reversed([sort_key(column) for column in key_columns])))
+    # Group ids via one stable order over the key columns (codes for encoded ones).
+    order = stable_order(*[sort_key(column) for column in key_columns])
     sorted_keys = [take_column(column, order) for column in key_columns]
     changes = np.zeros(rows, dtype=bool)
     changes[0] = True

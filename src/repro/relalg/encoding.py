@@ -14,12 +14,15 @@ on codes.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+from typing import Iterator, Optional, Tuple, Union
 
 import numpy as np
 
 #: A runtime column is either a plain NumPy array or a dictionary-encoded one.
 ColumnData = Union[np.ndarray, "DictEncodedArray"]
+
+#: Below this many rows one ``np.lexsort`` beats the radix passes' fixed cost.
+RADIX_MIN_ROWS = 1024
 
 
 class DictEncodedArray:
@@ -111,6 +114,45 @@ def sort_key(column: ColumnData) -> np.ndarray:
     if isinstance(column, DictEncodedArray):
         return column.codes
     return column
+
+
+def stable_order(*keys: np.ndarray) -> np.ndarray:
+    """The permutation ``np.lexsort(keys[::-1])``: rows by the first key,
+    ties by the next, remaining ties by ascending row.
+
+    The engine's one stable sort, built least-significant key first from
+    stable passes.  A ``bool`` key, or an integer key whose value span is
+    below ``2**16``, takes one ``uint16`` pass (NumPy sorts those by radix);
+    a span below ``2**32`` takes two (low digit, then high); any other key
+    (float, object, wider span) takes one stable ``argsort``.  Fewer than
+    :data:`RADIX_MIN_ROWS` rows take ``np.lexsort`` itself.
+    """
+    if len(keys[0]) < RADIX_MIN_ROWS:
+        return np.lexsort(keys[::-1])
+    order: Optional[np.ndarray] = None
+    for key in reversed(keys):
+        for digit in _radix_digits(np.asarray(key)):
+            step = np.argsort(digit if order is None else digit[order], kind="stable")
+            order = step if order is None else order[step]
+    assert order is not None, "stable_order needs at least one key"
+    return order
+
+
+def _radix_digits(key: np.ndarray) -> Iterator[np.ndarray]:
+    """The arrays :func:`stable_order` sorts for one key, least significant
+    first; the high digit is derived only once the low one is used."""
+    if key.dtype.kind == "b":
+        key = key.view(np.uint8)
+    span = int(key.max()) - int(key.min()) if key.dtype.kind in "iu" and len(key) else None
+    if span is None or span >= 1 << 32:
+        yield key
+        return
+    # ``key - low`` wraps in narrow signed dtypes; the uint16 digits cut from
+    # it still order as the true offsets do.
+    low = key.min()
+    yield np.subtract(key, low, dtype=key.dtype).astype(np.uint16)
+    if span >= 1 << 16:
+        yield (np.subtract(key, low, dtype=key.dtype) >> 16).astype(np.uint16)
 
 
 def value_counts(column: ColumnData) -> Tuple[np.ndarray, np.ndarray]:

@@ -11,7 +11,7 @@ They then differ in how codes are matched:
 * :func:`hash_join` — build a table with one slot per code from the right
   side and probe it with the left codes.  When no right code repeats (every
   PK–FK join) a slot holds the right row itself and the probe is one gather;
-  otherwise slots are buckets (``np.bincount`` + one stable counting sort).
+  otherwise slots are buckets (``np.bincount`` + one ``stable_order`` sort).
   The *orientation rule*: that sort is of the right input, unless
   ``left rows + matches < right rows`` — then the sides are swapped, so only
   the left input and the output pairs are sorted.
@@ -38,7 +38,9 @@ from typing import TYPE_CHECKING, AbstractSet, FrozenSet, List, Optional, Sequen
 
 import numpy as np
 
-from repro.relalg.encoding import ColumnData, factorize_pair, fits_direct_table, take_column
+from repro.relalg.encoding import (
+    ColumnData, factorize_pair, fits_direct_table, stable_order, take_column,
+)
 from repro.relalg.relation import Relation
 from repro.sql.ast import JoinPredicate
 
@@ -153,10 +155,10 @@ def hash_match(
     (huge, sparse composite keys) is first re-factorized so the table stays
     proportional to the data.  If no right code repeats, the table holds right
     row ids and the probe is one gather; otherwise it holds buckets over a
-    stable counting sort of the right rows — or, when ``left rows + matches <
-    right rows``, of the left rows, with one stable argsort of the output on
-    the left index in place of the sort of the right input.  Either way pairs
-    come out by ascending left row, ties by ascending right row.
+    :func:`~repro.relalg.encoding.stable_order` of the right rows — or, when
+    ``left rows + matches < right rows``, of the left rows, with one stable
+    re-sort of the output on the left index in place of the sort of the right
+    input.  Either way pairs come out by ascending left row, ties by right row.
     """
     left_rows, right_rows = len(left_codes), len(right_codes)
     if left_rows == 0 or right_rows == 0:
@@ -175,9 +177,9 @@ def hash_match(
         # Orientation rule: swapped, pairs come by right row, ties by left
         # row — a stable sort on the left index restores the one order.
         right_index, left_index = hash_match(right_codes, left_codes, domain)
-        order = np.argsort(left_index, kind="stable")
+        order = stable_order(left_index)
         return left_index[order], right_index[order]
-    bucket_order = np.argsort(right_codes, kind="stable")
+    bucket_order = stable_order(right_codes)
     bucket_starts = np.concatenate(([0], np.cumsum(bucket_counts)[:-1]))
     return _expand_matches(
         left_rows, match_counts, bucket_starts[left_codes], bucket_order
@@ -191,7 +193,7 @@ def merge_match(
     left_rows, right_rows = len(left_codes), len(right_codes)
     if left_rows == 0 or right_rows == 0:
         return _empty_indices()
-    order = np.argsort(right_codes, kind="stable")
+    order = stable_order(right_codes)
     sorted_right = right_codes[order]
     starts = np.searchsorted(sorted_right, left_codes, side="left")
     ends = np.searchsorted(sorted_right, left_codes, side="right")

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.relalg.encoding import ColumnData, value_counts
+from repro.relalg.encoding import ColumnData, stable_order, value_counts
 from repro.stats.histogram import EquiDepthHistogram
 from repro.stats.statistics import ColumnStatistics, TableStatistics
 from repro.storage.table import Table
@@ -57,7 +57,7 @@ def analyze_column(values: ColumnData, column_name: str, is_numeric: bool) -> Co
 
     # Most common values: keep up to DEFAULT_MCV_TARGET values whose frequency is
     # above the "more common than average" threshold, ordered by frequency.
-    order = np.argsort(counts)[::-1]
+    order = stable_order(-counts)
     average_count = num_rows / n_distinct
     mcv_values: list = []
     mcv_fractions: list = []

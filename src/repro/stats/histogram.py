@@ -44,7 +44,8 @@ class EquiDepthHistogram:
             return None
         num_buckets = max(1, min(num_buckets, len(values)))
         quantiles = np.linspace(0.0, 1.0, num_buckets + 1)
-        bounds = np.quantile(values, quantiles)
+        # Pre-sorted, quantile picks the same elements without partitioning.
+        bounds = np.quantile(np.sort(values), quantiles)
         return cls(bounds=np.asarray(bounds, dtype=np.float64))
 
     @property

@@ -1,6 +1,6 @@
 """Secondary indexes over table columns.
 
-One index class, :class:`SortedIndex`: a stable argsort of the column (one
+One index class, :class:`SortedIndex`: the column's ``stable_order`` (one
 sort per indexed column) serving equality lookups for index scans and the
 batch :meth:`SortedIndex.probe` the index nested-loop join
 kernel (:func:`repro.relalg.joins.index_nested_loop_join`) runs on.
@@ -16,6 +16,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.errors import CatalogError
+from repro.relalg.encoding import stable_order
 from repro.storage.table import Table
 
 
@@ -29,7 +30,7 @@ class SortedIndex:
         self.column = column
         values = table.column(column)
         #: Row positions by ascending key, equal keys by ascending row.
-        self.rows = np.argsort(values, kind="stable")
+        self.rows = stable_order(values)
         self._sorted = values[self.rows]
 
     def probe(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

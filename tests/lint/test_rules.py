@@ -31,6 +31,7 @@ VIRTUAL_PATHS: Dict[str, str] = {
     "RPL011": "src/repro/service/coordinator.py",
     "RPL012": "src/repro/service/fixture.py",
     "RPL013": "src/repro/service/fixture.py",
+    "RPL014": "src/repro/executor/fixture.py",
 }
 
 #: How many distinct violations the bad fixture plants (the rule must find
@@ -44,6 +45,7 @@ EXPECTED_BAD_COUNTS: Dict[str, int] = {
     "RPL011": 3,
     "RPL012": 3,
     "RPL013": 4,
+    "RPL014": 3,
 }
 
 ALL_CODES = sorted(VIRTUAL_PATHS)
@@ -123,6 +125,15 @@ def test_shard_order_rule_is_file_scoped() -> None:
     assert lint_source(bad, "src/repro/service/sharding.py", select=["RPL011"])
     assert lint_source(bad, "src/repro/relalg/aggregate.py", select=["RPL011"])
     assert lint_source(bad, "src/repro/service/service.py", select=["RPL011"]) == []
+
+
+def test_stable_order_rule_exempts_only_the_encoding_module() -> None:
+    # RPL014: the one stable order lives in relalg/encoding.py; tests and
+    # benchmarks compare against np.lexsort freely.
+    bad = _fixture("RPL014", "bad")
+    assert lint_source(bad, "src/repro/relalg/joins.py", select=["RPL014"])
+    assert lint_source(bad, "src/repro/relalg/encoding.py", select=["RPL014"]) == []
+    assert lint_source(bad, "tests/relalg/fixture.py", select=["RPL014"]) == []
 
 
 def test_unused_import_rule_exempts_package_reexports() -> None:

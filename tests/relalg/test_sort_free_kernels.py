@@ -366,15 +366,21 @@ class TestBuildOrientation:
 
     @staticmethod
     def sorted_lengths(monkeypatch, left_codes, right_codes, domain):
-        """Lengths of the arrays ``hash_match`` hands to ``np.argsort``."""
-        lengths, argsort = [], np.argsort
+        """Lengths of the arrays ``hash_match`` sorts: what ``stable_order``
+        hands to ``np.argsort``, or to ``np.lexsort`` below its radix minimum."""
+        lengths, argsort, lexsort = [], np.argsort, np.lexsort
 
         def recording(array, *args, **kwargs):
             lengths.append(len(array))
             return argsort(array, *args, **kwargs)
 
+        def recording_lexsort(keys, *args, **kwargs):
+            lengths.append(len(keys[0]))
+            return lexsort(keys, *args, **kwargs)
+
         with monkeypatch.context() as patch:
             patch.setattr(np, "argsort", recording)
+            patch.setattr(np, "lexsort", recording_lexsort)
             left_index, _ = hash_match(left_codes, right_codes, domain)
         return lengths, len(left_index)
 
@@ -392,6 +398,34 @@ class TestBuildOrientation:
         right_codes = np.repeat(rng.choice(30_000, size=100, replace=False), 2)
         lengths, _ = self.sorted_lengths(monkeypatch, left_codes, right_codes, 30_000)
         assert lengths == [200]
+
+    def test_a_duplicate_build_side_sorts_only_uint16_digits(self, monkeypatch, make_rng):
+        # 100k build codes spread over 150k, each key twice: the bucket order
+        # takes two uint16 radix passes, never an int64 sort.
+        rng = make_rng(9)
+        build_keys = rng.choice(150_000, size=50_000, replace=False)
+        right_keys = rng.permutation(np.repeat(build_keys, 2))
+        left_keys = rng.integers(0, 150_000, size=120_000)
+        # The sort-free reference: each key's two build rows, first then last.
+        first = np.full(150_000, len(right_keys))
+        last = np.full(150_000, -1)
+        np.minimum.at(first, right_keys, np.arange(len(right_keys)))
+        np.maximum.at(last, right_keys, np.arange(len(right_keys)))
+        hits = np.flatnonzero(last[left_keys] >= 0)
+        want_right = np.stack([first[left_keys[hits]], last[left_keys[hits]]], axis=1).ravel()
+        dtypes, argsort = [], np.argsort
+
+        def recording(array, *args, **kwargs):
+            dtypes.append(array.dtype.name)
+            return argsort(array, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", recording)
+        got_left, got_right = join_indices(
+            keyed("l", k=left_keys), keyed("r", k=right_keys), ON_K, LEFT, "hash"
+        )
+        assert dtypes == ["uint16", "uint16"]
+        assert got_left.tolist() == np.repeat(hits, 2).tolist()
+        assert got_right.tolist() == want_right.tolist()
 
 
 # --------------------------------------------------------------------------- #

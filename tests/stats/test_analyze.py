@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.relalg.encoding import DictEncodedArray
 from repro.stats.analyze import analyze_column, analyze_table
 from repro.stats.histogram import EquiDepthHistogram
 from repro.storage.table import Column, Table, TableSchema
@@ -33,6 +34,25 @@ class TestAnalyzeColumn:
         stats = analyze_column(skewed, "a", is_numeric=True)
         assert stats.mcv_values[0] == 7
         assert stats.mcv_fractions[0] == pytest.approx(0.9)
+
+    @pytest.mark.parametrize("encoded", [False, True])
+    def test_mcv_ties_go_by_ascending_value(self, make_rng, encoded):
+        # 150 values tie at count 4, three more at count 9 and one at 6; all
+        # qualify against 1,000 singletons, but only 100 fit.  The list is by
+        # count descending, ties by ascending value — independent of how the
+        # host's unstable sort orders equal counts.
+        tied = np.arange(1_000, 1_150)
+        heavy = np.array([9_999, 7, 9, 5_000])
+        values = np.concatenate([np.repeat(tied, 4), np.repeat(heavy, [9, 9, 6, 9]),
+                                 np.arange(20_000, 21_000)])
+        values = make_rng().permutation(values)
+        expected = [7, 5_000, 9_999, 9] + tied[:96].tolist()
+        if encoded:
+            values = DictEncodedArray.encode(np.array([f"v{v:05d}" for v in values], dtype=object))
+            expected = [f"v{v:05d}" for v in expected]
+        stats = analyze_column(values, "a", is_numeric=not encoded)
+        assert stats.mcv_values == expected
+        assert stats.mcv_fractions[2:5] == [9 / len(values), 6 / len(values), 4 / len(values)]
 
     def test_mcv_fraction_for_missing_value(self):
         stats = analyze_column(np.arange(1000), "a", is_numeric=True)

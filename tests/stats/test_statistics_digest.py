@@ -31,14 +31,14 @@ SAMPLE_DIGESTS = {
 }
 
 STATISTICS_DIGESTS = {
-    "customer": "3a104897b3f12fc2",
-    "lineitem": "e1665a444f02d0c4",
-    "nation": "6fda0b0d08da366d",
-    "orders": "487f518f8bc983e5",
-    "part": "1881b6085cbd7713",
-    "partsupp": "908c556bbcde6cf6",
-    "region": "fce5f4ebd649665a",
-    "supplier": "d920ef1385c4ea16",
+    "customer": "1b6a5d0f87f585b7",
+    "lineitem": "a53bf0e82ffade15",
+    "nation": "ca0e5eb021bbe456",
+    "orders": "435a281d1efd5fec",
+    "part": "192475b823ba471d",
+    "partsupp": "c27f0c58eb454dc4",
+    "region": "b1df098042af8e54",
+    "supplier": "75bd1a84f5595f3e",
 }
 
 

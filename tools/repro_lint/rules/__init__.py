@@ -6,5 +6,6 @@ from repro_lint.rules import (  # noqa: F401  (imported for registration)
     determinism,
     float_order,
     hygiene,
+    sort_order,
     typing_gate,
 )
