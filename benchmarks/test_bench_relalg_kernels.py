@@ -10,7 +10,10 @@ kernels this PR replaced:
   ``np.add.reduceat`` over sorted group boundaries;
 * stable sort permutations — the seed called ``np.argsort(kind="stable")``
   and ``np.lexsort``; relalg builds the same permutation from ``uint16``
-  radix passes (``encoding.stable_order``).
+  radix passes (``encoding.stable_order``);
+* float ``SUM`` — bit-identity once took a canonical sort of the rows by
+  (group, value) before a row-order ``reduceat``; relalg sums each group
+  correctly rounded in any order (``aggregate.exact_group_sums``).
 
 The assertions hold the relalg kernels to the seed kernels' results; the
 printed lines are the throughput record (run with ``pytest -s``).  Wall-clock
@@ -19,12 +22,14 @@ claims live in ``perfbench`` (``BENCHMARK.json``), not here.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Callable, Dict, Sequence
 
 import numpy as np
 
 from repro.relalg import DictEncodedArray, Relation, group_aggregate, hash_join
+from repro.relalg.aggregate import exact_group_sums
 from repro.relalg.encoding import stable_order
 from repro.sql.ast import Aggregate, ColumnRef, JoinPredicate
 
@@ -40,6 +45,8 @@ AGG_GROUPS = 10_000
 STAR_JOIN_ROWS = 171_000
 STAR_JOIN_DOMAIN = 150_000
 STAR_GROUPS = 5_000
+#: Rows reaching star_parallel's aggregate.
+STAR_AGG_ROWS = 180_000
 
 
 def _best_seconds(fn: Callable[[], object], repeats: int = 3) -> float:
@@ -220,6 +227,34 @@ def test_stable_order_speedup():
             f"seed {seed_seconds * 1e3:.1f} ms, relalg {relalg_seconds * 1e3:.1f} ms "
             f"({seed_seconds / relalg_seconds:.1f}x)"
         )
+
+
+def test_exact_sum_vs_canonical_sort():
+    """star_parallel's aggregate shape: 180k rows in 5,000 groups, already
+    sorted by group as ``group_aggregate`` leaves them."""
+    rng = np.random.default_rng(17)
+    groups = np.sort(rng.integers(0, STAR_GROUPS, size=STAR_AGG_ROWS))
+    values = rng.uniform(0.0, 100.0, size=STAR_AGG_ROWS)
+    starts = np.flatnonzero(np.diff(groups, prepend=-1))
+    ends = np.append(starts[1:], STAR_AGG_ROWS)
+    exact = exact_group_sums(values, starts)
+    shuffled = values[stable_order(groups, rng.permutation(STAR_AGG_ROWS))]
+    assert exact.tobytes() == exact_group_sums(shuffled, starts).tobytes()
+    for group in range(0, len(starts), 500):
+        assert exact[group] == math.fsum(values[starts[group]:ends[group]].tolist())
+
+    def canonical_sum() -> object:
+        order = stable_order(groups, values)
+        return np.add.reduceat(values[order], starts)
+
+    sort_seconds = _best_seconds(canonical_sum)
+    exact_seconds = _best_seconds(lambda: exact_group_sums(values, starts))
+    reduceat_seconds = _best_seconds(lambda: np.add.reduceat(values, starts))
+    print(
+        f"\nfloat SUM ({STAR_AGG_ROWS} rows, {STAR_GROUPS} groups): canonical sort + "
+        f"reduceat {sort_seconds * 1e3:.1f} ms, exact sum {exact_seconds * 1e3:.2f} ms "
+        f"({sort_seconds / exact_seconds:.0f}x), plain reduceat {reduceat_seconds * 1e3:.2f} ms"
+    )
 
 
 def test_validate_plan_row_ops_below_seed():

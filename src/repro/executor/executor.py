@@ -396,12 +396,14 @@ def finalize_canonical_execution(
     ``parts`` are one pipeline, or one per shard in canonical shard order;
     their rows concatenate in that order (encoded columns stay encoded).
 
-    * With ``order_rows`` (order-sensitive outputs, see
+    * With ``order_rows`` (bare projections, see
       :func:`~repro.executor.materialization.needs_canonical_order`) the rows
       are first ordered by the output stage's input columns,
       ``live_columns(query, all aliases)``: rows equal on every column the
       output reads are interchangeable, so that order makes the output bytes
       a function of the row multiset — never of the plan or of the sharding.
+      An aggregate needs no such order: ``group_aggregate`` is already a
+      function of the row multiset (correctly rounded ``SUM``/``AVG``).
     * ``aggregate`` then runs over the rows with ``group_aggregate`` or, when
       the parts carry shard :func:`~repro.relalg.aggregate.partial_aggregate`
       states (``partial_states``), merges them with ``merge_partials``.

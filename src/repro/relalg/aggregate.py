@@ -8,6 +8,10 @@ at once with ``np.add.reduceat`` / ``np.minimum.reduceat`` /
 per-group Python loop, which dominated aggregation time beyond a few hundred
 groups.
 
+``SUM`` is the correctly rounded sum of a group's values in any row order
+(:func:`exact_group_sums`) and ``AVG`` divides it once by the count, so every
+aggregate is a function of the row multiset and needs no canonical order.
+
 SQL corner cases follow the seed semantics: a global aggregate over an empty
 input yields ``count = 0`` and NaN for the other functions; numeric
 aggregates are computed in ``float64``.  ``MIN``/``MAX`` over
@@ -17,8 +21,10 @@ dictionary-encoded string columns reduce the codes and decode the winners
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
-from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
+from fractions import Fraction
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -28,6 +34,105 @@ from repro.relalg.encoding import (
 )
 from repro.relalg.relation import Relation
 from repro.sql.ast import Aggregate, ColumnRef
+
+
+#: Rows per block of :func:`exact_group_sums`, whose scratch is one block.
+_SUM_BLOCK_ROWS = 1 << 16
+#: From this magnitude on, the level extraction's ``sigma`` could overflow.
+_EXTRACTION_LIMIT = 2.0 ** 970
+
+
+def _exact_python_sum(values: np.ndarray) -> float:
+    """The correctly rounded sum of ``values`` in rational arithmetic.  NaN
+    if there is a NaN or both infinities, else an infinity if there is one
+    (``math.fsum``'s rule) or the exact sum overflows."""
+    special = values[~np.isfinite(values)]
+    if len(special):
+        with np.errstate(invalid="ignore"):
+            return float(special.sum())
+    total = sum(map(Fraction, values.tolist()), Fraction(0))
+    try:
+        return float(total)  # int / int rounds correctly
+    except OverflowError:
+        return math.inf if total > 0 else -math.inf
+
+
+def _magnitude(values: np.ndarray) -> float:
+    """``max|values|`` without a temporary (NaN if there is a NaN)."""
+    return max(float(values.max()), -float(values.min()))
+
+
+def exact_group_sums(values: np.ndarray, group_starts: np.ndarray) -> np.ndarray:
+    """The correctly rounded ``float64`` sum of each group of ``values`` in
+    any row order (rows sorted by group, ``group_starts`` ascending from 0).
+
+    Integers whose partial sums stay below ``2**53`` add exactly in any
+    order, in one ``np.add.reduceat``.  Other values, as ``float64``, go
+    through error-free level extraction (Rump, Ogita and Oishi's
+    ExtractVector) one block at a time: with ``max|r| < 2**e`` and ``bits =
+    52 - bit_length(largest group)``, a level splits each residual ``r``
+    into ``hi = (r + sigma) - sigma``, ``sigma = 1.5 * 2**(e + 52 - bits)``,
+    and ``r - hi`` (both exact), so ``reduceat`` sums the multiples ``hi``
+    of ``2**(e - bits)`` exactly in any order.  Levels repeat with ``e -=
+    bits`` until every residual is zero.  A group's one or two nonzero level
+    sums take one IEEE add (correctly rounded), more take ``math.fsum``;
+    groups holding a NaN, an infinity or a magnitude ``>= 2**970`` take
+    :func:`_exact_python_sum`.  A zero sum is ``+0.0``.
+    """
+    rows, groups = len(values), len(group_starts)
+    sizes = group_starts[1:] - group_starts[:-1]
+    largest = int(max(sizes.max(initial=0), rows - group_starts[-1]))
+    if values.dtype.kind in "iu" and largest * _magnitude(values) < 2**53:
+        return np.add.reduceat(values, group_starts).astype(np.float64)
+    values = np.asarray(values, dtype=np.float64)
+    bits = 52 - min(largest, _SUM_BLOCK_ROWS).bit_length()
+    totals = np.zeros(groups)
+    counts = np.zeros(groups, dtype=np.int64)
+    blocks: List[Tuple[int, np.ndarray]] = []
+    wild: Set[int] = set()
+    residual_buffer, level_buffer = np.empty((2, min(rows, _SUM_BLOCK_ROWS)))
+    for low in range(0, rows, _SUM_BLOCK_ROWS):
+        high = min(low + _SUM_BLOCK_ROWS, rows)
+        first = int(np.searchsorted(group_starts, low, side="right")) - 1
+        last = int(np.searchsorted(group_starts, high, side="left"))
+        starts = np.maximum(group_starts[first:last], low) - low
+        residual, level = residual_buffer[:high - low], level_buffer[:high - low]
+        source = values[low:high]
+        top = _magnitude(source)
+        if not top < _EXTRACTION_LIMIT:
+            outside = ~(np.abs(source) < _EXTRACTION_LIMIT)  # NaN too
+            owning = np.searchsorted(starts, np.flatnonzero(outside), "right") - 1
+            wild.update((first + owning).tolist())
+            source = np.where(outside, 0.0, source)
+            top = _magnitude(source)
+        levels = []
+        exponent, pending = math.frexp(top)[1], top > 0.0
+        while pending:
+            sigma = math.ldexp(1.5, exponent + 52 - bits)
+            np.add(source, sigma, out=level)
+            level -= sigma
+            source = np.subtract(source, level, out=residual)
+            levels.append(np.add.reduceat(level, starts))
+            exponent -= bits  # |r - hi| <= 2**(exponent - bits - 1)
+            pending = bool(residual.any())
+        if levels:  # zero level sums add exactly
+            sums = np.array(levels)
+            totals[first:last] += sums.sum(axis=0)
+            counts[first:last] += (sums != 0.0).sum(axis=0)
+            blocks.append((first, sums))
+    multi = counts > 2
+    if multi.any():
+        pieces: Dict[int, List[float]] = {}
+        for first, sums in blocks:
+            local = np.flatnonzero(multi[first:first + sums.shape[1]])
+            for group, column in zip((first + local).tolist(), sums[:, local].T.tolist()):
+                pieces.setdefault(group, []).extend(column)
+        for group, group_pieces in sorted(pieces.items()):
+            totals[group] = math.fsum(group_pieces)
+    for group in sorted(wild):
+        end = int(group_starts[group + 1]) if group + 1 < groups else rows
+        totals[group] = _exact_python_sum(values[group_starts[group]:end])
+    return totals
 
 
 def _global_aggregate(relation: Relation, aggregates: Sequence[Aggregate]) -> Relation:
@@ -53,15 +158,13 @@ def _global_aggregate(relation: Relation, aggregates: Sequence[Aggregate]) -> Re
                 )
             result[aggregate.output_name] = np.array([value], dtype=object)
             continue
-        numeric = np.asarray(column).astype(np.float64)
-        if aggregate.func == "sum":
-            value = float(numeric.sum())
-        elif aggregate.func == "avg":
-            value = float(numeric.mean())
-        elif aggregate.func == "min":
-            value = float(numeric.min())
+        if aggregate.func in ("sum", "avg"):
+            value = float(exact_group_sums(np.asarray(column), np.zeros(1, dtype=np.int64))[0])
+            if aggregate.func == "avg":
+                value /= rows
         else:
-            value = float(numeric.max())
+            numeric = np.asarray(column, dtype=np.float64)
+            value = float(numeric.min() if aggregate.func == "min" else numeric.max())
         result[aggregate.output_name] = np.array([value])
     return result
 
@@ -87,11 +190,10 @@ def _grouped_values(
                 f"aggregate {aggregate.func!r} is not defined for string columns"
             )
         return sorted_column.dictionary[winners]
-    numeric = np.asarray(sorted_column).astype(np.float64)
-    if aggregate.func == "sum":
-        return np.add.reduceat(numeric, group_starts)
-    if aggregate.func == "avg":
-        return np.add.reduceat(numeric, group_starts) / group_counts
+    if aggregate.func in ("sum", "avg"):
+        sums = exact_group_sums(np.asarray(sorted_column), group_starts)
+        return sums if aggregate.func == "sum" else sums / group_counts
+    numeric = np.asarray(sorted_column, dtype=np.float64)
     if aggregate.func == "min":
         return np.minimum.reduceat(numeric, group_starts)
     if aggregate.func == "max":
@@ -163,61 +265,20 @@ def group_aggregate(
 # --------------------------------------------------------------------------- #
 # Partial aggregation (sharded scatter-gather merge)
 # --------------------------------------------------------------------------- #
-#: Aggregate functions whose shard partials compose exactly for any column
-#: type: counts add, winners compare — no floating-point accumulation order
-#: is involved.
-_ALWAYS_EXACT_PARTIALS = frozenset({"count", "min", "max"})
+#: Aggregate functions whose shard partials merge bit-identically: counts
+#: add (exactly, below 2**53), winners compare.  A ``SUM`` of correctly
+#: rounded shard sums would round twice, so ``SUM``/``AVG`` are not here.
+_EXACT_PARTIALS = frozenset({"count", "min", "max"})
 
 
-def partial_merge_exact(
-    aggregates: Sequence[Aggregate],
-    integer_columns: AbstractSet[Tuple[Optional[str], Optional[str]]],
-) -> bool:
-    """True when merging shard partials is bit-identical to single-node.
-
-    ``count``/``min``/``max`` always compose exactly.  ``sum``/``avg``
-    compose exactly only over *integer-typed* columns (``integer_columns``
-    holds the query's ``(alias, column)`` pairs with schema type ``int``):
-    integer-valued float64 sums below 2^53 are exact in any addition order,
-    so shard sums add to the single-node sum bit for bit, and the decomposed
-    average divides the same exact sum by the same exact count.  A float
-    ``sum``/``avg`` depends on accumulation order and must instead take the
-    gather path (merge raw fragments under the canonical row order, then
-    aggregate once).
-    """
-    for aggregate in aggregates:
-        if aggregate.func in ("sum", "avg"):
-            if (aggregate.alias, aggregate.column) not in integer_columns:
-                return False
-        elif aggregate.func not in _ALWAYS_EXACT_PARTIALS:
-            return False
-    return True
+def partial_merge_exact(aggregates: Sequence[Aggregate]) -> bool:
+    """True when merging shard partials is bit-identical to single-node."""
+    return all(aggregate.func in _EXACT_PARTIALS for aggregate in aggregates)
 
 
 #: Alias of the partial-state columns: state ``s`` of a shard partial is
 #: column ``$.s``, so the merge reads it as an ordinary aggregate argument.
 _STATE_ALIAS = "$"
-
-
-def _partial_states(aggregates: Sequence[Aggregate]) -> List[Tuple[Aggregate, str]]:
-    """Each partial state one shard computes, with the function merging it.
-
-    ``avg`` decomposes into a ``$sum`` / ``$count`` state pair (re-divided
-    after the merge); every other function is its own state.  Counts merge by
-    summing, sums by summing, min/max winners by min/max.
-    """
-    states: List[Tuple[Aggregate, str]] = []
-    for aggregate in aggregates:
-        if aggregate.func == "avg":
-            name = aggregate.output_name
-            states.append(
-                (Aggregate("sum", aggregate.alias, aggregate.column, f"{name}$sum"), "sum")
-            )
-            states.append((Aggregate("count", None, None, f"{name}$count"), "sum"))
-        else:
-            merge = "sum" if aggregate.func == "count" else aggregate.func
-            states.append((aggregate, merge))
-    return states
 
 
 def partial_aggregate(
@@ -229,16 +290,19 @@ def partial_aggregate(
 
     Returns a relation of *decoded* group keys (object arrays for strings, so
     the states are independent of any per-shard dictionary) plus one
-    ``$.<state>`` column per partial state: counts, sums, ``avg``'s ``$sum``
-    / ``$count`` pair, and min/max winners.  A shard with no rows contributes
-    no state rows, not even to a global (no ``group_by``) aggregate, whose
-    single row would otherwise carry placeholder NaNs into the merge.
+    ``$.<output>`` column per aggregate: counts and min/max winners (the
+    only functions :func:`partial_merge_exact` admits).  A shard with no rows
+    contributes no state rows, not even to a global (no ``group_by``)
+    aggregate, whose single row would otherwise carry placeholder NaNs into
+    the merge.
     """
+    if not partial_merge_exact(aggregates):
+        raise ExecutionError("only COUNT/MIN/MAX partials merge bit-identically")
     partial = group_aggregate(
         relation,
         group_by,
-        [replace(state, output_name=f"{_STATE_ALIAS}.{state.output_name}")
-         for state, _ in _partial_states(aggregates)],
+        [replace(aggregate, output_name=f"{_STATE_ALIAS}.{aggregate.output_name}")
+         for aggregate in aggregates],
     )
     if not group_by and relation.num_rows == 0:
         return partial.empty_like()
@@ -258,9 +322,8 @@ def merge_partials(
     :func:`group_aggregate` over them: string columns are re-encoded against
     a sorted dictionary first, so groups come out in key-value order — the
     order single-node aggregation emits — and string winners compare by
-    value.  It is value-exact for every composition
-    :func:`partial_merge_exact` admits, so the result is bit-identical to
-    aggregating the union of the shards' rows on one node.
+    value.  Counts add and winners compare exactly, so the result is
+    bit-identical to aggregating the union of the shards' rows on one node.
     """
     states = Relation(
         {
@@ -274,23 +337,14 @@ def merge_partials(
     merged = group_aggregate(
         states,
         group_by,
-        [Aggregate(merge, _STATE_ALIAS, state.output_name, state.output_name)
-         for state, merge in _partial_states(aggregates)],
-    )
-    result = Relation(
-        {f"{ref.alias}.{ref.column}": merged[f"{ref.alias}.{ref.column}"] for ref in group_by},
-        num_rows=merged.num_rows,
+        [Aggregate("sum" if aggregate.func == "count" else aggregate.func,
+                   _STATE_ALIAS, aggregate.output_name, aggregate.output_name)
+         for aggregate in aggregates],
     )
     for aggregate in aggregates:
-        name = aggregate.output_name
-        if aggregate.func == "avg":
-            result[name] = np.asarray(merged[f"{name}$sum"]) / np.asarray(
-                merged[f"{name}$count"]
-            )
-        elif aggregate.func == "count":
+        if aggregate.func == "count":
             # Counts merge as a float sum; a global merge of no state rows
             # sums to NaN, which counted zero rows.
-            result[name] = np.nan_to_num(np.asarray(merged[name])).astype(np.int64)
-        else:
-            result[name] = merged[name]
-    return result
+            name = aggregate.output_name
+            merged[name] = np.nan_to_num(np.asarray(merged[name])).astype(np.int64)
+    return merged

@@ -16,8 +16,8 @@ sorted-shard order:
 
 ``scatter`` + *partial merge*
     Aggregate queries whose aggregates compose exactly across shards
-    (``COUNT``/``MIN``/``MAX`` always; ``SUM``/``AVG`` over integer-typed
-    columns, with ``AVG`` decomposed into sum+count) run on every shard,
+    (only ``COUNT``/``MIN``/``MAX``: a sum of correctly rounded shard sums
+    would round twice) run on every shard,
     each shard reducing its fragment to partial states with
     :func:`~repro.relalg.aggregate.partial_aggregate`; the output stage
     merges the states with :func:`~repro.relalg.aggregate.merge_partials`,
@@ -28,9 +28,9 @@ sorted-shard order:
     the output stage's input columns
     (:func:`~repro.executor.executor.live_columns`); the output stage
     concatenates them (encoded columns in code space), orders the rows by
-    those columns if the output is order-sensitive (bare projections, float
-    ``SUM``/``AVG``) and runs the final projection/aggregation, exactly as
-    for a single-node request.
+    those columns for a bare projection and runs the final
+    projection/aggregation, exactly as for a single-node request: a
+    ``SUM``/``AVG`` is correctly rounded over the gathered rows in any order.
 
 ``single`` / ``fallback``
     Replicated-only queries, and queries joining partitioned tables off
@@ -58,7 +58,7 @@ from repro.executor.executor import (
 from repro.executor.materialization import needs_canonical_order
 from repro.plans.nodes import PlanNode
 from repro.relalg import TaskScheduler
-from repro.relalg.aggregate import partial_aggregate
+from repro.relalg.aggregate import partial_aggregate, partial_merge_exact
 from repro.reopt.algorithm import ReoptimizationSettings
 from repro.service.service import (
     QueryService,
@@ -226,10 +226,9 @@ class ShardedQueryService(QueryService):
             if drift is not None:
                 worst_drift = drift if worst_drift is None else max(worst_drift, drift)
         # Shards send partial states when every aggregate composes exactly;
-        # otherwise raw fragments, ordered centrally if the output is
-        # order-sensitive.
-        order_rows = needs_canonical_order(self.db, bound)
-        partial = bool(bound.aggregates) and not order_rows
+        # otherwise raw fragments, ordered centrally for a bare projection.
+        order_rows = needs_canonical_order(bound)
+        partial = bool(bound.aggregates) and partial_merge_exact(bound.aggregates)
         scatter_started = time.perf_counter()
         fragments = self._scatter(plans, bound, partial)
         merge_started = time.perf_counter()

@@ -24,9 +24,10 @@ layers, outermost first:
    :class:`~repro.service.admission.BackpressureError` instead of queueing
    without bound.
 
-Results are **plan-independent bit-identical**: order-sensitive outputs
-(bare projections, float ``SUM``/``AVG``) are produced from the join
-pipeline's rows ordered by the output stage's input columns — the same
+Results are **plan-independent bit-identical**: aggregates are a function of
+the row multiset (``SUM``/``AVG`` correctly rounded), and bare projections
+are produced from the join pipeline's rows ordered by the output stage's
+input columns — the same
 :func:`~repro.executor.executor.finalize_canonical_execution` the sharded
 coordinator uses — so a validated reuse, a drift
 replan and a from-scratch run of the same bound query return byte-identical
@@ -509,13 +510,11 @@ class QueryService:
     ) -> ExecutionResult:
         """Execute ``plan`` with plan-independent output determinism.
 
-        Order-insensitive outputs (``COUNT``/``MIN``/``MAX`` and integer
-        ``SUM``/``AVG`` aggregates with sorted group keys) are a function of
-        the row multiset as they stand.  Order-sensitive outputs (bare
-        projections, float ``SUM``/``AVG``) have the join pipeline's rows
-        ordered by the output stage's input columns first, so any two
-        correct plans of the same bound query — cached, replanned, or from
-        scratch — produce byte-identical results.
+        Aggregates (sorted group keys, correctly rounded ``SUM``/``AVG``)
+        are a function of the row multiset as it stands.  A bare projection
+        has the join pipeline's rows ordered by the output stage's input
+        columns first, so any two correct plans of the same bound query —
+        cached, replanned, or from scratch — produce byte-identical results.
 
         When a ``trace`` is given, the join pipeline is charged to its
         ``execution_s`` stage and the output stage to ``merge_s``.
@@ -527,7 +526,7 @@ class QueryService:
         executed = time.perf_counter()
         result = finalize_canonical_execution(
             executor, query, [fragment], aggregate,
-            order_rows=needs_canonical_order(self.db, query),
+            order_rows=needs_canonical_order(query),
         )
         if trace is not None:
             trace.execution_s += executed - started

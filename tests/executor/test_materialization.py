@@ -14,12 +14,11 @@ from repro.executor.executor import (
 from repro.executor.materialization import (
     canonical_row_order,
     canonicalize_relation,
-    exact_partial_columns,
     needs_canonical_order,
 )
 from repro.optimizer.optimizer import Optimizer
 from repro.plans.nodes import AggregateNode
-from repro.relalg import Relation, partial_aggregate
+from repro.relalg import Relation, partial_aggregate, partial_merge_exact
 from repro.relalg.encoding import DictEncodedArray
 from repro.sql.builder import QueryBuilder
 from repro.sql.parser import parse_query
@@ -54,12 +53,12 @@ class TestCanonicalOrder:
 
     def test_needs_canonical_order(self, ott_db):
         count_only = make_ott_query(ott_db, [0, 0, 0, 1], name="count_only")
-        assert not needs_canonical_order(ott_db, count_only)
+        assert not needs_canonical_order(count_only)
         projection = (
             QueryBuilder("proj").table("r1").filter("r1", "a", "=", 0)
             .select("r1", "a").build()
         )
-        assert needs_canonical_order(ott_db, projection)
+        assert needs_canonical_order(projection)
 
 
     def test_live_projection_drops_other_columns_before_sorting(self):
@@ -109,24 +108,21 @@ def _aggregate_query(func, column):
 
 class TestOrderSensitivity:
     @pytest.mark.parametrize(
-        "func, column, sensitive",
+        "func, column",
         [
-            ("count", None, False),
-            ("sum", "i_quantity", False),
-            ("avg", "i_quantity", False),
-            ("min", "i_price", False),
-            ("max", "i_price", False),
-            ("sum", "i_price", True),
-            ("avg", "i_price", True),
+            ("count", None),
+            ("sum", "i_quantity"),
+            ("avg", "i_quantity"),
+            ("min", "i_price"),
+            ("max", "i_price"),
+            ("sum", "i_price"),
+            ("avg", "i_price"),
         ],
     )
-    def test_only_float_sums_and_averages_need_canonical_order(
-        self, small_db, func, column, sensitive
-    ):
-        query = _aggregate_query(func, column)
-        assert needs_canonical_order(small_db, query) is sensitive
+    def test_no_aggregate_needs_canonical_order(self, func, column):
+        assert not needs_canonical_order(_aggregate_query(func, column))
 
-    def test_one_float_sum_makes_the_whole_query_sensitive(self, small_db):
+    def test_a_float_sum_leaves_the_query_order_free(self):
         query = (
             QueryBuilder("mixed")
             .table("orders", "o").table("items", "i")
@@ -135,29 +131,32 @@ class TestOrderSensitivity:
             .aggregate("sum", "i", "i_price", output_name="p")
             .build()
         )
-        assert needs_canonical_order(small_db, query)
+        assert not needs_canonical_order(query)
 
-    def test_group_by_without_aggregates_is_order_free(self, small_db):
+    def test_group_by_without_aggregates_is_order_free(self):
         query = (
             QueryBuilder("groups").table("orders", "o")
             .group_by("o", "o_priority").build()
         )
-        assert not needs_canonical_order(small_db, query)
+        assert not needs_canonical_order(query)
 
-    def test_exact_partial_columns_are_the_integer_aggregate_inputs(self, small_db):
+    def test_partial_merges_are_count_min_max_only(self):
+        """Shard sums are each rounded once, so adding them would round a
+        second time: ``SUM``/``AVG`` of any column type gather raw rows."""
         query = (
             QueryBuilder("cols")
             .table("orders", "o").table("items", "i")
             .join("o", "o_id", "i", "i_order")
             .aggregate("count", output_name="n")
-            .aggregate("sum", "i", "i_quantity", output_name="q")
-            .aggregate("sum", "i", "i_price", output_name="p")
+            .aggregate("min", "i", "i_price", output_name="p")
             .aggregate("max", "o", "o_customer", output_name="c")
             .build()
         )
-        assert exact_partial_columns(small_db, query) == {
-            ("i", "i_quantity"), ("o", "o_customer")
-        }
+        assert partial_merge_exact(query.aggregates)
+        for func, column in (("sum", "i_quantity"), ("avg", "i_quantity"), ("sum", "i_price")):
+            assert not partial_merge_exact(
+                query.aggregates + _aggregate_query(func, column).aggregates
+            )
 
 
 class TestSplitFinalAggregate:
@@ -197,7 +196,6 @@ class TestFinalizeCanonicalExecution:
         outputs = [
             finalize_canonical_execution(
                 Executor(small_db), query, [_shuffled(fragment, rng)], aggregate,
-                order_rows=True,
             ).columns["out"]
             for _ in range(4)
         ]
@@ -254,7 +252,7 @@ class TestFinalizeCanonicalExecution:
             .join("o", "o_id", "i", "i_order")
             .group_by("o", "o_priority")
             .aggregate("count", output_name="n")
-            .aggregate("avg", "i", "i_quantity", output_name="q")
+            .aggregate("max", "i", "i_quantity", output_name="q")
             .aggregate("min", "o", "o_priority", output_name="p")
             .build()
         )

@@ -9,14 +9,15 @@ Python references over randomized data:
   the int64 composite-domain overflow path that checks extra predicates as a
   residual filter on the matched pairs);
 * grouped and global aggregation against per-group Python reductions —
-  exact on dyadic floats, and for arbitrary floats each group is accumulated
-  in row order;
+  exact on dyadic floats, and for arbitrary floats each group's sum is
+  ``math.fsum`` of its values, in any row order;
 * predicate evaluation against a row-by-row comparison, for every operator
   on int, float, dictionary-encoded and plain string columns.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from collections import defaultdict
 
@@ -201,14 +202,18 @@ class TestAggregationAgainstPythonReductions:
         assert grouped["n"].dtype == np.int64
         assert grouped["n"].tolist() == [len(groups[k]) for k in want_keys]
 
-        # Arbitrary floats: each group is accumulated in row order.
+        # Arbitrary floats: each group sums correctly rounded, in any row order.
         values = rng.uniform(-1e6, 1e6, size=rows)
-        totals = group_aggregate(
-            Relation({"t.g": keys, "t.v": values}), [ColumnRef("t", "g")], self.AGGREGATES[:1]
-        )["total"]
         groups = _groups_in_row_order(keys.tolist(), values.tolist())
-        want = [np.add.reduceat(np.array(groups[k]), [0])[0] for k in want_keys]
-        assert totals.tobytes() == np.array(want).tobytes()
+        want = np.array([math.fsum(groups[k]) for k in want_keys])
+        for order in (np.arange(rows), rng.permutation(rows)):
+            totals = group_aggregate(
+                Relation({"t.g": keys[order], "t.v": values[order]}),
+                [ColumnRef("t", "g")],
+                self.AGGREGATES[:2],
+            )
+            assert totals["total"].tobytes() == want.tobytes()
+            assert totals["mean"].tobytes() == (want / [len(groups[k]) for k in want_keys]).tobytes()
 
     @pytest.mark.parametrize("categories", [1, 17, 300])
     def test_string_keys_and_string_min_max(self, categories, make_rng):

@@ -5,10 +5,11 @@ The sharded coordinator's correctness contract: for any shard count and
 :func:`~repro.relalg.aggregate.partial_aggregate` and merging the partials
 with :func:`~repro.relalg.aggregate.merge_partials` (canonical shard order)
 must reproduce :func:`~repro.relalg.aggregate.group_aggregate` over the
-undivided relation byte for byte — dtypes, group order, and float bits
-(``AVG`` decomposes into sum+count; exactness is what makes the float
-division order-independent).  Exercised over TPC-H, TPC-DS and OTT data,
-shard counts 1–8, random/skewed/adversarial assignments.
+undivided relation byte for byte — dtypes, group order, and float bits.
+Only ``COUNT``/``MIN``/``MAX`` take this path: counts add and winners
+compare exactly, while a sum of correctly rounded shard sums would round
+twice.  Exercised over TPC-H, TPC-DS and OTT data, shard counts 1–8,
+random/skewed/adversarial assignments.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 import pytest
 
+from repro.errors import ExecutionError
 from repro.relalg import Relation, concat_relations
 from repro.relalg.aggregate import (
     group_aggregate,
@@ -93,8 +95,7 @@ def _tpch_case() -> Tuple[Relation, List[ColumnRef], List[Aggregate]]:
     group_by = [ColumnRef("l", "l_returnflag"), ColumnRef("l", "l_linestatus")]
     aggregates = [
         Aggregate("count", None, None, "cnt"),
-        Aggregate("sum", "l", "l_quantity", "qty"),
-        Aggregate("avg", "l", "l_quantity", "avg_qty"),
+        Aggregate("max", "l", "l_quantity", "qty"),
         Aggregate("min", "l", "l_shipmode", "first_mode"),
         Aggregate("max", "l", "l_extendedprice", "top_price"),
     ]
@@ -107,8 +108,7 @@ def _tpcds_case() -> Tuple[Relation, List[ColumnRef], List[Aggregate]]:
     group_by = [ColumnRef("ss", "ss_store_sk")]
     aggregates = [
         Aggregate("count", None, None, "cnt"),
-        Aggregate("sum", "ss", "ss_quantity", "qty"),
-        Aggregate("avg", "ss", "ss_quantity", "avg_qty"),
+        Aggregate("min", "ss", "ss_quantity", "qty"),
         Aggregate("min", "ss", "ss_net_profit", "worst"),
         Aggregate("max", "ss", "ss_sales_price", "best"),
     ]
@@ -123,8 +123,7 @@ def _ott_case() -> Tuple[Relation, List[ColumnRef], List[Aggregate]]:
     group_by = [ColumnRef("r1", "a")]
     aggregates = [
         Aggregate("count", None, None, "cnt"),
-        Aggregate("sum", "r1", "b", "total"),
-        Aggregate("avg", "r1", "b", "mean"),
+        Aggregate("min", "r1", "b", "bottom"),
         Aggregate("max", "r1", "b", "top"),
     ]
     return relation, group_by, aggregates
@@ -212,40 +211,23 @@ class TestGlobalMerge:
         _assert_bit_identical(whole, merged)
 
 
-class TestAvgDecomposition:
-    def test_partial_carries_sum_and_count(self, case):
+class TestStates:
+    def test_partial_carries_one_state_per_aggregate(self, case):
         relation, group_by, aggregates = case
-        avg = next(a for a in aggregates if a.func == "avg")
         partial = partial_aggregate(relation, group_by, aggregates)
-        assert f"$.{avg.output_name}$sum" in partial
-        assert f"$.{avg.output_name}$count" in partial
-        assert f"$.{avg.output_name}" not in partial
+        assert [name for name in partial if name.startswith("$.")] == [
+            f"$.{aggregate.output_name}" for aggregate in aggregates
+        ]
 
-    def test_avg_equals_merged_sum_over_count(self, case):
-        relation, group_by, aggregates = case
-        avg = next(a for a in aggregates if a.func == "avg")
-        merged = _merged(_split(relation, np.arange(relation.num_rows) % 3, 3),
-                         group_by, aggregates)
-        sums = _merged(
-            _split(relation, np.arange(relation.num_rows) % 3, 3),
-            group_by,
-            [
-                Aggregate("sum", avg.alias, avg.column, "s"),
-                Aggregate("count", None, None, "c"),
-            ],
-        )
-        expected = np.asarray(sums["s"], dtype=np.float64) / np.asarray(sums["c"])
-        assert np.array_equal(
-            np.asarray(merged[avg.output_name]).view(np.int64),
-            expected.view(np.int64),
-        )
+    @pytest.mark.parametrize("func", ["sum", "avg"])
+    def test_sum_and_avg_partials_are_refused(self, func):
+        relation = Relation({"t.v": np.arange(3.0)})
+        with pytest.raises(ExecutionError, match="COUNT/MIN/MAX"):
+            partial_aggregate(relation, [], [Aggregate(func, "t", "v", "s")])
 
 
 class TestExactnessRouting:
     """``partial_merge_exact`` gates the partial path to exact compositions."""
-
-    def _int_columns(self) -> set:
-        return {("l", "l_quantity")}
 
     def test_count_min_max_always_compose(self):
         aggregates = [
@@ -253,22 +235,21 @@ class TestExactnessRouting:
             Aggregate("min", "l", "l_extendedprice", "mn"),
             Aggregate("max", "l", "l_shipmode", "mx"),
         ]
-        assert partial_merge_exact(aggregates, frozenset())
+        assert partial_merge_exact(aggregates)
 
-    def test_integer_sum_and_avg_compose(self):
-        aggregates = [
-            Aggregate("sum", "l", "l_quantity", "s"),
-            Aggregate("avg", "l", "l_quantity", "a"),
-        ]
-        assert partial_merge_exact(aggregates, self._int_columns())
+    def test_integer_sum_and_avg_do_not_compose(self):
+        """Shard sums past 2**53 are rounded once each; adding them would
+        round again, so even integer sums gather raw rows."""
+        for func in ("sum", "avg"):
+            assert not partial_merge_exact([Aggregate(func, "l", "l_quantity", "s")])
 
     def test_float_sum_does_not_compose(self):
         aggregates = [Aggregate("sum", "l", "l_extendedprice", "s")]
-        assert not partial_merge_exact(aggregates, self._int_columns())
+        assert not partial_merge_exact(aggregates)
 
     def test_float_avg_does_not_compose(self):
         aggregates = [Aggregate("avg", "l", "l_extendedprice", "a")]
-        assert not partial_merge_exact(aggregates, self._int_columns())
+        assert not partial_merge_exact(aggregates)
 
     def test_merge_requires_canonical_part_order_to_matter(self):
         """The documented contract: parts arrive in canonical shard order.

@@ -5,13 +5,15 @@ connected left-deep join order of a star query crossed with forced
 hash / merge / nested-loop mixes, must come back byte-identical through
 ``QueryService`` and ``ShardedQueryService`` (1-4 shards, every shard on a
 different plan).  This is
-the case a half-applied dead-column elimination breaks: if one join method
-kept a key another dropped, two plans would reach the canonical sort with
-different key sets and float sums would differ in their last bits.
+the case a half-applied dead-column elimination breaks for the projection:
+if one join method kept a key another dropped, two plans would reach the
+canonical sort with different key sets.  The float sum needs no sort: it is
+correctly rounded in any row order.
 
-Also here: the one order-sensitivity classification (integer ``SUM``/``AVG``
-skip the sort exactly where the coordinator merges partials) and the pin on
-how many key columns the star template's canonical sort receives.
+Also here: the one order-sensitivity classification (only bare projections
+reach the canonical sort; the coordinator merges partials for
+``COUNT``/``MIN``/``MAX`` only) and the pin on which columns a star
+projection's canonical sort receives.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+import repro.executor.executor as executor_module
 import repro.executor.materialization as materialization_module
 from repro.executor.materialization import needs_canonical_order
 from repro.plans.nodes import JoinMethod
@@ -159,39 +162,47 @@ class TestByteIdenticalUnderEveryPlan:
 
 
 class TestOneOrderSensitivityClassification:
-    def test_integer_sums_are_order_insensitive_floats_and_projections_are_not(self, db):
-        assert not needs_canonical_order(db, INT_SUM)
-        assert needs_canonical_order(db, FLOAT_SUM)
-        assert needs_canonical_order(db, PROJECTION)
+    def test_only_projections_need_canonical_order(self):
+        assert not needs_canonical_order(INT_SUM)
+        assert not needs_canonical_order(FLOAT_SUM)
+        assert needs_canonical_order(PROJECTION)
         count_star = star("count").aggregate("count", output_name="n").build()
         keys_only = star("keys").group_by("f", "g").build()
-        assert not needs_canonical_order(db, count_star)
-        assert not needs_canonical_order(db, keys_only)
+        assert not needs_canonical_order(count_star)
+        assert not needs_canonical_order(keys_only)
 
-    def test_coordinator_merges_partials_exactly_where_no_sort_is_needed(self, db):
+    def test_coordinator_merges_partials_for_count_min_max_only(self, db):
+        extremes = (
+            star("extremes").group_by("f", "g").aggregate("count", output_name="n")
+            .aggregate("min", "f", "v", "lo").aggregate("max", "d0", "name", "hi").build()
+        )
         with ShardedQueryService(db, num_shards=2, spec=SPEC) as service:
+            assert service.execute(extremes).source == "scatter_partial"
             for query in (INT_SUM, FLOAT_SUM):
-                want = "gather" if needs_canonical_order(db, query) else "partial"
-                assert service.execute(query).source == f"scatter_{want}"
+                assert service.execute(query).source == "scatter_gather"
 
-    def test_integer_sum_never_reaches_the_canonical_sort(self, db, plans, monkeypatch):
-        def refuse(relation):
-            raise AssertionError("order-insensitive output was canonically sorted")
+    def test_no_aggregate_reaches_the_canonical_sort(self, db, monkeypatch):
+        def refuse(relation, live=None):
+            raise AssertionError("an aggregate's input was canonically sorted")
 
-        monkeypatch.setattr(materialization_module, "canonical_row_order", refuse)
-        with QueryService(db) as service:
-            served = service.execute(INT_SUM)
-        with ShardedQueryService(db, num_shards=2, spec=SPEC) as sharded:
-            scattered = sharded.execute(INT_SUM)
-        assert scattered.source == "scatter_partial"
-        assert output_bytes(scattered.execution.columns) == output_bytes(served.execution.columns)
+        monkeypatch.setattr(executor_module, "canonicalize_relation", refuse)
+        for query in (INT_SUM, FLOAT_SUM):
+            with QueryService(db) as service:
+                served = service.execute(query)
+            with ShardedQueryService(db, num_shards=2, spec=SPEC) as sharded:
+                scattered = sharded.execute(query)
+            assert scattered.source == "scatter_gather"
+            assert output_bytes(scattered.execution.columns) == output_bytes(
+                served.execution.columns
+            )
 
 
 class TestCanonicalSortKeyCount:
-    def test_star_template_sorts_by_its_two_output_inputs(self, db, monkeypatch):
-        """The perfbench star template (group key + one float sum) joins on
-        four or more key columns and must sort by exactly two — the pin that
-        fails if dead join keys ever reach the canonical sort again."""
+    def test_star_projection_sorts_by_its_output_columns_only(self, db, monkeypatch):
+        """A star projection joins on four or more key columns and must sort
+        by exactly the two it outputs — the pin that fails if dead join keys
+        ever reach the canonical sort again.  The aggregate star template
+        (group key + one float sum) reaches no sort at all."""
         seen = []
         original = materialization_module.canonical_row_order
 
@@ -204,10 +215,13 @@ class TestCanonicalSortKeyCount:
             star("star").group_by("f", "g")
             .aggregate("sum", "f", "v", "total").aggregate("count", output_name="n").build()
         )
+        projection = star("star_rows").select("f", "g").select("f", "v").build()
         with QueryService(db) as service:
             service.execute(template)
+            service.execute(projection)
         with ShardedQueryService(db, num_shards=2, spec=SPEC) as sharded:
             sharded.execute(template)
+            sharded.execute(projection)
         assert seen == [["f.g", "f.v"]] * 2
 
 

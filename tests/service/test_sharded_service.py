@@ -37,6 +37,14 @@ from repro.service import (
 from repro.workloads.tpch import generate_tpch_database
 
 SQL_PARTIAL = (
+    "SELECT o.o_orderpriority, COUNT(*) AS cnt, MAX(l.l_quantity) AS top_qty, "
+    "MIN(o.o_totalprice) AS floor_price "
+    "FROM orders o, lineitem l "
+    "WHERE o.o_orderkey = l.l_orderkey AND l.l_quantity < ? "
+    "GROUP BY o.o_orderpriority"
+)
+#: Integer SUM/AVG gather raw rows: shard sums would round twice past 2**53.
+SQL_INT_SUM = (
     "SELECT o.o_orderpriority, COUNT(*) AS cnt, SUM(l.l_quantity) AS qty, "
     "AVG(l.l_quantity) AS avg_qty, MIN(o.o_totalprice) AS floor_price "
     "FROM orders o, lineitem l "
@@ -187,6 +195,7 @@ class TestBitIdentity:
         [
             (SQL_PARTIAL, [30]),
             (SQL_PARTIAL, [12]),
+            (SQL_INT_SUM, [30]),
             (SQL_GATHER, [30]),
             (SQL_PROJECTION, [4]),
             (SQL_REPLICATED, [20]),
@@ -201,6 +210,7 @@ class TestBitIdentity:
     def test_sources_reflect_the_route(self, sharded):
         assert sharded.execute(SQL_PARTIAL, [29]).source == "scatter_partial"
         assert sharded.execute(SQL_GATHER, [29]).source == "scatter_gather"
+        assert sharded.execute(SQL_INT_SUM, [29]).source == "scatter_gather"
         stats = sharded.stats
         assert stats.partial_merges >= 1
         assert stats.gather_merges >= 1

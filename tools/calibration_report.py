@@ -8,7 +8,10 @@ report executes one join node per method through :class:`repro.executor.Executor
 for it — and prints, per method, the model's cost of the join node's actual
 resource vector under ``DEFAULT_COST_UNITS``, the same under units freshly
 fitted (:func:`repro.cost.calibration.fit_cost_units`) to this run's own
-measurements, and the best-of-5 wall time.  Every pair of methods the model
+measurements, and the best-of-5 wall time.  Every cell is built first; each
+of the 5 timing rounds then runs every (cell, method) once, so a slow stretch
+of the host lands on every (cell, method) alike instead of on whichever cell
+ran then.  Every pair of methods the model
 ranks opposite to the clock is flagged.  Tooling, not a test: nothing in
 tier-1 asserts a wall-clock ratio; the committed ``CALIBRATION.txt`` makes
 drift between the kernels and the cost units a diff.
@@ -72,30 +75,46 @@ def build_tables(db: Database, cell: int, outer: int, inner: int, per_key: int, 
         db.create_index(f"inner{cell}", "k")
 
 
-def measure(db: Database, cell: int, method: JoinMethod) -> Measurement:
-    """Best-of-``REPEATS`` execution of one join node with ``method``."""
+def join_plan(cell: int, method: JoinMethod) -> JoinNode:
     outer, inner = f"outer{cell}", f"inner{cell}"
-    plan = JoinNode(
+    return JoinNode(
         left=ScanNode(table=outer, alias=outer),
         right=ScanNode(table=inner, alias=inner),
         method=method,
         predicates=(JoinPredicate(outer, "k", inner, "k"),),
     )
+
+
+Run = Tuple[int, JoinMethod]
+
+
+def measure_all(db: Database, runs: List[Run]) -> Dict[Run, Measurement]:
+    """Best of ``REPEATS`` rounds, each executing every (cell, method) once."""
     executor = Executor(db)
+    best = {run: math.inf for run in runs}
+    probed: Dict[Run, bool] = {}
+    executions = {}
     probe = executor_module.index_nested_loop_join
-    best = math.inf
     with mock.patch.object(executor_module, "index_nested_loop_join", wraps=probe) as spy:
         for _ in range(REPEATS):
-            started = time.perf_counter()
-            result = executor.execute_fragment(plan)
-            best = min(best, time.perf_counter() - started)
-    outer_scan, inner_scan, join = result.node_executions
-    if method is JoinMethod.INDEX_NESTED_LOOP:
-        operator = "index probe" if spy.call_count else "hash kernel (work rule)"
-    else:
-        operator = method.value
-    rows = (outer_scan.actual_rows, inner_scan.actual_rows, join.actual_rows)
-    return Measurement(method, operator, best, join.resources, rows)
+            for run in runs:
+                calls = spy.call_count
+                started = time.perf_counter()
+                executions[run] = executor.execute_fragment(join_plan(*run)).node_executions
+                best[run] = min(best[run], time.perf_counter() - started)
+                probed[run] = spy.call_count > calls
+    measurements = {}
+    for (cell, method), nodes in executions.items():
+        outer_scan, inner_scan, join = nodes
+        if method is JoinMethod.INDEX_NESTED_LOOP:
+            operator = "index probe" if probed[cell, method] else "hash kernel (work rule)"
+        else:
+            operator = method.value
+        rows = (outer_scan.actual_rows, inner_scan.actual_rows, join.actual_rows)
+        measurements[cell, method] = Measurement(
+            method, operator, best[cell, method], join.resources, rows
+        )
+    return measurements
 
 
 def inversions(
@@ -118,7 +137,7 @@ def inversions(
 
 def main() -> None:
     db = Database("calibration")
-    cells: List[Tuple[int, List[Measurement]]] = []
+    runs: List[Run] = []
     for cell, (outer, inner, per_key, indexed) in enumerate(GRID):
         build_tables(db, cell, outer, inner, per_key, indexed)
         methods = [JoinMethod.HASH_JOIN, JoinMethod.MERGE_JOIN]
@@ -126,7 +145,11 @@ def main() -> None:
             methods.append(JoinMethod.NESTED_LOOP)
         if indexed:
             methods.append(JoinMethod.INDEX_NESTED_LOOP)
-        cells.append((cell, [measure(db, cell, method) for method in methods]))
+        runs += [(cell, method) for method in methods]
+    measured = measure_all(db, runs)
+    cells = [
+        (cell, [measured[run] for run in runs if run[0] == cell]) for cell in range(len(GRID))
+    ]
 
     # Fresh units: the scan micro-workload of calibrate_cost_units plus every
     # join measured above, so all five units see a signal.
@@ -141,7 +164,7 @@ def main() -> None:
     print("Join-method calibration report (tools/calibration_report.py)")
     print(
         f"host: {platform.machine()}, python {platform.python_version()}, "
-        f"numpy {np.__version__}; best of {REPEATS}; seed {SEED}"
+        f"numpy {np.__version__}; best of {REPEATS} interleaved rounds; seed {SEED}"
     )
     print("default units:", DEFAULT_COST_UNITS.as_dict())
     print("fitted units: ", {name: float(f"{v:.3g}") for name, v in fitted.as_dict().items()})

@@ -3,13 +3,13 @@ canonical aggregation module.
 
 Floating-point addition is not associative: the same values summed in a
 different order give a different last bit.  The reproduction's
-sharded/single-node bit-identity therefore hinges on *one* accumulation
-order, implemented once in ``src/repro/relalg/aggregate.py`` (per-group
-``reduceat`` over boundary-sorted values; shard partials merged there
-too).  A second ``reduceat`` / ``fsum``
-call site elsewhere is someone re-implementing grouped float reduction with
-its own order — exactly the drift the kernel-equivalence suites exist to
-catch at runtime.
+sharded/single-node and plan-independence bit-identity therefore hinge on
+*one* float reduction, implemented once in ``src/repro/relalg/aggregate.py``:
+the correctly rounded grouped sum (``exact_group_sums``), whose result no
+row order changes; shard partials merge there too.  A second ``reduceat`` /
+``fsum`` call site elsewhere is someone re-implementing grouped float
+reduction with its own order — exactly the drift the kernel-equivalence
+suites exist to catch at runtime.
 """
 
 from __future__ import annotations
